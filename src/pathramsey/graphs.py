@@ -308,41 +308,95 @@ def sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, Bl
 def girth_violation(g: Graph, limit: int) -> list[int] | None:
     """A shortest cycle of length <= limit, or None if girth exceeds limit.
 
-    Per-edge BFS: for each edge uv the shortest cycle through uv has length
-    dist(u,v in g-uv) + 1; the minimum over edges is the girth.
+    The cycle lies on the first edge uv, in sorted-edge order, among those on
+    a shortest cycle.  It is returned as [v, ..., u]: the shortest u-v path in
+    g - uv found by a breadth-first search from u that visits neighbours in
+    ascending order and keeps the first parent of each vertex.
     """
     if limit < 3:
         raise ParameterError("cycle length bound must be >= 3")
-    best: list[int] | None = None
-    for u, v in g.sorted_edges():
-        # BFS from u to v avoiding the edge uv itself.
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[u] = 0
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            if best is not None and dist[x] + 1 >= len(best):
+    adj = g.adjacency_masks()
+    edges = g.sorted_edges()
+    found = _first_shortest_cycle(adj, edges, 0, 3, limit)
+    if found is None:
+        return None
+    return _cycle_path(adj, *edges[found[0]])
+
+
+def _mask_vertices(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _cycle_length(adj: Sequence[int], u: int, v: int, cap: int) -> int | None:
+    """Length of a shortest cycle through the edge uv if it is at most cap, else None.
+
+    Breadth-first search from u in g - uv, one bitmask frontier per level,
+    stopping when a frontier vertex is adjacent to v or at depth cap - 2.
+    """
+    seen = (1 << u) | (1 << v)
+    frontier = adj[u] & ~seen
+    length = 3
+    while frontier and length <= cap:
+        if frontier & adj[v]:
+            return length
+        seen |= frontier
+        reach = 0
+        for w in _mask_vertices(frontier):
+            reach |= adj[w]
+        frontier = reach & ~seen
+        length += 1
+    return None
+
+
+def _first_shortest_cycle(
+    adj: Sequence[int], edges: Sequence[Edge], start: int, shortest: int, longest: int
+) -> tuple[int, int] | None:
+    """(index, length) of the first edge in edges[start:] on a cycle as short as any there.
+
+    Only cycles of length at most `longest` count, and `shortest` is a known
+    lower bound on their length, so the scan stops at the first edge reaching
+    it.  Edges no longer present in adj are skipped.  None when no edge from
+    `start` on lies on a cycle of length <= longest.
+    """
+    best = None
+    cap = longest
+    for i in range(start, len(edges)):
+        u, v = edges[i]
+        if not adj[u] >> v & 1:
+            continue
+        length = _cycle_length(adj, u, v, cap)
+        if length is not None:
+            best, cap = (i, length), length - 1
+            if length <= shortest:
+                break
+    return best
+
+
+def _cycle_path(adj: Sequence[int], u: int, v: int) -> list[int]:
+    """[v, ..., u]: the parent-pointer BFS path from u to v in g - uv, neighbours ascending.
+
+    The caller guarantees that uv lies on a cycle.
+    """
+    parent = {u: u}
+    queue = deque([u])
+    while True:
+        x = queue.popleft()
+        for w in _mask_vertices(adj[x]):
+            if w in parent or (x == u and w == v):
                 continue
-            for w in g.neighbours(x):
-                if (x == u and w == v) or (x == v and w == u):
-                    continue
-                if dist[w] < 0:
-                    dist[w] = dist[x] + 1
-                    parent[w] = x
-                    q.append(w)
-        if dist[v] >= 0:
-            cycle_len = dist[v] + 1
-            if best is None or cycle_len < len(best):
+            parent[w] = x
+            if w == v:
                 path = [v]
                 while path[-1] != u:
                     path.append(parent[path[-1]])
-                best = path
-                if len(best) == 3:
-                    break
-    if best is not None and len(best) <= limit:
-        return best
-    return None
+                return path
+            queue.append(w)
 
 
 # -- densities ------------------------------------------------------------

@@ -20,8 +20,8 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import Graph, PathWitness, complete_graph
-from .pseudorandom import disjoint_pair_count, iter_disjoint_pairs, prune_to_size
+from .graphs import Graph, PathWitness, _mask_vertices, complete_graph
+from .pseudorandom import _cross_counts, disjoint_pair_count, iter_disjoint_pairs, prune_to_size
 
 BLUE_COLOUR = 1
 RED_COLOUR = 2
@@ -140,15 +140,6 @@ def _group_components(comps: list[int], classes: int, exact: bool = False) -> li
         if place(0):
             return groups + [0] * (classes - m)
     return None
-
-
-def _mask_vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _ham_path_table(masks: list[int], n: int) -> list[int]:
@@ -397,18 +388,8 @@ def check_expansion(g: Graph, set_size: int, pair_budget: int = 100_000) -> tupl
     """First disjoint (set_size, set_size) pair with no cross edge, as masks; None if expanding."""
     if disjoint_pair_count(g.n, set_size) > pair_budget:
         raise ParameterError("expansion pre-check too large; assert the hypothesis instead")
-    masks = g.adjacency_masks()
-    for x, y in iter_disjoint_pairs(g.n, set_size):
-        hit = False
-        m = x
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if masks[v] & y:
-                hit = True
-                break
-        if not hit:
+    for x, y, e in _cross_counts(g.adjacency_masks(), iter_disjoint_pairs(g.n, set_size)):
+        if e == 0:
             return x, y
     return None
 

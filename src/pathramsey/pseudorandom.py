@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -23,7 +23,15 @@ from .errors import (
     ParameterError,
     ParameterInfeasibleError,
 )
-from .graphs import Graph, girth_violation, max_degree
+from .graphs import (
+    Graph,
+    _cycle_path,
+    _first_shortest_cycle,
+    _mask_vertices,
+    girth_violation,
+    max_degree,
+    random_graph,
+)
 
 PAIR_BUDGET = 200_000
 
@@ -130,6 +138,8 @@ class GenerationConfig:
             raise ParameterError("mode must be 'toy' or 'paper'")
         if not 0 < self.p <= 1:
             raise ParameterInfeasibleError(f"edge probability {self.p} outside (0, 1]")
+        if self.cert_samples < 1:
+            raise ParameterError("certificate sample count must be >= 1")
 
     @staticmethod
     def closed_form_p(params: ClassPParams) -> Fraction:
@@ -157,14 +167,23 @@ def disjoint_pair_count(n: int, k: int) -> int:
 
 
 def iter_disjoint_pairs(n: int, k: int) -> Iterator[tuple[int, int]]:
-    """All unordered pairs of disjoint k-subsets of range(n), as bitmasks."""
-    for xs in combinations(range(n), k):
-        x = sum(1 << v for v in xs)
-        rest = [v for v in range(n) if not (x >> v) & 1]
-        for ys in combinations(rest, k):
-            y = sum(1 << v for v in ys)
-            if x < y:
-                yield x, y
+    """All unordered pairs of disjoint k-subsets of range(n), as bitmasks (x, y) with x < y.
+
+    Order: x runs over the k-subsets in lexicographic order, and for each x, y
+    runs over the k-subsets of the complement in lexicographic order.  Disjoint
+    masks compare by their highest vertex, so x < y exactly when y's highest
+    vertex exceeds x's; an x holding vertex n-1 therefore has no partner.
+    """
+    if k < 1:
+        return
+    bit = [1 << v for v in range(n)]
+    vertices = set(range(n))
+    for xs in combinations(range(n - 1), k):
+        x = sum(map(bit.__getitem__, xs))
+        top = xs[-1]
+        for ys in combinations(sorted(vertices.difference(xs)), k):
+            if ys[-1] > top:
+                yield x, sum(map(bit.__getitem__, ys))
 
 
 def sample_disjoint_pairs(n: int, k: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
@@ -177,22 +196,34 @@ def sample_disjoint_pairs(n: int, k: int, count: int, seed: int) -> Iterator[tup
         yield x, y
 
 
-def _mask_vertices(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+def _cross_counts(
+    masks: Sequence[int], pairs: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int, int]]:
+    """(x, y, e(x, y)) for each pair of vertex masks, in the order given.
 
-
-def cross_count(masks: tuple[int, ...], x: int, y: int) -> int:
-    total = 0
-    for v in _mask_vertices(x):
-        total += (masks[v] & y).bit_count()
-    return total
+    e(x, y) = sum over v in x of |N(v) & y|.  Row v of the adjacency matrix
+    sits in bits v*n .. v*n+n-1 of one integer; multiplying y by the sum of
+    1 << v*n over v in x copies y into exactly the rows of x, so one AND and
+    one popcount give the count.  The row selector is cached while x repeats
+    and built from 8-bit chunk tables.
+    """
+    n = len(masks)
+    matrix = 0
+    for v, m in enumerate(masks):
+        matrix |= m << (v * n)
+    chunks = []
+    for base in range(0, n, 8):
+        table = [0]
+        for v in range(base, min(base + 8, n)):
+            table += [r | 1 << (v * n) for r in table]
+        chunks.append(table)
+    last = None
+    for x, y in pairs:
+        if x != last:
+            last, rows = x, 0
+            for c, table in enumerate(chunks):
+                rows |= table[x >> (8 * c) & 255]
+        yield x, y, (matrix & y * rows).bit_count()
 
 
 @dataclass(frozen=True)
@@ -247,11 +278,20 @@ def fit_density_certificate(
 
     mode "auto" enumerates exhaustively when the family fits the budget and
     samples otherwise; "exhaustive" raises if the family is too large.
+
+    One pass over the pairs (iter_disjoint_pairs order, or sample order) keeps
+    the count sum and the first pair reaching the least and the greatest count;
+    every field follows from those.  worst_pair is the first pair that reaches
+    the maximum deviation from f_ref: a pair with the least or greatest count,
+    whichever deviates more, the earlier of the two when both deviate equally
+    (so the first pair checked when every pair has the same count).
     """
     if set_size < 1:
         raise ParameterError("set size must be >= 1")
     if not 0 < tolerance < 1:
         raise ParameterError("tolerance must lie in (0,1)")
+    if sample_count < 1:
+        raise ParameterError("sample count must be >= 1")
     total = disjoint_pair_count(g.n, set_size)
     if total == 0:
         return DensityCertificate(
@@ -275,31 +315,32 @@ def fit_density_certificate(
     else:
         raise ParameterError(f"unknown certification mode {mode!r}")
 
-    masks = g.adjacency_masks()
     denom = set_size * set_size
-    densities: list[tuple[Fraction, int, int]] = []
-    for x, y in pairs:
-        d = Fraction(cross_count(masks, x, y), denom)
-        densities.append((d, x, y))
-    checked = len(densities)
+    count_sum, least, greatest = 0, denom + 1, -1
+    for i, (x, y, e) in enumerate(_cross_counts(g.adjacency_masks(), pairs)):
+        count_sum += e
+        if e < least:
+            least, least_at = e, (i, x, y)
+        if e > greatest:
+            greatest, greatest_at = e, (i, x, y)
+    checked = i + 1
 
-    mean = sum((d for d, _, _ in densities), Fraction(0)) / checked
-    lo = max(d / (1 + tolerance) for d, _, _ in densities)
-    hi = min(d / (1 - tolerance) for d, _, _ in densities)
+    d_min, d_max = Fraction(least, denom), Fraction(greatest, denom)
+    mean = Fraction(count_sum, denom * checked)
+    lo = d_max / (1 + tolerance)
+    hi = d_min / (1 - tolerance)
 
-    def rel_dev(f: Fraction) -> tuple[Fraction, tuple[int, int]]:
-        worst = Fraction(0)
-        wpair = (densities[0][1], densities[0][2])
-        for d, x, y in densities:
-            dev = abs(d / f - 1)
-            if dev > worst:
-                worst, wpair = dev, (x, y)
-        return worst, wpair
+    def rel_dev(f: Fraction) -> tuple[Fraction, tuple[int, int, int]]:
+        # |d/f - 1| is convex in d, so only the extreme counts can deviate most.
+        dev_min, dev_max = abs(d_min / f - 1), abs(d_max / f - 1)
+        if dev_min == dev_max:
+            return dev_min, min(least_at, greatest_at)
+        return (dev_min, least_at) if dev_min > dev_max else (dev_max, greatest_at)
 
     if mean > 0:
         dev_mean, worst_mean = rel_dev(mean)
     else:
-        dev_mean, worst_mean = None, (densities[0][1], densities[0][2])
+        dev_mean, worst_mean = None, least_at  # every count is 0: the first pair
 
     if dev_mean is not None and dev_mean <= tolerance:
         f, dev, wpair, passed = mean, dev_mean, worst_mean, True
@@ -315,7 +356,7 @@ def fit_density_certificate(
     return DensityCertificate(
         f_ref=f, mode=mode, tolerance=tolerance, max_rel_dev=dev, passed=passed,
         pairs_checked=checked, sample_count=used_samples, seed=used_seed,
-        worst_pair=(tuple(_mask_vertices(wpair[0])), tuple(_mask_vertices(wpair[1]))),
+        worst_pair=(tuple(_mask_vertices(wpair[1])), tuple(_mask_vertices(wpair[2]))),
         feasible_low=lo, feasible_high=hi, mean_density=mean,
     )
 
@@ -334,10 +375,8 @@ def _count_certificate_ok(
     else:
         pairs = sample_disjoint_pairs(g.n, set_size, sample_count, seed)
         mode = "sampled"
-    lo, hi = (1 - slack) * target, (1 + slack) * target
-    masks = g.adjacency_masks()
-    for x, y in pairs:
-        e = cross_count(masks, x, y)
+    lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
+    for x, y, e in _cross_counts(g.adjacency_masks(), pairs):
         if not lo <= e <= hi:
             return False, (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), e), mode
     return True, None, mode
@@ -368,33 +407,40 @@ class GenerationLog:
         }
 
 
-def _sample_binomial_graph(n: int, p: Fraction, seed: int) -> Graph:
-    rng = random.Random(seed)
-    pf = float(p)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < pf]
-    return Graph(n, edges)
-
-
 def _clean_short_cycles(g: Graph, limit: int, log: GenerationLog) -> Graph:
     """Remove one edge per short cycle until no cycle of length <= limit remains.
 
-    From each shortest offending cycle the edge with the largest endpoint
-    degree sum goes (ties: lexicographically smallest pair), biasing the
-    removals away from sparse regions.
+    Each round takes the cycle girth_violation would return: a shortest cycle,
+    on the first edge in sorted order that lies on one, traced by the same BFS.
+    From it the edge with the largest endpoint degree sum goes (ties:
+    lexicographically smallest pair), biasing the removals away from sparse
+    regions.
+
+    The graph is kept as adjacency masks, and the edge scan resumes where the
+    last winner was found.  That is exact: removing an edge never shortens a
+    cycle, so after a winner on a cycle of length L, no edge before it lies on
+    a cycle of length <= L.  The scan restarts at the first edge only when no
+    cycle of length L is left.
     """
     if limit < 3:
         return g
-    current = g
-    while True:
-        cyc = girth_violation(current, limit)
-        if cyc is None:
-            return current
+    adj = list(g.adjacency_masks())
+    edges = g.sorted_edges()
+    found = _first_shortest_cycle(adj, edges, 0, 3, limit)
+    while found is not None:
+        start, length = found
+        cyc = _cycle_path(adj, *edges[start])
         log.cycles_found += 1
         cycle_edges = [tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc))]
-        cycle_edges.sort()
-        doomed = max(cycle_edges, key=lambda e: (current.degree(e[0]) + current.degree(e[1]), (-e[0], -e[1])))
+        doomed = max(cycle_edges, key=lambda e: (adj[e[0]].bit_count() + adj[e[1]].bit_count(), (-e[0], -e[1])))
         log.removed_edges.append(doomed)
-        current = Graph(current.n, current.edges - {doomed})
+        u, v = doomed
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        found = _first_shortest_cycle(adj, edges, start, length, length)
+        if found is None and length < limit:
+            found = _first_shortest_cycle(adj, edges, 0, length + 1, limit)
+    return Graph(g.n, [(u, v) for u, v in edges if adj[u] >> v & 1])
 
 
 def prune_to_size(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[int]]:
@@ -445,7 +491,7 @@ def generate_class_p(
     worst = None
     for attempt in range(cfg.retry_budget):
         log.attempts = attempt + 1
-        candidate = _sample_binomial_graph(params.two_an, cfg.p, seed=cfg.seed * 1_000_003 + attempt)
+        candidate = random_graph(params.two_an, float(cfg.p), seed=cfg.seed * 1_000_003 + attempt)
         ok, worst, mode = _count_certificate_ok(
             candidate, params.cn, target, q.eps / 2,
             sample_count=cfg.cert_samples, seed=cfg.seed ^ 0x5EED,
@@ -504,6 +550,8 @@ def verify_class_p(
     seed: int = 0,
 ) -> ClassPReport:
     """Check the four class membership conditions; density per certificate."""
+    if sample_count < 1:
+        raise ParameterError("sample count must be >= 1")
     size_ok = g.n == params.an
     deg = max_degree(g)
     degree_ok = Fraction(deg) <= params.quad.b
@@ -563,8 +611,8 @@ def verify_density_propagation(
     lo, hi = (1 - eps) * f_ref, (1 + eps) * f_ref
 
     hypothesis_witness = None
-    for x, y in iter_disjoint_pairs(g.n, alpha_n):
-        d = Fraction(cross_count(masks, x, y), alpha_n * alpha_n)
+    for x, y, e in _cross_counts(masks, iter_disjoint_pairs(g.n, alpha_n)):
+        d = Fraction(e, alpha_n * alpha_n)
         if not lo <= d <= hi:
             hypothesis_witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), d)
             break
@@ -573,24 +621,28 @@ def verify_density_propagation(
 
     full = (1 << g.n) - 1
     sizes = [m.bit_count() for m in range(full + 1)]
+
+    def larger_pairs() -> Iterator[tuple[int, int]]:
+        for x in range(1, full + 1):
+            if sizes[x] < alpha_n:
+                continue
+            comp = full & ~x
+            y = comp
+            while y:
+                if sizes[y] >= alpha_n and x < y:
+                    yield x, y
+                y = (y - 1) & comp
+
     pair_violations = 0
     first_violation = None
     pairs_checked = 0
-    for x in range(1, full + 1):
-        if sizes[x] < alpha_n:
-            continue
-        comp = full & ~x
-        y = comp
-        while y:
-            if sizes[y] >= alpha_n and x < y:
-                pairs_checked += 1
-                e = cross_count(masks, x, y)
-                d = Fraction(e, sizes[x] * sizes[y])
-                if not lo <= d <= hi:
-                    pair_violations += 1
-                    if first_violation is None:
-                        first_violation = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), d)
-            y = (y - 1) & comp
+    for x, y, e in _cross_counts(masks, larger_pairs()):
+        pairs_checked += 1
+        d = Fraction(e, sizes[x] * sizes[y])
+        if not lo <= d <= hi:
+            pair_violations += 1
+            if first_violation is None:
+                first_violation = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), d)
 
     set_violations = 0
     sets_checked = 0
@@ -647,26 +699,23 @@ def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoos
     if not (1 <= 2 * mu_n <= beta_n <= alpha_n):
         raise ParameterError("need 2*mu_n <= beta_n <= alpha_n with mu_n >= 1")
     masks = g.adjacency_masks()
-
-    for x, y in iter_disjoint_pairs(g.n, mu_n):
-        if cross_count(masks, x, y) == 0:
-            witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)))
-            return EdgeBoostReport(False, witness, Fraction(beta_n ** 2, 2 * mu_n),
-                                   None, None, 0, False)
-
     bound = Fraction(beta_n ** 2, 2 * mu_n)
+
+    for x, y, e in _cross_counts(masks, iter_disjoint_pairs(g.n, mu_n)):
+        if e == 0:
+            witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)))
+            return EdgeBoostReport(False, witness, bound, None, None, 0, False)
+
     min_cross: int | None = None
     worst = None
     checked = 0
-    for x, y in iter_disjoint_pairs(g.n, beta_n):
+    for x, y, e in _cross_counts(masks, iter_disjoint_pairs(g.n, beta_n)):
         checked += 1
-        e = cross_count(masks, x, y)
         if min_cross is None or e < min_cross:
-            min_cross = e
-            worst = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)))
-    passed = min_cross is not None and Fraction(min_cross) >= bound
-    if min_cross is None:
-        passed = True
+            min_cross, worst = e, (x, y)
+    if worst is not None:
+        worst = (tuple(_mask_vertices(worst[0])), tuple(_mask_vertices(worst[1])))
+    passed = min_cross is None or min_cross >= bound
     return EdgeBoostReport(True, None, bound, min_cross, worst, checked, passed)
 
 

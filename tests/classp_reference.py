@@ -1,0 +1,147 @@
+"""Reference implementations of the class-P kernels, kept for differential tests.
+
+These are the straightforward versions the package's integer-extremes pair
+kernel, same-order pair enumerator and resumable bitmask girth cleaning must
+agree with exactly: a Fraction per pair, every ordered pair enumerated and half
+dropped, and a fresh per-edge parent-pointer BFS after every removal.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from fractions import Fraction
+from itertools import combinations
+
+from pathramsey import DensityCertificate, Graph
+from pathramsey.pseudorandom import disjoint_pair_count, sample_disjoint_pairs
+
+
+def ref_iter_disjoint_pairs(n: int, k: int):
+    for xs in combinations(range(n), k):
+        x = sum(1 << v for v in xs)
+        rest = [v for v in range(n) if not (x >> v) & 1]
+        for ys in combinations(rest, k):
+            y = sum(1 << v for v in ys)
+            if x < y:
+                yield x, y
+
+
+def ref_mask_vertices(mask: int) -> list[int]:
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return out
+
+
+def ref_cross_count(masks, x: int, y: int) -> int:
+    return sum((masks[v] & y).bit_count() for v in ref_mask_vertices(x))
+
+
+def ref_fit_density_certificate(
+    g: Graph, set_size: int, tolerance: Fraction, mode: str = "auto",
+    sample_count: int = 300, seed: int = 0, pair_budget: int = 200_000,
+) -> DensityCertificate:
+    total = disjoint_pair_count(g.n, set_size)
+    if total == 0:
+        return DensityCertificate(
+            f_ref=Fraction(1), mode="vacuous", tolerance=tolerance, max_rel_dev=Fraction(0),
+            passed=True, pairs_checked=0,
+        )
+    if mode == "auto":
+        mode = "exhaustive" if total <= pair_budget else "sampled"
+    if mode == "exhaustive":
+        pairs = ref_iter_disjoint_pairs(g.n, set_size)
+        used_samples = used_seed = None
+    else:
+        pairs = sample_disjoint_pairs(g.n, set_size, sample_count, seed)
+        used_samples, used_seed = sample_count, seed
+
+    masks = g.adjacency_masks()
+    denom = set_size * set_size
+    densities = [(Fraction(ref_cross_count(masks, x, y), denom), x, y) for x, y in pairs]
+    checked = len(densities)
+    mean = sum((d for d, _, _ in densities), Fraction(0)) / checked
+    lo = max(d / (1 + tolerance) for d, _, _ in densities)
+    hi = min(d / (1 - tolerance) for d, _, _ in densities)
+
+    def rel_dev(f):
+        worst = Fraction(0)
+        wpair = (densities[0][1], densities[0][2])
+        for d, x, y in densities:
+            dev = abs(d / f - 1)
+            if dev > worst:
+                worst, wpair = dev, (x, y)
+        return worst, wpair
+
+    if mean > 0:
+        dev_mean, worst_mean = rel_dev(mean)
+    else:
+        dev_mean, worst_mean = None, (densities[0][1], densities[0][2])
+    if dev_mean is not None and dev_mean <= tolerance:
+        f, dev, wpair, passed = mean, dev_mean, worst_mean, True
+    elif lo <= hi and hi > 0:
+        f = (lo + hi) / 2
+        dev, wpair = rel_dev(f)
+        passed = dev <= tolerance
+    else:
+        f = mean
+        dev, wpair = (dev_mean, worst_mean) if dev_mean is not None else (None, worst_mean)
+        passed = False
+    return DensityCertificate(
+        f_ref=f, mode=mode, tolerance=tolerance, max_rel_dev=dev, passed=passed,
+        pairs_checked=checked, sample_count=used_samples, seed=used_seed,
+        worst_pair=(tuple(ref_mask_vertices(wpair[0])), tuple(ref_mask_vertices(wpair[1]))),
+        feasible_low=lo, feasible_high=hi, mean_density=mean,
+    )
+
+
+def ref_girth_violation(g: Graph, limit: int) -> list[int] | None:
+    best: list[int] | None = None
+    for u, v in g.sorted_edges():
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[u] = 0
+        q = deque([u])
+        while q:
+            x = q.popleft()
+            if best is not None and dist[x] + 1 >= len(best):
+                continue
+            for w in g.neighbours(x):
+                if (x == u and w == v) or (x == v and w == u):
+                    continue
+                if dist[w] < 0:
+                    dist[w] = dist[x] + 1
+                    parent[w] = x
+                    q.append(w)
+        if dist[v] >= 0:
+            cycle_len = dist[v] + 1
+            if best is None or cycle_len < len(best):
+                path = [v]
+                while path[-1] != u:
+                    path.append(parent[path[-1]])
+                best = path
+                if len(best) == 3:
+                    break
+    if best is not None and len(best) <= limit:
+        return best
+    return None
+
+
+def ref_clean_short_cycles(g: Graph, limit: int) -> tuple[Graph, list[tuple[int, int]], int]:
+    """(cleaned graph, removed edges in order, cycles found)."""
+    removed: list[tuple[int, int]] = []
+    if limit < 3:
+        return g, removed, 0
+    current = g
+    while True:
+        cyc = ref_girth_violation(current, limit)
+        if cyc is None:
+            return current, removed, len(removed)
+        cycle_edges = sorted(tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc)))
+        doomed = max(cycle_edges, key=lambda e: (current.degree(e[0]) + current.degree(e[1]), (-e[0], -e[1])))
+        removed.append(doomed)
+        current = Graph(current.n, current.edges - {doomed})

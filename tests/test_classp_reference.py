@@ -1,0 +1,104 @@
+"""Differential tests: the class-P kernels against the reference copies in classp_reference."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from pathramsey import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    fit_density_certificate,
+    girth_violation,
+    path_graph,
+    random_graph,
+)
+from pathramsey.pseudorandom import GenerationLog, _clean_short_cycles, iter_disjoint_pairs
+
+from classp_reference import (
+    ref_clean_short_cycles,
+    ref_fit_density_certificate,
+    ref_girth_violation,
+    ref_iter_disjoint_pairs,
+)
+
+PAIR_GRID = [(n, k) for n in range(0, 13) for k in range(0, 7)] + [(14, 4), (16, 8), (17, 8)]
+
+
+@pytest.mark.parametrize("n,k", PAIR_GRID)
+def test_pair_order_matches_reference(n, k):
+    assert list(iter_disjoint_pairs(n, k)) == list(ref_iter_disjoint_pairs(n, k))
+
+
+def _circulant(n: int, offsets) -> Graph:
+    return Graph(n, [(i, (i + d) % n) for i in range(n) for d in offsets])
+
+
+def _tie_heavy_graphs():
+    yield complete_graph(8)
+    yield empty_graph(8)
+    yield cycle_graph(8)
+    yield cycle_graph(9)
+    yield complete_bipartite(4, 4)
+    yield complete_bipartite(3, 6)
+    yield _circulant(10, (1, 2))
+    yield _circulant(9, (1, 3))
+    yield _circulant(10, (1, 5))  # Moebius ladder
+    yield path_graph(8)
+    yield Graph(6, [(0, v) for v in range(1, 6)])  # star
+
+
+def _random_graphs():
+    rng = random.Random(2024)
+    for _ in range(30):
+        n = rng.randrange(4, 12)
+        yield random_graph(n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)), rng.randrange(10 ** 6))
+
+
+TOLERANCES = (Fraction(1, 10), Fraction(1, 2), Fraction(4, 5))
+
+
+@pytest.mark.parametrize("source", [_tie_heavy_graphs, _random_graphs])
+def test_certificate_matches_reference(source):
+    for g in source():
+        for k in range(1, g.n // 2 + 1):
+            for tol in TOLERANCES:
+                for kw in ({"mode": "exhaustive"},
+                           {"mode": "sampled", "sample_count": 40, "seed": g.n * 31 + k}):
+                    got = fit_density_certificate(g, k, tol, **kw).to_dict()
+                    want = ref_fit_density_certificate(g, k, tol, **kw).to_dict()
+                    assert got == want, (g.n, sorted(g.edges), k, tol, kw)
+
+
+def test_vacuous_and_auto_certificates_match_reference():
+    g = random_graph(9, 0.5, seed=4)
+    for k, budget in ((5, 200_000), (3, 100), (3, 10_000)):
+        got = fit_density_certificate(g, k, Fraction(1, 2), pair_budget=budget)
+        want = ref_fit_density_certificate(g, k, Fraction(1, 2), pair_budget=budget)
+        assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("limit", range(3, 9))
+def test_cleaning_matches_reference(limit):
+    rng = random.Random(limit)
+    for trial in range(60):
+        n = rng.randrange(5, 15)
+        g = random_graph(n, rng.choice((0.2, 0.35, 0.5, 0.8)), rng.randrange(10 ** 6))
+        log = GenerationLog()
+        cleaned = _clean_short_cycles(g, limit, log)
+        want, removed, cycles = ref_clean_short_cycles(g, limit)
+        assert (cleaned, log.removed_edges, log.cycles_found) == (want, removed, cycles), (trial, sorted(g.edges))
+        assert girth_violation(g, limit) == ref_girth_violation(g, limit)
+
+
+def test_girth_violation_matches_reference_on_regular_graphs():
+    graphs = [complete_graph(5), cycle_graph(7), complete_bipartite(3, 3), _circulant(10, (1, 5)),
+              _circulant(12, (1, 4)), path_graph(5)]
+    for g in graphs:
+        for limit in range(3, g.n + 1):
+            assert girth_violation(g, limit) == ref_girth_violation(g, limit)

@@ -73,6 +73,13 @@ class TestGenVerify:
         assert code == 2
         assert "eps" in err
 
+    def test_zero_cert_samples_exits_2(self, run, tmp_path):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps(dict(GEN_DOC, certSamples=0)))
+        code, _, err = run("gen", "--config", str(cfg))
+        assert code == 2
+        assert "sample count" in err
+
     def test_malformed_json_exits_2(self, run, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{nope")

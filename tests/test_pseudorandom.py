@@ -127,6 +127,15 @@ class TestDensityCertificate:
         with pytest.raises(BudgetExceededError):
             fit_density_certificate(empty_graph(40), 10, Fraction(1, 2), mode="exhaustive")
 
+    def test_sample_count_below_one_is_a_parameter_error(self):
+        g = random_graph(12, 0.5, seed=1)
+        with pytest.raises(ParameterError):
+            fit_density_certificate(g, 3, Fraction(1, 2), mode="sampled", sample_count=0)
+        with pytest.raises(ParameterError):
+            verify_class_p(g, toy_params(n=12), mode="sampled", sample_count=0)
+        with pytest.raises(ParameterError):
+            GenerationConfig(p=Fraction(1, 2), seed=0, cert_samples=0)
+
     def test_fitted_reference_within_feasible_interval(self):
         g = random_graph(12, 0.6, seed=9)
         cert = fit_density_certificate(g, 3, Fraction(1, 2))
