@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import (
     BaseCaseError,
-    BudgetExceededError,
     ClassPParams,
     EdgeColouring,
     GenerationConfig,
@@ -22,7 +21,6 @@ from . import (
     LLLFailureError,
     NoCoverFoundError,
     NoPathFoundError,
-    ParameterError,
     PathRamseyError,
     PathWitness,
     PipelineConfig,
@@ -50,7 +48,6 @@ from . import (
     verify_class_p,
     verify_partition,
 )
-from .errors import PreconditionError
 from .serialize import dump_report, parse_frac
 
 
@@ -357,10 +354,9 @@ def _cmd_report(args) -> int:
     if "found" in doc:
         lines.append(f"found: {doc['found']}")
         verdict_ok = bool(doc["found"])
-    for key in ("trace",):
-        if key in doc:
-            for entry in doc[key]:
-                lines.append(f"  [{entry.get('status')}] {entry.get('stage')}")
+    if "trace" in doc:
+        for entry in doc["trace"]:
+            lines.append(f"  [{entry.get('status')}] {entry.get('stage')}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if verdict_ok else 1
 
@@ -473,13 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, PreconditionError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PathRamseyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, OSError) as exc:
+    except (PathRamseyError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 class EdgeColouring:
     """Total map from the host's edges to colours 1..s."""
 
-    __slots__ = ("host", "s", "_col")
+    __slots__ = ("host", "s", "_col", "_masks")
 
     def __init__(self, host: Graph, s: int, colour_of: dict[Edge, int]):
         if s < 1:
@@ -49,6 +49,7 @@ class EdgeColouring:
         self.host = host
         self.s = s
         self._col = normalised
+        self._masks: tuple[tuple[int, ...], ...] | None = None
 
     def colour(self, u: int, v: int) -> int:
         return self._col[(u, v) if u < v else (v, u)]
@@ -61,6 +62,19 @@ class EdgeColouring:
 
     def colour_subgraph(self, c: int) -> Graph:
         return Graph(self.host.n, [e for e, col in self._col.items() if col == c])
+
+    def class_masks(self, c: int) -> tuple[int, ...]:
+        """Per-vertex adjacency bitmasks of colour class c, built once for all colours."""
+        if not 1 <= c <= self.s:
+            raise ParameterError(f"colour {c} outside 1..{self.s}")
+        if self._masks is None:
+            masks = [[0] * self.host.n for _ in range(self.s)]
+            for (u, v), col in self._col.items():
+                row = masks[col - 1]
+                row[u] |= 1 << v
+                row[v] |= 1 << u
+            self._masks = tuple(tuple(row) for row in masks)
+        return self._masks[c - 1]
 
     @classmethod
     def constant(cls, host: Graph, s: int, colour: int) -> "EdgeColouring":
@@ -185,12 +199,7 @@ def find_subgraph(
         col, c = colour_class
         if col.host is not host and col.host != host:
             raise ParameterError("colouring belongs to a different host")
-        masks_list = [0] * host.n
-        for (u, v), cc in col._col.items():
-            if cc == c:
-                masks_list[u] |= 1 << v
-                masks_list[v] |= 1 << u
-        masks = tuple(masks_list)
+        masks = col.class_masks(c)
         constraint = (col, frozenset({c}))
     mapping = _embed_masks(host.n, masks, pattern)
     if mapping is None:

@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ConstructionError, LLLFailureError, ParameterError
 from .graphs import (
@@ -169,6 +170,22 @@ def constants_chain(
 # -- greedy base-case embedding ----------------------------------------------
 
 
+def _greedy_window(
+    host: Graph, bmap: BlowupMap, path_vertices: Sequence[int], k: int
+) -> tuple[int, ...]:
+    """Left to right, the lowest vertex of each clique adjacent to the last k picks."""
+    chosen: list[int] = []
+    for idx, v in enumerate(path_vertices):
+        window = chosen[max(0, idx - k):]
+        candidates = [
+            w for w in bmap.clique_of[v] if all(host.has_edge(w, p) for p in window)
+        ]
+        if not candidates:
+            raise ConstructionError(f"greedy embedding stuck at path position {idx}")
+        chosen.append(min(candidates))
+    return tuple(chosen)
+
+
 def embed_base_case(
     g: Graph, k: int, path_in_g: PathWitness, matching_seed: int | None = None
 ) -> Embedding:
@@ -184,19 +201,8 @@ def embed_base_case(
     path_in_g.validate(g)
     host_base = power(g, k)
     host, bmap = sheared_blowup(host_base, k + 1, seed=matching_seed)
-    chosen: list[int] = []
-    for idx, v in enumerate(path_in_g.vertices):
-        window = chosen[max(0, idx - k):]
-        candidates = [
-            w for w in bmap.clique_of[v]
-            if all(host.has_edge(w, prev) for prev in window)
-        ]
-        if not candidates:
-            raise ConstructionError(
-                f"no candidate left in the clique of path vertex {v}; host matchings inconsistent"
-            )
-        chosen.append(min(candidates))
-    emb = Embedding(path_power(len(path_in_g), k), host, tuple(chosen))
+    chosen = _greedy_window(host, bmap, path_in_g.vertices, k)
+    emb = Embedding(path_power(len(path_in_g), k), host, chosen)
     rep = validate_embedding(emb)
     if not rep.ok:
         raise ConstructionError(f"greedy embedding failed validation: {rep.problem}")
@@ -209,14 +215,13 @@ def embed_base_case(
 @dataclass(frozen=True)
 class TemplateResult:
     contained: bool
-    offending: tuple | None
-    grey_ok: bool | None
-    grey_problem: str | None
-    template: Graph | None
-    vertex_ids: tuple[int, ...] | None
-    blowup: BlowupMap | None
-    removed: dict | None
-    distance_ok: bool | None
+    offending: tuple | None = None
+    grey_ok: bool | None = None
+    grey_problem: str | None = None
+    template: Graph | None = None
+    vertex_ids: tuple[int, ...] | None = None
+    blowup: BlowupMap | None = None
+    distance_ok: bool | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -238,7 +243,6 @@ def check_template_containment(
     aux=None,
     base: Graph | None = None,
     base_segments: list[tuple[int, ...]] | None = None,
-    big_r: int | None = None,
 ) -> TemplateResult:
     """Verify the blow-up template sits inside j and carve out its grey copy.
 
@@ -247,7 +251,8 @@ def check_template_containment(
     non-grey cross pairs per segment pair must form at most a matching; they
     are extended to a perfect matching and removed, leaving a sheared blow-up
     of h^r whose edges are all grey.  Optional base-graph data additionally
-    checks the numeric distance bound (t-1)m + (m-1) < t*r <= big_r per pair.
+    checks that base segments at h-distance d sit within base distance
+    (t-1)m + (m-1), m = d+1, of each other.
     """
     if h.n != len(segments):
         raise ParameterError("one segment per template vertex required")
@@ -266,14 +271,12 @@ def check_template_containment(
         for a in range(t):
             for b in range(a + 1, t):
                 if not j.has_edge(seg[a], seg[b]):
-                    return TemplateResult(False, ((i, i), (seg[a], seg[b])),
-                                          None, None, None, None, None, None, None)
+                    return TemplateResult(False, ((i, i), (seg[a], seg[b])))
     for i1, i2 in hr.sorted_edges():
         for x in segments[i1]:
             for y in segments[i2]:
                 if not j.has_edge(x, y):
-                    return TemplateResult(False, ((i1, i2), (x, y)),
-                                          None, None, None, None, None, None, None)
+                    return TemplateResult(False, ((i1, i2), (x, y)))
 
     distance_ok: bool | None = None
     if base is not None and base_segments is not None:
@@ -295,7 +298,7 @@ def check_template_containment(
 
     grey_ok: bool | None = None
     grey_problem: str | None = None
-    removed: dict[tuple[int, int], frozenset] = {}
+    removed: dict[tuple[int, int], set[tuple[int, int]]] = {}
     if aux is not None:
         grey_ok = True
         for i, seg in enumerate(segments):
@@ -324,10 +327,10 @@ def check_template_containment(
             for a in range(t):
                 if a not in match:
                     match[a] = free_right.pop(0)
-            removed[(i1, i2)] = frozenset(sorted(match.items()))
+            removed[(i1, i2)] = set(match.items())
         if not grey_ok:
-            return TemplateResult(True, None, False, grey_problem,
-                                  None, None, None, None, distance_ok)
+            return TemplateResult(True, grey_ok=False, grey_problem=grey_problem,
+                                  distance_ok=distance_ok)
 
     # Linearised template: vertex (segment i, position p) -> i*t + p.
     vertex_ids = tuple(v for seg in segments for v in seg)
@@ -336,22 +339,20 @@ def check_template_containment(
         edges.extend((i * t + a, i * t + b) for a in range(t) for b in range(a + 1, t))
     removed_linear: dict[tuple[int, int], frozenset] = {}
     for i1, i2 in hr.sorted_edges():
-        gone = removed.get((i1, i2), frozenset())
-        gone_set = {(a, b) for a, b in gone}
+        gone = removed.get((i1, i2), set())
         removed_linear[(i1, i2)] = frozenset(
-            tuple(sorted((i1 * t + a, i2 * t + b))) for a, b in gone_set
+            tuple(sorted((i1 * t + a, i2 * t + b))) for a, b in gone
         )
         for a in range(t):
             for b in range(t):
-                if (a, b) not in gone_set:
+                if (a, b) not in gone:
                     edges.append((i1 * t + a, i2 * t + b))
     template = Graph(len(segments) * t, edges)
     cliques = tuple(tuple(i * t + p for p in range(t)) for i in range(len(segments)))
     bmap = BlowupMap(hr, t, cliques, removed_linear if aux is not None else {},
                      "template-extracted" if aux is not None else "none")
     return TemplateResult(True, None, grey_ok, grey_problem, template,
-                          vertex_ids, bmap, removed if aux is not None else None,
-                          distance_ok)
+                          vertex_ids, bmap, distance_ok)
 
 
 # -- local-lemma embedder -------------------------------------------------------

@@ -7,6 +7,7 @@ share across threads and safe to use as dict keys.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from collections import deque
@@ -418,16 +419,8 @@ def density_pair(g: Graph, x: Iterable[int], y: Iterable[int]) -> Fraction:
         raise ParameterError("density between sets needs both sets nonempty")
     if xs & ys:
         raise ParameterError("density between sets needs disjoint sets")
-    cross = count_cross_edges(g, xs, ys)
+    cross = sum(1 for u, v in g.edges if (u in xs and v in ys) or (u in ys and v in xs))
     return Fraction(cross, len(xs) * len(ys))
-
-
-def count_cross_edges(g: Graph, x: set[int], y: set[int]) -> int:
-    total = 0
-    for u, v in g.edges:
-        if (u in x and v in y) or (u in y and v in x):
-            total += 1
-    return total
 
 
 # -- path witnesses -------------------------------------------------------
@@ -473,9 +466,7 @@ class PathWitness:
 
 def write_edge_list(g: Graph, out: TextIO) -> None:
     """First line "n m", then one "u v" line per edge with u < v, sorted."""
-    out.write(f"{g.n} {g.m}\n")
-    for u, v in g.sorted_edges():
-        out.write(f"{u} {v}\n")
+    out.write(graph_to_text(g))
 
 
 def read_edge_list(inp: TextIO) -> Graph:
@@ -515,6 +506,4 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    import io
-
     return read_edge_list(io.StringIO(text))

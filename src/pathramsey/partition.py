@@ -73,17 +73,7 @@ def _require_complete_two_colouring(colouring: EdgeColouring) -> None:
         raise ParameterError("cover search needs exactly two colours")
 
 
-def _blue_masks(colouring: EdgeColouring) -> list[int]:
-    n = colouring.host.n
-    masks = [0] * n
-    for (u, v), c in colouring._col.items():
-        if c == BLUE_COLOUR:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-    return masks
-
-
-def _blue_components(masks: list[int], rmask: int) -> list[int]:
+def _blue_components(masks: Sequence[int], rmask: int) -> list[int]:
     comps = []
     left = rmask
     while left:
@@ -142,7 +132,7 @@ def _group_components(comps: list[int], classes: int, exact: bool = False) -> li
     return None
 
 
-def _ham_path_table(masks: list[int], n: int) -> list[int]:
+def _ham_path_table(masks: Sequence[int], n: int) -> list[int]:
     """dp[mask] = bitmask of vertices at which some blue path covering mask can end."""
     dp = [0] * (1 << n)
     for v in range(n):
@@ -162,7 +152,7 @@ def _ham_path_table(masks: list[int], n: int) -> list[int]:
     return dp
 
 
-def _recover_path(dp: list[int], masks: list[int], mask: int) -> list[int]:
+def _recover_path(dp: list[int], masks: Sequence[int], mask: int) -> list[int]:
     end_choices = dp[mask]
     v = (end_choices & -end_choices).bit_length() - 1
     path = [v]
@@ -199,7 +189,7 @@ def _cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[int
 
 def _partition_exhaustive(colouring: EdgeColouring, ell: int) -> PartitionResult | None:
     n = colouring.host.n
-    masks = _blue_masks(colouring)
+    masks = colouring.class_masks(BLUE_COLOUR)
     dp = _ham_path_table(masks, n)
     full = (1 << n) - 1
     cover_memo: dict = {}
@@ -223,7 +213,7 @@ def _partition_exhaustive(colouring: EdgeColouring, ell: int) -> PartitionResult
     return None
 
 
-def _grow_blue_path(masks: list[int], available: int, rng: random.Random, rotations: int) -> list[int]:
+def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random, rotations: int) -> list[int]:
     avail_list = [v for v in _mask_vertices(available)]
     if not avail_list:
         return []
@@ -266,7 +256,7 @@ def _partition_heuristic(
     colouring: EdgeColouring, ell: int, seed: int, restarts: int
 ) -> PartitionResult | None:
     n = colouring.host.n
-    masks = _blue_masks(colouring)
+    masks = colouring.class_masks(BLUE_COLOUR)
     full = (1 << n) - 1
     for attempt in range(restarts):
         rng = random.Random(seed * 1_000_003 + attempt)

@@ -22,6 +22,7 @@ from .colouring import (
 )
 from .embedding import (
     Embedding,
+    _greedy_window,
     check_template_containment,
     embed_base_case,
     lll_embed,
@@ -35,7 +36,6 @@ from .errors import (
     NoCoverFoundError,
     NoPathFoundError,
     ParameterError,
-    PathRamseyError,
     PreconditionError,
 )
 from .graphs import (
@@ -94,7 +94,6 @@ class PipelineConfig:
     partition_mode: str = "auto"
     lll_resamples: int | None = None
     path_nodes: int = 1_000_000
-    arrow_budget: int = 2 ** 24
     check_expansion: bool = True
 
     def __post_init__(self):
@@ -102,7 +101,7 @@ class PipelineConfig:
             raise ParameterError("all pipeline sizes must be positive")
         if self.lll_resamples is not None and self.lll_resamples < 1:
             raise ParameterError("lll_resamples must be positive when given")
-        if self.path_nodes < 1 or self.arrow_budget < 1:
+        if self.path_nodes < 1:
             raise ParameterError("budgets must be positive")
 
     @property
@@ -132,7 +131,6 @@ class PipelineConfig:
             partition_mode=budgets.get("partitionMode", "auto"),
             lll_resamples=budgets.get("lllResamples"),
             path_nodes=budgets.get("pathNodes", 1_000_000),
-            arrow_budget=budgets.get("arrow", 2 ** 24),
             check_expansion=doc.get("checkExpansion", True),
         )
 
@@ -178,22 +176,6 @@ def _fail(trace: list[dict], stage: str, reason: str) -> StepOutcome:
     return StepOutcome("honestFailure", failure_stage=stage, failure_reason=reason, trace=trace)
 
 
-def _greedy_window_embedding(
-    host: Graph, bmap: BlowupMap, path_vertices: Sequence[int], k: int
-) -> list[int]:
-    """Left-to-right greedy choice of one clique vertex adjacent to the last k picks."""
-    chosen: list[int] = []
-    for idx, v in enumerate(path_vertices):
-        window = chosen[max(0, idx - k):]
-        candidates = [
-            w for w in bmap.clique_of[v] if all(host.has_edge(w, p) for p in window)
-        ]
-        if not candidates:
-            raise ConstructionError(f"greedy embedding stuck at path position {idx}")
-        chosen.append(min(candidates))
-    return chosen
-
-
 def induction_step(
     g: Graph,
     host: Graph,
@@ -230,12 +212,11 @@ def induction_step(
         except NoPathFoundError as exc:
             return _fail(trace, "bypass-path", str(exc))
         try:
-            mapping = _greedy_window_embedding(host, blowup, path.vertices, cfg.k)
+            mapping = _greedy_window(host, blowup, path.vertices, cfg.k)
         except ConstructionError as exc:
             return _fail(trace, "bypass-embed", str(exc))
         emb = Embedding(
-            path_power(len(path.vertices), cfg.k), host, tuple(mapping),
-            (chi, frozenset({1})),
+            path_power(len(path.vertices), cfg.k), host, mapping, (chi, frozenset({1}))
         )
         rep = validate_embedding(emb)
         if not rep.ok:
@@ -410,8 +391,7 @@ def induction_step(
     segments_j = [tuple(base_to_j[v] for v in seg) for seg in kept_segments_base]
     tmpl = check_template_containment(
         h_final, cfg.r, cfg.t, segments_j, j, aux=aux,
-        base=g_w, base_segments=[tuple(base_to_j[v] for v in seg) for seg in kept_segments_base],
-        big_r=cfg.big_r,
+        base=g_w, base_segments=segments_j,
     )
     if not tmpl.contained:
         return _fail(trace, "template", f"containment fails at {tmpl.offending}")
@@ -451,7 +431,7 @@ def _search_blue_path(j: Graph, aux, cfg: PipelineConfig) -> PathWitness | None:
         return long_path_through_sets(
             blue_graph, [list(range(j.n))], cfg.n, node_budget=cfg.path_nodes
         )
-    except (NoPathFoundError, PathRamseyError):
+    except NoPathFoundError:
         return None
 
 

@@ -363,13 +363,13 @@ def fit_density_certificate(
 
 def _count_certificate_ok(
     g: Graph, set_size: int, target: Fraction, slack: Fraction,
-    sample_count: int, seed: int, pair_budget: int = PAIR_BUDGET,
+    sample_count: int, seed: int,
 ) -> tuple[bool, tuple | None, str]:
     """Check e(X,Y) within (1 +- slack)*target over the pair family; sampled if huge."""
     total = disjoint_pair_count(g.n, set_size)
     if total == 0:
         return True, None, "vacuous"
-    if total <= pair_budget:
+    if total <= PAIR_BUDGET:
         pairs = iter_disjoint_pairs(g.n, set_size)
         mode = "exhaustive"
     else:

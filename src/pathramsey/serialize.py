@@ -49,7 +49,3 @@ def dump_report(report: dict, *, schema: bool = True) -> str:
     if schema and "schemaVersion" not in body:
         body = {"schemaVersion": SCHEMA_VERSION, **body}
     return json.dumps(jsonable(body), sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def load_json(text: str) -> dict:
-    return json.loads(text)

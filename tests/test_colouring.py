@@ -345,6 +345,24 @@ class TestFindSubgraph:
         assert (ours is not None) == exists
 
 
+class TestClassMasks:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_colour_subgraph_and_is_cached(self, s):
+        for seed in range(5):
+            host = random_graph(12, 0.5, seed)
+            col = EdgeColouring.random(host, s, seed)
+            for c in range(1, s + 1):
+                masks = col.class_masks(c)
+                assert masks == col.colour_subgraph(c).adjacency_masks()
+                assert col.class_masks(c) is masks
+
+    def test_rejects_colour_outside_range(self):
+        col = pentagon_colouring()
+        for c in (0, 3):
+            with pytest.raises(ParameterError):
+                col.class_masks(c)
+
+
 class TestArrowCheck:
     def test_k3_arrows_p3_two_colours(self):
         v = arrow_check(complete_graph(3), path_graph(3), 2)

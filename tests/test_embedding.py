@@ -182,7 +182,7 @@ class TestTemplateContainment:
         labels[(1, 3)] = "blue"
         res = check_template_containment(
             h, 1, 2, segments, j, aux=grey_aux(labels),
-            base=base, base_segments=segments, big_r=3,
+            base=base, base_segments=segments,
         )
         assert res.contained and res.grey_ok
         tmpl = res.template

@@ -9,6 +9,7 @@ import pytest
 from pathramsey import (
     BaseCaseError,
     ClassPParams,
+    ConstructionError,
     EdgeColouring,
     GenerationConfig,
     Graph,
@@ -28,6 +29,7 @@ from pathramsey import (
     validate_embedding,
     verify_class_p,
 )
+from pathramsey import pipeline
 from pathramsey.serialize import dump_report
 
 
@@ -76,6 +78,18 @@ class TestInductionStep:
         assert out.kind == "monoPowerFound"
         assert out.embedding.pattern.n == 5
         assert validate_embedding(out.embedding).ok
+
+    def test_single_colour_bypass_reports_stuck_greedy_position(self):
+        # the host blows up g^(t*r) = g itself, so path vertices two apart
+        # share no host edge and the k = 3 window is stuck at position 2
+        cfg = toy_cfg(s=1, k=3, t=1, r=1, n=6, clique_size=4)
+        g = path_graph(6)
+        host, bmap = build_step_host(g, cfg)
+        chi = EdgeColouring.constant(host, 1, 1)
+        out = induction_step(g, host, bmap, chi, cfg)
+        assert out.kind == "honestFailure"
+        assert out.failure_stage == "bypass-embed"
+        assert out.failure_reason == "greedy embedding stuck at path position 2"
 
     def test_adversarial_grey_colouring_fails_honestly_with_trace(self):
         cfg = toy_cfg(n=3)
@@ -133,6 +147,29 @@ class TestInductionStep:
         assert out.kind == "monoPowerFound"
         assert out.embedding.pattern.n == 2 * cfg.k * cfg.n
         assert validate_embedding(out.embedding).ok
+
+    def test_blue_path_probe_propagates_broken_invariants(self, monkeypatch):
+        # only "no path" is an honest negative; a construction error is a bug.
+        # Later long-path stages run the real search, so the error must come
+        # from the blue-path probe itself.
+        real = pipeline.long_path_through_sets
+        calls = []
+
+        def broken_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ConstructionError("broken invariant")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "long_path_through_sets", broken_once)
+        cfg = toy_cfg(t=1, n=4, out_quad=quad(1, 64, "2/3", "4/5"),
+                      in_quad=quad(1, 1000, "2/3", "4/5"))
+        g = path_graph(8)
+        host, bmap = build_step_host(g, cfg)
+        chi = EdgeColouring.constant(host, 2, 1)
+        with pytest.raises(ConstructionError, match="broken invariant"):
+            induction_step(g, host, bmap, chi, cfg)
+        assert len(calls) == 1
 
     def test_unworkable_mid_parameters_fail_at_named_stage(self):
         params = ClassPParams(quad(1, 64, "1/2", "4/5"), t=1, n=16)
