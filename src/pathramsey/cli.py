@@ -337,6 +337,11 @@ def _cmd_report(args) -> int:
     if not args.infile:
         raise ConfigError("report needs --in <file>")
     doc = json.loads(Path(args.infile).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigError("report input must be a JSON object")
+    trace = doc.get("trace", [])
+    if not isinstance(trace, list) or not all(isinstance(entry, dict) for entry in trace):
+        raise ConfigError("report field 'trace' must be a list of objects")
     lines = []
     verdict_ok = True
     if "kind" in doc:
@@ -354,9 +359,8 @@ def _cmd_report(args) -> int:
     if "found" in doc:
         lines.append(f"found: {doc['found']}")
         verdict_ok = bool(doc["found"])
-    if "trace" in doc:
-        for entry in doc["trace"]:
-            lines.append(f"  [{entry.get('status')}] {entry.get('stage')}")
+    for entry in trace:
+        lines.append(f"  [{entry.get('status')}] {entry.get('stage')}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if verdict_ok else 1
 
@@ -372,47 +376,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, handler, seed: bool = False, config: bool = False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", type=str, default=None)
+        p.set_defaults(handler=handler)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if config:
+            p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         return p
 
-    add("gen", "sample and certify a pseudorandom class member")
-    p = add("verify-p", "verify class membership of a graph")
+    add("gen", "sample and certify a pseudorandom class member", _cmd_gen, config=True)
+    p = add("verify-p", "verify class membership of a graph", _cmd_verify_p, seed=True, config=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "sampled"])
 
-    p = add("power", "k-th power of a graph")
+    p = add("power", "k-th power of a graph", _cmd_power)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("blowup", "complete or sheared blow-up")
+    p = add("blowup", "complete or sheared blow-up", _cmd_blowup, seed=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--sheared", action="store_true")
 
-    p = add("partition", "cover a two-coloured complete graph")
+    p = add("partition", "cover a two-coloured complete graph", _cmd_partition, seed=True)
     p.add_argument("--host", required=True)
     p.add_argument("--colours", required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "heuristic"])
 
-    p = add("longpath", "constrained long path through vertex classes")
+    p = add("longpath", "constrained long path through vertex classes", _cmd_longpath)
     p.add_argument("--graph", required=True)
     p.add_argument("--parts", required=True, help="JSON list of vertex lists, or @file")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--gamma", type=str, default=None)
     p.add_argument("--budget", type=int, default=1_000_000)
 
-    p = add("segments", "split a path into blocks of t vertices")
+    p = add("segments", "split a path into blocks of t vertices", _cmd_segments)
     p.add_argument("--path", required=True, help="comma-separated vertex ids")
     p.add_argument("--t", type=int, required=True)
 
-    add("aux-colour", "blue/grey labelling of a blow-up base graph")
+    add("aux-colour", "blue/grey labelling of a blow-up base graph", _cmd_aux_colour, config=True)
 
-    p = add("arrow", "does every colouring contain a monochromatic copy?")
+    p = add("arrow", "does every colouring contain a monochromatic copy?", _cmd_arrow, seed=True)
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--colours", type=int, required=True)
@@ -420,14 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--budget", type=int, default=2 ** 24)
 
-    p = add("embed-base", "greedy base-case embedding (direct or via generation driver)")
+    p = add("embed-base", "greedy base-case embedding (direct or via generation driver)",
+            _cmd_embed_base, seed=True, config=True)
     p.add_argument("--graph", default=None)
     p.add_argument("--path", default=None, help="comma-separated vertex ids")
     p.add_argument("--k", type=int, required=True)
 
-    add("lll-embed", "resample-until-clean template embedding")
+    add("lll-embed", "resample-until-clean template embedding", _cmd_lll_embed,
+        seed=True, config=True)
 
-    p = add("constants", "derived parameter chain, exact")
+    p = add("constants", "derived parameter chain, exact", _cmd_constants)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
@@ -435,37 +444,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", required=True, help="a,b,c,eps (rationals)")
     p.add_argument("--d0", required=True)
 
-    add("step", "run one induction step from a config bundle")
+    add("step", "run one induction step from a config bundle", _cmd_step, seed=True, config=True)
 
-    p = add("report", "summarise a JSON report")
+    p = add("report", "summarise a JSON report", _cmd_report)
     p.add_argument("--in", dest="infile", required=True)
 
     return parser
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "verify-p": _cmd_verify_p,
-    "power": _cmd_power,
-    "blowup": _cmd_blowup,
-    "partition": _cmd_partition,
-    "longpath": _cmd_longpath,
-    "segments": _cmd_segments,
-    "aux-colour": _cmd_aux_colour,
-    "arrow": _cmd_arrow,
-    "embed-base": _cmd_embed_base,
-    "lll-embed": _cmd_lll_embed,
-    "constants": _cmd_constants,
-    "step": _cmd_step,
-    "report": _cmd_report,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

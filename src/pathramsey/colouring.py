@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .embedding import Embedding, validate_embedding
+from .embedding import BLUE, GREY, Embedding, validate_embedding
 from .errors import (
     BudgetExceededError,
     ConstructionError,
@@ -21,9 +21,6 @@ from .errors import (
 from .graphs import BlowupMap, Graph, PathWitness, path_power
 
 Edge = tuple[int, int]
-
-BLUE = "blue"
-GREY = "grey"
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 

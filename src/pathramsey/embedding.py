@@ -25,6 +25,11 @@ from .pseudorandom import GoodQuadruple, GoodnessReport, is_good
 
 MAX_EXACT_BITS = 1_000_000
 
+# Labels of the blue/grey auxiliary colouring built in colouring.py, which
+# imports this module.
+BLUE = "blue"
+GREY = "grey"
+
 
 # -- embeddings --------------------------------------------------------------
 
@@ -242,7 +247,6 @@ def check_template_containment(
     j: Graph,
     aux=None,
     base: Graph | None = None,
-    base_segments: list[tuple[int, ...]] | None = None,
 ) -> TemplateResult:
     """Verify the blow-up template sits inside j and carve out its grey copy.
 
@@ -250,8 +254,8 @@ def check_template_containment(
     and every segment must span a j-clique.  With an auxiliary colouring, the
     non-grey cross pairs per segment pair must form at most a matching; they
     are extended to a perfect matching and removed, leaving a sheared blow-up
-    of h^r whose edges are all grey.  Optional base-graph data additionally
-    checks that base segments at h-distance d sit within base distance
+    of h^r whose edges are all grey.  A base graph (on j's vertices)
+    additionally checks that segments at h-distance d sit within base distance
     (t-1)m + (m-1), m = d+1, of each other.
     """
     if h.n != len(segments):
@@ -263,8 +267,7 @@ def check_template_containment(
     if len(set(flat)) != len(flat):
         raise ParameterError("segments overlap")
 
-    hr = power(h, r) if h.m else Graph(h.n)
-    hdist = [distances(h, v) for v in range(h.n)]
+    hr = power(h, r)
 
     # Containment: segment cliques and complete cross pairs.
     for i, seg in enumerate(segments):
@@ -279,20 +282,21 @@ def check_template_containment(
                     return TemplateResult(False, ((i1, i2), (x, y)))
 
     distance_ok: bool | None = None
-    if base is not None and base_segments is not None:
+    if base is not None:
         # A connecting path over m = d+1 segments walks at most t-1 steps inside
         # each segment plus m-1 crossing edges, so representatives sit at base
         # distance at most (t-1)m + (m-1).  The bound stays below t*r exactly
         # when the pair is at h-distance < r.
         distance_ok = True
+        hdist = [distances(h, v) for v in range(h.n)]
         bdist = {}
         for i1, i2 in hr.sorted_edges():
             m = int(hdist[i1][i2]) + 1
             limit = (t - 1) * m + (m - 1)
-            for x in base_segments[i1]:
+            for x in segments[i1]:
                 if x not in bdist:
                     bdist[x] = distances(base, x)
-                for y in base_segments[i2]:
+                for y in segments[i2]:
                     if bdist[x][y] > limit:
                         distance_ok = False
 
@@ -305,7 +309,7 @@ def check_template_containment(
             for a in range(t):
                 for b in range(a + 1, t):
                     e = tuple(sorted((seg[a], seg[b])))
-                    if aux.labels.get(e) != "grey":
+                    if aux.labels.get(e) != GREY:
                         grey_ok = False
                         grey_problem = f"pair {e} inside segment {i} is not grey"
         for i1, i2 in hr.sorted_edges():
@@ -313,7 +317,7 @@ def check_template_containment(
             for ai, x in enumerate(segments[i1]):
                 for bi, y in enumerate(segments[i2]):
                     e = tuple(sorted((x, y)))
-                    if aux.labels.get(e) != "grey":
+                    if aux.labels.get(e) != GREY:
                         non_grey.append((ai, bi))
             left_used = [a for a, _ in non_grey]
             right_used = [b for _, b in non_grey]

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .colouring import EdgeColouring
 from .errors import (
+    BudgetExceededError,
     NoCoverFoundError,
     NoPathFoundError,
     ParameterError,
@@ -27,6 +28,11 @@ BLUE_COLOUR = 1
 RED_COLOUR = 2
 
 EXHAUSTIVE_CAP = 12
+HEURISTIC_RESTARTS = 32
+# Above this many pairs long_path_through_sets asserts the expansion hypothesis
+# instead of checking it.  Kept below PAIR_BUDGET: raising it would start
+# checking, and possibly rejecting, instances that are asserted today.
+EXPANSION_PAIR_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -252,13 +258,11 @@ def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random, ro
         path[i + 1:] = path[i + 1:][::-1]
 
 
-def _partition_heuristic(
-    colouring: EdgeColouring, ell: int, seed: int, restarts: int
-) -> PartitionResult | None:
+def _partition_heuristic(colouring: EdgeColouring, ell: int, seed: int) -> PartitionResult | None:
     n = colouring.host.n
     masks = colouring.class_masks(BLUE_COLOUR)
     full = (1 << n) - 1
-    for attempt in range(restarts):
+    for attempt in range(HEURISTIC_RESTARTS):
         rng = random.Random(seed * 1_000_003 + attempt)
         available = full
         paths: list[list[int]] = []
@@ -299,7 +303,6 @@ def partition_two_coloured(
     ell: int,
     mode: str = "auto",
     seed: int = 0,
-    restarts: int = 32,
 ) -> PartitionResult:
     """Cover a two-coloured complete graph by <= ell blue paths plus a balanced
     red multipartite remainder of ell+1 classes.
@@ -319,7 +322,7 @@ def partition_two_coloured(
             raise ParameterError(f"exhaustive cover search capped at n = {EXHAUSTIVE_CAP}")
         result = _partition_exhaustive(colouring, ell)
     elif mode == "heuristic":
-        result = _partition_heuristic(colouring, ell, seed, restarts)
+        result = _partition_heuristic(colouring, ell, seed)
     else:
         raise ParameterError("mode must be 'auto', 'exhaustive', or 'heuristic'")
     if result is None:
@@ -374,10 +377,10 @@ def verify_partition(colouring: EdgeColouring, result: PartitionResult, ell: int
 # -- constrained long paths -------------------------------------------------------
 
 
-def check_expansion(g: Graph, set_size: int, pair_budget: int = 100_000) -> tuple[int, int] | None:
+def check_expansion(g: Graph, set_size: int) -> tuple[int, int] | None:
     """First disjoint (set_size, set_size) pair with no cross edge, as masks; None if expanding."""
-    if disjoint_pair_count(g.n, set_size) > pair_budget:
-        raise ParameterError("expansion pre-check too large; assert the hypothesis instead")
+    if disjoint_pair_count(g.n, set_size) > EXPANSION_PAIR_BUDGET:
+        raise BudgetExceededError("expansion pre-check too large; assert the hypothesis instead")
     for x, y, e in _cross_counts(g.adjacency_masks(), iter_disjoint_pairs(g.n, set_size)):
         if e == 0:
             return x, y
@@ -421,7 +424,7 @@ def long_path_through_sets(
         size = max(1, math.ceil(Fraction(gamma) * g.n))
         try:
             witness = check_expansion(g, size)
-        except ParameterError:
+        except BudgetExceededError:
             witness = None  # too large to pre-check; caller asserts
         else:
             if witness is not None:

@@ -21,6 +21,7 @@ from .colouring import (
     mono_clique_in_clique,
 )
 from .embedding import (
+    BLUE,
     Embedding,
     _greedy_window,
     check_template_containment,
@@ -42,7 +43,6 @@ from .graphs import (
     BlowupMap,
     Graph,
     PathWitness,
-    complete_graph,
     induced_subgraph,
     path_power,
     power,
@@ -94,7 +94,6 @@ class PipelineConfig:
     partition_mode: str = "auto"
     lll_resamples: int | None = None
     path_nodes: int = 1_000_000
-    check_expansion: bool = True
 
     def __post_init__(self):
         if min(self.k, self.s, self.r, self.t, self.n, self.clique_size, self.mono_target) < 1:
@@ -131,7 +130,6 @@ class PipelineConfig:
             partition_mode=budgets.get("partitionMode", "auto"),
             lll_resamples=budgets.get("lllResamples"),
             path_nodes=budgets.get("pathNodes", 1_000_000),
-            check_expansion=doc.get("checkExpansion", True),
         )
 
 
@@ -250,7 +248,7 @@ def induction_step(
 
     # Derived graph on W and its blue/grey labelling.
     g_w, ids = induced_subgraph(g, w_set)
-    j = power(g_w, cfg.big_r) if g_w.m else Graph(g_w.n)
+    j = power(g_w, cfg.big_r)
     try:
         aux = build_aux_colouring(j, ids, bmap, chi, cfg.k, blue)
     except (PreconditionError, ParameterError) as exc:
@@ -259,18 +257,12 @@ def induction_step(
         "stage": "aux-colouring", "status": "ok",
         "detail": {"jVertices": j.n, "jEdges": j.m, "blueEdges": aux.blue_count()},
     })
+    blue_graph = Graph(j.n, [e for e in j.edges if aux.labels[e] == BLUE])
 
     # Cover the blue/grey complete graph over W.
     ell = cfg.t - 1
     if ell >= 1:
-        host_k = complete_graph(j.n)
-        col2 = EdgeColouring(
-            host_k, 2,
-            {
-                e: 1 if (e in j.edges and aux.labels[e] == "blue") else 2
-                for e in host_k.edges
-            },
-        )
+        col2 = two_colouring_from_graph(blue_graph)
         try:
             part = partition_two_coloured(
                 col2, ell, mode=cfg.partition_mode, seed=cfg.seed
@@ -293,7 +285,7 @@ def induction_step(
     # A blue path of n derived vertices promotes straight to a blue power.
     long_blue = next((p for p in part.blue_paths if len(p) >= cfg.n), None)
     if ell < 1:
-        long_blue = _search_blue_path(j, aux, cfg)
+        long_blue = _search_blue_path(blue_graph, cfg)
     if long_blue is not None:
         sub = PathWitness(tuple(long_blue.vertices[: cfg.n]))
         try:
@@ -329,10 +321,9 @@ def induction_step(
     j2, base_ids2 = induced_subgraph(g, all_base)
     to_j2 = {v: i for i, v in enumerate(base_ids2)}
     parts_j2 = [[to_j2[v] for v in cls] for cls in class_base]
-    gamma = Fraction(1, 2 * cfg.t) if cfg.check_expansion else None
     try:
         path2 = long_path_through_sets(
-            j2, parts_j2, needed_len, gamma=gamma, node_budget=cfg.path_nodes
+            j2, parts_j2, needed_len, gamma=Fraction(1, 2 * cfg.t), node_budget=cfg.path_nodes
         )
     except PreconditionError as exc:
         return _fail(trace, "long-path-expansion", str(exc))
@@ -389,10 +380,7 @@ def induction_step(
     base_to_j = {b: i for i, b in enumerate(ids)}
     kept_segments_base = [segments_base[i] for i in kept]
     segments_j = [tuple(base_to_j[v] for v in seg) for seg in kept_segments_base]
-    tmpl = check_template_containment(
-        h_final, cfg.r, cfg.t, segments_j, j, aux=aux,
-        base=g_w, base_segments=segments_j,
-    )
+    tmpl = check_template_containment(h_final, cfg.r, cfg.t, segments_j, j, aux=aux, base=g_w)
     if not tmpl.contained:
         return _fail(trace, "template", f"containment fails at {tmpl.offending}")
     if tmpl.grey_ok is False:
@@ -423,13 +411,11 @@ def induction_step(
     )
 
 
-def _search_blue_path(j: Graph, aux, cfg: PipelineConfig) -> PathWitness | None:
+def _search_blue_path(blue_graph: Graph, cfg: PipelineConfig) -> PathWitness | None:
     """Longest-first blue path probe used when no cover stage runs (t = 1)."""
-    blue_edges = [e for e in j.edges if aux.labels[tuple(sorted(e))] == "blue"]
-    blue_graph = Graph(j.n, blue_edges)
     try:
         return long_path_through_sets(
-            blue_graph, [list(range(j.n))], cfg.n, node_budget=cfg.path_nodes
+            blue_graph, [list(range(blue_graph.n))], cfg.n, node_budget=cfg.path_nodes
         )
     except NoPathFoundError:
         return None
@@ -498,14 +484,16 @@ class EdgeBudgetReport:
         return {"rows": [r.to_dict() for r in self.rows], "maxRatio": self.max_ratio}
 
 
+CONSTRUCT_VERTEX_CAP = 2_000
+CONSTRUCT_EDGE_CAP = 100_000
+
+
 def sheared_host_edge_count(power_edges: int, n_vertices: int, t: int) -> int:
     """Exact host size: cross pairs minus matchings plus the clique interiors."""
     return power_edges * (t * t - t) + n_vertices * (t * (t - 1) // 2)
 
 
-def edge_budget(
-    base_graphs: Sequence[Graph], r: int, t: int, construct_cap: int = 100_000
-) -> EdgeBudgetReport:
+def edge_budget(base_graphs: Sequence[Graph], r: int, t: int) -> EdgeBudgetReport:
     """Exact host edge counts across a sweep of base graphs, with |E|/n ratios.
 
     Hosts small enough are constructed outright and checked against the
@@ -515,7 +503,7 @@ def edge_budget(
     for g in base_graphs:
         p = power(g, r)
         expected = sheared_host_edge_count(p.m, g.n, t)
-        if g.n * t <= 2_000 and expected <= construct_cap:
+        if g.n * t <= CONSTRUCT_VERTEX_CAP and expected <= CONSTRUCT_EDGE_CAP:
             host, _ = sheared_blowup(p, t)
             if host.m != expected:
                 raise ConstructionError(

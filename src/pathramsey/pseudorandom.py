@@ -34,6 +34,7 @@ from .graphs import (
 )
 
 PAIR_BUDGET = 200_000
+PROPAGATION_VERTEX_CAP = 14
 
 
 # -- parameter types -------------------------------------------------------
@@ -272,7 +273,6 @@ def fit_density_certificate(
     mode: str = "auto",
     sample_count: int = 300,
     seed: int = 0,
-    pair_budget: int = PAIR_BUDGET,
 ) -> DensityCertificate:
     """Fit a reference density over the (set_size, set_size) disjoint-pair family.
 
@@ -299,11 +299,11 @@ def fit_density_certificate(
             passed=True, pairs_checked=0,
         )
     if mode == "auto":
-        mode = "exhaustive" if total <= pair_budget else "sampled"
+        mode = "exhaustive" if total <= PAIR_BUDGET else "sampled"
     if mode == "exhaustive":
-        if total > pair_budget:
+        if total > PAIR_BUDGET:
             raise BudgetExceededError(
-                f"{total} pairs exceed the exhaustive budget {pair_budget}", required=total
+                f"{total} pairs exceed the exhaustive budget {PAIR_BUDGET}", required=total
             )
         pairs = iter_disjoint_pairs(g.n, set_size)
         used_samples = None
@@ -592,7 +592,7 @@ class PropagationReport:
 
 
 def verify_density_propagation(
-    g: Graph, alpha_n: int, eps: Fraction, f_ref: Fraction, max_vertices: int = 14
+    g: Graph, alpha_n: int, eps: Fraction, f_ref: Fraction
 ) -> PropagationReport:
     """Exhaustively confirm that the base-size density window propagates upward.
 
@@ -605,8 +605,10 @@ def verify_density_propagation(
         raise ParameterError("alpha_n must be >= 1")
     if f_ref <= 0:
         raise ParameterError("reference density must be positive")
-    if g.n > max_vertices:
-        raise BudgetExceededError(f"exhaustive propagation check capped at {max_vertices} vertices")
+    if g.n > PROPAGATION_VERTEX_CAP:
+        raise BudgetExceededError(
+            f"exhaustive propagation check capped at {PROPAGATION_VERTEX_CAP} vertices"
+        )
     masks = g.adjacency_masks()
     lo, hi = (1 - eps) * f_ref, (1 + eps) * f_ref
 

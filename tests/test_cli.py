@@ -309,6 +309,14 @@ class TestStepAndReport:
         code, out, _ = run("report", "--in", str(tmp_path / "runD.trace.json"))
         assert "mono-cliques" in out
 
+    @pytest.mark.parametrize("body", ["5", '{"trace": [1]}'])
+    def test_report_rejects_malformed_input_exit_two(self, run, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        code, _, err = run("report", "--in", str(path))
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_step_config_error_exit_two(self, run, tmp_path):
         doc = json.loads(json.dumps(STEP_DOC))
         del doc["pipeline"]["outQuad"]

@@ -180,10 +180,7 @@ class TestTemplateContainment:
             labels[(u, v)] = "grey"
         labels[(0, 2)] = "blue"
         labels[(1, 3)] = "blue"
-        res = check_template_containment(
-            h, 1, 2, segments, j, aux=grey_aux(labels),
-            base=base, base_segments=segments,
-        )
+        res = check_template_containment(h, 1, 2, segments, j, aux=grey_aux(labels), base=base)
         assert res.contained and res.grey_ok
         tmpl = res.template
         assert tmpl.n == 4
