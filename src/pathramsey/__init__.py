@@ -80,7 +80,6 @@ from .partition import (
     prune_top,
     segment_path,
     sparsify,
-    two_colouring_from_graph,
     verify_partition,
 )
 from .pipeline import (

@@ -21,6 +21,7 @@ from . import (
     LLLFailureError,
     NoCoverFoundError,
     NoPathFoundError,
+    ParameterError,
     PathRamseyError,
     PathWitness,
     PipelineConfig,
@@ -66,17 +67,27 @@ def _read_config(path: str | None) -> dict:
     if path is None:
         raise ConfigError("this subcommand needs --config <file>")
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    return doc
 
 
 def _field(doc: dict, name: str):
     if name not in doc:
         raise ConfigError(f"config field '{name}' is missing")
     return doc[name]
+
+
+def _section(doc: dict, name: str) -> dict:
+    value = _field(doc, name)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section '{name}' must be a JSON object")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -166,12 +177,17 @@ def _cmd_blowup(args) -> int:
 def _cmd_partition(args) -> int:
     host = _read_graph(args.host)
     colouring = EdgeColouring.from_string(host, _colour_text(args.colours))
+    if host.m != host.n * (host.n - 1) // 2:
+        raise ParameterError("cover search needs a colouring of a complete graph")
+    if colouring.s != 2:
+        raise ParameterError("cover search needs exactly two colours")
+    blue = colouring.colour_subgraph(1)
     try:
-        result = partition_two_coloured(colouring, args.ell, mode=args.mode, seed=args.seed or 0)
+        result = partition_two_coloured(blue, args.ell, mode=args.mode, seed=args.seed or 0)
     except NoCoverFoundError as exc:
         _emit(dump_report({"found": False, "reason": str(exc)}), args.out)
         return 1
-    rep = verify_partition(colouring, result, args.ell)
+    rep = verify_partition(blue, result, args.ell)
     _emit(dump_report({"found": True, "result": result.to_dict(), "verified": rep.ok}), args.out)
     return 0
 
@@ -315,14 +331,14 @@ def _build_chi(doc: dict, host, s: int) -> EdgeColouring:
 
 def _cmd_step(args) -> int:
     doc = _read_config(args.config)
-    cfg = PipelineConfig.from_dict(_field(doc, "pipeline"))
+    cfg = PipelineConfig.from_dict(_section(doc, "pipeline"))
     if args.seed is not None:
         import dataclasses
 
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    g = _build_base_graph(_field(doc, "base"))
+    g = _build_base_graph(_section(doc, "base"))
     host, bmap = build_step_host(g, cfg)
-    chi = _build_chi(_field(doc, "chi"), host, cfg.s)
+    chi = _build_chi(_section(doc, "chi"), host, cfg.s)
     outcome = induction_step(g, host, bmap, chi, cfg)
     outcome_text = dump_report(outcome.to_dict())
     trace_text = dump_report({"trace": outcome.trace})

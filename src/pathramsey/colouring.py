@@ -28,7 +28,7 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 class EdgeColouring:
     """Total map from the host's edges to colours 1..s."""
 
-    __slots__ = ("host", "s", "_col", "_masks")
+    __slots__ = ("host", "s", "_col")
 
     def __init__(self, host: Graph, s: int, colour_of: dict[Edge, int]):
         if s < 1:
@@ -46,7 +46,6 @@ class EdgeColouring:
         self.host = host
         self.s = s
         self._col = normalised
-        self._masks: tuple[tuple[int, ...], ...] | None = None
 
     def colour(self, u: int, v: int) -> int:
         return self._col[(u, v) if u < v else (v, u)]
@@ -59,19 +58,6 @@ class EdgeColouring:
 
     def colour_subgraph(self, c: int) -> Graph:
         return Graph(self.host.n, [e for e, col in self._col.items() if col == c])
-
-    def class_masks(self, c: int) -> tuple[int, ...]:
-        """Per-vertex adjacency bitmasks of colour class c, built once for all colours."""
-        if not 1 <= c <= self.s:
-            raise ParameterError(f"colour {c} outside 1..{self.s}")
-        if self._masks is None:
-            masks = [[0] * self.host.n for _ in range(self.s)]
-            for (u, v), col in self._col.items():
-                row = masks[col - 1]
-                row[u] |= 1 << v
-                row[v] |= 1 << u
-            self._masks = tuple(tuple(row) for row in masks)
-        return self._masks[c - 1]
 
     @classmethod
     def constant(cls, host: Graph, s: int, colour: int) -> "EdgeColouring":
@@ -183,25 +169,14 @@ def _embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph) -> tupl
     return None
 
 
-def find_subgraph(
-    host: Graph, pattern: Graph, colour_class: tuple[EdgeColouring, int] | None = None
-) -> Embedding | None:
-    """First embedding of pattern into host (restricted to one colour class if given)."""
+def find_subgraph(host: Graph, pattern: Graph) -> Embedding | None:
+    """First embedding of pattern into host."""
     if pattern.n > host.n:
         return None
-    if colour_class is None:
-        masks = host.adjacency_masks()
-        constraint = None
-    else:
-        col, c = colour_class
-        if col.host is not host and col.host != host:
-            raise ParameterError("colouring belongs to a different host")
-        masks = col.class_masks(c)
-        constraint = (col, frozenset({c}))
-    mapping = _embed_masks(host.n, masks, pattern)
+    mapping = _embed_masks(host.n, host.adjacency_masks(), pattern)
     if mapping is None:
         return None
-    return Embedding(pattern, host, mapping, constraint)
+    return Embedding(pattern, host, mapping)
 
 
 # -- monochromatic cliques -------------------------------------------------------
@@ -392,7 +367,7 @@ class AuxColouring:
     def blue_count(self) -> int:
         return sum(1 for lab in self.labels.values() if lab == BLUE)
 
-    def validate(self, recheck_grey: bool = False) -> None:
+    def validate(self) -> None:
         host = self.chi.host
         for e in self.base.edges:
             lab = self.labels.get(tuple(sorted(e)))
@@ -409,16 +384,15 @@ class AuxColouring:
                 for b in wb:
                     if not host.has_edge(a, b) or self.chi.colour(a, b) != self.blue_colour:
                         raise ConstructionError(f"witness pair ({a},{b}) is not a blue host edge")
-        if recheck_grey:
-            for (u, v) in self.base.sorted_edges():
-                if self.labels[(u, v)] == GREY:
-                    found = find_blue_biclique(
-                        self.subclique(u), self.subclique(v),
-                        lambda a, b: host.has_edge(a, b) and self.chi.colour(a, b) == self.blue_colour,
-                        self.k,
-                    )
-                    if found is not None:
-                        raise ConstructionError(f"grey edge ({u},{v}) admits a blue biclique")
+        for (u, v) in self.base.sorted_edges():
+            if self.labels[(u, v)] == GREY:
+                found = find_blue_biclique(
+                    self.subclique(u), self.subclique(v),
+                    lambda a, b: host.has_edge(a, b) and self.chi.colour(a, b) == self.blue_colour,
+                    self.k,
+                )
+                if found is not None:
+                    raise ConstructionError(f"grey edge ({u},{v}) admits a blue biclique")
 
 
 def build_aux_colouring(

@@ -130,15 +130,12 @@ class ConstantsChain:
         }
 
 
-def constants_chain(
-    k: int, s: int, r: int, t: int, q: GoodQuadruple, d0, require_good: bool = False
-) -> ConstantsChain:
+def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> ConstantsChain:
     """Derive (A, B, C, delta), R = t*r, T' = b^{2rk} t^{2k}, T = s^{s T'} exactly.
 
-    Goodness of the input quadruple is reported (and enforced only when
-    require_good is set, since exact evaluation is also wanted at desk-scale
-    parameters no good quadruple can reach); goodness of the derived
-    quadruple is always asserted.
+    Goodness of the input quadruple is reported, not enforced, since exact
+    evaluation is also wanted at desk-scale parameters no good quadruple can
+    reach; goodness of the derived quadruple is always asserted.
     """
     if min(k, s, r, t) < 1:
         raise ParameterError("k, s, r, t must be positive integers")
@@ -146,8 +143,6 @@ def constants_chain(
     if d0 <= 0:
         raise ParameterError("d0 must be positive")
     rep = is_good(q)
-    if require_good and not rep.good:
-        raise ParameterError(f"input quadruple is not good: {', '.join(rep.failing)}")
     t_prime = q.b ** (2 * r * k) * Fraction(t) ** (2 * k)
     big_a = 2 * d0 * (q.a + 1) * s * t
     big_c = min(Fraction(1, 2 * s * t), q.eps ** 2 * q.c ** 2 / (240 * q.a))

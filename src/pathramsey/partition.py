@@ -1,7 +1,8 @@
-"""Path-structure engines: covering a two-coloured complete graph by blue
-paths plus a balanced red multipartite remainder, finding long paths that
-cycle through prescribed vertex classes, splitting paths into segments, and
-the segment-adjacency graph with its sparsify/prune helpers.
+"""Path-structure engines: covering a two-coloured complete graph, given by
+its blue graph (every non-edge is red), by blue paths plus a balanced red
+multipartite remainder; finding long paths that cycle through prescribed
+vertex classes, splitting paths into segments, and the segment-adjacency
+graph with its sparsify/prune helpers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .colouring import EdgeColouring
 from .errors import (
     BudgetExceededError,
     NoCoverFoundError,
@@ -21,11 +21,8 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import Graph, PathWitness, _mask_vertices, complete_graph
+from .graphs import Graph, PathWitness, _mask_vertices
 from .pseudorandom import _cross_counts, disjoint_pair_count, iter_disjoint_pairs, prune_to_size
-
-BLUE_COLOUR = 1
-RED_COLOUR = 2
 
 EXHAUSTIVE_CAP = 12
 HEURISTIC_RESTARTS = 32
@@ -60,23 +57,6 @@ class PartitionReport:
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "problem": self.problem}
-
-
-def two_colouring_from_graph(g: Graph) -> EdgeColouring:
-    """Complete-graph colouring with g's edges blue and its non-edges red."""
-    host = complete_graph(g.n)
-    return EdgeColouring(
-        host, 2,
-        {e: BLUE_COLOUR if e in g.edges else RED_COLOUR for e in host.edges},
-    )
-
-
-def _require_complete_two_colouring(colouring: EdgeColouring) -> None:
-    n = colouring.host.n
-    if colouring.host.m != n * (n - 1) // 2:
-        raise ParameterError("cover search needs a colouring of a complete graph")
-    if colouring.s != 2:
-        raise ParameterError("cover search needs exactly two colours")
 
 
 def _blue_components(masks: Sequence[int], rmask: int) -> list[int]:
@@ -193,9 +173,9 @@ def _cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[int
     return result
 
 
-def _partition_exhaustive(colouring: EdgeColouring, ell: int) -> PartitionResult | None:
-    n = colouring.host.n
-    masks = colouring.class_masks(BLUE_COLOUR)
+def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
+    n = blue.n
+    masks = blue.adjacency_masks()
     dp = _ham_path_table(masks, n)
     full = (1 << n) - 1
     cover_memo: dict = {}
@@ -258,9 +238,9 @@ def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random, ro
         path[i + 1:] = path[i + 1:][::-1]
 
 
-def _partition_heuristic(colouring: EdgeColouring, ell: int, seed: int) -> PartitionResult | None:
-    n = colouring.host.n
-    masks = colouring.class_masks(BLUE_COLOUR)
+def _partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult | None:
+    n = blue.n
+    masks = blue.adjacency_masks()
     full = (1 << n) - 1
     for attempt in range(HEURISTIC_RESTARTS):
         rng = random.Random(seed * 1_000_003 + attempt)
@@ -293,53 +273,49 @@ def _partition_heuristic(colouring: EdgeColouring, ell: int, seed: int) -> Parti
                     tuple(PathWitness(tuple(p)) for p in trial_paths if p),
                     tuple(tuple(_mask_vertices(g)) for g in groups),
                 )
-                if verify_partition(colouring, result, ell).ok:
+                if verify_partition(blue, result, ell).ok:
                     return result
     return None
 
 
 def partition_two_coloured(
-    colouring: EdgeColouring,
+    blue: Graph,
     ell: int,
     mode: str = "auto",
     seed: int = 0,
 ) -> PartitionResult:
-    """Cover a two-coloured complete graph by <= ell blue paths plus a balanced
-    red multipartite remainder of ell+1 classes.
+    """Cover the complete graph on blue's vertices, coloured blue on blue's
+    edges and red elsewhere, by <= ell blue paths plus a balanced red
+    multipartite remainder of ell+1 classes.
 
     Exhaustive mode (n <= 12) walks candidate path supports largest first and
     always finds a valid cover when one exists under the degeneracy convention;
     heuristic mode grows rotated blue paths and may honestly fail.
     """
-    _require_complete_two_colouring(colouring)
     if ell < 1:
         raise ParameterError("ell must be >= 1")
-    n = colouring.host.n
+    n = blue.n
     if mode == "auto":
         mode = "exhaustive" if n <= EXHAUSTIVE_CAP else "heuristic"
     if mode == "exhaustive":
         if n > EXHAUSTIVE_CAP:
             raise ParameterError(f"exhaustive cover search capped at n = {EXHAUSTIVE_CAP}")
-        result = _partition_exhaustive(colouring, ell)
+        result = _partition_exhaustive(blue, ell)
     elif mode == "heuristic":
-        result = _partition_heuristic(colouring, ell, seed)
+        result = _partition_heuristic(blue, ell, seed)
     else:
         raise ParameterError("mode must be 'auto', 'exhaustive', or 'heuristic'")
     if result is None:
         raise NoCoverFoundError(f"no cover found (mode={mode}, ell={ell})")
-    report = verify_partition(colouring, result, ell)
+    report = verify_partition(blue, result, ell)
     if not report.ok:
         raise NoCoverFoundError(f"search produced an invalid cover: {report.problem}")
     return result
 
 
-def verify_partition(colouring: EdgeColouring, result: PartitionResult, ell: int) -> PartitionReport:
-    """Validate every cover invariant against the colouring; first violation wins."""
-    try:
-        _require_complete_two_colouring(colouring)
-    except ParameterError as exc:
-        return PartitionReport(False, str(exc))
-    n = colouring.host.n
+def verify_partition(blue: Graph, result: PartitionResult, ell: int) -> PartitionReport:
+    """Validate every cover invariant against the blue graph; first violation wins."""
+    n = blue.n
     nonempty_paths = [p for p in result.blue_paths if len(p) > 0]
     if len(nonempty_paths) > ell:
         return PartitionReport(False, f"{len(nonempty_paths)} blue paths exceed ell = {ell}")
@@ -352,7 +328,7 @@ def verify_partition(colouring: EdgeColouring, result: PartitionResult, ell: int
                 return PartitionReport(False, f"vertex {v} repeated or out of range")
             seen.add(v)
         for a, b in zip(p.vertices, p.vertices[1:]):
-            if colouring.colour(a, b) != BLUE_COLOUR:
+            if not blue.has_edge(a, b):
                 return PartitionReport(False, f"path edge ({a},{b}) is not blue")
     class_sizes = []
     for cls in result.red_classes:
@@ -369,7 +345,7 @@ def verify_partition(colouring: EdgeColouring, result: PartitionResult, ell: int
     for c1, c2 in combinations(result.red_classes, 2):
         for u in c1:
             for v in c2:
-                if colouring.colour(u, v) != RED_COLOUR:
+                if blue.has_edge(u, v):
                     return PartitionReport(False, f"cross-class pair ({u},{v}) is not red")
     return PartitionReport(True)
 
@@ -392,7 +368,6 @@ def long_path_through_sets(
     parts: Sequence[Sequence[int]],
     target_len: int,
     gamma: Fraction | None = None,
-    min_part_size: int | None = None,
     node_budget: int = 1_000_000,
 ) -> PathWitness:
     """A path of target_len vertices whose position-i vertex lies in parts[i mod t].
@@ -416,10 +391,6 @@ def long_path_through_sets(
         for v in p:
             if not 0 <= v < g.n:
                 raise ParameterError(f"part vertex {v} out of range")
-    if min_part_size is not None:
-        for i, p in enumerate(part_sets):
-            if len(p) < min_part_size:
-                raise ParameterError(f"part {i} smaller than the size floor {min_part_size}")
     if gamma is not None:
         size = max(1, math.ceil(Fraction(gamma) * g.n))
         try:

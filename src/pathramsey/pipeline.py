@@ -56,7 +56,6 @@ from .partition import (
     prune_top,
     segment_path,
     sparsify,
-    two_colouring_from_graph,
     verify_partition,
 )
 from .pseudorandom import (
@@ -91,17 +90,10 @@ class PipelineConfig:
     in_quad: GoodQuadruple
     sparsify_p: Fraction = Fraction(1)
     seed: int = 0
-    partition_mode: str = "auto"
-    lll_resamples: int | None = None
-    path_nodes: int = 1_000_000
 
     def __post_init__(self):
         if min(self.k, self.s, self.r, self.t, self.n, self.clique_size, self.mono_target) < 1:
             raise ParameterError("all pipeline sizes must be positive")
-        if self.lll_resamples is not None and self.lll_resamples < 1:
-            raise ParameterError("lll_resamples must be positive when given")
-        if self.path_nodes < 1:
-            raise ParameterError("budgets must be positive")
 
     @property
     def big_r(self) -> int:
@@ -120,16 +112,12 @@ class PipelineConfig:
                 parse_frac(sub["c"]), parse_frac(sub["eps"]),
             )
 
-        budgets = doc.get("budgets", {})
         return cls(
             k=doc["k"], s=doc["s"], r=doc["r"], t=doc["t"], n=doc["n"],
             clique_size=doc["cliqueSize"], mono_target=doc["monoTarget"],
             out_quad=q("outQuad"), in_quad=q("inQuad"),
             sparsify_p=parse_frac(doc.get("sparsifyP", "1")),
             seed=doc.get("seed", 0),
-            partition_mode=budgets.get("partitionMode", "auto"),
-            lll_resamples=budgets.get("lllResamples"),
-            path_nodes=budgets.get("pathNodes", 1_000_000),
         )
 
 
@@ -204,9 +192,7 @@ def induction_step(
     # Single colour: everything is monochromatic, embed directly.
     if chi.s == 1:
         try:
-            path = long_path_through_sets(
-                g, [list(range(g.n))], cfg.n, node_budget=cfg.path_nodes
-            )
+            path = long_path_through_sets(g, [list(range(g.n))], cfg.n)
         except NoPathFoundError as exc:
             return _fail(trace, "bypass-path", str(exc))
         try:
@@ -262,14 +248,11 @@ def induction_step(
     # Cover the blue/grey complete graph over W.
     ell = cfg.t - 1
     if ell >= 1:
-        col2 = two_colouring_from_graph(blue_graph)
         try:
-            part = partition_two_coloured(
-                col2, ell, mode=cfg.partition_mode, seed=cfg.seed
-            )
-        except (NoCoverFoundError, ParameterError) as exc:
+            part = partition_two_coloured(blue_graph, ell, seed=cfg.seed)
+        except NoCoverFoundError as exc:
             return _fail(trace, "partition", str(exc))
-        rep = verify_partition(col2, part, ell)
+        rep = verify_partition(blue_graph, part, ell)
         if not rep.ok:
             return _fail(trace, "partition", rep.problem or "invalid cover")
     else:
@@ -322,9 +305,7 @@ def induction_step(
     to_j2 = {v: i for i, v in enumerate(base_ids2)}
     parts_j2 = [[to_j2[v] for v in cls] for cls in class_base]
     try:
-        path2 = long_path_through_sets(
-            j2, parts_j2, needed_len, gamma=Fraction(1, 2 * cfg.t), node_budget=cfg.path_nodes
-        )
+        path2 = long_path_through_sets(j2, parts_j2, needed_len, gamma=Fraction(1, 2 * cfg.t))
     except PreconditionError as exc:
         return _fail(trace, "long-path-expansion", str(exc))
     except NoPathFoundError as exc:
@@ -393,7 +374,7 @@ def induction_step(
     # Resample-until-clean embedding of the template into the host.
     cliques = [bmap.subclique[ids[jv]] for jv in tmpl.vertex_ids]
     instance = make_lll_instance(tmpl.template, cliques, host, chi, blue)
-    budget = cfg.lll_resamples or 100 * max(1, tmpl.template.m)
+    budget = 100 * max(1, tmpl.template.m)
     trace.append({"stage": "lll-instance", "status": "ok", "detail": instance.to_dict()})
     try:
         emb = lll_embed(instance, cfg.seed * 1_000_003 + 13, budget)
@@ -414,9 +395,7 @@ def induction_step(
 def _search_blue_path(blue_graph: Graph, cfg: PipelineConfig) -> PathWitness | None:
     """Longest-first blue path probe used when no cover stage runs (t = 1)."""
     try:
-        return long_path_through_sets(
-            blue_graph, [list(range(blue_graph.n))], cfg.n, node_budget=cfg.path_nodes
-        )
+        return long_path_through_sets(blue_graph, [list(range(blue_graph.n))], cfg.n)
     except NoPathFoundError:
         return None
 
@@ -448,8 +427,7 @@ def base_case_driver(
         g = base_graph
     else:
         g, _cert, _log = generate_class_p(params, gen)
-    colouring = two_colouring_from_graph(g)
-    cover = partition_two_coloured(colouring, ell=1, mode="auto", seed=gen.seed)
+    cover = partition_two_coloured(g, ell=1, seed=gen.seed)
     longest = max(cover.blue_paths, key=len, default=PathWitness(()))
     if len(longest) < target:
         raise BaseCaseError(

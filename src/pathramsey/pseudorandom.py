@@ -148,14 +148,14 @@ class GenerationConfig:
         return 60 * q.a / (q.eps ** 2 * q.c ** 2 * params.n)
 
     @classmethod
-    def paper(cls, params: ClassPParams, seed: int, **kw) -> "GenerationConfig":
+    def paper(cls, params: ClassPParams, seed: int) -> "GenerationConfig":
         p = cls.closed_form_p(params)
         if p > 1:
             raise ParameterInfeasibleError(
                 f"closed-form edge probability {p} exceeds 1 at n={params.n}; "
                 "use toy mode with an explicit p"
             )
-        return cls(p=p, seed=seed, mode="paper", **kw)
+        return cls(p=p, seed=seed, mode="paper")
 
 
 # -- pair-density machinery -------------------------------------------------

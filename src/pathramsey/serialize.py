@@ -43,9 +43,9 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
-def dump_report(report: dict, *, schema: bool = True) -> str:
+def dump_report(report: dict) -> str:
     """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
     body = dict(report)
-    if schema and "schemaVersion" not in body:
+    if "schemaVersion" not in body:
         body = {"schemaVersion": SCHEMA_VERSION, **body}
     return json.dumps(jsonable(body), sort_keys=True, separators=(",", ":")) + "\n"

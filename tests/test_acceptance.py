@@ -112,9 +112,9 @@ def test_criterion_4_two_colour_cover_sweep():
         host = complete_graph(n)
         m = n * (n - 1) // 2
         for x in range(2 ** m):
-            col = EdgeColouring.from_integer(host, 2, x)
-            res = partition_two_coloured(col, 1, mode="exhaustive")
-            if not verify_partition(col, res, 1).ok:
+            blue = EdgeColouring.from_integer(host, 2, x).colour_subgraph(1)
+            res = partition_two_coloured(blue, 1, mode="exhaustive")
+            if not verify_partition(blue, res, 1).ok:
                 failures += 1
             checked += 1
     report(4, failures == 0, time.time() - t0, 600.0,

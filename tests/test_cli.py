@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+
 import pytest
 
 from pathramsey import (
@@ -123,6 +125,35 @@ class TestPartitionLongpath:
         assert code == 0
         doc = json.loads(out)
         assert doc["found"] and doc["verified"]
+
+    def test_partition_rejects_incomplete_host(self, run, graph_file):
+        path = graph_file(path_graph(4), "p4.edges")
+        code, _, err = run("partition", "--host", path, "--colours", "s=2;m=3;000", "--ell", "1")
+        assert (code, err) == (2, "error: cover search needs a colouring of a complete graph\n")
+        path = graph_file(complete_graph(6), "k6.edges")
+        code, _, err = run("partition", "--host", path, "--colours", "s=3;m=15;010101010101010",
+                           "--ell", "1")
+        assert (code, err) == (2, "error: cover search needs exactly two colours\n")
+
+    def test_partition_output_bytes_pinned(self, run, graph_file):
+        # Expected bytes were recorded when the cover search still took a full
+        # two-colouring of K_n; taking the blue graph must not change them.
+        path = graph_file(complete_graph(6), "k6.edges")
+        code, out, _ = run("partition", "--host", path, "--colours", "s=2;m=15;010101010101010",
+                           "--ell", "1")
+        assert code == 0
+        assert out == ('{"found":true,"result":{"bluePaths":[[2,4,5,1,3,0]],'
+                       '"redClasses":[[],[]]},"schemaVersion":1,"verified":true}\n')
+        host = complete_graph(20)
+        rng = random.Random(0)
+        col = EdgeColouring(host, 2, {e: 1 if rng.random() < 0.1 else 2 for e in host.sorted_edges()})
+        path = graph_file(host, "k20.edges")
+        code, out, _ = run("partition", "--host", path, "--colours", col.to_string(), "--ell", "2",
+                           "--mode", "heuristic", "--seed", "3")
+        assert code == 0
+        assert out == ('{"found":true,"result":{"bluePaths":[[1,18,10,8,7,13,17],[19]],'
+                       '"redClasses":[[2,6,9,16],[11,12,14,15],[0,3,4,5]]},'
+                       '"schemaVersion":1,"verified":true}\n')
 
     def test_longpath_found_and_not_found(self, run, graph_file, tmp_path):
         src = graph_file(cycle_graph(6), "c6.edges")
@@ -316,6 +347,25 @@ class TestStepAndReport:
         code, _, err = run("report", "--in", str(path))
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gen"], ["verify-p", "--graph", "unread.edges"], ["aux-colour"],
+        ["embed-base", "--k", "1"], ["lll-embed"], ["step"],
+    ], ids=lambda argv: argv[0])
+    def test_non_object_config_exits_two(self, run, tmp_path, argv):
+        cfg = tmp_path / "five.json"
+        cfg.write_text("5")
+        code, _, err = run(*argv, "--config", str(cfg))
+        assert code == 2
+        assert err == "config error: config must be a JSON object\n"
+
+    @pytest.mark.parametrize("section", ["pipeline", "base", "chi"])
+    def test_step_non_object_section_exits_two(self, run, tmp_path, section):
+        cfg = tmp_path / "step.json"
+        cfg.write_text(json.dumps(dict(STEP_DOC, **{section: 5})))
+        code, _, err = run("step", "--config", str(cfg))
+        assert code == 2
+        assert err == f"config error: config section '{section}' must be a JSON object\n"
 
     def test_step_config_error_exit_two(self, run, tmp_path):
         doc = json.loads(json.dumps(STEP_DOC))

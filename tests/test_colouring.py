@@ -220,7 +220,7 @@ class TestBuildAuxColouring:
         bmap = bmap.with_subcliques({v: bmap.clique_of[v][:4] for v in range(3)})
         aux = build_aux_colouring(j, [0, 1, 2], bmap, chi, 1, 1)
         assert all(lab == "blue" for lab in aux.labels.values())
-        aux.validate(recheck_grey=True)
+        aux.validate()
 
     def test_no_blue_cross_gives_all_grey(self):
         j, host, bmap, _ = two_vertex_aux(0)
@@ -230,7 +230,7 @@ class TestBuildAuxColouring:
         chi = EdgeColouring(host, 2, colours)
         aux = build_aux_colouring(j, [0, 1], bmap, chi, 1, 1)
         assert all(lab == "grey" for lab in aux.labels.values())
-        aux.validate(recheck_grey=True)
+        aux.validate()
 
     def test_label_matches_exhaustive_biclique_scan(self):
         for seed in range(20):
@@ -243,7 +243,7 @@ class TestBuildAuxColouring:
                 for pb in combinations(bb, 2)
             )
             assert (aux.labels[(0, 1)] == "blue") == exists
-            aux.validate(recheck_grey=True)
+            aux.validate()
 
     def test_non_monochromatic_subclique_names_vertex(self):
         j = Graph(2, [(0, 1)])
@@ -322,11 +322,12 @@ class TestFindSubgraph:
 
     def test_colour_class_restriction(self):
         col = pentagon_colouring()
-        emb = find_subgraph(col.host, path_graph(3), colour_class=(col, 1))
+        blue = col.colour_subgraph(1)
+        emb = find_subgraph(blue, path_graph(3))
         assert emb is not None
         u, v, w = emb.mapping
         assert col.colour(u, v) == 1 and col.colour(v, w) == 1
-        assert find_subgraph(col.host, complete_graph(3), colour_class=(col, 1)) is None
+        assert find_subgraph(blue, complete_graph(3)) is None
 
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=30, deadline=None)
@@ -343,24 +344,6 @@ class TestFindSubgraph:
         theirs = GraphMatcher(to_nx(host), to_nx(pattern)).subgraph_monomorphisms_iter()
         exists = next(theirs, None) is not None
         assert (ours is not None) == exists
-
-
-class TestClassMasks:
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_matches_colour_subgraph_and_is_cached(self, s):
-        for seed in range(5):
-            host = random_graph(12, 0.5, seed)
-            col = EdgeColouring.random(host, s, seed)
-            for c in range(1, s + 1):
-                masks = col.class_masks(c)
-                assert masks == col.colour_subgraph(c).adjacency_masks()
-                assert col.class_masks(c) is masks
-
-    def test_rejects_colour_outside_range(self):
-        col = pentagon_colouring()
-        for c in (0, 3):
-            with pytest.raises(ParameterError):
-                col.class_masks(c)
 
 
 class TestArrowCheck:

@@ -112,10 +112,6 @@ class TestConstantsChain:
                                 chain = constants_chain(1, s, 1, t, q, d0)
                                 assert chain.derived_report.good
 
-    def test_require_good_rejects(self):
-        with pytest.raises(ParameterError):
-            constants_chain(1, 2, 1, 2, quad(2, 2, "1/2", "1/20"), 1, require_good=True)
-
     def test_rejects_bad_d0(self):
         with pytest.raises(ParameterError):
             constants_chain(1, 2, 1, 2, GOOD, 0)

@@ -28,37 +28,37 @@ from pathramsey import (
     random_graph,
     segment_path,
     sparsify,
-    two_colouring_from_graph,
     verify_partition,
 )
 
 from conftest import oracle_cross_edges
 
 
-def colour_of_int(n: int, x: int) -> EdgeColouring:
-    return EdgeColouring.from_integer(complete_graph(n), 2, x)
+def blue_of_int(n: int, x: int) -> Graph:
+    return EdgeColouring.from_integer(complete_graph(n), 2, x).colour_subgraph(1)
 
 
 class TestPartitionExamples:
     def test_all_blue_k4_yields_hamilton_path(self):
-        col = EdgeColouring.constant(complete_graph(4), 2, 1)
-        res = partition_two_coloured(col, 1, mode="exhaustive")
-        assert verify_partition(col, res, 1).ok
+        blue = EdgeColouring.constant(complete_graph(4), 2, 1).colour_subgraph(1)
+        res = partition_two_coloured(blue, 1, mode="exhaustive")
+        assert verify_partition(blue, res, 1).ok
         assert len(res.blue_paths) == 1 and len(res.blue_paths[0]) == 4
         assert all(len(c) == 0 for c in res.red_classes)
 
     def test_all_red_k4_yields_balanced_bipartition(self):
-        col = EdgeColouring.constant(complete_graph(4), 2, 2)
-        res = partition_two_coloured(col, 1, mode="exhaustive")
-        assert verify_partition(col, res, 1).ok
+        blue = EdgeColouring.constant(complete_graph(4), 2, 2).colour_subgraph(1)
+        res = partition_two_coloured(blue, 1, mode="exhaustive")
+        assert verify_partition(blue, res, 1).ok
         assert res.blue_paths == ()
         assert sorted(len(c) for c in res.red_classes) == [2, 2]
 
     def test_k3_single_blue_edge(self):
         host = complete_graph(3)
         col = EdgeColouring(host, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
-        res = partition_two_coloured(col, 1, mode="exhaustive")
-        assert verify_partition(col, res, 1).ok
+        blue = col.colour_subgraph(1)
+        res = partition_two_coloured(blue, 1, mode="exhaustive")
+        assert verify_partition(blue, res, 1).ok
         covered = {v for p in res.blue_paths for v in p.vertices}
         covered |= {v for c in res.red_classes for v in c}
         assert covered == {0, 1, 2}
@@ -69,70 +69,65 @@ class TestPartitionExamples:
             m = n * (n - 1) // 2
             for ell in (1, 2):
                 for x in range(2 ** m):
-                    col = colour_of_int(n, x)
-                    res = partition_two_coloured(col, ell, mode="exhaustive")
-                    rep = verify_partition(col, res, ell)
+                    blue = blue_of_int(n, x)
+                    res = partition_two_coloured(blue, ell, mode="exhaustive")
+                    rep = verify_partition(blue, res, ell)
                     assert rep.ok, (n, ell, x, rep.problem)
 
     def test_heuristic_mode_on_larger_instance(self):
         rng = random.Random(5)
         host = complete_graph(20)
         col = EdgeColouring(host, 2, {e: rng.randint(1, 2) for e in host.edges})
-        res = partition_two_coloured(col, 2, mode="heuristic", seed=3)
-        assert verify_partition(col, res, 2).ok
+        blue = col.colour_subgraph(1)
+        res = partition_two_coloured(blue, 2, mode="heuristic", seed=3)
+        assert verify_partition(blue, res, 2).ok
 
     def test_exhaustive_cap(self):
-        col = EdgeColouring.constant(complete_graph(13), 2, 1)
+        blue = EdgeColouring.constant(complete_graph(13), 2, 1).colour_subgraph(1)
         with pytest.raises(ParameterError):
-            partition_two_coloured(col, 1, mode="exhaustive")
-
-    def test_rejects_incomplete_host(self):
-        col = EdgeColouring.constant(path_graph(4), 2, 1)
-        with pytest.raises(ParameterError):
-            partition_two_coloured(col, 1)
+            partition_two_coloured(blue, 1, mode="exhaustive")
 
 
 class TestVerifyPartition:
     def test_red_edge_inside_blue_path_rejected(self):
-        col = EdgeColouring.constant(complete_graph(4), 2, 2)
+        blue = EdgeColouring.constant(complete_graph(4), 2, 2).colour_subgraph(1)
         bad = PartitionResult((PathWitness((0, 1)),), ((2,), (3,)))
-        rep = verify_partition(col, bad, 1)
+        rep = verify_partition(blue, bad, 1)
         assert not rep.ok and "not blue" in rep.problem
 
     def test_unbalanced_classes_rejected(self):
-        col = EdgeColouring.constant(complete_graph(5), 2, 2)
+        blue = EdgeColouring.constant(complete_graph(5), 2, 2).colour_subgraph(1)
         bad = PartitionResult((), ((0, 1, 2), (3,)))
-        rep = verify_partition(col, bad, 1)
+        rep = verify_partition(blue, bad, 1)
         # vertex 4 missing would hit first, so cover it via a path: still unbalanced
         bad = PartitionResult((PathWitness((4,)),), ((0, 1, 2), (3,)))
-        rep = verify_partition(col, bad, 1)
+        rep = verify_partition(blue, bad, 1)
         assert not rep.ok and "unbalanced" in rep.problem
 
     def test_missing_vertex_rejected(self):
-        col = EdgeColouring.constant(complete_graph(4), 2, 2)
+        blue = EdgeColouring.constant(complete_graph(4), 2, 2).colour_subgraph(1)
         bad = PartitionResult((), ((0, 1), (2,)))
-        rep = verify_partition(col, bad, 1)
+        rep = verify_partition(blue, bad, 1)
         assert not rep.ok
 
     def test_blue_cross_class_pair_rejected(self):
         host = complete_graph(4)
         col = EdgeColouring(host, 2, {e: (1 if e == (0, 2) else 2) for e in host.edges})
         bad = PartitionResult((), ((0, 1), (2, 3)))
-        rep = verify_partition(col, bad, 1)
+        rep = verify_partition(col.colour_subgraph(1), bad, 1)
         assert not rep.ok and "not red" in rep.problem
 
     def test_too_many_paths_rejected(self):
-        col = EdgeColouring.constant(complete_graph(4), 2, 1)
+        blue = EdgeColouring.constant(complete_graph(4), 2, 1).colour_subgraph(1)
         bad = PartitionResult((PathWitness((0,)), PathWitness((1,))), ((2,), (3,)))
-        assert not verify_partition(col, bad, 1).ok
+        assert not verify_partition(blue, bad, 1).ok
 
     def test_accepted_cover_covers_each_vertex_once(self):
         rng = random.Random(11)
         for _ in range(50):
             n = rng.randint(2, 6)
             x = rng.randrange(2 ** (n * (n - 1) // 2))
-            col = colour_of_int(n, x)
-            res = partition_two_coloured(col, 1, mode="exhaustive")
+            res = partition_two_coloured(blue_of_int(n, x), 1, mode="exhaustive")
             seen = [v for p in res.blue_paths for v in p.vertices]
             seen += [v for c in res.red_classes for v in c]
             assert sorted(seen) == list(range(n))
@@ -167,10 +162,6 @@ class TestLongPath:
         g = path_graph(4)
         with pytest.raises(NoPathFoundError):
             long_path_through_sets(g, [[0, 1], [2, 3]], 4)
-
-    def test_min_part_size_floor(self):
-        with pytest.raises(ParameterError):
-            long_path_through_sets(complete_graph(4), [[0, 1], [2]], 4, min_part_size=2)
 
     def test_overlapping_parts_rejected(self):
         with pytest.raises(ParameterError):
@@ -301,10 +292,3 @@ class TestSparsifyPrune:
         assert len(kept) == 3 and pruned.n == 3
         assert pruned == complete_graph(3)
 
-
-class TestTwoColouringFromGraph:
-    def test_edges_blue_nonedges_red(self):
-        g = path_graph(4)
-        col = two_colouring_from_graph(g)
-        assert col.colour(0, 1) == 1 and col.colour(0, 3) == 2
-        assert col.host == complete_graph(4)

@@ -302,11 +302,8 @@ class TestPipelineConfig:
         }
         cfg = PipelineConfig.from_dict(doc)
         assert cfg.big_r == 2 and cfg.an == 4
-        assert cfg.path_nodes == 500
         assert cfg.out_quad.c == Fraction(1, 2)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             toy_cfg(n=0)
-        with pytest.raises(ParameterError):
-            toy_cfg(lll_resamples=0)
