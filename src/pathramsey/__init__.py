@@ -50,14 +50,10 @@ from .graphs import (
     BlowupMap,
     Graph,
     PathWitness,
-    complete_bipartite,
     complete_blowup,
     complete_graph,
     cycle_graph,
-    density_pair,
-    density_set,
     distances,
-    empty_graph,
     girth_violation,
     graph_from_text,
     graph_to_text,
@@ -69,7 +65,6 @@ from .graphs import (
     random_graph,
     read_edge_list,
     sheared_blowup,
-    write_edge_list,
 )
 from .partition import (
     PartitionResult,
@@ -83,14 +78,11 @@ from .partition import (
     verify_partition,
 )
 from .pipeline import (
-    EdgeBudgetReport,
     PipelineConfig,
     StepOutcome,
     base_case_driver,
     build_step_host,
-    edge_budget,
     induction_step,
-    sheared_host_edge_count,
 )
 from .pseudorandom import (
     ClassPParams,
@@ -98,13 +90,11 @@ from .pseudorandom import (
     GenerationConfig,
     GenerationLog,
     GoodQuadruple,
-    chernoff_bound,
     fit_density_certificate,
     generate_class_p,
     is_good,
     quad,
     verify_class_p,
-    verify_density_propagation,
     verify_edgeboost,
 )
 

@@ -12,7 +12,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from .errors import GraphFormatError, ParameterError
@@ -96,10 +95,6 @@ class Graph:
 # -- constructors ---------------------------------------------------------
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -112,11 +107,6 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    """K_{a,b} with left side 0..a-1 and right side a..a+b-1."""
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -400,29 +390,6 @@ def _cycle_path(adj: Sequence[int], u: int, v: int) -> list[int]:
             queue.append(w)
 
 
-# -- densities ------------------------------------------------------------
-
-
-def density_set(g: Graph, s: Iterable[int]) -> Fraction:
-    """Induced edge density e(G[S]) / C(|S|,2), exact."""
-    sset = set(s)
-    if len(sset) < 2:
-        raise ParameterError("density of a set needs at least 2 vertices")
-    inside = sum(1 for u, v in g.edges if u in sset and v in sset)
-    return Fraction(inside, math.comb(len(sset), 2))
-
-
-def density_pair(g: Graph, x: Iterable[int], y: Iterable[int]) -> Fraction:
-    """Cross density e(X,Y) / (|X||Y|) for disjoint nonempty X, Y, exact."""
-    xs, ys = set(x), set(y)
-    if not xs or not ys:
-        raise ParameterError("density between sets needs both sets nonempty")
-    if xs & ys:
-        raise ParameterError("density between sets needs disjoint sets")
-    cross = sum(1 for u, v in g.edges if (u in xs and v in ys) or (u in ys and v in xs))
-    return Fraction(cross, len(xs) * len(ys))
-
-
 # -- path witnesses -------------------------------------------------------
 
 
@@ -462,11 +429,6 @@ class PathWitness:
 
 
 # -- edge-list text format -------------------------------------------------
-
-
-def write_edge_list(g: Graph, out: TextIO) -> None:
-    """First line "n m", then one "u v" line per edge with u < v, sorted."""
-    out.write(graph_to_text(g))
 
 
 def read_edge_list(inp: TextIO) -> Graph:

@@ -1,6 +1,6 @@
 """End-to-end drivers: the colour-reduction induction step over a sheared
-blow-up host, the base-case embedding driver, and the linear edge-budget
-report, plus the config plumbing the CLI feeds them.
+blow-up host and the base-case embedding driver, plus the config plumbing
+the CLI feeds them.
 
 Every stage re-validates its output with the owning module's verifier and
 appends one trace record; honest failure at any stage is an outcome, never an
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .colouring import (
     EdgeColouring,
@@ -105,19 +104,27 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        def integer(key: str, default: int | None = None) -> int:
+            value = doc[key] if default is None else doc.get(key, default)
+            if type(value) is not int:  # bool is an int subclass, so test the exact type
+                raise ParameterError(f"pipeline field {key!r} must be an integer")
+            return value
+
         def q(key: str) -> GoodQuadruple:
             sub = doc[key]
+            if not isinstance(sub, dict):
+                raise ParameterError(f"pipeline field {key!r} must be a JSON object")
             return GoodQuadruple(
                 parse_frac(sub["a"]), parse_frac(sub["b"]),
                 parse_frac(sub["c"]), parse_frac(sub["eps"]),
             )
 
         return cls(
-            k=doc["k"], s=doc["s"], r=doc["r"], t=doc["t"], n=doc["n"],
-            clique_size=doc["cliqueSize"], mono_target=doc["monoTarget"],
+            k=integer("k"), s=integer("s"), r=integer("r"), t=integer("t"), n=integer("n"),
+            clique_size=integer("cliqueSize"), mono_target=integer("monoTarget"),
             out_quad=q("outQuad"), in_quad=q("inQuad"),
             sparsify_p=parse_frac(doc.get("sparsifyP", "1")),
-            seed=doc.get("seed", 0),
+            seed=integer("seed", 0),
         )
 
 
@@ -436,57 +443,3 @@ def base_case_driver(
         )
     path = PathWitness(tuple(longest.vertices[:target]))
     return embed_base_case(g, k, path, matching_seed=matching_seed)
-
-
-# -- edge budget -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeBudgetRow:
-    n: int
-    power_edges: int
-    host_edges: int
-    ratio: Fraction
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "powerEdges": self.power_edges,
-                "hostEdges": self.host_edges, "ratio": self.ratio}
-
-
-@dataclass(frozen=True)
-class EdgeBudgetReport:
-    rows: tuple[EdgeBudgetRow, ...]
-    max_ratio: Fraction
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows], "maxRatio": self.max_ratio}
-
-
-CONSTRUCT_VERTEX_CAP = 2_000
-CONSTRUCT_EDGE_CAP = 100_000
-
-
-def sheared_host_edge_count(power_edges: int, n_vertices: int, t: int) -> int:
-    """Exact host size: cross pairs minus matchings plus the clique interiors."""
-    return power_edges * (t * t - t) + n_vertices * (t * (t - 1) // 2)
-
-
-def edge_budget(base_graphs: Sequence[Graph], r: int, t: int) -> EdgeBudgetReport:
-    """Exact host edge counts across a sweep of base graphs, with |E|/n ratios.
-
-    Hosts small enough are constructed outright and checked against the
-    closed-form count; larger ones use the formula alone.
-    """
-    rows = []
-    for g in base_graphs:
-        p = power(g, r)
-        expected = sheared_host_edge_count(p.m, g.n, t)
-        if g.n * t <= CONSTRUCT_VERTEX_CAP and expected <= CONSTRUCT_EDGE_CAP:
-            host, _ = sheared_blowup(p, t)
-            if host.m != expected:
-                raise ConstructionError(
-                    f"edge count mismatch: built {host.m}, formula {expected}"
-                )
-        rows.append(EdgeBudgetRow(g.n, p.m, expected, Fraction(expected, g.n)))
-    max_ratio = max((row.ratio for row in rows), default=Fraction(0))
-    return EdgeBudgetReport(tuple(rows), max_ratio)

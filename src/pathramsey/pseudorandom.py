@@ -4,8 +4,7 @@ A member of class P(a, b, c, t, eps, n) has a*n vertices, max degree at most b,
 every disjoint (c*n, c*n) vertex-set pair with cross density within (1 +- eps)
 of one common positive value, and no cycle of length at most 2t.
 
-Everything density-related is exact rational arithmetic; floats only appear in
-the Chernoff tail helper, which is a numeric bound by nature.
+Everything density-related is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .graphs import (
 )
 
 PAIR_BUDGET = 200_000
-PROPAGATION_VERTEX_CAP = 14
 
 
 # -- parameter types -------------------------------------------------------
@@ -568,106 +566,6 @@ def verify_class_p(
 
 
 @dataclass(frozen=True)
-class PropagationReport:
-    hypothesis_ok: bool
-    hypothesis_witness: tuple | None
-    pair_violations: int
-    set_violations: int
-    first_violation: tuple | None
-    pairs_checked: int
-    sets_checked: int
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "hypothesisOk": self.hypothesis_ok,
-            "hypothesisWitness": self.hypothesis_witness,
-            "pairViolations": self.pair_violations,
-            "setViolations": self.set_violations,
-            "firstViolation": self.first_violation,
-            "pairsChecked": self.pairs_checked,
-            "setsChecked": self.sets_checked,
-            "passed": self.passed,
-        }
-
-
-def verify_density_propagation(
-    g: Graph, alpha_n: int, eps: Fraction, f_ref: Fraction
-) -> PropagationReport:
-    """Exhaustively confirm that the base-size density window propagates upward.
-
-    Hypothesis: every disjoint pair of alpha_n-sets has cross density within
-    (1 +- eps) f_ref.  On top of that, every disjoint pair of sets of size
-    >= alpha_n, and every single set of size >= 2*alpha_n, must land in the
-    same window.  A failing hypothesis is reported, not raised.
-    """
-    if alpha_n < 1:
-        raise ParameterError("alpha_n must be >= 1")
-    if f_ref <= 0:
-        raise ParameterError("reference density must be positive")
-    if g.n > PROPAGATION_VERTEX_CAP:
-        raise BudgetExceededError(
-            f"exhaustive propagation check capped at {PROPAGATION_VERTEX_CAP} vertices"
-        )
-    masks = g.adjacency_masks()
-    lo, hi = (1 - eps) * f_ref, (1 + eps) * f_ref
-
-    hypothesis_witness = None
-    for x, y, e in _cross_counts(masks, iter_disjoint_pairs(g.n, alpha_n)):
-        d = Fraction(e, alpha_n * alpha_n)
-        if not lo <= d <= hi:
-            hypothesis_witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), d)
-            break
-    if hypothesis_witness is not None:
-        return PropagationReport(False, hypothesis_witness, 0, 0, None, 0, 0, False)
-
-    full = (1 << g.n) - 1
-    sizes = [m.bit_count() for m in range(full + 1)]
-
-    def larger_pairs() -> Iterator[tuple[int, int]]:
-        for x in range(1, full + 1):
-            if sizes[x] < alpha_n:
-                continue
-            comp = full & ~x
-            y = comp
-            while y:
-                if sizes[y] >= alpha_n and x < y:
-                    yield x, y
-                y = (y - 1) & comp
-
-    pair_violations = 0
-    first_violation = None
-    pairs_checked = 0
-    for x, y, e in _cross_counts(masks, larger_pairs()):
-        pairs_checked += 1
-        d = Fraction(e, sizes[x] * sizes[y])
-        if not lo <= d <= hi:
-            pair_violations += 1
-            if first_violation is None:
-                first_violation = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), d)
-
-    set_violations = 0
-    sets_checked = 0
-    for s in range(1, full + 1):
-        if sizes[s] < 2 * alpha_n:
-            continue
-        sets_checked += 1
-        inside = 0
-        for v in _mask_vertices(s):
-            inside += (masks[v] & s).bit_count()
-        inside //= 2
-        d = Fraction(inside, math.comb(sizes[s], 2))
-        if not lo <= d <= hi:
-            set_violations += 1
-            if first_violation is None:
-                first_violation = (tuple(_mask_vertices(s)), None, d)
-
-    passed = pair_violations == 0 and set_violations == 0
-    return PropagationReport(True, None, pair_violations, set_violations,
-                             first_violation, pairs_checked, sets_checked, passed)
-
-
-@dataclass(frozen=True)
 class EdgeBoostReport:
     hypothesis_ok: bool
     hypothesis_witness: tuple | None
@@ -719,17 +617,3 @@ def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoos
         worst = (tuple(_mask_vertices(worst[0])), tuple(_mask_vertices(worst[1])))
     passed = min_cross is None or min_cross >= bound
     return EdgeBoostReport(True, None, bound, min_cross, worst, checked, passed)
-
-
-# -- Chernoff tail -----------------------------------------------------------
-
-
-def chernoff_bound(eps, expectation) -> float:
-    """Two-sided tail bound 2 exp(-(eps^2/3) E) for Bernoulli sums, 0 < eps <= 3/2."""
-    e = Fraction(eps) if not isinstance(eps, float) else Fraction(str(eps))
-    if not 0 < e <= Fraction(3, 2):
-        raise ParameterError("eps must lie in (0, 3/2]")
-    ex = float(expectation)
-    if ex <= 0:
-        raise ParameterError("expectation must be positive")
-    return 2.0 * math.exp(-(float(e) ** 2 / 3.0) * ex)

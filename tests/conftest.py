@@ -53,9 +53,9 @@ def oracle_cross_edges(g: Graph, x, y) -> int:
     return sum(1 for u, v in g.edges if (u in xs and v in ys) or (u in ys and v in xs))
 
 
-def oracle_induced_edges(g: Graph, s) -> int:
-    ss = set(s)
-    return sum(1 for u, v in g.edges if u in ss and v in ss)
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} with left side 0..a-1 and right side a..a+b-1."""
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def random_graph_with_path(seed: int, n: int, extra: int) -> tuple[Graph, tuple[int, ...]]:

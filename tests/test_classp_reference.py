@@ -9,10 +9,8 @@ import pytest
 
 from pathramsey import (
     Graph,
-    complete_bipartite,
     complete_graph,
     cycle_graph,
-    empty_graph,
     fit_density_certificate,
     girth_violation,
     path_graph,
@@ -26,6 +24,7 @@ from classp_reference import (
     ref_girth_violation,
     ref_iter_disjoint_pairs,
 )
+from conftest import complete_bipartite
 
 PAIR_GRID = [(n, k) for n in range(0, 13) for k in range(0, 7)] + [(14, 4), (16, 8), (17, 8)]
 
@@ -41,7 +40,7 @@ def _circulant(n: int, offsets) -> Graph:
 
 def _tie_heavy_graphs():
     yield complete_graph(8)
-    yield empty_graph(8)
+    yield Graph(8)
     yield cycle_graph(8)
     yield cycle_graph(9)
     yield complete_bipartite(4, 4)

@@ -18,6 +18,8 @@ from pathramsey import (
 )
 from pathramsey.cli import main
 
+from conftest import complete_bipartite
+
 
 @pytest.fixture
 def run(capsys):
@@ -232,8 +234,6 @@ class TestEmbedBase:
 
 class TestLllEmbed:
     def test_bundle_run(self, run, tmp_path, graph_file):
-        from pathramsey import complete_bipartite
-
         template = graph_file(Graph(2, [(0, 1)]), "template.edges")
         host_g = complete_bipartite(4, 4)
         host = graph_file(host_g, "host.edges")
@@ -375,3 +375,14 @@ class TestStepAndReport:
         code, _, err = run("step", "--config", str(cfg))
         assert code == 2
         assert "outQuad" in err
+
+    def test_step_mistyped_pipeline_field_exits_two(self, run, tmp_path):
+        cfg = tmp_path / "bad.json"
+        for key, value, kind in [("outQuad", 5, "a JSON object"), ("k", "1", "an integer"),
+                                 ("k", 1.5, "an integer"), ("k", True, "an integer"),
+                                 ("seed", "x", "an integer")]:
+            doc = json.loads(json.dumps(STEP_DOC))
+            doc["pipeline"][key] = value
+            cfg.write_text(json.dumps(doc))
+            code, _, err = run("step", "--config", str(cfg))
+            assert (code, err) == (2, f"error: pipeline field '{key}' must be {kind}\n"), (key, value)

@@ -19,7 +19,6 @@ from pathramsey import (
     arrow_check,
     blue_path_to_blue_power,
     build_aux_colouring,
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     find_blue_biclique,

@@ -1,52 +1,96 @@
-"""Guard against dead code: every module-level function or class in the
-package is exported from __init__.py or referenced elsewhere in the package,
-and every option a CLI subcommand declares is read by its handler."""
+"""Guard against dead code: every module-level function, class or constant in
+the package is exported from __init__.py or referenced elsewhere in the
+package, every exported name is read outside the tests, and every option a
+CLI subcommand declares is read by its handler."""
 
 from __future__ import annotations
 
 import argparse
 import ast
 import inspect
+import re
 import textwrap
 from pathlib import Path
+from typing import Iterable
 
 from pathramsey.cli import build_parser
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pathramsey"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pathramsey"
 
 
-def _definitions(tree: ast.Module) -> list[ast.AST]:
-    return [
-        node for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defined_names(node: ast.AST) -> list[str]:
+    """Names a module-level statement defines: a function, a class or assigned constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [
+            sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and not _dunder(sub.id)
+        ]
+    return []
 
 
 def _references(node: ast.AST) -> set[str]:
-    """Names read, attributes accessed and names imported under node."""
+    """Names read, attributes read and names imported under node."""
     found = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             found.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             found.update(alias.name for alias in sub.names)
     return found
 
 
+def _parse_package(package: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
 def unreferenced_definitions(package: Path) -> list[str]:
-    """Module-level definitions that nothing outside their own body names."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    exported = _references(trees["__init__"])
+    """Module-level definitions that nothing outside their own statement names."""
+    trees = _parse_package(package)
     tops = [(top, _references(top)) for tree in trees.values() for top in tree.body]
     dead = []
     for module, tree in trees.items():
-        for node in _definitions(tree):
-            used = exported.union(*(refs for top, refs in tops if top is not node))
-            if node.name not in used:
-                dead.append(f"{module}.{node.name}")
+        for node in tree.body:
+            for name in _defined_names(node):
+                if not any(name in refs for top, refs in tops if top is not node):
+                    dead.append(f"{module}.{name}")
     return dead
+
+
+def readme_code(readme: Path) -> list[ast.Module]:
+    """The README's fenced Python code blocks, parsed."""
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.MULTILINE | re.DOTALL)
+    return [ast.parse(block) for block in blocks]
+
+
+def unread_exports(package: Path, readers: Iterable[ast.AST]) -> list[str]:
+    """Names __init__.py exports, dunders aside, that nothing outside the tests reads.
+
+    A read is a reference in another package module (the name's own
+    definition aside) or in one of the given reader trees.
+    """
+    trees = _parse_package(package)
+    init = trees.pop("__init__")
+    exported = [
+        alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names if not _dunder(alias.asname or alias.name)
+    ]
+    outside = set().union(*map(_references, readers))
+    tops = [(top, _references(top)) for tree in trees.values() for top in tree.body]
+    return [
+        name for name in exported
+        if name not in outside
+        and not any(name in refs for top, refs in tops if name not in _defined_names(top))
+    ]
 
 
 def test_no_unreferenced_module_level_definitions():
@@ -54,13 +98,48 @@ def test_no_unreferenced_module_level_definitions():
 
 
 def test_guard_flags_an_unused_helper(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .a import used\n")
+    (tmp_path / "__init__.py").write_text("from .a import used\n\n__version__ = '0'\n")
     (tmp_path / "a.py").write_text(
-        "def used():\n    return _helper()\n\n"
+        "_CAP = 2\n_LIMIT: int = 3\n__author__ = 'x'\n\n"
+        "def used():\n    _CAP = 1\n    return _helper() + _LIMIT\n\n"
         "def _helper():\n    return 1\n\n"
         "def _dead(n):\n    return _dead(n - 1) if n else 0\n"
     )
-    assert unreferenced_definitions(tmp_path) == ["a._dead"]
+    assert unreferenced_definitions(tmp_path) == ["a._CAP", "a._dead"]
+
+
+def _outside_readers() -> list[ast.AST]:
+    """Code outside the tests that may read exports: bench/, README examples, the acceptance gate."""
+    return [
+        *(ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))),
+        *readme_code(ROOT / "README.md"),
+        ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()),
+    ]
+
+
+def test_every_export_is_read_outside_the_tests():
+    assert unread_exports(PACKAGE, _outside_readers()) == []
+
+
+def test_export_guard_flags_a_name_only_tests_read(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .a import LIMIT, inner, outer, shown, tested\n\n__version__ = '0'\n"
+    )
+    (package / "a.py").write_text(
+        "LIMIT = 3\n\n"
+        "def inner():\n    return LIMIT\n\n"
+        "def outer():\n    return inner()\n\n"
+        "def shown():\n    return 0\n\n"
+        "def tested(n):\n    return tested(n - 1) if n else 0\n"
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "```sh\npkg tested\n```\n\n```python\nimport pkg\npkg.shown()\n```\n"
+    )
+    bench = ast.parse("from pkg import outer\nouter()\n")
+    assert unread_exports(package, [bench, *readme_code(readme)]) == ["tested"]
 
 
 def unread_options(parser: argparse.ArgumentParser) -> list[str]:

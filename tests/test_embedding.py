@@ -17,7 +17,6 @@ from pathramsey import (
     ParameterError,
     PathWitness,
     check_template_containment,
-    complete_bipartite,
     complete_graph,
     constants_chain,
     cycle_graph,
@@ -33,7 +32,7 @@ from pathramsey import (
     validate_embedding,
 )
 
-from conftest import floyd_warshall, random_graph_with_path
+from conftest import complete_bipartite, floyd_warshall, random_graph_with_path
 
 
 class TestValidateEmbedding:

@@ -1,11 +1,10 @@
-"""Graph core: powers, blow-ups, girth, densities, witnesses, edge-list IO."""
+"""Graph core: powers, blow-ups, girth, witnesses, edge-list IO."""
 
 from __future__ import annotations
 
 import io
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +17,7 @@ from pathramsey import (
     complete_blowup,
     complete_graph,
     cycle_graph,
-    density_pair,
-    density_set,
     distances,
-    empty_graph,
     girth_violation,
     graph_from_text,
     graph_to_text,
@@ -32,10 +28,9 @@ from pathramsey import (
     random_graph,
     read_edge_list,
     sheared_blowup,
-    write_edge_list,
 )
 
-from conftest import floyd_warshall, oracle_girth, oracle_cross_edges, oracle_induced_edges
+from conftest import floyd_warshall, oracle_girth
 
 
 def power_oracle(g: Graph, k: int) -> set[tuple[int, int]]:
@@ -237,56 +232,11 @@ class TestGirth:
             assert len(set(found)) == len(found)
 
 
-class TestDensities:
-    def test_complete_graph_density_one(self):
-        assert density_set(complete_graph(4), range(4)) == 1
-
-    def test_edgeless_density_zero(self):
-        assert density_set(empty_graph(5), [0, 2, 4]) == 0
-
-    def test_p5_triple(self):
-        assert density_set(path_graph(5), [1, 2, 3]) == Fraction(2, 3)
-        assert density_set(path_graph(5), [1, 2, 3]) == Fraction(
-            oracle_induced_edges(path_graph(5), [1, 2, 3]), 3
-        )
-
-    def test_density_set_needs_two(self):
-        with pytest.raises(ParameterError):
-            density_set(path_graph(3), [1])
-
-    def test_pair_complete_bipartite(self):
-        from pathramsey import complete_bipartite
-
-        g = complete_bipartite(3, 2)
-        assert density_pair(g, [0, 1, 2], [3, 4]) == 1
-
-    def test_pair_no_cross(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert density_pair(g, [0, 1], [2, 3]) == 0
-
-    def test_pair_p4(self):
-        g = path_graph(4)
-        expected = Fraction(oracle_cross_edges(g, [0, 2], [1, 3]), 4)
-        assert density_pair(g, [0, 2], [1, 3]) == expected == Fraction(3, 4)
-
-    def test_pair_rejects_overlap_and_empty(self):
-        g = path_graph(4)
-        with pytest.raises(ParameterError):
-            density_pair(g, [0, 1], [1, 2])
-        with pytest.raises(ParameterError):
-            density_pair(g, [], [1, 2])
-
-    def test_exact_rational_type(self):
-        g = random_graph(9, 0.5, seed=5)
-        d = density_set(g, range(9))
-        assert isinstance(d, Fraction)
-
-
 class TestMeasurements:
     def test_max_degree(self):
         assert max_degree(cycle_graph(5)) == 2
         assert max_degree(complete_graph(5)) == 4
-        assert max_degree(empty_graph(3)) == 0
+        assert max_degree(Graph(3)) == 0
 
     def test_distances_path(self):
         assert distances(path_graph(4), 0) == [0, 1, 2, 3]
@@ -337,10 +287,7 @@ class TestEdgeListFormat:
 
     def test_write_read_stream(self):
         g = path_graph(5)
-        buf = io.StringIO()
-        write_edge_list(g, buf)
-        buf.seek(0)
-        assert read_edge_list(buf) == g
+        assert read_edge_list(io.StringIO(graph_to_text(g))) == g
 
     def test_rejects_bad_header(self):
         with pytest.raises(GraphFormatError):

@@ -1,4 +1,4 @@
-"""End-to-end induction step, base-case driver, and edge-budget report."""
+"""End-to-end induction step, base-case driver, and pipeline config."""
 
 from __future__ import annotations
 
@@ -17,15 +17,11 @@ from pathramsey import (
     PipelineConfig,
     base_case_driver,
     build_step_host,
-    complete_graph,
     cycle_graph,
-    edge_budget,
     generate_class_p,
     induction_step,
     path_graph,
-    power,
     quad,
-    sheared_host_edge_count,
     validate_embedding,
     verify_class_p,
 )
@@ -258,36 +254,6 @@ class TestBaseCaseDriver:
                 n_target=12,
             )
         assert 0 < exc.value.achieved < 12
-
-
-class TestEdgeBudget:
-    def test_t1_collapses_to_zero(self):
-        rep = edge_budget([path_graph(5)], r=1, t=1)
-        assert rep.rows[0].host_edges == 0
-
-    def test_k2_formula(self):
-        assert sheared_host_edge_count(1, 2, 2) == 1 * 2 + 2 * 1 == 4
-        rep = edge_budget([complete_graph(2)], r=1, t=2)
-        assert rep.rows[0].host_edges == 4
-
-    def test_sweep_ratio_bounded(self):
-        graphs = [cycle_graph(n) for n in (10, 20, 40, 80)]
-        rep = edge_budget(graphs, r=2, t=3)
-        # cycles are 2-regular: |E(C_n^2)| = 2n, so hosts grow linearly
-        ratios = [row.ratio for row in rep.rows]
-        assert len(set(ratios)) == 1
-        assert rep.max_ratio == ratios[0]
-        for row, n in zip(rep.rows, (10, 20, 40, 80)):
-            assert row.host_edges == 2 * n * 6 + n * 3
-
-    def test_formula_matches_construction(self):
-        g = path_graph(7)
-        p = power(g, 2)
-        from pathramsey import sheared_blowup
-
-        host, _ = sheared_blowup(p, 3)
-        rep = edge_budget([g], r=2, t=3)
-        assert rep.rows[0].host_edges == host.m
 
 
 class TestPipelineConfig:

@@ -1,8 +1,7 @@
-"""Class membership: goodness, generation pipeline, verifiers, tail bound."""
+"""Class membership: goodness, generation pipeline, verifiers."""
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -16,10 +15,8 @@ from pathramsey import (
     Graph,
     ParameterError,
     ParameterInfeasibleError,
-    chernoff_bound,
     complete_graph,
     cycle_graph,
-    empty_graph,
     fit_density_certificate,
     generate_class_p,
     girth_violation,
@@ -28,7 +25,6 @@ from pathramsey import (
     quad,
     random_graph,
     verify_class_p,
-    verify_density_propagation,
     verify_edgeboost,
 )
 from pathramsey.pseudorandom import disjoint_pair_count, iter_disjoint_pairs, prune_to_size
@@ -111,7 +107,7 @@ class TestDensityCertificate:
         assert cert.passed and cert.f_ref == 1 and cert.max_rel_dev == 0
 
     def test_edgeless_fails_positive_reference(self):
-        cert = fit_density_certificate(empty_graph(8), 2, Fraction(1, 2))
+        cert = fit_density_certificate(Graph(8), 2, Fraction(1, 2))
         assert not cert.passed
 
     def test_zero_pair_with_tolerance_below_one_fails(self):
@@ -125,7 +121,7 @@ class TestDensityCertificate:
 
     def test_exhaustive_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            fit_density_certificate(empty_graph(40), 10, Fraction(1, 2), mode="exhaustive")
+            fit_density_certificate(Graph(40), 10, Fraction(1, 2), mode="exhaustive")
 
     def test_sample_count_below_one_is_a_parameter_error(self):
         g = random_graph(12, 0.5, seed=1)
@@ -230,7 +226,7 @@ class TestVerifyClassP:
 
     def test_edgeless_fails_density(self):
         params = ClassPParams(TOY_QUAD, t=1, n=16)
-        rep = verify_class_p(empty_graph(16), params, mode="exhaustive")
+        rep = verify_class_p(Graph(16), params, mode="exhaustive")
         assert not rep.passed and not rep.density.passed
         assert rep.size_ok and rep.girth_ok
 
@@ -269,31 +265,6 @@ class TestVerifyClassP:
             if sampled:
                 assert exhaustive, f"sampled passed but exhaustive failed on trial {trial}"
             assert sampled == exhaustive
-
-
-class TestDensityPropagation:
-    def test_complete_graph_propagates(self):
-        rep = verify_density_propagation(complete_graph(8), 2, Fraction(1, 10), Fraction(1))
-        assert rep.hypothesis_ok and rep.passed
-
-    def test_toy_member_propagates_exhaustively(self):
-        params = ClassPParams(quad(1, 64, "5/12", "4/5"), t=1, n=12)
-        g, cert, _ = generate_class_p(params, GenerationConfig(p=Fraction(7, 10), seed=2))
-        assert cert.passed
-        rep = verify_density_propagation(g, params.cn, params.quad.eps, cert.f_ref)
-        assert rep.hypothesis_ok and rep.passed
-        assert rep.pairs_checked > 0 and rep.sets_checked > 0
-
-    def test_two_cliques_fail_hypothesis(self):
-        g = Graph(8, [(i, j) for i in range(4) for j in range(i + 1, 4)]
-                  + [(i, j) for i in range(4, 8) for j in range(i + 1, 8)])
-        rep = verify_density_propagation(g, 2, Fraction(1, 2), Fraction(1, 2))
-        assert not rep.hypothesis_ok and rep.hypothesis_witness is not None
-        assert not rep.passed
-
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            verify_density_propagation(empty_graph(20), 2, Fraction(1, 2), Fraction(1, 2))
 
 
 class TestEdgeBoost:
@@ -335,30 +306,3 @@ class TestEdgeBoost:
             verify_edgeboost(complete_graph(6), 7, 4, 2)
         with pytest.raises(ParameterError):
             verify_edgeboost(complete_graph(6), 6, 2, 2)
-
-
-class TestChernoff:
-    def test_values(self):
-        assert math.isclose(chernoff_bound(1, 3), 2 * math.exp(-1))
-        assert math.isclose(chernoff_bound(Fraction(3, 2), 4), 2 * math.exp(-3))
-
-    def test_vacuous_near_zero(self):
-        assert chernoff_bound(Fraction(1, 10 ** 6), 1) == pytest.approx(2.0, abs=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            chernoff_bound(0, 1)
-        with pytest.raises(ParameterError):
-            chernoff_bound(2, 1)
-        with pytest.raises(ParameterError):
-            chernoff_bound(1, 0)
-
-    def test_monotone_grid(self):
-        eps_grid = [Fraction(i, 10) for i in range(1, 16)]
-        ex_grid = [Fraction(i, 2) for i in range(1, 12)]
-        for ex in ex_grid:
-            vals = [chernoff_bound(e, ex) for e in eps_grid]
-            assert all(a > b for a, b in zip(vals, vals[1:]))
-        for e in eps_grid:
-            vals = [chernoff_bound(e, ex) for ex in ex_grid]
-            assert all(a > b for a, b in zip(vals, vals[1:]))
