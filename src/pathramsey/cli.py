@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success / property holds, 1 honest negative (no cover, arrows
-false, honest pipeline failure), 2 error (bad config, infeasible parameters).
+false, honest pipeline failure), 2 error (bad config, infeasible parameters,
+or an unexpected internal error, reported on one line).
 """
 
 from __future__ import annotations
@@ -83,6 +84,30 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
+_REQUIRED = object()
+
+
+def _integer(doc: dict, name: str, default=_REQUIRED) -> int | None:
+    """A config field that must be a JSON integer; `default` when absent.
+
+    A None default also accepts an explicit null.  Floats, strings and booleans
+    are refused rather than coerced: int(6.9) would be 6 and int(True) 1.
+    """
+    value = _field(doc, name) if default is _REQUIRED else doc.get(name, default)
+    if value is None and default is None:
+        return None
+    if type(value) is not int:  # bool is an int subclass, so test the exact type
+        raise ConfigError(f"config field '{name}' must be an integer")
+    return value
+
+
+def _rational(doc: dict, name: str) -> Fraction:
+    try:
+        return parse_frac(_field(doc, name))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"config field '{name}': {exc}") from exc
+
+
 def _section(doc: dict, name: str) -> dict:
     value = _field(doc, name)
     if not isinstance(value, dict):
@@ -104,19 +129,16 @@ def _colour_text(value: str) -> str:
 
 
 def _class_p_from_doc(doc: dict) -> tuple[ClassPParams, GenerationConfig]:
-    q = GoodQuadruple(
-        parse_frac(_field(doc, "a")), parse_frac(_field(doc, "b")),
-        parse_frac(_field(doc, "c")), parse_frac(_field(doc, "eps")),
-    )
-    params = ClassPParams(q, int(_field(doc, "t")), int(_field(doc, "n")))
+    q = GoodQuadruple(*(_rational(doc, name) for name in ("a", "b", "c", "eps")))
+    params = ClassPParams(q, _integer(doc, "t"), _integer(doc, "n"))
     mode = doc.get("mode", "toy")
     if mode == "paper":
-        gen = GenerationConfig.paper(params, int(doc.get("seed", 0)))
+        gen = GenerationConfig.paper(params, _integer(doc, "seed", 0))
     else:
         gen = GenerationConfig(
-            p=parse_frac(_field(doc, "p")), seed=int(doc.get("seed", 0)), mode="toy",
-            cert_samples=int(doc.get("certSamples", 300)),
-            retry_budget=int(doc.get("retryBudget", 16)),
+            p=_rational(doc, "p"), seed=_integer(doc, "seed", 0), mode="toy",
+            cert_samples=_integer(doc, "certSamples", 300),
+            retry_budget=_integer(doc, "retryBudget", 16),
         )
     return params, gen
 
@@ -194,7 +216,14 @@ def _cmd_partition(args) -> int:
 
 def _cmd_longpath(args) -> int:
     g = _read_graph(args.graph)
-    parts = json.loads(_colour_text(args.parts))
+    try:
+        parts = json.loads(_colour_text(args.parts))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--parts is not valid JSON: {exc}") from exc
+    if not isinstance(parts, list) or not all(
+        isinstance(p, list) and all(type(v) is int for v in p) for p in parts
+    ):
+        raise ConfigError("--parts must be a JSON list of lists of integers")
     gamma = Fraction(args.gamma) if args.gamma else None
     try:
         path = long_path_through_sets(g, parts, args.target, gamma=gamma,
@@ -219,12 +248,12 @@ def _cmd_segments(args) -> int:
 def _cmd_aux_colour(args) -> int:
     doc = _read_config(args.config)
     base = _read_graph(_field(doc, "base"))
-    t = int(_field(doc, "t"))
-    host, bmap = sheared_blowup(base, t, seed=doc.get("matchingSeed"))
+    t = _integer(doc, "t")
+    host, bmap = sheared_blowup(base, t, seed=_integer(doc, "matchingSeed", None))
     chi = EdgeColouring.from_string(host, _colour_text(_field(doc, "colours")))
-    k = int(_field(doc, "k"))
-    blue = int(_field(doc, "blue"))
-    size = int(doc.get("subcliqueSize", 2 * k))
+    k = _integer(doc, "k")
+    blue = _integer(doc, "blue")
+    size = _integer(doc, "subcliqueSize", 2 * k)
     bmap = bmap.with_subcliques({v: bmap.clique_of[v][:size] for v in range(base.n)})
     aux = build_aux_colouring(base, list(range(base.n)), bmap, chi, k, blue)
     report = {
@@ -253,8 +282,8 @@ def _cmd_embed_base(args) -> int:
         params, gen = _class_p_from_doc(doc)
         try:
             emb = base_case_driver(args.k, params, gen,
-                                   n_target=doc.get("nTarget"),
-                                   matching_seed=doc.get("matchingSeed"))
+                                   n_target=_integer(doc, "nTarget", None),
+                                   matching_seed=_integer(doc, "matchingSeed", None))
         except BaseCaseError as exc:
             _emit(dump_report({"found": False, "achieved": exc.achieved}), args.out)
             return 1
@@ -276,12 +305,12 @@ def _cmd_lll_embed(args) -> int:
     host = _read_graph(_field(doc, "host"))
     cliques = [tuple(c) for c in _field(doc, "cliques")]
     chi = None
-    blue = doc.get("blue")
+    blue = _integer(doc, "blue", None)
     if doc.get("colours"):
         chi = EdgeColouring.from_string(host, _colour_text(doc["colours"]))
     instance = make_lll_instance(template, cliques, host, chi, blue)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    budget = int(doc.get("maxResamples", 100 * max(1, template.m)))
+    seed = args.seed if args.seed is not None else _integer(doc, "seed", 0)
+    budget = _integer(doc, "maxResamples", 100 * max(1, template.m))
     try:
         emb = lll_embed(instance, seed, budget)
     except LLLFailureError as exc:
@@ -305,11 +334,11 @@ def _cmd_constants(args) -> int:
 def _build_base_graph(doc: dict):
     kind = _field(doc, "kind")
     if kind == "path":
-        return path_graph(int(_field(doc, "n")))
+        return path_graph(_integer(doc, "n"))
     if kind == "cycle":
-        return cycle_graph(int(_field(doc, "n")))
+        return cycle_graph(_integer(doc, "n"))
     if kind == "complete":
-        return complete_graph(int(_field(doc, "n")))
+        return complete_graph(_integer(doc, "n"))
     if kind == "file":
         return _read_graph(_field(doc, "path"))
     if kind == "generate":
@@ -321,9 +350,9 @@ def _build_base_graph(doc: dict):
 def _build_chi(doc: dict, host, s: int) -> EdgeColouring:
     kind = _field(doc, "kind")
     if kind == "constant":
-        return EdgeColouring.constant(host, s, int(_field(doc, "colour")))
+        return EdgeColouring.constant(host, s, _integer(doc, "colour"))
     if kind == "random":
-        return EdgeColouring.random(host, s, int(_field(doc, "seed")))
+        return EdgeColouring.random(host, s, _integer(doc, "seed"))
     if kind == "string":
         return EdgeColouring.from_string(host, _colour_text(_field(doc, "value")))
     raise ConfigError(f"unknown colouring kind '{kind}'")
@@ -478,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (PathRamseyError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash is an error (exit 2), never an honest negative (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

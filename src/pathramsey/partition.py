@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .graphs import Graph, PathWitness, _mask_vertices
-from .pseudorandom import _cross_counts, disjoint_pair_count, iter_disjoint_pairs, prune_to_size
+from .pseudorandom import _record_pairs, disjoint_pair_count, prune_to_size
 
 EXHAUSTIVE_CAP = 12
 HEURISTIC_RESTARTS = 32
@@ -354,12 +354,15 @@ def verify_partition(blue: Graph, result: PartitionResult, ell: int) -> Partitio
 
 
 def check_expansion(g: Graph, set_size: int) -> tuple[int, int] | None:
-    """First disjoint (set_size, set_size) pair with no cross edge, as masks; None if expanding."""
+    """First disjoint (set_size, set_size) pair with no cross edge, as masks; None if expanding.
+
+    "First" is in the pair order of pseudorandom._record_pairs: the pair is its
+    first record for the window [1, set_size^2], found by branch and bound.
+    """
     if disjoint_pair_count(g.n, set_size) > EXPANSION_PAIR_BUDGET:
         raise BudgetExceededError("expansion pre-check too large; assert the hypothesis instead")
-    for x, y, e in _cross_counts(g.adjacency_masks(), iter_disjoint_pairs(g.n, set_size)):
-        if e == 0:
-            return x, y
+    for x, y, _ in _record_pairs(g.adjacency_masks(), set_size, 1, set_size * set_size):
+        return x, y
     return None
 
 

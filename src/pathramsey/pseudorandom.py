@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -165,24 +164,106 @@ def disjoint_pair_count(n: int, k: int) -> int:
     return math.comb(n, k) * math.comb(n - k, k) // 2
 
 
-def iter_disjoint_pairs(n: int, k: int) -> Iterator[tuple[int, int]]:
-    """All unordered pairs of disjoint k-subsets of range(n), as bitmasks (x, y) with x < y.
+def _record_pairs(
+    masks: Sequence[int], k: int, least: int, greatest: int
+) -> Iterator[tuple[int, int, int]]:
+    """The record pairs of the disjoint (k, k) pair family, found by branch and bound.
 
-    Order: x runs over the k-subsets in lexicographic order, and for each x, y
-    runs over the k-subsets of the complement in lexicographic order.  Disjoint
-    masks compare by their highest vertex, so x < y exactly when y's highest
-    vertex exceeds x's; an x holding vertex n-1 therefore has no partner.
+    The family is every unordered pair of disjoint k-subsets of range(n), as
+    bitmasks (x, y) with x < y, in this order: x runs over the k-subsets of
+    range(n-1) in lexicographic order, and for each x, y runs over the
+    k-subsets of the complement in lexicographic order whose highest vertex
+    exceeds x's (disjoint masks compare by their highest vertex).
+
+    Yields (x, y, e) with e = sum over v in x of |N(v) & y| for each pair, in
+    that order, whose count lies below least or above greatest, and after each
+    yield widens [least, greatest] to take in e.  The order is walked as a
+    depth-first search choosing x's vertices and then y's in ascending order,
+    and a subtree is skipped when a lower bound on its counts is >= least and
+    an upper bound is <= greatest.  The window only widens, so a skipped pair
+    could never have been yielded: the stream is exactly what filtering the
+    enumeration by the widening window gives.
     """
-    if k < 1:
+    n = len(masks)
+    if k < 1 or 2 * k > n:
         return
-    bit = [1 << v for v in range(n)]
-    vertices = set(range(n))
-    for xs in combinations(range(n - 1), k):
-        x = sum(map(bit.__getitem__, xs))
-        top = xs[-1]
-        for ys in combinations(sorted(vertices.difference(xs)), k):
-            if ys[-1] > top:
-                yield x, sum(map(bit.__getitem__, ys))
+    last = n - 1  # never in x
+
+    if n == 2 * k:
+        # y is the complement of x.  At a node x holds its vertices below i,
+        # the undecided vertices U = i..n-2 supply the r still missing, and the
+        # other vertices are decided for y.  With all of U in y the count is
+        # cut = e(x, V - x); moving u from U to x adds gain(u) = |N(u) & decided
+        # y| - |N(u) & x|, plus the edges from the moved vertices to the rest of
+        # U, which lie between 0 and min(edges inside U, r * (|U| - r)).
+        full = (1 << n) - 1
+        deg = [m.bit_count() for m in masks]
+        inside = [0] * (n + 1)  # inside[i]: edges among i..n-2
+        for i in range(n - 3, -1, -1):
+            inside[i] = inside[i + 1] + (masks[i] & (1 << last) - (2 << i)).bit_count()
+
+        def bisections(x: int, cut: int, i: int, r: int, low: int, high: int):
+            nonlocal least, greatest
+            for v in range(i, n - r):
+                xv = x | 1 << v
+                cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
+                if r == 1:
+                    if cv < least or cv > greatest:
+                        yield xv, full ^ xv, cv
+                        least, greatest = min(least, cv), max(greatest, cv)
+                    continue
+                rest = r - 1
+                undecided = (1 << last) - (2 << v)
+                yv = full ^ xv ^ undecided
+                gains = sorted([(m & yv).bit_count() - (m & xv).bit_count() for m in masks[v + 1:last]])
+                lo = max(low, cv + sum(gains[:rest]))
+                hi = min(high, cv + sum(gains[-rest:])
+                         + min(inside[v + 1], rest * (len(gains) - rest)))
+                if lo < least or hi > greatest:
+                    yield from bisections(xv, cv, v + 1, rest, lo, hi)
+
+        yield from bisections(0, 0, 0, k, 0, k * k)
+        return
+
+    # n > 2k.  While x is chosen, a y vertex u has between |N(u) & x| and
+    # |N(u) & x| + min(r, |N(u) & candidates|) neighbours in the final x, and y
+    # is k vertices outside x.  Once x is fixed, e is the sum of the weights
+    # w(u) = |N(u) & x| over y, and a partial y with running sum s completes to
+    # between s plus the r smallest and s plus the r largest weights left.
+    def x_sets(x: int, i: int, r: int, low: int, high: int):
+        for v in range(i, n - r):
+            xv = x | 1 << v
+            rest = r - 1
+            candidates = (1 << last) - (2 << v)
+            comp = [u for u in range(n) if not xv >> u & 1]
+            weights = [(masks[u] & xv).bit_count() for u in comp]
+            floors = sorted(weights)
+            ceilings = sorted([w + min(rest, (masks[u] & candidates).bit_count())
+                               for u, w in zip(comp, weights)])
+            lo, hi = max(low, sum(floors[:k])), min(high, sum(ceilings[-k:]))
+            if lo < least or hi > greatest:
+                if rest:
+                    yield from x_sets(xv, v + 1, rest, lo, hi)
+                else:
+                    yield from y_sets(xv, comp, weights, v, 0, 0, k, 0, lo, hi)
+
+    def y_sets(x: int, comp: list[int], weights: list[int], top: int,
+               j: int, y: int, r: int, s: int, low: int, high: int):
+        nonlocal least, greatest
+        for c in range(j, len(comp) - r + 1):
+            yc, sc = y | 1 << comp[c], s + weights[c]
+            if r == 1:
+                if comp[c] > top and (sc < least or sc > greatest):
+                    yield x, yc, sc
+                    least, greatest = min(least, sc), max(greatest, sc)
+                continue
+            rest = r - 1
+            ranked = sorted(weights[c + 1:])
+            lo, hi = max(low, sc + sum(ranked[:rest])), min(high, sc + sum(ranked[-rest:]))
+            if lo < least or hi > greatest:
+                yield from y_sets(x, comp, weights, top, c + 1, yc, rest, sc, lo, hi)
+
+    yield from x_sets(0, 0, k, 0, k * k)
 
 
 def sample_disjoint_pairs(n: int, k: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
@@ -203,8 +284,8 @@ def _cross_counts(
     e(x, y) = sum over v in x of |N(v) & y|.  Row v of the adjacency matrix
     sits in bits v*n .. v*n+n-1 of one integer; multiplying y by the sum of
     1 << v*n over v in x copies y into exactly the rows of x, so one AND and
-    one popcount give the count.  The row selector is cached while x repeats
-    and built from 8-bit chunk tables.
+    one popcount give the count.  The row selector is built from 8-bit chunk
+    tables.
     """
     n = len(masks)
     matrix = 0
@@ -216,12 +297,10 @@ def _cross_counts(
         for v in range(base, min(base + 8, n)):
             table += [r | 1 << (v * n) for r in table]
         chunks.append(table)
-    last = None
     for x, y in pairs:
-        if x != last:
-            last, rows = x, 0
-            for c, table in enumerate(chunks):
-                rows |= table[x >> (8 * c) & 255]
+        rows = 0
+        for c, table in enumerate(chunks):
+            rows |= table[x >> (8 * c) & 255]
         yield x, y, (matrix & y * rows).bit_count()
 
 
@@ -232,7 +311,9 @@ class DensityCertificate:
     passed holds exactly when every checked pair is within (1 +- tolerance) of
     f_ref; f_ref is fitted (mean when the mean works, otherwise the midpoint of
     the feasible interval).  feasible_low/high bound all admissible reference
-    densities; an empty interval or an all-zero family fails.
+    densities; an empty interval or an all-zero family fails.  In exhaustive
+    mode pairs_checked is the family size: every pair is accounted for,
+    though branch and bound visits only some of them.
     """
 
     f_ref: Fraction
@@ -274,15 +355,21 @@ def fit_density_certificate(
 ) -> DensityCertificate:
     """Fit a reference density over the (set_size, set_size) disjoint-pair family.
 
-    mode "auto" enumerates exhaustively when the family fits the budget and
+    mode "auto" certifies exhaustively when the family fits the budget and
     samples otherwise; "exhaustive" raises if the family is too large.
 
-    One pass over the pairs (iter_disjoint_pairs order, or sample order) keeps
-    the count sum and the first pair reaching the least and the greatest count;
-    every field follows from those.  worst_pair is the first pair that reaches
-    the maximum deviation from f_ref: a pair with the least or greatest count,
-    whichever deviates more, the earlier of the two when both deviate equally
-    (so the first pair checked when every pair has the same count).
+    Every field follows from the count sum and the first pair reaching the
+    least and the greatest count.  Exhaustively these are exact without
+    visiting every pair: the sum is m * C(n-2, k-1) * C(n-k-1, k-1), and the
+    first extreme pairs are the last records of _record_pairs, started on the
+    empty window [k^2 + 1, -1], that lower and that raise its window; the
+    record's position in that stream stands in for the pair's position in the
+    tie-break below.  pairs_checked is then the family size.  Sampled, one
+    pass over the sample keeps them.  worst_pair is the first pair that
+    reaches the maximum deviation from f_ref: a pair with the least or
+    greatest count, whichever deviates more, the earlier of the two when both
+    deviate equally (so the first pair checked when every pair has the same
+    count).
     """
     if set_size < 1:
         raise ParameterError("set size must be >= 1")
@@ -298,30 +385,33 @@ def fit_density_certificate(
         )
     if mode == "auto":
         mode = "exhaustive" if total <= PAIR_BUDGET else "sampled"
+    masks = g.adjacency_masks()
+    denom = set_size * set_size
+    least, greatest = denom + 1, -1
     if mode == "exhaustive":
         if total > PAIR_BUDGET:
             raise BudgetExceededError(
                 f"{total} pairs exceed the exhaustive budget {PAIR_BUDGET}", required=total
             )
-        pairs = iter_disjoint_pairs(g.n, set_size)
+        checked = total
+        count_sum = g.m * math.comb(g.n - 2, set_size - 1) * math.comb(g.n - set_size - 1, set_size - 1)
+        pairs = _record_pairs(masks, set_size, least, greatest)
         used_samples = None
         used_seed = None
     elif mode == "sampled":
-        pairs = sample_disjoint_pairs(g.n, set_size, sample_count, seed)
+        pairs = list(_cross_counts(masks, sample_disjoint_pairs(g.n, set_size, sample_count, seed)))
+        checked = sample_count
+        count_sum = sum(e for _, _, e in pairs)
         used_samples = sample_count
         used_seed = seed
     else:
         raise ParameterError(f"unknown certification mode {mode!r}")
 
-    denom = set_size * set_size
-    count_sum, least, greatest = 0, denom + 1, -1
-    for i, (x, y, e) in enumerate(_cross_counts(g.adjacency_masks(), pairs)):
-        count_sum += e
+    for i, (x, y, e) in enumerate(pairs):
         if e < least:
             least, least_at = e, (i, x, y)
         if e > greatest:
             greatest, greatest_at = e, (i, x, y)
-    checked = i + 1
 
     d_min, d_max = Fraction(least, denom), Fraction(greatest, denom)
     mean = Fraction(count_sum, denom * checked)
@@ -367,16 +457,17 @@ def _count_certificate_ok(
     total = disjoint_pair_count(g.n, set_size)
     if total == 0:
         return True, None, "vacuous"
+    masks = g.adjacency_masks()
+    lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
     if total <= PAIR_BUDGET:
-        pairs = iter_disjoint_pairs(g.n, set_size)
+        violations = _record_pairs(masks, set_size, lo, hi)
         mode = "exhaustive"
     else:
         pairs = sample_disjoint_pairs(g.n, set_size, sample_count, seed)
+        violations = (p for p in _cross_counts(masks, pairs) if not lo <= p[2] <= hi)
         mode = "sampled"
-    lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
-    for x, y, e in _cross_counts(g.adjacency_masks(), pairs):
-        if not lo <= e <= hi:
-            return False, (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), e), mode
+    for x, y, e in violations:
+        return False, (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), e), mode
     return True, None, mode
 
 
@@ -601,19 +692,19 @@ def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoos
     masks = g.adjacency_masks()
     bound = Fraction(beta_n ** 2, 2 * mu_n)
 
-    for x, y, e in _cross_counts(masks, iter_disjoint_pairs(g.n, mu_n)):
-        if e == 0:
-            witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)))
-            return EdgeBoostReport(False, witness, bound, None, None, 0, False)
+    # The first record for the window [1, mu_n^2] is the first pair with no
+    # cross edge; the last record for the empty window [beta_n^2 + 1, beta_n^2]
+    # is the first pair with the fewest cross edges.
+    for x, y, _ in _record_pairs(masks, mu_n, 1, mu_n * mu_n):
+        witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)))
+        return EdgeBoostReport(False, witness, bound, None, None, 0, False)
 
     min_cross: int | None = None
     worst = None
-    checked = 0
-    for x, y, e in _cross_counts(masks, iter_disjoint_pairs(g.n, beta_n)):
-        checked += 1
-        if min_cross is None or e < min_cross:
-            min_cross, worst = e, (x, y)
+    for x, y, e in _record_pairs(masks, beta_n, beta_n * beta_n + 1, beta_n * beta_n):
+        min_cross, worst = e, (x, y)
     if worst is not None:
         worst = (tuple(_mask_vertices(worst[0])), tuple(_mask_vertices(worst[1])))
     passed = min_cross is None or min_cross >= bound
-    return EdgeBoostReport(True, None, bound, min_cross, worst, checked, passed)
+    return EdgeBoostReport(True, None, bound, min_cross, worst,
+                           disjoint_pair_count(g.n, beta_n), passed)

@@ -18,9 +18,11 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(value: Any) -> Fraction:
-    """Accept "num/den" strings, decimal strings, ints, and Fractions."""
+    """Accept "num/den" strings, decimal strings, ints, and Fractions; not bools."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"refusing to parse {value!r} as a rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

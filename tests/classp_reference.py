@@ -1,19 +1,20 @@
 """Reference implementations of the class-P kernels, kept for differential tests.
 
-These are the straightforward versions the package's integer-extremes pair
-kernel, same-order pair enumerator and resumable bitmask girth cleaning must
-agree with exactly: a Fraction per pair, every ordered pair enumerated and half
-dropped, and a fresh per-edge parent-pointer BFS after every removal.
+These are the straightforward versions the package's branch-and-bound pair
+kernel, the checks built on it and resumable bitmask girth cleaning must agree
+with exactly: every ordered pair enumerated and half dropped, a count or a
+Fraction per pair, and a fresh per-edge parent-pointer BFS after every removal.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
 from pathramsey import DensityCertificate, Graph
-from pathramsey.pseudorandom import disjoint_pair_count, sample_disjoint_pairs
+from pathramsey.pseudorandom import EdgeBoostReport, disjoint_pair_count, sample_disjoint_pairs
 
 
 def ref_iter_disjoint_pairs(n: int, k: int):
@@ -39,6 +40,61 @@ def ref_mask_vertices(mask: int) -> list[int]:
 
 def ref_cross_count(masks, x: int, y: int) -> int:
     return sum((masks[v] & y).bit_count() for v in ref_mask_vertices(x))
+
+
+def ref_counted_pairs(g: Graph, k: int, pairs=None) -> list[tuple[int, int, int]]:
+    """(x, y, e(x, y)) for every pair of the family (or of `pairs`), in enumeration order."""
+    masks = g.adjacency_masks()
+    counted, last = [], None
+    for x, y in ref_iter_disjoint_pairs(g.n, k) if pairs is None else pairs:
+        if x != last:
+            last, xs = x, ref_mask_vertices(x)
+        counted.append((x, y, sum((masks[v] & y).bit_count() for v in xs)))
+    return counted
+
+
+def ref_records(counted, least: int, greatest: int) -> list[tuple[int, int, int]]:
+    """The pairs whose count leaves the window, widening it to take each in."""
+    out = []
+    for x, y, e in counted:
+        if e < least or e > greatest:
+            out.append((x, y, e))
+            least, greatest = min(least, e), max(greatest, e)
+    return out
+
+
+def ref_check_expansion(g: Graph, k: int):
+    for x, y, e in ref_counted_pairs(g, k):
+        if e == 0:
+            return x, y
+    return None
+
+
+def ref_count_certificate_ok(g: Graph, k: int, target: Fraction, slack: Fraction):
+    """The exhaustive branch of the generator's pair-count check."""
+    if disjoint_pair_count(g.n, k) == 0:
+        return True, None, "vacuous"
+    lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
+    for x, y, e in ref_counted_pairs(g, k):
+        if not lo <= e <= hi:
+            return False, (tuple(ref_mask_vertices(x)), tuple(ref_mask_vertices(y)), e), "exhaustive"
+    return True, None, "exhaustive"
+
+
+def ref_verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoostReport:
+    bound = Fraction(beta_n ** 2, 2 * mu_n)
+    for x, y, e in ref_counted_pairs(g, mu_n):
+        if e == 0:
+            witness = (tuple(ref_mask_vertices(x)), tuple(ref_mask_vertices(y)))
+            return EdgeBoostReport(False, witness, bound, None, None, 0, False)
+    min_cross = worst = None
+    checked = 0
+    for x, y, e in ref_counted_pairs(g, beta_n):
+        checked += 1
+        if min_cross is None or e < min_cross:
+            min_cross, worst = e, (tuple(ref_mask_vertices(x)), tuple(ref_mask_vertices(y)))
+    passed = min_cross is None or min_cross >= bound
+    return EdgeBoostReport(True, None, bound, min_cross, worst, checked, passed)
 
 
 def ref_fit_density_certificate(

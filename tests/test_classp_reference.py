@@ -16,22 +16,67 @@ from pathramsey import (
     path_graph,
     random_graph,
 )
-from pathramsey.pseudorandom import GenerationLog, _clean_short_cycles, iter_disjoint_pairs
+from pathramsey.partition import check_expansion
+from pathramsey.pseudorandom import (
+    GenerationLog,
+    _clean_short_cycles,
+    _count_certificate_ok,
+    _record_pairs,
+    verify_edgeboost,
+)
 
 from classp_reference import (
+    ref_check_expansion,
     ref_clean_short_cycles,
+    ref_count_certificate_ok,
+    ref_counted_pairs,
     ref_fit_density_certificate,
     ref_girth_violation,
     ref_iter_disjoint_pairs,
+    ref_records,
+    ref_verify_edgeboost,
 )
 from conftest import complete_bipartite
 
-PAIR_GRID = [(n, k) for n in range(0, 13) for k in range(0, 7)] + [(14, 4), (16, 8), (17, 8)]
+PAIR_GRID = [(n, k) for n in range(0, 15) for k in range(0, 7)] + [(14, 7), (16, 8), (17, 8)]
+DENSITIES = (0, 0.15, 0.5, 0.85, 1)
 
 
 @pytest.mark.parametrize("n,k", PAIR_GRID)
 def test_pair_order_matches_reference(n, k):
-    assert list(iter_disjoint_pairs(n, k)) == list(ref_iter_disjoint_pairs(n, k))
+    # The branch-and-bound records are the reference enumeration filtered by
+    # the widening window (empty, [1, k^2] and a random one), and the
+    # certificate's closed-form count sum is the enumerated sum.
+    rng = random.Random(100 * n + k)
+    pairs = list(ref_iter_disjoint_pairs(n, k))
+    for p in DENSITIES:
+        g = random_graph(n, p, rng.randrange(10 ** 6))
+        counted = ref_counted_pairs(g, k, pairs)
+        a, b = sorted(rng.randint(0, k * k) for _ in range(2))
+        for window in ((k * k + 1, -1), (1, k * k), (a, b)):
+            got = list(_record_pairs(g.adjacency_masks(), k, *window))
+            assert got == ref_records(counted, *window), (p, sorted(g.edges), window)
+        if counted:
+            cert = fit_density_certificate(g, k, Fraction(1, 2), mode="exhaustive")
+            assert cert.pairs_checked == len(counted)
+            assert cert.mean_density == Fraction(sum(e for _, _, e in counted), k * k * len(counted))
+
+
+def test_pair_checks_match_reference():
+    rng = random.Random(7)
+    for trial in range(30):
+        n = rng.randrange(2, 12)
+        g = random_graph(n, rng.choice(DENSITIES), rng.randrange(10 ** 6))
+        for k in range(1, n // 2 + 1):
+            assert check_expansion(g, k) == ref_check_expansion(g, k), (trial, k)
+            mean = Fraction(g.m * 2 * k * k, n * (n - 1))
+            for target in (mean, Fraction(rng.randrange(4 * k * k + 1), 4)):
+                for slack in (Fraction(1, 10), Fraction(4, 5)):
+                    got = _count_certificate_ok(g, k, target, slack, sample_count=5, seed=0)
+                    assert got == ref_count_certificate_ok(g, k, target, slack), (trial, k, target)
+        for mu in range(1, n // 2 + 1):
+            for beta in range(2 * mu, n + 1):
+                assert verify_edgeboost(g, n, beta, mu) == ref_verify_edgeboost(g, n, beta, mu)
 
 
 def _circulant(n: int, offsets) -> Graph:

@@ -84,6 +84,16 @@ class TestGenVerify:
         assert code == 2
         assert "sample count" in err
 
+    @pytest.mark.parametrize("key,value", [("t", 1.5), ("t", True), ("n", "16"), ("seed", 7.0),
+                                           ("certSamples", True), ("a", True), ("p", False)])
+    def test_mistyped_number_exits_2(self, run, tmp_path, key, value):
+        # int() and parse_frac used to coerce these (t 1.5 -> 1, a true -> 1) and exit 0.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(GEN_DOC, **{key: value})))
+        code, out, err = run("gen", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: config field '{key}'") and err.count("\n") == 1
+
     def test_malformed_json_exits_2(self, run, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{nope")
@@ -166,6 +176,35 @@ class TestPartitionLongpath:
         code, out, _ = run("longpath", "--graph", src, "--parts", parts, "--target", "7")
         assert code == 1
         assert json.loads(out)["found"] is False
+
+
+    @pytest.mark.parametrize("parts", ["[0,1,2]", "[[0, 1.5]]", "[[true]]", '{"0": [1]}', "[[0]"])
+    def test_longpath_malformed_parts_exit_two(self, run, graph_file, parts):
+        src = graph_file(cycle_graph(6), "c6.edges")
+        code, _, err = run("longpath", "--graph", src, "--parts", parts, "--target", "3")
+        assert code == 2
+        assert err.startswith("config error: --parts") and err.count("\n") == 1
+
+    def test_longpath_deep_search_never_exits_one(self, run, graph_file, tmp_path):
+        # The recursive path search can overflow the stack on long paths; that
+        # must surface as an error (exit 2, one line), not a traceback.
+        src = graph_file(path_graph(3000), "p3000.edges")
+        parts = tmp_path / "parts.json"
+        parts.write_text(json.dumps([list(range(3000))]))
+        code, out, err = run("longpath", "--graph", src, "--parts", f"@{parts}", "--target", "3000")
+        if code == 0:
+            assert len(json.loads(out)["vertices"]) == 3000
+        else:
+            assert code == 2 and err.startswith("internal error: ") and err.count("\n") == 1
+
+    def test_unexpected_exception_is_internal_error(self, run, graph_file, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("pathramsey.cli.long_path_through_sets", crash)
+        src = graph_file(cycle_graph(6), "c6.edges")
+        code, out, err = run("longpath", "--graph", src, "--parts", "[[0, 1]]", "--target", "2")
+        assert (code, out, err) == (2, "", "internal error: RuntimeError: boom\n")
 
 
 class TestArrow:
@@ -251,21 +290,40 @@ class TestLllEmbed:
         assert doc["found"] and doc["instance"]["feasible"]
 
 
+    @pytest.mark.parametrize("key,value", [("seed", 2.5), ("maxResamples", "64"), ("blue", True)])
+    def test_mistyped_integer_exits_two(self, run, tmp_path, graph_file, key, value):
+        template = graph_file(Graph(2, [(0, 1)]), "template.edges")
+        host = graph_file(complete_bipartite(2, 2), "host.edges")
+        cfg = tmp_path / "lll.json"
+        cfg.write_text(json.dumps({"template": template, "host": host,
+                                   "cliques": [[0, 1], [2, 3]], key: value}))
+        code, _, err = run("lll-embed", "--config", str(cfg))
+        assert (code, err) == (2, f"config error: config field '{key}' must be an integer\n")
+
+
 class TestAuxColour:
-    def test_bundle_run(self, run, tmp_path, graph_file):
+    def _doc(self, graph_file):
         j = graph_file(Graph(2, [(0, 1)]), "j.edges")
         host_g, _ = __import__("pathramsey").sheared_blowup(Graph(2, [(0, 1)]), 5)
         chi = EdgeColouring.constant(host_g, 2, 1)
+        return {"base": j, "t": 5, "colours": chi.to_string(), "k": 1, "blue": 1, "subcliqueSize": 4}
+
+    def test_bundle_run(self, run, tmp_path, graph_file):
         cfg = tmp_path / "aux.json"
-        cfg.write_text(json.dumps({
-            "base": j, "t": 5, "colours": chi.to_string(),
-            "k": 1, "blue": 1, "subcliqueSize": 4,
-        }))
+        cfg.write_text(json.dumps(self._doc(graph_file)))
         code, out, _ = run("aux-colour", "--config", str(cfg))
         assert code == 0
         doc = json.loads(out)
         assert doc["labels"]["0,1"] == "blue"
         assert doc["blueEdges"] == 1
+
+    @pytest.mark.parametrize("key,value", [("t", 5.0), ("k", True), ("blue", "1"),
+                                           ("subcliqueSize", 4.5), ("matchingSeed", 1.5)])
+    def test_mistyped_integer_exits_two(self, run, tmp_path, graph_file, key, value):
+        cfg = tmp_path / "aux.json"
+        cfg.write_text(json.dumps(dict(self._doc(graph_file), **{key: value})))
+        code, _, err = run("aux-colour", "--config", str(cfg))
+        assert (code, err) == (2, f"config error: config field '{key}' must be an integer\n")
 
 
 STEP_DOC = {
@@ -375,6 +433,19 @@ class TestStepAndReport:
         code, _, err = run("step", "--config", str(cfg))
         assert code == 2
         assert "outQuad" in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("base", "n", 6.9), ("base", "n", True), ("chi", "colour", True), ("chi", "colour", 1.0),
+    ])
+    def test_step_mistyped_integer_exits_two(self, run, tmp_path, section, key, value):
+        # A base.n of 6.9 used to build a 6-vertex path and a chi.colour of true
+        # meant colour 1, both with exit 0.
+        doc = json.loads(json.dumps(STEP_DOC))
+        doc[section][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run("step", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"config error: config field '{key}' must be an integer\n")
 
     def test_step_mistyped_pipeline_field_exits_two(self, run, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -27,8 +27,9 @@ from pathramsey import (
     verify_class_p,
     verify_edgeboost,
 )
-from pathramsey.pseudorandom import disjoint_pair_count, iter_disjoint_pairs, prune_to_size
+from pathramsey.pseudorandom import disjoint_pair_count, prune_to_size
 
+from classp_reference import ref_iter_disjoint_pairs
 from conftest import oracle_cross_edges
 
 TOY_QUAD = quad(1, 64, "1/2", "4/5")
@@ -91,11 +92,11 @@ class TestParams:
 class TestPairEnumeration:
     def test_count_matches_enumeration(self):
         for n, k in [(6, 2), (8, 3), (10, 2), (16, 8)]:
-            assert disjoint_pair_count(n, k) == sum(1 for _ in iter_disjoint_pairs(n, k))
+            assert disjoint_pair_count(n, k) == sum(1 for _ in ref_iter_disjoint_pairs(n, k))
 
     def test_pairs_are_disjoint_and_unordered(self):
         seen = set()
-        for x, y in iter_disjoint_pairs(7, 2):
+        for x, y in ref_iter_disjoint_pairs(7, 2):
             assert x & y == 0 and x < y
             assert (x, y) not in seen
             seen.add((x, y))
@@ -149,7 +150,7 @@ class TestGeneration:
         assert max_degree(g) <= params.quad.b
         lo = (1 - params.quad.eps) * cert.f_ref
         hi = (1 + params.quad.eps) * cert.f_ref
-        for x, y in iter_disjoint_pairs(g.n, params.cn):
+        for x, y in ref_iter_disjoint_pairs(g.n, params.cn):
             xs = [v for v in range(g.n) if (x >> v) & 1]
             ys = [v for v in range(g.n) if (y >> v) & 1]
             d = Fraction(oracle_cross_edges(g, xs, ys), params.cn ** 2)
