@@ -25,6 +25,16 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterable[Edge]:
+    """The edges as sorted pairs, raising at the first self-loop or out-of-range end."""
+    for u, v in edges:
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
+        yield (u, v) if u < v else (v, u)
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -37,17 +47,10 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ParameterError("vertex count must be non-negative")
-        norm: set[Edge] = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add(_norm_edge(u, v))
         self.n = n
-        self.edges = frozenset(norm)
+        self.edges = frozenset(_checked_edges(n, edges))
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
@@ -282,12 +285,10 @@ def sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, Bl
             rng = random.Random((seed * 1_000_003 + u) * 1_000_003 + v)
             perm = list(range(t))
             rng.shuffle(perm)
-        matched = frozenset(_norm_edge(cliques[u][i], cliques[v][perm[i]]) for i in range(t))
-        removed[(u, v)] = matched
-        for a in cliques[u]:
-            for b in cliques[v]:
-                if _norm_edge(a, b) not in matched:
-                    edges.append((a, b))
+        partner = [cliques[v][j] for j in perm]
+        removed[(u, v)] = frozenset(_norm_edge(a, b) for a, b in zip(cliques[u], partner))
+        for a, skip in zip(cliques[u], partner):
+            edges.extend((a, b) for b in cliques[v] if b != skip)
     host = Graph(h.n * t, edges)
     rule = "aligned" if seed is None else f"seeded:{seed}"
     return host, BlowupMap(h, t, cliques, removed, rule)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -89,33 +91,44 @@ def _group_components(comps: list[int], classes: int, exact: bool = False) -> li
     sizes = sorted(((c.bit_count(), c) for c in comps), reverse=True)
     lowest = classes if exact else 1
     for m in range(classes, lowest - 1, -1):
-        if total % m:
-            continue
-        q = total // m
-        groups = [0] * m
-        fill = [0] * m
-
-        def place(i: int) -> bool:
-            if i == len(sizes):
-                return True
-            size, comp = sizes[i]
-            tried = set()
-            for gi in range(m):
-                if fill[gi] in tried:
-                    continue
-                tried.add(fill[gi])
-                if fill[gi] + size <= q:
-                    fill[gi] += size
-                    groups[gi] |= comp
-                    if place(i + 1):
-                        return True
-                    fill[gi] -= size
-                    groups[gi] &= ~comp
-            return False
-
-        if place(0):
-            return groups + [0] * (classes - m)
+        if total % m == 0:
+            groups = _pack(sizes, m, total // m)
+            if groups is not None:
+                return groups + [0] * (classes - m)
     return None
+
+
+def _pack(sizes: list[tuple[int, int]], m: int, q: int) -> list[int] | None:
+    """First packing of the (size, mask) items, in order, into m groups of capacity q.
+
+    A depth-first search with an explicit stack: item i goes to each group in
+    turn, skipping a group whose fill equals that of a group already tried for
+    item i, and the search backtracks when no group takes it.
+    """
+    groups = [0] * m
+    fill = [0] * m
+    placed: list[tuple[int, set[int]]] = []  # (group, fills tried) per placed item
+    gi, tried = 0, set()
+    while len(placed) < len(sizes):
+        size, comp = sizes[len(placed)]
+        while gi < m and (fill[gi] in tried or fill[gi] + size > q):
+            tried.add(fill[gi])
+            gi += 1
+        if gi < m:
+            tried.add(fill[gi])
+            fill[gi] += size
+            groups[gi] |= comp
+            placed.append((gi, tried))
+            gi, tried = 0, set()
+            continue
+        if not placed:
+            return None
+        gi, tried = placed.pop()
+        size, comp = sizes[len(placed)]
+        fill[gi] -= size
+        groups[gi] &= ~comp
+        gi += 1
+    return groups
 
 
 def _ham_path_table(masks: Sequence[int], n: int) -> list[int]:
@@ -151,11 +164,18 @@ def _recover_path(dp: list[int], masks: Sequence[int], mask: int) -> list[int]:
 
 
 def _cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[int] | None:
-    """Split mask into <= budget sub-masks each carrying a blue spanning path."""
+    """Split mask into <= budget sub-masks each carrying a blue spanning path.
+
+    The first split wins: the sub-masks holding the lowest vertex of what is
+    left are tried in decreasing mask value.  With one path left only the
+    whole mask can be that path, so budget 1 is a direct lookup in dp.
+    """
     if mask == 0:
         return []
     if budget == 0:
         return None
+    if budget == 1:
+        return [mask] if dp[mask] else None
     key = (mask, budget)
     if key in memo:
         return memo[key]
@@ -173,13 +193,23 @@ def _cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[int
     return result
 
 
+@lru_cache(maxsize=None)
+def _scan_order(n: int) -> array:
+    """Every subset of n vertices as a mask, largest first, then by mask value.
+
+    Kept once per n (n <= EXHAUSTIVE_CAP) as a packed array, 4 bytes a mask
+    where a tuple of ints holds about 40; callers share it and only read it.
+    """
+    return array("I", sorted(range(1 << n), key=lambda m: (-m.bit_count(), m)))
+
+
 def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
     n = blue.n
     masks = blue.adjacency_masks()
     dp = _ham_path_table(masks, n)
     full = (1 << n) - 1
     cover_memo: dict = {}
-    order = sorted(range(full + 1), key=lambda m: (-m.bit_count(), m))
+    order = _scan_order(n)
     # First pass insists on a fully balanced class split; degenerate splits
     # (fewer nonempty classes) are a fallback.
     for exact in (True, False):

@@ -110,20 +110,23 @@ class PipelineConfig:
                 raise ParameterError(f"pipeline field {key!r} must be an integer")
             return value
 
+        def rational(key: str, value) -> Fraction:
+            try:
+                return parse_frac(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParameterError(f"pipeline field {key!r}: {exc}") from exc
+
         def q(key: str) -> GoodQuadruple:
             sub = doc[key]
             if not isinstance(sub, dict):
                 raise ParameterError(f"pipeline field {key!r} must be a JSON object")
-            return GoodQuadruple(
-                parse_frac(sub["a"]), parse_frac(sub["b"]),
-                parse_frac(sub["c"]), parse_frac(sub["eps"]),
-            )
+            return GoodQuadruple(*(rational(f"{key}.{f}", sub[f]) for f in ("a", "b", "c", "eps")))
 
         return cls(
             k=integer("k"), s=integer("s"), r=integer("r"), t=integer("t"), n=integer("n"),
             clique_size=integer("cliqueSize"), mono_target=integer("monoTarget"),
             out_quad=q("outQuad"), in_quad=q("inQuad"),
-            sparsify_p=parse_frac(doc.get("sparsifyP", "1")),
+            sparsify_p=rational("sparsifyP", doc.get("sparsifyP", "1")),
             seed=integer("seed", 0),
         )
 

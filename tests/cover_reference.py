@@ -1,0 +1,138 @@
+"""Reference implementations of the cover search and the host build, kept for differential tests.
+
+These are the versions the package's exhaustive cover search, component
+grouping, Graph constructor and sheared blow-up must agree with exactly: a
+submask walk at every budget, the support order sorted on every call, a
+recursive packing of components into groups, edges collected into a set and
+copied into a frozenset, and the removed matching tested pair by pair.
+"""
+
+from __future__ import annotations
+
+import random
+
+from pathramsey import Graph, PartitionResult, PathWitness
+from pathramsey.errors import GraphFormatError, ParameterError
+from pathramsey.partition import _blue_components, _ham_path_table, _recover_path
+
+
+def ref_mask_vertices(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def ref_group_components(comps: list[int], classes: int, exact: bool = False) -> list[int] | None:
+    total = sum(c.bit_count() for c in comps)
+    if total == 0:
+        return [0] * classes
+    sizes = sorted(((c.bit_count(), c) for c in comps), reverse=True)
+    lowest = classes if exact else 1
+    for m in range(classes, lowest - 1, -1):
+        if total % m:
+            continue
+        q = total // m
+        groups = [0] * m
+        fill = [0] * m
+
+        def place(i: int) -> bool:
+            if i == len(sizes):
+                return True
+            size, comp = sizes[i]
+            tried = set()
+            for gi in range(m):
+                if fill[gi] in tried:
+                    continue
+                tried.add(fill[gi])
+                if fill[gi] + size <= q:
+                    fill[gi] += size
+                    groups[gi] |= comp
+                    if place(i + 1):
+                        return True
+                    fill[gi] -= size
+                    groups[gi] &= ~comp
+            return False
+
+        if place(0):
+            return groups + [0] * (classes - m)
+    return None
+
+
+def ref_cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[int] | None:
+    if mask == 0:
+        return []
+    if budget == 0:
+        return None
+    key = (mask, budget)
+    if key in memo:
+        return memo[key]
+    low = mask & -mask
+    sub = mask
+    result = None
+    while sub:
+        if sub & low and dp[sub]:
+            rest = ref_cover_with_paths(dp, masks, mask ^ sub, budget - 1, memo)
+            if rest is not None:
+                result = [sub] + rest
+                break
+        sub = (sub - 1) & mask
+    memo[key] = result
+    return result
+
+
+def ref_partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
+    n = blue.n
+    masks = blue.adjacency_masks()
+    dp = _ham_path_table(masks, n)
+    full = (1 << n) - 1
+    cover_memo: dict = {}
+    order = sorted(range(full + 1), key=lambda m: (-m.bit_count(), m))
+    for exact in (True, False):
+        for pmask in order:
+            pieces = ref_cover_with_paths(dp, masks, pmask, ell, cover_memo)
+            if pieces is None:
+                continue
+            comps = _blue_components(masks, full ^ pmask)
+            groups = ref_group_components(comps, ell + 1, exact=exact)
+            if groups is None:
+                continue
+            paths = tuple(
+                PathWitness(tuple(_recover_path(dp, masks, piece))) for piece in pieces
+            )
+            classes = tuple(tuple(ref_mask_vertices(gm)) for gm in groups)
+            return PartitionResult(paths, classes)
+    return None
+
+
+def ref_graph_edges(n: int, edges) -> frozenset[tuple[int, int]]:
+    """The edge set the Graph constructor stores, with its validation and messages."""
+    if n < 0:
+        raise ParameterError("vertex count must be non-negative")
+    norm = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
+        norm.add((u, v) if u < v else (v, u))
+    return frozenset(norm)
+
+
+def ref_sheared_blowup(h: Graph, t: int, seed: int | None = None):
+    """(host edge set, removed matchings) of the sheared blow-up."""
+    cliques = tuple(tuple(v * t + i for i in range(t)) for v in range(h.n))
+    edges = []
+    for cl in cliques:
+        edges.extend((cl[i], cl[j]) for i in range(t) for j in range(i + 1, t))
+    removed = {}
+    for u, v in sorted(h.edges):
+        perm = list(range(t))
+        if seed is not None:
+            random.Random((seed * 1_000_003 + u) * 1_000_003 + v).shuffle(perm)
+        matched = frozenset(
+            tuple(sorted((cliques[u][i], cliques[v][perm[i]]))) for i in range(t)
+        )
+        removed[(u, v)] = matched
+        for a in cliques[u]:
+            for b in cliques[v]:
+                if tuple(sorted((a, b))) not in matched:
+                    edges.append((a, b))
+    return ref_graph_edges(h.n * t, edges), removed

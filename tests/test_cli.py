@@ -156,6 +156,15 @@ class TestPartitionLongpath:
         assert code == 0
         assert out == ('{"found":true,"result":{"bluePaths":[[2,4,5,1,3,0]],'
                        '"redClasses":[[],[]]},"schemaVersion":1,"verified":true}\n')
+        # Every edge red: the exhaustive scan rejects each nonempty path support
+        # of the empty blue graph before the empty one wins.
+        path = graph_file(complete_graph(12), "k12.edges")
+        code, out, _ = run("partition", "--host", path, "--colours", "s=2;m=66;" + "1" * 66,
+                           "--ell", "1")
+        assert code == 0
+        assert out == ('{"found":true,"result":{"bluePaths":[],'
+                       '"redClasses":[[6,7,8,9,10,11],[0,1,2,3,4,5]]},'
+                       '"schemaVersion":1,"verified":true}\n')
         host = complete_graph(20)
         rng = random.Random(0)
         col = EdgeColouring(host, 2, {e: 1 if rng.random() < 0.1 else 2 for e in host.sorted_edges()})
@@ -457,3 +466,16 @@ class TestStepAndReport:
             cfg.write_text(json.dumps(doc))
             code, _, err = run("step", "--config", str(cfg))
             assert (code, err) == (2, f"error: pipeline field '{key}' must be {kind}\n"), (key, value)
+
+    @pytest.mark.parametrize("field,patch,message", [
+        ("outQuad.a", {"outQuad": dict(STEP_DOC["pipeline"]["outQuad"], a=True)},
+         "refusing to parse True as a rational"),
+        ("sparsifyP", {"sparsifyP": "1/0"}, "Fraction(1, 0)"),
+    ])
+    def test_step_bad_rational_names_field(self, run, tmp_path, field, patch, message):
+        # parse_frac's ValueError used to lose the key, and a zero denominator
+        # was reported as an internal ZeroDivisionError.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(STEP_DOC, pipeline=dict(STEP_DOC["pipeline"], **patch))))
+        code, out, err = run("step", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: pipeline field '{field}': {message}\n")

@@ -1,0 +1,110 @@
+"""Differential tests: the cover search and the host build against the copies in cover_reference."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from pathramsey import (
+    Graph,
+    cycle_graph,
+    partition_two_coloured,
+    path_power,
+    power,
+    random_graph,
+    sheared_blowup,
+)
+from pathramsey.errors import GraphFormatError
+from pathramsey.partition import _group_components, _partition_exhaustive
+
+from cover_reference import (
+    ref_graph_edges,
+    ref_group_components,
+    ref_partition_exhaustive,
+    ref_sheared_blowup,
+)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize("p", [0, 0.2, 0.5, 0.8])
+def test_exhaustive_cover_matches_reference(n, p):
+    blue = random_graph(n, p, seed=1000 * n + int(10 * p))
+    for ell in (1, 2, 3):
+        assert _partition_exhaustive(blue, ell) == ref_partition_exhaustive(blue, ell), ell
+
+
+def test_empty_twelve_vertex_blue_graph_matches_reference():
+    # Every support but the empty one lacks a blue path: the whole scan runs.
+    blue = Graph(12)
+    result = partition_two_coloured(blue, 1, "exhaustive")
+    assert result == ref_partition_exhaustive(blue, 1)
+    assert result.blue_paths == ()
+    assert result.red_classes == ((6, 7, 8, 9, 10, 11), (0, 1, 2, 3, 4, 5))
+
+
+def test_group_components_matches_reference():
+    # Components of 1 to 6 vertices are hard enough to pack that some
+    # placements must be undone (sizes 4, 4, 3, 3, 3, 3 into two groups).
+    rng = random.Random(5)
+    for _ in range(400):
+        comps, v = [], 0
+        for _ in range(rng.randint(0, 9)):
+            size = rng.randint(1, 6)
+            comps.append(((1 << size) - 1) << v)
+            v += size
+        rng.shuffle(comps)
+        classes = rng.randint(1, 5)
+        for exact in (True, False):
+            assert _group_components(comps, classes, exact) == ref_group_components(
+                comps, classes, exact
+            ), (comps, classes, exact)
+
+
+@pytest.mark.parametrize("h,t", [
+    (power(cycle_graph(24), 2), 24),
+    (random_graph(9, 0.5, seed=3), 5),
+    (path_power(6, 2), 1),
+    (Graph(3), 4),
+])
+@pytest.mark.parametrize("seed", [None, 0, 17])
+def test_sheared_blowup_matches_reference(h, t, seed):
+    host, bmap = sheared_blowup(h, t, seed=seed)
+    edges, removed = ref_sheared_blowup(h, t, seed=seed)
+    assert host.n == h.n * t
+    assert host.edges == edges
+    assert bmap.removed_matchings == removed
+    assert list(bmap.removed_matchings) == list(removed)
+
+
+@pytest.mark.parametrize("n,edges", [
+    (4, [(0, 1), (2, 2), (1, 7)]),
+    (4, [(0, 1), (1, 7), (2, 2)]),
+    (4, [(3, 3)]),
+    (4, [(0, -1), (1, 1)]),
+    (3, iter([(0, 1), (0, 3)])),
+    (0, [(0, 0)]),
+    (0, [(0, 1)]),
+])
+def test_graph_rejects_first_bad_edge_like_reference(n, edges):
+    edges = list(edges)
+    with pytest.raises(GraphFormatError) as want:
+        ref_graph_edges(n, iter(edges))
+    with pytest.raises(type(want.value)) as got:
+        Graph(n, iter(edges))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_graph_edges_match_reference():
+    rng = random.Random(2)
+    for _ in range(50):
+        n = rng.randint(1, 30)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 60))]
+        edges = [e for e in edges if e[0] != e[1]]
+        g = Graph(n, edges)
+        assert g.edges == ref_graph_edges(n, edges)
+        for v in range(n):
+            assert g.neighbours(v) == tuple(sorted({b for a, b in g.edges if a == v}
+                                                   | {a for a, b in g.edges if b == v}))
+

@@ -82,6 +82,12 @@ class TestPartitionExamples:
         res = partition_two_coloured(blue, 2, mode="heuristic", seed=3)
         assert verify_partition(blue, res, 2).ok
 
+    def test_heuristic_on_large_edgeless_blue_graph(self):
+        # Grouping 1,100 singleton components used to recurse once per component.
+        blue = Graph(1100)
+        result = partition_two_coloured(blue, 1, "heuristic")
+        assert verify_partition(blue, result, 1).ok
+
     def test_exhaustive_cap(self):
         blue = EdgeColouring.constant(complete_graph(13), 2, 1).colour_subgraph(1)
         with pytest.raises(ParameterError):
