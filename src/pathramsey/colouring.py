@@ -33,19 +33,21 @@ class EdgeColouring:
     def __init__(self, host: Graph, s: int, colour_of: dict[Edge, int]):
         if s < 1:
             raise ParameterError("colour count must be >= 1")
-        normalised: dict[Edge, int] = {}
-        for (u, v), c in colour_of.items():
-            e = (u, v) if u < v else (v, u)
-            if e not in host.edges:
-                raise ParameterError(f"colouring mentions non-edge {e}")
-            if not 1 <= c <= s:
-                raise ParameterError(f"colour {c} outside 1..{s}")
-            normalised[e] = c
-        if len(normalised) != host.m:
-            raise ParameterError("colouring must cover every edge exactly once")
+        # Whole-map checks; on failure the item scan names the first bad item.
+        edges = host.edges
+        if colour_of.keys() == edges:
+            col = dict(colour_of)
+        else:
+            col = {((u, v) if u < v else (v, u)): c for (u, v), c in colour_of.items()}
+            if len(col) != len(colour_of) or col.keys() != edges:
+                _reject_colour_map(edges, s, colour_of)
+        # Types first: 1.0 and True compare equal to 1.
+        if (not set(map(type, col.values())) <= {int}
+                or (col and not 1 <= min(col.values()) <= max(col.values()) <= s)):
+            _reject_colour_map(edges, s, colour_of)
         self.host = host
         self.s = s
-        self._col = normalised
+        self._col = col
 
     def colour(self, u: int, v: int) -> int:
         return self._col[(u, v) if u < v else (v, u)]
@@ -103,6 +105,23 @@ class EdgeColouring:
         return cls(host, s, col)
 
 
+def _reject_colour_map(edges: frozenset[Edge], s: int, colour_of: dict[Edge, int]) -> None:
+    """Raise for the first item of a colour map that is not a total colouring of edges."""
+    seen: set[Edge] = set()
+    for (u, v), c in colour_of.items():
+        e = (u, v) if u < v else (v, u)
+        if e not in edges:
+            raise ParameterError(f"colouring mentions non-edge {e}")
+        if e in seen:
+            raise ParameterError(f"colouring gives edge {e} twice")
+        if type(c) is not int:
+            raise ParameterError(f"colour {c!r} of edge {e} is not an integer")
+        if not 1 <= c <= s:
+            raise ParameterError(f"colour {c} outside 1..{s}")
+        seen.add(e)
+    raise ParameterError("colouring must cover every edge exactly once")
+
+
 # -- subgraph search -----------------------------------------------------------
 
 
@@ -126,8 +145,15 @@ def _pattern_order(pattern: Graph) -> list[int]:
 
 
 def _embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph) -> tuple[int, ...] | None:
-    """Backtracking embedding of pattern into the graph given by adjacency bitmasks."""
+    """First embedding of pattern into the graph given by adjacency bitmasks, or None.
+
+    Depth-first over the pattern vertices in _pattern_order, each taking the
+    host vertices that fit in ascending order; an explicit stack of the
+    untried candidates per depth replaces recursion, so deep patterns do not
+    overflow the interpreter stack.
+    """
     order = _pattern_order(pattern)
+    depth = len(order)
     host_deg = [m.bit_count() for m in host_masks]
     pat_deg = [pattern.degree(v) for v in range(pattern.n)]
     pos_of = {v: i for i, v in enumerate(order)}
@@ -135,38 +161,42 @@ def _embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph) -> tupl
     back: list[list[int]] = []
     for i, v in enumerate(order):
         back.append([w for w in pattern.neighbours(v) if pos_of[w] < i])
-    assignment: dict[int, int] = {}
+    assignment = [0] * pattern.n
+    untried = [0] * depth
+    full = (1 << host_n) - 1
     used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == len(order):
-            return True
+    i = 0
+    fresh = True
+    while i < depth:
         v = order[i]
-        if back[i]:
-            cand = ~0
+        if fresh:
+            cand = full
             for w in back[i]:
                 cand &= host_masks[assignment[w]]
             cand &= ~used
         else:
-            cand = ((1 << host_n) - 1) & ~used
+            cand = untried[i]
+        need = pat_deg[v]
         while cand:
             low = cand & -cand
-            hv = low.bit_length() - 1
             cand ^= low
-            if host_deg[hv] < pat_deg[v]:
-                continue
-            assignment[v] = hv
-            used |= 1 << hv
-            if extend(i + 1):
-                return True
-            used &= ~(1 << hv)
-            del assignment[v]
-        return False
-
-    if extend(0):
-        return tuple(assignment[v] for v in range(pattern.n))
-    return None
+            hv = low.bit_length() - 1
+            if host_deg[hv] >= need:
+                break
+        else:
+            # Every candidate failed: undo the placement one level up.
+            if i == 0:
+                return None
+            i -= 1
+            used &= ~(1 << assignment[order[i]])
+            fresh = False
+            continue
+        untried[i] = cand
+        assignment[v] = hv
+        used |= low
+        i += 1
+        fresh = True
+    return tuple(assignment)
 
 
 def find_subgraph(host: Graph, pattern: Graph) -> Embedding | None:
@@ -226,19 +256,25 @@ def mono_clique_in_clique(
     Ramsey thresholds, so a colouring may admit no such clique.
     """
     verts = list(clique)
-    if target > len(verts):
+    k = len(verts)
+    if target > k:
         raise ParameterError("target exceeds the clique size")
-    for a, b in combinations(verts, 2):
-        if not colouring.host.has_edge(a, b):
-            raise ParameterError(f"input vertices are not a clique: ({a},{b}) missing")
-    index = {v: i for i, v in enumerate(verts)}
+    col = colouring._col
+    # One pass over the pairs fills every colour class: masks[c][i] holds the
+    # positions joined to position i in colour c.
+    masks = [[0] * k for _ in range(colouring.s + 1)]
+    for i in range(k):
+        a = verts[i]
+        for j in range(i + 1, k):
+            b = verts[j]
+            c = col.get((a, b) if a < b else (b, a))
+            if c is None:
+                raise ParameterError(f"input vertices are not a clique: ({a},{b}) missing")
+            row = masks[c]
+            row[i] |= 1 << j
+            row[j] |= 1 << i
     for c in range(1, colouring.s + 1):
-        masks = [0] * len(verts)
-        for a, b in combinations(verts, 2):
-            if colouring.colour(a, b) == c:
-                masks[index[a]] |= 1 << index[b]
-                masks[index[b]] |= 1 << index[a]
-        found = _max_clique_at_least(masks, list(range(len(verts))), target)
+        found = _max_clique_at_least(masks[c], list(range(k)), target)
         if found is not None:
             return c, tuple(sorted(verts[i] for i in found))
     return None

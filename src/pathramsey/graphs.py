@@ -40,6 +40,11 @@ class Graph:
 
     Invariants: no self-loops, no duplicate edges, adjacency symmetric,
     edge count equals half the degree sum.
+
+    The edge set is the only state built up front.  Two views of it are
+    built on first use and kept: sorted neighbour tuples (`neighbours`,
+    `degree`) and neighbour bitmasks (`adjacency_masks`).  A large host that
+    is only ever queried edge by edge never pays for either.
     """
 
     __slots__ = ("n", "edges", "_adj", "_masks")
@@ -49,20 +54,32 @@ class Graph:
             raise ParameterError("vertex count must be non-negative")
         self.n = n
         self.edges = frozenset(_checked_edges(n, edges))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj: tuple[tuple[int, ...], ...] | None = None
         self._masks: tuple[int, ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
+    def _build_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        return self._adj
+
+    # The None test stays inline: these two are called millions of times by
+    # the subgraph search, where an extra method call per query shows.
     def neighbours(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        adj = self._adj
+        if adj is None:
+            adj = self._build_adjacency()
+        return adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        adj = self._adj
+        if adj is None:
+            adj = self._build_adjacency()
+        return len(adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
@@ -86,6 +103,8 @@ class Graph:
         return self._masks
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:

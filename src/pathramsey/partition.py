@@ -132,22 +132,28 @@ def _pack(sizes: list[tuple[int, int]], m: int, q: int) -> list[int] | None:
 
 
 def _ham_path_table(masks: Sequence[int], n: int) -> list[int]:
-    """dp[mask] = bitmask of vertices at which some blue path covering mask can end."""
+    """dp[mask] = bitmask of vertices at which some blue path covering mask can end.
+
+    A blue path stays inside one blue component, so the table is filled one
+    component at a time, over that component's submasks in increasing order;
+    a mask that meets two components keeps dp = 0.
+    """
     dp = [0] * (1 << n)
-    for v in range(n):
-        dp[1 << v] = 1 << v
-    for mask in range(1, 1 << n):
-        if mask & (mask - 1) == 0:
-            continue
-        ends = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if dp[mask ^ low] & masks[v]:
-                ends |= low
-        dp[mask] = ends
+    for comp in _blue_components(masks, (1 << n) - 1):
+        mask = 0
+        while mask != comp:
+            mask = (mask - comp) & comp
+            if mask & (mask - 1) == 0:
+                dp[mask] = mask
+                continue
+            ends = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if dp[mask ^ low] & masks[low.bit_length() - 1]:
+                    ends |= low
+            dp[mask] = ends
     return dp
 
 

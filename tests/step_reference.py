@@ -1,0 +1,115 @@
+"""Reference implementations of the step path's colouring and cover kernels, kept for differential tests.
+
+These are the versions the package must agree with exactly: the Held–Karp
+path table filled over every mask of the vertex set, the monochromatic
+clique search that checks adjacency in one pass and then rebuilds the
+colour-class masks once per colour, the colour-map validation that checks
+item by item, and the recursive backtracking subgraph embedder.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Sequence
+
+from pathramsey import Graph
+from pathramsey.colouring import _max_clique_at_least, _pattern_order
+from pathramsey.errors import ParameterError
+
+
+def ref_ham_path_table(masks: Sequence[int], n: int) -> list[int]:
+    dp = [0] * (1 << n)
+    for v in range(n):
+        dp[1 << v] = 1 << v
+    for mask in range(1, 1 << n):
+        if mask & (mask - 1) == 0:
+            continue
+        ends = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if dp[mask ^ low] & masks[v]:
+                ends |= low
+        dp[mask] = ends
+    return dp
+
+
+def ref_colour_map(host: Graph, s: int, colour_of: dict) -> dict:
+    """The normalised colour map, raising at the first bad item."""
+    if s < 1:
+        raise ParameterError("colour count must be >= 1")
+    normalised = {}
+    for (u, v), c in colour_of.items():
+        e = (u, v) if u < v else (v, u)
+        if e not in host.edges:
+            raise ParameterError(f"colouring mentions non-edge {e}")
+        if not 1 <= c <= s:
+            raise ParameterError(f"colour {c} outside 1..{s}")
+        normalised[e] = c
+    if len(normalised) != host.m:
+        raise ParameterError("colouring must cover every edge exactly once")
+    return normalised
+
+
+def ref_mono_clique_in_clique(colouring, clique: Sequence[int], target: int):
+    verts = list(clique)
+    if target > len(verts):
+        raise ParameterError("target exceeds the clique size")
+    for a, b in combinations(verts, 2):
+        if not colouring.host.has_edge(a, b):
+            raise ParameterError(f"input vertices are not a clique: ({a},{b}) missing")
+    index = {v: i for i, v in enumerate(verts)}
+    for c in range(1, colouring.s + 1):
+        masks = [0] * len(verts)
+        for a, b in combinations(verts, 2):
+            if colouring.colour(a, b) == c:
+                masks[index[a]] |= 1 << index[b]
+                masks[index[b]] |= 1 << index[a]
+        found = _max_clique_at_least(masks, list(range(len(verts))), target)
+        if found is not None:
+            return c, tuple(sorted(verts[i] for i in found))
+    return None
+
+
+def ref_embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph):
+    order = _pattern_order(pattern)
+    host_deg = [m.bit_count() for m in host_masks]
+    pat_deg = [pattern.degree(v) for v in range(pattern.n)]
+    pos_of = {v: i for i, v in enumerate(order)}
+    back = []
+    for i, v in enumerate(order):
+        back.append([w for w in pattern.neighbours(v) if pos_of[w] < i])
+    assignment = {}
+    used = 0
+
+    def extend(i: int) -> bool:
+        nonlocal used
+        if i == len(order):
+            return True
+        v = order[i]
+        if back[i]:
+            cand = ~0
+            for w in back[i]:
+                cand &= host_masks[assignment[w]]
+            cand &= ~used
+        else:
+            cand = ((1 << host_n) - 1) & ~used
+        while cand:
+            low = cand & -cand
+            hv = low.bit_length() - 1
+            cand ^= low
+            if host_deg[hv] < pat_deg[v]:
+                continue
+            assignment[v] = hv
+            used |= 1 << hv
+            if extend(i + 1):
+                return True
+            used &= ~(1 << hv)
+            del assignment[v]
+        return False
+
+    if extend(0):
+        return tuple(assignment[v] for v in range(pattern.n))
+    return None

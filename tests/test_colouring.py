@@ -54,6 +54,17 @@ class TestEdgeColouring:
         with pytest.raises(ParameterError):
             EdgeColouring(host, 2, {(0, 1): 3, (1, 2): 1})
 
+    def test_edge_given_in_both_orientations_rejected(self):
+        host = complete_graph(3)
+        with pytest.raises(ParameterError, match=r"edge \(0, 1\) twice"):
+            EdgeColouring(host, 2, {(0, 1): 1, (1, 0): 2, (0, 2): 1, (1, 2): 1})
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+    def test_non_integer_colour_rejected(self, bad):
+        host = complete_graph(3)
+        with pytest.raises(ParameterError, match="not an integer"):
+            EdgeColouring(host, 2, {(0, 1): 1, (0, 2): bad, (1, 2): 2})
+
     def test_string_round_trip(self):
         host = complete_graph(4)
         col = EdgeColouring.random(host, 3, seed=5)

@@ -1,0 +1,157 @@
+"""Differential tests: the step path's colouring and cover kernels against the copies in step_reference."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from pathramsey import (
+    EdgeColouring,
+    Graph,
+    ParameterError,
+    PipelineConfig,
+    build_step_host,
+    complete_graph,
+    cycle_graph,
+    find_subgraph,
+    induction_step,
+    mono_clique_in_clique,
+    path_graph,
+    random_graph,
+    sheared_blowup,
+)
+from pathramsey.colouring import _embed_masks
+from pathramsey.partition import _ham_path_table
+
+from step_reference import (
+    ref_colour_map,
+    ref_embed_masks,
+    ref_ham_path_table,
+    ref_mono_clique_in_clique,
+)
+
+
+def _disjoint_union(parts: list[Graph]) -> Graph:
+    edges, offset = [], 0
+    for g in parts:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def _table_graphs():
+    yield Graph(0)
+    yield Graph(1)
+    yield Graph(12)
+    rng = random.Random(9)
+    for n in range(2, 13):
+        for p in (0.2, 0.5, 0.9):
+            yield random_graph(n, p, seed=rng.randrange(10**6))
+    # 2 to 4 components: dense random pieces, a path and isolated vertices.
+    for count in (2, 3, 4):
+        for trial in range(4):
+            sizes = [rng.randint(1, 12 // count) for _ in range(count)]
+            yield _disjoint_union([random_graph(k, 0.7, seed=rng.randrange(10**6)) for k in sizes])
+    yield _disjoint_union([path_graph(5), complete_graph(4), Graph(3)])
+
+
+@pytest.mark.parametrize("g", list(_table_graphs()), ids=repr)
+def test_ham_path_table_matches_reference(g):
+    masks = g.adjacency_masks()
+    assert _ham_path_table(masks, g.n) == ref_ham_path_table(masks, g.n)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_mono_clique_matches_reference(s):
+    rng = random.Random(s)
+    host, bmap = sheared_blowup(cycle_graph(4), 8, seed=3)
+    for trial in range(30):
+        chi = EdgeColouring.random(host, s, seed=rng.randrange(10**6))
+        for clique in bmap.clique_of:
+            for target in range(0, 9):
+                assert mono_clique_in_clique(chi, clique, target) == ref_mono_clique_in_clique(
+                    chi, clique, target
+                ), (trial, clique, target)
+
+
+@pytest.mark.parametrize("clique", [(0, 1, 17), (0, 0, 1), (0, 1, 2, 40)])
+def test_mono_clique_names_missing_pair_like_reference(clique):
+    host, _ = sheared_blowup(cycle_graph(4), 8, seed=3)
+    chi = EdgeColouring.random(host, 2, seed=1)
+    with pytest.raises(ParameterError) as want:
+        ref_mono_clique_in_clique(chi, clique, 2)
+    with pytest.raises(ParameterError) as got:
+        mono_clique_in_clique(chi, clique, 2)
+    assert str(got.value) == str(want.value)
+
+
+def _bad_maps():
+    host = complete_graph(4)
+    good = {e: 1 + (e[0] + e[1]) % 2 for e in host.sorted_edges()}
+    yield "non-edge", path_graph(4), {(0, 1): 1, (1, 2): 2, (0, 2): 1, (2, 3): 1}
+    yield "non-edge reversed", path_graph(4), {(1, 0): 1, (3, 1): 2, (1, 2): 1, (2, 3): 1}
+    yield "out of range", host, {**good, (1, 3): 3}
+    yield "zero colour", host, {**good, (0, 1): 0}
+    yield "range before non-edge", path_graph(4), {(0, 1): 5, (0, 3): 1, (1, 2): 1, (2, 3): 1}
+    yield "missing edge", host, {e: c for e, c in good.items() if e != (2, 3)}
+    yield "missing, reversed keys", host, {(v, u): c for (u, v), c in good.items() if u}
+    yield "empty map", host, {}
+
+
+@pytest.mark.parametrize("name,host,colour_of", list(_bad_maps()), ids=lambda x: x if isinstance(x, str) else "")
+def test_bad_colour_map_rejected_like_reference(name, host, colour_of):
+    with pytest.raises(ParameterError) as want:
+        ref_colour_map(host, 2, colour_of)
+    with pytest.raises(ParameterError) as got:
+        EdgeColouring(host, 2, colour_of)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_good_colour_maps_match_reference():
+    rng = random.Random(4)
+    for trial in range(40):
+        host = random_graph(rng.randint(0, 9), 0.5, seed=trial)
+        s = rng.randint(1, 4)
+        colour_of = {}
+        for u, v in host.sorted_edges():
+            colour_of[(u, v) if rng.random() < 0.5 else (v, u)] = rng.randint(1, s)
+        want = ref_colour_map(host, s, colour_of)
+        chi = EdgeColouring(host, s, colour_of)
+        assert {e: chi.colour(*e) for e in host.edges} == want
+        assert sum(chi.counts().values()) == host.m
+
+
+def test_embed_masks_matches_recursive_reference():
+    rng = random.Random(6)
+    for trial in range(300):
+        host = random_graph(rng.randint(1, 11), rng.choice((0.3, 0.6, 0.9)), seed=rng.randrange(10**6))
+        pattern = random_graph(rng.randint(0, 6), rng.choice((0.3, 0.6)), seed=rng.randrange(10**6))
+        masks = host.adjacency_masks()
+        assert _embed_masks(host.n, masks, pattern) == ref_embed_masks(host.n, masks, pattern), trial
+
+
+def test_deep_pattern_embeds_without_recursion():
+    host, pattern = path_graph(1200), path_graph(1100)
+    emb = find_subgraph(host, pattern)
+    assert emb is not None
+    mapping = emb.mapping
+    assert len(set(mapping)) == pattern.n
+    assert all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges)
+
+
+def test_step_host_never_builds_adjacency_lists():
+    cfg = PipelineConfig.from_dict({
+        "k": 1, "t": 2, "n": 3, "r": 1, "s": 2, "cliqueSize": 24, "monoTarget": 4, "seed": 0,
+        "outQuad": {"a": 1, "b": 64, "c": "1/2", "eps": "4/5"},
+        "inQuad": {"a": 1, "b": 2000, "c": "1/2", "eps": "4/5"},
+    })
+    g = cycle_graph(24)
+    host, bmap = build_step_host(g, cfg)
+    rng = random.Random(0)
+    chi = EdgeColouring(host, 2, {e: rng.randint(1, 2) for e in host.sorted_edges()})
+    outcome = induction_step(g, host, bmap, chi, cfg)
+    # The outcome embeds a path power into the host and validates it there.
+    assert host.m == 33_120 and outcome.kind == "monoPowerFound"
+    assert host._adj is None
