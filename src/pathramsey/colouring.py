@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import BlowupMap, Graph, PathWitness, path_power
+from .graphs import BlowupMap, Graph, PathWitness, _mask_vertices, path_power
 
 Edge = tuple[int, int]
 
@@ -127,21 +127,18 @@ def _reject_colour_map(edges: frozenset[Edge], s: int, colour_of: dict[Edge, int
 
 def _pattern_order(pattern: Graph) -> list[int]:
     """Connected-first greedy order: always place the vertex with most placed neighbours."""
-    if pattern.n == 0:
-        return []
-    placed: list[int] = []
-    seen = set()
-    remaining = set(range(pattern.n))
-    while remaining:
+    masks = pattern.adjacency_masks()
+    full = (1 << pattern.n) - 1
+    order: list[int] = []
+    placed = 0
+    for _ in range(pattern.n):
         best = max(
-            remaining,
-            key=lambda v: (len([w for w in pattern.neighbours(v) if w in seen]),
-                           pattern.degree(v), -v),
+            _mask_vertices(full & ~placed),
+            key=lambda v: ((masks[v] & placed).bit_count(), masks[v].bit_count(), -v),
         )
-        placed.append(best)
-        seen.add(best)
-        remaining.remove(best)
-    return placed
+        order.append(best)
+        placed |= 1 << best
+    return order
 
 
 def _embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph) -> tuple[int, ...] | None:
@@ -155,12 +152,14 @@ def _embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph) -> tupl
     order = _pattern_order(pattern)
     depth = len(order)
     host_deg = [m.bit_count() for m in host_masks]
-    pat_deg = [pattern.degree(v) for v in range(pattern.n)]
-    pos_of = {v: i for i, v in enumerate(order)}
+    pat_masks = pattern.adjacency_masks()
+    pat_deg = [m.bit_count() for m in pat_masks]
     # For each position, pattern neighbours already placed.
     back: list[list[int]] = []
-    for i, v in enumerate(order):
-        back.append([w for w in pattern.neighbours(v) if pos_of[w] < i])
+    placed = 0
+    for v in order:
+        back.append(_mask_vertices(pat_masks[v] & placed))
+        placed |= 1 << v
     assignment = [0] * pattern.n
     untried = [0] * depth
     full = (1 << host_n) - 1
@@ -317,13 +316,7 @@ def find_blue_biclique(
             if inter.bit_count() < need:
                 break
         else:
-            chosen_b = []
-            m = inter
-            while m and len(chosen_b) < need:
-                low = m & -m
-                chosen_b.append(side_b[low.bit_length() - 1])
-                m ^= low
-            return tuple(combo), tuple(chosen_b)
+            return tuple(combo), tuple(side_b[i] for i in _mask_vertices(inter)[:need])
     return None
 
 
@@ -562,16 +555,16 @@ class ArrowVerdict:
 
 
 def _mono_copy_colour(
-    host: Graph, pattern: Graph, s: int, digit: list[int]
+    n: int, edges: Sequence[Edge], pattern: Graph, s: int, digit: list[int]
 ) -> tuple[int, tuple[int, ...]] | None:
-    edges = host.sorted_edges()
+    """First colour whose class (edges[i] has colour digit[i] + 1) holds pattern, with the copy."""
+    masks = [[0] * n for _ in range(s)]
+    for (u, v), c in zip(edges, digit):
+        row = masks[c]
+        row[u] |= 1 << v
+        row[v] |= 1 << u
     for c in range(s):
-        masks = [0] * host.n
-        for idx, (u, v) in enumerate(edges):
-            if digit[idx] == c:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-        found = _embed_masks(host.n, masks, pattern)
+        found = _embed_masks(n, masks[c], pattern)
         if found is not None:
             return c + 1, found
     return None
@@ -628,7 +621,7 @@ def arrow_check(
         for _ in range(m):
             digit.append(y % s)
             y //= s
-        hit = _mono_copy_colour(host, pattern, s, digit)
+        hit = _mono_copy_colour(host.n, edges, pattern, s, digit)
         if hit is None:
             col = EdgeColouring(host, s, {e: digit[i] + 1 for i, e in enumerate(edges)})
             if not _revalidate_counterexample(host, pattern, col):

@@ -413,7 +413,7 @@ def make_lll_instance(
                 if missing or blue:
                     pairs.append((x, y))
         bad[(u, v)] = frozenset(pairs)
-    deg = [template.degree(v) for v in range(template.n)]
+    deg = [m.bit_count() for m in template.adjacency_masks()]
     dep = max((deg[u] + deg[v] - 2 for u, v in template.edges), default=0)
     worst = Fraction(0)
     for (u, v), pairs in bad.items():

@@ -12,7 +12,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import GraphFormatError, ParameterError
 
@@ -41,45 +42,28 @@ class Graph:
     Invariants: no self-loops, no duplicate edges, adjacency symmetric,
     edge count equals half the degree sum.
 
-    The edge set is the only state built up front.  Two views of it are
-    built on first use and kept: sorted neighbour tuples (`neighbours`,
-    `degree`) and neighbour bitmasks (`adjacency_masks`).  A large host that
-    is only ever queried edge by edge never pays for either.
+    The edge set is the only state built up front.  Its one derived view,
+    the neighbour bitmasks (`adjacency_masks`), is built on first use and
+    kept; `neighbours` and `degree` read it.  A large host that is only ever
+    queried edge by edge never pays for it.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks")
+    __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ParameterError("vertex count must be non-negative")
         self.n = n
         self.edges = frozenset(_checked_edges(n, edges))
-        self._adj: tuple[tuple[int, ...], ...] | None = None
         self._masks: tuple[int, ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
-    def _build_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        return self._adj
-
-    # The None test stays inline: these two are called millions of times by
-    # the subgraph search, where an extra method call per query shows.
     def neighbours(self, v: int) -> tuple[int, ...]:
-        adj = self._adj
-        if adj is None:
-            adj = self._build_adjacency()
-        return adj[v]
+        return tuple(_mask_vertices(self.adjacency_masks()[v]))
 
     def degree(self, v: int) -> int:
-        adj = self._adj
-        if adj is None:
-            adj = self._build_adjacency()
-        return len(adj[v])
+        return self.adjacency_masks()[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
@@ -156,24 +140,40 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
 # -- distances, powers ----------------------------------------------------
 
 
+def _frontiers(adj: Sequence[int], frontier: int, seen: int) -> Iterator[int]:
+    """Breadth-first layers as masks: frontier, then each layer it reaches outside seen.
+
+    Every layer yielded joins seen, so no vertex comes out twice and the sum
+    of the layers is their union; a caller fences the search into a vertex
+    set by putting its complement in seen.  Each layer is computed only when
+    asked for.
+    """
+    seen |= frontier
+    while frontier:
+        yield frontier
+        reach = 0
+        rest = frontier  # bits walked in place: no list per layer
+        while rest:
+            low = rest & -rest
+            reach |= adj[low.bit_length() - 1]
+            rest ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+
+
 def distances(g: Graph, source: int) -> list[float]:
     """BFS distances from source; unreachable vertices get math.inf."""
     if not 0 <= source < g.n:
         raise ParameterError("source out of range")
     dist: list[float] = [INF] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for w in g.neighbours(u):
-            if dist[w] == INF:
-                dist[w] = dist[u] + 1
-                q.append(w)
+    for d, layer in enumerate(_frontiers(g.adjacency_masks(), 1 << source, 0)):
+        for v in _mask_vertices(layer):
+            dist[v] = d
     return dist
 
 
 def max_degree(g: Graph) -> int:
-    return max((g.degree(v) for v in range(g.n)), default=0)
+    return max((m.bit_count() for m in g.adjacency_masks()), default=0)
 
 
 def power(g: Graph, k: int) -> Graph:
@@ -184,21 +184,11 @@ def power(g: Graph, k: int) -> Graph:
     """
     if k < 1:
         raise ParameterError("power exponent must be >= 1")
+    adj = g.adjacency_masks()
     edges: list[Edge] = []
     for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if dist[u] == k:
-                continue
-            for w in g.neighbours(u):
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    if w > s:
-                        edges.append((s, w))
-                    q.append(w)
+        ball = sum(islice(_frontiers(adj, 1 << s, 0), k + 1))
+        edges.extend((s, w) for w in _mask_vertices(ball >> (s + 1) << (s + 1)))
     return Graph(g.n, edges)
 
 
@@ -347,21 +337,13 @@ def _mask_vertices(mask: int) -> list[int]:
 def _cycle_length(adj: Sequence[int], u: int, v: int, cap: int) -> int | None:
     """Length of a shortest cycle through the edge uv if it is at most cap, else None.
 
-    Breadth-first search from u in g - uv, one bitmask frontier per level,
-    stopping when a frontier vertex is adjacent to v or at depth cap - 2.
+    Breadth-first search from u in g - uv, stopping when a layer touches v
+    or at depth cap - 2.
     """
     seen = (1 << u) | (1 << v)
-    frontier = adj[u] & ~seen
-    length = 3
-    while frontier and length <= cap:
-        if frontier & adj[v]:
+    for length, layer in zip(range(3, cap + 1), _frontiers(adj, adj[u] & ~seen, seen)):
+        if layer & adj[v]:
             return length
-        seen |= frontier
-        reach = 0
-        for w in _mask_vertices(frontier):
-            reach |= adj[w]
-        frontier = reach & ~seen
-        length += 1
     return None
 
 

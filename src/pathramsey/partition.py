@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import Graph, PathWitness, _mask_vertices
+from .graphs import Graph, PathWitness, _frontiers, _mask_vertices
 from .pseudorandom import _record_pairs, disjoint_pair_count, prune_to_size
 
 EXHAUSTIVE_CAP = 12
@@ -62,18 +62,12 @@ class PartitionReport:
 
 
 def _blue_components(masks: Sequence[int], rmask: int) -> list[int]:
+    """Components of the blue graph on rmask, as masks, by lowest vertex; no search for isolated ones."""
     comps = []
     left = rmask
     while left:
-        start = left & -left
-        comp = start
-        frontier = start
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            new = masks[v] & rmask & ~comp
-            comp |= new
-            frontier |= new
+        low = left & -left
+        comp = sum(_frontiers(masks, low, ~rmask)) if masks[low.bit_length() - 1] & rmask else low
         comps.append(comp)
         left &= ~comp
     return comps
@@ -449,34 +443,48 @@ def long_path_through_sets(
     budget = node_budget
     seen_states: set[tuple[int, int]] = set()
 
-    def dfs(path: list[int], used: int) -> bool:
+    def walk(start: int) -> list[int] | None:
+        """Depth-first from start; an explicit stack of untried candidates per depth
+        replaces recursion, so long paths do not overflow the interpreter stack."""
         nonlocal budget, best
-        if len(path) > len(best):
-            best = list(path)
-        if len(path) == target_len:
-            return True
-        if budget <= 0:
-            return False
-        budget -= 1
-        cand = masks[path[-1]] & part_masks[len(path) % t] & ~used
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            state = (v, used | low)
-            if state in seen_states:
+        path, used = [start], 1 << start
+        untried: list[int] = []
+        fresh = True
+        while True:
+            if fresh:
+                if len(path) > len(best):
+                    best = list(path)
+                if len(path) == target_len:
+                    return path
+                cand = 0
+                if budget > 0:
+                    budget -= 1
+                    cand = masks[path[-1]] & part_masks[len(path) % t] & ~used
+            else:
+                cand = untried.pop()
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if (low.bit_length() - 1, used | low) not in seen_states:
+                    break
+            else:
+                # Every candidate failed: the walk through path[-1] fails too.
+                if len(path) == 1:
+                    return None
+                v = path.pop()
+                seen_states.add((v, used))
+                used ^= 1 << v
+                fresh = False
                 continue
-            path.append(v)
-            if dfs(path, used | low):
-                return True
-            seen_states.add(state)
-            path.pop()
-        return False
+            untried.append(cand)
+            path.append(low.bit_length() - 1)
+            used |= low
+            fresh = True
 
     for start in part_sets[0]:
-        stack = [start]
-        if dfs(stack, 1 << start):
-            witness = PathWitness(tuple(stack), tuple(i % t for i in range(len(stack))))
+        path = walk(start)
+        if path is not None:
+            witness = PathWitness(tuple(path), tuple(i % t for i in range(len(path))))
             witness.validate(g, part_sets)
             return witness
         if budget <= 0:

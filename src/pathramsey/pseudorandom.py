@@ -27,6 +27,7 @@ from .graphs import (
     _first_shortest_cycle,
     _mask_vertices,
     girth_violation,
+    induced_subgraph,
     max_degree,
     random_graph,
 )
@@ -279,29 +280,9 @@ def sample_disjoint_pairs(n: int, k: int, count: int, seed: int) -> Iterator[tup
 def _cross_counts(
     masks: Sequence[int], pairs: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[int, int, int]]:
-    """(x, y, e(x, y)) for each pair of vertex masks, in the order given.
-
-    e(x, y) = sum over v in x of |N(v) & y|.  Row v of the adjacency matrix
-    sits in bits v*n .. v*n+n-1 of one integer; multiplying y by the sum of
-    1 << v*n over v in x copies y into exactly the rows of x, so one AND and
-    one popcount give the count.  The row selector is built from 8-bit chunk
-    tables.
-    """
-    n = len(masks)
-    matrix = 0
-    for v, m in enumerate(masks):
-        matrix |= m << (v * n)
-    chunks = []
-    for base in range(0, n, 8):
-        table = [0]
-        for v in range(base, min(base + 8, n)):
-            table += [r | 1 << (v * n) for r in table]
-        chunks.append(table)
+    """(x, y, e(x, y)) for each pair of vertex masks, in the order given."""
     for x, y in pairs:
-        rows = 0
-        for c, table in enumerate(chunks):
-            rows |= table[x >> (8 * c) & 255]
-        yield x, y, (matrix & y * rows).bit_count()
+        yield x, y, sum((masks[v] & y).bit_count() for v in _mask_vertices(x))
 
 
 @dataclass(frozen=True)
@@ -540,20 +521,15 @@ def prune_to_size(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[int
     """
     if keep > g.n:
         raise ParameterError("cannot keep more vertices than the graph has")
-    alive = set(range(g.n))
-    adj = {v: set(g.neighbours(v)) for v in range(g.n)}
+    adj = g.adjacency_masks()
+    alive = (1 << g.n) - 1
     removed: list[int] = []
-    while len(alive) > keep:
-        victim = max(alive, key=lambda v: (len(adj[v]), -v))
-        alive.remove(victim)
-        for w in adj[victim]:
-            adj[w].discard(victim)
-        adj.pop(victim)
+    for _ in range(g.n - keep):
+        victim = max(_mask_vertices(alive), key=lambda v: ((adj[v] & alive).bit_count(), -v))
+        alive ^= 1 << victim
         removed.append(victim)
-    kept = tuple(sorted(alive))
-    index = {v: i for i, v in enumerate(kept)}
-    edges = [(index[u], index[v]) for u in kept for v in adj[u] if u < v]
-    return Graph(len(kept), edges), kept, removed
+    pruned, kept = induced_subgraph(g, _mask_vertices(alive))
+    return pruned, kept, removed
 
 
 def generate_class_p(

@@ -4,7 +4,8 @@ These are the versions the package must agree with exactly: the Held–Karp
 path table filled over every mask of the vertex set, the monochromatic
 clique search that checks adjacency in one pass and then rebuilds the
 colour-class masks once per colour, the colour-map validation that checks
-item by item, and the recursive backtracking subgraph embedder.
+item by item, the recursive backtracking subgraph embedder, and the
+recursive constrained long-path search.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from itertools import combinations
 from typing import Sequence
 
 from pathramsey import Graph
-from pathramsey.colouring import _max_clique_at_least, _pattern_order
+from pathramsey.colouring import _max_clique_at_least
 from pathramsey.errors import ParameterError
+
+from graph_reference import ref_adjacency, ref_pattern_order
 
 
 def ref_ham_path_table(masks: Sequence[int], n: int) -> list[int]:
@@ -74,13 +77,14 @@ def ref_mono_clique_in_clique(colouring, clique: Sequence[int], target: int):
 
 
 def ref_embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph):
-    order = _pattern_order(pattern)
+    order = ref_pattern_order(pattern)
+    adj = ref_adjacency(pattern)
     host_deg = [m.bit_count() for m in host_masks]
-    pat_deg = [pattern.degree(v) for v in range(pattern.n)]
+    pat_deg = [len(a) for a in adj]
     pos_of = {v: i for i, v in enumerate(order)}
     back = []
     for i, v in enumerate(order):
-        back.append([w for w in pattern.neighbours(v) if pos_of[w] < i])
+        back.append([w for w in adj[v] if pos_of[w] < i])
     assignment = {}
     used = 0
 
@@ -113,3 +117,46 @@ def ref_embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph):
     if extend(0):
         return tuple(assignment[v] for v in range(pattern.n))
     return None
+
+
+def ref_long_path(g: Graph, parts, target_len: int, node_budget: int):
+    """(True, path) for the first constrained path found, else (False, longest path seen)."""
+    t = len(parts)
+    part_sets = [sorted(set(p)) for p in parts]
+    masks = g.adjacency_masks()
+    part_masks = [sum(1 << v for v in p) for p in part_sets]
+    best: list[int] = []
+    budget = node_budget
+    seen_states: set[tuple[int, int]] = set()
+
+    def dfs(path: list[int], used: int) -> bool:
+        nonlocal budget, best
+        if len(path) > len(best):
+            best = list(path)
+        if len(path) == target_len:
+            return True
+        if budget <= 0:
+            return False
+        budget -= 1
+        cand = masks[path[-1]] & part_masks[len(path) % t] & ~used
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            state = (v, used | low)
+            if state in seen_states:
+                continue
+            path.append(v)
+            if dfs(path, used | low):
+                return True
+            seen_states.add(state)
+            path.pop()
+        return False
+
+    for start in part_sets[0]:
+        stack = [start]
+        if dfs(stack, 1 << start):
+            return True, tuple(stack)
+        if budget <= 0:
+            break
+    return False, tuple(best)

@@ -137,6 +137,10 @@ class TestFindBlueBiclique:
         w = find_blue_biclique([0, 1], [2, 3], lambda a, b: True, 1)
         assert w == ((0, 1), (2, 3))
 
+    def test_witness_takes_the_first_vertices_of_each_side(self):
+        w = find_blue_biclique([0, 1, 2], [10, 11, 12, 13], lambda a, b: True, 1)
+        assert w == ((0, 1), (10, 11))
+
     def test_no_blue(self):
         assert find_blue_biclique([0, 1, 2, 3], [4, 5, 6, 7], lambda a, b: False, 1) is None
 

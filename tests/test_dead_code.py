@@ -1,7 +1,8 @@
 """Guard against dead code: every module-level function, class or constant in
 the package is exported from __init__.py or referenced elsewhere in the
-package, every exported name is read outside the tests, and every option a
-CLI subcommand declares is read by its handler."""
+package, every exported name is read outside the tests, every option a
+CLI subcommand declares is read by its handler, and only graphs.py reads a
+graph's neighbourhoods other than as bitmasks."""
 
 from __future__ import annotations
 
@@ -174,3 +175,33 @@ def test_guard_flags_an_unread_option():
     p.add_argument("--used")
     p.add_argument("--ignored", dest="other")
     assert unread_options(parser) == ["cmd --ignored"]
+
+
+def adjacency_view_calls(package: Path) -> list[str]:
+    """`.neighbours(` and `.degree(` calls, as module:line, in modules other than graphs.py.
+
+    Neighbour bitmasks are the one adjacency view the package derives; these
+    two methods serve callers outside it, and a second view would start here.
+    """
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in _parse_package(package).items() if module != "graphs"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("neighbours", "degree")
+    ]
+
+
+def test_only_graphs_reads_neighbour_tuples_or_degrees():
+    assert adjacency_view_calls(PACKAGE) == []
+
+
+def test_adjacency_guard_flags_a_second_view(tmp_path):
+    (tmp_path / "graphs.py").write_text("def deg(g):\n    return g.degree(0)\n")
+    (tmp_path / "a.py").write_text(
+        "def f(g, neighbours):\n"
+        "    adj = [g.neighbours(v) for v in range(g.n)]\n"
+        "    method = g.degree\n"
+        "    return adj, neighbours(0), method, max(g.degree(v) for v in range(g.n))\n"
+    )
+    assert adjacency_view_calls(tmp_path) == ["a:2", "a:4"]

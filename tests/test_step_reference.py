@@ -9,6 +9,7 @@ import pytest
 from pathramsey import (
     EdgeColouring,
     Graph,
+    NoPathFoundError,
     ParameterError,
     PipelineConfig,
     build_step_host,
@@ -16,6 +17,7 @@ from pathramsey import (
     cycle_graph,
     find_subgraph,
     induction_step,
+    long_path_through_sets,
     mono_clique_in_clique,
     path_graph,
     random_graph,
@@ -28,6 +30,7 @@ from step_reference import (
     ref_colour_map,
     ref_embed_masks,
     ref_ham_path_table,
+    ref_long_path,
     ref_mono_clique_in_clique,
 )
 
@@ -141,7 +144,56 @@ def test_deep_pattern_embeds_without_recursion():
     assert all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges)
 
 
-def test_step_host_never_builds_adjacency_lists():
+def _long_path_outcome(g: Graph, parts, target_len: int, node_budget: int):
+    try:
+        w = long_path_through_sets(g, parts, target_len, node_budget=node_budget)
+    except NoPathFoundError as exc:
+        assert exc.longest.class_trace == tuple(i % len(parts) for i in range(len(exc.longest)))
+        return False, exc.longest.vertices
+    return True, w.vertices
+
+
+def test_long_path_matches_recursive_reference():
+    rng = random.Random(12)
+    found = exhausted = 0
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(n, rng.choice((0.2, 0.4, 0.7)), seed=rng.randrange(10**6))
+        vertices = rng.sample(range(n), rng.randint(1, n))
+        t = rng.randint(1, min(3, len(vertices)))
+        parts = [vertices[i::t] for i in range(t)]
+        target_len = rng.randint(1, len(vertices) + 1)
+        node_budget = rng.choice((1, 3, 10, 50, 1_000_000))
+        want = ref_long_path(g, parts, target_len, node_budget)
+        assert _long_path_outcome(g, parts, target_len, node_budget) == want, trial
+        found += want[0]
+        exhausted += not want[0]
+    assert found >= 50 and exhausted >= 50
+
+
+@pytest.mark.parametrize("node_budget", [100, 500, 1_000_000])
+def test_long_path_memo_saves_the_budget_for_a_late_branch(node_budget):
+    # From vertex 0 the walk first enters a K6 trap too small for the target,
+    # then escapes along 7-8-...-14.  The memo of failed (vertex, used) states
+    # cuts the trap from about 2,000 walk steps to under 200, so a budget of 500
+    # reaches the escape only when failed states are remembered.
+    trap = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)] + [(0, v) for v in range(1, 7)]
+    escape = [(0, 7)] + [(v, v + 1) for v in range(7, 14)]
+    g = Graph(15, trap + escape)
+    parts = [list(range(15))]
+    want = ref_long_path(g, parts, 9, node_budget)
+    assert want[0] == (node_budget >= 500)
+    assert _long_path_outcome(g, parts, 9, node_budget) == want
+
+
+def test_long_path_on_p1500_does_not_recurse():
+    g = path_graph(1500)
+    w = long_path_through_sets(g, [list(range(1500))], 1500)
+    assert w.vertices == tuple(range(1500))
+    w.validate(g, [list(range(1500))])
+
+
+def test_step_host_never_builds_adjacency_masks():
     cfg = PipelineConfig.from_dict({
         "k": 1, "t": 2, "n": 3, "r": 1, "s": 2, "cliqueSize": 24, "monoTarget": 4, "seed": 0,
         "outQuad": {"a": 1, "b": 64, "c": "1/2", "eps": "4/5"},
@@ -154,4 +206,4 @@ def test_step_host_never_builds_adjacency_lists():
     outcome = induction_step(g, host, bmap, chi, cfg)
     # The outcome embeds a path power into the host and validates it there.
     assert host.m == 33_120 and outcome.kind == "monoPowerFound"
-    assert host._adj is None
+    assert host._masks is None
