@@ -57,22 +57,30 @@ class ConfigError(Exception):
     pass
 
 
-def _read_graph(path: str):
+def _read_text(path: str, what: str) -> str:
     try:
-        return graph_from_text(Path(path).read_text())
+        return Path(path).read_text()
     except FileNotFoundError as exc:
-        raise ConfigError(f"graph file not found: {path}") from exc
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not UTF-8 text: {path}") from exc
+
+
+def _read_graph(path: str):
+    return graph_from_text(_read_text(path, "graph file"))
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _read_config(path: str | None) -> dict:
     if path is None:
         raise ConfigError("this subcommand needs --config <file>")
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     return doc
@@ -102,10 +110,21 @@ def _integer(doc: dict, name: str, default=_REQUIRED) -> int | None:
 
 
 def _rational(doc: dict, name: str) -> Fraction:
+    return _parse_rational(_field(doc, name), f"config field '{name}'")
+
+
+def _parse_rational(value, what: str) -> Fraction:
     try:
-        return parse_frac(_field(doc, name))
+        return parse_frac(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"config field '{name}': {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _vertex_list(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be comma-separated vertex ids: {exc}") from exc
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -124,7 +143,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _colour_text(value: str) -> str:
     if value.startswith("@"):
-        return Path(value[1:]).read_text().strip()
+        return _read_text(value[1:], "file").strip()
     return value
 
 
@@ -224,7 +243,7 @@ def _cmd_longpath(args) -> int:
         isinstance(p, list) and all(type(v) is int for v in p) for p in parts
     ):
         raise ConfigError("--parts must be a JSON list of lists of integers")
-    gamma = Fraction(args.gamma) if args.gamma else None
+    gamma = _parse_rational(args.gamma, "--gamma") if args.gamma else None
     try:
         path = long_path_through_sets(g, parts, args.target, gamma=gamma,
                                       node_budget=args.budget)
@@ -238,7 +257,7 @@ def _cmd_longpath(args) -> int:
 
 
 def _cmd_segments(args) -> int:
-    vertices = tuple(int(x) for x in args.path.split(","))
+    vertices = _vertex_list(args.path, "--path")
     segs = segment_path(PathWitness(vertices), args.t)
     _emit(dump_report({"segments": [{"index": s.index, "vertices": list(s.vertices)} for s in segs]}),
           args.out)
@@ -291,7 +310,7 @@ def _cmd_embed_base(args) -> int:
         if not args.graph or not args.path:
             raise ConfigError("embed-base needs either --config or both --graph and --path")
         g = _read_graph(args.graph)
-        vertices = tuple(int(x) for x in args.path.split(","))
+        vertices = _vertex_list(args.path, "--path")
         emb = embed_base_case(g, args.k, PathWitness(vertices), matching_seed=args.seed)
     rep = validate_embedding(emb)
     _emit(dump_report({"found": True, "embedding": emb.to_dict(),
@@ -322,11 +341,11 @@ def _cmd_lll_embed(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    parts = [parse_frac(x) for x in args.quad.split(",")]
+    parts = [_parse_rational(x, "--quad") for x in args.quad.split(",")]
     if len(parts) != 4:
         raise ConfigError("--quad needs four comma-separated values a,b,c,eps")
     chain = constants_chain(args.k, args.s, args.r, args.t,
-                            GoodQuadruple(*parts), parse_frac(args.d0))
+                            GoodQuadruple(*parts), _parse_rational(args.d0, "--d0"))
     _emit(dump_report(chain.to_dict()), args.out)
     return 0
 
@@ -381,7 +400,7 @@ def _cmd_step(args) -> int:
 def _cmd_report(args) -> int:
     if not args.infile:
         raise ConfigError("report needs --in <file>")
-    doc = json.loads(Path(args.infile).read_text())
+    doc = _read_json(args.infile, "report input")
     if not isinstance(doc, dict):
         raise ConfigError("report input must be a JSON object")
     trace = doc.get("trace", [])
@@ -505,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PathRamseyError, KeyError, ValueError, OSError) as exc:
+    except (PathRamseyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is an error (exit 2), never an honest negative (exit 1)

@@ -141,33 +141,40 @@ def _pattern_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph) -> tuple[int, ...] | None:
-    """First embedding of pattern into the graph given by adjacency bitmasks, or None.
+def _prepare_pattern(pattern: Graph) -> tuple[list[int], list[list[int]], list[int]]:
+    """What _embed_masks needs of a pattern: the _pattern_order order, the
+    pattern neighbours placed before each position, and each position's degree.
+    """
+    order = _pattern_order(pattern)
+    masks = pattern.adjacency_masks()
+    back: list[list[int]] = []
+    placed = 0
+    for v in order:
+        back.append(_mask_vertices(masks[v] & placed))
+        placed |= 1 << v
+    return order, back, [masks[v].bit_count() for v in order]
+
+
+def _embed_masks(
+    host_n: int, host_masks: Sequence[int], prepared: tuple[list[int], list[list[int]], list[int]]
+) -> tuple[int, ...] | None:
+    """First embedding of a _prepare_pattern result into the graph given by adjacency bitmasks, or None.
 
     Depth-first over the pattern vertices in _pattern_order, each taking the
     host vertices that fit in ascending order; an explicit stack of the
     untried candidates per depth replaces recursion, so deep patterns do not
     overflow the interpreter stack.
     """
-    order = _pattern_order(pattern)
+    order, back, need_deg = prepared
     depth = len(order)
     host_deg = [m.bit_count() for m in host_masks]
-    pat_masks = pattern.adjacency_masks()
-    pat_deg = [m.bit_count() for m in pat_masks]
-    # For each position, pattern neighbours already placed.
-    back: list[list[int]] = []
-    placed = 0
-    for v in order:
-        back.append(_mask_vertices(pat_masks[v] & placed))
-        placed |= 1 << v
-    assignment = [0] * pattern.n
+    assignment = [0] * depth
     untried = [0] * depth
     full = (1 << host_n) - 1
     used = 0
     i = 0
     fresh = True
     while i < depth:
-        v = order[i]
         if fresh:
             cand = full
             for w in back[i]:
@@ -175,7 +182,7 @@ def _embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph) -> tupl
             cand &= ~used
         else:
             cand = untried[i]
-        need = pat_deg[v]
+        need = need_deg[i]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -191,7 +198,7 @@ def _embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph) -> tupl
             fresh = False
             continue
         untried[i] = cand
-        assignment[v] = hv
+        assignment[order[i]] = hv
         used |= low
         i += 1
         fresh = True
@@ -202,7 +209,7 @@ def find_subgraph(host: Graph, pattern: Graph) -> Embedding | None:
     """First embedding of pattern into host."""
     if pattern.n > host.n:
         return None
-    mapping = _embed_masks(host.n, host.adjacency_masks(), pattern)
+    mapping = _embed_masks(host.n, host.adjacency_masks(), _prepare_pattern(pattern))
     if mapping is None:
         return None
     return Embedding(pattern, host, mapping)
@@ -554,22 +561,6 @@ class ArrowVerdict:
         }
 
 
-def _mono_copy_colour(
-    n: int, edges: Sequence[Edge], pattern: Graph, s: int, digit: list[int]
-) -> tuple[int, tuple[int, ...]] | None:
-    """First colour whose class (edges[i] has colour digit[i] + 1) holds pattern, with the copy."""
-    masks = [[0] * n for _ in range(s)]
-    for (u, v), c in zip(edges, digit):
-        row = masks[c]
-        row[u] |= 1 << v
-        row[v] |= 1 << u
-    for c in range(s):
-        found = _embed_masks(n, masks[c], pattern)
-        if found is not None:
-            return c + 1, found
-    return None
-
-
 def _revalidate_counterexample(host: Graph, pattern: Graph, col: EdgeColouring) -> bool:
     """Independent path: materialise each colour class as a Graph and search it."""
     for c in range(1, col.s + 1):
@@ -612,28 +603,56 @@ def arrow_check(
     else:
         raise ParameterError("mode must be 'exhaustive' or 'randomized'")
 
+    prepared = _prepare_pattern(pattern)
+    n = host.n
+    # Live state: digit[i] + 1 is the colour of edges[i], and classes[c] holds
+    # the adjacency masks of colour c + 1.  Colouring 0 puts every edge in
+    # colour 1; moving to the next colouring flips only the changed edges.
+    digit = [0] * m
+    classes = [list(host.adjacency_masks())] + [[0] * n for _ in range(s - 1)]
+    ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
+
+    def recolour(i: int, new: int) -> None:
+        u, v, bu, bv = ends[i]
+        old_row, new_row = classes[digit[i]], classes[new]
+        old_row[u] ^= bv
+        old_row[v] ^= bu
+        new_row[u] ^= bv
+        new_row[v] ^= bu
+        digit[i] = new
+
     witness: tuple[int, Embedding] | None = None
     searched = 0
     for x in indices:
         searched += 1
-        digit = []
-        y = x
-        for _ in range(m):
-            digit.append(y % s)
-            y //= s
-        hit = _mono_copy_colour(host.n, edges, pattern, s, digit)
-        if hit is None:
+        if mode == "exhaustive":
+            if x:
+                # Base-s odometer: trailing top digits wrap to 0, the next one steps up.
+                i = 0
+                while digit[i] == s - 1:
+                    recolour(i, 0)
+                    i += 1
+                recolour(i, digit[i] + 1)
+        else:
+            for i in range(m):
+                if digit[i] != x % s:
+                    recolour(i, x % s)
+                x //= s
+        for c in range(s):
+            mapping = _embed_masks(n, classes[c], prepared)
+            if mapping is not None:
+                break
+        else:
             col = EdgeColouring(host, s, {e: digit[i] + 1 for i, e in enumerate(edges)})
             if not _revalidate_counterexample(host, pattern, col):
                 raise ConstructionError("counterexample failed independent re-validation")
             return ArrowVerdict(False, col, None, searched)
         if witness is None:
-            c, mapping = hit
             emb = Embedding(pattern, host, mapping)
             rep = validate_embedding(emb)
             if not rep.ok:
                 raise ConstructionError(f"witness embedding invalid: {rep.problem}")
-            witness = (c, emb)
+            witness = (c + 1, emb)
     if mode == "exhaustive":
         return ArrowVerdict(True, None, witness, searched)
     return ArrowVerdict(None, None, witness, searched)

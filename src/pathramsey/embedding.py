@@ -403,6 +403,9 @@ def make_lll_instance(
     for i, cl in enumerate(cliques):
         if not cl:
             raise ParameterError(f"candidate set of template vertex {i} is empty")
+        for x in cl:
+            if type(x) is not int or not 0 <= x < host.n:
+                raise ParameterError(f"candidate {x!r} of template vertex {i} is not a host vertex")
     bad: dict[tuple[int, int], frozenset] = {}
     for u, v in template.sorted_edges():
         pairs = []

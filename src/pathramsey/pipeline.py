@@ -104,8 +104,13 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        def required(section: dict, key: str, name: str):
+            if key not in section:
+                raise ParameterError(f"pipeline field {name!r} is missing")
+            return section[key]
+
         def integer(key: str, default: int | None = None) -> int:
-            value = doc[key] if default is None else doc.get(key, default)
+            value = required(doc, key, key) if default is None else doc.get(key, default)
             if type(value) is not int:  # bool is an int subclass, so test the exact type
                 raise ParameterError(f"pipeline field {key!r} must be an integer")
             return value
@@ -117,10 +122,11 @@ class PipelineConfig:
                 raise ParameterError(f"pipeline field {key!r}: {exc}") from exc
 
         def q(key: str) -> GoodQuadruple:
-            sub = doc[key]
+            sub = required(doc, key, key)
             if not isinstance(sub, dict):
                 raise ParameterError(f"pipeline field {key!r} must be a JSON object")
-            return GoodQuadruple(*(rational(f"{key}.{f}", sub[f]) for f in ("a", "b", "c", "eps")))
+            return GoodQuadruple(*(rational(f"{key}.{f}", required(sub, f, f"{key}.{f}"))
+                                   for f in ("a", "b", "c", "eps")))
 
         return cls(
             k=integer("k"), s=integer("s"), r=integer("r"), t=integer("t"), n=integer("n"),

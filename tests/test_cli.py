@@ -310,6 +310,95 @@ class TestLllEmbed:
         assert (code, err) == (2, f"config error: config field '{key}' must be an integer\n")
 
 
+    @pytest.mark.parametrize("clique", [[2, 9], [2, -1], [2, 3.5], [2, "x"]])
+    def test_candidate_outside_host_exits_two(self, run, tmp_path, graph_file, clique):
+        # An out-of-range candidate used to be read as a non-edge (exit 0), and a
+        # string candidate ended in an internal TypeError.
+        template = graph_file(Graph(2, [(0, 1)]), "template.edges")
+        host = graph_file(complete_bipartite(2, 2), "host.edges")
+        cfg = tmp_path / "lll.json"
+        cfg.write_text(json.dumps({"template": template, "host": host, "cliques": [[0, 1], clique]}))
+        code, out, err = run("lll-embed", "--config", str(cfg))
+        bad = json.dumps(clique[1]).replace('"', "'")
+        assert (code, out, err) == (2, "", f"error: candidate {bad} of template vertex 1 is not a host vertex\n")
+
+
+class TestExitCodes:
+    """User input errors exit 2 as config errors; any other exception is an internal error."""
+
+    QUAD = ("constants", "--k", "1", "--s", "2", "--r", "1", "--t", "2")
+
+    @pytest.fixture
+    def binary(self, tmp_path):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe 3 0\n")
+        return str(path)
+
+    def test_report_on_non_json_exits_two(self, run, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("outcome: monoPowerFound\n")
+        code, out, err = run("report", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: report input is not valid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,what", [
+        (["power", "--graph", "{}", "--k", "1"], "graph file"),
+        (["gen", "--config", "{}"], "config file"),
+        (["report", "--in", "{}"], "report input"),
+        (["longpath", "--graph", "{}", "--parts", "[[0]]", "--target", "1"], "graph file"),
+        (["arrow", "--host", "{}", "--pattern", "{}", "--colours", "2"], "graph file"),
+    ], ids=lambda x: x[0] if isinstance(x, list) else x)
+    def test_bad_utf8_exits_two(self, run, binary, argv, what):
+        code, out, err = run(*(binary if a == "{}" else a for a in argv))
+        assert (code, out, err) == (2, "", f"config error: {what} is not UTF-8 text: {binary}\n")
+
+    def test_bad_utf8_at_file_exits_two(self, run, binary, graph_file):
+        host = graph_file(complete_graph(4), "k4.edges")
+        code, out, err = run("partition", "--host", host, "--colours", f"@{binary}", "--ell", "1")
+        assert (code, out, err) == (2, "", f"config error: file is not UTF-8 text: {binary}\n")
+
+    @pytest.mark.parametrize("quad,d0,message", [
+        ("x,1,1,1", "1", "--quad: Invalid literal for Fraction: 'x'"),
+        ("1/0,1,1,1/2", "1", "--quad: Fraction(1, 0)"),
+        ("1,1,1,1/2", "y", "--d0: Invalid literal for Fraction: 'y'"),
+        ("1,1,1,1/2", "2/0", "--d0: Fraction(2, 0)"),
+    ])
+    def test_bad_rational_exits_two(self, run, quad, d0, message):
+        # A zero denominator used to be reported as an internal ZeroDivisionError.
+        code, out, err = run(*self.QUAD, "--quad", quad, "--d0", d0)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["segments", "--path", "0,a", "--t", "1"],
+        ["embed-base", "--graph", "{}", "--path", "0,x", "--k", "1"],
+        ["longpath", "--graph", "{}", "--parts", "[[0, 1]]", "--target", "2", "--gamma", "q"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_number_in_option_exits_two(self, run, graph_file, argv):
+        src = graph_file(cycle_graph(6), "c6.edges")
+        code, out, err = run(*(src if a == "{}" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: --") and err.count("\n") == 1
+
+    def test_missing_pipeline_field_is_named(self, run, tmp_path):
+        doc = json.loads(json.dumps(STEP_DOC))
+        del doc["pipeline"]["outQuad"]["eps"]
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run("step", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: pipeline field 'outQuad.eps' is missing\n")
+
+    @pytest.mark.parametrize("exc,shown", [(KeyError("boom"), "KeyError: 'boom'"),
+                                           (ValueError("boom"), "ValueError: boom")])
+    def test_bare_library_exception_is_internal_error(self, run, graph_file, monkeypatch, exc, shown):
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("pathramsey.cli.power", crash)
+        src = graph_file(cycle_graph(6), "c6.edges")
+        code, out, err = run("power", "--graph", src, "--k", "1")
+        assert (code, out, err) == (2, "", f"internal error: {shown}\n")
+
+
 class TestAuxColour:
     def _doc(self, graph_file):
         j = graph_file(Graph(2, [(0, 1)]), "j.edges")

@@ -400,6 +400,23 @@ class TestArrowCheck:
                 bigger = Graph(5, set(host.edges) | {(0, 1), (2, 4)})
                 assert arrow_check(bigger, pattern, 2).arrows is True
 
+    @pytest.mark.parametrize("n,calls", [(6, 1), (5, 1 + 2)])
+    def test_pattern_prepared_once_per_search(self, monkeypatch, n, calls):
+        # Once for the walk; a counterexample adds one per colour class it re-checks.
+        from pathramsey import colouring
+
+        seen = []
+        original = colouring._pattern_order
+
+        def counted(pattern):
+            seen.append(pattern)
+            return original(pattern)
+
+        monkeypatch.setattr(colouring, "_pattern_order", counted)
+        v = arrow_check(complete_graph(n), complete_graph(3), 2)
+        assert v.arrows is (n == 6)
+        assert len(seen) == calls
+
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as exc:
             arrow_check(complete_graph(6), complete_graph(3), 2, budget=100)

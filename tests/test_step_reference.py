@@ -23,7 +23,7 @@ from pathramsey import (
     random_graph,
     sheared_blowup,
 )
-from pathramsey.colouring import _embed_masks
+from pathramsey.colouring import _embed_masks, _prepare_pattern
 from pathramsey.partition import _ham_path_table
 
 from step_reference import (
@@ -132,7 +132,8 @@ def test_embed_masks_matches_recursive_reference():
         host = random_graph(rng.randint(1, 11), rng.choice((0.3, 0.6, 0.9)), seed=rng.randrange(10**6))
         pattern = random_graph(rng.randint(0, 6), rng.choice((0.3, 0.6)), seed=rng.randrange(10**6))
         masks = host.adjacency_masks()
-        assert _embed_masks(host.n, masks, pattern) == ref_embed_masks(host.n, masks, pattern), trial
+        got = _embed_masks(host.n, masks, _prepare_pattern(pattern))
+        assert got == ref_embed_masks(host.n, masks, pattern), trial
 
 
 def test_deep_pattern_embeds_without_recursion():
