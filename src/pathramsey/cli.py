@@ -8,6 +8,7 @@ or an unexpected internal error, reported on one line).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -30,6 +31,7 @@ from . import (
     base_case_driver,
     build_aux_colouring,
     build_step_host,
+    complete_blowup,
     complete_graph,
     constants_chain,
     cycle_graph,
@@ -109,6 +111,13 @@ def _integer(doc: dict, name: str, default=_REQUIRED) -> int | None:
     return value
 
 
+def _string(doc: dict, name: str) -> str:
+    """A required config field that must be a JSON string, such as a file name."""
+    if not isinstance(value := _field(doc, name), str):
+        raise ConfigError(f"config field '{name}' must be a string")
+    return value
+
+
 def _rational(doc: dict, name: str) -> Fraction:
     return _parse_rational(_field(doc, name), f"config field '{name}'")
 
@@ -151,6 +160,8 @@ def _class_p_from_doc(doc: dict) -> tuple[ClassPParams, GenerationConfig]:
     q = GoodQuadruple(*(_rational(doc, name) for name in ("a", "b", "c", "eps")))
     params = ClassPParams(q, _integer(doc, "t"), _integer(doc, "n"))
     mode = doc.get("mode", "toy")
+    if mode not in ("toy", "paper"):
+        raise ConfigError("config field 'mode' must be \"toy\" or \"paper\"")
     if mode == "paper":
         gen = GenerationConfig.paper(params, _integer(doc, "seed", 0))
     else:
@@ -196,8 +207,6 @@ def _cmd_blowup(args) -> int:
     if args.sheared:
         host, bmap = sheared_blowup(g, args.t, seed=args.seed)
     else:
-        from . import complete_blowup
-
         host, bmap = complete_blowup(g, args.t)
     if args.out:
         Path(args.out).write_text(graph_to_text(host))
@@ -266,10 +275,10 @@ def _cmd_segments(args) -> int:
 
 def _cmd_aux_colour(args) -> int:
     doc = _read_config(args.config)
-    base = _read_graph(_field(doc, "base"))
+    base = _read_graph(_string(doc, "base"))
     t = _integer(doc, "t")
     host, bmap = sheared_blowup(base, t, seed=_integer(doc, "matchingSeed", None))
-    chi = EdgeColouring.from_string(host, _colour_text(_field(doc, "colours")))
+    chi = EdgeColouring.from_string(host, _colour_text(_string(doc, "colours")))
     k = _integer(doc, "k")
     blue = _integer(doc, "blue")
     size = _integer(doc, "subcliqueSize", 2 * k)
@@ -320,13 +329,13 @@ def _cmd_embed_base(args) -> int:
 
 def _cmd_lll_embed(args) -> int:
     doc = _read_config(args.config)
-    template = _read_graph(_field(doc, "template"))
-    host = _read_graph(_field(doc, "host"))
+    template = _read_graph(_string(doc, "template"))
+    host = _read_graph(_string(doc, "host"))
     cliques = [tuple(c) for c in _field(doc, "cliques")]
     chi = None
     blue = _integer(doc, "blue", None)
     if doc.get("colours"):
-        chi = EdgeColouring.from_string(host, _colour_text(doc["colours"]))
+        chi = EdgeColouring.from_string(host, _colour_text(_string(doc, "colours")))
     instance = make_lll_instance(template, cliques, host, chi, blue)
     seed = args.seed if args.seed is not None else _integer(doc, "seed", 0)
     budget = _integer(doc, "maxResamples", 100 * max(1, template.m))
@@ -359,7 +368,7 @@ def _build_base_graph(doc: dict):
     if kind == "complete":
         return complete_graph(_integer(doc, "n"))
     if kind == "file":
-        return _read_graph(_field(doc, "path"))
+        return _read_graph(_string(doc, "path"))
     if kind == "generate":
         params, gen = _class_p_from_doc(doc)
         return generate_class_p(params, gen)[0]
@@ -373,7 +382,7 @@ def _build_chi(doc: dict, host, s: int) -> EdgeColouring:
     if kind == "random":
         return EdgeColouring.random(host, s, _integer(doc, "seed"))
     if kind == "string":
-        return EdgeColouring.from_string(host, _colour_text(_field(doc, "value")))
+        return EdgeColouring.from_string(host, _colour_text(_string(doc, "value")))
     raise ConfigError(f"unknown colouring kind '{kind}'")
 
 
@@ -381,8 +390,6 @@ def _cmd_step(args) -> int:
     doc = _read_config(args.config)
     cfg = PipelineConfig.from_dict(_section(doc, "pipeline"))
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=args.seed)
     g = _build_base_graph(_section(doc, "base"))
     host, bmap = build_step_host(g, cfg)

@@ -167,7 +167,6 @@ def _embed_masks(
     """
     order, back, need_deg = prepared
     depth = len(order)
-    host_deg = [m.bit_count() for m in host_masks]
     assignment = [0] * depth
     untried = [0] * depth
     full = (1 << host_n) - 1
@@ -187,7 +186,7 @@ def _embed_masks(
             low = cand & -cand
             cand ^= low
             hv = low.bit_length() - 1
-            if host_deg[hv] >= need:
+            if host_masks[hv].bit_count() >= need:
                 break
         else:
             # Every candidate failed: undo the placement one level up.

@@ -16,6 +16,7 @@ from .graphs import (
     BlowupMap,
     Graph,
     PathWitness,
+    _blowup,
     distances,
     path_power,
     power,
@@ -333,21 +334,11 @@ def check_template_containment(
 
     # Linearised template: vertex (segment i, position p) -> i*t + p.
     vertex_ids = tuple(v for seg in segments for v in seg)
-    edges: list[tuple[int, int]] = []
-    for i in range(len(segments)):
-        edges.extend((i * t + a, i * t + b) for a in range(t) for b in range(a + 1, t))
-    removed_linear: dict[tuple[int, int], frozenset] = {}
-    for i1, i2 in hr.sorted_edges():
-        gone = removed.get((i1, i2), set())
-        removed_linear[(i1, i2)] = frozenset(
-            tuple(sorted((i1 * t + a, i2 * t + b))) for a, b in gone
-        )
-        for a in range(t):
-            for b in range(t):
-                if (a, b) not in gone:
-                    edges.append((i1 * t + a, i2 * t + b))
-    template = Graph(len(segments) * t, edges)
-    cliques = tuple(tuple(i * t + p for p in range(t)) for i in range(len(segments)))
+    removed_linear = {
+        (i1, i2): frozenset((i1 * t + a, i2 * t + b) for a, b in removed.get((i1, i2), ()))
+        for i1, i2 in hr.sorted_edges()
+    }
+    template, cliques = _blowup(hr, t, removed_linear.values())
     bmap = BlowupMap(hr, t, cliques, removed_linear if aux is not None else {},
                      "template-extracted" if aux is not None else "none")
     return TemplateResult(True, None, grey_ok, grey_problem, template,

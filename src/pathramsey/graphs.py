@@ -12,7 +12,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, combinations, filterfalse, islice, product, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import GraphFormatError, ParameterError
@@ -20,10 +20,6 @@ from .errors import GraphFormatError, ParameterError
 Edge = tuple[int, int]
 
 INF = math.inf
-
-
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterable[Edge]:
@@ -46,6 +42,10 @@ class Graph:
     the neighbour bitmasks (`adjacency_masks`), is built on first use and
     kept; `neighbours` and `degree` read it.  A large host that is only ever
     queried edge by edge never pays for it.
+
+    The constructor checks and sorts every edge.  Only the blow-up builder
+    skips that, through `_from_edge_set`: it makes each pair from ascending
+    ranges below n, so the checks could not fail and would copy every tuple.
     """
 
     __slots__ = ("n", "edges", "_masks")
@@ -57,6 +57,13 @@ class Graph:
         self.edges = frozenset(_checked_edges(n, edges))
         self._masks: tuple[int, ...] | None = None
 
+    @classmethod
+    def _from_edge_set(cls, n: int, edges: frozenset[Edge]) -> "Graph":
+        """Adopt edges as is; the caller guarantees every pair (u, v) has u < v < n."""
+        g = cls.__new__(cls)
+        g.n, g.edges, g._masks = n, edges, None
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     def neighbours(self, v: int) -> tuple[int, ...]:
@@ -66,7 +73,7 @@ class Graph:
         return self.adjacency_masks()[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     @property
     def m(self) -> int:
@@ -259,17 +266,25 @@ class BlowupMap:
                     raise GraphFormatError(f"subclique of {v} not inside its clique")
 
 
-def complete_blowup(h: Graph, t: int) -> tuple[Graph, BlowupMap]:
-    """Replace every vertex by a t-clique and every edge by a complete bipartite graph."""
+def _blowup(h: Graph, t: int, removed: Iterable[frozenset[Edge]] = ()) -> tuple[Graph, tuple]:
+    """The complete blow-up of h less the removed matchings' pairs, and its cliques.
+
+    Clique v is range(v*t, v*t + t), so every pair is sorted and below n*t:
+    the host adopts the edge set unchecked.  Pairs go in clique by clique,
+    then by base edge in sorted order.
+    """
     if t < 1:
         raise ParameterError("clique size t must be >= 1")
-    edges: list[Edge] = []
-    cliques = tuple(tuple(v * t + i for i in range(t)) for v in range(h.n))
-    for cl in cliques:
-        edges.extend((cl[i], cl[j]) for i in range(t) for j in range(i + 1, t))
-    for u, v in h.edges:
-        edges.extend((a, b) for a in cliques[u] for b in cliques[v])
-    host = Graph(h.n * t, edges)
+    cliques = [range(v * t, v * t + t) for v in range(h.n)]
+    cross = chain.from_iterable(product(cliques[u], cliques[v]) for u, v in sorted(h.edges))
+    edges = chain(chain.from_iterable(map(combinations, cliques, repeat(2))),
+                  filterfalse(frozenset().union(*removed).__contains__, cross))
+    return Graph._from_edge_set(h.n * t, frozenset(edges)), tuple(map(tuple, cliques))
+
+
+def complete_blowup(h: Graph, t: int) -> tuple[Graph, BlowupMap]:
+    """Replace every vertex by a t-clique and every edge by a complete bipartite graph."""
+    host, cliques = _blowup(h, t)
     return host, BlowupMap(h, t, cliques)
 
 
@@ -280,27 +295,14 @@ def sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, Bl
     i-th vertex; an integer seed draws an independent random matching per base
     edge.  The choice is recorded in the returned BlowupMap.
     """
-    if t < 1:
-        raise ParameterError("clique size t must be >= 1")
-    cliques = tuple(tuple(v * t + i for i in range(t)) for v in range(h.n))
-    edges: list[Edge] = []
-    for cl in cliques:
-        edges.extend((cl[i], cl[j]) for i in range(t) for j in range(i + 1, t))
     removed: dict[Edge, frozenset[Edge]] = {}
     for u, v in sorted(h.edges):
-        if seed is None:
-            perm = list(range(t))
-        else:
-            rng = random.Random((seed * 1_000_003 + u) * 1_000_003 + v)
-            perm = list(range(t))
-            rng.shuffle(perm)
-        partner = [cliques[v][j] for j in perm]
-        removed[(u, v)] = frozenset(_norm_edge(a, b) for a, b in zip(cliques[u], partner))
-        for a, skip in zip(cliques[u], partner):
-            edges.extend((a, b) for b in cliques[v] if b != skip)
-    host = Graph(h.n * t, edges)
-    rule = "aligned" if seed is None else f"seeded:{seed}"
-    return host, BlowupMap(h, t, cliques, removed, rule)
+        perm = list(range(t))
+        if seed is not None:
+            random.Random((seed * 1_000_003 + u) * 1_000_003 + v).shuffle(perm)
+        removed[(u, v)] = frozenset(zip(range(u * t, u * t + t), (v * t + j for j in perm)))
+    host, cliques = _blowup(h, t, removed.values())
+    return host, BlowupMap(h, t, cliques, removed, "aligned" if seed is None else f"seeded:{seed}")
 
 
 # -- girth ---------------------------------------------------------------

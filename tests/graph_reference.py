@@ -1,18 +1,22 @@
-"""Reference implementations of the neighbourhood readers, kept for differential tests.
+"""Reference implementations of the neighbourhood readers and the blow-ups,
+kept for differential tests.
 
-These are the versions the mask-based package code must agree with exactly:
-sorted neighbour tuples built from the edge set, a queue-based breadth-first
-search per source for distances and graph powers, max-degree peeling over a
-dict of neighbour sets, and the greedy pattern order that counts placed
-neighbours by scanning lists.
+These are the versions the package code must agree with exactly: sorted
+neighbour tuples built from the edge set, a queue-based breadth-first search
+per source for distances and graph powers, max-degree peeling over a dict of
+neighbour sets, the greedy pattern order that counts placed neighbours by
+scanning lists, and blow-ups (the two constructors and the template that
+check_template_containment linearises) that list every host edge and pass
+the list through the checking Graph constructor.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
-from pathramsey import Graph
+from pathramsey import BlowupMap, Graph, ParameterError
 
 
 def ref_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -90,3 +94,62 @@ def ref_pattern_order(pattern: Graph) -> list[int]:
         seen.add(best)
         remaining.remove(best)
     return placed
+
+
+def ref_complete_blowup(h: Graph, t: int) -> tuple[Graph, BlowupMap]:
+    if t < 1:
+        raise ParameterError("clique size t must be >= 1")
+    edges = []
+    cliques = tuple(tuple(v * t + i for i in range(t)) for v in range(h.n))
+    for cl in cliques:
+        edges.extend((cl[i], cl[j]) for i in range(t) for j in range(i + 1, t))
+    for u, v in h.edges:
+        edges.extend((a, b) for a in cliques[u] for b in cliques[v])
+    return Graph(h.n * t, edges), BlowupMap(h, t, cliques)
+
+
+def ref_sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, BlowupMap]:
+    if t < 1:
+        raise ParameterError("clique size t must be >= 1")
+    cliques = tuple(tuple(v * t + i for i in range(t)) for v in range(h.n))
+    edges = []
+    for cl in cliques:
+        edges.extend((cl[i], cl[j]) for i in range(t) for j in range(i + 1, t))
+    removed = {}
+    for u, v in sorted(h.edges):
+        if seed is None:
+            perm = list(range(t))
+        else:
+            rng = random.Random((seed * 1_000_003 + u) * 1_000_003 + v)
+            perm = list(range(t))
+            rng.shuffle(perm)
+        partner = [cliques[v][j] for j in perm]
+        removed[(u, v)] = frozenset((a, b) if a < b else (b, a) for a, b in zip(cliques[u], partner))
+        for a, skip in zip(cliques[u], partner):
+            edges.extend((a, b) for b in cliques[v] if b != skip)
+    rule = "aligned" if seed is None else f"seeded:{seed}"
+    return Graph(h.n * t, edges), BlowupMap(h, t, cliques, removed, rule)
+
+
+def ref_linear_template(
+    hr: Graph, t: int, removed: dict[tuple[int, int], set[tuple[int, int]]], extracted: bool
+) -> tuple[Graph, BlowupMap]:
+    """check_template_containment's template: removed maps each edge of hr to its
+    matching as (position in segment i1, position in segment i2) pairs."""
+    edges = []
+    for i in range(hr.n):
+        edges.extend((i * t + a, i * t + b) for a in range(t) for b in range(a + 1, t))
+    removed_linear = {}
+    for i1, i2 in hr.sorted_edges():
+        gone = removed.get((i1, i2), set())
+        removed_linear[(i1, i2)] = frozenset(
+            tuple(sorted((i1 * t + a, i2 * t + b))) for a, b in gone
+        )
+        for a in range(t):
+            for b in range(t):
+                if (a, b) not in gone:
+                    edges.append((i1 * t + a, i2 * t + b))
+    cliques = tuple(tuple(i * t + p for p in range(t)) for i in range(hr.n))
+    bmap = BlowupMap(hr, t, cliques, removed_linear if extracted else {},
+                     "template-extracted" if extracted else "none")
+    return Graph(hr.n * t, edges), bmap

@@ -94,6 +94,14 @@ class TestGenVerify:
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: config field '{key}'") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", [5, "exhaustive", None])
+    def test_unknown_mode_exits_2(self, run, tmp_path, mode):
+        # Any mode but "paper" used to mean toy, with exit 0.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(GEN_DOC, mode=mode)))
+        code, out, err = run("gen", "--config", str(cfg))
+        assert (code, out, err) == (2, "", 'config error: config field \'mode\' must be "toy" or "paper"\n')
+
     def test_malformed_json_exits_2(self, run, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{nope")
@@ -310,6 +318,17 @@ class TestLllEmbed:
         assert (code, err) == (2, f"config error: config field '{key}' must be an integer\n")
 
 
+    @pytest.mark.parametrize("key,value", [("template", ["a"]), ("host", 7), ("colours", 5)])
+    def test_non_string_field_exits_two(self, run, tmp_path, graph_file, key, value):
+        # A file name that is not a string used to end in an internal TypeError.
+        template = graph_file(Graph(2, [(0, 1)]), "template.edges")
+        host = graph_file(complete_bipartite(2, 2), "host.edges")
+        cfg = tmp_path / "lll.json"
+        cfg.write_text(json.dumps({"template": template, "host": host,
+                                   "cliques": [[0, 1], [2, 3]], key: value}))
+        code, out, err = run("lll-embed", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"config error: config field '{key}' must be a string\n")
+
     @pytest.mark.parametrize("clique", [[2, 9], [2, -1], [2, 3.5], [2, "x"]])
     def test_candidate_outside_host_exits_two(self, run, tmp_path, graph_file, clique):
         # An out-of-range candidate used to be read as a non-edge (exit 0), and a
@@ -422,6 +441,14 @@ class TestAuxColour:
         cfg.write_text(json.dumps(dict(self._doc(graph_file), **{key: value})))
         code, _, err = run("aux-colour", "--config", str(cfg))
         assert (code, err) == (2, f"config error: config field '{key}' must be an integer\n")
+
+    @pytest.mark.parametrize("key,value", [("base", 5), ("colours", ["1"])])
+    def test_non_string_field_exits_two(self, run, tmp_path, graph_file, key, value):
+        # "base": 5 used to end in an internal TypeError from Path(5).
+        cfg = tmp_path / "aux.json"
+        cfg.write_text(json.dumps(dict(self._doc(graph_file), **{key: value})))
+        code, out, err = run("aux-colour", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"config error: config field '{key}' must be a string\n")
 
 
 STEP_DOC = {
@@ -544,6 +571,17 @@ class TestStepAndReport:
         cfg.write_text(json.dumps(doc))
         code, out, err = run("step", "--config", str(cfg))
         assert (code, out, err) == (2, "", f"config error: config field '{key}' must be an integer\n")
+
+    @pytest.mark.parametrize("section,value,key", [
+        ("chi", {"kind": "string", "value": 5}, "value"),
+        ("base", {"kind": "file", "path": ["a"]}, "path"),
+    ])
+    def test_step_non_string_field_exits_two(self, run, tmp_path, section, value, key):
+        # Both used to end in an internal AttributeError or TypeError.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(STEP_DOC, **{section: value})))
+        code, out, err = run("step", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"config error: config field '{key}' must be a string\n")
 
     def test_step_mistyped_pipeline_field_exits_two(self, run, tmp_path):
         cfg = tmp_path / "bad.json"

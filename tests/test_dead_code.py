@@ -1,8 +1,9 @@
 """Guard against dead code: every module-level function, class or constant in
 the package is exported from __init__.py or referenced elsewhere in the
 package, every exported name is read outside the tests, every option a
-CLI subcommand declares is read by its handler, and only graphs.py reads a
-graph's neighbourhoods other than as bitmasks."""
+CLI subcommand declares is read by its handler, only graphs.py reads a
+graph's neighbourhoods other than as bitmasks, and only graphs.py builds a
+graph without checking its edges."""
 
 from __future__ import annotations
 
@@ -205,3 +206,35 @@ def test_adjacency_guard_flags_a_second_view(tmp_path):
         "    return adj, neighbours(0), method, max(g.degree(v) for v in range(g.n))\n"
     )
     assert adjacency_view_calls(tmp_path) == ["a:2", "a:4"]
+
+
+def unchecked_graph_calls(package: Path) -> list[str]:
+    """`_from_edge_set(` calls, as module:line, in modules other than graphs.py.
+
+    That constructor adopts an edge set without checking it; only the
+    blow-up builder in graphs.py makes pairs that are sorted and in range by
+    construction.
+    """
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in _parse_package(package).items() if module != "graphs"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_from_edge_set"
+    ]
+
+
+def test_only_graphs_builds_unchecked_graphs():
+    assert unchecked_graph_calls(PACKAGE) == []
+
+
+def test_unchecked_graph_guard_flags_a_call_outside_graphs(tmp_path):
+    (tmp_path / "graphs.py").write_text("def build(n, e):\n    return Graph._from_edge_set(n, e)\n")
+    (tmp_path / "a.py").write_text(
+        "from .graphs import Graph\n\n"
+        "def f(n, edges, _from_edge_set):\n"
+        "    g = Graph._from_edge_set(n, frozenset(edges))\n"
+        "    adopt = Graph._from_edge_set\n"
+        "    return g, adopt, _from_edge_set(n, edges)\n"
+    )
+    assert unchecked_graph_calls(tmp_path) == ["a:4", "a:6"]

@@ -1,15 +1,20 @@
-"""Differential tests: the mask-based neighbourhood readers against the copies in
-graph_reference, and components inside a vertex set against networkx."""
+"""Differential tests: the mask-based neighbourhood readers and the blow-ups
+against the copies in graph_reference, and components inside a vertex set
+against networkx."""
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 
 from pathramsey import (
     Graph,
+    ParameterError,
+    check_template_containment,
+    complete_blowup,
     complete_graph,
     cycle_graph,
     distances,
@@ -17,8 +22,10 @@ from pathramsey import (
     path_graph,
     power,
     random_graph,
+    sheared_blowup,
 )
 from pathramsey.colouring import _pattern_order
+from pathramsey.graphs import _checked_edges
 from pathramsey.partition import _blue_components
 from pathramsey.pseudorandom import prune_to_size
 
@@ -26,10 +33,13 @@ from conftest import to_nx
 
 from graph_reference import (
     ref_adjacency,
+    ref_complete_blowup,
     ref_distances,
+    ref_linear_template,
     ref_pattern_order,
     ref_power,
     ref_prune_to_size,
+    ref_sheared_blowup,
 )
 
 
@@ -119,3 +129,81 @@ def test_components_inside_a_vertex_set_match_networkx():
 @pytest.mark.parametrize("k", [1, 2, 3, 23, 30])
 def test_power_of_long_cycle_matches_reference(k):
     assert power(cycle_graph(48), k) == ref_power(cycle_graph(48), k)
+
+
+def _blowup_bases():
+    """Seeded bases: edgeless ones, paths, cycles, G(n, p) and their powers."""
+    yield from (Graph(0), Graph(1), Graph(5), path_graph(2), path_graph(7), cycle_graph(3), cycle_graph(8))
+    yield power(cycle_graph(9), 2)
+    rng = random.Random(14)
+    for _ in range(24):
+        g = random_graph(rng.randint(2, 10), rng.choice((0.15, 0.4, 0.7, 1.0)), seed=rng.randrange(10**6))
+        yield g
+        yield power(g, rng.randint(2, 3))
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_blowups_match_reference(t):
+    for i, h in enumerate(_blowup_bases()):
+        host, bmap = complete_blowup(h, t)
+        want, want_map = ref_complete_blowup(h, t)
+        assert (host, host.sorted_edges()) == (want, want.sorted_edges()), (i, t)
+        assert (bmap.clique_of, bmap.removed_matchings, bmap.matching_rule) == (want_map.clique_of, {}, "none")
+        assert frozenset(_checked_edges(host.n, host.edges)) == host.edges
+        bmap.validate()
+        for seed in (None, 3, 1000 + i):
+            host, bmap = sheared_blowup(h, t, seed)
+            want, want_map = ref_sheared_blowup(h, t, seed)
+            assert (host, host.sorted_edges()) == (want, want.sorted_edges()), (i, t, seed)
+            # Same insertion order as the reference, so colour rules that walk
+            # host.edges meet the edges in the same sequence.
+            assert list(host.edges) == list(want.edges), (i, t, seed)
+            assert bmap.clique_of == want_map.clique_of
+            assert list(bmap.removed_matchings.items()) == list(want_map.removed_matchings.items())
+            assert bmap.matching_rule == want_map.matching_rule
+            assert frozenset(_checked_edges(host.n, host.edges)) == host.edges
+            bmap.validate()
+
+
+def test_blowup_bases_cover_the_edge_cases():
+    bases = list(_blowup_bases())
+    assert any(h.n == 0 for h in bases) and any(h.n and not h.m for h in bases)
+    assert sum(h.m >= 10 for h in bases) >= 20
+
+
+def test_blowups_refuse_clique_size_zero():
+    for build in (complete_blowup, sheared_blowup, ref_complete_blowup, ref_sheared_blowup):
+        with pytest.raises(ParameterError):
+            build(path_graph(3), 0)
+
+
+def test_template_linearisation_matches_reference():
+    # Segments are shuffled blocks of a complete j; each base pair at distance
+    # <= r gets a random perfect matching of blue pairs, which the containment
+    # check takes as is, so the reference can be handed the same matchings.
+    rng = random.Random(15)
+    for trial in range(80):
+        n, t, r = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 2)
+        h = random_graph(n, rng.choice((0.3, 0.6, 1.0)), seed=rng.randrange(10**6))
+        hr = power(h, r)
+        order = rng.sample(range(n * t), n * t)
+        segments = [tuple(order[i * t:(i + 1) * t]) for i in range(n)]
+        j = complete_graph(n * t)
+        labels = dict.fromkeys(j.edges, "grey")
+        matchings = {}
+        for i1, i2 in hr.sorted_edges():
+            perm = rng.sample(range(t), t)
+            matchings[(i1, i2)] = {(a, perm[a]) for a in range(t)}
+            for a in range(t):
+                x, y = segments[i1][a], segments[i2][perm[a]]
+                labels[(min(x, y), max(x, y))] = "blue"
+        for aux, removed in ((None, {}), (SimpleNamespace(labels=labels), matchings)):
+            res = check_template_containment(h, r, t, segments, j, aux=aux)
+            want, want_map = ref_linear_template(hr, t, removed, aux is not None)
+            assert res.contained and res.grey_ok is not False, trial
+            assert res.template == want and list(res.template.edges) == list(want.edges), trial
+            got_map = res.blowup
+            assert got_map.clique_of == want_map.clique_of
+            assert list(got_map.removed_matchings.items()) == list(want_map.removed_matchings.items())
+            assert got_map.matching_rule == want_map.matching_rule
+            got_map.validate()
