@@ -334,7 +334,7 @@ def _cmd_lll_embed(args) -> int:
     cliques = [tuple(c) for c in _field(doc, "cliques")]
     chi = None
     blue = _integer(doc, "blue", None)
-    if doc.get("colours"):
+    if "colours" in doc:
         chi = EdgeColouring.from_string(host, _colour_text(_string(doc, "colours")))
     instance = make_lll_instance(template, cliques, host, chi, blue)
     seed = args.seed if args.seed is not None else _integer(doc, "seed", 0)

@@ -376,21 +376,24 @@ def _first_shortest_cycle(
 def _cycle_path(adj: Sequence[int], u: int, v: int) -> list[int]:
     """[v, ..., u]: the parent-pointer BFS path from u to v in g - uv, neighbours ascending.
 
-    The caller guarantees that uv lies on a cycle.
+    The caller guarantees that uv lies on a cycle.  A popped vertex decodes
+    only its unvisited neighbours, in the order a full scan would meet them.
     """
-    parent = {u: u}
-    queue = deque([u])
+    parent = [u] * len(adj)
+    seen = adj[u] | 1 << u | 1 << v  # v is reached only through a vertex other than u
+    queue = deque(_mask_vertices(adj[u] & ~(1 << v)))
     while True:
         x = queue.popleft()
-        for w in _mask_vertices(adj[x]):
-            if w in parent or (x == u and w == v):
-                continue
+        if adj[x] >> v & 1:
+            path = [v, x]
+            while x != u:
+                x = parent[x]
+                path.append(x)
+            return path
+        fresh = adj[x] & ~seen
+        seen |= fresh
+        for w in _mask_vertices(fresh):
             parent[w] = x
-            if w == v:
-                path = [v]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                return path
             queue.append(w)
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -184,6 +186,19 @@ def _record_pairs(
     an upper bound is <= greatest.  The window only widens, so a skipped pair
     could never have been yielded: the stream is exactly what filtering the
     enumeration by the widening window gives.
+
+    For n = 2k, y is the complement of x.  At a node x lacks r of its k
+    vertices, U holds the undecided ones (above x's highest, except n-1),
+    and the rest are decided for y.  With U in y the count is the cut
+    e(x, V - x); moving a set S of r vertices from U to x adds, per u in S,
+    gain(u) = |N(u) & decided y| - |N(u) & x| plus |N(u) & (U - S)|, which
+    lies between max(0, d(u) - (r - 1)) and min(d(u), |U| - r) for
+    d(u) = |N(u) & U|.  The bounds add the r least lower and the r greatest
+    upper terms.  These per-vertex counts are packed into ints: field u is
+    the `width` bytes from byte u * width, width the fewest of 1, 2 and 4
+    with 2n <= 256^width, and each field is biased by n, which keeps it in
+    [0, 2n), so no field carries into the next.  The d-terms are packed per
+    (v, r) on first use.
     """
     n = len(masks)
     if k < 1 or 2 * k > n:
@@ -191,39 +206,60 @@ def _record_pairs(
     last = n - 1  # never in x
 
     if n == 2 * k:
-        # y is the complement of x.  At a node x holds its vertices below i,
-        # the undecided vertices U = i..n-2 supply the r still missing, and the
-        # other vertices are decided for y.  With all of U in y the count is
-        # cut = e(x, V - x); moving u from U to x adds gain(u) = |N(u) & decided
-        # y| - |N(u) & x|, plus the edges from the moved vertices to the rest of
-        # U, which lie between 0 and min(edges inside U, r * (|U| - r)).
-        full = (1 << n) - 1
-        deg = [m.bit_count() for m in masks]
-        inside = [0] * (n + 1)  # inside[i]: edges among i..n-2
-        for i in range(n - 3, -1, -1):
-            inside[i] = inside[i + 1] + (masks[i] & (1 << last) - (2 << i)).bit_count()
+        width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I")) if 2 * n <= 256 ** w)
+        size, order, pad = n * width, sys.byteorder, "0" * (2 * width - 1)  # a field's upper hex digits
+        column = [int(pad.join(format(m, "b")), 16) for m in masks]  # column[w]: field u is 1 when u ~ w
+        twice = [2 * c for c in column]
+        ones, top_bit = int(pad.join("1" * n), 16), 8 * width - 1
+        # At a node, field u of below[v + 1] - twice_x is n + gain(u).
+        below = list(accumulate(column, initial=n * ones + column[last]))
+        full, deg = (1 << n) - 1, [m.bit_count() for m in masks]
+        tables = [[None] * n for _ in range(k)]  # [rest][v]: (lower, upper)
 
-        def bisections(x: int, cut: int, i: int, r: int, low: int, high: int):
+        def excess(packed: int, c: int) -> int:
+            # Field-wise max(0, f - c), for fields and c below 2^top_bit.
+            t = packed + ones * ((1 << top_bit) - c)
+            top = t & ones << top_bit
+            return t & (top - (top >> top_bit))
+
+        def table(v: int, rest: int) -> tuple[int, int]:
+            # below[v + 1] plus the packed lower and upper d-terms; the fields
+            # outside U are not read.
+            d = below[last] - below[v + 1]
+            tables[rest][v] = pair = (below[v + 1] + excess(d, rest - 1),
+                                      below[v + 1] + d - excess(d, last - v - 1 - rest))
+            return pair
+
+        def bisections(x: int, twice_x: int, cut: int, i: int, r: int, low: int, high: int):
+            # Field u of twice_x is 2 |N(u) & x|.
             nonlocal least, greatest
-            for v in range(i, n - r):
-                xv = x | 1 << v
-                cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
-                if r == 1:
+            if r == 1:
+                for v in range(i, last):
+                    cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
                     if cv < least or cv > greatest:
-                        yield xv, full ^ xv, cv
+                        yield x | 1 << v, full ^ x ^ 1 << v, cv
                         least, greatest = min(least, cv), max(greatest, cv)
-                    continue
-                rest = r - 1
-                undecided = (1 << last) - (2 << v)
-                yv = full ^ xv ^ undecided
-                gains = sorted([(m & yv).bit_count() - (m & xv).bit_count() for m in masks[v + 1:last]])
-                lo = max(low, cv + sum(gains[:rest]))
-                hi = min(high, cv + sum(gains[-rest:])
-                         + min(inside[v + 1], rest * (len(gains) - rest)))
+                return
+            rest = r - 1
+            row, bias = tables[rest], rest * n
+            for v in range(i, n - r):
+                cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
+                twice_xv = twice_x + twice[v]
+                lower, upper = row[v] or table(v, rest)
+                lows = (lower - twice_xv).to_bytes(size, order)
+                highs = (upper - twice_xv).to_bytes(size, order)
+                if width > 1:
+                    lows, highs = memoryview(lows).cast(code), memoryview(highs).cast(code)
+                lo = cv + sum(sorted(lows[v + 1:last])[:rest]) - bias
+                hi = cv + sum(sorted(highs[v + 1:last])[-rest:]) - bias
+                if lo < low:
+                    lo = low
+                if hi > high:
+                    hi = high
                 if lo < least or hi > greatest:
-                    yield from bisections(xv, cv, v + 1, rest, lo, hi)
+                    yield from bisections(x | 1 << v, twice_xv, cv, v + 1, rest, lo, hi)
 
-        yield from bisections(0, 0, 0, k, 0, k * k)
+        yield from bisections(0, 0, 0, 0, k, 0, k * k)
         return
 
     # n > 2k.  While x is chosen, a y vertex u has between |N(u) & x| and

@@ -4,6 +4,9 @@ These are the straightforward versions the package's branch-and-bound pair
 kernel, the checks built on it and resumable bitmask girth cleaning must agree
 with exactly: every ordered pair enumerated and half dropped, a count or a
 Fraction per pair, and a fresh per-edge parent-pointer BFS after every removal.
+ref_bisection_records is the earlier, looser branch and bound for n = 2k,
+frozen so the package's kernel can be compared with it on graphs too large
+to enumerate.
 """
 
 from __future__ import annotations
@@ -61,6 +64,45 @@ def ref_records(counted, least: int, greatest: int) -> list[tuple[int, int, int]
             out.append((x, y, e))
             least, greatest = min(least, e), max(greatest, e)
     return out
+
+
+def ref_bisection_records(masks, k: int, least: int, greatest: int):
+    """The record pairs for n = 2k, by the branch and bound with popcount gains.
+
+    At a node, moving a set S of r undecided vertices into x adds the sum of
+    gain(u) over S plus e(S, U - S), bounded below by 0 and above by
+    min(edges inside U, r * (|U| - r)).
+    """
+    n = len(masks)
+    assert n == 2 * k and k >= 1
+    last = n - 1
+    full = (1 << n) - 1
+    deg = [m.bit_count() for m in masks]
+    inside = [0] * (n + 1)
+    for i in range(n - 3, -1, -1):
+        inside[i] = inside[i + 1] + (masks[i] & (1 << last) - (2 << i)).bit_count()
+
+    def bisections(x, cut, i, r, low, high):
+        nonlocal least, greatest
+        for v in range(i, n - r):
+            xv = x | 1 << v
+            cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
+            if r == 1:
+                if cv < least or cv > greatest:
+                    yield xv, full ^ xv, cv
+                    least, greatest = min(least, cv), max(greatest, cv)
+                continue
+            rest = r - 1
+            undecided = (1 << last) - (2 << v)
+            yv = full ^ xv ^ undecided
+            gains = sorted([(m & yv).bit_count() - (m & xv).bit_count() for m in masks[v + 1:last]])
+            lo = max(low, cv + sum(gains[:rest]))
+            hi = min(high, cv + sum(gains[-rest:])
+                     + min(inside[v + 1], rest * (len(gains) - rest)))
+            if lo < least or hi > greatest:
+                yield from bisections(xv, cv, v + 1, rest, lo, hi)
+
+    yield from bisections(0, 0, 0, k, 0, k * k)
 
 
 def ref_check_expansion(g: Graph, k: int):
@@ -157,6 +199,7 @@ def ref_fit_density_certificate(
 
 def ref_girth_violation(g: Graph, limit: int) -> list[int] | None:
     best: list[int] | None = None
+    nbrs = [g.neighbours(x) for x in range(g.n)]
     for u, v in g.sorted_edges():
         dist = [-1] * g.n
         parent = [-1] * g.n
@@ -166,7 +209,7 @@ def ref_girth_violation(g: Graph, limit: int) -> list[int] | None:
             x = q.popleft()
             if best is not None and dist[x] + 1 >= len(best):
                 continue
-            for w in g.neighbours(x):
+            for w in nbrs[x]:
                 if (x == u and w == v) or (x == v and w == u):
                     continue
                 if dist[w] < 0:

@@ -8,14 +8,19 @@ from fractions import Fraction
 import pytest
 
 from pathramsey import (
+    ClassPParams,
+    GenerationConfig,
     Graph,
     complete_graph,
     cycle_graph,
     fit_density_certificate,
+    generate_class_p,
     girth_violation,
     path_graph,
+    quad,
     random_graph,
 )
+from pathramsey import pseudorandom
 from pathramsey.partition import check_expansion
 from pathramsey.pseudorandom import (
     GenerationLog,
@@ -26,6 +31,7 @@ from pathramsey.pseudorandom import (
 )
 
 from classp_reference import (
+    ref_bisection_records,
     ref_check_expansion,
     ref_clean_short_cycles,
     ref_count_certificate_ok,
@@ -147,3 +153,65 @@ def test_girth_violation_matches_reference_on_regular_graphs():
     for g in graphs:
         for limit in range(3, g.n + 1):
             assert girth_violation(g, limit) == ref_girth_violation(g, limit)
+
+
+def _bisection_windows(k: int, rng: random.Random):
+    a, b = sorted(rng.randint(0, k * k) for _ in range(2))
+    return (k * k + 1, -1), (1, k * k), (a, b)
+
+
+def _exact_members():
+    # The an = 20 members of the benchmark's exhaustively certified family.
+    params = ClassPParams(quad(1, 64, "1/2", "4/5"), t=1, n=20)
+    return [generate_class_p(params, GenerationConfig(p=Fraction(7, 10), seed=s))[0] for s in range(24)]
+
+
+def _bisection_graphs():
+    rng = random.Random(2015)
+    for n in (18, 20):
+        for p in (0.2, 0.5, 0.7, 0.9):
+            yield random_graph(n, p, rng.randrange(10 ** 6))
+
+
+@pytest.mark.parametrize("source", [_bisection_graphs, _exact_members])
+def test_bisection_records_match_frozen_kernel(source, monkeypatch):
+    # n = 2k: the packed kernel with its tighter bounds yields exactly the
+    # records of the earlier kernel, and so gives the same certificates.
+    rng = random.Random(18)
+    graphs = list(source())
+    for g in graphs:
+        k = g.n // 2
+        for window in _bisection_windows(k, rng):
+            got = list(_record_pairs(g.adjacency_masks(), k, *window))
+            assert got == list(ref_bisection_records(g.adjacency_masks(), k, *window)), (sorted(g.edges), window)
+    tolerances = (Fraction(1, 10), Fraction(4, 5))
+    certs = [fit_density_certificate(g, g.n // 2, tol).to_dict() for g in graphs for tol in tolerances]
+    monkeypatch.setattr(pseudorandom, "_record_pairs", ref_bisection_records)
+    assert certs == [fit_density_certificate(g, g.n // 2, tol).to_dict() for g in graphs for tol in tolerances]
+
+
+@pytest.mark.parametrize("g", [complete_graph(66), complete_bipartite(33, 33), cycle_graph(66),
+                               complete_graph(130), complete_bipartite(65, 65), complete_graph(258)],
+                         ids=lambda g: f"n{g.n}m{g.m}")
+def test_bisection_records_on_wide_fields(g):
+    # From n = 129 on a packed field is two bytes, and from n = 256 on its
+    # bias alone needs them.  The windows are ones the frozen kernel also
+    # leaves quickly.
+    k = g.n // 2
+    masks = g.adjacency_masks()
+    for window in ((1, k * k), (2, k * k), (k, k * k // 2 + 1)):
+        assert list(_record_pairs(masks, k, *window)) == list(ref_bisection_records(masks, k, *window)), window
+    if g.m == g.n * (g.n - 1) // 2:
+        # Every bisection of K_n has k^2 cross edges: the first pair is the only record.
+        first = (1 << k) - 1
+        assert list(_record_pairs(masks, k, k * k + 1, -1)) == [(first, first << k, k * k)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cleaning_matches_reference_at_bench_size(seed):
+    # G(64, 3/10) with limit 4, as the benchmark's girth family draws it.
+    g = random_graph(64, 0.3, seed)
+    log = GenerationLog()
+    cleaned = _clean_short_cycles(g, 4, log)
+    assert (cleaned, log.removed_edges, log.cycles_found) == ref_clean_short_cycles(g, 4)
+    assert girth_violation(g, 4) == ref_girth_violation(g, 4)

@@ -329,6 +329,17 @@ class TestLllEmbed:
         code, out, err = run("lll-embed", "--config", str(cfg))
         assert (code, out, err) == (2, "", f"config error: config field '{key}' must be a string\n")
 
+    @pytest.mark.parametrize("value", [0, False, []])
+    def test_falsy_colours_exit_two(self, run, tmp_path, graph_file, value):
+        # A falsy colouring used to be read as no colouring, and the run exited 0.
+        template = graph_file(Graph(2, [(0, 1)]), "template.edges")
+        host = graph_file(complete_bipartite(2, 2), "host.edges")
+        cfg = tmp_path / "lll.json"
+        cfg.write_text(json.dumps({"template": template, "host": host,
+                                   "cliques": [[0, 1], [2, 3]], "colours": value, "blue": 1}))
+        code, out, err = run("lll-embed", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "config error: config field 'colours' must be a string\n")
+
     @pytest.mark.parametrize("clique", [[2, 9], [2, -1], [2, 3.5], [2, "x"]])
     def test_candidate_outside_host_exits_two(self, run, tmp_path, graph_file, clique):
         # An out-of-range candidate used to be read as a non-edge (exit 0), and a
