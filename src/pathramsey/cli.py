@@ -189,9 +189,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify_p(args) -> int:
     doc = _read_config(args.config)
-    params, _ = _class_p_from_doc(doc)
+    params, gen = _class_p_from_doc(doc)
     g = _read_graph(args.graph)
-    rep = verify_class_p(g, params, mode=args.mode, seed=args.seed or 0)
+    rep = verify_class_p(g, params, mode=args.mode, sample_count=gen.cert_samples, seed=args.seed or 0)
     _emit(dump_report(rep.to_dict()), args.out)
     return 0 if rep.passed else 1
 

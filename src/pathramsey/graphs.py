@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations, filterfalse, islice, product, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -376,25 +375,29 @@ def _first_shortest_cycle(
 def _cycle_path(adj: Sequence[int], u: int, v: int) -> list[int]:
     """[v, ..., u]: the parent-pointer BFS path from u to v in g - uv, neighbours ascending.
 
-    The caller guarantees that uv lies on a cycle.  A popped vertex decodes
-    only its unvisited neighbours, in the order a full scan would meet them.
+    The caller guarantees that uv lies on a cycle.  A layer is kept as
+    (parent, fresh mask) chunks in queue order and tested against N(v) one
+    chunk at a time; its vertices are decoded only when it must be expanded.
     """
-    parent = [u] * len(adj)
     seen = adj[u] | 1 << u | 1 << v  # v is reached only through a vertex other than u
-    queue = deque(_mask_vertices(adj[u] & ~(1 << v)))
+    layers = [[(u, adj[u] & ~(1 << v))]]
     while True:
-        x = queue.popleft()
-        if adj[x] >> v & 1:
-            path = [v, x]
-            while x != u:
-                x = parent[x]
-                path.append(x)
-            return path
-        fresh = adj[x] & ~seen
-        seen |= fresh
-        for w in _mask_vertices(fresh):
-            parent[w] = x
-            queue.append(w)
+        for p, chunk in layers[-1]:
+            hit = chunk & adj[v]
+            if hit:
+                path = [v, (hit & -hit).bit_length() - 1, p]
+                for layer in reversed(layers[:-1]):
+                    p = next(q for q, fresh in layer if fresh >> p & 1)
+                    path.append(p)
+                return path
+        reached = []
+        for _, chunk in layers[-1]:
+            for x in _mask_vertices(chunk):
+                fresh = adj[x] & ~seen
+                if fresh:
+                    seen |= fresh
+                    reached.append((x, fresh))
+        layers.append(reached)
 
 
 # -- path witnesses -------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -303,22 +303,40 @@ def _record_pairs(
     yield from x_sets(0, 0, k, 0, k * k)
 
 
-def sample_disjoint_pairs(n: int, k: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
-    rng = random.Random(seed)
-    vertices = list(range(n))
+def _sampled_pairs(masks: Sequence[int], k: int, count: int, seed: int) -> Iterator[tuple[int, int, int]]:
+    """(x, y, e) for `count` seeded pairs of disjoint k-sets, e = sum over v in x of |N(v) & y|.
+
+    x and y are the first and last k vertices of random.Random(seed).sample(
+    range(n), 2k), drawn with exactly the getrandbits calls sample makes: from
+    a shrinking pool up to its set-size threshold, redrawing repeats above it.
+    """
+    n, size = len(masks), 2 * k
+    getrandbits = random.Random(seed).getrandbits
+    pooled = n <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0)
     for _ in range(count):
-        chosen = rng.sample(vertices, 2 * k)
-        x = sum(1 << v for v in chosen[:k])
-        y = sum(1 << v for v in chosen[k:])
-        yield x, y
-
-
-def _cross_counts(
-    masks: Sequence[int], pairs: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, int, int]]:
-    """(x, y, e(x, y)) for each pair of vertex masks, in the order given."""
-    for x, y in pairs:
-        yield x, y, sum((masks[v] & y).bit_count() for v in _mask_vertices(x))
+        if pooled:
+            pool, drawn = list(range(n)), []
+            for i in range(n, n - size, -1):
+                j = getrandbits(i.bit_length())
+                while j >= i:
+                    j = getrandbits(i.bit_length())
+                drawn.append(pool[j])
+                pool[j] = pool[i - 1]
+        else:
+            taken, drawn = 0, []
+            for _ in range(size):
+                j = getrandbits(n.bit_length())
+                while j >= n or taken >> j & 1:
+                    j = getrandbits(n.bit_length())
+                taken |= 1 << j
+                drawn.append(j)
+        x = y = e = 0
+        for v in drawn[k:]:
+            y |= 1 << v
+        for v in drawn[:k]:  # e from the drawn vertices: no mask is decoded
+            x |= 1 << v
+            e += (masks[v] & y).bit_count()
+        yield x, y, e
 
 
 @dataclass(frozen=True)
@@ -416,7 +434,7 @@ def fit_density_certificate(
         used_samples = None
         used_seed = None
     elif mode == "sampled":
-        pairs = list(_cross_counts(masks, sample_disjoint_pairs(g.n, set_size, sample_count, seed)))
+        pairs = list(_sampled_pairs(masks, set_size, sample_count, seed))
         checked = sample_count
         count_sum = sum(e for _, _, e in pairs)
         used_samples = sample_count
@@ -477,14 +495,14 @@ def _count_certificate_ok(
     masks = g.adjacency_masks()
     lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
     if total <= PAIR_BUDGET:
-        violations = _record_pairs(masks, set_size, lo, hi)
+        pairs = _record_pairs(masks, set_size, lo, hi)  # only pairs outside [lo, hi]
         mode = "exhaustive"
     else:
-        pairs = sample_disjoint_pairs(g.n, set_size, sample_count, seed)
-        violations = (p for p in _cross_counts(masks, pairs) if not lo <= p[2] <= hi)
+        pairs = _sampled_pairs(masks, set_size, sample_count, seed)
         mode = "sampled"
-    for x, y, e in violations:
-        return False, (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), e), mode
+    for x, y, e in pairs:
+        if not lo <= e <= hi:
+            return False, (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), e), mode
     return True, None, mode
 
 

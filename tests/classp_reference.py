@@ -6,18 +6,21 @@ with exactly: every ordered pair enumerated and half dropped, a count or a
 Fraction per pair, and a fresh per-edge parent-pointer BFS after every removal.
 ref_bisection_records is the earlier, looser branch and bound for n = 2k,
 frozen so the package's kernel can be compared with it on graphs too large
-to enumerate.
+to enumerate.  ref_sample_disjoint_pairs draws sampled pairs with
+random.Random.sample, and ref_cycle_path is the queue-based short-cycle BFS
+the package's layered one must trace the same path as.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
 from pathramsey import DensityCertificate, Graph
-from pathramsey.pseudorandom import EdgeBoostReport, disjoint_pair_count, sample_disjoint_pairs
+from pathramsey.pseudorandom import EdgeBoostReport, disjoint_pair_count
 
 
 def ref_iter_disjoint_pairs(n: int, k: int):
@@ -28,6 +31,17 @@ def ref_iter_disjoint_pairs(n: int, k: int):
             y = sum(1 << v for v in ys)
             if x < y:
                 yield x, y
+
+
+def ref_sample_disjoint_pairs(n: int, k: int, count: int, seed: int):
+    """count seeded pairs (x, y): each the first k and the last k of rng.sample(range(n), 2k)."""
+    rng = random.Random(seed)
+    vertices = list(range(n))
+    for _ in range(count):
+        chosen = rng.sample(vertices, 2 * k)
+        x = sum(1 << v for v in chosen[:k])
+        y = sum(1 << v for v in chosen[k:])
+        yield x, y
 
 
 def ref_mask_vertices(mask: int) -> list[int]:
@@ -155,7 +169,7 @@ def ref_fit_density_certificate(
         pairs = ref_iter_disjoint_pairs(g.n, set_size)
         used_samples = used_seed = None
     else:
-        pairs = sample_disjoint_pairs(g.n, set_size, sample_count, seed)
+        pairs = ref_sample_disjoint_pairs(g.n, set_size, sample_count, seed)
         used_samples, used_seed = sample_count, seed
 
     masks = g.adjacency_masks()
@@ -228,6 +242,26 @@ def ref_girth_violation(g: Graph, limit: int) -> list[int] | None:
     if best is not None and len(best) <= limit:
         return best
     return None
+
+
+def ref_cycle_path(adj, u: int, v: int) -> list[int]:
+    """[v, ..., u]: the BFS path from u to v in g - uv, one queue, first parent kept."""
+    parent = [u] * len(adj)
+    seen = adj[u] | 1 << u | 1 << v
+    queue = deque(ref_mask_vertices(adj[u] & ~(1 << v)))
+    while True:
+        x = queue.popleft()
+        if adj[x] >> v & 1:
+            path = [v, x]
+            while x != u:
+                x = parent[x]
+                path.append(x)
+            return path
+        fresh = adj[x] & ~seen
+        seen |= fresh
+        for w in ref_mask_vertices(fresh):
+            parent[w] = x
+            queue.append(w)
 
 
 def ref_clean_short_cycles(g: Graph, limit: int) -> tuple[Graph, list[tuple[int, int]], int]:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from pathramsey import (
@@ -21,12 +23,14 @@ from pathramsey import (
     random_graph,
 )
 from pathramsey import pseudorandom
+from pathramsey.graphs import _cycle_path
 from pathramsey.partition import check_expansion
 from pathramsey.pseudorandom import (
     GenerationLog,
     _clean_short_cycles,
     _count_certificate_ok,
     _record_pairs,
+    _sampled_pairs,
     verify_edgeboost,
 )
 
@@ -36,13 +40,17 @@ from classp_reference import (
     ref_clean_short_cycles,
     ref_count_certificate_ok,
     ref_counted_pairs,
+    ref_cross_count,
+    ref_cycle_path,
     ref_fit_density_certificate,
     ref_girth_violation,
     ref_iter_disjoint_pairs,
+    ref_mask_vertices,
     ref_records,
+    ref_sample_disjoint_pairs,
     ref_verify_edgeboost,
 )
-from conftest import complete_bipartite
+from conftest import complete_bipartite, to_nx
 
 PAIR_GRID = [(n, k) for n in range(0, 15) for k in range(0, 7)] + [(14, 7), (16, 8), (17, 8)]
 DENSITIES = (0, 0.15, 0.5, 0.85, 1)
@@ -125,6 +133,54 @@ def test_certificate_matches_reference(source):
                     assert got == want, (g.n, sorted(g.edges), k, tol, kw)
 
 
+# random.sample keeps a pool when n <= 21 for 2k <= 5, n <= 85 for 2k in 6..10
+# and n <= 277 for 2k in 12..32, and redraws repeats from a set above that.
+# Pool: (10, 1), (21, 2), (85, 3), (40, 10), (64, 16), (32, 16), (2, 1), (8, 4).
+# Set: (200, 1), (22, 2), (64, 2), (86, 3), (200, 3).
+SAMPLE_GRID = [(10, 1), (21, 2), (85, 3), (40, 10), (64, 16), (32, 16), (2, 1), (8, 4),
+               (200, 1), (22, 2), (64, 2), (86, 3), (200, 3)]
+
+
+@pytest.mark.parametrize("n,k", SAMPLE_GRID)
+def test_sampled_pairs_follow_sample_stream(n, k):
+    # The kernel draws each pair with the getrandbits calls of sample(), so
+    # its stream is the reference sampler's, pair for pair, on either side of
+    # sample()'s set-size threshold; e is the direct cross count.
+    g = random_graph(n, 0.3, seed=n * 7 + k)
+    masks = g.adjacency_masks()
+    for seed in (0, 1, 2, 0x5EED, 0xCE47 ^ 5):
+        got = list(_sampled_pairs(masks, k, 60, seed))
+        assert [(x, y) for x, y, _ in got] == list(ref_sample_disjoint_pairs(n, k, 60, seed)), seed
+        assert [e for _, _, e in got] == [ref_cross_count(masks, x, y) for x, y, _ in got], seed
+
+
+def test_sampled_count_check_returns_first_violation(monkeypatch):
+    # With no pair budget every family is sampled: the check fails on the
+    # first pair of the reference stream whose count leaves the window.
+    monkeypatch.setattr(pseudorandom, "PAIR_BUDGET", 0)
+    rng = random.Random(31)
+    positions = set()
+    for trial in range(40):
+        n = rng.randrange(4, 30)
+        k = rng.randrange(1, n // 2 + 1)
+        g = random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng.randrange(10 ** 6))
+        masks, seed = g.adjacency_masks(), rng.randrange(10 ** 6)
+        target = Fraction(g.m * 2 * k * k, n * (n - 1))
+        for slack in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+            lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
+            want = True, None, "sampled"
+            for i, (x, y) in enumerate(ref_sample_disjoint_pairs(n, k, 30, seed)):
+                e = ref_cross_count(masks, x, y)
+                if not lo <= e <= hi:
+                    want = False, (tuple(ref_mask_vertices(x)), tuple(ref_mask_vertices(y)), e), "sampled"
+                    positions.add(i)
+                    break
+            else:
+                positions.add(None)
+            assert _count_certificate_ok(g, k, target, slack, sample_count=30, seed=seed) == want, (trial, slack)
+    assert None in positions and len(positions) > 3  # passes, and failures past the first pair
+
+
 def test_vacuous_and_auto_certificates_match_reference():
     # n = 9: k = 5 is vacuous, k = 3 exhaustive (840 pairs); n = 26, k = 10 samples.
     for n, k in ((9, 5), (9, 3), (26, 10)):
@@ -153,6 +209,35 @@ def test_girth_violation_matches_reference_on_regular_graphs():
     for g in graphs:
         for limit in range(3, g.n + 1):
             assert girth_violation(g, limit) == ref_girth_violation(g, limit)
+
+
+def _cycle_path_graphs():
+    yield from (cycle_graph(n) for n in range(3, 17))
+    yield from (_circulant(n, offsets) for n, offsets in
+                ((8, (1, 2)), (10, (1, 5)), (12, (1, 4)), (13, (1, 5)), (16, (1, 3, 7))))
+    yield from (complete_bipartite(a, b) for a, b in ((2, 2), (3, 3), (2, 5), (4, 6)))
+    yield complete_graph(7)
+    rng = random.Random(1979)
+    for _ in range(30):
+        n = rng.randrange(6, 40)
+        yield random_graph(n, rng.uniform(1.2, 3.5) / n, rng.randrange(10 ** 6))
+
+
+def test_cycle_path_matches_reference():
+    # Every edge on a cycle, from either end: the layered search traces the
+    # queue's first-parent path, whatever the cycle length.
+    lengths = set()
+    for g in _cycle_path_graphs():
+        adj = g.adjacency_masks()
+        bridges = {tuple(sorted(e)) for e in nx.bridges(to_nx(g))}
+        for u, v in g.sorted_edges():
+            if (u, v) in bridges:
+                continue
+            for a, b in ((u, v), (v, u)):
+                want = ref_cycle_path(adj, a, b)
+                assert _cycle_path(adj, a, b) == want, (g.n, sorted(g.edges), a, b)
+                lengths.add(len(want))
+    assert set(range(3, 17)) <= lengths
 
 
 def _bisection_windows(k: int, rng: random.Random):

@@ -61,6 +61,21 @@ class TestGenVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("samples,want", [(40, 40), (None, 300)])
+    def test_verify_samples_per_config(self, run, tmp_path, samples, want):
+        # an = 32, cn = 16: the pair family is too large to enumerate, so the
+        # certificate samples as many pairs as the config names (300 if none).
+        doc = dict(GEN_DOC, t=2, n=32, p="3/10")
+        if samples is not None:
+            doc["certSamples"] = samples
+        cfg = tmp_path / "girth.json"
+        cfg.write_text(json.dumps(doc))
+        out_graph = tmp_path / "g.edges"
+        run("gen", "--config", str(cfg), "--out", str(out_graph))
+        _, out, _ = run("verify-p", "--graph", str(out_graph), "--config", str(cfg))
+        density = json.loads(out)["density"]
+        assert (density["mode"], density["sampleCount"], density["pairsChecked"]) == ("sampled", want, want)
+
     def test_verify_fails_on_wrong_graph(self, run, tmp_path, graph_file):
         cfg = tmp_path / "toy.json"
         cfg.write_text(json.dumps(GEN_DOC))
