@@ -6,6 +6,8 @@ brute-force arrow oracle, and validated embedding machinery, all tied
 together by an induction-step pipeline and CLI.
 """
 
+# Reports are written with serialize.dump_report, so the module is loaded with the package.
+from . import serialize
 from .colouring import (
     ArrowVerdict,
     AuxColouring,

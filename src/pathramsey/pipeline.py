@@ -1,10 +1,9 @@
 """End-to-end drivers: the colour-reduction induction step over a sheared
-blow-up host and the base-case embedding driver, plus the config plumbing
-the CLI feeds them.
+blow-up host and the base-case embedding driver.
 
-Every stage re-validates its output with the owning module's verifier and
-appends one trace record; honest failure at any stage is an outcome, never an
-exception leak.  Identical (config, seed) re-runs produce identical traces.
+Each stage's output is validated once, by the module that builds it, and
+the stage appends one trace record; honest failure at any stage is an
+outcome.  Identical (config, seed) re-runs produce identical traces.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .partition import (
     prune_top,
     segment_path,
     sparsify,
-    verify_partition,
 )
 from .pseudorandom import (
     ClassPParams,
@@ -65,7 +63,6 @@ from .pseudorandom import (
     is_good,
     verify_class_p,
 )
-from .serialize import parse_frac
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,8 @@ class PipelineConfig:
     out_quad is the parameter quadruple the reduced graph must verify against;
     in_quad the one backing the segment-graph check.  clique_size and
     mono_target are the toy stand-ins for the astronomically large blow-up
-    clique and monochromatic-clique sizes.
+    clique and monochromatic-clique sizes.  sparsify_p is the keep
+    probability of the sparsify stage and must lie in (0, 1].
     """
 
     k: int
@@ -93,6 +91,8 @@ class PipelineConfig:
     def __post_init__(self):
         if min(self.k, self.s, self.r, self.t, self.n, self.clique_size, self.mono_target) < 1:
             raise ParameterError("all pipeline sizes must be positive")
+        if not 0 < self.sparsify_p <= 1:
+            raise ParameterError(f"keep probability {self.sparsify_p} outside (0, 1]")
 
     @property
     def big_r(self) -> int:
@@ -101,40 +101,6 @@ class PipelineConfig:
     @property
     def an(self) -> int:
         return math.floor(self.out_quad.a * self.n)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineConfig":
-        def required(section: dict, key: str, name: str):
-            if key not in section:
-                raise ParameterError(f"pipeline field {name!r} is missing")
-            return section[key]
-
-        def integer(key: str, default: int | None = None) -> int:
-            value = required(doc, key, key) if default is None else doc.get(key, default)
-            if type(value) is not int:  # bool is an int subclass, so test the exact type
-                raise ParameterError(f"pipeline field {key!r} must be an integer")
-            return value
-
-        def rational(key: str, value) -> Fraction:
-            try:
-                return parse_frac(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParameterError(f"pipeline field {key!r}: {exc}") from exc
-
-        def q(key: str) -> GoodQuadruple:
-            sub = required(doc, key, key)
-            if not isinstance(sub, dict):
-                raise ParameterError(f"pipeline field {key!r} must be a JSON object")
-            return GoodQuadruple(*(rational(f"{key}.{f}", required(sub, f, f"{key}.{f}"))
-                                   for f in ("a", "b", "c", "eps")))
-
-        return cls(
-            k=integer("k"), s=integer("s"), r=integer("r"), t=integer("t"), n=integer("n"),
-            clique_size=integer("cliqueSize"), mono_target=integer("monoTarget"),
-            out_quad=q("outQuad"), in_quad=q("inQuad"),
-            sparsify_p=rational("sparsifyP", doc.get("sparsifyP", "1")),
-            seed=integer("seed", 0),
-        )
 
 
 @dataclass
@@ -268,9 +234,6 @@ def induction_step(
             part = partition_two_coloured(blue_graph, ell, seed=cfg.seed)
         except NoCoverFoundError as exc:
             return _fail(trace, "partition", str(exc))
-        rep = verify_partition(blue_graph, part, ell)
-        if not rep.ok:
-            return _fail(trace, "partition", rep.problem or "invalid cover")
     else:
         part = PartitionResult((), (tuple(range(j.n)),))
     trace.append({
@@ -355,8 +318,6 @@ def induction_step(
                            failure_reason="segment graph fails class membership", trace=trace)
 
     # Sparsify then peel high-degree vertices down to an survivors.
-    if not 0 < cfg.sparsify_p <= 1:
-        return _fail(trace, "sparsify", f"keep probability {cfg.sparsify_p} outside (0,1]")
     h_second = sparsify(h_prime, cfg.sparsify_p, cfg.seed * 1_000_003 + 11)
     h_final, kept = prune_top(h_second, h_second.n - an)
     trace.append({"stage": "sparsify-prune", "status": "ok",
@@ -396,9 +357,6 @@ def induction_step(
         emb = lll_embed(instance, cfg.seed * 1_000_003 + 13, budget)
     except LLLFailureError as exc:
         return _fail(trace, "lll-embed", f"{exc} ({exc.stats})")
-    rep = validate_embedding(emb)
-    if not rep.ok:
-        return _fail(trace, "lll-validate", rep.problem or "invalid")
     allowed = frozenset(c for c in range(1, cfg.s + 1) if c != blue)
     trace.append({"stage": "lll-embed", "status": "ok",
                   "detail": {"allowedColours": sorted(allowed)}})

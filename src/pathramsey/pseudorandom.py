@@ -122,21 +122,17 @@ class ClassPParams:
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """How to sample: edge probability, seed, and whether p came from the closed form.
+    """How to sample: edge probability p in (0, 1], seed, and certificate effort.
 
-    In "paper" mode p is forced to 60a/(eps^2 c^2 n) and must not exceed 1;
-    "toy" mode accepts any p in (0, 1].
+    The paper's p is closed_form_p(params), feasible only when it is at most 1.
     """
 
     p: Fraction
     seed: int
-    mode: str = "toy"
     cert_samples: int = 300
     retry_budget: int = 16
 
     def __post_init__(self):
-        if self.mode not in ("toy", "paper"):
-            raise ParameterError("mode must be 'toy' or 'paper'")
         if not 0 < self.p <= 1:
             raise ParameterInfeasibleError(f"edge probability {self.p} outside (0, 1]")
         if self.cert_samples < 1:
@@ -146,16 +142,6 @@ class GenerationConfig:
     def closed_form_p(params: ClassPParams) -> Fraction:
         q = params.quad
         return 60 * q.a / (q.eps ** 2 * q.c ** 2 * params.n)
-
-    @classmethod
-    def paper(cls, params: ClassPParams, seed: int) -> "GenerationConfig":
-        p = cls.closed_form_p(params)
-        if p > 1:
-            raise ParameterInfeasibleError(
-                f"closed-form edge probability {p} exceeds 1 at n={params.n}; "
-                "use toy mode with an explicit p"
-            )
-        return cls(p=p, seed=seed, mode="paper")
 
 
 # -- pair-density machinery -------------------------------------------------
@@ -598,12 +584,6 @@ def generate_class_p(
     statement holds per the returned certificate.
     """
     q = params.quad
-    if cfg.mode == "paper":
-        expected = GenerationConfig.closed_form_p(params)
-        if expected > 1:
-            raise ParameterInfeasibleError(f"closed-form p = {expected} > 1 at n={params.n}")
-        if cfg.p != expected:
-            raise ParameterError(f"paper mode requires p = {expected}, got {cfg.p}")
     log = GenerationLog()
     target = cfg.p * params.cn * params.cn
     sample: Graph | None = None
@@ -669,8 +649,6 @@ def verify_class_p(
     seed: int = 0,
 ) -> ClassPReport:
     """Check the four class membership conditions; density per certificate."""
-    if sample_count < 1:
-        raise ParameterError("sample count must be >= 1")
     size_ok = g.n == params.an
     deg = max_degree(g)
     degree_ok = Fraction(deg) <= params.quad.b

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from pathramsey import (
     EdgeColouring,
+    GenerationConfig,
     Graph,
+    ParameterError,
+    PipelineConfig,
     complete_graph,
     cycle_graph,
     graph_from_text,
     graph_to_text,
     path_graph,
+    quad,
+    random_graph,
 )
-from pathramsey.cli import main
+from pathramsey.cli import ConfigError, _class_p_from_doc, _pipeline_from_doc, main
 
 from conftest import complete_bipartite
 
@@ -45,6 +52,9 @@ GEN_DOC = {
     "a": "1", "b": "64", "c": "1/2", "eps": "4/5",
     "t": 1, "n": 16, "p": "7/10", "seed": 7, "mode": "toy",
 }
+
+PAPER_DOC = {"a": "3", "b": "950400", "c": "1", "eps": "1/20", "t": 2, "n": 10 ** 6,
+             "seed": 3, "mode": "paper"}
 
 
 class TestGenVerify:
@@ -116,6 +126,36 @@ class TestGenVerify:
         cfg.write_text(json.dumps(dict(GEN_DOC, mode=mode)))
         code, out, err = run("gen", "--config", str(cfg))
         assert (code, out, err) == (2, "", 'config error: config field \'mode\' must be "toy" or "paper"\n')
+
+    def test_paper_mode_infeasible_p_exits_2(self, run, tmp_path):
+        # At n = 100 the closed form gives p = 720 > 1.
+        cfg = tmp_path / "paper.json"
+        cfg.write_text(json.dumps(dict(PAPER_DOC, n=100)))
+        code, out, err = run("gen", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: edge probability 720 outside (0, 1]\n"
+
+    def test_paper_mode_reads_cert_samples_and_retry_budget(self):
+        # Paper mode used to drop both fields: certSamples 40 gave 300, and
+        # a retryBudget of "x" was accepted.
+        _, gen = _class_p_from_doc(dict(PAPER_DOC, certSamples=40, retryBudget=5))
+        assert gen == GenerationConfig(p=Fraction(9, 125), seed=3, cert_samples=40, retry_budget=5)
+        for key in ("certSamples", "retryBudget"):
+            with pytest.raises(ConfigError, match=f"config field '{key}' must be an integer"):
+                _class_p_from_doc(dict(PAPER_DOC, **{key: "x"}))
+        with pytest.raises(ParameterError, match="sample count must be >= 1"):
+            _class_p_from_doc(dict(PAPER_DOC, certSamples=0))
+
+    def test_paper_mode_verify_samples_per_config(self, run, tmp_path, graph_file):
+        # p = 60a/(eps^2 c^2 n) = 3/25 here, so paper mode is feasible at desk
+        # scale; a 40-vertex graph has too many (20, 20) pairs to enumerate.
+        cfg = tmp_path / "paper.json"
+        cfg.write_text(json.dumps(dict(PAPER_DOC, a="1/100", b="64", c="1", eps="1/2",
+                                       n=20, certSamples=40)))
+        g = graph_file(random_graph(40, 0.5, seed=1), "g.edges")
+        code, out, _ = run("verify-p", "--graph", g, "--config", str(cfg))
+        density = json.loads(out)["density"]
+        assert (code, density["mode"], density["sampleCount"]) == (1, "sampled", 40)
 
     def test_malformed_json_exits_2(self, run, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -367,6 +407,18 @@ class TestLllEmbed:
         bad = json.dumps(clique[1]).replace('"', "'")
         assert (code, out, err) == (2, "", f"error: candidate {bad} of template vertex 1 is not a host vertex\n")
 
+    @pytest.mark.parametrize("cliques", [5, None, "01", [5], [[0, 1], 3], {"0": [1]}, [[0, 1], "23"]])
+    def test_malformed_cliques_exit_two(self, run, tmp_path, graph_file, cliques):
+        # "cliques": 5 used to end in an internal TypeError, and a string was
+        # read as its characters.
+        template = graph_file(Graph(2, [(0, 1)]), "template.edges")
+        host = graph_file(complete_bipartite(2, 2), "host.edges")
+        cfg = tmp_path / "lll.json"
+        cfg.write_text(json.dumps({"template": template, "host": host, "cliques": cliques}))
+        code, out, err = run("lll-embed", "--config", str(cfg))
+        assert (code, out, err) == (
+            2, "", "config error: config field 'cliques' must be a JSON list of lists\n")
+
 
 class TestExitCodes:
     """User input errors exit 2 as config errors; any other exception is an internal error."""
@@ -430,7 +482,7 @@ class TestExitCodes:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
         code, out, err = run("step", "--config", str(cfg))
-        assert (code, out, err) == (2, "", "error: pipeline field 'outQuad.eps' is missing\n")
+        assert (code, out, err) == (2, "", "config error: config field 'outQuad.eps' is missing\n")
 
     @pytest.mark.parametrize("exc,shown", [(KeyError("boom"), "KeyError: 'boom'"),
                                            (ValueError("boom"), "ValueError: boom")])
@@ -611,14 +663,18 @@ class TestStepAndReport:
 
     def test_step_mistyped_pipeline_field_exits_two(self, run, tmp_path):
         cfg = tmp_path / "bad.json"
-        for key, value, kind in [("outQuad", 5, "a JSON object"), ("k", "1", "an integer"),
-                                 ("k", 1.5, "an integer"), ("k", True, "an integer"),
-                                 ("seed", "x", "an integer")]:
+        for key, value, message in [
+            ("outQuad", 5, "config section 'outQuad' must be a JSON object"),
+            ("k", "1", "config field 'k' must be an integer"),
+            ("k", 1.5, "config field 'k' must be an integer"),
+            ("k", True, "config field 'k' must be an integer"),
+            ("seed", "x", "config field 'seed' must be an integer"),
+        ]:
             doc = json.loads(json.dumps(STEP_DOC))
             doc["pipeline"][key] = value
             cfg.write_text(json.dumps(doc))
             code, _, err = run("step", "--config", str(cfg))
-            assert (code, err) == (2, f"error: pipeline field '{key}' must be {kind}\n"), (key, value)
+            assert (code, err) == (2, f"config error: {message}\n"), (key, value)
 
     @pytest.mark.parametrize("field,patch,message", [
         ("outQuad.a", {"outQuad": dict(STEP_DOC["pipeline"]["outQuad"], a=True)},
@@ -631,4 +687,25 @@ class TestStepAndReport:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(dict(STEP_DOC, pipeline=dict(STEP_DOC["pipeline"], **patch))))
         code, out, err = run("step", "--config", str(cfg))
-        assert (code, out, err) == (2, "", f"error: pipeline field '{field}': {message}\n")
+        assert (code, out, err) == (2, "", f"config error: config field '{field}': {message}\n")
+
+    @pytest.mark.parametrize("value", ["5", "-1", "0", "11/10"])
+    def test_step_sparsify_p_outside_unit_interval_exits_two(self, run, tmp_path, value):
+        # An out-of-range keep probability used to end as an honest failure (exit 1).
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(STEP_DOC, pipeline=dict(STEP_DOC["pipeline"], sparsifyP=value))))
+        code, out, err = run("step", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: keep probability ") and err.count("\n") == 1
+
+    def test_pipeline_reader_round_trip(self):
+        doc = dict(STEP_DOC["pipeline"], budgets={"partitionMode": "auto", "pathNodes": 500})
+        cfg = _pipeline_from_doc(doc)
+        assert cfg == PipelineConfig(
+            k=1, s=2, r=1, t=2, n=4, clique_size=5, mono_target=4,
+            out_quad=quad(1, 64, "1/2", "4/5"), in_quad=quad(1, 1000, "1/2", "4/5"),
+            sparsify_p=Fraction(1), seed=11,
+        )
+        assert cfg.big_r == 2 and cfg.an == 4
+        del doc["sparsifyP"], doc["seed"]
+        assert _pipeline_from_doc(doc) == dataclasses.replace(cfg, seed=0)

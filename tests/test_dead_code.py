@@ -2,8 +2,8 @@
 the package is exported from __init__.py or referenced elsewhere in the
 package, every exported name is read outside the tests, every option a
 CLI subcommand declares is read by its handler, only graphs.py reads a
-graph's neighbourhoods other than as bitmasks, and only graphs.py builds a
-graph without checking its edges."""
+graph's neighbourhoods other than as bitmasks, only graphs.py builds a
+graph without checking its edges, and only cli.py reads config documents."""
 
 from __future__ import annotations
 
@@ -238,3 +238,40 @@ def test_unchecked_graph_guard_flags_a_call_outside_graphs(tmp_path):
         "    return g, adopt, _from_edge_set(n, edges)\n"
     )
     assert unchecked_graph_calls(tmp_path) == ["a:4", "a:6"]
+
+
+def config_readers(package: Path) -> list[str]:
+    """`parse_frac(` calls and `from_dict` definitions, as module:line, outside cli.py and serialize.py.
+
+    The CLI's field readers turn config documents into library objects; a
+    second reader elsewhere would duplicate their checks and drift from them.
+    """
+    return [
+        f"{module}:{line}"
+        for module, tree in _parse_package(package).items() if module not in ("cli", "serialize")
+        for line in sorted(
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "parse_frac"
+            or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "from_dict"
+        )
+    ]
+
+
+def test_only_cli_reads_config_documents():
+    assert config_readers(PACKAGE) == []
+
+
+def test_config_reader_guard_flags_a_second_reader(tmp_path):
+    (tmp_path / "serialize.py").write_text("def parse_frac(v):\n    return v\n")
+    (tmp_path / "cli.py").write_text("from .serialize import parse_frac\n\nP = parse_frac('1')\n")
+    (tmp_path / "a.py").write_text(
+        "from . import serialize\nfrom .serialize import parse_frac\n\n"
+        "class Config:\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, doc):\n"
+        "        return cls(serialize.parse_frac(doc['p']))\n\n"
+        "def read(doc, from_dict):\n"
+        "    return parse_frac(doc['q']), from_dict(doc)\n"
+    )
+    assert config_readers(tmp_path) == ["a:6", "a:7", "a:10"]

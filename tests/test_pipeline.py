@@ -257,19 +257,10 @@ class TestBaseCaseDriver:
 
 
 class TestPipelineConfig:
-    def test_from_dict_round_trip(self):
-        doc = {
-            "k": 1, "s": 2, "r": 1, "t": 2, "n": 4,
-            "cliqueSize": 5, "monoTarget": 4,
-            "outQuad": {"a": "1", "b": "64", "c": "1/2", "eps": "4/5"},
-            "inQuad": {"a": "1", "b": "1000", "c": "1/2", "eps": "4/5"},
-            "sparsifyP": "1", "seed": 11,
-            "budgets": {"partitionMode": "auto", "pathNodes": 500},
-        }
-        cfg = PipelineConfig.from_dict(doc)
-        assert cfg.big_r == 2 and cfg.an == 4
-        assert cfg.out_quad.c == Fraction(1, 2)
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             toy_cfg(n=0)
+        for p in (0, -1, Fraction(11, 10), 5):
+            with pytest.raises(ParameterError, match=r"keep probability .* outside \(0, 1\]"):
+                toy_cfg(sparsify_p=Fraction(p))
+        toy_cfg(sparsify_p=Fraction(1, 10 ** 6))

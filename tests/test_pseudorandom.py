@@ -81,12 +81,12 @@ class TestParams:
         expected = 60 * Fraction(3) / (Fraction(1, 400) * 1 * 100)
         assert GenerationConfig.closed_form_p(p) == expected
         with pytest.raises(ParameterInfeasibleError):
-            GenerationConfig.paper(p, seed=0)
+            GenerationConfig(p=GenerationConfig.closed_form_p(p), seed=0)
 
     def test_paper_mode_feasible_at_large_n(self):
         p = ClassPParams(quad(3, 950400, 1, "1/20"), t=2, n=10 ** 6)
-        cfg = GenerationConfig.paper(p, seed=0)
-        assert cfg.p <= 1 and cfg.mode == "paper"
+        cfg = GenerationConfig(p=GenerationConfig.closed_form_p(p), seed=0)
+        assert cfg.p == Fraction(9, 125)
 
 
 class TestPairEnumeration:
@@ -185,11 +185,6 @@ class TestGeneration:
         g1, c1, _ = generate_class_p(params, cfg)
         g2, c2, _ = generate_class_p(params, cfg)
         assert g1 == g2 and c1.f_ref == c2.f_ref
-
-    def test_paper_mode_rejects_infeasible_p(self):
-        params = ClassPParams(quad(3, 950400, 1, "1/20"), t=2, n=100)
-        with pytest.raises(ParameterInfeasibleError):
-            generate_class_p(params, GenerationConfig(p=Fraction(1), seed=0, mode="paper"))
 
     def test_retry_budget_exhaustion_reports_worst_pair(self):
         # eps tiny and p strictly between grid values: counts can never satisfy the band.

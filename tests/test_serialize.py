@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +48,13 @@ class TestDumpReport:
     def test_jsonable_handles_tuples_and_sets(self):
         assert jsonable((1, 2)) == [1, 2]
         assert jsonable(frozenset({3, 1})) == [1, 3]
+
+
+def test_package_import_loads_serialize():
+    # Report writers reach dump_report through the package, so a bare
+    # `import pathramsey` must load the module.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import pathramsey; print(pathramsey.serialize.dump_report({}), end='')"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out == '{"schemaVersion":1}\n'

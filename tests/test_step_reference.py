@@ -20,6 +20,7 @@ from pathramsey import (
     long_path_through_sets,
     mono_clique_in_clique,
     path_graph,
+    quad,
     random_graph,
     sheared_blowup,
 )
@@ -195,11 +196,8 @@ def test_long_path_on_p1500_does_not_recurse():
 
 
 def test_step_host_never_builds_adjacency_masks():
-    cfg = PipelineConfig.from_dict({
-        "k": 1, "t": 2, "n": 3, "r": 1, "s": 2, "cliqueSize": 24, "monoTarget": 4, "seed": 0,
-        "outQuad": {"a": 1, "b": 64, "c": "1/2", "eps": "4/5"},
-        "inQuad": {"a": 1, "b": 2000, "c": "1/2", "eps": "4/5"},
-    })
+    cfg = PipelineConfig(k=1, s=2, r=1, t=2, n=3, clique_size=24, mono_target=4,
+                         out_quad=quad(1, 64, "1/2", "4/5"), in_quad=quad(1, 2000, "1/2", "4/5"))
     g = cycle_graph(24)
     host, bmap = build_step_host(g, cfg)
     rng = random.Random(0)
