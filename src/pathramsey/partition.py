@@ -542,9 +542,9 @@ def auxiliary_graph(g: Graph, segments: Sequence[Segment | Sequence[int]]) -> Gr
 
 def sparsify(h: Graph, p, seed: int) -> Graph:
     """Keep each edge independently with probability p (seeded, reproducible)."""
-    pf = float(p)
-    if not 0 < pf <= 1:
+    if not 0 < p <= 1:
         raise ParameterError("keep probability must lie in (0, 1]")
+    pf = float(p)  # a p below the smallest float draws no edge
     rng = random.Random(seed)
     return Graph(h.n, [e for e in h.sorted_edges() if rng.random() < pf])
 

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -35,6 +36,7 @@ from .graphs import (
 )
 
 PAIR_BUDGET = 200_000
+LEAF_LANES = 512
 
 
 # -- parameter types -------------------------------------------------------
@@ -181,10 +183,23 @@ def _record_pairs(
     lies between max(0, d(u) - (r - 1)) and min(d(u), |U| - r) for
     d(u) = |N(u) & U|.  The bounds add the r least lower and the r greatest
     upper terms.  These per-vertex counts are packed into ints: field u is
-    the `width` bytes from byte u * width, width the fewest of 1, 2 and 4
-    with 2n <= 256^width, and each field is biased by n, which keeps it in
-    [0, 2n), so no field carries into the next.  The d-terms are packed per
-    (v, r) on first use.
+    the `width` bytes from byte u * width, width the fewest of 1, 2, 4 and 8
+    with 2n <= 256^width and k^2 < 2^(8 width - 1), and each field is biased
+    by n, which keeps it in [0, 2n), so no field carries into the next.  The
+    d-terms are packed per (v, r) on first use.
+
+    A node with r = 1, or whose subtree holds at most LEAF_LANES completions
+    (comb(|U|, r)), is not branched.  Its completions x | S, S an r-subset of
+    U, are the lanes of one packed int of the same width, in lexicographic
+    order, which is the search's own; lane S holds cut(x | S) = cut(x) + sum
+    over u in S of (deg(u) - 2 |N(u) & x|) - 2 e(S).  It is summed from
+    per-offset membership lane ints, built by Pascal's rule on (|U|, r), and
+    one lane int of e(S, V - S) per (i, r), both built once per call and
+    freed with it.  A lane count lies in [0, k^2], so a field-wise top-bit
+    test finds the lanes outside the window; the lowest is unranked back to
+    S and yielded, and the test repeats on the lanes above it with the
+    widened window.  Every completion is tested in order, so the records are
+    exactly those of the branched search.
     """
     n = len(masks)
     if k < 1 or 2 * k > n:
@@ -192,15 +207,18 @@ def _record_pairs(
     last = n - 1  # never in x
 
     if n == 2 * k:
-        width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I")) if 2 * n <= 256 ** w)
+        width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+                           if 2 * n <= 256 ** w and k * k < 1 << 8 * w - 1)
         size, order, pad = n * width, sys.byteorder, "0" * (2 * width - 1)  # a field's upper hex digits
+        shift, top_bit, lane, kk = 8 * width, 8 * width - 1, (1 << 8 * width) - 1, k * k
         column = [int(pad.join(format(m, "b")), 16) for m in masks]  # column[w]: field u is 1 when u ~ w
         twice = [2 * c for c in column]
-        ones, top_bit = int(pad.join("1" * n), 16), 8 * width - 1
+        ones, degs = int(pad.join("1" * n), 16), sum(column)
         # At a node, field u of below[v + 1] - twice_x is n + gain(u).
         below = list(accumulate(column, initial=n * ones + column[last]))
         full, deg = (1 << n) - 1, [m.bit_count() for m in masks]
         tables = [[None] * n for _ in range(k)]  # [rest][v]: (lower, upper)
+        pascal, cells = {}, {}
 
         def excess(packed: int, c: int) -> int:
             # Field-wise max(0, f - c), for fields and c below 2^top_bit.
@@ -216,15 +234,74 @@ def _record_pairs(
                                       below[v + 1] + d - excess(d, last - v - 1 - rest))
             return pair
 
-        def bisections(x: int, twice_x: int, cut: int, i: int, r: int, low: int, high: int):
-            # Field u of twice_x is 2 |N(u) & x|.
+        def members(span: int, r: int) -> list[int]:
+            # Per offset j < span, the lane int whose lane l is 1 when j is in
+            # the l-th r-subset of range(span) in lexicographic order.
+            got = pascal.get((span, r))
+            if got is None:
+                if r in (0, span):
+                    got = [min(r, 1)] * span
+                else:
+                    head = math.comb(span - 1, r - 1)  # the subsets holding 0 come first
+                    got = [int(pad.join("1" * head), 16)]
+                    got += [a | b << shift * head for a, b in zip(members(span - 1, r - 1), members(span - 1, r))]
+                pascal[span, r] = got
+            return got
+
+        def cell(i: int, r: int) -> tuple[int, int]:
+            # (1 in every lane, e(S, V - S) in lane l) for the l-th r-subset S
+            # of range(i, last): the subsets holding i, then the rest.
+            if r == 0:
+                return 1, 0
+            if r > last - i:
+                return 0, 0
+            got = cells.get((i, r))
+            if got is None:
+                (head_ones, head_cuts), (tail_ones, tail_cuts) = cell(i + 1, r - 1), cell(i + 1, r)
+                inner, at = members(last - i - 1, r - 1), shift * math.comb(last - i - 1, r - 1)
+                near = _mask_vertices(masks[i] >> i + 1 & (1 << last - i - 1) - 1)  # offsets above i
+                got = cells[i, r] = (head_ones | tail_ones << at, head_cuts + deg[i] * head_ones
+                                     - 2 * sum(inner[j] for j in near) + (tail_cuts << at))
+            return got
+
+        def leaf(x: int, twice_x: int, cut: int, i: int, r: int):
+            # The records among the completions x | S, S an r-subset of
+            # range(i, last), from one packed int whose lane l is
+            # cut(x | S) for the l-th S in lexicographic order.
             nonlocal least, greatest
             if r == 1:
-                for v in range(i, last):
-                    cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
-                    if cv < least or cv > greatest:
-                        yield x | 1 << v, full ^ x ^ 1 << v, cv
-                        least, greatest = min(least, cv), max(greatest, cv)
+                live = ones >> shift * (i + 1)
+                packed = cut * (ones >> shift * i) + (degs >> shift * i) - (twice_x >> shift * i)
+            else:
+                live, cuts = cell(i, r)
+                fields = twice_x.to_bytes(size, order)
+                if width > 1:
+                    fields = memoryview(fields).cast(code)
+                packed = cut * live + cuts - sum(map(mul, fields[i:last], members(last - i, r)))
+            while live:
+                tops = live << top_bit
+                q = packed + tops  # lane + 2^top_bit: its top bit says lane >= c after c is taken off
+                hits = tops & ((q - live * (min(max(greatest, -1), kk) + 1))
+                               | ~(q - live * min(max(least, 0), kk + 1)))
+                if not hits:
+                    return
+                at = ((hits & -hits).bit_length() - 1) // shift
+                cv, s, v, rest = packed >> shift * at & lane, 0, i, r
+                while rest:  # unrank lane `at`
+                    head = math.comb(last - v - 1, rest - 1)
+                    if at < head:
+                        s, rest = s | 1 << v, rest - 1
+                    else:
+                        at -= head
+                    v += 1
+                yield x | s, full ^ x ^ s, cv
+                least, greatest = min(least, cv), max(greatest, cv)
+                live &= -(hits & -hits)  # the lanes above `at`
+
+        def bisections(x: int, twice_x: int, cut: int, i: int, r: int, low: int, high: int):
+            # Field u of twice_x is 2 |N(u) & x|.
+            if r == 1 or math.comb(last - i, r) <= LEAF_LANES:
+                yield from leaf(x, twice_x, cut, i, r)
                 return
             rest = r - 1
             row, bias = tables[rest], rest * n
@@ -245,7 +322,12 @@ def _record_pairs(
                 if lo < least or hi > greatest:
                     yield from bisections(x | 1 << v, twice_xv, cv, v + 1, rest, lo, hi)
 
-        yield from bisections(0, 0, 0, 0, k, 0, k * k)
+        try:
+            yield from bisections(0, 0, 0, 0, k, 0, kk)
+        finally:  # the nested functions form a cycle: free their tables now, not at a later gc pass
+            tables.clear()
+            pascal.clear()
+            cells.clear()
         return
 
     # n > 2k.  While x is chosen, a y vertex u has between |N(u) & x| and
@@ -385,7 +467,10 @@ def fit_density_certificate(
     first extreme pairs are the last records of _record_pairs, started on the
     empty window [k^2 + 1, -1], that lower and that raise its window; the
     record's position in that stream stands in for the pair's position in the
-    tie-break below.  pairs_checked is then the family size.  Sampled, one
+    tie-break below.  The search tests its small subtrees in one packed pass
+    (see _record_pairs), which yields the same records as branching them,
+    so every field is that of full enumeration.  pairs_checked is then the
+    family size.  Sampled, one
     pass over the sample keeps them.  worst_pair is the first pair that
     reaches the maximum deviation from f_ref: a pair with the least or
     greatest count, whichever deviates more, the earlier of the two when both

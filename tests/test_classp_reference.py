@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -275,13 +276,92 @@ def test_bisection_records_match_frozen_kernel(source, monkeypatch):
     assert certs == [fit_density_certificate(g, g.n // 2, tol).to_dict() for g in graphs for tol in tolerances]
 
 
+def _grid_bisections():
+    # The n = 2k cases of PAIR_GRID, with the graphs and windows of
+    # test_pair_order_matches_reference, two windows whose ends lie so far
+    # outside [0, k^2] that, unclamped, they would wrap round a byte lane,
+    # and their enumerated records.
+    for n, k in PAIR_GRID:
+        if k and n == 2 * k:
+            rng = random.Random(100 * n + k)
+            pairs = list(ref_iter_disjoint_pairs(n, k))
+            for p in DENSITIES:
+                g = random_graph(n, p, rng.randrange(10 ** 6))
+                counted = ref_counted_pairs(g, k, pairs)
+                a, b = sorted(rng.randint(0, k * k) for _ in range(2))
+                windows = ((k * k + 1, -1), (1, k * k), (a, b), (-128, -129), (512, 1024))
+                yield g, [(w, ref_records(counted, *w)) for w in windows]
+
+
+def _frozen_bisections(graphs):
+    # The frozen kernel's records on the windows test_bisection_records_match_frozen_kernel draws.
+    rng = random.Random(18)
+    for g in graphs:
+        masks, k = g.adjacency_masks(), g.n // 2
+        yield g, [(w, list(ref_bisection_records(masks, k, *w))) for w in _bisection_windows(k, rng)]
+
+
+@pytest.mark.parametrize("source", [_grid_bisections, lambda: _frozen_bisections(_bisection_graphs()),
+                                    lambda: _frozen_bisections(_exact_members())],
+                         ids=["grid", "bisection", "exact"])
+def test_leaf_path_extremes_match_reference(source, monkeypatch):
+    # LEAF_LANES = 0 sends only the r = 1 nodes down the leaf path, and
+    # comb(n - 1, k) sends the root: one packed pass over every bisection.
+    for g, expected in source():
+        k = g.n // 2
+        for lanes in (0, math.comb(g.n - 1, k)):
+            monkeypatch.setattr(pseudorandom, "LEAF_LANES", lanes)
+            for window, want in expected:
+                got = list(_record_pairs(g.adjacency_masks(), k, *window))
+                assert got == want, (lanes, sorted(g.edges), window)
+
+
+@pytest.mark.parametrize("n", [22, 24])
+def test_leaf_lanes_either_side_of_one_byte(n, monkeypatch):
+    # A lane holds a count up to k^2 below its top bit: one byte up to
+    # n = 22 (k^2 = 121) and two from n = 24 (k^2 = 144), with r >= 2
+    # leaves on both.
+    rng = random.Random(n)
+    for p in (0.2, 0.5, 0.8):
+        g = random_graph(n, p, rng.randrange(10 ** 6))
+        masks, k = g.adjacency_masks(), n // 2
+        for window in _bisection_windows(k, rng):
+            want = list(ref_bisection_records(masks, k, *window))
+            for lanes in (0, pseudorandom.LEAF_LANES):
+                monkeypatch.setattr(pseudorandom, "LEAF_LANES", lanes)
+                assert list(_record_pairs(masks, k, *window)) == want, (lanes, sorted(g.edges), window)
+
+
+def test_exact_certificate_memory_stays_small():
+    # The lane tables are built per call and freed with it: the peak traced
+    # allocation of each exhaustive an = 20 certificate stays under 256 KiB
+    # (about 110 KiB at LEAF_LANES = 512, and past the bound by 2,048), and
+    # the 24 calls leave no tables behind for a later gc pass to free.
+    members = _exact_members()
+    peaks = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for g in members:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fit_density_certificate(g, 10, Fraction(4, 5), mode="exhaustive")
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 256 * 1024, sorted(peaks)
+    assert left < 256 * 1024, left
+
+
 @pytest.mark.parametrize("g", [complete_graph(66), complete_bipartite(33, 33), cycle_graph(66),
-                               complete_graph(130), complete_bipartite(65, 65), complete_graph(258)],
+                               complete_graph(130), complete_bipartite(65, 65), complete_graph(258),
+                               complete_graph(364)],
                          ids=lambda g: f"n{g.n}m{g.m}")
 def test_bisection_records_on_wide_fields(g):
-    # From n = 129 on a packed field is two bytes, and from n = 256 on its
-    # bias alone needs them.  The windows are ones the frozen kernel also
-    # leaves quickly.
+    # A packed field holds a biased count below 2n and a lane count up to
+    # k^2 below its top bit: two bytes from n = 24 on, four from n = 364.
+    # The windows are ones the frozen kernel also leaves quickly.
     k = g.n // 2
     masks = g.adjacency_masks()
     for window in ((1, k * k), (2, k * k), (k, k * k // 2 + 1)):

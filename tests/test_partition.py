@@ -272,6 +272,13 @@ class TestSparsifyPrune:
         with pytest.raises(ParameterError):
             sparsify(g, 1.5, seed=1)
 
+    def test_sparsify_checks_p_exactly(self):
+        # 10^-400 lies in (0, 1], as PipelineConfig accepts it, though it
+        # rounds to the float 0.0: no edge is kept, and nothing is raised.
+        assert sparsify(path_graph(3), Fraction(1, 10 ** 400), 0) == Graph(3)
+        with pytest.raises(ParameterError):
+            sparsify(path_graph(3), 1 + Fraction(1, 10 ** 400), 0)
+
     def test_sparsify_binomial_statistics(self):
         g = complete_graph(16)  # 120 edges
         p = 0.4
