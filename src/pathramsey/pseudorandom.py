@@ -14,6 +14,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from operator import mul
 from typing import Iterator, Sequence
@@ -36,7 +37,7 @@ from .graphs import (
 )
 
 PAIR_BUDGET = 200_000
-LEAF_LANES = 512
+LEAF_LANES = 2001  # comb(14, 5) = 2002 takes a cold an = 20 certificate past 256 KiB
 
 
 # -- parameter types -------------------------------------------------------
@@ -139,6 +140,8 @@ class GenerationConfig:
             raise ParameterInfeasibleError(f"edge probability {self.p} outside (0, 1]")
         if self.cert_samples < 1:
             raise ParameterError("certificate sample count must be >= 1")
+        if self.retry_budget < 1:
+            raise ParameterError("retry budget must be >= 1")
 
     @staticmethod
     def closed_form_p(params: ClassPParams) -> Fraction:
@@ -153,6 +156,22 @@ def disjoint_pair_count(n: int, k: int) -> int:
     if 2 * k > n:
         return 0
     return math.comb(n, k) * math.comb(n - k, k) // 2
+
+
+@cache
+def _members(width: int, span: int, r: int) -> tuple[int, ...]:
+    """Per offset j < span, the int whose `width`-byte lane l is 1 when j is in
+    the l-th r-subset of range(span) in lexicographic order, else 0.
+
+    Pascal's rule: the subsets holding 0 come first.  The tables depend on the
+    lane layout alone, so they are kept for the process and shared by calls.
+    """
+    if r in (0, span):
+        return (min(r, 1),) * span
+    head = math.comb(span - 1, r - 1)
+    tail = zip(_members(width, span - 1, r - 1), _members(width, span - 1, r))
+    return (int(("0" * (2 * width - 1)).join("1" * head), 16),
+            *(a | b << 8 * width * head for a, b in tail))
 
 
 def _record_pairs(
@@ -193,13 +212,18 @@ def _record_pairs(
     U, are the lanes of one packed int of the same width, in lexicographic
     order, which is the search's own; lane S holds cut(x | S) = cut(x) + sum
     over u in S of (deg(u) - 2 |N(u) & x|) - 2 e(S).  It is summed from
-    per-offset membership lane ints, built by Pascal's rule on (|U|, r), and
-    one lane int of e(S, V - S) per (i, r), both built once per call and
-    freed with it.  A lane count lies in [0, k^2], so a field-wise top-bit
-    test finds the lanes outside the window; the lowest is unranked back to
-    S and yielded, and the test repeats on the lanes above it with the
-    widened window.  Every completion is tested in order, so the records are
-    exactly those of the branched search.
+    per-offset membership lane ints and one lane int of e(S, V - S) per
+    (i, r).  The membership ints depend on (width, |U|, r) alone, so
+    _members keeps them for the process and every call of that width shares
+    them: a table holds |U| ints of comb(|U|, r) <= LEAF_LANES lanes, at most
+    (n - 1) * LEAF_LANES * width bytes, and the an = 20 certificates share
+    85 tables, about 200 KiB.  The e(S, V - S) ints depend on the graph: they
+    are built once per call and freed with it.  A lane count lies in
+    [0, k^2], so a field-wise top-bit test finds the lanes outside the
+    window; the lowest is unranked back to S and yielded, and the test
+    repeats on the lanes above it with the widened window.  Every completion
+    is tested in order, so the records are exactly those of the branched
+    search.
     """
     n = len(masks)
     if k < 1 or 2 * k > n:
@@ -218,7 +242,7 @@ def _record_pairs(
         below = list(accumulate(column, initial=n * ones + column[last]))
         full, deg = (1 << n) - 1, [m.bit_count() for m in masks]
         tables = [[None] * n for _ in range(k)]  # [rest][v]: (lower, upper)
-        pascal, cells = {}, {}
+        cells = {}
 
         def excess(packed: int, c: int) -> int:
             # Field-wise max(0, f - c), for fields and c below 2^top_bit.
@@ -234,20 +258,6 @@ def _record_pairs(
                                       below[v + 1] + d - excess(d, last - v - 1 - rest))
             return pair
 
-        def members(span: int, r: int) -> list[int]:
-            # Per offset j < span, the lane int whose lane l is 1 when j is in
-            # the l-th r-subset of range(span) in lexicographic order.
-            got = pascal.get((span, r))
-            if got is None:
-                if r in (0, span):
-                    got = [min(r, 1)] * span
-                else:
-                    head = math.comb(span - 1, r - 1)  # the subsets holding 0 come first
-                    got = [int(pad.join("1" * head), 16)]
-                    got += [a | b << shift * head for a, b in zip(members(span - 1, r - 1), members(span - 1, r))]
-                pascal[span, r] = got
-            return got
-
         def cell(i: int, r: int) -> tuple[int, int]:
             # (1 in every lane, e(S, V - S) in lane l) for the l-th r-subset S
             # of range(i, last): the subsets holding i, then the rest.
@@ -258,7 +268,7 @@ def _record_pairs(
             got = cells.get((i, r))
             if got is None:
                 (head_ones, head_cuts), (tail_ones, tail_cuts) = cell(i + 1, r - 1), cell(i + 1, r)
-                inner, at = members(last - i - 1, r - 1), shift * math.comb(last - i - 1, r - 1)
+                inner, at = _members(width, last - i - 1, r - 1), shift * math.comb(last - i - 1, r - 1)
                 near = _mask_vertices(masks[i] >> i + 1 & (1 << last - i - 1) - 1)  # offsets above i
                 got = cells[i, r] = (head_ones | tail_ones << at, head_cuts + deg[i] * head_ones
                                      - 2 * sum(inner[j] for j in near) + (tail_cuts << at))
@@ -277,7 +287,7 @@ def _record_pairs(
                 fields = twice_x.to_bytes(size, order)
                 if width > 1:
                     fields = memoryview(fields).cast(code)
-                packed = cut * live + cuts - sum(map(mul, fields[i:last], members(last - i, r)))
+                packed = cut * live + cuts - sum(map(mul, fields[i:last], _members(width, last - i, r)))
             while live:
                 tops = live << top_bit
                 q = packed + tops  # lane + 2^top_bit: its top bit says lane >= c after c is taken off
@@ -326,7 +336,6 @@ def _record_pairs(
             yield from bisections(0, 0, 0, 0, k, 0, kk)
         finally:  # the nested functions form a cycle: free their tables now, not at a later gc pass
             tables.clear()
-            pascal.clear()
             cells.clear()
         return
 
@@ -377,34 +386,48 @@ def _sampled_pairs(masks: Sequence[int], k: int, count: int, seed: int) -> Itera
     x and y are the first and last k vertices of random.Random(seed).sample(
     range(n), 2k), drawn with exactly the getrandbits calls sample makes: from
     a shrinking pool up to its set-size threshold, redrawing repeats above it.
+    The masks are built as the vertices are drawn, and e is summed over the y
+    draws as |N(v) & x|, so no mask is decoded.
     """
     n, size = len(masks), 2 * k
-    getrandbits = random.Random(seed).getrandbits
-    pooled = n <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0)
-    for _ in range(count):
-        if pooled:
-            pool, drawn = list(range(n)), []
-            for i in range(n, n - size, -1):
-                j = getrandbits(i.bit_length())
+    bits, getrandbits = n.bit_length(), random.Random(seed).getrandbits
+    if n <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0):
+        # Per draw: the pool's size, its bit count and its last slot.
+        draws = [(i, i.bit_length(), i - 1) for i in range(n, n - size, -1)]
+        xs, ys, start = draws[:k], draws[k:], list(range(n))
+        for _ in range(count):
+            pool, x, y, e = start[:], 0, 0, 0
+            for i, b, top in xs:
+                j = getrandbits(b)
                 while j >= i:
-                    j = getrandbits(i.bit_length())
-                drawn.append(pool[j])
-                pool[j] = pool[i - 1]
-        else:
-            taken, drawn = 0, []
-            for _ in range(size):
-                j = getrandbits(n.bit_length())
+                    j = getrandbits(b)
+                x |= 1 << pool[j]
+                pool[j] = pool[top]
+            for i, b, top in ys:
+                j = getrandbits(b)
+                while j >= i:
+                    j = getrandbits(b)
+                v = pool[j]
+                y |= 1 << v
+                e += (masks[v] & x).bit_count()
+                pool[j] = pool[top]
+            yield x, y, e
+    else:
+        for _ in range(count):
+            taken = 0
+            for _ in range(k):
+                j = getrandbits(bits)
                 while j >= n or taken >> j & 1:
-                    j = getrandbits(n.bit_length())
+                    j = getrandbits(bits)
                 taken |= 1 << j
-                drawn.append(j)
-        x = y = e = 0
-        for v in drawn[k:]:
-            y |= 1 << v
-        for v in drawn[:k]:  # e from the drawn vertices: no mask is decoded
-            x |= 1 << v
-            e += (masks[v] & y).bit_count()
-        yield x, y, e
+            x, e = taken, 0
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or taken >> j & 1:
+                    j = getrandbits(bits)
+                taken |= 1 << j
+                e += (masks[j] & x).bit_count()
+            yield x, taken ^ x, e
 
 
 @dataclass(frozen=True)

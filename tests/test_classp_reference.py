@@ -301,10 +301,18 @@ def _frozen_bisections(graphs):
         yield g, [(w, list(ref_bisection_records(masks, k, *w))) for w in _bisection_windows(k, rng)]
 
 
+@pytest.fixture
+def clear_lane_tables():
+    # A test that raises LEAF_LANES builds membership tables far larger than
+    # the certificates need; drop them, as the process keeps them otherwise.
+    yield
+    pseudorandom._members.cache_clear()
+
+
 @pytest.mark.parametrize("source", [_grid_bisections, lambda: _frozen_bisections(_bisection_graphs()),
                                     lambda: _frozen_bisections(_exact_members())],
                          ids=["grid", "bisection", "exact"])
-def test_leaf_path_extremes_match_reference(source, monkeypatch):
+def test_leaf_path_extremes_match_reference(source, monkeypatch, clear_lane_tables):
     # LEAF_LANES = 0 sends only the r = 1 nodes down the leaf path, and
     # comb(n - 1, k) sends the root: one packed pass over every bisection.
     for g, expected in source():
@@ -333,10 +341,11 @@ def test_leaf_lanes_either_side_of_one_byte(n, monkeypatch):
 
 
 def test_exact_certificate_memory_stays_small():
-    # The lane tables are built per call and freed with it: the peak traced
-    # allocation of each exhaustive an = 20 certificate stays under 256 KiB
-    # (about 110 KiB at LEAF_LANES = 512, and past the bound by 2,048), and
-    # the 24 calls leave no tables behind for a later gc pass to free.
+    # The cut tables are built per call and freed with it: with the shared
+    # membership tables already built, the peak traced allocation of each
+    # exhaustive an = 20 certificate stays under 256 KiB (about 70 KiB at
+    # LEAF_LANES = 2001), and the 24 calls leave no tables behind for a later
+    # gc pass to free.
     members = _exact_members()
     peaks = []
     tracemalloc.start()
@@ -352,6 +361,25 @@ def test_exact_certificate_memory_stays_small():
         tracemalloc.stop()
     assert max(peaks) < 256 * 1024, sorted(peaks)
     assert left < 256 * 1024, left
+    # From cold tables, the first certificate builds the membership tables
+    # every later one reads: its peak and the tables it keeps each stay under
+    # 256 KiB (about 250 and 200 KiB at LEAF_LANES = 2001; 330 and 255 KiB
+    # at 2002, whose leaves reach comb(14, 5) lanes), and the other 23
+    # certificates add no table.
+    pseudorandom._members.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit_density_certificate(members[0], 10, Fraction(4, 5), mode="exhaustive")
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+    assert kept < 256 * 1024, kept
+    built = pseudorandom._members.cache_info().misses
+    for g in members[1:]:
+        fit_density_certificate(g, 10, Fraction(4, 5), mode="exhaustive")
+        assert pseudorandom._members.cache_info().misses == built
 
 
 @pytest.mark.parametrize("g", [complete_graph(66), complete_bipartite(33, 33), cycle_graph(66),

@@ -109,6 +109,14 @@ class TestGenVerify:
         assert code == 2
         assert "sample count" in err
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_retry_budget_below_one_exits_2(self, run, tmp_path, budget):
+        # It used to report that no sample passed in `budget` attempts, none of which ran.
+        cfg = tmp_path / "budget.json"
+        cfg.write_text(json.dumps(dict(GEN_DOC, retryBudget=budget)))
+        code, out, err = run("gen", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: retry budget must be >= 1\n")
+
     @pytest.mark.parametrize("key,value", [("t", 1.5), ("t", True), ("n", "16"), ("seed", 7.0),
                                            ("certSamples", True), ("a", True), ("p", False)])
     def test_mistyped_number_exits_2(self, run, tmp_path, key, value):

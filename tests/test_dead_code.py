@@ -1,6 +1,7 @@
 """Guard against dead code: every module-level function, class or constant in
 the package is exported from __init__.py or referenced elsewhere in the
-package, every exported name is read outside the tests, every option a
+package, every exported name and every public method of an exported class
+is read outside the tests (a known list of methods aside), every option a
 CLI subcommand declares is read by its handler, only graphs.py reads a
 graph's neighbourhoods other than as bitmasks, only graphs.py builds a
 graph without checking its edges, and only cli.py reads config documents."""
@@ -74,6 +75,14 @@ def readme_code(readme: Path) -> list[ast.Module]:
     return [ast.parse(block) for block in blocks]
 
 
+def _exported(init: ast.Module) -> list[str]:
+    """The names __init__.py imports from package modules, dunders aside."""
+    return [
+        alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names if not _dunder(alias.asname or alias.name)
+    ]
+
+
 def unread_exports(package: Path, readers: Iterable[ast.AST]) -> list[str]:
     """Names __init__.py exports, dunders aside, that nothing outside the tests reads.
 
@@ -81,11 +90,7 @@ def unread_exports(package: Path, readers: Iterable[ast.AST]) -> list[str]:
     definition aside) or in one of the given reader trees.
     """
     trees = _parse_package(package)
-    init = trees.pop("__init__")
-    exported = [
-        alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names if not _dunder(alias.asname or alias.name)
-    ]
+    exported = _exported(trees.pop("__init__"))
     outside = set().union(*map(_references, readers))
     tops = [(top, _references(top)) for tree in trees.values() for top in tree.body]
     return [
@@ -142,6 +147,65 @@ def test_export_guard_flags_a_name_only_tests_read(tmp_path):
     )
     bench = ast.parse("from pkg import outer\nouter()\n")
     assert unread_exports(package, [bench, *readme_code(readme)]) == ["tested"]
+
+
+def unread_methods(package: Path, readers: Iterable[ast.AST]) -> list[str]:
+    """Public methods of exported classes, as Class.method, that nothing outside the tests reads.
+
+    A read is a reference to the method's name in a package statement other
+    than its own definition (a class body counts statement by statement) or
+    in one of the given reader trees.
+    """
+    trees = _parse_package(package)
+    exported = set(_exported(trees.pop("__init__")))
+    statements, methods = [], []
+    for tree in trees.values():
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef):
+                statements.append(top)
+                continue
+            statements.extend(top.body)
+            methods.extend(
+                (top.name, node) for node in top.body
+                if top.name in exported and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+            )
+    outside = set().union(*map(_references, readers))
+    read = [(node, _references(node)) for node in statements]
+    return [
+        f"{cls}.{method.name}" for cls, method in methods
+        if method.name not in outside
+        and not any(method.name in refs for node, refs in read if node is not method)
+    ]
+
+
+# Public methods that only tests read today.  Deleting one (ROADMAP item 8)
+# must also delete it here; a new one fails the test.
+TEST_ONLY_METHODS = ["Graph.neighbours", "Graph.degree", "BlowupMap.base_of"]
+
+
+def test_every_public_method_of_an_export_is_read_outside_the_tests():
+    assert unread_methods(PACKAGE, _outside_readers()) == TEST_ONLY_METHODS
+
+
+def test_method_guard_flags_a_method_only_tests_read(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .a import Shown, run\n")
+    (package / "a.py").write_text(
+        "class Shown:\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    @property\n    def size(self):\n        return 2\n\n"
+        "    def tested(self, n):\n        return self.tested(n - 1) if n else 0\n\n"
+        "    def _private(self):\n        return 0\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "class Hidden:\n"
+        "    def unread(self):\n        return 0\n\n"
+        "def run(obj):\n    return obj.used()\n"
+    )
+    bench = ast.parse("from pkg import Shown\nShown().size\n")
+    assert unread_methods(package, [bench]) == ["Shown.tested"]
 
 
 def unread_options(parser: argparse.ArgumentParser) -> list[str]:

@@ -133,6 +133,11 @@ class TestDensityCertificate:
         with pytest.raises(ParameterError):
             GenerationConfig(p=Fraction(1, 2), seed=0, cert_samples=0)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_retry_budget_below_one_is_a_parameter_error(self, budget):
+        with pytest.raises(ParameterError, match="retry budget must be >= 1"):
+            GenerationConfig(p=Fraction(1, 2), seed=0, retry_budget=budget)
+
     def test_fitted_reference_within_feasible_interval(self):
         g = random_graph(12, 0.6, seed=9)
         cert = fit_density_certificate(g, 3, Fraction(1, 2))
