@@ -39,8 +39,8 @@ class Graph:
 
     The edge set is the only state built up front.  Its one derived view,
     the neighbour bitmasks (`adjacency_masks`), is built on first use and
-    kept; `neighbours` and `degree` read it.  A large host that is only ever
-    queried edge by edge never pays for it.
+    kept; neighbours and degrees are read from it.  A large host that is only
+    ever queried edge by edge never pays for it.
 
     The constructor checks and sorts every edge.  Only the blow-up builder
     skips that, through `_from_edge_set`: it makes each pair from ascending
@@ -64,12 +64,6 @@ class Graph:
         return g
 
     # -- basic queries ----------------------------------------------------
-
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return tuple(_mask_vertices(self.adjacency_masks()[v]))
-
-    def degree(self, v: int) -> int:
-        return self.adjacency_masks()[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -212,10 +206,10 @@ def path_power(n: int, k: int) -> Graph:
 class BlowupMap:
     """Bookkeeping for a blow-up host: which host vertices realise each base vertex.
 
-    Host vertex (v, i) is linearised as v*t + i so identities are stable
-    across runs.  removed_matchings is empty for a complete blow-up; for a
-    sheared blow-up it holds, per base edge, the perfect matching that was
-    removed between the two cliques.  subclique optionally marks a selected
+    Vertex i of clique v is host vertex v*t + i (clique_of[v][i]), so
+    identities are stable across runs.  removed_matchings is empty for a
+    complete blow-up; for a sheared blow-up it holds, per base edge, the
+    perfect matching that was removed between the two cliques.  subclique optionally marks a selected
     monochromatic subset of each clique.
     """
 
@@ -225,12 +219,6 @@ class BlowupMap:
     removed_matchings: dict[Edge, frozenset[Edge]] = field(default_factory=dict)
     matching_rule: str = "none"
     subclique: dict[int, tuple[int, ...]] | None = None
-
-    def host_vertex(self, v: int, i: int) -> int:
-        return v * self.t + i
-
-    def base_of(self, host_vertex: int) -> int:
-        return host_vertex // self.t
 
     def with_subcliques(self, subclique: dict[int, tuple[int, ...]]) -> "BlowupMap":
         for v, sub in subclique.items():
@@ -336,13 +324,20 @@ def _mask_vertices(mask: int) -> list[int]:
 
 
 def _cycle_length(adj: Sequence[int], u: int, v: int, cap: int) -> int | None:
-    """Length of a shortest cycle through the edge uv if it is at most cap, else None.
+    """Length of a shortest cycle through the edge uv if it is at most cap (>= 3), else None.
 
     Breadth-first search from u in g - uv, stopping when a layer touches v
-    or at depth cap - 2.
+    or at depth cap - 2.  The first layer, N(u) - v, touches v exactly when
+    u and v have a common neighbour, so a triangle costs one AND and starts
+    no search; deeper layers come from `_frontiers`.
     """
+    if adj[u] & adj[v]:
+        return 3
+    if cap == 3:
+        return None
     seen = (1 << u) | (1 << v)
-    for length, layer in zip(range(3, cap + 1), _frontiers(adj, adj[u] & ~seen, seen)):
+    layers = islice(_frontiers(adj, adj[u] & ~seen, seen), 1, None)  # empty for a pendant edge
+    for length, layer in zip(range(4, cap + 1), layers):
         if layer & adj[v]:
             return length
     return None

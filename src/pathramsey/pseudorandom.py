@@ -164,7 +164,8 @@ def _members(width: int, span: int, r: int) -> tuple[int, ...]:
     the l-th r-subset of range(span) in lexicographic order, else 0.
 
     Pascal's rule: the subsets holding 0 come first.  The tables depend on the
-    lane layout alone, so they are kept for the process and shared by calls.
+    lane layout alone, so they are kept and shared by calls of one width;
+    _record_pairs drops them when a call of another width starts.
     """
     if r in (0, span):
         return (min(r, 1),) * span
@@ -172,6 +173,9 @@ def _members(width: int, span: int, r: int) -> tuple[int, ...]:
     tail = zip(_members(width, span - 1, r - 1), _members(width, span - 1, r))
     return (int(("0" * (2 * width - 1)).join("1" * head), 16),
             *(a | b << 8 * width * head for a, b in tail))
+
+
+_members_width = 0  # the lane width of the tables _members keeps
 
 
 def _record_pairs(
@@ -214,16 +218,16 @@ def _record_pairs(
     over u in S of (deg(u) - 2 |N(u) & x|) - 2 e(S).  It is summed from
     per-offset membership lane ints and one lane int of e(S, V - S) per
     (i, r).  The membership ints depend on (width, |U|, r) alone, so
-    _members keeps them for the process and every call of that width shares
-    them: a table holds |U| ints of comb(|U|, r) <= LEAF_LANES lanes, at most
-    (n - 1) * LEAF_LANES * width bytes, and the an = 20 certificates share
-    85 tables, about 200 KiB.  The e(S, V - S) ints depend on the graph: they
-    are built once per call and freed with it.  A lane count lies in
-    [0, k^2], so a field-wise top-bit test finds the lanes outside the
-    window; the lowest is unranked back to S and yielded, and the test
-    repeats on the lanes above it with the widened window.  Every completion
-    is tested in order, so the records are exactly those of the branched
-    search.
+    _members keeps them and every call of that width shares them, until a
+    call of another width starts and drops them: a table holds |U| ints of
+    comb(|U|, r) <= LEAF_LANES lanes, at most (n - 1) * LEAF_LANES * width
+    bytes, and the an = 20 certificates share 85 tables, about 200 KiB.  The
+    e(S, V - S) ints depend on the graph: they are built once per call and
+    freed with it.  A lane count lies in [0, k^2], so a field-wise top-bit
+    test finds the lanes outside the window; the lowest is unranked back to
+    S and yielded, and the test repeats on the lanes above it with the
+    widened window.  Every completion is tested in order, so the records are
+    exactly those of the branched search.
     """
     n = len(masks)
     if k < 1 or 2 * k > n:
@@ -233,6 +237,10 @@ def _record_pairs(
     if n == 2 * k:
         width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
                            if 2 * n <= 256 ** w and k * k < 1 << 8 * w - 1)
+        global _members_width
+        if width != _members_width:  # keep one width's tables, not every width's
+            _members.cache_clear()
+            _members_width = width
         size, order, pad = n * width, sys.byteorder, "0" * (2 * width - 1)  # a field's upper hex digits
         shift, top_bit, lane, kk = 8 * width, 8 * width - 1, (1 << 8 * width) - 1, k * k
         column = [int(pad.join(format(m, "b")), 16) for m in masks]  # column[w]: field u is 1 when u ~ w
@@ -632,29 +640,37 @@ def _clean_short_cycles(g: Graph, limit: int, log: GenerationLog) -> Graph:
     on the first edge in sorted order that lies on one, traced by the same BFS.
     From it the edge with the largest endpoint degree sum goes (ties:
     lexicographically smallest pair), biasing the removals away from sparse
-    regions.
+    regions; one pass over the cycle's consecutive pairs finds it.
 
-    The graph is kept as adjacency masks, and the edge scan resumes where the
-    last winner was found.  That is exact: removing an edge never shortens a
-    cycle, so after a winner on a cycle of length L, no edge before it lies on
-    a cycle of length <= L.  The scan restarts at the first edge only when no
+    The graph is kept as adjacency masks and a degree list, both updated per
+    removal, and the edge scan resumes where the last winner was found.
+    That is exact: removing an edge never shortens a cycle, so after a
+    winner on a cycle of length L, no edge before it lies on a cycle of
+    length <= L.  The scan restarts at the first edge only when no
     cycle of length L is left.
     """
     if limit < 3:
         return g
     adj = list(g.adjacency_masks())
+    deg = [m.bit_count() for m in adj]
     edges = g.sorted_edges()
     found = _first_shortest_cycle(adj, edges, 0, 3, limit)
     while found is not None:
         start, length = found
         cyc = _cycle_path(adj, *edges[start])
         log.cycles_found += 1
-        cycle_edges = [tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc))]
-        doomed = max(cycle_edges, key=lambda e: (adj[e[0]].bit_count() + adj[e[1]].bit_count(), (-e[0], -e[1])))
+        most, a = -1, cyc[-1]
+        for b in cyc:
+            pair, total = (a, b) if a < b else (b, a), deg[a] + deg[b]
+            if total > most or total == most and pair < doomed:
+                most, doomed = total, pair
+            a = b
         log.removed_edges.append(doomed)
         u, v = doomed
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
+        deg[u] -= 1
+        deg[v] -= 1
         found = _first_shortest_cycle(adj, edges, start, length, length)
         if found is None and length < limit:
             found = _first_shortest_cycle(adj, edges, 0, length + 1, limit)
@@ -664,17 +680,25 @@ def _clean_short_cycles(g: Graph, limit: int, log: GenerationLog) -> Graph:
 def prune_to_size(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[int]]:
     """Repeatedly delete a current-maximum-degree vertex (ties: smallest id) until `keep` remain.
 
+    Live degrees are kept in a list: a victim is marked -1 and its live
+    neighbours lose one each, and `max` returns the first maximum, which is
+    the smallest id.
+
     Returns (pruned graph relabelled over the kept vertices in ascending order,
     kept original ids, removed original ids in removal order).
     """
     if keep > g.n:
         raise ParameterError("cannot keep more vertices than the graph has")
     adj = g.adjacency_masks()
+    deg = [m.bit_count() for m in adj]
     alive = (1 << g.n) - 1
     removed: list[int] = []
     for _ in range(g.n - keep):
-        victim = max(_mask_vertices(alive), key=lambda v: ((adj[v] & alive).bit_count(), -v))
+        victim = max(range(g.n), key=deg.__getitem__)
         alive ^= 1 << victim
+        deg[victim] = -1
+        for w in _mask_vertices(adj[victim] & alive):
+            deg[w] -= 1
         removed.append(victim)
     pruned, kept = induced_subgraph(g, _mask_vertices(alive))
     return pruned, kept, removed

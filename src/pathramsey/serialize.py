@@ -32,14 +32,25 @@ def parse_frac(value: Any) -> Fraction:
     raise ValueError(f"cannot parse {value!r} as a rational")
 
 
+_PLAIN = frozenset({int, str, bool, float, type(None)})  # leaves JSON takes as they are
+
+
 def jsonable(obj: Any) -> Any:
-    """Recursively convert Fractions and tuples into JSON-friendly values."""
+    """Recursively convert Fractions and tuples into JSON-friendly values.
+
+    A plain leaf, matched by exact type, returns before any isinstance test
+    (a Fraction test goes through ABCMeta), and list and tuple items that are
+    plain leaves are kept inline, without a call each.  Subclasses of those
+    types take the isinstance path.
+    """
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(jsonable(v) for v in obj)
     return obj

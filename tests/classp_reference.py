@@ -22,6 +22,8 @@ from itertools import combinations
 from pathramsey import DensityCertificate, Graph
 from pathramsey.pseudorandom import EdgeBoostReport, disjoint_pair_count
 
+from graph_reference import mask_adjacency
+
 
 def ref_iter_disjoint_pairs(n: int, k: int):
     for xs in combinations(range(n), k):
@@ -213,7 +215,7 @@ def ref_fit_density_certificate(
 
 def ref_girth_violation(g: Graph, limit: int) -> list[int] | None:
     best: list[int] | None = None
-    nbrs = [g.neighbours(x) for x in range(g.n)]
+    nbrs = mask_adjacency(g)
     for u, v in g.sorted_edges():
         dist = [-1] * g.n
         parent = [-1] * g.n
@@ -275,6 +277,7 @@ def ref_clean_short_cycles(g: Graph, limit: int) -> tuple[Graph, list[tuple[int,
         if cyc is None:
             return current, removed, len(removed)
         cycle_edges = sorted(tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc)))
-        doomed = max(cycle_edges, key=lambda e: (current.degree(e[0]) + current.degree(e[1]), (-e[0], -e[1])))
+        adj = mask_adjacency(current)
+        doomed = max(cycle_edges, key=lambda e: (len(adj[e[0]]) + len(adj[e[1]]), (-e[0], -e[1])))
         removed.append(doomed)
         current = Graph(current.n, current.edges - {doomed})

@@ -1,13 +1,15 @@
 """Reference implementations of the neighbourhood readers and the blow-ups,
-kept for differential tests.
+kept for differential tests, and the tests' one decoder of neighbour bitmasks.
 
-These are the versions the package code must agree with exactly: sorted
-neighbour tuples built from the edge set, a queue-based breadth-first search
-per source for distances and graph powers, max-degree peeling over a dict of
-neighbour sets, the greedy pattern order that counts placed neighbours by
-scanning lists, and blow-ups (the two constructors and the template that
-check_template_containment linearises) that list every host edge and pass
-the list through the checking Graph constructor.
+mask_adjacency reads a Graph's neighbours and degrees from its bitmasks, the
+one adjacency view the package keeps.  The references are the versions the
+package code must agree with exactly: sorted neighbour tuples built from the
+edge set, a queue-based breadth-first search per source for distances and
+graph powers, max-degree peeling over a dict of neighbour sets, the greedy
+pattern order that counts placed neighbours by scanning lists, and blow-ups
+(the two constructors and the template that check_template_containment
+linearises) that list every host edge and pass the list through the
+checking Graph constructor.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ import random
 from collections import deque
 
 from pathramsey import BlowupMap, Graph, ParameterError
+
+
+def mask_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbours, ascending, decoded from g.adjacency_masks(); a degree is a length."""
+    return tuple(tuple(i for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1") for m in g.adjacency_masks())
 
 
 def ref_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
@@ -32,6 +33,7 @@ from pathramsey.pseudorandom import (
     _count_certificate_ok,
     _record_pairs,
     _sampled_pairs,
+    prune_to_size,
     verify_edgeboost,
 )
 
@@ -52,6 +54,7 @@ from classp_reference import (
     ref_verify_edgeboost,
 )
 from conftest import complete_bipartite, to_nx
+from graph_reference import ref_prune_to_size
 
 PAIR_GRID = [(n, k) for n in range(0, 15) for k in range(0, 7)] + [(14, 7), (16, 8), (17, 8)]
 DENSITIES = (0, 0.15, 0.5, 0.85, 1)
@@ -382,6 +385,28 @@ def test_exact_certificate_memory_stays_small():
         assert pseudorandom._members.cache_info().misses == built
 
 
+def test_lane_tables_of_another_width_are_dropped():
+    # Three windows on C66 build two-byte tables (about 2.2 MB in 251 tables
+    # when every width's tables were kept); the one-byte an = 20 certificate
+    # that follows drops them, so what stays once the calls' own garbage is
+    # collected is its own tables, about 200 KiB.
+    member = generate_class_p(ClassPParams(quad(1, 64, "1/2", "4/5"), t=1, n=20),
+                              GenerationConfig(p=Fraction(7, 10), seed=0))[0]
+    masks = cycle_graph(66).adjacency_masks()
+    pseudorandom._members.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for window in ((1, 33 * 33), (2, 33 * 33), (33, 33 * 33 // 2 + 1)):
+            list(_record_pairs(masks, 33, *window))
+        fit_density_certificate(member, 10, Fraction(4, 5), mode="exhaustive")
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 256 * 1024, kept
+
+
 @pytest.mark.parametrize("g", [complete_graph(66), complete_bipartite(33, 33), cycle_graph(66),
                                complete_graph(130), complete_bipartite(65, 65), complete_graph(258),
                                complete_graph(364)],
@@ -408,3 +433,20 @@ def test_cleaning_matches_reference_at_bench_size(seed):
     cleaned = _clean_short_cycles(g, 4, log)
     assert (cleaned, log.removed_edges, log.cycles_found) == ref_clean_short_cycles(g, 4)
     assert girth_violation(g, 4) == ref_girth_violation(g, 4)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_cleaning_matches_reference_at_limit_six(seed):
+    # G(40, 3/20) has cycles of lengths 3 to 6 to remove, so the search runs
+    # past the first-layer triangle test.
+    g = random_graph(40, 0.15, seed)
+    log = GenerationLog()
+    cleaned = _clean_short_cycles(g, 6, log)
+    assert (cleaned, log.removed_edges, log.cycles_found) == ref_clean_short_cycles(g, 6)
+    assert girth_violation(g, 6) == ref_girth_violation(g, 6)
+
+
+def test_prune_to_size_matches_reference_at_bench_size():
+    # The girth family's peeling: a cleaned G(64, 3/10) down to 32 vertices.
+    cleaned = _clean_short_cycles(random_graph(64, 0.3, 0), 4, GenerationLog())
+    assert prune_to_size(cleaned, 32) == ref_prune_to_size(cleaned, 32)

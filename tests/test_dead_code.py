@@ -179,9 +179,9 @@ def unread_methods(package: Path, readers: Iterable[ast.AST]) -> list[str]:
     ]
 
 
-# Public methods that only tests read today.  Deleting one (ROADMAP item 8)
-# must also delete it here; a new one fails the test.
-TEST_ONLY_METHODS = ["Graph.neighbours", "Graph.degree", "BlowupMap.base_of"]
+# Public methods that only tests read today: none.  A new one fails the test;
+# tests decode neighbours with graph_reference.mask_adjacency instead.
+TEST_ONLY_METHODS = []
 
 
 def test_every_public_method_of_an_export_is_read_outside_the_tests():
@@ -245,8 +245,9 @@ def test_guard_flags_an_unread_option():
 def adjacency_view_calls(package: Path) -> list[str]:
     """`.neighbours(` and `.degree(` calls, as module:line, in modules other than graphs.py.
 
-    Neighbour bitmasks are the one adjacency view the package derives; these
-    two methods serve callers outside it, and a second view would start here.
+    Neighbour bitmasks are the one adjacency view the package derives; a
+    second view (neighbour tuples or degrees per call) would start with a
+    method of one of these names.
     """
     return [
         f"{module}:{node.lineno}"

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +49,22 @@ class TestDumpReport:
     def test_jsonable_handles_tuples_and_sets(self):
         assert jsonable((1, 2)) == [1, 2]
         assert jsonable(frozenset({3, 1})) == [1, 3]
+
+    def test_report_bytes_are_pinned(self):
+        # Int keys become strings and sort as strings ("10" before "2"); a
+        # Fraction inside a tuple, a frozenset of edges, a namedtuple and
+        # nested lists are all converted; True, None and a float pass through.
+        pair = namedtuple("pair", "u v")
+        report = {"cert": {
+            "byK": {2: "two", 10: "ten"}, "passed": True, "worst": None, "share": 0.25,
+            "dev": (Fraction(-7, 12), 3), "removed": frozenset({(3, 4), (0, 2), (1, 5)}),
+            "grid": [[1, [2, (3,)]], [], [pair(4, Fraction(1, 2))]],
+        }}
+        assert dump_report(report) == (
+            '{"cert":{"byK":{"10":"ten","2":"two"},"dev":["-7/12",3],'
+            '"grid":[[1,[2,[3]]],[],[[4,"1/2"]]],"passed":true,'
+            '"removed":[[0,2],[1,5],[3,4]],"share":0.25,"worst":null},"schemaVersion":1}\n'
+        )
 
 
 def test_package_import_loads_serialize():
