@@ -405,7 +405,7 @@ class AuxColouring:
     def validate(self) -> None:
         host = self.chi.host
         for e in self.base.edges:
-            lab = self.labels.get(tuple(sorted(e)))
+            lab = self.labels.get(e)
             if lab not in (BLUE, GREY):
                 raise ConstructionError(f"edge {e} has no label")
         for (u, v), (wa, wb) in self.witnesses.items():

@@ -1,8 +1,9 @@
 """Immutable simple graphs plus the constructors and measurements everything else builds on.
 
 Vertices are the integers 0..n-1.  Edges are unordered pairs stored as sorted
-tuples.  Graph values never mutate after construction, so they are safe to
-share across threads and safe to use as dict keys.
+tuples, and a graph's edge set iterates in lexicographic order.  Graph values
+never mutate after construction, so they are safe to share across threads and
+safe to use as dict keys.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations, filterfalse, islice, product, repeat
+from itertools import chain, combinations, compress, filterfalse, islice, product
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import GraphFormatError, ParameterError
@@ -31,20 +32,39 @@ def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterable[Edge]:
         yield (u, v) if u < v else (v, u)
 
 
+class _EdgeSet(frozenset):
+    """A frozenset of edges that iterates the sorted list kept beside it.
+
+    Set algebra (`|`, `-`, `set(...)`) returns plain frozensets or sets,
+    whose order is undefined.
+    """
+
+    __slots__ = ("_order",)
+
+    def __new__(cls, order: list[Edge]) -> "_EdgeSet":  # order is kept, not copied
+        self = super().__new__(cls, order)
+        self._order = order
+        return self
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self._order)
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Invariants: no self-loops, no duplicate edges, adjacency symmetric,
-    edge count equals half the degree sum.
+    edge count equals half the degree sum.  `edges` is a frozenset that
+    iterates in lexicographic order, so walking it needs no sort.
 
     The edge set is the only state built up front.  Its one derived view,
     the neighbour bitmasks (`adjacency_masks`), is built on first use and
     kept; neighbours and degrees are read from it.  A large host that is only
     ever queried edge by edge never pays for it.
 
-    The constructor checks and sorts every edge.  Only the blow-up builder
-    skips that, through `_from_edge_set`: it makes each pair from ascending
-    ranges below n, so the checks could not fail and would copy every tuple.
+    The constructor checks, sorts and deduplicates every edge; on sorted input
+    the sort is one linear pass.  The builders in this module whose pairs are
+    distinct, in range and already in order skip that through `_from_edge_set`.
     """
 
     __slots__ = ("n", "edges", "_masks")
@@ -53,14 +73,19 @@ class Graph:
         if n < 0:
             raise ParameterError("vertex count must be non-negative")
         self.n = n
-        self.edges = frozenset(_checked_edges(n, edges))
+        pairs = sorted(_checked_edges(n, edges))
+        self.edges = _EdgeSet(pairs)
+        if len(self.edges) < len(pairs):  # a pair given twice: keep one copy in the order
+            self.edges = _EdgeSet(list(dict.fromkeys(pairs)))
         self._masks: tuple[int, ...] | None = None
 
     @classmethod
-    def _from_edge_set(cls, n: int, edges: frozenset[Edge]) -> "Graph":
-        """Adopt edges as is; the caller guarantees every pair (u, v) has u < v < n."""
+    def _from_edge_set(cls, n: int, edges: list[Edge]) -> "Graph":
+        """Adopt edges unchecked; the caller guarantees distinct pairs u < v < n, in lexicographic order."""
+        if n < 0:
+            raise ParameterError("vertex count must be non-negative")
         g = cls.__new__(cls)
-        g.n, g.edges, g._masks = n, edges, None
+        g.n, g.edges, g._masks = n, _EdgeSet(edges), None
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -74,7 +99,7 @@ class Graph:
 
     def sorted_edges(self) -> list[Edge]:
         """Edges in lexicographic order; the canonical order used by colourings."""
-        return sorted(self.edges)
+        return list(self.edges)
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbour bitmask; computed once, cached."""
@@ -102,7 +127,7 @@ class Graph:
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._from_edge_set(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -112,7 +137,7 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph._from_edge_set(n, list(combinations(range(n), 2)))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -121,7 +146,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         raise ParameterError("edge probability must lie in [0,1]")
     rng = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+    return Graph._from_edge_set(n, edges)
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -130,11 +155,11 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
     Returns (subgraph, ids) where ids[i] is the original id of new vertex i.
     """
     ids = tuple(sorted(set(vertices)))
-    index = {v: i for i, v in enumerate(ids)}
+    index = {v: i for i, v in enumerate(ids)}  # ascending, so pairs stay in order
     edges = [
         (index[u], index[v]) for u, v in g.edges if u in index and v in index
     ]
-    return Graph(len(ids), edges), ids
+    return Graph._from_edge_set(len(ids), edges), ids
 
 
 # -- distances, powers ----------------------------------------------------
@@ -189,14 +214,14 @@ def power(g: Graph, k: int) -> Graph:
     for s in range(g.n):
         ball = sum(islice(_frontiers(adj, 1 << s, 0), k + 1))
         edges.extend((s, w) for w in _mask_vertices(ball >> (s + 1) << (s + 1)))
-    return Graph(g.n, edges)
+    return Graph._from_edge_set(g.n, edges)
 
 
 def path_power(n: int, k: int) -> Graph:
     """P_n^k: vertices 0..n-1 joined when their index distance is at most k."""
     if n < 1 or k < 1:
         raise ParameterError("need n >= 1 and k >= 1")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)])
+    return Graph._from_edge_set(n, [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)])
 
 
 # -- blow-ups -------------------------------------------------------------
@@ -256,17 +281,28 @@ class BlowupMap:
 def _blowup(h: Graph, t: int, removed: Iterable[frozenset[Edge]] = ()) -> tuple[Graph, tuple]:
     """The complete blow-up of h less the removed matchings' pairs, and its cliques.
 
-    Clique v is range(v*t, v*t + t), so every pair is sorted and below n*t:
-    the host adopts the edge set unchecked.  Pairs go in clique by clique,
-    then by base edge in sorted order.
+    Clique v is range(v*t, v*t + t).  Row a, the pairs (a, b) with b > a,
+    is the rest of a's clique and then every higher adjacent clique, so the
+    pairs come out distinct, in range and in order: the host adopts them
+    unchecked.  A clique's rows are the product of the clique with its
+    targets (itself, then those cliques) less each row's targets up to its
+    own position, from C-level iterators with no Python loop per vertex.
     """
     if t < 1:
         raise ParameterError("clique size t must be >= 1")
     cliques = [range(v * t, v * t + t) for v in range(h.n)]
-    cross = chain.from_iterable(product(cliques[u], cliques[v]) for u, v in sorted(h.edges))
-    edges = chain(chain.from_iterable(map(combinations, cliques, repeat(2))),
-                  filterfalse(frozenset().union(*removed).__contains__, cross))
-    return Graph._from_edge_set(h.n * t, frozenset(edges)), tuple(map(tuple, cliques))
+    higher: list[list[range]] = [[] for _ in cliques]
+    for u, v in h.edges:  # in order, so each list ascends
+        higher[u].append(cliques[v])
+    targets = [tuple(chain(clique, *above)) for clique, above in zip(cliques, higher)]
+    # per target count, row i keeps the targets after its own position i
+    keep = {size: b"".join(bytes(i + 1) + b"\1" * (size - i - 1) for i in range(t))
+            for size in set(map(len, targets))}
+    rows = chain.from_iterable(map(compress, map(product, cliques, targets),
+                                   map(keep.get, map(len, targets))))
+    gone = frozenset().union(*removed)
+    pairs = list(filterfalse(gone.__contains__, rows) if gone else rows)
+    return Graph._from_edge_set(h.n * t, pairs), tuple(map(tuple, cliques))
 
 
 def complete_blowup(h: Graph, t: int) -> tuple[Graph, BlowupMap]:
@@ -283,7 +319,7 @@ def sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, Bl
     edge.  The choice is recorded in the returned BlowupMap.
     """
     removed: dict[Edge, frozenset[Edge]] = {}
-    for u, v in sorted(h.edges):
+    for u, v in h.edges:
         perm = list(range(t))
         if seed is not None:
             random.Random((seed * 1_000_003 + u) * 1_000_003 + v).shuffle(perm)

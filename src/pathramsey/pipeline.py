@@ -123,7 +123,7 @@ class StepOutcome:
             out["patternVertices"] = self.embedding.pattern.n
         if self.reduced_graph is not None:
             out["reducedGraphVertices"] = self.reduced_graph.n
-            out["reducedGraphEdges"] = sorted(list(e) for e in self.reduced_graph.edges)
+            out["reducedGraphEdges"] = [list(e) for e in self.reduced_graph.edges]
             out["allowedColours"] = sorted(self.reduced_colours or ())
             out["templateEmbedding"] = (
                 self.template_embedding.to_dict() if self.template_embedding else None

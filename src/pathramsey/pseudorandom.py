@@ -342,9 +342,8 @@ def _record_pairs(
 
         try:
             yield from bisections(0, 0, 0, 0, k, 0, kk)
-        finally:  # the nested functions form a cycle: free their tables now, not at a later gc pass
-            tables.clear()
-            cells.clear()
+        finally:  # cell and bisections refer to themselves: break the cycles, so the tables go now
+            del cell, bisections
         return
 
     # n > 2k.  While x is chosen, a y vertex u has between |N(u) & x| and

@@ -3,6 +3,7 @@ the blue/grey auxiliary colouring, path promotion, subgraph search, arrowing."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathramsey import (
     BudgetExceededError,
+    ConstructionError,
     EdgeColouring,
     Graph,
     ParameterError,
@@ -258,6 +260,18 @@ class TestBuildAuxColouring:
             )
             assert (aux.labels[(0, 1)] == "blue") == exists
             aux.validate()
+
+    def test_validate_names_the_lexicographically_first_unlabelled_edge(self):
+        # (2,3) and (3,4) lose their labels; a plain frozenset of P6's edges
+        # meets (3,4) first.
+        j = path_graph(6)
+        host, bmap = sheared_blowup(j, 3)
+        chi = EdgeColouring.constant(host, 2, 1)
+        bmap = bmap.with_subcliques({v: bmap.clique_of[v][:2] for v in range(6)})
+        aux = build_aux_colouring(j, range(6), bmap, chi, 1, 1)
+        labels = {e: lab for e, lab in aux.labels.items() if e not in ((2, 3), (3, 4))}
+        with pytest.raises(ConstructionError, match=r"^edge \(2, 3\) has no label$"):
+            dataclasses.replace(aux, labels=labels).validate()
 
     def test_non_monochromatic_subclique_names_vertex(self):
         j = Graph(2, [(0, 1)])

@@ -149,34 +149,53 @@ def test_export_guard_flags_a_name_only_tests_read(tmp_path):
     assert unread_exports(package, [bench, *readme_code(readme)]) == ["tested"]
 
 
-def unread_methods(package: Path, readers: Iterable[ast.AST]) -> list[str]:
+def unread_methods(package: Path, readers: Iterable[ast.Module]) -> list[str]:
     """Public methods of exported classes, as Class.method, that nothing outside the tests reads.
 
-    A read is a reference to the method's name in a package statement other
-    than its own definition (a class body counts statement by statement) or
-    in one of the given reader trees.
+    A read of a method's name is an attribute load, an import, or a bare name
+    that resolves to a module-level definition, in a package statement other
+    than the method's own definition (a class body counts statement by
+    statement) or in one of the given reader trees.  A local variable or a
+    parameter of that name is not a read.
     """
     trees = _parse_package(package)
     exported = set(_exported(trees.pop("__init__")))
-    statements, methods = [], []
+    read, methods = [], []
     for tree in trees.values():
+        tops = _module_names(tree)
         for top in tree.body:
-            if not isinstance(top, ast.ClassDef):
-                statements.append(top)
-                continue
-            statements.extend(top.body)
-            methods.extend(
-                (top.name, node) for node in top.body
-                if top.name in exported and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not node.name.startswith("_")
-            )
-    outside = set().union(*map(_references, readers))
-    read = [(node, _references(node)) for node in statements]
+            body = top.body if isinstance(top, ast.ClassDef) else [top]
+            read.extend((node, _method_references(node, tops)) for node in body)
+            if isinstance(top, ast.ClassDef) and top.name in exported:
+                methods.extend(
+                    (top.name, node) for node in body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                )
+    outside = set().union(*(_method_references(tree, _module_names(tree)) for tree in readers))
     return [
         f"{cls}.{method.name}" for cls, method in methods
         if method.name not in outside
         and not any(method.name in refs for node, refs in read if node is not method)
     ]
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """The names a module's top-level statements define."""
+    return {name for top in tree.body for name in _defined_names(top)}
+
+
+def _method_references(node: ast.AST, tops: set[str]) -> set[str]:
+    """Attributes read, names imported, and bare names in tops read under node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in tops:
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
 
 
 # Public methods that only tests read today: none.  A new one fails the test;
@@ -205,6 +224,26 @@ def test_method_guard_flags_a_method_only_tests_read(tmp_path):
         "def run(obj):\n    return obj.used()\n"
     )
     bench = ast.parse("from pkg import Shown\nShown().size\n")
+    assert unread_methods(package, [bench]) == ["Shown.tested"]
+
+
+def test_method_guard_ignores_locals_and_parameters_of_the_same_name(tmp_path):
+    # A parameter or local named like a test-only method is not a read of it;
+    # a module-level function of that name, called bare, is.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .a import Shown, run\n")
+    (package / "a.py").write_text(
+        "class Shown:\n"
+        "    def tested(self):\n        return 0\n\n"
+        "    def locate(self, tested):\n        return tested\n\n"
+        "    def called(self):\n        return 1\n\n"
+        "def called():\n    return 2\n\n"
+        "def run(obj, located=None):\n"
+        "    tested = obj.locate(3)\n"
+        "    return tested, called(), located\n"
+    )
+    bench = ast.parse("from pkg import run\nrun(None)\n")
     assert unread_methods(package, [bench]) == ["Shown.tested"]
 
 
@@ -276,9 +315,9 @@ def test_adjacency_guard_flags_a_second_view(tmp_path):
 def unchecked_graph_calls(package: Path) -> list[str]:
     """`_from_edge_set(` calls, as module:line, in modules other than graphs.py.
 
-    That constructor adopts an edge set without checking it; only the
-    blow-up builder in graphs.py makes pairs that are sorted and in range by
-    construction.
+    That constructor adopts an edge list without checking it; only the
+    builders in graphs.py make pairs that are distinct, in range and in
+    lexicographic order by construction.
     """
     return [
         f"{module}:{node.lineno}"

@@ -66,6 +66,13 @@ class TestValidateEmbedding:
         emb = Embedding(path_graph(3), complete_graph(3), (0, 1))
         assert not validate_embedding(emb).ok
 
+    def test_names_the_lexicographically_first_failing_edge(self):
+        # P6 into P6 less (2,3) and (3,4): both pattern edges fail, and a
+        # plain frozenset of P6's edges meets (3,4) first.
+        host = Graph(6, [(0, 1), (1, 2), (4, 5)])
+        rep = validate_embedding(Embedding(path_graph(6), host, tuple(range(6))))
+        assert rep.problem == "pattern edge (2,3) maps to non-edge (2,3)"
+
 
 GOOD = quad(3, 950400, 1, "1/20")
 

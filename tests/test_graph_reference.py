@@ -149,6 +149,7 @@ def test_blowups_match_reference(t):
         host, bmap = complete_blowup(h, t)
         want, want_map = ref_complete_blowup(h, t)
         assert (host, host.sorted_edges()) == (want, want.sorted_edges()), (i, t)
+        assert list(host.edges) == sorted(frozenset(want.edges)), (i, t)
         assert (bmap.clique_of, bmap.removed_matchings, bmap.matching_rule) == (want_map.clique_of, {}, "none")
         assert frozenset(_checked_edges(host.n, host.edges)) == host.edges
         bmap.validate()
@@ -156,14 +157,23 @@ def test_blowups_match_reference(t):
             host, bmap = sheared_blowup(h, t, seed)
             want, want_map = ref_sheared_blowup(h, t, seed)
             assert (host, host.sorted_edges()) == (want, want.sorted_edges()), (i, t, seed)
-            # Same insertion order as the reference, so colour rules that walk
+            # Both iterate in lexicographic order, so colour rules that walk
             # host.edges meet the edges in the same sequence.
-            assert list(host.edges) == list(want.edges), (i, t, seed)
+            assert list(host.edges) == list(want.edges) == sorted(frozenset(want.edges)), (i, t, seed)
             assert bmap.clique_of == want_map.clique_of
             assert list(bmap.removed_matchings.items()) == list(want_map.removed_matchings.items())
             assert bmap.matching_rule == want_map.matching_rule
             assert frozenset(_checked_edges(host.n, host.edges)) == host.edges
             bmap.validate()
+
+
+def test_blowups_of_the_seeded_graphs_come_out_sorted():
+    for i, g in enumerate(GRAPHS):
+        t = 1 + i % 3
+        for host, want in ((complete_blowup(g, t)[0], ref_complete_blowup(g, t)[0]),
+                           (sheared_blowup(g, t)[0], ref_sheared_blowup(g, t)[0]),
+                           (sheared_blowup(g, t, i)[0], ref_sheared_blowup(g, t, i)[0])):
+            assert host == want and list(host.edges) == sorted(frozenset(want.edges)), (i, t)
 
 
 def test_blowup_bases_cover_the_edge_cases():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathramsey import (
+    EdgeColouring,
     Graph,
     GraphFormatError,
     ParameterError,
@@ -21,6 +22,7 @@ from pathramsey import (
     girth_violation,
     graph_from_text,
     graph_to_text,
+    induced_subgraph,
     max_degree,
     path_graph,
     path_power,
@@ -69,6 +71,49 @@ class TestGraphBasics:
         g = path_graph(4)
         h = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert g == h and hash(g) == hash(h)
+
+
+def _order_cases():
+    """Graphs from every builder, and the constructor fed pairs out of order."""
+    rng = random.Random(19)
+    pairs = [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.5]
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    yield "shuffled", Graph(9, shuffled)
+    yield "reversed", Graph(9, [(v, u) for u, v in reversed(pairs)])
+    yield "duplicated", Graph(9, shuffled + [(v, u) for u, v in pairs] + pairs)
+    yield "path", path_graph(7)
+    yield "cycle", cycle_graph(8)
+    yield "complete", complete_graph(6)
+    yield "path_power", path_power(9, 3)
+    g = random_graph(14, 0.3, seed=5)
+    yield "random", g
+    yield "power", power(g, 2)
+    yield "induced", induced_subgraph(g, [13, 2, 7, 4, 11, 0, 9, 5])[0]
+    host, _ = sheared_blowup(cycle_graph(5), 3, seed=2)
+    edges = list(host.edges)
+    rng.shuffle(edges)  # the colour map's own order is not the subgraph's
+    yield "colour_subgraph", EdgeColouring(host, 2, {e: 1 + sum(e) % 2 for e in edges}).colour_subgraph(2)
+    h = power(cycle_graph(7), 2)
+    yield "complete_blowup", complete_blowup(h, 3)[0]
+    yield "sheared_aligned", sheared_blowup(h, 4)[0]
+    yield "sheared_seeded", sheared_blowup(h, 4, seed=11)[0]
+
+
+class TestEdgeOrder:
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _order_cases()])
+    def test_edges_iterate_in_lexicographic_order(self, g):
+        assert list(g.edges) == sorted(g.edges) == g.sorted_edges()
+        assert g.edges == frozenset(g.edges) and hash(g.edges) == hash(frozenset(g.edges))
+        assert isinstance(g.edges, frozenset)
+        assert g.m > 0
+
+    def test_constructor_keeps_the_edge_set(self):
+        pairs = [(3, 1), (0, 2), (1, 3), (2, 0), (0, 1)]
+        g = Graph(4, pairs)
+        assert list(g.edges) == [(0, 1), (0, 2), (1, 3)]
+        assert g == Graph(4, reversed(pairs)) and hash(g) == hash(Graph(4, reversed(pairs)))
+        assert list(dict.fromkeys(g.edges)) == [(0, 1), (0, 2), (1, 3)]
 
 
 class TestPower:
