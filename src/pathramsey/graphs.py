@@ -186,6 +186,25 @@ def _frontiers(adj: Sequence[int], frontier: int, seen: int) -> Iterator[int]:
         seen |= frontier
 
 
+def _depth_first(root: Iterator) -> Iterator[tuple]:
+    """The records of a depth-first search over generator nodes, on a stack, not by recursion.
+
+    A node yields records (tuples), passed on in order, and child nodes, each
+    searched to exhaustion before its parent resumes: the visits and records
+    of the recursive search that writes `yield from child`, at any depth.
+    """
+    stack = [root]
+    while stack:
+        for item in stack[-1]:
+            if type(item) is tuple:
+                yield item
+            else:
+                stack.append(item)
+                break
+        else:
+            stack.pop()
+
+
 def distances(g: Graph, source: int) -> list[float]:
     """BFS distances from source; unreachable vertices get math.inf."""
     if not 0 <= source < g.n:

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import Graph, PathWitness, _frontiers, _mask_vertices
+from .graphs import Graph, PathWitness, _depth_first, _frontiers, _mask_vertices
 from .pseudorandom import _record_pairs, disjoint_pair_count, prune_to_size
 
 EXHAUSTIVE_CAP = 12
@@ -86,43 +86,32 @@ def _group_components(comps: list[int], classes: int, exact: bool = False) -> li
     lowest = classes if exact else 1
     for m in range(classes, lowest - 1, -1):
         if total % m == 0:
-            groups = _pack(sizes, m, total // m)
-            if groups is not None:
+            groups, fill = [0] * m, [0] * m
+            for _ in _depth_first(_pack(sizes, 0, groups, fill, total // m)):
                 return groups + [0] * (classes - m)
     return None
 
 
-def _pack(sizes: list[tuple[int, int]], m: int, q: int) -> list[int] | None:
-    """First packing of the (size, mask) items, in order, into m groups of capacity q.
+def _pack(sizes: list[tuple[int, int]], i: int, groups: list[int], fill: list[int], q: int):
+    """Search node (graphs._depth_first) that packs items i, i+1, ... into groups of capacity q.
 
-    A depth-first search with an explicit stack: item i goes to each group in
-    turn, skipping a group whose fill equals that of a group already tried for
-    item i, and the search backtracks when no group takes it.
+    The items are (size, mask) pairs.  Item i goes to each group in turn,
+    skipping a group whose fill equals that of a group already tried for item
+    i.  The node yields () once every item is placed, so at the first record
+    groups holds the first packing.
     """
-    groups = [0] * m
-    fill = [0] * m
-    placed: list[tuple[int, set[int]]] = []  # (group, fills tried) per placed item
-    gi, tried = 0, set()
-    while len(placed) < len(sizes):
-        size, comp = sizes[len(placed)]
-        while gi < m and (fill[gi] in tried or fill[gi] + size > q):
-            tried.add(fill[gi])
-            gi += 1
-        if gi < m:
-            tried.add(fill[gi])
-            fill[gi] += size
-            groups[gi] |= comp
-            placed.append((gi, tried))
-            gi, tried = 0, set()
-            continue
-        if not placed:
-            return None
-        gi, tried = placed.pop()
-        size, comp = sizes[len(placed)]
-        fill[gi] -= size
-        groups[gi] &= ~comp
-        gi += 1
-    return groups
+    if i == len(sizes):
+        yield ()
+        return
+    size, comp = sizes[i]
+    tried = set()
+    for gi, f in enumerate(fill):
+        if f not in tried:
+            tried.add(f)
+            if f + size <= q:
+                fill[gi], groups[gi] = f + size, groups[gi] | comp
+                yield _pack(sizes, i + 1, groups, fill, q)
+                fill[gi], groups[gi] = f, groups[gi] & ~comp
 
 
 def _ham_path_table(masks: Sequence[int], n: int) -> list[int]:
@@ -408,8 +397,11 @@ def long_path_through_sets(
     When gamma is given and the instance is small, the expansion hypothesis
     (every disjoint pair of ceil(gamma*n)-sets spans an edge) is pre-checked
     and a violation rejects the call; otherwise the hypothesis is the caller's
-    assertion.  The search is a depth-first walk over the part pattern with a
-    visited-state memo; exhaustion raises carrying the longest path achieved.
+    assertion.  The search is a depth-first walk over the part pattern, run by
+    graphs._depth_first so no path length deepens the interpreter stack.  It
+    tries each vertex's candidates in ascending order, skips (vertex, used
+    set) states already known to fail, and spends one unit of node_budget
+    per vertex it expands; exhaustion raises carrying the longest path achieved.
     """
     t = len(parts)
     if t < 1:
@@ -420,10 +412,9 @@ def long_path_through_sets(
     flat = [v for p in part_sets for v in p]
     if len(set(flat)) != len(flat):
         raise ParameterError("parts overlap")
-    for p in part_sets:
-        for v in p:
-            if not 0 <= v < g.n:
-                raise ParameterError(f"part vertex {v} out of range")
+    for v in flat:
+        if not 0 <= v < g.n:
+            raise ParameterError(f"part vertex {v} out of range")
     if gamma is not None:
         size = max(1, math.ceil(Fraction(gamma) * g.n))
         try:
@@ -443,52 +434,40 @@ def long_path_through_sets(
     budget = node_budget
     seen_states: set[tuple[int, int]] = set()
 
-    def walk(start: int) -> list[int] | None:
-        """Depth-first from start; an explicit stack of untried candidates per depth
-        replaces recursion, so long paths do not overflow the interpreter stack."""
+    def extend(used: int):
+        # The search node at the end of path: the path once it is long enough,
+        # else a child per candidate not known to fail, in ascending order.
         nonlocal budget, best
-        path, used = [start], 1 << start
-        untried: list[int] = []
-        fresh = True
-        while True:
-            if fresh:
-                if len(path) > len(best):
-                    best = list(path)
-                if len(path) == target_len:
-                    return path
-                cand = 0
-                if budget > 0:
-                    budget -= 1
-                    cand = masks[path[-1]] & part_masks[len(path) % t] & ~used
-            else:
-                cand = untried.pop()
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                if (low.bit_length() - 1, used | low) not in seen_states:
-                    break
-            else:
-                # Every candidate failed: the walk through path[-1] fails too.
-                if len(path) == 1:
-                    return None
-                v = path.pop()
-                seen_states.add((v, used))
-                used ^= 1 << v
-                fresh = False
-                continue
-            untried.append(cand)
-            path.append(low.bit_length() - 1)
-            used |= low
-            fresh = True
+        if len(path) > len(best):
+            best = list(path)
+        if len(path) == target_len:
+            yield tuple(path)
+            return
+        cand = 0
+        if budget > 0:
+            budget -= 1
+            cand = masks[path[-1]] & part_masks[len(path) % t] & ~used
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            state = (low.bit_length() - 1, used | low)
+            if state not in seen_states:
+                path.append(state[0])
+                yield extend(state[1])
+                path.pop()
+                seen_states.add(state)  # every walk on from this state fails
 
-    for start in part_sets[0]:
-        path = walk(start)
-        if path is not None:
-            witness = PathWitness(tuple(path), tuple(i % t for i in range(len(path))))
-            witness.validate(g, part_sets)
-            return witness
-        if budget <= 0:
-            break
+    try:
+        for start in part_sets[0]:
+            path = [start]
+            for found in _depth_first(extend(1 << start)):
+                witness = PathWitness(found, tuple(i % t for i in range(len(found))))
+                witness.validate(g, part_sets)
+                return witness
+            if budget <= 0:
+                break
+    finally:  # extend refers to itself: break the cycle, so the memo goes now
+        extend = None
     raise NoPathFoundError(
         f"no constrained path of length {target_len} found (longest {len(best)})",
         longest=PathWitness(tuple(best), tuple(i % t for i in range(len(best)))),

@@ -28,6 +28,7 @@ from .errors import (
 from .graphs import (
     Graph,
     _cycle_path,
+    _depth_first,
     _first_shortest_cycle,
     _mask_vertices,
     girth_violation,
@@ -196,7 +197,9 @@ def _record_pairs(
     and a subtree is skipped when a lower bound on its counts is >= least and
     an upper bound is <= greatest.  The window only widens, so a skipped pair
     could never have been yielded: the stream is exactly what filtering the
-    enumeration by the widening window gives.
+    enumeration by the widening window gives.  Each node of the search is a
+    generator that yields its records and its children to graphs._depth_first,
+    so no k deepens the interpreter stack.
 
     For n = 2k, y is the complement of x.  At a node x lacks r of its k
     vertices, U holds the undecided ones (above x's highest, except n-1),
@@ -338,53 +341,51 @@ def _record_pairs(
                 if hi > high:
                     hi = high
                 if lo < least or hi > greatest:
-                    yield from bisections(x | 1 << v, twice_xv, cv, v + 1, rest, lo, hi)
+                    yield bisections(x | 1 << v, twice_xv, cv, v + 1, rest, lo, hi)
 
-        try:
-            yield from bisections(0, 0, 0, 0, k, 0, kk)
-        finally:  # cell and bisections refer to themselves: break the cycles, so the tables go now
-            del cell, bisections
-        return
+        root = bisections(0, 0, 0, 0, k, 0, kk)
+    else:
+        # n > 2k.  While x is chosen, a y vertex u has between |N(u) & x| and
+        # |N(u) & x| + min(r, |N(u) & candidates|) neighbours in the final x, and y
+        # is k vertices outside x.  Once x is fixed, e is the sum of the weights
+        # w(u) = |N(u) & x| over y, and a partial y with running sum s completes to
+        # between s plus the r smallest and s plus the r largest weights left.
+        def x_sets(x: int, i: int, r: int, low: int, high: int):
+            for v in range(i, n - r):
+                xv = x | 1 << v
+                rest = r - 1
+                candidates = (1 << last) - (2 << v)
+                comp = [u for u in range(n) if not xv >> u & 1]
+                weights = [(masks[u] & xv).bit_count() for u in comp]
+                floors = sorted(weights)
+                ceilings = sorted([w + min(rest, (masks[u] & candidates).bit_count())
+                                   for u, w in zip(comp, weights)])
+                lo, hi = max(low, sum(floors[:k])), min(high, sum(ceilings[-k:]))
+                if lo < least or hi > greatest:
+                    yield (x_sets(xv, v + 1, rest, lo, hi) if rest
+                           else y_sets(xv, comp, weights, v, 0, 0, k, 0, lo, hi))
 
-    # n > 2k.  While x is chosen, a y vertex u has between |N(u) & x| and
-    # |N(u) & x| + min(r, |N(u) & candidates|) neighbours in the final x, and y
-    # is k vertices outside x.  Once x is fixed, e is the sum of the weights
-    # w(u) = |N(u) & x| over y, and a partial y with running sum s completes to
-    # between s plus the r smallest and s plus the r largest weights left.
-    def x_sets(x: int, i: int, r: int, low: int, high: int):
-        for v in range(i, n - r):
-            xv = x | 1 << v
-            rest = r - 1
-            candidates = (1 << last) - (2 << v)
-            comp = [u for u in range(n) if not xv >> u & 1]
-            weights = [(masks[u] & xv).bit_count() for u in comp]
-            floors = sorted(weights)
-            ceilings = sorted([w + min(rest, (masks[u] & candidates).bit_count())
-                               for u, w in zip(comp, weights)])
-            lo, hi = max(low, sum(floors[:k])), min(high, sum(ceilings[-k:]))
-            if lo < least or hi > greatest:
-                if rest:
-                    yield from x_sets(xv, v + 1, rest, lo, hi)
-                else:
-                    yield from y_sets(xv, comp, weights, v, 0, 0, k, 0, lo, hi)
+        def y_sets(x: int, comp: list[int], weights: list[int], top: int,
+                   j: int, y: int, r: int, s: int, low: int, high: int):
+            nonlocal least, greatest
+            for c in range(j, len(comp) - r + 1):
+                yc, sc = y | 1 << comp[c], s + weights[c]
+                if r == 1:
+                    if comp[c] > top and (sc < least or sc > greatest):
+                        yield x, yc, sc
+                        least, greatest = min(least, sc), max(greatest, sc)
+                    continue
+                rest = r - 1
+                ranked = sorted(weights[c + 1:])
+                lo, hi = max(low, sc + sum(ranked[:rest])), min(high, sc + sum(ranked[-rest:]))
+                if lo < least or hi > greatest:
+                    yield y_sets(x, comp, weights, top, c + 1, yc, rest, sc, lo, hi)
 
-    def y_sets(x: int, comp: list[int], weights: list[int], top: int,
-               j: int, y: int, r: int, s: int, low: int, high: int):
-        nonlocal least, greatest
-        for c in range(j, len(comp) - r + 1):
-            yc, sc = y | 1 << comp[c], s + weights[c]
-            if r == 1:
-                if comp[c] > top and (sc < least or sc > greatest):
-                    yield x, yc, sc
-                    least, greatest = min(least, sc), max(greatest, sc)
-                continue
-            rest = r - 1
-            ranked = sorted(weights[c + 1:])
-            lo, hi = max(low, sc + sum(ranked[:rest])), min(high, sc + sum(ranked[-rest:]))
-            if lo < least or hi > greatest:
-                yield from y_sets(x, comp, weights, top, c + 1, yc, rest, sc, lo, hi)
-
-    yield from x_sets(0, 0, k, 0, k * k)
+        root = x_sets(0, 0, k, 0, k * k)
+    try:
+        yield from _depth_first(root)
+    finally:  # the search functions refer to themselves: break the cycles, so their state goes now
+        cell = bisections = x_sets = y_sets = None
 
 
 def _sampled_pairs(masks: Sequence[int], k: int, count: int, seed: int) -> Iterator[tuple[int, int, int]]:
@@ -500,12 +501,11 @@ def fit_density_certificate(
     tie-break below.  The search tests its small subtrees in one packed pass
     (see _record_pairs), which yields the same records as branching them,
     so every field is that of full enumeration.  pairs_checked is then the
-    family size.  Sampled, one
-    pass over the sample keeps them.  worst_pair is the first pair that
-    reaches the maximum deviation from f_ref: a pair with the least or
-    greatest count, whichever deviates more, the earlier of the two when both
-    deviate equally (so the first pair checked when every pair has the same
-    count).
+    family size.  Sampled, one pass over the sample keeps them.  worst_pair
+    is the first pair that reaches the maximum deviation from f_ref: a pair
+    with the least or greatest count, whichever deviates more, the earlier of
+    the two when both deviate equally (so the first pair checked when every
+    pair has the same count).
     """
     if set_size < 1:
         raise ParameterError("set size must be >= 1")

@@ -4,7 +4,8 @@ package, every exported name and every public method of an exported class
 is read outside the tests (a known list of methods aside), every option a
 CLI subcommand declares is read by its handler, only graphs.py reads a
 graph's neighbourhoods other than as bitmasks, only graphs.py builds a
-graph without checking its edges, and only cli.py reads config documents."""
+graph without checking its edges, only cli.py reads config documents, and no
+generator recurses by delegating to itself."""
 
 from __future__ import annotations
 
@@ -379,3 +380,45 @@ def test_config_reader_guard_flags_a_second_reader(tmp_path):
         "    return parse_frac(doc['q']), from_dict(doc)\n"
     )
     assert config_readers(tmp_path) == ["a:6", "a:7", "a:10"]
+
+
+def self_delegating_generators(package: Path) -> list[str]:
+    """`yield from f(...)` or `yield from x.f(...)` in a function named f, as module:line.
+
+    Such a generator holds one interpreter frame per level of its search, so
+    a deep enough search raises RecursionError.  A search node yields its
+    children to graphs._depth_first instead, which keeps them on a list.
+    """
+    return [
+        f"{module}:{sub.lineno}"
+        for module, tree in _parse_package(package).items()
+        for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.YieldFrom) and isinstance(sub.value, ast.Call)
+        and getattr(sub.value.func, "attr", getattr(sub.value.func, "id", None)) == node.name
+    ]
+
+
+def test_no_generator_delegates_to_itself():
+    assert self_delegating_generators(PACKAGE) == []
+
+
+def test_recursion_guard_flags_a_generator_that_delegates_to_itself(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def walk(n):\n"
+        "    if n:\n"
+        "        yield from walk(n - 1)\n"
+        "    yield n\n\n"
+        "def search(n):\n"
+        "    def node(d):\n"
+        "        yield from node(d - 1)\n"
+        "    def driven(d):\n"
+        "        yield driven(d - 1)\n"
+        "    yield from _depth_first(driven(n))\n"
+        "    yield from walk(n)\n\n"
+        "class Tree:\n"
+        "    def leaves(self):\n"
+        "        for child in self.children:\n"
+        "            yield from child.leaves()\n"
+    )
+    assert self_delegating_generators(tmp_path) == ["a:3", "a:8", "a:17"]

@@ -1,0 +1,155 @@
+"""The depth-first driver and the searches that run on it: the order they
+visit and yield in, the interpreter stack they need, and the garbage they
+leave for the cyclic collector."""
+
+from __future__ import annotations
+
+import gc
+import random
+import sys
+from contextlib import contextmanager
+
+import pytest
+
+from pathramsey import NoPathFoundError, complete_graph, long_path_through_sets, path_graph, random_graph
+from pathramsey.graphs import _depth_first
+from pathramsey.partition import _group_components
+from pathramsey.pseudorandom import _record_pairs, verify_edgeboost
+
+from classp_reference import ref_bisection_records, ref_counted_pairs, ref_records
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to `frames` above the current depth, then restore it."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def garbage_left(call) -> int:
+    """Objects one call leaves for the cyclic collector, after a warm-up call."""
+    call()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _tree(rng: random.Random, depth: int) -> list:
+    """A random search tree: a list of records (tuples) and subtrees (lists)."""
+    return [
+        (rng.random(),) if depth == 0 or rng.random() < 0.5 else _tree(rng, depth - 1)
+        for _ in range(rng.randint(0, 4))
+    ]
+
+
+def test_driver_visits_like_the_recursive_search():
+    # Each node logs when it starts and when it resumes after a child; the
+    # driver must interleave those events and the records exactly as the
+    # recursive search that delegates with `yield from` does.
+    def run(tree, recursive: bool):
+        log = []
+
+        def node(sub, name):
+            log.append(("enter", name))
+            for i, item in enumerate(sub):
+                if isinstance(item, tuple):
+                    yield item
+                    log.append(("record", name, item))
+                else:
+                    child = node(item, name + (i,))
+                    yield from child if recursive else (child,)
+                    log.append(("back", name, i))
+
+        records = list(node(tree, ()) if recursive else _depth_first(node(tree, ())))
+        return records, log
+
+    rng = random.Random(5)
+    for _ in range(200):
+        tree = _tree(rng, 6)
+        assert run(tree, recursive=False) == run(tree, recursive=True)
+
+
+def test_driver_runs_a_search_deeper_than_the_recursion_limit():
+    def chain(depth):
+        if depth:
+            yield chain(depth - 1)
+        yield (depth,)
+
+    with recursion_headroom(60):
+        assert list(_depth_first(chain(5000))) == [(d,) for d in range(5001)]
+
+
+@pytest.mark.parametrize("n, k", [(400, 200), (401, 150)])
+def test_pair_search_on_a_long_path_needs_no_deep_stack(n, k):
+    # Both branches choose k vertices one search node each; the first pair
+    # with a cross edge comes at the end of a branch k nodes deep.
+    masks = path_graph(n).adjacency_masks()
+    with recursion_headroom(60):
+        x, y, e = next(_record_pairs(masks, k, 0, 0))
+    assert (x, e) == ((1 << k) - 1, 1)
+    assert y & x == 0 and y.bit_count() == k
+
+
+def test_edgeboost_on_k200_needs_no_deep_stack():
+    g = complete_graph(200)
+    with recursion_headroom(60):
+        report = verify_edgeboost(g, 200, 100, 1)
+    assert report.hypothesis_ok and report.passed
+    assert report.min_cross == 100 * 100
+    assert report.worst_pair == (tuple(range(100)), tuple(range(100, 200)))
+
+
+@pytest.mark.parametrize("n, k, window", [(13, 3, (3, 5)), (16, 8, (33, -1))], ids=["n>2k", "n=2k"])
+def test_pair_search_leaves_no_cyclic_garbage(n, k, window):
+    # The search functions refer to themselves; whether the search runs out
+    # or is dropped after its first record, the finally clause breaks those
+    # cycles, so the call's state is freed by reference counting alone.
+    g = random_graph(n, 0.3, 1)
+    masks = g.adjacency_masks()
+    if 2 * k < n:
+        want = ref_records(ref_counted_pairs(g, k), *window)
+    else:
+        want = list(ref_bisection_records(masks, k, *window))
+    assert len(want) >= 2
+    assert list(_record_pairs(masks, k, *window)) == want
+    assert garbage_left(lambda: list(_record_pairs(masks, k, *window))) == 0
+    assert garbage_left(lambda: next(_record_pairs(masks, k, *window), None)) == 0
+
+
+def test_component_packing_leaves_no_cyclic_garbage():
+    # Sizes 4, 3, 3, 2, 2, 2 into 2 groups of 8: the search backtracks
+    # before it finds 4 + 2 + 2 and 3 + 3 + 2.
+    comps = [0b1111, 0b111 << 4, 0b111 << 7, 0b11 << 10, 0b11 << 12, 0b11 << 14]
+    groups = _group_components(comps, 2, exact=True)
+    assert sorted(c.bit_count() for c in groups) == [8, 8]
+    assert garbage_left(lambda: _group_components(comps, 2, exact=True)) == 0
+    assert garbage_left(lambda: _group_components(comps, 5, exact=True)) == 0  # no packing
+
+
+def test_long_path_leaves_no_cyclic_garbage():
+    g = random_graph(14, 0.4, 3)
+    assert long_path_through_sets(g, [range(14)], 8).vertices
+    with pytest.raises(NoPathFoundError):
+        long_path_through_sets(g, [range(14)], 15)
+
+    def fails():
+        try:
+            long_path_through_sets(g, [range(14)], 15)
+        except NoPathFoundError:
+            pass
+
+    assert garbage_left(lambda: long_path_through_sets(g, [range(14)], 8)) == 0
+    assert garbage_left(fails) == 0
