@@ -13,9 +13,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, filterfalse, islice, product
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Generator, Iterable, Iterator, Sequence, TextIO
 
-from .errors import GraphFormatError, ParameterError
+from .errors import BudgetExceededError, GraphFormatError, ParameterError
 
 Edge = tuple[int, int]
 
@@ -186,23 +186,29 @@ def _frontiers(adj: Sequence[int], frontier: int, seen: int) -> Iterator[int]:
         seen |= frontier
 
 
-def _depth_first(root: Iterator) -> Iterator[tuple]:
+def _depth_first(root: Iterator, budget: float = INF) -> Generator[tuple, None, int]:
     """The records of a depth-first search over generator nodes, on a stack, not by recursion.
 
     A node yields records (tuples), passed on in order, and child nodes, each
     searched to exhaustion before its parent resumes: the visits and records
     of the recursive search that writes `yield from child`, at any depth.
+    Each child node entered costs one unit of budget; the search raises
+    BudgetExceededError rather than enter one past it, else returns the count.
     """
-    stack = [root]
+    stack, entered = [root], 0
     while stack:
         for item in stack[-1]:
             if type(item) is tuple:
                 yield item
-            else:
+            elif entered < budget:
+                entered += 1
                 stack.append(item)
                 break
+            else:
+                raise BudgetExceededError(f"search budget of {budget} nodes spent")
         else:
             stack.pop()
+    return entered
 
 
 def distances(g: Graph, source: int) -> list[float]:

@@ -399,15 +399,17 @@ def long_path_through_sets(
     and a violation rejects the call; otherwise the hypothesis is the caller's
     assertion.  The search is a depth-first walk over the part pattern, run by
     graphs._depth_first so no path length deepens the interpreter stack.  It
-    tries each vertex's candidates in ascending order, skips (vertex, used
-    set) states already known to fail, and spends one unit of node_budget
-    per vertex it expands; exhaustion raises carrying the longest path achieved.
+    tries candidates in ascending order, skips (vertex, used set) states known
+    to fail, and pays one unit of node_budget per path it enters (start vertex
+    and complete path too); failure raises carrying the longest path entered.
     """
     t = len(parts)
     if t < 1:
         raise ParameterError("need at least one part")
     if target_len < 1:
         raise ParameterError("target length must be >= 1")
+    if node_budget < 1:
+        raise ParameterError("node budget must be >= 1")
     part_sets = [sorted(set(p)) for p in parts]
     flat = [v for p in part_sets for v in p]
     if len(set(flat)) != len(flat):
@@ -431,41 +433,35 @@ def long_path_through_sets(
     masks = g.adjacency_masks()
     part_masks = [sum(1 << v for v in p) for p in part_sets]
     best: list[int] = []
-    budget = node_budget
     seen_states: set[tuple[int, int]] = set()
 
-    def extend(used: int):
+    def extend(path: list[int], used: int):
         # The search node at the end of path: the path once it is long enough,
         # else a child per candidate not known to fail, in ascending order.
-        nonlocal budget, best
+        nonlocal best
         if len(path) > len(best):
             best = list(path)
         if len(path) == target_len:
             yield tuple(path)
             return
-        cand = 0
-        if budget > 0:
-            budget -= 1
-            cand = masks[path[-1]] & part_masks[len(path) % t] & ~used
+        cand = masks[path[-1]] & part_masks[len(path) % t] & ~used
         while cand:
             low = cand & -cand
             cand ^= low
             state = (low.bit_length() - 1, used | low)
             if state not in seen_states:
                 path.append(state[0])
-                yield extend(state[1])
+                yield extend(path, state[1])
                 path.pop()
                 seen_states.add(state)  # every walk on from this state fails
 
     try:
-        for start in part_sets[0]:
-            path = [start]
-            for found in _depth_first(extend(1 << start)):
-                witness = PathWitness(found, tuple(i % t for i in range(len(found))))
-                witness.validate(g, part_sets)
-                return witness
-            if budget <= 0:
-                break
+        for found in _depth_first((extend([v], 1 << v) for v in part_sets[0]), node_budget):
+            witness = PathWitness(found, tuple(i % t for i in range(len(found))))
+            witness.validate(g, part_sets)
+            return witness
+    except BudgetExceededError:
+        pass
     finally:  # extend refers to itself: break the cycle, so the memo goes now
         extend = None
     raise NoPathFoundError(

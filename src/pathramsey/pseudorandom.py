@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -181,7 +181,7 @@ _members_width = 0  # the lane width of the tables _members keeps
 
 def _record_pairs(
     masks: Sequence[int], k: int, least: int, greatest: int
-) -> Iterator[tuple[int, int, int]]:
+) -> Generator[tuple[int, int, int], None, int]:
     """The record pairs of the disjoint (k, k) pair family, found by branch and bound.
 
     The family is every unordered pair of disjoint k-subsets of range(n), as
@@ -195,11 +195,12 @@ def _record_pairs(
     yield widens [least, greatest] to take in e.  The order is walked as a
     depth-first search choosing x's vertices and then y's in ascending order,
     and a subtree is skipped when a lower bound on its counts is >= least and
-    an upper bound is <= greatest.  The window only widens, so a skipped pair
-    could never have been yielded: the stream is exactly what filtering the
-    enumeration by the widening window gives.  Each node of the search is a
-    generator that yields its records and its children to graphs._depth_first,
-    so no k deepens the interpreter stack.
+    an upper bound (at most min(k^2, m)) is <= greatest.  The window only
+    widens, so a skipped pair could never have been yielded: the stream is
+    exactly what filtering the enumeration by the widening window gives.
+    Each search node is a generator that yields its records and its children
+    to graphs._depth_first, so no k deepens the interpreter stack; the call
+    returns the number of nodes entered.
 
     For n = 2k, y is the complement of x.  At a node x lacks r of its k
     vertices, U holds the undecided ones (above x's highest, except n-1),
@@ -234,8 +235,9 @@ def _record_pairs(
     """
     n = len(masks)
     if k < 1 or 2 * k > n:
-        return
+        return 0
     last = n - 1  # never in x
+    cap = min(k * k, sum(map(int.bit_count, masks)) // 2)  # no pair has more cross edges than m
 
     if n == 2 * k:
         width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
@@ -343,7 +345,7 @@ def _record_pairs(
                 if lo < least or hi > greatest:
                     yield bisections(x | 1 << v, twice_xv, cv, v + 1, rest, lo, hi)
 
-        root = bisections(0, 0, 0, 0, k, 0, kk)
+        root = bisections(0, 0, 0, 0, k, 0, cap)
     else:
         # n > 2k.  While x is chosen, a y vertex u has between |N(u) & x| and
         # |N(u) & x| + min(r, |N(u) & candidates|) neighbours in the final x, and y
@@ -381,9 +383,9 @@ def _record_pairs(
                 if lo < least or hi > greatest:
                     yield y_sets(x, comp, weights, top, c + 1, yc, rest, sc, lo, hi)
 
-        root = x_sets(0, 0, k, 0, k * k)
+        root = x_sets(0, 0, k, 0, cap)
     try:
-        yield from _depth_first(root)
+        return (yield from _depth_first(root))
     finally:  # the search functions refer to themselves: break the cycles, so their state goes now
         cell = bisections = x_sets = y_sets = None
 

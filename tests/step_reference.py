@@ -120,24 +120,32 @@ def ref_embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph):
 
 
 def ref_long_path(g: Graph, parts, target_len: int, node_budget: int):
-    """(True, path) for the first constrained path found, else (False, longest path seen)."""
+    """(True, path) for the first constrained path found, else (False, longest path seen).
+
+    Every path entered costs one unit of node_budget, start vertices and
+    complete paths included; the search stops at the first path it cannot
+    pay for.
+    """
     t = len(parts)
     part_sets = [sorted(set(p)) for p in parts]
     masks = g.adjacency_masks()
     part_masks = [sum(1 << v for v in p) for p in part_sets]
     best: list[int] = []
-    budget = node_budget
+    entered = 0
     seen_states: set[tuple[int, int]] = set()
 
+    class Spent(Exception):
+        pass
+
     def dfs(path: list[int], used: int) -> bool:
-        nonlocal budget, best
+        nonlocal entered, best
+        if entered == node_budget:
+            raise Spent
+        entered += 1
         if len(path) > len(best):
             best = list(path)
         if len(path) == target_len:
             return True
-        if budget <= 0:
-            return False
-        budget -= 1
         cand = masks[path[-1]] & part_masks[len(path) % t] & ~used
         while cand:
             low = cand & -cand
@@ -153,10 +161,11 @@ def ref_long_path(g: Graph, parts, target_len: int, node_budget: int):
             path.pop()
         return False
 
-    for start in part_sets[0]:
-        stack = [start]
-        if dfs(stack, 1 << start):
-            return True, tuple(stack)
-        if budget <= 0:
-            break
+    try:
+        for start in part_sets[0]:
+            stack = [start]
+            if dfs(stack, 1 << start):
+                return True, tuple(stack)
+    except Spent:
+        pass
     return False, tuple(best)

@@ -258,6 +258,14 @@ class TestPartitionLongpath:
         assert json.loads(out)["found"] is False
 
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_longpath_budget_below_one_exit_two(self, run, graph_file, budget):
+        src = graph_file(cycle_graph(6), "c6.edges")
+        code, out, err = run("longpath", "--graph", src, "--parts", "[[0, 1, 2, 3, 4, 5]]",
+                             "--target", "3", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert "node budget must be >= 1" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("parts", ["[0,1,2]", "[[0, 1.5]]", "[[true]]", '{"0": [1]}', "[[0]"])
     def test_longpath_malformed_parts_exit_two(self, run, graph_file, parts):
         src = graph_file(cycle_graph(6), "c6.edges")
@@ -308,6 +316,16 @@ class TestArrow:
         code, _, err = run("arrow", "--host", host, "--pattern", pattern,
                            "--colours", "2", "--budget", "100")
         assert code == 2
+
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_randomized_trials_below_one_exit_two(self, run, graph_file, trials):
+        host = graph_file(complete_graph(3), "k3.edges")
+        pattern = graph_file(path_graph(3), "p3.edges")
+        code, out, err = run("arrow", "--host", host, "--pattern", pattern, "--colours", "2",
+                             "--mode", "randomized", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert "trial count must be >= 1" in err and err.count("\n") == 1
 
 
 class TestConstants:

@@ -442,6 +442,11 @@ class TestArrowCheck:
         v = arrow_check(complete_graph(3), path_graph(3), 2, mode="randomized", trials=50, seed=1)
         assert v.arrows is None
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_randomized_mode_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ParameterError, match="trial count"):
+            arrow_check(complete_graph(3), path_graph(3), 2, mode="randomized", trials=trials)
+
     def test_verdict_serialises(self):
         v = arrow_check(complete_graph(3), path_graph(3), 2)
         doc = v.to_dict()

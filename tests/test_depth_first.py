@@ -8,10 +8,14 @@ import gc
 import random
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
-from pathramsey import NoPathFoundError, complete_graph, long_path_through_sets, path_graph, random_graph
+from pathramsey import (
+    BudgetExceededError, ClassPParams, GenerationConfig, NoPathFoundError, complete_graph,
+    generate_class_p, long_path_through_sets, path_graph, quad, random_graph,
+)
 from pathramsey.graphs import _depth_first
 from pathramsey.partition import _group_components
 from pathramsey.pseudorandom import _record_pairs, verify_edgeboost
@@ -47,6 +51,16 @@ def garbage_left(call) -> int:
             gc.enable()
 
 
+def counted(search) -> tuple[list, int]:
+    """The records a search generator yields, and the value it returns."""
+    records = []
+    while True:
+        try:
+            records.append(next(search))
+        except StopIteration as stop:
+            return records, stop.value
+
+
 def _tree(rng: random.Random, depth: int) -> list:
     """A random search tree: a list of records (tuples) and subtrees (lists)."""
     return [
@@ -73,13 +87,63 @@ def test_driver_visits_like_the_recursive_search():
                     yield from child if recursive else (child,)
                     log.append(("back", name, i))
 
-        records = list(node(tree, ()) if recursive else _depth_first(node(tree, ())))
+        if recursive:
+            return list(node(tree, ())), log
+        records, entered = counted(_depth_first(node(tree, ())))
+        # The driver counts the nodes it entered: every node but the root.
+        assert entered == sum(event[0] == "enter" for event in log) - 1
         return records, log
 
     rng = random.Random(5)
     for _ in range(200):
         tree = _tree(rng, 6)
         assert run(tree, recursive=False) == run(tree, recursive=True)
+
+
+def _search(sub):
+    # A search node over a _tree: its records, and a child node per subtree.
+    for item in sub:
+        yield item if isinstance(item, tuple) else _search(item)
+
+
+def _records_before_node(tree, budget: int) -> list:
+    """The recursive search's records up to the child node numbered budget + 1."""
+    records, entered = [], 0
+
+    class Cut(Exception):
+        pass
+
+    def walk(sub):
+        nonlocal entered
+        for item in sub:
+            if isinstance(item, tuple):
+                records.append(item)
+            elif entered == budget:
+                raise Cut
+            else:
+                entered += 1
+                walk(item)
+
+    with pytest.raises(Cut):
+        walk(tree)
+    return records
+
+
+def test_driver_stops_at_the_first_node_past_its_budget():
+    rng = random.Random(5)
+    cut = 0
+    for _ in range(200):
+        tree = _tree(rng, 6)
+        records, nodes = counted(_depth_first(_search(tree)))
+        assert counted(_depth_first(_search(tree), nodes)) == (records, nodes)
+        for budget in range(nodes):
+            got = []
+            with pytest.raises(BudgetExceededError):
+                for record in _depth_first(_search(tree), budget):
+                    got.append(record)
+            assert got == _records_before_node(tree, budget)
+            cut += 1
+    assert cut >= 500
 
 
 def test_driver_runs_a_search_deeper_than_the_recursion_limit():
@@ -153,3 +217,36 @@ def test_long_path_leaves_no_cyclic_garbage():
 
     assert garbage_left(lambda: long_path_through_sets(g, [range(14)], 8)) == 0
     assert garbage_left(fails) == 0
+
+
+def test_long_path_that_spends_its_budget_leaves_no_cyclic_garbage():
+    # The driver raises inside the walk; the suspended nodes it drops, and the
+    # exception that unwound them, must go by reference counting alone.
+    g = random_graph(14, 0.4, 3)
+    with pytest.raises(NoPathFoundError) as exc:
+        long_path_through_sets(g, [range(14)], 15, node_budget=20)
+    with pytest.raises(NoPathFoundError) as full:
+        long_path_through_sets(g, [range(14)], 15)
+    assert len(exc.value.longest) < len(full.value.longest)  # the budget cut the walk short
+
+    def spends():
+        try:
+            long_path_through_sets(g, [range(14)], 15, node_budget=20)
+        except NoPathFoundError:
+            pass
+
+    assert garbage_left(spends) == 0
+
+
+def test_pair_search_on_a_girth_member_caps_its_bound_at_m():
+    # A benchmark `girth` member: an = 32, k = 16, 16 edges.  Its cut range is
+    # [0, m], so once the window has widened to it no subtree can beat it.  An
+    # upper bound started at k^2 = 256 instead of m spends 30,908 nodes (about
+    # 1 s) proving that no bisection cuts more than 16 edges.
+    params = ClassPParams(quad(1, 64, "1/2", "4/5"), t=2, n=32)
+    g, _, _ = generate_class_p(params, GenerationConfig(p=Fraction(3, 10), seed=0))
+    assert (g.n, g.m) == (32, 16)
+    records, nodes = counted(_record_pairs(g.adjacency_masks(), 16, 257, -1))
+    assert len(records) == 17
+    assert (min(e for _, _, e in records), max(e for _, _, e in records)) == (0, 16)
+    assert nodes == 62

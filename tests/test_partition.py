@@ -173,6 +173,20 @@ class TestLongPath:
         with pytest.raises(ParameterError):
             long_path_through_sets(complete_graph(4), [[0, 1], [1, 2]], 3)
 
+    @pytest.mark.parametrize("node_budget", [0, -3])
+    def test_budget_below_one_rejected(self, node_budget):
+        with pytest.raises(ParameterError, match="node budget"):
+            long_path_through_sets(path_graph(4), [range(4)], 2, node_budget=node_budget)
+
+    def test_budget_pays_for_every_path_entered(self):
+        # The walk enters [0], [0, 1], [0, 1, 2] and [0, 1, 2, 3]: the start
+        # vertex and the complete path cost one unit each, like the rest.
+        g = path_graph(4)
+        assert long_path_through_sets(g, [range(4)], 4, node_budget=4).vertices == (0, 1, 2, 3)
+        with pytest.raises(NoPathFoundError) as exc:
+            long_path_through_sets(g, [range(4)], 4, node_budget=3)
+        assert exc.value.longest.vertices == (0, 1, 2)
+
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=25, deadline=None)
     def test_found_witness_always_validates(self, seed):
