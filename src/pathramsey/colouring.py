@@ -34,16 +34,19 @@ class EdgeColouring:
         if s < 1:
             raise ParameterError("colour count must be >= 1")
         # Whole-map checks; on failure the item scan names the first bad item.
+        # Keys in the host's edge order, as every builder here gives them, pass
+        # one list comparison: item by item, with no hashing, and the host's
+        # own tuples compare by identity.
         edges = host.edges
-        if colour_of.keys() == edges:
+        if list(colour_of) == edges._order:
             col = dict(colour_of)
         else:
             col = {((u, v) if u < v else (v, u)): c for (u, v), c in colour_of.items()}
             if len(col) != len(colour_of) or col.keys() != edges:
                 _reject_colour_map(edges, s, colour_of)
-        # Types first: 1.0 and True compare equal to 1.
-        if (not set(map(type, col.values())) <= {int}
-                or (col and not 1 <= min(col.values()) <= max(col.values()) <= s)):
+        # Types as well as values: 1.0 and True compare equal to 1.
+        values = col.values()
+        if not set(map(type, values)) <= {int} or not set(values) <= set(range(1, s + 1)):
             _reject_colour_map(edges, s, colour_of)
         self.host = host
         self.s = s
@@ -380,6 +383,15 @@ def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> KstRepo
 # -- auxiliary blue/grey colouring -------------------------------------------------
 
 
+def _blue_test(chi: EdgeColouring, blue_colour: int) -> Callable[[int, int], bool]:
+    """Whether a host pair is an edge of colour blue_colour, read from the colour map.
+
+    The map's keys are exactly the host's edges, so a missing pair is a non-edge.
+    """
+    col = chi._col
+    return lambda a, b: col.get((a, b) if a < b else (b, a)) == blue_colour
+
+
 @dataclass(frozen=True)
 class AuxColouring:
     """Blue/grey labelling of a derived graph's edges.
@@ -406,7 +418,7 @@ class AuxColouring:
         return sum(1 for lab in self.labels.values() if lab == BLUE)
 
     def validate(self) -> None:
-        host = self.chi.host
+        blue = _blue_test(self.chi, self.blue_colour)
         for e in self.base.edges:
             lab = self.labels.get(e)
             if lab not in (BLUE, GREY):
@@ -420,15 +432,11 @@ class AuxColouring:
                 raise ConstructionError(f"witness for ({u},{v}) leaves its subcliques")
             for a in wa:
                 for b in wb:
-                    if not host.has_edge(a, b) or self.chi.colour(a, b) != self.blue_colour:
+                    if not blue(a, b):
                         raise ConstructionError(f"witness pair ({a},{b}) is not a blue host edge")
         for (u, v) in self.base.sorted_edges():
             if self.labels[(u, v)] == GREY:
-                found = find_blue_biclique(
-                    self.subclique(u), self.subclique(v),
-                    lambda a, b: host.has_edge(a, b) and self.chi.colour(a, b) == self.blue_colour,
-                    self.k,
-                )
+                found = find_blue_biclique(self.subclique(u), self.subclique(v), blue, self.k)
                 if found is not None:
                     raise ConstructionError(f"grey edge ({u},{v}) admits a blue biclique")
 
@@ -450,22 +458,19 @@ def build_aux_colouring(
         raise PreconditionError("blow-up map carries no selected subcliques")
     if len(base_ids) != j.n:
         raise ParameterError("need one base id per vertex of j")
-    host = chi.host
+    is_blue = _blue_test(chi, blue_colour)
     for idx in range(j.n):
         v = base_ids[idx]
         if v not in blowup.subclique:
             raise PreconditionError(f"no subclique selected for base vertex {v}")
         sub = blowup.subclique[v]
         for a, b in combinations(sub, 2):
-            if not host.has_edge(a, b) or chi.colour(a, b) != blue_colour:
+            if not is_blue(a, b):
                 raise PreconditionError(
                     f"subclique of base vertex {v} is not monochromatic in colour {blue_colour}"
                 )
     labels: dict[Edge, str] = {}
     witnesses: dict[Edge, tuple] = {}
-
-    def is_blue(a: int, b: int) -> bool:
-        return host.has_edge(a, b) and chi.colour(a, b) == blue_colour
 
     for (iu, iv) in j.sorted_edges():
         found = find_blue_biclique(

@@ -298,8 +298,9 @@ def check_template_containment(
 
     grey_ok: bool | None = None
     grey_problem: str | None = None
-    removed: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    perms: list[list[int]] | None = None  # per hr edge, the removed matching as a permutation
     if aux is not None:
+        perms = []
         grey_ok = True
         for i, seg in enumerate(segments):
             for a in range(t):
@@ -324,23 +325,19 @@ def check_template_containment(
             # Extend the partial matching to a perfect one over position indices.
             match = dict(non_grey)
             free_right = [b for b in range(t) if b not in match.values()]
-            for a in range(t):
-                if a not in match:
-                    match[a] = free_right.pop(0)
-            removed[(i1, i2)] = set(match.items())
+            perms.append([match[a] if a in match else free_right.pop(0) for a in range(t)])
         if not grey_ok:
             return TemplateResult(True, grey_ok=False, grey_problem=grey_problem,
                                   distance_ok=distance_ok)
 
     # Linearised template: vertex (segment i, position p) -> i*t + p.
     vertex_ids = tuple(v for seg in segments for v in seg)
-    removed_linear = {
-        (i1, i2): frozenset((i1 * t + a, i2 * t + b) for a, b in removed.get((i1, i2), ()))
-        for i1, i2 in hr.sorted_edges()
+    template, cliques = _blowup(hr, t, perms)
+    removed = {} if perms is None else {
+        (i1, i2): frozenset(zip(range(i1 * t, i1 * t + t), (i2 * t + b for b in perm)))
+        for (i1, i2), perm in zip(hr.edges, perms)
     }
-    template, cliques = _blowup(hr, t, removed_linear.values())
-    bmap = BlowupMap(hr, t, cliques, removed_linear if aux is not None else {},
-                     "template-extracted" if aux is not None else "none")
+    bmap = BlowupMap(hr, t, cliques, removed, "template-extracted" if aux is not None else "none")
     return TemplateResult(True, None, grey_ok, grey_problem, template,
                           vertex_ids, bmap, distance_ok)
 

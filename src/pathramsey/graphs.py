@@ -12,7 +12,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, filterfalse, islice, product
+from itertools import accumulate, chain, combinations, compress, islice, product
 from typing import Generator, Iterable, Iterator, Sequence, TextIO
 
 from .errors import BudgetExceededError, GraphFormatError, ParameterError
@@ -303,31 +303,39 @@ class BlowupMap:
                     raise GraphFormatError(f"subclique of {v} not inside its clique")
 
 
-def _blowup(h: Graph, t: int, removed: Iterable[frozenset[Edge]] = ()) -> tuple[Graph, tuple]:
-    """The complete blow-up of h less the removed matchings' pairs, and its cliques.
+def _blowup(h: Graph, t: int, perms: Iterable[Sequence[int]] | None = None) -> tuple[Graph, tuple]:
+    """The complete blow-up of h, less one perfect matching per base edge if perms is given, and its cliques.
 
     Clique v is range(v*t, v*t + t).  Row a, the pairs (a, b) with b > a,
     is the rest of a's clique and then every higher adjacent clique, so the
     pairs come out distinct, in range and in order: the host adopts them
-    unchecked.  A clique's rows are the product of the clique with its
-    targets (itself, then those cliques) less each row's targets up to its
-    own position, from C-level iterators with no Python loop per vertex.
+    unchecked.  The rows are the products of each clique with its targets
+    (itself, then those cliques), compressed by one selector that drops each
+    row's targets up to its own position, from C-level iterators with no
+    Python loop per vertex.  perms[e], for the e-th base edge (u, v) in
+    h.edges order, removes the pairs (u*t + i, v*t + perms[e][i]): one
+    zeroed selector byte each.
     """
     if t < 1:
         raise ParameterError("clique size t must be >= 1")
     cliques = [range(v * t, v * t + t) for v in range(h.n)]
-    higher: list[list[range]] = [[] for _ in cliques]
+    targets = [[clique] for clique in cliques]
     for u, v in h.edges:  # in order, so each list ascends
-        higher[u].append(cliques[v])
-    targets = [tuple(chain(clique, *above)) for clique, above in zip(cliques, higher)]
-    # per target count, row i keeps the targets after its own position i
-    keep = {size: b"".join(bytes(i + 1) + b"\1" * (size - i - 1) for i in range(t))
-            for size in set(map(len, targets))}
-    rows = chain.from_iterable(map(compress, map(product, cliques, targets),
-                                   map(keep.get, map(len, targets))))
-    gone = frozenset().union(*removed)
-    pairs = list(filterfalse(gone.__contains__, rows) if gone else rows)
-    return Graph._from_edge_set(h.n * t, pairs), tuple(map(tuple, cliques))
+        targets[u].append(cliques[v])
+    counts = list(map(len, targets))
+    # per target clique count c, row i keeps the c*t targets after its own position i
+    keep = {c: b"".join(bytes(i + 1) + b"\1" * (c * t - i - 1) for i in range(t)) for c in set(counts)}
+    selector = b"".join(map(keep.get, counts))
+    if perms is not None:
+        selector = bytearray(selector)
+        at = [t * t * c + t for c in accumulate(counts, initial=0)]  # clique u's next target block
+        for (u, _), perm in zip(h.edges, perms):
+            a, size = at[u], t * counts[u]
+            at[u] = a + t
+            for i, j in enumerate(perm):
+                selector[a + i * size + j] = 0
+    rows = compress(chain.from_iterable(map(product, cliques, map(chain.from_iterable, targets))), selector)
+    return Graph._from_edge_set(h.n * t, list(rows)), tuple(map(tuple, cliques))
 
 
 def complete_blowup(h: Graph, t: int) -> tuple[Graph, BlowupMap]:
@@ -344,12 +352,14 @@ def sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, Bl
     edge.  The choice is recorded in the returned BlowupMap.
     """
     removed: dict[Edge, frozenset[Edge]] = {}
+    perms: list[list[int]] = []
     for u, v in h.edges:
         perm = list(range(t))
         if seed is not None:
             random.Random((seed * 1_000_003 + u) * 1_000_003 + v).shuffle(perm)
+        perms.append(perm)
         removed[(u, v)] = frozenset(zip(range(u * t, u * t + t), (v * t + j for j in perm)))
-    host, cliques = _blowup(h, t, removed.values())
+    host, cliques = _blowup(h, t, perms)
     return host, BlowupMap(h, t, cliques, removed, "aligned" if seed is None else f"seeded:{seed}")
 
 

@@ -115,56 +115,76 @@ def _pack(sizes: list[tuple[int, int]], i: int, groups: list[int], fill: list[in
 
 
 def _ham_path_table(masks: Sequence[int], n: int) -> list[int]:
-    """dp[mask] = bitmask of vertices at which some blue path covering mask can end.
+    """ends[v], a 2^n-bit int per vertex: bit mask is set iff some blue path covering mask ends at v.
 
-    A blue path stays inside one blue component, so the table is filled one
-    component at a time, over that component's submasks in increasing order;
-    a mask that meets two components keeps dp = 0.
+    The Held–Karp table, filled for every mask at once.  A path covering
+    mask ends at v exactly when v is in mask and either mask = {v} or a path
+    covering mask - v ends at a neighbour of v.  lacks[v] marks the masks
+    without v, and shifting those bits by 2^v adds v to each.  Each round
+    lengthens the paths found by at least one vertex, so at most n - 1
+    rounds reach the fixed point; the fill stops at the first round that
+    changes no bit.
     """
-    dp = [0] * (1 << n)
-    for comp in _blue_components(masks, (1 << n) - 1):
-        mask = 0
-        while mask != comp:
-            mask = (mask - comp) & comp
-            if mask & (mask - 1) == 0:
-                dp[mask] = mask
-                continue
-            ends = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if dp[mask ^ low] & masks[low.bit_length() - 1]:
-                    ends |= low
-            dp[mask] = ends
-    return dp
+    full = (1 << (1 << n)) - 1
+    lacks = [full // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
+    ends = [1 << (1 << v) for v in range(n)]
+    nbrs = [_mask_vertices(m) for m in masks]
+    for _ in range(n - 1):
+        changed = False
+        for v in range(n):
+            reach = 0
+            for u in nbrs[v]:
+                reach |= ends[u]
+            grown = ends[v] | (reach & lacks[v]) << (1 << v)
+            if grown != ends[v]:
+                ends[v], changed = grown, True
+        if not changed:
+            break
+    return ends
 
 
-def _recover_path(dp: list[int], masks: Sequence[int], mask: int) -> list[int]:
-    end_choices = dp[mask]
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _path_flags(ends: list[int], n: int) -> bytes:
+    """flags[mask] = 1 if some blue path covers mask, else 0: 2^n bytes."""
+    found = 0
+    for e in ends:
+        found |= e
+    return format(found, f"0{1 << n}b")[::-1].encode().translate(_BIT_BYTES)
+
+
+def _end_set(ends: list[int], mask: int) -> int:
+    """The vertices at which some blue path covering mask ends, as a mask."""
+    return sum(1 << v for v, e in enumerate(ends) if e >> mask & 1)
+
+
+def _recover_path(ends: list[int], masks: Sequence[int], mask: int) -> list[int]:
+    end_choices = _end_set(ends, mask)
     v = (end_choices & -end_choices).bit_length() - 1
     path = [v]
     while mask != (1 << v):
         mask ^= 1 << v
-        prev = dp[mask] & masks[v]
+        prev = _end_set(ends, mask) & masks[v]
         v = (prev & -prev).bit_length() - 1
         path.append(v)
     return path[::-1]
 
 
-def _cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[int] | None:
+def _cover_with_paths(flags: bytes, mask: int, budget: int, memo: dict) -> list[int] | None:
     """Split mask into <= budget sub-masks each carrying a blue spanning path.
 
-    The first split wins: the sub-masks holding the lowest vertex of what is
-    left are tried in decreasing mask value.  With one path left only the
-    whole mask can be that path, so budget 1 is a direct lookup in dp.
+    flags[sub] is 1 when a blue path covers sub (_path_flags).  The first
+    split wins: the sub-masks holding the lowest vertex of what is left are
+    tried in decreasing mask value.  With one path left only the whole mask
+    can be that path, so budget 1 is a direct lookup in flags.
     """
     if mask == 0:
         return []
     if budget == 0:
         return None
     if budget == 1:
-        return [mask] if dp[mask] else None
+        return [mask] if flags[mask] else None
     key = (mask, budget)
     if key in memo:
         return memo[key]
@@ -172,8 +192,8 @@ def _cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[int
     sub = mask
     result = None
     while sub:
-        if sub & low and dp[sub]:
-            rest = _cover_with_paths(dp, masks, mask ^ sub, budget - 1, memo)
+        if sub & low and flags[sub]:
+            rest = _cover_with_paths(flags, mask ^ sub, budget - 1, memo)
             if rest is not None:
                 result = [sub] + rest
                 break
@@ -195,7 +215,8 @@ def _scan_order(n: int) -> array:
 def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
     n = blue.n
     masks = blue.adjacency_masks()
-    dp = _ham_path_table(masks, n)
+    ends = _ham_path_table(masks, n)
+    flags = _path_flags(ends, n)
     full = (1 << n) - 1
     cover_memo: dict = {}
     order = _scan_order(n)
@@ -203,7 +224,7 @@ def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
     # (fewer nonempty classes) are a fallback.
     for exact in (True, False):
         for pmask in order:
-            pieces = _cover_with_paths(dp, masks, pmask, ell, cover_memo)
+            pieces = _cover_with_paths(flags, pmask, ell, cover_memo)
             if pieces is None:
                 continue
             comps = _blue_components(masks, full ^ pmask)
@@ -211,7 +232,7 @@ def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
             if groups is None:
                 continue
             paths = tuple(
-                PathWitness(tuple(_recover_path(dp, masks, piece))) for piece in pieces
+                PathWitness(tuple(_recover_path(ends, masks, piece))) for piece in pieces
             )
             classes = tuple(tuple(_mask_vertices(gm)) for gm in groups)
             return PartitionResult(paths, classes)
@@ -410,6 +431,8 @@ def long_path_through_sets(
         raise ParameterError("target length must be >= 1")
     if node_budget < 1:
         raise ParameterError("node budget must be >= 1")
+    if gamma is not None and not 0 < gamma < 1:
+        raise ParameterError("gamma must lie in (0, 1)")
     part_sets = [sorted(set(p)) for p in parts]
     flat = [v for p in part_sets for v in p]
     if len(set(flat)) != len(flat):

@@ -13,7 +13,9 @@ import random
 
 from pathramsey import Graph, PartitionResult, PathWitness
 from pathramsey.errors import GraphFormatError, ParameterError
-from pathramsey.partition import _blue_components, _ham_path_table, _recover_path
+from pathramsey.partition import _blue_components
+
+from step_reference import ref_ham_path_table
 
 
 def ref_mask_vertices(mask: int) -> list[int]:
@@ -56,6 +58,17 @@ def ref_group_components(comps: list[int], classes: int, exact: bool = False) ->
     return None
 
 
+def ref_recover_path(dp: list[int], masks, mask: int) -> list[int]:
+    """A path covering mask, built backwards from its lowest possible end, each step to the lowest neighbour that works."""
+    path = [(dp[mask] & -dp[mask]).bit_length() - 1]
+    while mask != 1 << path[-1]:
+        v = path[-1]
+        mask ^= 1 << v
+        prev = dp[mask] & masks[v]
+        path.append((prev & -prev).bit_length() - 1)
+    return path[::-1]
+
+
 def ref_cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[int] | None:
     if mask == 0:
         return []
@@ -81,7 +94,7 @@ def ref_cover_with_paths(dp, masks, mask: int, budget: int, memo: dict) -> list[
 def ref_partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
     n = blue.n
     masks = blue.adjacency_masks()
-    dp = _ham_path_table(masks, n)
+    dp = ref_ham_path_table(masks, n)
     full = (1 << n) - 1
     cover_memo: dict = {}
     order = sorted(range(full + 1), key=lambda m: (-m.bit_count(), m))
@@ -95,7 +108,7 @@ def ref_partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
             if groups is None:
                 continue
             paths = tuple(
-                PathWitness(tuple(_recover_path(dp, masks, piece))) for piece in pieces
+                PathWitness(tuple(ref_recover_path(dp, masks, piece))) for piece in pieces
             )
             classes = tuple(tuple(ref_mask_vertices(gm)) for gm in groups)
             return PartitionResult(paths, classes)

@@ -4,8 +4,9 @@ These are the versions the package must agree with exactly: the Held–Karp
 path table filled over every mask of the vertex set, the monochromatic
 clique search that checks adjacency in one pass and then rebuilds the
 colour-class masks once per colour, the colour-map validation that checks
-item by item, the recursive backtracking subgraph embedder, and the
-recursive constrained long-path search.
+item by item, the colour-map check that compares keys as a set, the
+recursive backtracking subgraph embedder, and the recursive constrained
+long-path search.
 """
 
 from __future__ import annotations
@@ -54,6 +55,44 @@ def ref_colour_map(host: Graph, s: int, colour_of: dict) -> dict:
     if len(normalised) != host.m:
         raise ParameterError("colouring must cover every edge exactly once")
     return normalised
+
+
+def frozen_colour_map(host: Graph, s: int, colour_of: dict) -> dict:
+    """EdgeColouring's map check as it was before keys in edge order skipped hashing.
+
+    The keys are compared with the edge set as a set (after normalising
+    when they differ), then the value types and the value range in three
+    passes; any failure scans the items for the first bad one.
+    """
+    if s < 1:
+        raise ParameterError("colour count must be >= 1")
+    edges = host.edges
+    if colour_of.keys() == edges:
+        col = dict(colour_of)
+    else:
+        col = {((u, v) if u < v else (v, u)): c for (u, v), c in colour_of.items()}
+        if len(col) != len(colour_of) or col.keys() != edges:
+            _frozen_reject(edges, s, colour_of)
+    if (not set(map(type, col.values())) <= {int}
+            or (col and not 1 <= min(col.values()) <= max(col.values()) <= s)):
+        _frozen_reject(edges, s, colour_of)
+    return col
+
+
+def _frozen_reject(edges, s: int, colour_of: dict) -> None:
+    seen = set()
+    for (u, v), c in colour_of.items():
+        e = (u, v) if u < v else (v, u)
+        if e not in edges:
+            raise ParameterError(f"colouring mentions non-edge {e}")
+        if e in seen:
+            raise ParameterError(f"colouring gives edge {e} twice")
+        if type(c) is not int:
+            raise ParameterError(f"colour {c!r} of edge {e} is not an integer")
+        if not 1 <= c <= s:
+            raise ParameterError(f"colour {c} outside 1..{s}")
+        seen.add(e)
+    raise ParameterError("colouring must cover every edge exactly once")
 
 
 def ref_mono_clique_in_clique(colouring, clique: Sequence[int], target: int):

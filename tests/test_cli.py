@@ -266,6 +266,14 @@ class TestPartitionLongpath:
         assert (code, out) == (2, "")
         assert "node budget must be >= 1" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("gamma", ["0", "-1", "2"])
+    def test_longpath_gamma_outside_open_unit_interval_exit_two(self, run, graph_file, gamma):
+        src = graph_file(cycle_graph(6), "c6.edges")
+        code, out, err = run("longpath", "--graph", src, "--parts", "[[0, 1, 2, 3, 4, 5]]",
+                             "--target", "3", "--gamma", gamma)
+        assert (code, out) == (2, "")
+        assert "gamma must lie in (0, 1)" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("parts", ["[0,1,2]", "[[0, 1.5]]", "[[true]]", '{"0": [1]}', "[[0]"])
     def test_longpath_malformed_parts_exit_two(self, run, graph_file, parts):
         src = graph_file(cycle_graph(6), "c6.edges")

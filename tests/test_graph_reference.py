@@ -218,3 +218,37 @@ def test_template_linearisation_matches_reference():
             assert list(got_map.removed_matchings.items()) == list(want_map.removed_matchings.items())
             assert got_map.matching_rule == want_map.matching_rule
             got_map.validate()
+
+
+def test_template_blowups_match_set_filter_reference():
+    # Each segment pair gets a random partial matching of blue pairs, which
+    # check_template_containment extends to a perfect matching (free right
+    # positions in ascending order) and removes.  The reference template is
+    # the complete blow-up of h^r less those matchings' pairs, as a set.
+    rng = random.Random(23)
+    for trial in range(80):
+        n, t, r = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 2)
+        h = random_graph(n, rng.choice((0.3, 0.6, 1.0)), seed=rng.randrange(10**6))
+        hr = power(h, r)
+        order = rng.sample(range(n * t), n * t)
+        segments = [tuple(order[i * t:(i + 1) * t]) for i in range(n)]
+        j = complete_graph(n * t)
+        labels = dict.fromkeys(j.edges, "grey")
+        want_removed = {}
+        for i1, i2 in hr.sorted_edges():
+            perm = rng.sample(range(t), t)
+            match = {a: perm[a] for a in range(t) if rng.random() < 0.5}
+            for a, b in match.items():
+                x, y = segments[i1][a], segments[i2][b]
+                labels[(min(x, y), max(x, y))] = "blue"
+            free = [b for b in range(t) if b not in match.values()]
+            full = [match[a] if a in match else free.pop(0) for a in range(t)]
+            want_removed[(i1, i2)] = frozenset((i1 * t + a, i2 * t + full[a]) for a in range(t))
+        complete, _ = ref_complete_blowup(hr, t)
+        for aux, removed in ((None, {}), (SimpleNamespace(labels=labels), want_removed)):
+            res = check_template_containment(h, r, t, segments, j, aux=aux)
+            assert res.contained and res.grey_ok is not False, trial
+            assert list(res.blowup.removed_matchings.items()) == list(removed.items()), trial
+            want = set(complete.edges) - frozenset().union(*removed.values())
+            assert list(res.template.edges) == sorted(want), trial
+            res.blowup.validate()

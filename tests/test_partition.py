@@ -178,6 +178,13 @@ class TestLongPath:
         with pytest.raises(ParameterError, match="node budget"):
             long_path_through_sets(path_graph(4), [range(4)], 2, node_budget=node_budget)
 
+    @pytest.mark.parametrize("gamma", [Fraction(0), Fraction(-1), Fraction(1), Fraction(2)])
+    def test_gamma_outside_open_unit_interval_rejected(self, gamma):
+        # gamma <= 0 would pre-check 1-sets and report a bogus witness; gamma >= 1
+        # asks for sets too large to be disjoint, so the pre-check passed vacuously.
+        with pytest.raises(ParameterError, match=r"gamma must lie in \(0, 1\)"):
+            long_path_through_sets(cycle_graph(6), [range(6)], 3, gamma=gamma)
+
     def test_budget_pays_for_every_path_entered(self):
         # The walk enters [0], [0, 1], [0, 1, 2] and [0, 1, 2, 3]: the start
         # vertex and the complete path cost one unit each, like the rest.

@@ -25,9 +25,10 @@ from pathramsey import (
     sheared_blowup,
 )
 from pathramsey.colouring import _embed_masks, _prepare_pattern
-from pathramsey.partition import _ham_path_table
+from pathramsey.partition import _ham_path_table, _path_flags
 
 from step_reference import (
+    frozen_colour_map,
     ref_colour_map,
     ref_embed_masks,
     ref_ham_path_table,
@@ -63,7 +64,13 @@ def _table_graphs():
 @pytest.mark.parametrize("g", list(_table_graphs()), ids=repr)
 def test_ham_path_table_matches_reference(g):
     masks = g.adjacency_masks()
-    assert _ham_path_table(masks, g.n) == ref_ham_path_table(masks, g.n)
+    ends = _ham_path_table(masks, g.n)
+    assert len(ends) == g.n
+    # Every mask's end set, rebuilt from the per-vertex ints.
+    table = [sum(1 << v for v in range(g.n) if ends[v] >> mask & 1) for mask in range(1 << g.n)]
+    assert table == ref_ham_path_table(masks, g.n)
+    assert all(e >> (1 << g.n) == 0 for e in ends)
+    assert list(_path_flags(ends, g.n)) == [int(bool(x)) for x in table]
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -125,6 +132,53 @@ def test_good_colour_maps_match_reference():
         chi = EdgeColouring(host, s, colour_of)
         assert {e: chi.colour(*e) for e in host.edges} == want
         assert sum(chi.counts().values()) == host.m
+
+
+def _colour_map_cases():
+    rng = random.Random(22)
+    hosts = [Graph(0), complete_graph(2), sheared_blowup(cycle_graph(4), 3, seed=1)[0]]
+    hosts += [random_graph(rng.randint(1, 10), rng.choice((0.3, 0.7)), seed=rng.randrange(10**6))
+              for _ in range(24)]
+    for host in hosts:
+        s = rng.randint(1, 4)
+        edges = host.sorted_edges()
+        good = {e: rng.randint(1, s) for e in edges}
+        yield "host order", host, s, good
+        yield "host order, fresh tuples", host, s, {(u + 0, v + 0): c for (u, v), c in good.items()}
+        items = list(good.items())
+        rng.shuffle(items)
+        yield "shuffled", host, s, dict(items)
+        yield "(v, u) keys", host, s, {(v, u): c for (u, v), c in good.items()}
+        if edges:
+            e = rng.choice(edges)
+            yield "missing edge", host, s, {f: c for f, c in good.items() if f != e}
+            yield "edge twice", host, s, {**good, (e[1], e[0]): 1}
+            for label, bad in (("True", True), ("1.0", 1.0), ("0", 0), ("s + 1", s + 1)):
+                yield f"colour {label}", host, s, {f: bad if f == e else c for f, c in good.items()}
+        non_edges = [(u, v) for u in range(host.n) for v in range(u + 1, host.n) if (u, v) not in host.edges]
+        if non_edges:
+            at = rng.randint(0, len(items))
+            yield "non-edge key", host, s, dict(items[:at] + [(rng.choice(non_edges), 1)] + items[at:])
+
+
+def _checked(check, *args):
+    try:
+        return "ok", list(check(*args).items())
+    except ParameterError as exc:
+        return "error", str(exc)
+
+
+def test_colour_map_check_matches_frozen_copy():
+    seen = set()
+    for name, host, s, colour_of in _colour_map_cases():
+        want = _checked(frozen_colour_map, host, s, colour_of)
+        got = _checked(lambda *a: EdgeColouring(*a)._col, host, s, colour_of)
+        assert got == want, name
+        seen.add((name, want[0]))
+    # Every kind of map reached the check, and the bad ones were refused.
+    assert {name for name, verdict in seen if verdict == "ok"} == {
+        "host order", "host order, fresh tuples", "shuffled", "(v, u) keys"}
+    assert len(seen) == 11
 
 
 def test_embed_masks_matches_recursive_reference():
