@@ -39,6 +39,7 @@ from .graphs import (
 
 PAIR_BUDGET = 200_000
 LEAF_LANES = 2001  # comb(14, 5) = 2002 takes a cold an = 20 certificate past 256 KiB
+_TABLE_BYTES = 1 << 24  # the packed bound fields one n = 2k search keeps; past it, built per use
 
 
 # -- parameter types -------------------------------------------------------
@@ -213,7 +214,8 @@ def _record_pairs(
     the `width` bytes from byte u * width, width the fewest of 1, 2, 4 and 8
     with 2n <= 256^width and k^2 < 2^(8 width - 1), and each field is biased
     by n, which keeps it in [0, 2n), so no field carries into the next.  The
-    d-terms are packed per (v, r) on first use.
+    d-terms are packed per (v, r) on first use and kept until the kept pairs
+    hold _TABLE_BYTES of fields; past that, a pair is rebuilt on each use.
 
     A node with r = 1, or whose subtree holds at most LEAF_LANES completions
     (comb(|U|, r)), is not branched.  Its completions x | S, S an r-subset of
@@ -255,6 +257,7 @@ def _record_pairs(
         below = list(accumulate(column, initial=n * ones + column[last]))
         full, deg = (1 << n) - 1, [m.bit_count() for m in masks]
         tables = [[None] * n for _ in range(k)]  # [rest][v]: (lower, upper)
+        room = _TABLE_BYTES // (2 * size)  # how many more pairs tables may keep
         cells = {}
 
         def excess(packed: int, c: int) -> int:
@@ -266,9 +269,11 @@ def _record_pairs(
         def table(v: int, rest: int) -> tuple[int, int]:
             # below[v + 1] plus the packed lower and upper d-terms; the fields
             # outside U are not read.
+            nonlocal room
             d = below[last] - below[v + 1]
-            tables[rest][v] = pair = (below[v + 1] + excess(d, rest - 1),
-                                      below[v + 1] + d - excess(d, last - v - 1 - rest))
+            pair = (below[v + 1] + excess(d, rest - 1), below[v + 1] + d - excess(d, last - v - 1 - rest))
+            if room > 0:
+                tables[rest][v], room = pair, room - 1
             return pair
 
         def cell(i: int, r: int) -> tuple[int, int]:
@@ -397,7 +402,9 @@ def _sampled_pairs(masks: Sequence[int], k: int, count: int, seed: int) -> Itera
     range(n), 2k), drawn with exactly the getrandbits calls sample makes: from
     a shrinking pool up to its set-size threshold, redrawing repeats above it.
     The masks are built as the vertices are drawn, and e is summed over the y
-    draws as |N(v) & x|, so no mask is decoded.
+    draws as |N(v) & x|, so no mask is decoded.  When the sets split all
+    n = 2k vertices, y is the pool the x draws leave (pool[:k]), so the y
+    draws only spend their getrandbits calls, and e is summed over that pool.
     """
     n, size = len(masks), 2 * k
     bits, getrandbits = n.bit_length(), random.Random(seed).getrandbits
@@ -405,22 +412,31 @@ def _sampled_pairs(masks: Sequence[int], k: int, count: int, seed: int) -> Itera
         # Per draw: the pool's size, its bit count and its last slot.
         draws = [(i, i.bit_length(), i - 1) for i in range(n, n - size, -1)]
         xs, ys, start = draws[:k], draws[k:], list(range(n))
+        bit, full = [1 << v for v in range(n)], (1 << n) - 1
         for _ in range(count):
             pool, x, y, e = start[:], 0, 0, 0
             for i, b, top in xs:
                 j = getrandbits(b)
                 while j >= i:
                     j = getrandbits(b)
-                x |= 1 << pool[j]
+                x |= bit[pool[j]]
                 pool[j] = pool[top]
-            for i, b, top in ys:
-                j = getrandbits(b)
-                while j >= i:
+            if n == size:  # y is the pool x leaves: its draws only spend their bits
+                for i, b, _ in ys:
+                    while getrandbits(b) >= i:
+                        pass
+                y = full ^ x
+                for v in pool[:k]:
+                    e += (masks[v] & x).bit_count()
+            else:
+                for i, b, top in ys:
                     j = getrandbits(b)
-                v = pool[j]
-                y |= 1 << v
-                e += (masks[v] & x).bit_count()
-                pool[j] = pool[top]
+                    while j >= i:
+                        j = getrandbits(b)
+                    v = pool[j]
+                    y |= bit[v]
+                    e += (masks[v] & x).bit_count()
+                    pool[j] = pool[top]
             yield x, y, e
     else:
         for _ in range(count):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 import math
 import random
+import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import networkx as nx
@@ -156,6 +158,34 @@ def test_sampled_pairs_follow_sample_stream(n, k):
         got = list(_sampled_pairs(masks, k, 60, seed))
         assert [(x, y) for x, y, _ in got] == list(ref_sample_disjoint_pairs(n, k, 60, seed)), seed
         assert [e for _, _, e in got] == [ref_cross_count(masks, x, y) for x, y, _ in got], seed
+
+
+@pytest.mark.parametrize("n,k", [(32, 16), (64, 16), (40, 10)])
+def test_sampled_pairs_follow_sample_stream_for_a_whole_certificate(n, k, monkeypatch):
+    # 300 pairs, a whole sampled certificate, on the benchmark's three pool
+    # shapes.  After every pair the kernel's generator is in the state that
+    # sample() leaves, so each pair spends the same Mersenne Twister words,
+    # the last pair's included; for n = 2k, y is the complement of x.
+    class Tracked(random.Random):
+        made = []
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            Tracked.made.append(self)
+
+    monkeypatch.setattr(pseudorandom, "random", types.SimpleNamespace(Random=Tracked))
+    g = random_graph(n, 0.3, seed=n * 7 + k)
+    masks, full = g.adjacency_masks(), (1 << n) - 1
+    for seed in (0, 52807):
+        rng, got = random.Random(seed), []
+        for x, y, e in _sampled_pairs(masks, k, 300, seed):
+            rng.sample(range(n), 2 * k)
+            assert Tracked.made[-1].getstate() == rng.getstate(), (seed, len(got))
+            got.append((x, y, e))
+        assert [(x, y) for x, y, _ in got] == list(ref_sample_disjoint_pairs(n, k, 300, seed)), seed
+        assert [e for _, _, e in got] == [ref_cross_count(masks, x, y) for x, y, _ in got], seed
+        if n == 2 * k:
+            assert all(y == full ^ x for x, y, _ in got), seed
 
 
 def test_sampled_count_check_returns_first_violation(monkeypatch):
@@ -430,6 +460,66 @@ def test_warm_certificate_leaves_nothing_for_the_collector():
         if enabled:
             gc.enable()
     assert left < 1024, left
+
+
+def _table_builds(call) -> int:
+    # How many bound pairs _record_pairs' n = 2k branch builds during call().
+    builds, code = 0, pseudorandom.__file__
+
+    def count(frame, event, arg):
+        nonlocal builds
+        if event == "call" and frame.f_code.co_name == "table" and frame.f_code.co_filename == code:
+            builds += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(outer)
+    return builds
+
+
+def test_bound_table_cap_never_binds_on_exact_certificates(monkeypatch):
+    # The 24 an = 20 certificates build 1,440 bound pairs and look them up
+    # 6,504 times: with nothing kept (cap 0) every lookup is a build.  The
+    # default cap keeps every pair they build, and no cap changes a certificate.
+    members = _exact_members()
+    results = {}
+    for cap in (pseudorandom._TABLE_BYTES, 1 << 62, 0):
+        monkeypatch.setattr(pseudorandom, "_TABLE_BYTES", cap)
+        certs = []
+        builds = _table_builds(lambda: certs.extend(
+            fit_density_certificate(g, 10, Fraction(4, 5)).to_dict() for g in members))
+        results[cap] = builds, certs
+    default, unbounded, none_kept = results.values()
+    assert default[0] == unbounded[0] == 1440
+    assert none_kept[0] == 6504
+    assert default[1] == unbounded[1] == none_kept[1]
+
+
+def test_bound_tables_stay_under_their_byte_cap(monkeypatch):
+    # Uncapped, edgeboost on K120 keeps up to 60 * 120 bound pairs of two
+    # 240-byte fields each: about 6 MiB of traced peak.  A 4 KiB cap keeps 8
+    # of them and rebuilds the rest on use, with the same report and about
+    # 1.4 MiB.
+    g = complete_graph(120)
+    verify_edgeboost(g, 120, 60, 1)  # the lane tables, shared by both runs
+
+    def traced(cap):
+        monkeypatch.setattr(pseudorandom, "_TABLE_BYTES", cap)
+        tracemalloc.start()
+        try:
+            report = verify_edgeboost(g, 120, 60, 1)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    want, uncapped = traced(1 << 62)
+    got, capped = traced(1 << 12)
+    assert got == want
+    assert (want.hypothesis_ok, want.min_cross, want.passed) == (True, 3600, True)
+    assert capped < uncapped / 3, (capped, uncapped)
 
 
 @pytest.mark.parametrize("g", [complete_graph(66), complete_bipartite(33, 33), cycle_graph(66),
