@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import BlowupMap, Graph, PathWitness, _mask_vertices, path_power
+from .graphs import BlowupMap, Graph, PathWitness, _depth_first, _edge_subset, _mask_vertices, path_power
 
 Edge = tuple[int, int]
 
@@ -62,7 +62,7 @@ class EdgeColouring:
         return out
 
     def colour_subgraph(self, c: int) -> Graph:
-        return Graph(self.host.n, [e for e, col in self._col.items() if col == c])
+        return _edge_subset(self.host, [self._col[e] == c for e in self.host.edges])
 
     @classmethod
     def constant(cls, host: Graph, s: int, colour: int) -> "EdgeColouring":
@@ -223,45 +223,32 @@ def find_subgraph(host: Graph, pattern: Graph) -> Embedding | None:
 # -- monochromatic cliques -------------------------------------------------------
 
 
-def _max_clique_at_least(masks: Sequence[int], vertices: list[int], target: int) -> list[int] | None:
-    """Branch and bound: a clique of exactly `target` vertices, or None."""
-    if target == 0:
-        return []
-    if target == 1:
-        return [vertices[0]] if vertices else None
+def _max_clique_at_least(masks: Sequence[int], target: int) -> tuple[int, ...] | None:
+    """The lexicographically first clique of exactly `target` vertices in the graph masks gives, or None."""
+    return next(_depth_first(_grow_clique(masks, target, (), (1 << len(masks)) - 1)), None)
 
-    best: list[int] | None = None
 
-    def grow(clique: list[int], cand: int) -> bool:
-        nonlocal best
-        if len(clique) == target:
-            best = list(clique)
-            return True
-        if len(clique) + cand.bit_count() < target:
-            return False
-        c = cand
-        while c:
-            low = c & -c
-            v = low.bit_length() - 1
-            c ^= low
-            clique.append(v)
-            if grow(clique, cand & masks[v] & ~((low << 1) - 1)):
-                return True
-            clique.pop()
-        return False
+def _grow_clique(masks: Sequence[int], target: int, clique: tuple[int, ...], cand: int):
+    """Search node (graphs._depth_first): clique, and cand the higher vertices joined to all of it.
 
-    full = 0
-    for v in vertices:
-        full |= 1 << v
-    if grow([], full):
-        return best
-    return None
+    Each candidate, in ascending order while enough are left, extends the
+    clique: to a record once it has target vertices, else to a child node.
+    Branch and bound that no target takes deeper into the interpreter stack.
+    """
+    if not target:
+        yield clique
+    left = target - len(clique)  # vertices still to add
+    while 0 < left <= cand.bit_count():
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        yield clique + (v,) if left == 1 else _grow_clique(masks, target, clique + (v,), cand & masks[v])
 
 
 def mono_clique_in_clique(
     colouring: EdgeColouring, clique: Sequence[int], target: int
 ) -> tuple[int, tuple[int, ...]] | None:
-    """A monochromatic clique of exactly `target` vertices inside a host clique.
+    """The lowest colour with a monochromatic `target`-clique inside a host clique, and its first such clique.
 
     Honest failure (None) is a value: desk-scale clique sizes sit far below
     Ramsey thresholds, so a colouring may admit no such clique.
@@ -285,7 +272,7 @@ def mono_clique_in_clique(
             row[i] |= 1 << j
             row[j] |= 1 << i
     for c in range(1, colouring.s + 1):
-        found = _max_clique_at_least(masks[c], list(range(k)), target)
+        found = _max_clique_at_least(masks[c], target)
         if found is not None:
             return c, tuple(sorted(verts[i] for i in found))
     return None
@@ -303,33 +290,49 @@ def find_blue_biclique(
     """An all-blue complete bipartite 2k-by-2k pair across the two sides, or None.
 
     `blue` decides each cross pair; absent pairs (e.g. a removed matching)
-    simply test False.
+    simply test False.  The witness is the first 2k side_a entries, in
+    combinations order, with 2k blue side_b entries in common, and the first 2k of those.
     """
     need = 2 * k
     if need == 0:
         return (), ()
-    if len(side_a) < need or len(side_b) < need:
-        return None
-    bmasks = {}
+    rows = []
     for a in side_a:
-        mask = 0
+        row = 0
         for i, b in enumerate(side_b):
             if blue(a, b):
-                mask |= 1 << i
-        bmasks[a] = mask
-    rich = [a for a in side_a if bmasks[a].bit_count() >= need]
-    if len(rich) < need:
+                row |= 1 << i
+        rows.append(row)
+    found = _blue_biclique(rows, need)
+    if found is None:
         return None
-    full_b = (1 << len(side_b)) - 1
-    for combo in combinations(rich, need):
-        inter = full_b
-        for a in combo:
-            inter &= bmasks[a]
-            if inter.bit_count() < need:
-                break
-        else:
-            return tuple(combo), tuple(side_b[i] for i in _mask_vertices(inter)[:need])
-    return None
+    picks, common = found
+    return tuple(side_a[i] for i in picks), tuple(side_b[i] for i in _mask_vertices(common)[:need])
+
+
+def _blue_biclique(rows: Sequence[int], need: int) -> tuple[tuple[int, ...], int] | None:
+    """The first need >= 1 row positions, in combinations order, whose rows share need bits, and their AND.
+
+    The search drops a prefix once its rows share fewer than need bits, so
+    no combination that such a prefix starts is walked.
+    """
+    return next(_depth_first(_pick_rows(rows, need, (), -1, (1 << len(rows)) - 1)), None)
+
+
+def _pick_rows(rows: Sequence[int], need: int, picked: tuple[int, ...], common: int, cand: int):
+    """Search node (graphs._depth_first): the positions picked, common their rows' AND, cand those after.
+
+    A child per position of cand, ascending, whose row keeps need common
+    bits, while enough are left; the last pick yields (picks, AND) in place.
+    """
+    left = need - len(picked)  # rows still to pick
+    while cand.bit_count() >= left:
+        low = cand & -cand
+        cand ^= low
+        i = low.bit_length() - 1
+        both = common & rows[i]
+        if both.bit_count() >= need:
+            yield (picked + (i,), both) if left == 1 else _pick_rows(rows, need, picked + (i,), both, cand)
 
 
 @dataclass(frozen=True)
@@ -368,10 +371,7 @@ def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> KstRepo
     left_masks = [0] * x
     for i, jj in edge_set:
         left_masks[i] |= 1 << jj
-    witness = find_blue_biclique(
-        list(range(x)), list(range(x)), lambda a, b: (left_masks[a] >> b) & 1 == 1, k
-    )
-    contains = witness is not None
+    contains = _blue_biclique(left_masks, 2 * k) is not None
     m = len(edge_set)
     bound_float = 4.0 * x ** (2 - 1 / (2 * k))
     if contains:

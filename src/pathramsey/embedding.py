@@ -332,14 +332,8 @@ def check_template_containment(
 
     # Linearised template: vertex (segment i, position p) -> i*t + p.
     vertex_ids = tuple(v for seg in segments for v in seg)
-    template, cliques = _blowup(hr, t, perms)
-    removed = {} if perms is None else {
-        (i1, i2): frozenset(zip(range(i1 * t, i1 * t + t), (i2 * t + b for b in perm)))
-        for (i1, i2), perm in zip(hr.edges, perms)
-    }
-    bmap = BlowupMap(hr, t, cliques, removed, "template-extracted" if aux is not None else "none")
-    return TemplateResult(True, None, grey_ok, grey_problem, template,
-                          vertex_ids, bmap, distance_ok)
+    template, bmap = _blowup(hr, t, perms, "template-extracted" if aux is not None else "none")
+    return TemplateResult(True, None, grey_ok, grey_problem, template, vertex_ids, bmap, distance_ok)
 
 
 # -- local-lemma embedder -------------------------------------------------------

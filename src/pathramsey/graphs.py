@@ -64,7 +64,7 @@ class Graph:
 
     The constructor checks, sorts and deduplicates every edge; on sorted input
     the sort is one linear pass.  The builders in this module whose pairs are
-    distinct, in range and already in order skip that through `_from_edge_set`.
+    distinct, in range and already in order (`_edge_subset` among them) skip it through `_from_edge_set`.
     """
 
     __slots__ = ("n", "edges", "_masks")
@@ -124,6 +124,11 @@ class Graph:
 
 
 # -- constructors ---------------------------------------------------------
+
+
+def _edge_subset(g: Graph, keep: Iterable) -> Graph:
+    """The graph on g's vertices with the edges whose selector in keep, read in g.edges order, is true."""
+    return Graph._from_edge_set(g.n, list(compress(g.edges, keep)))
 
 
 def path_graph(n: int) -> Graph:
@@ -303,8 +308,8 @@ class BlowupMap:
                     raise GraphFormatError(f"subclique of {v} not inside its clique")
 
 
-def _blowup(h: Graph, t: int, perms: Iterable[Sequence[int]] | None = None) -> tuple[Graph, tuple]:
-    """The complete blow-up of h, less one perfect matching per base edge if perms is given, and its cliques.
+def _blowup(h: Graph, t: int, perms: list | None = None, rule: str = "none") -> tuple[Graph, BlowupMap]:
+    """The complete blow-up of h, less one perfect matching per base edge if perms is given, and its map.
 
     Clique v is range(v*t, v*t + t).  Row a, the pairs (a, b) with b > a,
     is the rest of a's clique and then every higher adjacent clique, so the
@@ -314,7 +319,7 @@ def _blowup(h: Graph, t: int, perms: Iterable[Sequence[int]] | None = None) -> t
     row's targets up to its own position, from C-level iterators with no
     Python loop per vertex.  perms[e], for the e-th base edge (u, v) in
     h.edges order, removes the pairs (u*t + i, v*t + perms[e][i]): one
-    zeroed selector byte each.
+    zeroed selector byte each; the map records them under matching rule `rule`.
     """
     if t < 1:
         raise ParameterError("clique size t must be >= 1")
@@ -335,13 +340,16 @@ def _blowup(h: Graph, t: int, perms: Iterable[Sequence[int]] | None = None) -> t
             for i, j in enumerate(perm):
                 selector[a + i * size + j] = 0
     rows = compress(chain.from_iterable(map(product, cliques, map(chain.from_iterable, targets))), selector)
-    return Graph._from_edge_set(h.n * t, list(rows)), tuple(map(tuple, cliques))
+    removed = {} if perms is None else {
+        (u, v): frozenset(zip(cliques[u], (v * t + j for j in perm))) for (u, v), perm in zip(h.edges, perms)
+    }
+    host = Graph._from_edge_set(h.n * t, list(rows))
+    return host, BlowupMap(h, t, tuple(map(tuple, cliques)), removed, rule)
 
 
 def complete_blowup(h: Graph, t: int) -> tuple[Graph, BlowupMap]:
     """Replace every vertex by a t-clique and every edge by a complete bipartite graph."""
-    host, cliques = _blowup(h, t)
-    return host, BlowupMap(h, t, cliques)
+    return _blowup(h, t)
 
 
 def sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, BlowupMap]:
@@ -351,16 +359,11 @@ def sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, Bl
     i-th vertex; an integer seed draws an independent random matching per base
     edge.  The choice is recorded in the returned BlowupMap.
     """
-    removed: dict[Edge, frozenset[Edge]] = {}
-    perms: list[list[int]] = []
-    for u, v in h.edges:
-        perm = list(range(t))
-        if seed is not None:
+    perms = [list(range(t)) for _ in h.edges]
+    if seed is not None:
+        for (u, v), perm in zip(h.edges, perms):
             random.Random((seed * 1_000_003 + u) * 1_000_003 + v).shuffle(perm)
-        perms.append(perm)
-        removed[(u, v)] = frozenset(zip(range(u * t, u * t + t), (v * t + j for j in perm)))
-    host, cliques = _blowup(h, t, perms)
-    return host, BlowupMap(h, t, cliques, removed, "aligned" if seed is None else f"seeded:{seed}")
+    return _blowup(h, t, perms, "aligned" if seed is None else f"seeded:{seed}")
 
 
 # -- girth ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import Graph, PathWitness, _depth_first, _frontiers, _mask_vertices
+from .graphs import Graph, PathWitness, _depth_first, _edge_subset, _frontiers, _mask_vertices
 from .pseudorandom import _record_pairs, disjoint_pair_count, prune_to_size
 
 EXHAUSTIVE_CAP = 12
@@ -544,7 +544,7 @@ def sparsify(h: Graph, p, seed: int) -> Graph:
         raise ParameterError("keep probability must lie in (0, 1]")
     pf = float(p)  # a p below the smallest float draws no edge
     rng = random.Random(seed)
-    return Graph(h.n, [e for e in h.sorted_edges() if rng.random() < pf])
+    return _edge_subset(h, [rng.random() < pf for _ in h.edges])
 
 
 def prune_top(h: Graph, remove_count: int) -> tuple[Graph, tuple[int, ...]]:

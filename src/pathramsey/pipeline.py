@@ -41,6 +41,7 @@ from .graphs import (
     BlowupMap,
     Graph,
     PathWitness,
+    _edge_subset,
     induced_subgraph,
     path_power,
     power,
@@ -225,7 +226,7 @@ def induction_step(
         "stage": "aux-colouring", "status": "ok",
         "detail": {"jVertices": j.n, "jEdges": j.m, "blueEdges": aux.blue_count()},
     })
-    blue_graph = Graph(j.n, [e for e in j.edges if aux.labels[e] == BLUE])
+    blue_graph = _edge_subset(j, [aux.labels[e] == BLUE for e in j.edges])
 
     # Cover the blue/grey complete graph over W.
     ell = cfg.t - 1

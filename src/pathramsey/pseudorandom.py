@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     _cycle_path,
     _depth_first,
+    _edge_subset,
     _first_shortest_cycle,
     _mask_vertices,
     girth_violation,
@@ -691,7 +692,7 @@ def _clean_short_cycles(g: Graph, limit: int, log: GenerationLog) -> Graph:
         found = _first_shortest_cycle(adj, edges, start, length, length)
         if found is None and length < limit:
             found = _first_shortest_cycle(adj, edges, 0, length + 1, limit)
-    return Graph(g.n, [(u, v) for u, v in edges if adj[u] >> v & 1])
+    return _edge_subset(g, [adj[u] >> v & 1 for u, v in edges])
 
 
 def prune_to_size(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[int]]:

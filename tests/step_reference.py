@@ -3,10 +3,11 @@
 These are the versions the package must agree with exactly: the Held–Karp
 path table filled over every mask of the vertex set, the monochromatic
 clique search that checks adjacency in one pass and then rebuilds the
-colour-class masks once per colour, the colour-map validation that checks
-item by item, the colour-map check that compares keys as a set, the
-recursive backtracking subgraph embedder, and the recursive constrained
-long-path search.
+colour-class masks once per colour, on the recursive branch and bound
+below, the blue biclique search that walks every combination of rich rows,
+the colour-map validation that checks item by item, the colour-map check
+that compares keys as a set, the recursive backtracking subgraph embedder,
+and the recursive constrained long-path search.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from itertools import combinations
 from typing import Sequence
 
 from pathramsey import Graph
-from pathramsey.colouring import _max_clique_at_least
 from pathramsey.errors import ParameterError
 
 from graph_reference import ref_adjacency, ref_pattern_order
@@ -95,6 +95,71 @@ def _frozen_reject(edges, s: int, colour_of: dict) -> None:
     raise ParameterError("colouring must cover every edge exactly once")
 
 
+def ref_max_clique_at_least(masks: Sequence[int], vertices: list[int], target: int) -> list[int] | None:
+    """The recursive branch and bound the clique search ran before it moved onto the driver."""
+    if target == 0:
+        return []
+    if target == 1:
+        return [vertices[0]] if vertices else None
+
+    best: list[int] | None = None
+
+    def grow(clique: list[int], cand: int) -> bool:
+        nonlocal best
+        if len(clique) == target:
+            best = list(clique)
+            return True
+        if len(clique) + cand.bit_count() < target:
+            return False
+        c = cand
+        while c:
+            low = c & -c
+            v = low.bit_length() - 1
+            c ^= low
+            clique.append(v)
+            if grow(clique, cand & masks[v] & ~((low << 1) - 1)):
+                return True
+            clique.pop()
+        return False
+
+    full = 0
+    for v in vertices:
+        full |= 1 << v
+    if grow([], full):
+        return best
+    return None
+
+
+def ref_find_blue_biclique(side_a: Sequence[int], side_b: Sequence[int], blue, k: int):
+    """The blue biclique search as a walk over every combination of rich side_a entries."""
+    need = 2 * k
+    if need == 0:
+        return (), ()
+    if len(side_a) < need or len(side_b) < need:
+        return None
+    bmasks = {}
+    for a in side_a:
+        mask = 0
+        for i, b in enumerate(side_b):
+            if blue(a, b):
+                mask |= 1 << i
+        bmasks[a] = mask
+    rich = [a for a in side_a if bmasks[a].bit_count() >= need]
+    if len(rich) < need:
+        return None
+    full_b = (1 << len(side_b)) - 1
+    for combo in combinations(rich, need):
+        inter = full_b
+        for a in combo:
+            inter &= bmasks[a]
+            if inter.bit_count() < need:
+                break
+        else:
+            picked = [i for i in range(len(side_b)) if inter >> i & 1][:need]
+            return tuple(combo), tuple(side_b[i] for i in picked)
+    return None
+
+
 def ref_mono_clique_in_clique(colouring, clique: Sequence[int], target: int):
     verts = list(clique)
     if target > len(verts):
@@ -109,7 +174,7 @@ def ref_mono_clique_in_clique(colouring, clique: Sequence[int], target: int):
             if colouring.colour(a, b) == c:
                 masks[index[a]] |= 1 << index[b]
                 masks[index[b]] |= 1 << index[a]
-        found = _max_clique_at_least(masks, list(range(len(verts))), target)
+        found = ref_max_clique_at_least(masks, list(range(len(verts))), target)
         if found is not None:
             return c, tuple(sorted(verts[i] for i in found))
     return None

@@ -4,8 +4,9 @@ package, every exported name and every public method of an exported class
 is read outside the tests (a known list of methods aside), every option a
 CLI subcommand declares is read by its handler, only graphs.py reads a
 graph's neighbourhoods other than as bitmasks, only graphs.py builds a
-graph without checking its edges, only cli.py reads config documents, and no
-generator recurses by delegating to itself."""
+graph without checking its edges, only cli.py reads config documents, no
+generator recurses by delegating to itself, and no other function calls
+itself unless a constant bounds its depth."""
 
 from __future__ import annotations
 
@@ -422,3 +423,75 @@ def test_recursion_guard_flags_a_generator_that_delegates_to_itself(tmp_path):
         "            yield from child.leaves()\n"
     )
     assert self_delegating_generators(tmp_path) == ["a:3", "a:8", "a:17"]
+
+
+def _own_nodes(func: ast.AST) -> Iterable[ast.AST]:
+    """The nodes of a function's body, without those of the functions and classes it defines."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def self_calling_functions(package: Path) -> list[str]:
+    """Functions, as module.qualified.name, that are not generators and call themselves by bare name.
+
+    Each such call takes an interpreter frame, so a deep enough input raises
+    RecursionError.  A search node (graphs._depth_first) is a generator: the
+    child f(...) it yields is a new node on the driver's list, not a call on
+    the interpreter stack.
+    """
+    found = []
+    for module, tree in _parse_package(package).items():
+        todo = [(node, module, tree) for node in tree.body]
+        while todo:
+            node, scope, parent = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name, own = f"{scope}.{node.name}", list(_own_nodes(node))
+                todo.extend((sub, name, node) for sub in own)
+                if isinstance(node, ast.ClassDef) or isinstance(parent, ast.ClassDef):
+                    continue  # a method's bare name is not the method
+                if not any(isinstance(sub, (ast.Yield, ast.YieldFrom)) for sub in own) and any(
+                    isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == node.name
+                    for sub in own
+                ):
+                    found.append(name)
+    return sorted(found)
+
+
+# Recursions whose depth a constant bounds, with the bound.
+BOUNDED_RECURSIONS = [
+    "partition._cover_with_paths",  # one level per path: budget <= n <= EXHAUSTIVE_CAP
+    "pseudorandom._members",  # one level per offset: span <= 63 while subtrees hold <= LEAF_LANES lanes
+    "pseudorandom._record_pairs.cell",  # the same span as _members
+    "serialize.jsonable",  # one level per nesting level of a report
+]
+
+
+def test_no_function_recurses_past_a_constant_depth():
+    assert self_calling_functions(PACKAGE) == BOUNDED_RECURSIONS
+
+
+def test_recursion_guard_flags_a_function_that_calls_itself(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def fact(n):\n"
+        "    return n * fact(n - 1) if n else 1\n\n"
+        "def search(masks, n):\n"
+        "    def grow(clique):\n"
+        "        return grow(clique + [n]) if len(clique) < n else clique\n"
+        "    def node(clique):\n"
+        "        yield node(clique + [n])\n"
+        "    return grow([]), list(_depth_first(node([])))\n\n"
+        "def deep(n):\n"
+        "    return [deep(i) for i in range(n)] + list(map(lambda i: deep(i), range(n)))\n\n"
+        "def child(n):\n"
+        "    yield child(n - 1)\n\n"
+        "class Tree:\n"
+        "    def size(self):\n"
+        "        return 1 + sum(c.size() for c in self.children)\n\n"
+        "    def depth(self):\n"
+        "        return depth(self)\n"
+    )
+    assert self_calling_functions(tmp_path) == ["a.deep", "a.fact", "a.search.grow"]

@@ -13,9 +13,11 @@ from fractions import Fraction
 import pytest
 
 from pathramsey import (
-    BudgetExceededError, ClassPParams, GenerationConfig, NoPathFoundError, complete_graph,
-    generate_class_p, long_path_through_sets, path_graph, quad, random_graph,
+    BudgetExceededError, ClassPParams, EdgeColouring, GenerationConfig, NoPathFoundError,
+    PipelineConfig, build_step_host, complete_graph, generate_class_p, induction_step,
+    long_path_through_sets, mono_clique_in_clique, path_graph, quad, random_graph,
 )
+from pathramsey.colouring import _blue_biclique, _max_clique_at_least
 from pathramsey.graphs import _depth_first
 from pathramsey.partition import _group_components
 from pathramsey.pseudorandom import _record_pairs, verify_edgeboost
@@ -250,3 +252,36 @@ def test_pair_search_on_a_girth_member_caps_its_bound_at_m():
     assert len(records) == 17
     assert (min(e for _, _, e in records), max(e for _, _, e in records)) == (0, 16)
     assert nodes == 62
+
+
+def test_clique_search_on_a_constant_k80_needs_no_deep_stack():
+    chi = EdgeColouring.constant(complete_graph(80), 2, 1)
+    with recursion_headroom(60):
+        assert mono_clique_in_clique(chi, range(80), 80) == (1, tuple(range(80)))
+
+
+def test_step_with_an_80_vertex_clique_target_needs_no_deep_stack():
+    # The step of `pathramsey step` on one base vertex whose clique is the
+    # target: the clique search runs 80 nodes deep before the blue path of one
+    # derived vertex promotes to a blue power.
+    cfg = PipelineConfig(k=1, s=2, r=1, t=2, n=1, clique_size=80, mono_target=80,
+                         out_quad=quad(1, 64, "1/2", "4/5"), in_quad=quad(1, 1000, "1/2", "4/5"),
+                         seed=11)
+    g = path_graph(1)
+    host, bmap = build_step_host(g, cfg)
+    chi = EdgeColouring.constant(host, 2, 1)
+    with recursion_headroom(60):
+        outcome = induction_step(g, host, bmap, chi, cfg)
+    assert outcome.kind == "monoPowerFound"
+    assert outcome.embedding.mapping == (0, 1)
+
+
+def test_clique_and_biclique_searches_leave_no_cyclic_garbage():
+    masks = random_graph(14, 0.6, 2).adjacency_masks()
+    assert _max_clique_at_least(masks, 4) is not None and _max_clique_at_least(masks, 14) is None
+    rows = random_graph(20, 0.5, 4).adjacency_masks()
+    assert _blue_biclique(rows, 2) is not None and _blue_biclique(rows, 6) is None
+    assert garbage_left(lambda: _max_clique_at_least(masks, 4)) == 0
+    assert garbage_left(lambda: _max_clique_at_least(masks, 14)) == 0
+    assert garbage_left(lambda: _blue_biclique(rows, 2)) == 0
+    assert garbage_left(lambda: _blue_biclique(rows, 6)) == 0

@@ -15,8 +15,10 @@ from pathramsey import (
     build_step_host,
     complete_graph,
     cycle_graph,
+    find_blue_biclique,
     find_subgraph,
     induction_step,
+    kst_bound_check,
     long_path_through_sets,
     mono_clique_in_clique,
     path_graph,
@@ -24,15 +26,17 @@ from pathramsey import (
     random_graph,
     sheared_blowup,
 )
-from pathramsey.colouring import _embed_masks, _prepare_pattern
+from pathramsey.colouring import _embed_masks, _max_clique_at_least, _prepare_pattern
 from pathramsey.partition import _ham_path_table, _path_flags
 
 from step_reference import (
     frozen_colour_map,
     ref_colour_map,
     ref_embed_masks,
+    ref_find_blue_biclique,
     ref_ham_path_table,
     ref_long_path,
+    ref_max_clique_at_least,
     ref_mono_clique_in_clique,
 )
 
@@ -84,6 +88,65 @@ def test_mono_clique_matches_reference(s):
                 assert mono_clique_in_clique(chi, clique, target) == ref_mono_clique_in_clique(
                     chi, clique, target
                 ), (trial, clique, target)
+
+
+def test_clique_search_matches_recursive_reference():
+    # Every target on random graphs, dense and sparse: the same first clique, or None.
+    rng = random.Random(7)
+    compared = found = 0
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        masks = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng.randrange(10**6)).adjacency_masks()
+        for target in range(n + 2):
+            want = ref_max_clique_at_least(masks, list(range(n)), target)
+            got = _max_clique_at_least(masks, target)
+            assert got == (None if want is None else tuple(want)), (n, target)
+            compared, found = compared + 1, found + (want is not None)
+    assert compared > 2000 and 0.3 < found / compared < 0.8
+
+
+def test_biclique_search_matches_combination_walk():
+    # Random sides up to 9 x 9, k = 0-3, some with repeated entries; the blue
+    # test is a fixed random relation on the entries, so repeats agree.
+    rng = random.Random(11)
+    found = 0
+    for _ in range(3000):
+        side_a = [rng.randrange(12) for _ in range(rng.randint(0, 9))]
+        side_b = [rng.randrange(100, 112) for _ in range(rng.randint(0, 9))]
+        if rng.random() < 0.5:
+            side_a, side_b = sorted(set(side_a)), sorted(set(side_b))
+        p = rng.choice([0.5, 0.8, 0.95])
+        blue_pairs = {(a, b) for a in range(12) for b in range(100, 112) if rng.random() < p}
+        k = rng.randint(0, 3)
+        want = ref_find_blue_biclique(side_a, side_b, lambda a, b: (a, b) in blue_pairs, k)
+        assert find_blue_biclique(side_a, side_b, lambda a, b: (a, b) in blue_pairs, k) == want
+        found += want is not None and k > 0
+    assert found > 300
+
+
+def _kst_instance(x: int, p: float, seed: int) -> list[tuple[int, int]]:
+    rng = random.Random(seed)
+    return [(i, j) for i in range(x) for j in range(x) if rng.random() < p]
+
+
+def test_kst_reports_match_combination_walk():
+    rng = random.Random(3)
+    for _ in range(200):
+        x, k = rng.randint(1, 9), rng.randint(1, 2)
+        edges = _kst_instance(x, rng.choice([0.5, 0.8]), rng.randrange(10**6))
+        blue = set(edges)
+        want = ref_find_blue_biclique(range(x), range(x), lambda a, b: (a, b) in blue, k)
+        assert kst_bound_check(x, edges, k).contains_biclique == (want is not None)
+
+
+def test_kst_report_without_a_biclique_is_unchanged():
+    # 488 edges of a 40 x 40 grid with no K_{6,6}: the combination walk took
+    # over a second to rule out every 6-set of rows.
+    rep = kst_bound_check(40, _kst_instance(40, 0.3, 11), 3)
+    assert rep.to_dict() == {
+        "x": 40, "k": 3, "edges": 488, "containsBiclique": False, "applicable": True,
+        "holds": True, "bound": 3460.7479907846355, "margin": 2972.7479907846355,
+    }
 
 
 @pytest.mark.parametrize("clique", [(0, 1, 17), (0, 0, 1), (0, 1, 2, 40)])
