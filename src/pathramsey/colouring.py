@@ -55,12 +55,6 @@ class EdgeColouring:
     def colour(self, u: int, v: int) -> int:
         return self._col[(u, v) if u < v else (v, u)]
 
-    def counts(self) -> dict[int, int]:
-        out = {c: 0 for c in range(1, self.s + 1)}
-        for c in self._col.values():
-            out[c] += 1
-        return out
-
     def colour_subgraph(self, c: int) -> Graph:
         return _edge_subset(self.host, [self._col[e] == c for e in self.host.edges])
 
@@ -343,23 +337,12 @@ class KstReport:
     contains_biclique: bool
     applicable: bool
     holds: bool | None
-    bound_display: float
-    margin_display: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x, "k": self.k, "edges": self.edge_count,
-            "containsBiclique": self.contains_biclique,
-            "applicable": self.applicable, "holds": self.holds,
-            "bound": self.bound_display, "margin": self.margin_display,
-        }
 
 
 def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> KstReport:
     """Balanced bipartite edge bound: no 2k-by-2k biclique forces at most 4 x^(2-1/2k) edges.
 
-    The comparison m <= 4 x^(2-1/2k) is done exactly as m^(2k) <= 4^(2k) x^(4k-1);
-    the float bound is display only.
+    The comparison m <= 4 x^(2-1/2k) is done exactly as m^(2k) <= 4^(2k) x^(4k-1).
     """
     if x < 1 or k < 1:
         raise ParameterError("need x >= 1 and k >= 1")
@@ -371,25 +354,13 @@ def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> KstRepo
     left_masks = [0] * x
     for i, jj in edge_set:
         left_masks[i] |= 1 << jj
-    contains = _blue_biclique(left_masks, 2 * k) is not None
     m = len(edge_set)
-    bound_float = 4.0 * x ** (2 - 1 / (2 * k))
-    if contains:
-        return KstReport(x, k, m, True, False, None, bound_float, None)
-    holds = m ** (2 * k) <= 4 ** (2 * k) * x ** (4 * k - 1)
-    return KstReport(x, k, m, False, True, holds, bound_float, bound_float - m)
+    if _blue_biclique(left_masks, 2 * k) is not None:
+        return KstReport(x, k, m, True, False, None)
+    return KstReport(x, k, m, False, True, m ** (2 * k) <= 4 ** (2 * k) * x ** (4 * k - 1))
 
 
 # -- auxiliary blue/grey colouring -------------------------------------------------
-
-
-def _blue_test(chi: EdgeColouring, blue_colour: int) -> Callable[[int, int], bool]:
-    """Whether a host pair is an edge of colour blue_colour, read from the colour map.
-
-    The map's keys are exactly the host's edges, so a missing pair is a non-edge.
-    """
-    col = chi._col
-    return lambda a, b: col.get((a, b) if a < b else (b, a)) == blue_colour
 
 
 @dataclass(frozen=True)
@@ -417,29 +388,6 @@ class AuxColouring:
     def blue_count(self) -> int:
         return sum(1 for lab in self.labels.values() if lab == BLUE)
 
-    def validate(self) -> None:
-        blue = _blue_test(self.chi, self.blue_colour)
-        for e in self.base.edges:
-            lab = self.labels.get(e)
-            if lab not in (BLUE, GREY):
-                raise ConstructionError(f"edge {e} has no label")
-        for (u, v), (wa, wb) in self.witnesses.items():
-            if self.labels[(u, v)] != BLUE:
-                raise ConstructionError(f"witness stored for non-blue edge ({u},{v})")
-            if len(wa) != 2 * self.k or len(wb) != 2 * self.k:
-                raise ConstructionError("witness sides have wrong size")
-            if not set(wa) <= set(self.subclique(u)) or not set(wb) <= set(self.subclique(v)):
-                raise ConstructionError(f"witness for ({u},{v}) leaves its subcliques")
-            for a in wa:
-                for b in wb:
-                    if not blue(a, b):
-                        raise ConstructionError(f"witness pair ({a},{b}) is not a blue host edge")
-        for (u, v) in self.base.sorted_edges():
-            if self.labels[(u, v)] == GREY:
-                found = find_blue_biclique(self.subclique(u), self.subclique(v), blue, self.k)
-                if found is not None:
-                    raise ConstructionError(f"grey edge ({u},{v}) admits a blue biclique")
-
 
 def build_aux_colouring(
     j: Graph,
@@ -458,7 +406,9 @@ def build_aux_colouring(
         raise PreconditionError("blow-up map carries no selected subcliques")
     if len(base_ids) != j.n:
         raise ParameterError("need one base id per vertex of j")
-    is_blue = _blue_test(chi, blue_colour)
+    # The colour map's keys are exactly the host's edges, so a missing pair is a non-edge.
+    col = chi._col
+    is_blue = lambda a, b: col.get((a, b) if a < b else (b, a)) == blue_colour
     for idx in range(j.n):
         v = base_ids[idx]
         if v not in blowup.subclique:

@@ -58,9 +58,6 @@ class EmbeddingReport:
     ok: bool
     problem: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "problem": self.problem}
-
 
 def validate_embedding(e: Embedding) -> EmbeddingReport:
     """Re-check injectivity, edge coverage, and the colour constraint directly.
@@ -221,18 +218,7 @@ class TemplateResult:
     grey_problem: str | None = None
     template: Graph | None = None
     vertex_ids: tuple[int, ...] | None = None
-    blowup: BlowupMap | None = None
     distance_ok: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "contained": self.contained,
-            "offending": self.offending,
-            "greyOk": self.grey_ok,
-            "greyProblem": self.grey_problem,
-            "templateVertices": list(self.vertex_ids) if self.vertex_ids else None,
-            "distanceOk": self.distance_ok,
-        }
 
 
 def check_template_containment(
@@ -332,8 +318,8 @@ def check_template_containment(
 
     # Linearised template: vertex (segment i, position p) -> i*t + p.
     vertex_ids = tuple(v for seg in segments for v in seg)
-    template, bmap = _blowup(hr, t, perms, "template-extracted" if aux is not None else "none")
-    return TemplateResult(True, None, grey_ok, grey_problem, template, vertex_ids, bmap, distance_ok)
+    template = _blowup(hr, t, perms)[0]
+    return TemplateResult(True, None, grey_ok, grey_problem, template, vertex_ids, distance_ok)
 
 
 # -- local-lemma embedder -------------------------------------------------------

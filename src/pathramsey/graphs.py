@@ -284,29 +284,6 @@ class BlowupMap:
             self.matching_rule, dict(subclique),
         )
 
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for v, cl in enumerate(self.clique_of):
-            if len(cl) != self.t:
-                raise GraphFormatError(f"clique of base vertex {v} has size {len(cl)}")
-            if seen & set(cl):
-                raise GraphFormatError("cliques overlap")
-            seen |= set(cl)
-        if seen != set(range(self.base.n * self.t)):
-            raise GraphFormatError("cliques do not partition the host vertex set")
-        for (u, v), matching in self.removed_matchings.items():
-            left = {a for a, _ in matching} | {b for _, b in matching}
-            cu, cv = set(self.clique_of[u]), set(self.clique_of[v])
-            if len(matching) != self.t or left != cu | cv:
-                raise GraphFormatError(f"removed pairs for base edge ({u},{v}) are not a perfect matching")
-            for a, b in matching:
-                if not ((a in cu and b in cv) or (a in cv and b in cu)):
-                    raise GraphFormatError(f"removed pair ({a},{b}) crosses the wrong cliques")
-        if self.subclique is not None:
-            for v, sub in self.subclique.items():
-                if not set(sub) <= set(self.clique_of[v]):
-                    raise GraphFormatError(f"subclique of {v} not inside its clique")
-
 
 def _blowup(h: Graph, t: int, perms: list | None = None, rule: str = "none") -> tuple[Graph, BlowupMap]:
     """The complete blow-up of h, less one perfect matching per base edge if perms is given, and its map.

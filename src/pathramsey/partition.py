@@ -57,9 +57,6 @@ class PartitionReport:
     ok: bool
     problem: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "problem": self.problem}
-
 
 def _blue_components(masks: Sequence[int], rmask: int) -> list[int]:
     """Components of the blue graph on rmask, as masks, by lowest vertex; no search for isolated ones."""
@@ -239,7 +236,8 @@ def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
     return None
 
 
-def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random, rotations: int) -> list[int]:
+def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random) -> list[int]:
+    """A random blue path in available: extend the end, else the front, else rotate (at most 2n times)."""
     avail_list = [v for v in _mask_vertices(available)]
     if not avail_list:
         return []
@@ -248,22 +246,14 @@ def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random, ro
     start = rng.choice(live or avail_list)
     path = [start]
     used = 1 << start
-    budget = rotations
+    budget = 2 * len(masks)
     while True:
-        end = path[-1]
-        cand = masks[end] & available & ~used
+        at, cand = len(path), masks[path[-1]] & available & ~used
+        if not cand:
+            at, cand = 0, masks[path[0]] & available & ~used
         if cand:
-            picks = _mask_vertices(cand)
-            v = rng.choice(picks)
-            path.append(v)
-            used |= 1 << v
-            continue
-        front = path[0]
-        cand = masks[front] & available & ~used
-        if cand:
-            picks = _mask_vertices(cand)
-            v = rng.choice(picks)
-            path.insert(0, v)
+            v = rng.choice(_mask_vertices(cand))
+            path.insert(at, v)
             used |= 1 << v
             continue
         if budget <= 0:
@@ -279,6 +269,14 @@ def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random, ro
 
 
 def _partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult | None:
+    """Grow up to ell blue paths, then pack the blue components of the rest into ell + 1 equal classes.
+
+    Every candidate is a valid cover by construction, so none is verified
+    here (partition_two_coloured verifies the one returned): the paths are
+    disjoint and blue, a cut last path is still a path, classes made of
+    whole blue components have only red pairs between them, the nonempty
+    classes share one size, and paths and classes cover every vertex.
+    """
     n = blue.n
     masks = blue.adjacency_masks()
     full = (1 << n) - 1
@@ -289,7 +287,7 @@ def _partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult | 
         for _ in range(ell):
             if not available:
                 break
-            path = _grow_blue_path(masks, available, rng, rotations=2 * n)
+            path = _grow_blue_path(masks, available, rng)
             paths.append(path)
             for v in path:
                 available &= ~(1 << v)
@@ -309,12 +307,10 @@ def _partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult | 
                 groups = _group_components(comps, ell + 1, exact=exact)
                 if groups is None:
                     continue
-                result = PartitionResult(
+                return PartitionResult(
                     tuple(PathWitness(tuple(p)) for p in trial_paths if p),
                     tuple(tuple(_mask_vertices(g)) for g in groups),
                 )
-                if verify_partition(blue, result, ell).ok:
-                    return result
     return None
 
 

@@ -247,8 +247,11 @@ def induction_step(
 
     # A blue path of n derived vertices promotes straight to a blue power.
     long_blue = next((p for p in part.blue_paths if len(p) >= cfg.n), None)
-    if ell < 1:
-        long_blue = _search_blue_path(blue_graph, cfg)
+    if ell < 1:  # no cover stage ran (t = 1): probe for the path directly
+        try:
+            long_blue = long_path_through_sets(blue_graph, [list(range(blue_graph.n))], cfg.n)
+        except NoPathFoundError:
+            pass
     if long_blue is not None:
         sub = PathWitness(tuple(long_blue.vertices[: cfg.n]))
         try:
@@ -365,14 +368,6 @@ def induction_step(
         "reducedColours", reduced_graph=h_final, reduced_colours=allowed,
         template_embedding=emb, trace=trace,
     )
-
-
-def _search_blue_path(blue_graph: Graph, cfg: PipelineConfig) -> PathWitness | None:
-    """Longest-first blue path probe used when no cover stage runs (t = 1)."""
-    try:
-        return long_path_through_sets(blue_graph, [list(range(blue_graph.n))], cfg.n)
-    except NoPathFoundError:
-        return None
 
 
 # -- base case ------------------------------------------------------------------

@@ -74,9 +74,6 @@ class GoodnessReport:
     conditions: dict[str, bool]
     failing: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {"good": self.good, "conditions": dict(self.conditions), "failing": list(self.failing)}
-
 
 def is_good(q: GoodQuadruple) -> GoodnessReport:
     """Admissibility test: a >= 2c+1, b >= 264 a^2 / (eps^2 c^2), eps < 1/10."""
@@ -823,17 +820,6 @@ class EdgeBoostReport:
     worst_pair: tuple | None
     pairs_checked: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "hypothesisOk": self.hypothesis_ok,
-            "hypothesisWitness": self.hypothesis_witness,
-            "bound": self.bound,
-            "minCross": self.min_cross,
-            "worstPair": self.worst_pair,
-            "pairsChecked": self.pairs_checked,
-            "passed": self.passed,
-        }
 
 
 def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoostReport:

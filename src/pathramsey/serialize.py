@@ -1,7 +1,6 @@
 """JSON helpers: exact rationals travel as "num/den" strings, reports carry a schema version.
 
-Floats never appear in stored reports except in fields explicitly marked as
-display values; everything that feeds a decision is exact.
+Floats never appear in stored reports; everything in them is exact.
 """
 
 from __future__ import annotations

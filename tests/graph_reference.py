@@ -9,7 +9,8 @@ graph powers, max-degree peeling over a dict of neighbour sets, the greedy
 pattern order that counts placed neighbours by scanning lists, and blow-ups
 (the two constructors and the template that check_template_containment
 linearises) that list every host edge and pass the list through the
-checking Graph constructor.
+checking Graph constructor.  ref_validate_blowup_map checks a blow-up map's
+invariants directly, with set operations.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 from collections import deque
 
 from pathramsey import BlowupMap, Graph, ParameterError
+from pathramsey.errors import GraphFormatError
 
 
 def mask_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -138,25 +140,43 @@ def ref_sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph
     return Graph(h.n * t, edges), BlowupMap(h, t, cliques, removed, rule)
 
 
-def ref_linear_template(
-    hr: Graph, t: int, removed: dict[tuple[int, int], set[tuple[int, int]]], extracted: bool
-) -> tuple[Graph, BlowupMap]:
+def ref_validate_blowup_map(bmap: BlowupMap) -> None:
+    """Raise GraphFormatError unless the cliques partition the host's vertices into
+    blocks of t, each removed matching is perfect between its edge's two cliques,
+    and each selected subclique lies inside its clique."""
+    seen: set[int] = set()
+    for v, cl in enumerate(bmap.clique_of):
+        if len(cl) != bmap.t:
+            raise GraphFormatError(f"clique of base vertex {v} has size {len(cl)}")
+        if seen & set(cl):
+            raise GraphFormatError("cliques overlap")
+        seen |= set(cl)
+    if seen != set(range(bmap.base.n * bmap.t)):
+        raise GraphFormatError("cliques do not partition the host vertex set")
+    for (u, v), matching in bmap.removed_matchings.items():
+        left = {a for a, _ in matching} | {b for _, b in matching}
+        cu, cv = set(bmap.clique_of[u]), set(bmap.clique_of[v])
+        if len(matching) != bmap.t or left != cu | cv:
+            raise GraphFormatError(f"removed pairs for base edge ({u},{v}) are not a perfect matching")
+        for a, b in matching:
+            if not ((a in cu and b in cv) or (a in cv and b in cu)):
+                raise GraphFormatError(f"removed pair ({a},{b}) crosses the wrong cliques")
+    if bmap.subclique is not None:
+        for v, sub in bmap.subclique.items():
+            if not set(sub) <= set(bmap.clique_of[v]):
+                raise GraphFormatError(f"subclique of {v} not inside its clique")
+
+
+def ref_linear_template(hr: Graph, t: int, removed: dict[tuple[int, int], set[tuple[int, int]]]) -> Graph:
     """check_template_containment's template: removed maps each edge of hr to its
     matching as (position in segment i1, position in segment i2) pairs."""
     edges = []
     for i in range(hr.n):
         edges.extend((i * t + a, i * t + b) for a in range(t) for b in range(a + 1, t))
-    removed_linear = {}
     for i1, i2 in hr.sorted_edges():
         gone = removed.get((i1, i2), set())
-        removed_linear[(i1, i2)] = frozenset(
-            tuple(sorted((i1 * t + a, i2 * t + b))) for a, b in gone
-        )
         for a in range(t):
             for b in range(t):
                 if (a, b) not in gone:
                     edges.append((i1 * t + a, i2 * t + b))
-    cliques = tuple(tuple(i * t + p for p in range(t)) for i in range(hr.n))
-    bmap = BlowupMap(hr, t, cliques, removed_linear if extracted else {},
-                     "template-extracted" if extracted else "none")
-    return Graph(hr.n * t, edges), bmap
+    return Graph(hr.n * t, edges)

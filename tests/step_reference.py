@@ -7,7 +7,9 @@ colour-class masks once per colour, on the recursive branch and bound
 below, the blue biclique search that walks every combination of rich rows,
 the colour-map validation that checks item by item, the colour-map check
 that compares keys as a set, the recursive backtracking subgraph embedder,
-and the recursive constrained long-path search.
+and the recursive constrained long-path search.  ref_validate_aux_colouring
+re-checks an auxiliary colouring's labels and witnesses against its host
+colouring, with the biclique walk above.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from pathramsey import Graph
-from pathramsey.errors import ParameterError
+from pathramsey.errors import ConstructionError, ParameterError
 
 from graph_reference import ref_adjacency, ref_pattern_order
 
@@ -158,6 +160,38 @@ def ref_find_blue_biclique(side_a: Sequence[int], side_b: Sequence[int], blue, k
             picked = [i for i in range(len(side_b)) if inter >> i & 1][:need]
             return tuple(combo), tuple(side_b[i] for i in picked)
     return None
+
+
+def ref_validate_aux_colouring(aux) -> None:
+    """Raise ConstructionError, naming the first problem, unless every edge of
+    aux.base has a blue or grey label, every stored witness is an all-blue
+    2k-by-2k biclique between its edge's subcliques, and no grey edge admits one."""
+    host, chi = aux.chi.host, aux.chi
+
+    def blue(a: int, b: int) -> bool:
+        return host.has_edge(a, b) and chi.colour(a, b) == aux.blue_colour
+
+    def subclique(v: int) -> tuple[int, ...]:
+        return aux.blowup.subclique[aux.base_ids[v]]
+
+    for e in sorted(aux.base.edges):
+        if aux.labels.get(e) not in ("blue", "grey"):
+            raise ConstructionError(f"edge {e} has no label")
+    for (u, v), (wa, wb) in aux.witnesses.items():
+        if aux.labels[(u, v)] != "blue":
+            raise ConstructionError(f"witness stored for non-blue edge ({u},{v})")
+        if len(wa) != 2 * aux.k or len(wb) != 2 * aux.k:
+            raise ConstructionError("witness sides have wrong size")
+        if not set(wa) <= set(subclique(u)) or not set(wb) <= set(subclique(v)):
+            raise ConstructionError(f"witness for ({u},{v}) leaves its subcliques")
+        for a in wa:
+            for b in wb:
+                if not blue(a, b):
+                    raise ConstructionError(f"witness pair ({a},{b}) is not a blue host edge")
+    for (u, v) in sorted(aux.base.edges):
+        if aux.labels[(u, v)] == "grey":
+            if ref_find_blue_biclique(subclique(u), subclique(v), blue, aux.k) is not None:
+                raise ConstructionError(f"grey edge ({u},{v}) admits a blue biclique")
 
 
 def ref_mono_clique_in_clique(colouring, clique: Sequence[int], target: int):

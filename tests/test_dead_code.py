@@ -1,12 +1,14 @@
 """Guard against dead code: every module-level function, class or constant in
 the package is exported from __init__.py or referenced elsewhere in the
-package, every exported name and every public method of an exported class
-is read outside the tests (a known list of methods aside), every option a
-CLI subcommand declares is read by its handler, only graphs.py reads a
-graph's neighbourhoods other than as bitmasks, only graphs.py builds a
-graph without checking its edges, only cli.py reads config documents, no
-generator recurses by delegating to itself, and no other function calls
-itself unless a constant bounds its depth."""
+package, every exported name is read outside the tests, every public method
+of every package class, exported or not, is called outside the tests (a
+method name that two classes share is resolved by owner, through a listed
+reader that calls it; a known list of test-only methods aside), every
+option a CLI subcommand declares is read by its handler, only graphs.py
+reads a graph's neighbourhoods other than as bitmasks, only graphs.py
+builds a graph without checking its edges, only cli.py reads config
+documents, no generator recurses by delegating to itself, and no other
+function calls itself unless a constant bounds its depth."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import ast
 import inspect
 import re
 import textwrap
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -117,17 +120,18 @@ def test_guard_flags_an_unused_helper(tmp_path):
     assert unreferenced_definitions(tmp_path) == ["a._CAP", "a._dead"]
 
 
-def _outside_readers() -> list[ast.AST]:
-    """Code outside the tests that may read exports: bench/, README examples, the acceptance gate."""
-    return [
-        *(ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))),
-        *readme_code(ROOT / "README.md"),
-        ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()),
-    ]
+def _outside_readers() -> dict[str, ast.Module]:
+    """Code outside the tests that may read the package, by path: bench/, README examples, the acceptance gate."""
+    readme = readme_code(ROOT / "README.md")
+    return {
+        **{f"bench/{path.name}": ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))},
+        "README.md": ast.Module(body=[node for block in readme for node in block.body], type_ignores=[]),
+        "tests/test_acceptance.py": ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()),
+    }
 
 
 def test_every_export_is_read_outside_the_tests():
-    assert unread_exports(PACKAGE, _outside_readers()) == []
+    assert unread_exports(PACKAGE, _outside_readers().values()) == []
 
 
 def test_export_guard_flags_a_name_only_tests_read(tmp_path):
@@ -151,62 +155,102 @@ def test_export_guard_flags_a_name_only_tests_read(tmp_path):
     assert unread_exports(package, [bench, *readme_code(readme)]) == ["tested"]
 
 
-def unread_methods(package: Path, readers: Iterable[ast.Module]) -> list[str]:
-    """Public methods of exported classes, as Class.method, that nothing outside the tests reads.
-
-    A read of a method's name is an attribute load, an import, or a bare name
-    that resolves to a module-level definition, in a package statement other
-    than the method's own definition (a class body counts statement by
-    statement) or in one of the given reader trees.  A local variable or a
-    parameter of that name is not a read.
-    """
-    trees = _parse_package(package)
-    exported = set(_exported(trees.pop("__init__")))
-    read, methods = [], []
-    for tree in trees.values():
-        tops = _module_names(tree)
-        for top in tree.body:
-            body = top.body if isinstance(top, ast.ClassDef) else [top]
-            read.extend((node, _method_references(node, tops)) for node in body)
-            if isinstance(top, ast.ClassDef) and top.name in exported:
-                methods.extend(
-                    (top.name, node) for node in body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not node.name.startswith("_")
-                )
-    outside = set().union(*(_method_references(tree, _module_names(tree)) for tree in readers))
-    return [
-        f"{cls}.{method.name}" for cls, method in methods
-        if method.name not in outside
-        and not any(method.name in refs for node, refs in read if node is not method)
-    ]
+def _is_property(method: ast.AST) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+               for d in method.decorator_list)
 
 
-def _module_names(tree: ast.Module) -> set[str]:
-    """The names a module's top-level statements define."""
-    return {name for top in tree.body for name in _defined_names(top)}
-
-
-def _method_references(node: ast.AST, tops: set[str]) -> set[str]:
-    """Attributes read, names imported, and bare names in tops read under node."""
+def _method_reads(node: ast.AST, properties: set[str]) -> set[str]:
+    """Names called as attributes under node, and property names loaded as attributes."""
     found = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in tops:
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+            found.add(sub.func.attr)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) and sub.attr in properties:
             found.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            found.update(alias.name for alias in sub.names)
     return found
 
+
+def _package_node(trees: dict[str, ast.Module], dotted: str) -> ast.AST | None:
+    """The definition module.name[.name...] names in the package, or None."""
+    module, *names = dotted.split(".")
+    node = trees.get(module)
+    for name in names:
+        node = next((sub for sub in getattr(node, "body", []) if getattr(sub, "name", None) == name), None)
+    return node
+
+
+def unread_methods(package: Path, readers: dict[str, ast.Module], listed: dict[str, str]) -> list[str]:
+    """Public methods of package classes, as Class.method, that nothing outside the tests reads.
+
+    Every class a package module defines counts, exported or not.  A read
+    of a method is a call of its name as an attribute (x.name(...)), or,
+    for a property, any attribute load of its name.  An owner in listed
+    counts as read only when its listed reader calls the name there: a
+    package definition as module.name[.name] or a reader's key.  An owner
+    of a name that two or more package classes define must be listed, since
+    a call of the name cannot tell which class it reaches.  Any other owner
+    counts as read when a package statement other than its own definition
+    (a class body counts statement by statement) or a reader calls the
+    name.  A listed owner that defines no such method is flagged too.
+    """
+    trees = _parse_package(package)
+    methods: dict[str, ast.AST] = {}
+    for tree in trees.values():
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                        methods.setdefault(f"{top.name}.{node.name}", node)
+    owners = Counter(method.name for method in methods.values())
+    properties = {method.name for method in methods.values() if _is_property(method)}
+    statements = [
+        node for tree in trees.values() for top in tree.body
+        for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+    ]
+    read = [(node, _method_reads(node, properties)) for node in statements]
+    outside = set().union(*(_method_reads(tree, properties) for tree in readers.values()))
+    unread = []
+    for key, method in methods.items():
+        if key in listed:
+            reader = readers.get(listed[key]) or _package_node(trees, listed[key])
+            ok = reader not in (None, method) and method.name in _method_reads(reader, properties)
+        else:
+            ok = owners[method.name] == 1 and (
+                method.name in outside
+                or any(method.name in refs for node, refs in read if node is not method)
+            )
+        if not ok:
+            unread.append(key)
+    return unread + [key for key in listed if key not in methods]
+
+
+# Owners of a public method name that two or more package classes define,
+# each with the package function or outside reader that calls it on that
+# class.  An entry may also pin an owner whose name no other class shares.
+METHOD_READERS = {
+    "ArrowVerdict.to_dict": "cli._cmd_arrow",
+    "ClassPParams.an": "pseudorandom.verify_class_p",
+    "ClassPParams.to_dict": "cli._cmd_gen",
+    "ClassPReport.to_dict": "cli._cmd_verify_p",
+    "ConstantsChain.to_dict": "cli._cmd_constants",
+    "DensityCertificate.to_dict": "pseudorandom.ClassPReport.to_dict",
+    "Embedding.to_dict": "pipeline.StepOutcome.to_dict",
+    "GenerationLog.to_dict": "cli._cmd_gen",
+    "LLLInstance.to_dict": "cli._cmd_lll_embed",
+    "PartitionResult.to_dict": "cli._cmd_partition",
+    "PathWitness.validate": "partition.long_path_through_sets",
+    "PipelineConfig.an": "pipeline.induction_step",
+    "StepOutcome.to_dict": "cli._cmd_step",
+}
 
 # Public methods that only tests read today: none.  A new one fails the test;
 # tests decode neighbours with graph_reference.mask_adjacency instead.
 TEST_ONLY_METHODS = []
 
 
-def test_every_public_method_of_an_export_is_read_outside_the_tests():
-    assert unread_methods(PACKAGE, _outside_readers()) == TEST_ONLY_METHODS
+def test_every_public_method_of_a_package_class_is_read_outside_the_tests():
+    assert unread_methods(PACKAGE, _outside_readers(), METHOD_READERS) == TEST_ONLY_METHODS
 
 
 def test_method_guard_flags_a_method_only_tests_read(tmp_path):
@@ -226,12 +270,12 @@ def test_method_guard_flags_a_method_only_tests_read(tmp_path):
         "def run(obj):\n    return obj.used()\n"
     )
     bench = ast.parse("from pkg import Shown\nShown().size\n")
-    assert unread_methods(package, [bench]) == ["Shown.tested"]
+    assert unread_methods(package, {"bench": bench}, {}) == ["Shown.tested", "Hidden.unread"]
 
 
 def test_method_guard_ignores_locals_and_parameters_of_the_same_name(tmp_path):
-    # A parameter or local named like a test-only method is not a read of it;
-    # a module-level function of that name, called bare, is.
+    # A parameter or local named like a test-only method is not a read of it,
+    # and neither is a call of a module-level function of that name.
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "__init__.py").write_text("from .a import Shown, run\n")
@@ -246,7 +290,44 @@ def test_method_guard_ignores_locals_and_parameters_of_the_same_name(tmp_path):
         "    return tested, called(), located\n"
     )
     bench = ast.parse("from pkg import run\nrun(None)\n")
-    assert unread_methods(package, [bench]) == ["Shown.tested"]
+    assert unread_methods(package, {"bench": bench}, {}) == ["Shown.tested", "Shown.called"]
+
+
+def test_method_guard_resolves_a_shared_name_by_owner(tmp_path):
+    # Both classes define report(); only Read's is called, by show().  An
+    # unlisted owner of a shared name is flagged, a listed one is judged by
+    # its reader, and a reader that does not call the name does not count.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "class Read:\n    def report(self):\n        return 1\n\n"
+        "class Unread:\n    def report(self):\n        return 2\n\n"
+        "def show(obj):\n    return obj.report()\n\n"
+        "def other(obj):\n    return obj\n"
+    )
+    assert unread_methods(package, {}, {}) == ["Read.report", "Unread.report"]
+    assert unread_methods(package, {}, {"Read.report": "a.show"}) == ["Unread.report"]
+    both = {"Read.report": "a.show", "Unread.report": "a.other"}
+    assert unread_methods(package, {}, both) == ["Unread.report"]
+    bench = ast.parse("def main(obj):\n    return obj.report()\n")
+    stale = {"Read.report": "bench", "Gone.report": "a.show"}
+    assert unread_methods(package, {"bench": bench}, stale) == ["Unread.report", "Gone.report"]
+
+
+def test_method_guard_ignores_an_attribute_that_is_not_called(tmp_path):
+    # counts() is read only as a field of an unrelated object and as a
+    # bound-method value; neither is a call, so it is flagged.  A property
+    # is read by any load.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "class Colouring:\n"
+        "    def counts(self):\n        return {}\n\n"
+        "    @property\n    def size(self):\n        return 0\n\n"
+        "def tally(stats, obj):\n    return stats.counts['x'], obj.counts, obj.size\n"
+    )
+    bench = ast.parse("stats.counts = {}\nprint(stats.counts)\n")
+    assert unread_methods(package, {"bench": bench}, {}) == ["Colouring.counts"]
 
 
 def unread_options(parser: argparse.ArgumentParser) -> list[str]:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from pathramsey import (
+    ConstructionError,
     EdgeColouring,
     Graph,
     NoPathFoundError,
     ParameterError,
     PipelineConfig,
+    build_aux_colouring,
     build_step_host,
     complete_graph,
     cycle_graph,
@@ -38,6 +41,7 @@ from step_reference import (
     ref_long_path,
     ref_max_clique_at_least,
     ref_mono_clique_in_clique,
+    ref_validate_aux_colouring,
 )
 
 
@@ -143,10 +147,24 @@ def test_kst_report_without_a_biclique_is_unchanged():
     # 488 edges of a 40 x 40 grid with no K_{6,6}: the combination walk took
     # over a second to rule out every 6-set of rows.
     rep = kst_bound_check(40, _kst_instance(40, 0.3, 11), 3)
-    assert rep.to_dict() == {
-        "x": 40, "k": 3, "edges": 488, "containsBiclique": False, "applicable": True,
-        "holds": True, "bound": 3460.7479907846355, "margin": 2972.7479907846355,
+    assert dataclasses.asdict(rep) == {
+        "x": 40, "k": 3, "edge_count": 488, "contains_biclique": False, "applicable": True,
+        "holds": True,
     }
+
+
+def test_aux_check_names_the_lexicographically_first_unlabelled_edge():
+    # (2,3) and (3,4) lose their labels; a plain frozenset of P6's edges
+    # meets (3,4) first.
+    j = path_graph(6)
+    host, bmap = sheared_blowup(j, 3)
+    chi = EdgeColouring.constant(host, 2, 1)
+    bmap = bmap.with_subcliques({v: bmap.clique_of[v][:2] for v in range(6)})
+    aux = build_aux_colouring(j, range(6), bmap, chi, 1, 1)
+    ref_validate_aux_colouring(aux)
+    labels = {e: lab for e, lab in aux.labels.items() if e not in ((2, 3), (3, 4))}
+    with pytest.raises(ConstructionError, match=r"^edge \(2, 3\) has no label$"):
+        ref_validate_aux_colouring(dataclasses.replace(aux, labels=labels))
 
 
 @pytest.mark.parametrize("clique", [(0, 1, 17), (0, 0, 1), (0, 1, 2, 40)])
@@ -194,7 +212,6 @@ def test_good_colour_maps_match_reference():
         want = ref_colour_map(host, s, colour_of)
         chi = EdgeColouring(host, s, colour_of)
         assert {e: chi.colour(*e) for e in host.edges} == want
-        assert sum(chi.counts().values()) == host.m
 
 
 def _colour_map_cases():
