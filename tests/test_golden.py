@@ -79,6 +79,7 @@ def _kn_colours(n: int, colour) -> str:
 # The grey-route member of the bench's step workload at generator seed 3
 # (class P with a = 1, b = 64, c = 1/2, eps = 4/5, t = 1, n = 16, p = 7/10).
 GREY_MEMBER = (GOLDEN / "grey-member3.edges").read_text()
+GREY_MEMBER_CONFIG = {"a": 1, "b": 64, "c": "1/2", "eps": "4/5", "t": 1, "n": 16, "p": "7/10", "seed": 3}
 
 
 def _pipeline(**overrides) -> dict:
@@ -111,6 +112,50 @@ COMMANDS = {
             "colours": _blowup_colours(_path(4), 6, 2, lambda u, v: 1 if (u + v) % 3 == 0 and v < 18 else 2),
         }),
         "argv": ["aux-colour", "--config", "aux.json"],
+    },
+    "aux-colour-k0": {
+        "base.edges": _path(4),
+        "aux.json": json.dumps({
+            "base": "base.edges", "t": 6, "matchingSeed": 2, "k": 0, "blue": 1, "subcliqueSize": 4,
+            "colours": _blowup_colours(_path(4), 6, 2, lambda u, v: 2),
+        }),
+        "argv": ["aux-colour", "--config", "aux.json"],
+    },
+    "power": {
+        "c12.edges": _cycle(12),
+        "argv": ["power", "--graph", "c12.edges", "--k", "2", "--out", "square.edges"],
+    },
+    "segments": {
+        "argv": ["segments", "--path", "4,0,7,1,9,3,8,2,5", "--t", "3"],
+    },
+    "report": {
+        "outcome.json": json.dumps({
+            "kind": "honestFailure", "failureStage": "long-path", "failureReason": "needed 12, achieved 9",
+            "trace": [{"stage": "mono-cliques", "status": "ok"}, {"stage": "long-path", "status": "failed"}],
+        }),
+        "argv": ["report", "--in", "outcome.json"],
+    },
+    "embed-base-graph": {
+        "c12.edges": _cycle(12),
+        "argv": ["embed-base", "--graph", "c12.edges", "--path", "0,1,2,3,4,5,6,7", "--k", "2",
+                 "--seed", "3"],
+    },
+    # Desk-scale generation under a good quadruple leaves no long path: an honest negative.
+    "embed-base-config": {
+        "base.json": json.dumps({"a": "2", "b": "1700000", "c": "1/2", "eps": "1/20",
+                                 "t": 2, "n": 6, "p": "1", "seed": 0}),
+        "argv": ["embed-base", "--config", "base.json", "--k", "1"],
+    },
+    "verify-p-exhaustive": {
+        "member.json": json.dumps(GREY_MEMBER_CONFIG),
+        "member.edges": GREY_MEMBER,
+        "argv": ["verify-p", "--config", "member.json", "--graph", "member.edges", "--mode", "exhaustive"],
+    },
+    "verify-p-sampled": {
+        "member.json": json.dumps(GREY_MEMBER_CONFIG),
+        "member.edges": GREY_MEMBER,
+        "argv": ["verify-p", "--config", "member.json", "--graph", "member.edges", "--mode", "sampled",
+                 "--seed", "5"],
     },
     "partition-exhaustive": {
         "k9.edges": _complete(9),
