@@ -298,11 +298,13 @@ def _cmd_aux_colour(args) -> int:
     k = _integer(doc, "k")
     blue = _integer(doc, "blue")
     size = _integer(doc, "subcliqueSize", 2 * k)
+    if not 0 <= size <= t:  # a slice bound: -1 would keep all but one vertex
+        raise ConfigError(f"config field 'subcliqueSize' must lie in 0..{t}")
     bmap = bmap.with_subcliques({v: bmap.clique_of[v][:size] for v in range(base.n)})
     aux = build_aux_colouring(base, list(range(base.n)), bmap, chi, k, blue)
     report = {
-        "labels": {f"{u},{v}": lab for (u, v), lab in sorted(aux.labels.items())},
-        "blueEdges": aux.blue_count(),
+        "labels": {f"{u},{v}": "blue" if aux.blue.has_edge(u, v) else "grey" for u, v in base.sorted_edges()},
+        "blueEdges": aux.blue.m,
         "witnesses": {
             f"{u},{v}": [list(a), list(b)] for (u, v), (a, b) in sorted(aux.witnesses.items())
         },

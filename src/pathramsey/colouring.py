@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .embedding import BLUE, GREY, Embedding, validate_embedding
+from .embedding import Embedding, validate_embedding
 from .errors import (
     BudgetExceededError,
     ConstructionError,
@@ -287,6 +287,8 @@ def find_blue_biclique(
     simply test False.  The witness is the first 2k side_a entries, in
     combinations order, with 2k blue side_b entries in common, and the first 2k of those.
     """
+    if k < 0:
+        raise ParameterError("k must be >= 0")
     need = 2 * k
     if need == 0:
         return (), ()
@@ -365,17 +367,19 @@ def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> KstRepo
 
 @dataclass(frozen=True)
 class AuxColouring:
-    """Blue/grey labelling of a derived graph's edges.
+    """Blue/grey two-colouring of a derived graph's edges, held as its blue graph.
 
     An edge is blue when an all-blue 2k-by-2k biclique exists between the two
-    selected subcliques in the host colouring chi; the witness is stored.
-    base_ids translates the derived graph's vertices to blow-up base vertices.
+    selected subcliques in the host colouring chi; the witness is stored, and
+    blue is the spanning subgraph of base on the witnessed edges.  Every other
+    base edge is grey.  base_ids translates the derived graph's vertices to
+    blow-up base vertices.
     """
 
     base: Graph
     k: int
     blue_colour: int
-    labels: dict[Edge, str]
+    blue: Graph
     witnesses: dict[Edge, tuple[tuple[int, ...], tuple[int, ...]]]
     base_ids: tuple[int, ...]
     blowup: BlowupMap
@@ -384,9 +388,6 @@ class AuxColouring:
     def subclique(self, j_vertex: int) -> tuple[int, ...]:
         assert self.blowup.subclique is not None
         return self.blowup.subclique[self.base_ids[j_vertex]]
-
-    def blue_count(self) -> int:
-        return sum(1 for lab in self.labels.values() if lab == BLUE)
 
 
 def build_aux_colouring(
@@ -397,11 +398,13 @@ def build_aux_colouring(
     k: int,
     blue_colour: int,
 ) -> AuxColouring:
-    """Label each j-edge blue (with a stored biclique witness) or grey.
+    """Colour each j-edge blue (with a stored biclique witness) or grey.
 
     Requires every selected subclique to be monochromatic in blue_colour under
     chi; the offending base vertex is named otherwise.
     """
+    if k < 0:
+        raise ParameterError("k must be >= 0")
     if blowup.subclique is None:
         raise PreconditionError("blow-up map carries no selected subcliques")
     if len(base_ids) != j.n:
@@ -419,19 +422,15 @@ def build_aux_colouring(
                 raise PreconditionError(
                     f"subclique of base vertex {v} is not monochromatic in colour {blue_colour}"
                 )
-    labels: dict[Edge, str] = {}
     witnesses: dict[Edge, tuple] = {}
-
     for (iu, iv) in j.sorted_edges():
         found = find_blue_biclique(
             blowup.subclique[base_ids[iu]], blowup.subclique[base_ids[iv]], is_blue, k
         )
-        if found is None:
-            labels[(iu, iv)] = GREY
-        else:
-            labels[(iu, iv)] = BLUE
+        if found is not None:
             witnesses[(iu, iv)] = found
-    return AuxColouring(j, k, blue_colour, labels, witnesses, tuple(base_ids), blowup, chi)
+    blue = _edge_subset(j, [e in witnesses for e in j.edges])
+    return AuxColouring(j, k, blue_colour, blue, witnesses, tuple(base_ids), blowup, chi)
 
 
 # -- blue path promotion -------------------------------------------------------------
@@ -455,33 +454,23 @@ def blue_path_to_blue_power(blue_path: PathWitness, aux: AuxColouring, k: int) -
             raise PreconditionError("subclique smaller than 2k")
         ordering = list(sub[: 2 * k])
     else:
-        x_side: dict[int, tuple[int, ...]] = {}
-        y_side: dict[int, tuple[int, ...]] = {}
-        for i in range(n - 1):
-            u, v = verts[i], verts[i + 1]
-            ekey = (u, v) if u < v else (v, u)
-            if aux.labels.get(ekey) != BLUE:
+        # sides[i]: the witness of path edge i, its side in verts[i]'s subclique first.
+        sides = []
+        for u, v in zip(verts, verts[1:]):
+            if not aux.blue.has_edge(u, v):
                 raise PreconditionError(f"path edge ({u},{v}) is not blue")
-            wa, wb = aux.witnesses[ekey]
-            if ekey == (u, v):
-                x_side[i], y_side[i + 1] = wa, wb
-            else:
-                x_side[i], y_side[i + 1] = wb, wa
-        x_prime: dict[int, tuple[int, ...]] = {0: tuple(sorted(x_side[0]))}
-        y_prime: dict[int, tuple[int, ...]] = {n - 1: tuple(sorted(y_side[n - 1]))}
+            wa, wb = aux.witnesses[(u, v) if u < v else (v, u)]
+            sides.append((wa, wb) if u < v else (wb, wa))
+        ordering = sorted(sides[0][0])
         for i in range(1, n - 1):
-            ys = tuple(sorted(y_side[i]))[:k]
-            xs = tuple(sorted(set(x_side[i]) - set(ys)))[:k]
+            ys = sorted(sides[i - 1][1])[:k]
+            xs = sorted(set(sides[i][0]) - set(ys))[:k]
             if len(xs) < k:
                 raise ConstructionError(
                     f"cannot split witnesses disjointly inside subclique of path vertex {verts[i]}"
                 )
-            y_prime[i], x_prime[i] = ys, xs
-        ordering = list(x_prime[0])
-        for i in range(1, n - 1):
-            ordering.extend(y_prime[i])
-            ordering.extend(x_prime[i])
-        ordering.extend(y_prime[n - 1])
+            ordering += ys + xs
+        ordering += sorted(sides[-1][1])
     pattern = path_power(2 * k * n, k)
     constraint = (aux.chi, frozenset({aux.blue_colour}))
     emb = Embedding(pattern, aux.chi.host, tuple(ordering), constraint)

@@ -26,11 +26,6 @@ from .pseudorandom import GoodQuadruple, GoodnessReport, is_good
 
 MAX_EXACT_BITS = 1_000_000
 
-# Labels of the blue/grey auxiliary colouring built in colouring.py, which
-# imports this module.
-BLUE = "blue"
-GREY = "grey"
-
 
 # -- embeddings --------------------------------------------------------------
 
@@ -227,18 +222,18 @@ def check_template_containment(
     t: int,
     segments: list[tuple[int, ...]],
     j: Graph,
-    aux=None,
+    blue: Graph | None = None,
     base: Graph | None = None,
 ) -> TemplateResult:
     """Verify the blow-up template sits inside j and carve out its grey copy.
 
     For every segment pair at h-distance <= r, all cross pairs must be j-edges
-    and every segment must span a j-clique.  With an auxiliary colouring, the
-    non-grey cross pairs per segment pair must form at most a matching; they
-    are extended to a perfect matching and removed, leaving a sheared blow-up
-    of h^r whose edges are all grey.  A base graph (on j's vertices)
-    additionally checks that segments at h-distance d sit within base distance
-    (t-1)m + (m-1), m = d+1, of each other.
+    and every segment must span a j-clique.  With the blue graph of a
+    blue/grey colouring of j, the blue cross pairs per segment pair must form
+    at most a matching; they are extended to a perfect matching and removed,
+    leaving a sheared blow-up of h^r whose edges are all grey.  A base graph
+    (on j's vertices) additionally checks that segments at h-distance d sit
+    within base distance (t-1)m + (m-1), m = d+1, of each other.
     """
     if h.n != len(segments):
         raise ParameterError("one segment per template vertex required")
@@ -285,22 +280,21 @@ def check_template_containment(
     grey_ok: bool | None = None
     grey_problem: str | None = None
     perms: list[list[int]] | None = None  # per hr edge, the removed matching as a permutation
-    if aux is not None:
+    if blue is not None:
         perms = []
         grey_ok = True
         for i, seg in enumerate(segments):
             for a in range(t):
                 for b in range(a + 1, t):
-                    e = tuple(sorted((seg[a], seg[b])))
-                    if aux.labels.get(e) != GREY:
+                    if blue.has_edge(seg[a], seg[b]):
                         grey_ok = False
+                        e = (min(seg[a], seg[b]), max(seg[a], seg[b]))
                         grey_problem = f"pair {e} inside segment {i} is not grey"
         for i1, i2 in hr.sorted_edges():
             non_grey = []
             for ai, x in enumerate(segments[i1]):
                 for bi, y in enumerate(segments[i2]):
-                    e = tuple(sorted((x, y)))
-                    if aux.labels.get(e) != GREY:
+                    if blue.has_edge(x, y):
                         non_grey.append((ai, bi))
             left_used = [a for a, _ in non_grey]
             right_used = [b for _, b in non_grey]

@@ -19,7 +19,6 @@ from .colouring import (
     mono_clique_in_clique,
 )
 from .embedding import (
-    BLUE,
     Embedding,
     _greedy_window,
     check_template_containment,
@@ -41,7 +40,6 @@ from .graphs import (
     BlowupMap,
     Graph,
     PathWitness,
-    _edge_subset,
     induced_subgraph,
     path_power,
     power,
@@ -215,7 +213,7 @@ def induction_step(
     })
     bmap = blowup.with_subcliques({v: found[v][1] for v in w_set})
 
-    # Derived graph on W and its blue/grey labelling.
+    # Derived graph on W and its blue/grey colouring.
     g_w, ids = induced_subgraph(g, w_set)
     j = power(g_w, cfg.big_r)
     try:
@@ -224,15 +222,14 @@ def induction_step(
         return _fail(trace, "aux-colouring", str(exc))
     trace.append({
         "stage": "aux-colouring", "status": "ok",
-        "detail": {"jVertices": j.n, "jEdges": j.m, "blueEdges": aux.blue_count()},
+        "detail": {"jVertices": j.n, "jEdges": j.m, "blueEdges": aux.blue.m},
     })
-    blue_graph = _edge_subset(j, [aux.labels[e] == BLUE for e in j.edges])
 
     # Cover the blue/grey complete graph over W.
     ell = cfg.t - 1
     if ell >= 1:
         try:
-            part = partition_two_coloured(blue_graph, ell, seed=cfg.seed)
+            part = partition_two_coloured(aux.blue, ell, seed=cfg.seed)
         except NoCoverFoundError as exc:
             return _fail(trace, "partition", str(exc))
     else:
@@ -249,7 +246,7 @@ def induction_step(
     long_blue = next((p for p in part.blue_paths if len(p) >= cfg.n), None)
     if ell < 1:  # no cover stage ran (t = 1): probe for the path directly
         try:
-            long_blue = long_path_through_sets(blue_graph, [list(range(blue_graph.n))], cfg.n)
+            long_blue = long_path_through_sets(aux.blue, [list(range(j.n))], cfg.n)
         except NoPathFoundError:
             pass
     if long_blue is not None:
@@ -342,7 +339,7 @@ def induction_step(
     base_to_j = {b: i for i, b in enumerate(ids)}
     kept_segments_base = [segments_base[i] for i in kept]
     segments_j = [tuple(base_to_j[v] for v in seg) for seg in kept_segments_base]
-    tmpl = check_template_containment(h_final, cfg.r, cfg.t, segments_j, j, aux=aux, base=g_w)
+    tmpl = check_template_containment(h_final, cfg.r, cfg.t, segments_j, j, blue=aux.blue, base=g_w)
     if not tmpl.contained:
         return _fail(trace, "template", f"containment fails at {tmpl.offending}")
     if tmpl.grey_ok is False:

@@ -196,7 +196,9 @@ def _record_pairs(
     and a subtree is skipped when a lower bound on its counts is >= least and
     an upper bound (at most min(k^2, m)) is <= greatest.  The window only
     widens, so a skipped pair could never have been yielded: the stream is
-    exactly what filtering the enumeration by the widening window gives.
+    exactly what filtering the enumeration by the widening window gives.  A
+    child's bounds are clipped to its parent's, so a node stops branching as
+    soon as the window covers its own.
     Each search node is a generator that yields its records and its children
     to graphs._depth_first, so no k deepens the interpreter stack; the call
     returns the number of nodes entered.
@@ -332,6 +334,8 @@ def _record_pairs(
             rest = r - 1
             row, bias = tables[rest], rest * n
             for v in range(i, n - r):
+                if low >= least and high <= greatest:
+                    return
                 cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
                 twice_xv = twice_x + twice[v]
                 lower, upper = row[v] or table(v, rest)
@@ -357,6 +361,8 @@ def _record_pairs(
         # between s plus the r smallest and s plus the r largest weights left.
         def x_sets(x: int, i: int, r: int, low: int, high: int):
             for v in range(i, n - r):
+                if low >= least and high <= greatest:
+                    return
                 xv = x | 1 << v
                 rest = r - 1
                 candidates = (1 << last) - (2 << v)

@@ -8,7 +8,7 @@ below, the blue biclique search that walks every combination of rich rows,
 the colour-map validation that checks item by item, the colour-map check
 that compares keys as a set, the recursive backtracking subgraph embedder,
 and the recursive constrained long-path search.  ref_validate_aux_colouring
-re-checks an auxiliary colouring's labels and witnesses against its host
+re-checks an auxiliary colouring's blue graph and witnesses against its host
 colouring, with the biclique walk above.
 """
 
@@ -163,9 +163,10 @@ def ref_find_blue_biclique(side_a: Sequence[int], side_b: Sequence[int], blue, k
 
 
 def ref_validate_aux_colouring(aux) -> None:
-    """Raise ConstructionError, naming the first problem, unless every edge of
-    aux.base has a blue or grey label, every stored witness is an all-blue
-    2k-by-2k biclique between its edge's subcliques, and no grey edge admits one."""
+    """Raise ConstructionError, naming the first problem, unless the stored
+    witnesses sit exactly on the edges of aux.blue, every blue edge is an edge
+    of aux.base whose witness is an all-blue 2k-by-2k biclique between its
+    edge's subcliques, and no grey edge (a base edge off aux.blue) admits one."""
     host, chi = aux.chi.host, aux.chi
 
     def blue(a: int, b: int) -> bool:
@@ -174,12 +175,17 @@ def ref_validate_aux_colouring(aux) -> None:
     def subclique(v: int) -> tuple[int, ...]:
         return aux.blowup.subclique[aux.base_ids[v]]
 
-    for e in sorted(aux.base.edges):
-        if aux.labels.get(e) not in ("blue", "grey"):
-            raise ConstructionError(f"edge {e} has no label")
-    for (u, v), (wa, wb) in aux.witnesses.items():
-        if aux.labels[(u, v)] != "blue":
-            raise ConstructionError(f"witness stored for non-blue edge ({u},{v})")
+    if aux.blue.n != aux.base.n:
+        raise ConstructionError("blue graph and base graph differ in order")
+    for e in sorted(aux.witnesses):
+        if not aux.blue.has_edge(*e):
+            raise ConstructionError(f"witness stored for non-blue edge {e}")
+    for (u, v) in sorted(aux.blue.edges):
+        if not aux.base.has_edge(u, v):
+            raise ConstructionError(f"blue edge ({u},{v}) is not a base edge")
+        if (u, v) not in aux.witnesses:
+            raise ConstructionError(f"blue edge ({u},{v}) has no witness")
+        wa, wb = aux.witnesses[(u, v)]
         if len(wa) != 2 * aux.k or len(wb) != 2 * aux.k:
             raise ConstructionError("witness sides have wrong size")
         if not set(wa) <= set(subclique(u)) or not set(wb) <= set(subclique(v)):
@@ -189,7 +195,7 @@ def ref_validate_aux_colouring(aux) -> None:
                 if not blue(a, b):
                     raise ConstructionError(f"witness pair ({a},{b}) is not a blue host edge")
     for (u, v) in sorted(aux.base.edges):
-        if aux.labels[(u, v)] == "grey":
+        if not aux.blue.has_edge(u, v):
             if ref_find_blue_biclique(subclique(u), subclique(v), blue, aux.k) is not None:
                 raise ConstructionError(f"grey edge ({u},{v}) admits a blue biclique")
 

@@ -499,27 +499,43 @@ def test_bound_table_cap_never_binds_on_exact_certificates(monkeypatch):
 
 
 def test_bound_tables_stay_under_their_byte_cap(monkeypatch):
-    # Uncapped, edgeboost on K120 keeps up to 60 * 120 bound pairs of two
-    # 240-byte fields each: about 6 MiB of traced peak.  A 4 KiB cap keeps 8
-    # of them and rebuilds the rest on use, with the same report and about
-    # 1.4 MiB.
-    g = complete_graph(120)
-    verify_edgeboost(g, 120, 60, 1)  # the lane tables, shared by both runs
+    # Uncapped, proving that no bisection of C96 cuts fewer than 2 edges
+    # peaks at about 1.4 MiB traced, mostly kept bound pairs.  A 4 KiB cap
+    # keeps 10 of them and rebuilds the rest on use, with the same (empty)
+    # record stream and about 0.4 MiB.  A complete graph keeps almost none: its
+    # search stops each node once the window covers the node's bounds.
+    masks = cycle_graph(96).adjacency_masks()
+    list(_record_pairs(masks, 48, 2, 48 * 48))  # the lane tables, shared by both runs
 
     def traced(cap):
         monkeypatch.setattr(pseudorandom, "_TABLE_BYTES", cap)
         tracemalloc.start()
         try:
-            report = verify_edgeboost(g, 120, 60, 1)
-            return report, tracemalloc.get_traced_memory()[1]
+            found = list(_record_pairs(masks, 48, 2, 48 * 48))
+            return found, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     want, uncapped = traced(1 << 62)
     got, capped = traced(1 << 12)
-    assert got == want
-    assert (want.hypothesis_ok, want.min_cross, want.passed) == (True, 3600, True)
+    assert got == want == []
     assert capped < uncapped / 3, (capped, uncapped)
+
+
+def test_covered_window_stops_the_bisection_search():
+    # On K200 every bisection cuts 10,000 edges.  After the first leaf the
+    # window covers each ancestor's bounds, so no ancestor evaluates another
+    # child: one bound pair per level, where every child of every node on
+    # the first path used to build one (9,900).
+    g = complete_graph(200)
+    report = None
+
+    def run():
+        nonlocal report
+        report = verify_edgeboost(g, 200, 100, 1)
+
+    assert _table_builds(run) <= g.n
+    assert (report.hypothesis_ok, report.min_cross, report.passed) == (True, 10_000, True)
 
 
 @pytest.mark.parametrize("g", [complete_graph(66), complete_bipartite(33, 33), cycle_graph(66),

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,8 @@ from pathramsey import (
 from pathramsey.cli import ConfigError, _class_p_from_doc, _pipeline_from_doc, main
 
 from conftest import complete_bipartite
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -553,6 +560,27 @@ class TestAuxColour:
         cfg.write_text(json.dumps(dict(self._doc(graph_file), **{key: value})))
         code, _, err = run("aux-colour", "--config", str(cfg))
         assert (code, err) == (2, f"config error: config field '{key}' must be an integer\n")
+
+    @pytest.mark.parametrize("size", [-1, 6])
+    def test_subclique_size_outside_the_clique_exits_two(self, run, tmp_path, graph_file, size):
+        # -1 used to act as a slice bound and keep 4 of the 5 clique vertices.
+        cfg = tmp_path / "aux.json"
+        cfg.write_text(json.dumps(dict(self._doc(graph_file), subcliqueSize=size)))
+        code, out, err = run("aux-colour", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "config error: config field 'subcliqueSize' must lie in 0..5\n")
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_k_exits_two(self, tmp_path, graph_file, k):
+        # A negative k used to send the biclique search down without end, so
+        # this runs in a subprocess under a time and an address-space limit.
+        cfg = tmp_path / "aux.json"
+        cfg.write_text(json.dumps(dict(self._doc(graph_file), k=k)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathramsey.cli", "aux-colour", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: k must be >= 0\n")
 
     @pytest.mark.parametrize("key,value", [("base", 5), ("colours", ["1"])])
     def test_non_string_field_exits_two(self, run, tmp_path, graph_file, key, value):

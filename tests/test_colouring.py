@@ -154,6 +154,12 @@ class TestFindBlueBiclique:
     def test_sides_too_small_vacuous(self):
         assert find_blue_biclique([0], [1], lambda a, b: True, 1) is None
 
+    def test_negative_k_refused(self):
+        # Empty sides, so the unmended search stops (on an IndexError) rather
+        # than growing its stack without end.
+        with pytest.raises(ParameterError, match="k must be >= 0"):
+            find_blue_biclique([], [], lambda a, b: True, -1)
+
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=40, deadline=None)
     def test_matches_exhaustive_scan(self, seed):
@@ -229,7 +235,7 @@ class TestBuildAuxColouring:
         chi = EdgeColouring.constant(host, 2, 1)
         bmap = bmap.with_subcliques({v: bmap.clique_of[v][:4] for v in range(3)})
         aux = build_aux_colouring(j, [0, 1, 2], bmap, chi, 1, 1)
-        assert all(lab == "blue" for lab in aux.labels.values())
+        assert aux.blue == j and aux.witnesses.keys() == j.edges
         ref_validate_aux_colouring(aux)
 
     def test_no_blue_cross_gives_all_grey(self):
@@ -239,7 +245,7 @@ class TestBuildAuxColouring:
         }
         chi = EdgeColouring(host, 2, colours)
         aux = build_aux_colouring(j, [0, 1], bmap, chi, 1, 1)
-        assert all(lab == "grey" for lab in aux.labels.values())
+        assert aux.blue.m == 0 and not aux.witnesses
         ref_validate_aux_colouring(aux)
 
     def test_label_matches_exhaustive_biclique_scan(self):
@@ -252,7 +258,7 @@ class TestBuildAuxColouring:
                 for pa in combinations(ba, 2)
                 for pb in combinations(bb, 2)
             )
-            assert (aux.labels[(0, 1)] == "blue") == exists
+            assert aux.blue.has_edge(0, 1) == exists
             ref_validate_aux_colouring(aux)
 
     def test_non_monochromatic_subclique_names_vertex(self):
@@ -264,6 +270,14 @@ class TestBuildAuxColouring:
         with pytest.raises(PreconditionError) as exc:
             build_aux_colouring(j, [0, 1], bmap, chi, 1, 1)
         assert "base vertex 0" in str(exc.value)
+
+    def test_k_zero_makes_every_edge_blue_and_negative_k_is_refused(self):
+        j, host, bmap, chi = two_vertex_aux(0)
+        aux = build_aux_colouring(j, [0, 1], bmap, chi, 0, 1)
+        assert aux.blue == j and aux.witnesses == {(0, 1): ((), ())}
+        # An edgeless j, so the unmended search is never entered.
+        with pytest.raises(ParameterError, match="k must be >= 0"):
+            build_aux_colouring(Graph(2, []), [0, 1], bmap, chi, -1, 1)
 
 
 class TestBluePathPromotion:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -166,11 +165,6 @@ class TestEmbedBaseCase:
         assert e1.mapping == e2.mapping
 
 
-def grey_aux(labels: dict) -> SimpleNamespace:
-    """Minimal stand-in with the .labels mapping the containment check reads."""
-    return SimpleNamespace(labels=labels)
-
-
 class TestTemplateContainment:
     def test_single_edge_base_extracts_sheared_k4(self):
         # 6-vertex toy base: a path 0-1-2-3 plus two spare vertices
@@ -178,12 +172,8 @@ class TestTemplateContainment:
         j = power(base, 3)
         h = Graph(2, [(0, 1)])
         segments = [(0, 1), (2, 3)]
-        labels = {}
-        for (u, v) in j.sorted_edges():
-            labels[(u, v)] = "grey"
-        labels[(0, 2)] = "blue"
-        labels[(1, 3)] = "blue"
-        res = check_template_containment(h, 1, 2, segments, j, aux=grey_aux(labels), base=base)
+        blue = Graph(6, [(0, 2), (1, 3)])
+        res = check_template_containment(h, 1, 2, segments, j, blue=blue, base=base)
         assert res.contained and res.grey_ok
         tmpl = res.template
         assert tmpl.n == 4
@@ -216,8 +206,7 @@ class TestTemplateContainment:
         j = power(base, 3)
         h = Graph(2, [(0, 1)])
         segments = [(0, 1), (2, 3)]
-        labels = {e: "blue" for e in j.sorted_edges()}
-        res = check_template_containment(h, 1, 2, segments, j, aux=grey_aux(labels))
+        res = check_template_containment(h, 1, 2, segments, j, blue=j)
         assert res.contained and res.grey_ok is False
         assert "segment" in res.grey_problem
 

@@ -5,7 +5,6 @@ against networkx."""
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -201,16 +200,14 @@ def test_template_linearisation_matches_reference():
         order = rng.sample(range(n * t), n * t)
         segments = [tuple(order[i * t:(i + 1) * t]) for i in range(n)]
         j = complete_graph(n * t)
-        labels = dict.fromkeys(j.edges, "grey")
+        blue_pairs = []
         matchings = {}
         for i1, i2 in hr.sorted_edges():
             perm = rng.sample(range(t), t)
             matchings[(i1, i2)] = {(a, perm[a]) for a in range(t)}
-            for a in range(t):
-                x, y = segments[i1][a], segments[i2][perm[a]]
-                labels[(min(x, y), max(x, y))] = "blue"
-        for aux, removed in ((None, {}), (SimpleNamespace(labels=labels), matchings)):
-            res = check_template_containment(h, r, t, segments, j, aux=aux)
+            blue_pairs += [(segments[i1][a], segments[i2][perm[a]]) for a in range(t)]
+        for blue, removed in ((None, {}), (Graph(n * t, blue_pairs), matchings)):
+            res = check_template_containment(h, r, t, segments, j, blue=blue)
             want = ref_linear_template(hr, t, removed)
             assert res.contained and res.grey_ok is not False, trial
             assert res.template == want and list(res.template.edges) == list(want.edges), trial
@@ -229,20 +226,18 @@ def test_template_blowups_match_set_filter_reference():
         order = rng.sample(range(n * t), n * t)
         segments = [tuple(order[i * t:(i + 1) * t]) for i in range(n)]
         j = complete_graph(n * t)
-        labels = dict.fromkeys(j.edges, "grey")
+        blue_pairs = []
         want_removed = {}
         for i1, i2 in hr.sorted_edges():
             perm = rng.sample(range(t), t)
             match = {a: perm[a] for a in range(t) if rng.random() < 0.5}
-            for a, b in match.items():
-                x, y = segments[i1][a], segments[i2][b]
-                labels[(min(x, y), max(x, y))] = "blue"
+            blue_pairs += [(segments[i1][a], segments[i2][b]) for a, b in match.items()]
             free = [b for b in range(t) if b not in match.values()]
             full = [match[a] if a in match else free.pop(0) for a in range(t)]
             want_removed[(i1, i2)] = frozenset((i1 * t + a, i2 * t + full[a]) for a in range(t))
         complete, _ = ref_complete_blowup(hr, t)
-        for aux, removed in ((None, {}), (SimpleNamespace(labels=labels), want_removed)):
-            res = check_template_containment(h, r, t, segments, j, aux=aux)
+        for blue, removed in ((None, {}), (Graph(n * t, blue_pairs), want_removed)):
+            res = check_template_containment(h, r, t, segments, j, blue=blue)
             assert res.contained and res.grey_ok is not False, trial
             want = set(complete.edges) - frozenset().union(*removed.values())
             assert list(res.template.edges) == sorted(want), trial

@@ -153,18 +153,20 @@ def test_kst_report_without_a_biclique_is_unchanged():
     }
 
 
-def test_aux_check_names_the_lexicographically_first_unlabelled_edge():
-    # (2,3) and (3,4) lose their labels; a plain frozenset of P6's edges
-    # meets (3,4) first.
+def test_aux_check_names_the_lexicographically_first_witness_off_the_blue_graph():
+    # (2,3) and (3,4) leave the blue graph but keep their witnesses, stored
+    # with (3,4) first, so the check must not name them in dict order.
     j = path_graph(6)
-    host, bmap = sheared_blowup(j, 3)
+    host, bmap = sheared_blowup(j, 5)
     chi = EdgeColouring.constant(host, 2, 1)
-    bmap = bmap.with_subcliques({v: bmap.clique_of[v][:2] for v in range(6)})
+    bmap = bmap.with_subcliques({v: bmap.clique_of[v][:4] for v in range(6)})
     aux = build_aux_colouring(j, range(6), bmap, chi, 1, 1)
     ref_validate_aux_colouring(aux)
-    labels = {e: lab for e, lab in aux.labels.items() if e not in ((2, 3), (3, 4))}
-    with pytest.raises(ConstructionError, match=r"^edge \(2, 3\) has no label$"):
-        ref_validate_aux_colouring(dataclasses.replace(aux, labels=labels))
+    assert aux.blue == j
+    blue = Graph(6, [(0, 1), (1, 2), (4, 5)])
+    witnesses = {e: aux.witnesses[e] for e in ((3, 4), (0, 1), (2, 3), (1, 2), (4, 5))}
+    with pytest.raises(ConstructionError, match=r"^witness stored for non-blue edge \(2, 3\)$"):
+        ref_validate_aux_colouring(dataclasses.replace(aux, blue=blue, witnesses=witnesses))
 
 
 @pytest.mark.parametrize("clique", [(0, 1, 17), (0, 0, 1), (0, 1, 2, 40)])
