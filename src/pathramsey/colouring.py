@@ -161,7 +161,7 @@ def _embed_masks(
     host vertices that fit in ascending order; an explicit stack of the
     untried candidates per depth replaces recursion, so deep patterns do not
     overflow the interpreter stack.  arrow_check calls it per colour class of
-    every colouring, so it keeps this stack: as generator nodes on
+    each colouring it searches, so it keeps this stack: as generator nodes on
     graphs._depth_first it made K6 -> (K3)_2 and K5 -> (P3)_3 2-2.6x slower
     (196 -> 402 ms, 209 -> 534 ms; Python 3.11.7, 2-vCPU VM).
     """
@@ -530,7 +530,9 @@ def arrow_check(
     Exhaustive mode walks all s^m colourings as base-s integers over the
     sorted edge list (lowest-index counterexample reported) and refuses
     politely when s^m exceeds the budget.  Randomized mode samples colourings
-    and can only refute or come back inconclusive.
+    and can only refute or come back inconclusive.  Both watch the last
+    monochromatic copy found, and search a colouring's classes (ascending)
+    only when the step to it recoloured an edge of that copy.
     """
     if s < 1:
         raise ParameterError("colour count must be >= 1")
@@ -556,11 +558,17 @@ def arrow_check(
     # Live state: digit[i] + 1 is the colour of edges[i], and classes[c] holds
     # the adjacency masks of colour c + 1.  Colouring 0 puts every edge in
     # colour 1; moving to the next colouring flips only the changed edges.
+    # watch has bit i for each edge index i of the last copy found, and bit m
+    # so that an edgeless copy holds too; recolouring one of its edges clears it.
     digit = [0] * m
     classes = [list(host.adjacency_masks())] + [[0] * n for _ in range(s - 1)]
     ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    bit = {p: 1 << i for i, (u, v) in enumerate(edges) for p in ((u, v), (v, u))}
+    watch = 0
 
     def recolour(i: int, new: int) -> None:
+        nonlocal watch
+        watch = 0 if watch >> i & 1 else watch
         u, v, bu, bv = ends[i]
         old_row, new_row = classes[digit[i]], classes[new]
         old_row[u] ^= bv
@@ -586,6 +594,8 @@ def arrow_check(
                 if digit[i] != x % s:
                     recolour(i, x % s)
                 x //= s
+        if watch:  # the watched copy is still monochromatic
+            continue
         for c in range(s):
             mapping = _embed_masks(n, classes[c], prepared)
             if mapping is not None:
@@ -595,6 +605,7 @@ def arrow_check(
             if not _revalidate_counterexample(host, pattern, col):
                 raise ConstructionError("counterexample failed independent re-validation")
             return ArrowVerdict(False, col, None, searched)
+        watch = 1 << m | sum(bit[mapping[a], mapping[b]] for a, b in pattern.edges)
         if witness is None:
             emb = Embedding(pattern, host, mapping)
             rep = validate_embedding(emb)

@@ -380,6 +380,8 @@ def _record_pairs(
                    j: int, y: int, r: int, s: int, low: int, high: int):
             nonlocal least, greatest
             for c in range(j, len(comp) - r + 1):
+                if low >= least and high <= greatest:
+                    return
                 yc, sc = y | 1 << comp[c], s + weights[c]
                 if r == 1:
                     if comp[c] > top and (sc < least or sc > greatest):

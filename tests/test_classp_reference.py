@@ -462,14 +462,18 @@ def test_warm_certificate_leaves_nothing_for_the_collector():
     assert left < 1024, left
 
 
-def _table_builds(call) -> int:
-    # How many bound pairs _record_pairs' n = 2k branch builds during call().
-    builds, code = 0, pseudorandom.__file__
+def _profiled_calls(call, function: str, builtin=None) -> int:
+    # How many times pseudorandom's `function` is entered during call(), or,
+    # given a builtin, how many times `function` calls it.  The bound pairs
+    # _record_pairs' n = 2k branch builds are its calls of `table`.
+    calls, code = 0, pseudorandom.__file__
+    event_name = "call" if builtin is None else "c_call"
 
     def count(frame, event, arg):
-        nonlocal builds
-        if event == "call" and frame.f_code.co_name == "table" and frame.f_code.co_filename == code:
-            builds += 1
+        nonlocal calls
+        if (event == event_name and frame.f_code.co_name == function and frame.f_code.co_filename == code
+                and (builtin is None or arg is builtin)):
+            calls += 1
 
     outer = sys.getprofile()
     sys.setprofile(count)
@@ -477,7 +481,7 @@ def _table_builds(call) -> int:
         call()
     finally:
         sys.setprofile(outer)
-    return builds
+    return calls
 
 
 def test_bound_table_cap_never_binds_on_exact_certificates(monkeypatch):
@@ -489,8 +493,8 @@ def test_bound_table_cap_never_binds_on_exact_certificates(monkeypatch):
     for cap in (pseudorandom._TABLE_BYTES, 1 << 62, 0):
         monkeypatch.setattr(pseudorandom, "_TABLE_BYTES", cap)
         certs = []
-        builds = _table_builds(lambda: certs.extend(
-            fit_density_certificate(g, 10, Fraction(4, 5)).to_dict() for g in members))
+        builds = _profiled_calls(lambda: certs.extend(
+            fit_density_certificate(g, 10, Fraction(4, 5)).to_dict() for g in members), "table")
         results[cap] = builds, certs
     default, unbounded, none_kept = results.values()
     assert default[0] == unbounded[0] == 1440
@@ -534,8 +538,21 @@ def test_covered_window_stops_the_bisection_search():
         nonlocal report
         report = verify_edgeboost(g, 200, 100, 1)
 
-    assert _table_builds(run) <= g.n
+    assert _profiled_calls(run, "table") <= g.n
     assert (report.hypothesis_ok, report.min_cross, report.passed) == (True, 10_000, True)
+
+
+@pytest.mark.parametrize("n,k", [(9, 3), (12, 4), (16, 5)])
+def test_covered_window_stops_the_y_search(n, k):
+    # n > 2k: on K_n every pair has k^2 cross edges, so after the first
+    # record the window covers every node's bounds.  Each y-node on the first
+    # path sorts its one child's weights and stops; without the exit every
+    # later child of those nodes was sorted too (8, 15 and 28 sorts here).
+    masks = complete_graph(n).adjacency_masks()
+    records = []
+    sorts = _profiled_calls(lambda: records.extend(_record_pairs(masks, k, k * k + 1, -1)), "y_sets", sorted)
+    assert sorts == k - 1
+    assert records == ref_records(ref_counted_pairs(complete_graph(n), k), k * k + 1, -1)
 
 
 @pytest.mark.parametrize("g", [complete_graph(66), complete_bipartite(33, 33), cycle_graph(66),

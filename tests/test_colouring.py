@@ -427,6 +427,32 @@ class TestArrowCheck:
         assert v.arrows is (n == 6)
         assert len(seen) == calls
 
+    def test_colourings_keeping_the_watched_copy_are_not_searched(self, monkeypatch):
+        # The ten cases of the benchmark's arrow workload.  Searching every
+        # colour class of every colouring made 185,381 class searches; a
+        # colouring that keeps the last copy found monochromatic is only
+        # counted.  A false case adds one search per colour class it re-checks.
+        from pathramsey import colouring
+        from test_arrow_reference import ARROW_CASES, PATTERNS
+
+        calls = 0
+        original = colouring._embed_masks
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(colouring, "_embed_masks", counted)
+        work = []
+        for n, name, s in ARROW_CASES:
+            before = calls
+            v = arrow_check(complete_graph(n), PATTERNS[name], s)
+            work.append((v.searched, calls - before))
+        assert work == [(32768, 10220), (32768, 19143), (32768, 11823), (1024, 851), (59049, 8683),
+                        (221, 103), (60, 39), (221, 99), (8, 11), (157, 44)]
+        assert calls == 51_016
+
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as exc:
             arrow_check(complete_graph(6), complete_graph(3), 2, budget=100)
