@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from operator import mul
 from typing import Generator, Iterator, Sequence
 
 from .errors import (
@@ -39,8 +38,8 @@ from .graphs import (
 )
 
 PAIR_BUDGET = 200_000
-LEAF_LANES = 2001  # comb(14, 5) = 2002 takes a cold an = 20 certificate past 256 KiB
-_TABLE_BYTES = 1 << 24  # the packed bound fields one n = 2k search keeps; past it, built per use
+LEAF_LANES = 1716  # comb(13, 6); a span of 14 takes a cold an = 20 certificate to about 370 KB
+_TABLE_BYTES = 1 << 24  # the bound pairs and near lane ints one n = 2k search keeps; past it, built per use
 
 
 # -- parameter types -------------------------------------------------------
@@ -167,8 +166,8 @@ def _members(width: int, span: int, r: int) -> tuple[int, ...]:
     lane layout alone, so they are kept and shared by calls of one width;
     _record_pairs drops them when a call of another width starts.
     """
-    if r in (0, span):
-        return (min(r, 1),) * span
+    if r == 0 or r >= span:
+        return (int(r == span),) * span
     head = math.comb(span - 1, r - 1)
     tail = zip(_members(width, span - 1, r - 1), _members(width, span - 1, r))
     return (int(("0" * (2 * width - 1)).join("1" * head), 16),
@@ -214,26 +213,33 @@ def _record_pairs(
     the `width` bytes from byte u * width, width the fewest of 1, 2, 4 and 8
     with 2n <= 256^width and k^2 < 2^(8 width - 1), and each field is biased
     by n, which keeps it in [0, 2n), so no field carries into the next.  The
-    d-terms are packed per (v, r) on first use and kept until the kept pairs
-    hold _TABLE_BYTES of fields; past that, a pair is rebuilt on each use.
+    d-terms are packed per (v, r) on first use and kept until the kept ints
+    hold _TABLE_BYTES; past that, a pair is rebuilt on each use.
 
-    A node with r = 1, or whose subtree holds at most LEAF_LANES completions
-    (comb(|U|, r)), is not branched.  Its completions x | S, S an r-subset of
-    U, are the lanes of one packed int of the same width, in lexicographic
-    order, which is the search's own; lane S holds cut(x | S) = cut(x) + sum
-    over u in S of (deg(u) - 2 |N(u) & x|) - 2 e(S).  It is summed from
-    per-offset membership lane ints and one lane int of e(S, V - S) per
-    (i, r).  The membership ints depend on (width, |U|, r) alone, so
-    _members keeps them and every call of that width shares them, until a
-    call of another width starts and drops them: a table holds |U| ints of
-    comb(|U|, r) <= LEAF_LANES lanes, at most (n - 1) * LEAF_LANES * width
-    bytes, and the an = 20 certificates share 85 tables, about 200 KiB.  The
-    e(S, V - S) ints depend on the graph: they are built once per call and
-    freed with it.  A lane count lies in [0, k^2], so a field-wise top-bit
-    test finds the lanes outside the window; the lowest is unranked back to
-    S and yielded, and the test repeats on the lanes above it with the
-    widened window.  Every completion is tested in order, so the records are
-    exactly those of the branched search.
+    A node with r = 1 is a leaf.  For r >= 2 the leaves start at one split:
+    for w the widest span whose middle binomial comb(w, w // 2) is at most
+    LEAF_LANES, split = max(0, n - 1 - w) and W = range(split, n - 1).  A
+    node branches only on next x vertices below split; after those children
+    it takes the leaf of the completions whose r remaining x vertices all
+    lie in W, which come after the children's in the search's order, and
+    until its cut table is built that leaf is bounded like a child.  A
+    leaf's completions x | S are the lanes of one packed int of the same
+    width, in lexicographic order, which is the search's own; lane S holds
+    cut(x | S) = cut(x) + e(S, V - S) - 2 sum over v in x of |N(v) & S|.
+    The e(S, V - S) ints are built per (i, r) by Pascal's rule, the subsets
+    holding i first, and the lane int of 2 |N(v) & S| once per (v, r) and
+    shared by every leaf of that r, so a leaf adds |x| ints.  Both are built
+    from per-offset membership lane ints over spans below w, which depend on
+    (width, span, r) alone: _members keeps them and every call of that width
+    shares them, until a call of another width starts and drops them; the
+    an = 20 certificates share 79 tables, about 100 KiB.  The other ints
+    depend on the graph: they are built once per call, the (v, r) ones kept
+    within _TABLE_BYTES with the bound pairs, and freed with it.  A lane
+    count lies in [0, k^2], so a field-wise top-bit test finds the lanes
+    outside the window; the lowest is unranked back to S and yielded, and
+    the test repeats on the lanes above it with the widened window.  Every
+    completion is tested in order, so the records are exactly those of the
+    branched search.
     """
     n = len(masks)
     if k < 1 or 2 * k > n:
@@ -256,9 +262,14 @@ def _record_pairs(
         # At a node, field u of below[v + 1] - twice_x is n + gain(u).
         below = list(accumulate(column, initial=n * ones + column[last]))
         full, deg = (1 << n) - 1, [m.bit_count() for m in masks]
-        tables = [[None] * n for _ in range(k)]  # [rest][v]: (lower, upper)
-        room = _TABLE_BYTES // (2 * size)  # how many more pairs tables may keep
-        cells = {}
+        tables = [[None] * n for _ in range(k + 1)]  # [rest][v]: (lower, upper)
+        room = _TABLE_BYTES  # how many more bytes of bound pairs and near lanes may be kept
+        cells, nears = {}, {}
+        # Every r >= 2 leaf starts at split: the widest span whose middle binomial fits LEAF_LANES.
+        span = 0
+        while span < last and math.comb(span + 1, (span + 1) // 2) <= LEAF_LANES:
+            span += 1
+        split = last - span
 
         def excess(packed: int, c: int) -> int:
             # Field-wise max(0, f - c), for fields and c below 2^top_bit.
@@ -272,8 +283,8 @@ def _record_pairs(
             nonlocal room
             d = below[last] - below[v + 1]
             pair = (below[v + 1] + excess(d, rest - 1), below[v + 1] + d - excess(d, last - v - 1 - rest))
-            if room > 0:
-                tables[rest][v], room = pair, room - 1
+            if room >= 2 * size:
+                tables[rest][v], room = pair, room - 2 * size
             return pair
 
         def cell(i: int, r: int) -> tuple[int, int]:
@@ -287,9 +298,24 @@ def _record_pairs(
             if got is None:
                 (head_ones, head_cuts), (tail_ones, tail_cuts) = cell(i + 1, r - 1), cell(i + 1, r)
                 inner, at = _members(width, last - i - 1, r - 1), shift * math.comb(last - i - 1, r - 1)
-                near = _mask_vertices(masks[i] >> i + 1 & (1 << last - i - 1) - 1)  # offsets above i
+                above = _mask_vertices(masks[i] >> i + 1 & (1 << last - i - 1) - 1)  # offsets above i
                 got = cells[i, r] = (head_ones | tail_ones << at, head_cuts + deg[i] * head_ones
-                                     - 2 * sum(inner[j] for j in near) + (tail_cuts << at))
+                                     - 2 * sum(inner[j] for j in above) + (tail_cuts << at))
+            return got
+
+        def near(v: int, r: int) -> int:
+            # Lane l: 2 |N(v) & S| for the l-th r-subset S of range(split, last):
+            # the subsets holding split, then the rest, as in cell.
+            nonlocal room
+            got = nears.get((v, r))
+            if got is None:
+                above = _mask_vertices(masks[v] >> split + 1 & (1 << span - 1) - 1)  # offsets above split
+                head, tail = _members(width, span - 1, r - 1), _members(width, span - 1, r)
+                got = 2 * ((masks[v] >> split & 1) * cell(split + 1, r - 1)[0] + sum(head[j] for j in above)
+                           + (sum(tail[j] for j in above) << shift * math.comb(span - 1, r - 1)))
+                cost = math.comb(span, r) * width
+                if room >= cost:
+                    nears[v, r], room = got, room - cost
             return got
 
         def leaf(x: int, twice_x: int, cut: int, i: int, r: int):
@@ -300,12 +326,9 @@ def _record_pairs(
             if r == 1:
                 live = ones >> shift * (i + 1)
                 packed = cut * (ones >> shift * i) + (degs >> shift * i) - (twice_x >> shift * i)
-            else:
+            else:  # i == split
                 live, cuts = cell(i, r)
-                fields = twice_x.to_bytes(size, order)
-                if width > 1:
-                    fields = memoryview(fields).cast(code)
-                packed = cut * live + cuts - sum(map(mul, fields[i:last], _members(width, last - i, r)))
+                packed = cut * live + cuts - sum(near(v, r) for v in _mask_vertices(x))
             while live:
                 tops = live << top_bit
                 q = packed + tops  # lane + 2^top_bit: its top bit says lane >= c after c is taken off
@@ -326,37 +349,49 @@ def _record_pairs(
                 least, greatest = min(least, cv), max(greatest, cv)
                 live &= -(hits & -hits)  # the lanes above `at`
 
+        def bounds(twice_x: int, cut: int, v: int, rest: int) -> tuple[int, int]:
+            # Bounds on cut(x | S) over the rest-subsets S of range(v + 1, last),
+            # for x below v + 1 and the rest of range(v + 1) decided for y.
+            lower, upper = tables[rest][v] or table(v, rest)
+            lows = (lower - twice_x).to_bytes(size, order)
+            highs = (upper - twice_x).to_bytes(size, order)
+            if width > 1:
+                lows, highs = memoryview(lows).cast(code), memoryview(highs).cast(code)
+            return (cut + sum(sorted(lows[v + 1:last])[:rest]) - rest * n,
+                    cut + sum(sorted(highs[v + 1:last])[-rest:]) - rest * n)
+
         def bisections(x: int, twice_x: int, cut: int, i: int, r: int, low: int, high: int):
             # Field u of twice_x is 2 |N(u) & x|.
-            if r == 1 or math.comb(last - i, r) <= LEAF_LANES:
+            if r == 1:
                 yield from leaf(x, twice_x, cut, i, r)
                 return
-            rest = r - 1
-            row, bias = tables[rest], rest * n
-            for v in range(i, n - r):
+            for v in range(i, min(split, n - r)):
                 if low >= least and high <= greatest:
                     return
                 cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
                 twice_xv = twice_x + twice[v]
-                lower, upper = row[v] or table(v, rest)
-                lows = (lower - twice_xv).to_bytes(size, order)
-                highs = (upper - twice_xv).to_bytes(size, order)
-                if width > 1:
-                    lows, highs = memoryview(lows).cast(code), memoryview(highs).cast(code)
-                lo = cv + sum(sorted(lows[v + 1:last])[:rest]) - bias
-                hi = cv + sum(sorted(highs[v + 1:last])[-rest:]) - bias
+                lo, hi = bounds(twice_xv, cv, v, r - 1)
                 if lo < low:
                     lo = low
                 if hi > high:
                     hi = high
                 if lo < least or hi > greatest:
-                    yield bisections(x | 1 << v, twice_xv, cv, v + 1, rest, lo, hi)
+                    yield bisections(x | 1 << v, twice_xv, cv, v + 1, r - 1, lo, hi)
+            if r <= span:  # the completions whose rest of x lies in range(split, last)
+                # Until its cut table is built, a leaf costs far more than its bounds.
+                lo, hi = low, high
+                if i < split and (split, r) not in cells:
+                    lo, hi = bounds(twice_x, cut, split - 1, r)
+                if max(lo, low) < least or min(hi, high) > greatest:
+                    yield from leaf(x, twice_x, cut, split, r)
 
         root = bisections(0, 0, 0, 0, k, 0, cap)
     else:
-        # n > 2k.  While x is chosen, a y vertex u has between |N(u) & x| and
-        # |N(u) & x| + min(r, |N(u) & candidates|) neighbours in the final x, and y
-        # is k vertices outside x.  Once x is fixed, e is the sum of the weights
+        # n > 2k.  While x is chosen, the r vertices still to join it come from
+        # the candidates, so a y vertex u has at least |N(u) & x| + max(0, r - f(u))
+        # and at most |N(u) & x| + min(r, |N(u) & candidates|) neighbours in the
+        # final x, for f(u) its non-neighbours among the candidates other than u,
+        # and y is k vertices outside x.  Once x is fixed, e is the sum of the weights
         # w(u) = |N(u) & x| over y, and a partial y with running sum s completes to
         # between s plus the r smallest and s plus the r largest weights left.
         def x_sets(x: int, i: int, r: int, low: int, high: int):
@@ -368,9 +403,12 @@ def _record_pairs(
                 candidates = (1 << last) - (2 << v)
                 comp = [u for u in range(n) if not xv >> u & 1]
                 weights = [(masks[u] & xv).bit_count() for u in comp]
-                floors = sorted(weights)
-                ceilings = sorted([w + min(rest, (masks[u] & candidates).bit_count())
-                                   for u, w in zip(comp, weights)])
+                floors = ceilings = sorted(weights)
+                if rest:
+                    spare = last - v - 1 - rest  # candidates that stay out of x
+                    reach = [(masks[u] & candidates).bit_count() for u in comp]
+                    floors = sorted([w + max(0, a + (v < u < last) - spare) for u, w, a in zip(comp, weights, reach)])
+                    ceilings = sorted([w + min(rest, a) for w, a in zip(weights, reach)])
                 lo, hi = max(low, sum(floors[:k])), min(high, sum(ceilings[-k:]))
                 if lo < least or hi > greatest:
                     yield (x_sets(xv, v + 1, rest, lo, hi) if rest
@@ -398,7 +436,7 @@ def _record_pairs(
     try:
         return (yield from _depth_first(root))
     finally:  # the search functions refer to themselves: break the cycles, so their state goes now
-        cell = bisections = x_sets = y_sets = None
+        cell = near = bisections = x_sets = y_sets = None
 
 
 def _sampled_pairs(masks: Sequence[int], k: int, count: int, seed: int) -> Iterator[tuple[int, int, int]]:
@@ -522,7 +560,7 @@ def fit_density_certificate(
     first extreme pairs are the last records of _record_pairs, started on the
     empty window [k^2 + 1, -1], that lower and that raise its window; the
     record's position in that stream stands in for the pair's position in the
-    tie-break below.  The search tests its small subtrees in one packed pass
+    tie-break below.  The search tests its leaves in one packed pass
     (see _record_pairs), which yields the same records as branching them,
     so every field is that of full enumeration.  pairs_checked is then the
     family size.  Sampled, one pass over the sample keeps them.  worst_pair

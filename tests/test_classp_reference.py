@@ -5,10 +5,12 @@ from __future__ import annotations
 import gc
 import math
 import random
+import signal
 import sys
 import tracemalloc
 import types
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -346,11 +348,13 @@ def clear_lane_tables():
                                     lambda: _frozen_bisections(_exact_members())],
                          ids=["grid", "bisection", "exact"])
 def test_leaf_path_extremes_match_reference(source, monkeypatch, clear_lane_tables):
-    # LEAF_LANES = 0 sends only the r = 1 nodes down the leaf path, and
-    # comb(n - 1, k) sends the root: one packed pass over every bisection.
+    # LEAF_LANES = 0 sends only the r = 1 nodes down the leaf path,
+    # comb(n - 1, k) sends the root: one packed pass over every bisection,
+    # and the middle binomial of (n - 1) // 2 puts the split mid-range.
     for g, expected in source():
         k = g.n // 2
-        for lanes in (0, math.comb(g.n - 1, k)):
+        half = (g.n - 1) // 2
+        for lanes in (0, math.comb(g.n - 1, k), math.comb(half, half // 2)):
             monkeypatch.setattr(pseudorandom, "LEAF_LANES", lanes)
             for window, want in expected:
                 got = list(_record_pairs(g.adjacency_masks(), k, *window))
@@ -373,12 +377,40 @@ def test_leaf_lanes_either_side_of_one_byte(n, monkeypatch):
                 assert list(_record_pairs(masks, k, *window)) == want, (lanes, sorted(g.edges), window)
 
 
+@pytest.mark.parametrize("n, lanes", [(16, None), (16, math.comb(7, 3)), (20, None), (24, None)])
+def test_near_lanes_count_neighbours_in_each_subset(n, lanes, monkeypatch):
+    # The search's near ints, read from its frame at each record: lane l of
+    # near(v, r) is 2 |N(v) & S| for the l-th r-subset S of range(split, n - 1)
+    # in lexicographic order, in one-byte lanes up to n = 22 and two-byte
+    # lanes from n = 24, and nothing lies above the last lane.
+    if lanes is not None:
+        monkeypatch.setattr(pseudorandom, "LEAF_LANES", lanes)
+    rng = random.Random(n)
+    checked = 0
+    for p in (0.3, 0.7):
+        masks = random_graph(n, p, rng.randrange(10 ** 6)).adjacency_masks()
+        k = n // 2
+        search, seen = _record_pairs(masks, k, k * k + 1, -1), {}
+        for _ in search:
+            state = search.gi_frame.f_locals
+            seen.update(state["nears"])
+        shift, split = 8 * (2 if n >= 24 else 1), n - 1 - state["span"]
+        for (v, r), lanes_int in seen.items():
+            subsets = list(combinations(range(split, n - 1), r))
+            for at, subset in enumerate(subsets):
+                want = 2 * sum(masks[v] >> u & 1 for u in subset)
+                assert lanes_int >> shift * at & (1 << shift) - 1 == want, (v, r, subset)
+            assert lanes_int >> shift * len(subsets) == 0
+            checked += 1
+    assert checked
+
+
 def test_exact_certificate_memory_stays_small():
     # The cut tables are built per call and freed with it: with the shared
     # membership tables already built, the peak traced allocation of each
-    # exhaustive an = 20 certificate stays under 256 KiB (about 70 KiB at
-    # LEAF_LANES = 2001), and the 24 calls leave no tables behind for a later
-    # gc pass to free.
+    # exhaustive an = 20 certificate stays under 256 KiB (about 115 KiB, most
+    # of it the per-call cut and near lane ints), and the 24 calls leave no
+    # tables behind for a later gc pass to free.
     members = _exact_members()
     peaks = []
     tracemalloc.start()
@@ -396,8 +428,8 @@ def test_exact_certificate_memory_stays_small():
     assert left < 256 * 1024, left
     # From cold tables, the first certificate builds the membership tables
     # every later one reads: its peak and the tables it keeps each stay under
-    # 256 KiB (about 250 and 200 KiB at LEAF_LANES = 2001; 330 and 255 KiB
-    # at 2002, whose leaves reach comb(14, 5) lanes), and the other 23
+    # 256 KiB (about 210 and 100 KiB at LEAF_LANES = 1716; 365 and 195 KiB
+    # at comb(14, 7), whose leaves span 14 vertices), and the other 23
     # certificates add no table.
     pseudorandom._members.cache_clear()
     tracemalloc.start()
@@ -419,7 +451,7 @@ def test_lane_tables_of_another_width_are_dropped():
     # Three windows on C66 build two-byte tables (about 2.2 MB in 251 tables
     # when every width's tables were kept); the one-byte an = 20 certificate
     # that follows drops them, so what stays once the calls' own garbage is
-    # collected is its own tables, about 200 KiB.
+    # collected is its own tables, about 100 KiB.
     member = generate_class_p(ClassPParams(quad(1, 64, "1/2", "4/5"), t=1, n=20),
                               GenerationConfig(p=Fraction(7, 10), seed=0))[0]
     masks = cycle_graph(66).adjacency_masks()
@@ -485,8 +517,8 @@ def _profiled_calls(call, function: str, builtin=None) -> int:
 
 
 def test_bound_table_cap_never_binds_on_exact_certificates(monkeypatch):
-    # The 24 an = 20 certificates build 1,440 bound pairs and look them up
-    # 6,504 times: with nothing kept (cap 0) every lookup is a build.  The
+    # The 24 an = 20 certificates build 528 bound pairs and look them up
+    # 1,656 times: with nothing kept (cap 0) every lookup is a build.  The
     # default cap keeps every pair they build, and no cap changes a certificate.
     members = _exact_members()
     results = {}
@@ -497,8 +529,8 @@ def test_bound_table_cap_never_binds_on_exact_certificates(monkeypatch):
             fit_density_certificate(g, 10, Fraction(4, 5)).to_dict() for g in members), "table")
         results[cap] = builds, certs
     default, unbounded, none_kept = results.values()
-    assert default[0] == unbounded[0] == 1440
-    assert none_kept[0] == 6504
+    assert default[0] == unbounded[0] == 528
+    assert none_kept[0] == 1656
     assert default[1] == unbounded[1] == none_kept[1]
 
 
@@ -553,6 +585,33 @@ def test_covered_window_stops_the_y_search(n, k):
     sorts = _profiled_calls(lambda: records.extend(_record_pairs(masks, k, k * k + 1, -1)), "y_sets", sorted)
     assert sorts == k - 1
     assert records == ref_records(ref_counted_pairs(complete_graph(n), k), k * k + 1, -1)
+
+
+def test_x_vertices_still_to_come_bound_the_y_search():
+    # n > 2k: every (10, 10) pair of K30 has 100 cross edges.  A y vertex
+    # gains each of the r x vertices still to come, as it has no non-neighbour
+    # among the candidates, so after the first record the window covers every
+    # node.  Bounded by the chosen x vertices alone, the search walked every
+    # 9-vertex prefix of x (about 10^7 nodes) and did not finish in 20 s.
+    def expire(signum, frame):
+        raise TimeoutError("the K30 pair search ran past 5 s")
+
+    masks = complete_graph(30).adjacency_masks()
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        search, records = _record_pairs(masks, 10, 101, -1), []
+        while True:
+            try:
+                records.append(next(search))
+            except StopIteration as stop:
+                nodes = stop.value
+                break
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert records == [(1023, 1047552, 100)]
+    assert nodes == 19
 
 
 @pytest.mark.parametrize("g", [complete_graph(66), complete_bipartite(33, 33), cycle_graph(66),

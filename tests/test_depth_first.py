@@ -251,7 +251,7 @@ def test_pair_search_on_a_girth_member_caps_its_bound_at_m():
     records, nodes = counted(_record_pairs(g.adjacency_masks(), 16, 257, -1))
     assert len(records) == 17
     assert (min(e for _, _, e in records), max(e for _, _, e in records)) == (0, 16)
-    assert nodes == 62
+    assert nodes == 71
 
 
 def test_clique_search_on_a_constant_k80_needs_no_deep_stack():
