@@ -228,14 +228,13 @@ def _cmd_blowup(args) -> int:
         host, bmap = complete_blowup(g, args.t)
     if args.out:
         Path(args.out).write_text(graph_to_text(host))
+    t = bmap.t
     report = {
-        "t": bmap.t,
+        "t": t,
         "matchingRule": bmap.matching_rule,
         "cliqueOf": [list(c) for c in bmap.clique_of],
-        "removedMatchings": {
-            f"{u},{v}": sorted(list(e) for e in m)
-            for (u, v), m in sorted(bmap.removed_matchings.items())
-        },
+        "removedMatchings": {f"{u},{v}": [[u * t + i, v * t + j] for i, j in enumerate(p)]
+                             for (u, v), p in zip(g.edges, bmap.matchings)},
         "hostEdges": host.m,
     }
     sys.stdout.write(dump_report(report))
@@ -300,8 +299,7 @@ def _cmd_aux_colour(args) -> int:
     size = _integer(doc, "subcliqueSize", 2 * k)
     if not 0 <= size <= t:  # a slice bound: -1 would keep all but one vertex
         raise ConfigError(f"config field 'subcliqueSize' must lie in 0..{t}")
-    bmap = bmap.with_subcliques({v: bmap.clique_of[v][:size] for v in range(base.n)})
-    aux = build_aux_colouring(base, list(range(base.n)), bmap, chi, k, blue)
+    aux = build_aux_colouring(base, [clique[:size] for clique in bmap.clique_of], chi, k, blue)
     report = {
         "labels": {f"{u},{v}": "blue" if aux.blue.has_edge(u, v) else "grey" for u, v in base.sorted_edges()},
         "blueEdges": aux.blue.m,

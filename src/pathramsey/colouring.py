@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import BlowupMap, Graph, PathWitness, _depth_first, _edge_subset, _mask_vertices, path_power
+from .graphs import Graph, PathWitness, _depth_first, _edge_subset, _mask_vertices, path_power
 
 Edge = tuple[int, int]
 
@@ -369,11 +369,11 @@ def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> KstRepo
 class AuxColouring:
     """Blue/grey two-colouring of a derived graph's edges, held as its blue graph.
 
-    An edge is blue when an all-blue 2k-by-2k biclique exists between the two
-    selected subcliques in the host colouring chi; the witness is stored, and
-    blue is the spanning subgraph of base on the witnessed edges.  Every other
-    base edge is grey.  base_ids translates the derived graph's vertices to
-    blow-up base vertices.
+    Vertex v of base stands for the host vertices subcliques[v], a clique in
+    blue_colour under chi.  An edge is blue when an all-blue 2k-by-2k
+    biclique exists between its two subcliques; the witness is stored, and
+    blue is the spanning subgraph of base on the witnessed edges.  Every
+    other base edge is grey.
     """
 
     base: Graph
@@ -381,42 +381,30 @@ class AuxColouring:
     blue_colour: int
     blue: Graph
     witnesses: dict[Edge, tuple[tuple[int, ...], tuple[int, ...]]]
-    base_ids: tuple[int, ...]
-    blowup: BlowupMap
+    subcliques: tuple[tuple[int, ...], ...]
     chi: EdgeColouring
-
-    def subclique(self, j_vertex: int) -> tuple[int, ...]:
-        assert self.blowup.subclique is not None
-        return self.blowup.subclique[self.base_ids[j_vertex]]
 
 
 def build_aux_colouring(
     j: Graph,
-    base_ids: Sequence[int],
-    blowup: BlowupMap,
+    subcliques: Sequence[tuple[int, ...]],
     chi: EdgeColouring,
     k: int,
     blue_colour: int,
 ) -> AuxColouring:
     """Colour each j-edge blue (with a stored biclique witness) or grey.
 
-    Requires every selected subclique to be monochromatic in blue_colour under
-    chi; the offending base vertex is named otherwise.
+    Requires subcliques[v], the host vertices of j's vertex v, to be
+    monochromatic in blue_colour under chi; the offending v is named otherwise.
     """
     if k < 0:
         raise ParameterError("k must be >= 0")
-    if blowup.subclique is None:
-        raise PreconditionError("blow-up map carries no selected subcliques")
-    if len(base_ids) != j.n:
-        raise ParameterError("need one base id per vertex of j")
+    if len(subcliques) != j.n:
+        raise ParameterError("need one subclique per vertex of j")
     # The colour map's keys are exactly the host's edges, so a missing pair is a non-edge.
     col = chi._col
     is_blue = lambda a, b: col.get((a, b) if a < b else (b, a)) == blue_colour
-    for idx in range(j.n):
-        v = base_ids[idx]
-        if v not in blowup.subclique:
-            raise PreconditionError(f"no subclique selected for base vertex {v}")
-        sub = blowup.subclique[v]
+    for v, sub in enumerate(subcliques):
         for a, b in combinations(sub, 2):
             if not is_blue(a, b):
                 raise PreconditionError(
@@ -424,32 +412,30 @@ def build_aux_colouring(
                 )
     witnesses: dict[Edge, tuple] = {}
     for (iu, iv) in j.sorted_edges():
-        found = find_blue_biclique(
-            blowup.subclique[base_ids[iu]], blowup.subclique[base_ids[iv]], is_blue, k
-        )
+        found = find_blue_biclique(subcliques[iu], subcliques[iv], is_blue, k)
         if found is not None:
             witnesses[(iu, iv)] = found
     blue = _edge_subset(j, [e in witnesses for e in j.edges])
-    return AuxColouring(j, k, blue_colour, blue, witnesses, tuple(base_ids), blowup, chi)
+    return AuxColouring(j, k, blue_colour, blue, witnesses, tuple(subcliques), chi)
 
 
 # -- blue path promotion -------------------------------------------------------------
 
 
-def blue_path_to_blue_power(blue_path: PathWitness, aux: AuxColouring, k: int) -> Embedding:
+def blue_path_to_blue_power(blue_path: PathWitness, aux: AuxColouring) -> Embedding:
     """Promote a blue path in the derived graph to a blue path power in the host.
 
-    Each consecutive edge contributes a 2k-by-2k blue biclique witness; inner
-    witnesses are split into disjoint k-halves inside each subclique, and the
-    concatenated ordering realises the k-th power of a path on 2k * len
-    vertices with every close pair blue.
+    With k = aux.k, each consecutive edge contributes a 2k-by-2k blue biclique
+    witness; inner witnesses are split into disjoint k-halves inside each
+    subclique, and the concatenated ordering realises the k-th power of a
+    path on 2k * len vertices with every close pair blue.
     """
-    verts = blue_path.vertices
+    verts, k = blue_path.vertices, aux.k
     n = len(verts)
     if n == 0:
         raise ParameterError("empty path")
     if n == 1:
-        sub = aux.subclique(verts[0])
+        sub = aux.subcliques[verts[0]]
         if len(sub) < 2 * k:
             raise PreconditionError("subclique smaller than 2k")
         ordering = list(sub[: 2 * k])

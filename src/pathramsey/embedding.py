@@ -209,11 +209,11 @@ def embed_base_case(
 class TemplateResult:
     contained: bool
     offending: tuple | None = None
-    grey_ok: bool | None = None
+    grey_ok: bool = False
     grey_problem: str | None = None
     template: Graph | None = None
     vertex_ids: tuple[int, ...] | None = None
-    distance_ok: bool | None = None
+    distance_ok: bool = False
 
 
 def check_template_containment(
@@ -222,16 +222,16 @@ def check_template_containment(
     t: int,
     segments: list[tuple[int, ...]],
     j: Graph,
-    blue: Graph | None = None,
-    base: Graph | None = None,
+    blue: Graph,
+    base: Graph,
 ) -> TemplateResult:
     """Verify the blow-up template sits inside j and carve out its grey copy.
 
     For every segment pair at h-distance <= r, all cross pairs must be j-edges
-    and every segment must span a j-clique.  With the blue graph of a
-    blue/grey colouring of j, the blue cross pairs per segment pair must form
+    and every segment must span a j-clique.  The blue cross pairs per segment
+    pair, blue being the blue graph of a blue/grey colouring of j, must form
     at most a matching; they are extended to a perfect matching and removed,
-    leaving a sheared blow-up of h^r whose edges are all grey.  A base graph
+    leaving a sheared blow-up of h^r whose edges are all grey.  The base graph
     (on j's vertices) additionally checks that segments at h-distance d sit
     within base distance (t-1)m + (m-1), m = d+1, of each other.
     """
@@ -258,57 +258,51 @@ def check_template_containment(
                 if not j.has_edge(x, y):
                     return TemplateResult(False, ((i1, i2), (x, y)))
 
-    distance_ok: bool | None = None
-    if base is not None:
-        # A connecting path over m = d+1 segments walks at most t-1 steps inside
-        # each segment plus m-1 crossing edges, so representatives sit at base
-        # distance at most (t-1)m + (m-1).  The bound stays below t*r exactly
-        # when the pair is at h-distance < r.
-        distance_ok = True
-        hdist = [distances(h, v) for v in range(h.n)]
-        bdist = {}
-        for i1, i2 in hr.sorted_edges():
-            m = int(hdist[i1][i2]) + 1
-            limit = (t - 1) * m + (m - 1)
-            for x in segments[i1]:
-                if x not in bdist:
-                    bdist[x] = distances(base, x)
-                for y in segments[i2]:
-                    if bdist[x][y] > limit:
-                        distance_ok = False
+    # A connecting path over m = d+1 segments walks at most t-1 steps inside
+    # each segment plus m-1 crossing edges, so representatives sit at base
+    # distance at most (t-1)m + (m-1).  The bound stays below t*r exactly
+    # when the pair is at h-distance < r.
+    distance_ok = True
+    hdist = [distances(h, v) for v in range(h.n)]
+    bdist = {}
+    for i1, i2 in hr.sorted_edges():
+        m = int(hdist[i1][i2]) + 1
+        limit = (t - 1) * m + (m - 1)
+        for x in segments[i1]:
+            if x not in bdist:
+                bdist[x] = distances(base, x)
+            for y in segments[i2]:
+                if bdist[x][y] > limit:
+                    distance_ok = False
 
-    grey_ok: bool | None = None
+    grey_ok = True
     grey_problem: str | None = None
-    perms: list[list[int]] | None = None  # per hr edge, the removed matching as a permutation
-    if blue is not None:
-        perms = []
-        grey_ok = True
-        for i, seg in enumerate(segments):
-            for a in range(t):
-                for b in range(a + 1, t):
-                    if blue.has_edge(seg[a], seg[b]):
-                        grey_ok = False
-                        e = (min(seg[a], seg[b]), max(seg[a], seg[b]))
-                        grey_problem = f"pair {e} inside segment {i} is not grey"
-        for i1, i2 in hr.sorted_edges():
-            non_grey = []
-            for ai, x in enumerate(segments[i1]):
-                for bi, y in enumerate(segments[i2]):
-                    if blue.has_edge(x, y):
-                        non_grey.append((ai, bi))
-            left_used = [a for a, _ in non_grey]
-            right_used = [b for _, b in non_grey]
-            if len(set(left_used)) != len(left_used) or len(set(right_used)) != len(right_used):
-                grey_ok = False
-                grey_problem = f"non-grey pairs between segments {i1},{i2} exceed a matching"
-                non_grey = non_grey[:t]
-            # Extend the partial matching to a perfect one over position indices.
-            match = dict(non_grey)
-            free_right = [b for b in range(t) if b not in match.values()]
-            perms.append([match[a] if a in match else free_right.pop(0) for a in range(t)])
-        if not grey_ok:
-            return TemplateResult(True, grey_ok=False, grey_problem=grey_problem,
-                                  distance_ok=distance_ok)
+    perms = []  # per hr edge, the removed matching as a permutation
+    for i, seg in enumerate(segments):
+        for a in range(t):
+            for b in range(a + 1, t):
+                if blue.has_edge(seg[a], seg[b]):
+                    grey_ok = False
+                    e = (min(seg[a], seg[b]), max(seg[a], seg[b]))
+                    grey_problem = f"pair {e} inside segment {i} is not grey"
+    for i1, i2 in hr.sorted_edges():
+        non_grey = []
+        for ai, x in enumerate(segments[i1]):
+            for bi, y in enumerate(segments[i2]):
+                if blue.has_edge(x, y):
+                    non_grey.append((ai, bi))
+        left_used = [a for a, _ in non_grey]
+        right_used = [b for _, b in non_grey]
+        if len(set(left_used)) != len(left_used) or len(set(right_used)) != len(right_used):
+            grey_ok = False
+            grey_problem = f"non-grey pairs between segments {i1},{i2} exceed a matching"
+            non_grey = non_grey[:t]
+        # Extend the partial matching to a perfect one over position indices.
+        match = dict(non_grey)
+        free_right = [b for b in range(t) if b not in match.values()]
+        perms.append([match[a] if a in match else free_right.pop(0) for a in range(t)])
+    if not grey_ok:
+        return TemplateResult(True, grey_problem=grey_problem, distance_ok=distance_ok)
 
     # Linearised template: vertex (segment i, position p) -> i*t + p.
     vertex_ids = tuple(v for seg in segments for v in seg)

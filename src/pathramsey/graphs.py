@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, islice, product
 from typing import Generator, Iterable, Iterator, Sequence, TextIO
 
@@ -262,27 +262,17 @@ class BlowupMap:
     """Bookkeeping for a blow-up host: which host vertices realise each base vertex.
 
     Vertex i of clique v is host vertex v*t + i (clique_of[v][i]), so
-    identities are stable across runs.  removed_matchings is empty for a
-    complete blow-up; for a sheared blow-up it holds, per base edge, the
-    perfect matching that was removed between the two cliques.  subclique optionally marks a selected
-    monochromatic subset of each clique.
+    identities are stable across runs.  matchings is empty for a complete
+    blow-up; for a sheared blow-up it holds, per base edge (u, v) in
+    base.edges order, the permutation p whose pairs (u*t + i, v*t + p[i])
+    were removed between the two cliques.
     """
 
     base: Graph
     t: int
     clique_of: tuple[tuple[int, ...], ...]
-    removed_matchings: dict[Edge, frozenset[Edge]] = field(default_factory=dict)
+    matchings: tuple[tuple[int, ...], ...] = ()
     matching_rule: str = "none"
-    subclique: dict[int, tuple[int, ...]] | None = None
-
-    def with_subcliques(self, subclique: dict[int, tuple[int, ...]]) -> "BlowupMap":
-        for v, sub in subclique.items():
-            if not set(sub) <= set(self.clique_of[v]):
-                raise ParameterError(f"subclique of base vertex {v} leaves its clique")
-        return BlowupMap(
-            self.base, self.t, self.clique_of, self.removed_matchings,
-            self.matching_rule, dict(subclique),
-        )
 
 
 def _blowup(h: Graph, t: int, perms: list | None = None, rule: str = "none") -> tuple[Graph, BlowupMap]:
@@ -296,7 +286,7 @@ def _blowup(h: Graph, t: int, perms: list | None = None, rule: str = "none") -> 
     row's targets up to its own position, from C-level iterators with no
     Python loop per vertex.  perms[e], for the e-th base edge (u, v) in
     h.edges order, removes the pairs (u*t + i, v*t + perms[e][i]): one
-    zeroed selector byte each; the map records them under matching rule `rule`.
+    zeroed selector byte each; the map keeps perms under matching rule `rule`.
     """
     if t < 1:
         raise ParameterError("clique size t must be >= 1")
@@ -317,11 +307,8 @@ def _blowup(h: Graph, t: int, perms: list | None = None, rule: str = "none") -> 
             for i, j in enumerate(perm):
                 selector[a + i * size + j] = 0
     rows = compress(chain.from_iterable(map(product, cliques, map(chain.from_iterable, targets))), selector)
-    removed = {} if perms is None else {
-        (u, v): frozenset(zip(cliques[u], (v * t + j for j in perm))) for (u, v), perm in zip(h.edges, perms)
-    }
     host = Graph._from_edge_set(h.n * t, list(rows))
-    return host, BlowupMap(h, t, tuple(map(tuple, cliques)), removed, rule)
+    return host, BlowupMap(h, t, tuple(map(tuple, cliques)), tuple(map(tuple, perms or ())), rule)
 
 
 def complete_blowup(h: Graph, t: int) -> tuple[Graph, BlowupMap]:
@@ -465,6 +452,9 @@ class PathWitness:
 
     def validate(self, g: Graph, parts: Sequence[Iterable[int]] | None = None) -> None:
         vs = self.vertices
+        for v in vs:
+            if not 0 <= v < g.n:
+                raise GraphFormatError(f"path vertex {v} out of range for n={g.n}")
         if len(set(vs)) != len(vs):
             raise GraphFormatError("path repeats a vertex")
         for a, b in zip(vs, vs[1:]):

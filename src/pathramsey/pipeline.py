@@ -211,13 +211,12 @@ def induction_step(
             "chosenColour": blue, "W": len(w_set), "fractionInequalityHolds": fraction_ok,
         },
     })
-    bmap = blowup.with_subcliques({v: found[v][1] for v in w_set})
 
     # Derived graph on W and its blue/grey colouring.
     g_w, ids = induced_subgraph(g, w_set)
     j = power(g_w, cfg.big_r)
     try:
-        aux = build_aux_colouring(j, ids, bmap, chi, cfg.k, blue)
+        aux = build_aux_colouring(j, [found[v][1] for v in ids], chi, cfg.k, blue)
     except (PreconditionError, ParameterError) as exc:
         return _fail(trace, "aux-colouring", str(exc))
     trace.append({
@@ -252,7 +251,7 @@ def induction_step(
     if long_blue is not None:
         sub = PathWitness(tuple(long_blue.vertices[: cfg.n]))
         try:
-            emb = blue_path_to_blue_power(sub, aux, cfg.k)
+            emb = blue_path_to_blue_power(sub, aux)
         except (PreconditionError, ConstructionError) as exc:
             return _fail(trace, "blue-power", str(exc))
         trace.append({
@@ -281,8 +280,8 @@ def induction_step(
     # Long path through the classes inside the base graph.
     class_base = [[ids[jv] for jv in c] for c in classes]
     all_base = sorted(v for cls in class_base for v in cls)
-    j2, base_ids2 = induced_subgraph(g, all_base)
-    to_j2 = {v: i for i, v in enumerate(base_ids2)}
+    j2, ids2 = induced_subgraph(g, all_base)
+    to_j2 = {v: i for i, v in enumerate(ids2)}
     parts_j2 = [[to_j2[v] for v in cls] for cls in class_base]
     try:
         path2 = long_path_through_sets(j2, parts_j2, needed_len, gamma=Fraction(1, 2 * cfg.t))
@@ -295,7 +294,7 @@ def induction_step(
 
     # Segments and the segment-adjacency graph.
     segs = segment_path(path2, cfg.t)
-    segments_base = [tuple(base_ids2[v] for v in s.vertices) for s in segs]
+    segments_base = [tuple(ids2[v] for v in s.vertices) for s in segs]
     h_prime = auxiliary_graph(g, segments_base)
     trace.append({"stage": "segments", "status": "ok",
                   "detail": {"count": len(segments_base), "segmentSize": cfg.t,
@@ -339,10 +338,10 @@ def induction_step(
     base_to_j = {b: i for i, b in enumerate(ids)}
     kept_segments_base = [segments_base[i] for i in kept]
     segments_j = [tuple(base_to_j[v] for v in seg) for seg in kept_segments_base]
-    tmpl = check_template_containment(h_final, cfg.r, cfg.t, segments_j, j, blue=aux.blue, base=g_w)
+    tmpl = check_template_containment(h_final, cfg.r, cfg.t, segments_j, j, aux.blue, g_w)
     if not tmpl.contained:
         return _fail(trace, "template", f"containment fails at {tmpl.offending}")
-    if tmpl.grey_ok is False:
+    if not tmpl.grey_ok:
         return _fail(trace, "template", tmpl.grey_problem or "grey extraction failed")
     trace.append({"stage": "template", "status": "ok",
                   "detail": {"templateVertices": tmpl.template.n,
@@ -350,7 +349,7 @@ def induction_step(
                              "distanceOk": tmpl.distance_ok}})
 
     # Resample-until-clean embedding of the template into the host.
-    cliques = [bmap.subclique[ids[jv]] for jv in tmpl.vertex_ids]
+    cliques = [aux.subcliques[jv] for jv in tmpl.vertex_ids]
     instance = make_lll_instance(tmpl.template, cliques, host, chi, blue)
     budget = 100 * max(1, tmpl.template.m)
     trace.append({"stage": "lll-instance", "status": "ok", "detail": instance.to_dict()})
@@ -390,6 +389,8 @@ def base_case_driver(
     if not rep.good:
         raise ParameterError(f"quadruple is not good: {', '.join(rep.failing)}")
     target = params.n if n_target is None else n_target
+    if target < 1:  # a slice bound: -1 would keep all but one vertex
+        raise ParameterError("n_target must be >= 1")
     if base_graph is not None:
         g = base_graph
     else:

@@ -38,7 +38,7 @@ from .graphs import (
 )
 
 PAIR_BUDGET = 200_000
-LEAF_LANES = 1716  # comb(13, 6); a span of 14 takes a cold an = 20 certificate to about 370 KB
+LEAF_SPAN = 13  # comb(13, 6) = 1716 lanes; a span of 14 takes a cold an = 20 certificate to about 370 KB
 _TABLE_BYTES = 1 << 24  # the bound pairs and near lane ints one n = 2k search keeps; past it, built per use
 
 
@@ -217,8 +217,7 @@ def _record_pairs(
     hold _TABLE_BYTES; past that, a pair is rebuilt on each use.
 
     A node with r = 1 is a leaf.  For r >= 2 the leaves start at one split:
-    for w the widest span whose middle binomial comb(w, w // 2) is at most
-    LEAF_LANES, split = max(0, n - 1 - w) and W = range(split, n - 1).  A
+    w = min(LEAF_SPAN, n - 1), split = n - 1 - w, W = range(split, n - 1).  A
     node branches only on next x vertices below split; after those children
     it takes the leaf of the completions whose r remaining x vertices all
     lie in W, which come after the children's in the search's order, and
@@ -265,10 +264,7 @@ def _record_pairs(
         tables = [[None] * n for _ in range(k + 1)]  # [rest][v]: (lower, upper)
         room = _TABLE_BYTES  # how many more bytes of bound pairs and near lanes may be kept
         cells, nears = {}, {}
-        # Every r >= 2 leaf starts at split: the widest span whose middle binomial fits LEAF_LANES.
-        span = 0
-        while span < last and math.comb(span + 1, (span + 1) // 2) <= LEAF_LANES:
-            span += 1
+        span = min(LEAF_SPAN, last)  # every r >= 2 leaf starts at split
         split = last - span
 
         def excess(packed: int, c: int) -> int:

@@ -117,14 +117,15 @@ def ref_complete_blowup(h: Graph, t: int) -> tuple[Graph, BlowupMap]:
     return Graph(h.n * t, edges), BlowupMap(h, t, cliques)
 
 
-def ref_sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, BlowupMap]:
+def ref_sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, BlowupMap, dict]:
+    """The host, its map and, per base edge, the removed pairs as a set."""
     if t < 1:
         raise ParameterError("clique size t must be >= 1")
     cliques = tuple(tuple(v * t + i for i in range(t)) for v in range(h.n))
     edges = []
     for cl in cliques:
         edges.extend((cl[i], cl[j]) for i in range(t) for j in range(i + 1, t))
-    removed = {}
+    removed, perms = {}, []
     for u, v in sorted(h.edges):
         if seed is None:
             perm = list(range(t))
@@ -132,18 +133,26 @@ def ref_sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph
             rng = random.Random((seed * 1_000_003 + u) * 1_000_003 + v)
             perm = list(range(t))
             rng.shuffle(perm)
+        perms.append(tuple(perm))
         partner = [cliques[v][j] for j in perm]
         removed[(u, v)] = frozenset((a, b) if a < b else (b, a) for a, b in zip(cliques[u], partner))
         for a, skip in zip(cliques[u], partner):
             edges.extend((a, b) for b in cliques[v] if b != skip)
     rule = "aligned" if seed is None else f"seeded:{seed}"
-    return Graph(h.n * t, edges), BlowupMap(h, t, cliques, removed, rule)
+    return Graph(h.n * t, edges), BlowupMap(h, t, cliques, tuple(perms), rule), removed
+
+
+def removed_pairs(bmap: BlowupMap) -> dict[tuple[int, int], frozenset[tuple[int, int]]]:
+    """Per base edge (u, v), in base.edges order, the host pairs its matching removed."""
+    t = bmap.t
+    return {(u, v): frozenset((u * t + i, v * t + j) for i, j in enumerate(perm))
+            for (u, v), perm in zip(bmap.base.edges, bmap.matchings)}
 
 
 def ref_validate_blowup_map(bmap: BlowupMap) -> None:
     """Raise GraphFormatError unless the cliques partition the host's vertices into
-    blocks of t, each removed matching is perfect between its edge's two cliques,
-    and each selected subclique lies inside its clique."""
+    blocks of t and a sheared blow-up's removed matchings, one per base edge, are
+    each perfect between their edge's two cliques."""
     seen: set[int] = set()
     for v, cl in enumerate(bmap.clique_of):
         if len(cl) != bmap.t:
@@ -153,7 +162,9 @@ def ref_validate_blowup_map(bmap: BlowupMap) -> None:
         seen |= set(cl)
     if seen != set(range(bmap.base.n * bmap.t)):
         raise GraphFormatError("cliques do not partition the host vertex set")
-    for (u, v), matching in bmap.removed_matchings.items():
+    if bmap.matchings and len(bmap.matchings) != bmap.base.m:
+        raise GraphFormatError("removed matchings do not match the base edges one to one")
+    for (u, v), matching in removed_pairs(bmap).items():
         left = {a for a, _ in matching} | {b for _, b in matching}
         cu, cv = set(bmap.clique_of[u]), set(bmap.clique_of[v])
         if len(matching) != bmap.t or left != cu | cv:
@@ -161,10 +172,6 @@ def ref_validate_blowup_map(bmap: BlowupMap) -> None:
         for a, b in matching:
             if not ((a in cu and b in cv) or (a in cv and b in cu)):
                 raise GraphFormatError(f"removed pair ({a},{b}) crosses the wrong cliques")
-    if bmap.subclique is not None:
-        for v, sub in bmap.subclique.items():
-            if not set(sub) <= set(bmap.clique_of[v]):
-                raise GraphFormatError(f"subclique of {v} not inside its clique")
 
 
 def ref_linear_template(hr: Graph, t: int, removed: dict[tuple[int, int], set[tuple[int, int]]]) -> Graph:

@@ -172,9 +172,6 @@ def ref_validate_aux_colouring(aux) -> None:
     def blue(a: int, b: int) -> bool:
         return host.has_edge(a, b) and chi.colour(a, b) == aux.blue_colour
 
-    def subclique(v: int) -> tuple[int, ...]:
-        return aux.blowup.subclique[aux.base_ids[v]]
-
     if aux.blue.n != aux.base.n:
         raise ConstructionError("blue graph and base graph differ in order")
     for e in sorted(aux.witnesses):
@@ -188,7 +185,7 @@ def ref_validate_aux_colouring(aux) -> None:
         wa, wb = aux.witnesses[(u, v)]
         if len(wa) != 2 * aux.k or len(wb) != 2 * aux.k:
             raise ConstructionError("witness sides have wrong size")
-        if not set(wa) <= set(subclique(u)) or not set(wb) <= set(subclique(v)):
+        if not set(wa) <= set(aux.subcliques[u]) or not set(wb) <= set(aux.subcliques[v]):
             raise ConstructionError(f"witness for ({u},{v}) leaves its subcliques")
         for a in wa:
             for b in wb:
@@ -196,7 +193,7 @@ def ref_validate_aux_colouring(aux) -> None:
                     raise ConstructionError(f"witness pair ({a},{b}) is not a blue host edge")
     for (u, v) in sorted(aux.base.edges):
         if not aux.blue.has_edge(u, v):
-            if ref_find_blue_biclique(subclique(u), subclique(v), blue, aux.k) is not None:
+            if ref_find_blue_biclique(aux.subcliques[u], aux.subcliques[v], blue, aux.k) is not None:
                 raise ConstructionError(f"grey edge ({u},{v}) admits a blue biclique")
 
 

@@ -338,7 +338,7 @@ def _frozen_bisections(graphs):
 
 @pytest.fixture
 def clear_lane_tables():
-    # A test that raises LEAF_LANES builds membership tables far larger than
+    # A test that raises LEAF_SPAN builds membership tables far larger than
     # the certificates need; drop them, as the process keeps them otherwise.
     yield
     pseudorandom._members.cache_clear()
@@ -348,17 +348,16 @@ def clear_lane_tables():
                                     lambda: _frozen_bisections(_exact_members())],
                          ids=["grid", "bisection", "exact"])
 def test_leaf_path_extremes_match_reference(source, monkeypatch, clear_lane_tables):
-    # LEAF_LANES = 0 sends only the r = 1 nodes down the leaf path,
-    # comb(n - 1, k) sends the root: one packed pass over every bisection,
-    # and the middle binomial of (n - 1) // 2 puts the split mid-range.
+    # LEAF_SPAN = 0 sends only the r = 1 nodes down the leaf path,
+    # n - 1 sends the root: one packed pass over every bisection,
+    # and (n - 1) // 2 puts the split mid-range.
     for g, expected in source():
         k = g.n // 2
-        half = (g.n - 1) // 2
-        for lanes in (0, math.comb(g.n - 1, k), math.comb(half, half // 2)):
-            monkeypatch.setattr(pseudorandom, "LEAF_LANES", lanes)
+        for span in (0, g.n - 1, (g.n - 1) // 2):
+            monkeypatch.setattr(pseudorandom, "LEAF_SPAN", span)
             for window, want in expected:
                 got = list(_record_pairs(g.adjacency_masks(), k, *window))
-                assert got == want, (lanes, sorted(g.edges), window)
+                assert got == want, (span, sorted(g.edges), window)
 
 
 @pytest.mark.parametrize("n", [22, 24])
@@ -372,19 +371,19 @@ def test_leaf_lanes_either_side_of_one_byte(n, monkeypatch):
         masks, k = g.adjacency_masks(), n // 2
         for window in _bisection_windows(k, rng):
             want = list(ref_bisection_records(masks, k, *window))
-            for lanes in (0, pseudorandom.LEAF_LANES):
-                monkeypatch.setattr(pseudorandom, "LEAF_LANES", lanes)
-                assert list(_record_pairs(masks, k, *window)) == want, (lanes, sorted(g.edges), window)
+            for span in (0, pseudorandom.LEAF_SPAN):
+                monkeypatch.setattr(pseudorandom, "LEAF_SPAN", span)
+                assert list(_record_pairs(masks, k, *window)) == want, (span, sorted(g.edges), window)
 
 
-@pytest.mark.parametrize("n, lanes", [(16, None), (16, math.comb(7, 3)), (20, None), (24, None)])
-def test_near_lanes_count_neighbours_in_each_subset(n, lanes, monkeypatch):
+@pytest.mark.parametrize("n, span", [(16, None), (16, 7), (20, None), (24, None)])
+def test_near_lanes_count_neighbours_in_each_subset(n, span, monkeypatch):
     # The search's near ints, read from its frame at each record: lane l of
     # near(v, r) is 2 |N(v) & S| for the l-th r-subset S of range(split, n - 1)
     # in lexicographic order, in one-byte lanes up to n = 22 and two-byte
     # lanes from n = 24, and nothing lies above the last lane.
-    if lanes is not None:
-        monkeypatch.setattr(pseudorandom, "LEAF_LANES", lanes)
+    if span is not None:
+        monkeypatch.setattr(pseudorandom, "LEAF_SPAN", span)
     rng = random.Random(n)
     checked = 0
     for p in (0.3, 0.7):
@@ -428,8 +427,8 @@ def test_exact_certificate_memory_stays_small():
     assert left < 256 * 1024, left
     # From cold tables, the first certificate builds the membership tables
     # every later one reads: its peak and the tables it keeps each stay under
-    # 256 KiB (about 210 and 100 KiB at LEAF_LANES = 1716; 365 and 195 KiB
-    # at comb(14, 7), whose leaves span 14 vertices), and the other 23
+    # 256 KiB (about 210 and 100 KiB at LEAF_SPAN = 13; 365 and 195 KiB
+    # at a span of 14), and the other 23
     # certificates add no table.
     pseudorandom._members.cache_clear()
     tracemalloc.start()

@@ -383,6 +383,24 @@ class TestEmbedBase:
         code, _, err = run("embed-base", "--k", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("path", ["-1", "99", "0,5"])
+    def test_path_vertex_outside_the_graph_exits_two(self, run, graph_file, path):
+        # -1 used to wrap to the last clique and exit 0; 99 was an internal IndexError.
+        src = graph_file(path_graph(3), "p3.edges")
+        code, out, err = run("embed-base", "--graph", src, "--path", path, "--k", "1")
+        bad = path.split(",")[-1]
+        assert (code, out, err) == (2, "", f"error: path vertex {bad} out of range for n=3\n")
+
+    @pytest.mark.parametrize("n_target", [-5, -1, 0])
+    def test_n_target_below_one_exits_two(self, run, tmp_path, n_target):
+        # -1 used to cut the last vertex off the longest path and exit 0.
+        doc = {"a": "2", "b": "1700000", "c": "1/2", "eps": "1/20", "t": 1, "n": 6, "p": "1",
+               "seed": 0, "nTarget": n_target}
+        cfg = tmp_path / "base.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run("embed-base", "--config", str(cfg), "--k", "1")
+        assert (code, out, err) == (2, "", "error: n_target must be >= 1\n")
+
 
 class TestLllEmbed:
     def test_bundle_run(self, run, tmp_path, graph_file):

@@ -213,7 +213,8 @@ class TestKstBound:
 
 
 def two_vertex_aux(seed: int, k: int = 1, clique: int = 5, sub: int = 4):
-    """A one-edge base graph blown up; within-clique edges blue, cross random."""
+    """A one-edge base graph blown up, and the first sub vertices of each clique;
+    within-clique edges blue, cross random."""
     j = Graph(2, [(0, 1)])
     host, bmap = sheared_blowup(j, clique)
     rng = random.Random(seed)
@@ -224,8 +225,7 @@ def two_vertex_aux(seed: int, k: int = 1, clique: int = 5, sub: int = 4):
         else:
             colours[(u, v)] = rng.randint(1, 2)
     chi = EdgeColouring(host, 2, colours)
-    bmap = bmap.with_subcliques({0: bmap.clique_of[0][:sub], 1: bmap.clique_of[1][:sub]})
-    return j, host, bmap, chi
+    return j, host, [cl[:sub] for cl in bmap.clique_of], chi
 
 
 class TestBuildAuxColouring:
@@ -233,26 +233,25 @@ class TestBuildAuxColouring:
         j = path_graph(3)
         host, bmap = sheared_blowup(j, 5)
         chi = EdgeColouring.constant(host, 2, 1)
-        bmap = bmap.with_subcliques({v: bmap.clique_of[v][:4] for v in range(3)})
-        aux = build_aux_colouring(j, [0, 1, 2], bmap, chi, 1, 1)
+        aux = build_aux_colouring(j, [clique[:4] for clique in bmap.clique_of], chi, 1, 1)
         assert aux.blue == j and aux.witnesses.keys() == j.edges
         ref_validate_aux_colouring(aux)
 
     def test_no_blue_cross_gives_all_grey(self):
-        j, host, bmap, _ = two_vertex_aux(0)
+        j, host, subs, _ = two_vertex_aux(0)
         colours = {
             e: (1 if e[0] // 5 == e[1] // 5 else 2) for e in host.sorted_edges()
         }
         chi = EdgeColouring(host, 2, colours)
-        aux = build_aux_colouring(j, [0, 1], bmap, chi, 1, 1)
+        aux = build_aux_colouring(j, subs, chi, 1, 1)
         assert aux.blue.m == 0 and not aux.witnesses
         ref_validate_aux_colouring(aux)
 
     def test_label_matches_exhaustive_biclique_scan(self):
         for seed in range(20):
-            j, host, bmap, chi = two_vertex_aux(seed)
-            aux = build_aux_colouring(j, [0, 1], bmap, chi, 1, 1)
-            ba, bb = bmap.subclique[0], bmap.subclique[1]
+            j, host, subs, chi = two_vertex_aux(seed)
+            aux = build_aux_colouring(j, subs, chi, 1, 1)
+            ba, bb = subs
             exists = any(
                 all(host.has_edge(a, b) and chi.colour(a, b) == 1 for a in pa for b in pb)
                 for pa in combinations(ba, 2)
@@ -266,18 +265,22 @@ class TestBuildAuxColouring:
         host, bmap = sheared_blowup(j, 3)
         colours = {e: 2 for e in host.sorted_edges()}
         chi = EdgeColouring(host, 2, colours)
-        bmap = bmap.with_subcliques({0: bmap.clique_of[0][:2], 1: bmap.clique_of[1][:2]})
         with pytest.raises(PreconditionError) as exc:
-            build_aux_colouring(j, [0, 1], bmap, chi, 1, 1)
+            build_aux_colouring(j, [clique[:2] for clique in bmap.clique_of], chi, 1, 1)
         assert "base vertex 0" in str(exc.value)
 
+    def test_one_subclique_per_vertex_of_j(self):
+        j, host, subs, chi = two_vertex_aux(0)
+        with pytest.raises(ParameterError, match="one subclique per vertex"):
+            build_aux_colouring(j, subs[:1], chi, 1, 1)
+
     def test_k_zero_makes_every_edge_blue_and_negative_k_is_refused(self):
-        j, host, bmap, chi = two_vertex_aux(0)
-        aux = build_aux_colouring(j, [0, 1], bmap, chi, 0, 1)
+        j, host, subs, chi = two_vertex_aux(0)
+        aux = build_aux_colouring(j, subs, chi, 0, 1)
         assert aux.blue == j and aux.witnesses == {(0, 1): ((), ())}
         # An edgeless j, so the unmended search is never entered.
         with pytest.raises(ParameterError, match="k must be >= 0"):
-            build_aux_colouring(Graph(2, []), [0, 1], bmap, chi, -1, 1)
+            build_aux_colouring(Graph(2, []), subs, chi, -1, 1)
 
 
 class TestBluePathPromotion:
@@ -285,9 +288,8 @@ class TestBluePathPromotion:
         j = path_graph(2)
         host, bmap = sheared_blowup(j, 5)
         chi = EdgeColouring.constant(host, 2, 1)
-        bmap = bmap.with_subcliques({0: bmap.clique_of[0][:4], 1: bmap.clique_of[1][:4]})
-        aux = build_aux_colouring(j, [0, 1], bmap, chi, 1, 1)
-        emb = blue_path_to_blue_power(PathWitness((0, 1)), aux, 1)
+        aux = build_aux_colouring(j, [clique[:4] for clique in bmap.clique_of], chi, 1, 1)
+        emb = blue_path_to_blue_power(PathWitness((0, 1)), aux)
         assert emb.pattern == path_power(4, 1)
         # direct scan: every pair within ordering distance k is a blue host edge
         for i in range(4):
@@ -301,9 +303,8 @@ class TestBluePathPromotion:
         j = path_graph(4)
         host, bmap = sheared_blowup(j, 9)
         chi = EdgeColouring.constant(host, 3, 1)
-        bmap = bmap.with_subcliques({v: bmap.clique_of[v][:8] for v in range(4)})
-        aux = build_aux_colouring(j, [0, 1, 2, 3], bmap, chi, 2, 1)
-        emb = blue_path_to_blue_power(PathWitness((0, 1, 2, 3)), aux, 2)
+        aux = build_aux_colouring(j, [clique[:8] for clique in bmap.clique_of], chi, 2, 1)
+        emb = blue_path_to_blue_power(PathWitness((0, 1, 2, 3)), aux)
         assert emb.pattern == path_power(16, 2)
         assert validate_embedding(emb).ok
         for i in range(16):
@@ -311,18 +312,18 @@ class TestBluePathPromotion:
                 assert chi.colour(emb.mapping[i], emb.mapping[jdx]) == 1
 
     def test_grey_edge_on_path_raises(self):
-        j, host, bmap, _ = two_vertex_aux(0)
+        j, host, subs, _ = two_vertex_aux(0)
         colours = {e: (1 if e[0] // 5 == e[1] // 5 else 2) for e in host.sorted_edges()}
         chi = EdgeColouring(host, 2, colours)
-        aux = build_aux_colouring(j, [0, 1], bmap, chi, 1, 1)
+        aux = build_aux_colouring(j, subs, chi, 1, 1)
         with pytest.raises(PreconditionError):
-            blue_path_to_blue_power(PathWitness((0, 1)), aux, 1)
+            blue_path_to_blue_power(PathWitness((0, 1)), aux)
 
     def test_single_vertex_path(self):
-        j, host, bmap, chi = two_vertex_aux(3)
+        j, host, subs, chi = two_vertex_aux(3)
         chi_blue = EdgeColouring.constant(host, 2, 1)
-        aux = build_aux_colouring(j, [0, 1], bmap, chi_blue, 1, 1)
-        emb = blue_path_to_blue_power(PathWitness((0,)), aux, 1)
+        aux = build_aux_colouring(j, subs, chi_blue, 1, 1)
+        emb = blue_path_to_blue_power(PathWitness((0,)), aux)
         assert emb.pattern == path_power(2, 1)
         assert validate_embedding(emb).ok
 

@@ -24,7 +24,7 @@ from cover_reference import (
     ref_partition_exhaustive,
     ref_sheared_blowup,
 )
-from graph_reference import mask_adjacency
+from graph_reference import mask_adjacency, removed_pairs
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
@@ -74,8 +74,8 @@ def test_sheared_blowup_matches_reference(h, t, seed):
     edges, removed = ref_sheared_blowup(h, t, seed=seed)
     assert host.n == h.n * t
     assert host.edges == edges
-    assert bmap.removed_matchings == removed
-    assert list(bmap.removed_matchings) == list(removed)
+    assert removed_pairs(bmap) == removed
+    assert list(removed_pairs(bmap)) == list(removed)
 
 
 @pytest.mark.parametrize("n,edges", [

@@ -173,7 +173,7 @@ class TestTemplateContainment:
         h = Graph(2, [(0, 1)])
         segments = [(0, 1), (2, 3)]
         blue = Graph(6, [(0, 2), (1, 3)])
-        res = check_template_containment(h, 1, 2, segments, j, blue=blue, base=base)
+        res = check_template_containment(h, 1, 2, segments, j, blue, base)
         assert res.contained and res.grey_ok
         tmpl = res.template
         assert tmpl.n == 4
@@ -188,16 +188,16 @@ class TestTemplateContainment:
         j = power(base, 7)
         h = complete_graph(2)
         segments = [(0, 1), (4, 5)]
-        res = check_template_containment(h, 7, 2, segments, j)
-        assert res.contained
-        assert res.template.m == 2 + 4  # full blow-up when no aux given
+        res = check_template_containment(h, 7, 2, segments, j, Graph(8), base)
+        assert res.contained and res.grey_ok
+        assert res.template.m == 2 + 4 - 2  # no blue pair: the aligned matching goes
 
     def test_missing_pair_named(self):
         base = path_graph(6)
         j = power(base, 2)
         h = Graph(2, [(0, 1)])
         segments = [(0, 1), (2, 3)]
-        res = check_template_containment(h, 1, 2, segments, j)
+        res = check_template_containment(h, 1, 2, segments, j, Graph(6), base)
         assert not res.contained
         assert res.offending == ((0, 1), (0, 3))
 
@@ -206,15 +206,16 @@ class TestTemplateContainment:
         j = power(base, 3)
         h = Graph(2, [(0, 1)])
         segments = [(0, 1), (2, 3)]
-        res = check_template_containment(h, 1, 2, segments, j, blue=j)
+        res = check_template_containment(h, 1, 2, segments, j, j, base)
         assert res.contained and res.grey_ok is False
         assert "segment" in res.grey_problem
 
     def test_segment_shape_validation(self):
+        h, j, no_blue = Graph(2, [(0, 1)]), complete_graph(4), Graph(4)
         with pytest.raises(ParameterError):
-            check_template_containment(Graph(2, [(0, 1)]), 1, 2, [(0, 1)], complete_graph(4))
+            check_template_containment(h, 1, 2, [(0, 1)], j, no_blue, j)
         with pytest.raises(ParameterError):
-            check_template_containment(Graph(2, [(0, 1)]), 1, 2, [(0, 1), (1, 2)], complete_graph(4))
+            check_template_containment(h, 1, 2, [(0, 1), (1, 2)], j, no_blue, j)
 
 
 def biased_instance(seed: int, bad_per_edge: int = 2, clique: int = 6):

@@ -4,8 +4,10 @@
 Each JSON config of tests/golden (and each class-P config that `gen` reads)
 has every field, at every depth, set in turn to each value of MUTATIONS, or
 deleted.  Each integer flag of a golden command line is set to each value of
-FLAG_VALUES.  The cases run in one worker process, `python test_fuzz_exits.py`
-reading the case list on stdin, under an address-space limit, so an input
+FLAG_VALUES, and each vertex-list flag (`--path`) to each of PATH_VALUES: a
+negative vertex, a vertex beyond every golden graph and a repeated vertex.
+The cases run in one worker process, `python test_fuzz_exits.py` reading
+the case list on stdin, under an address-space limit, so an input
 that allocates without bound ends in MemoryError (reported as a crash)
 instead of taking the machine's memory.  Each case runs cli.main in process
 under a timer: when it fires, main's catch-all reports `internal error:
@@ -32,6 +34,7 @@ ROOT = TESTS.parent
 MUTATIONS = [-1, 0, 2, 1.5, True, None, "x", "1/0", "-1/2", [], {}, [[0, 1]]]
 DELETE = object()
 FLAG_VALUES = ["-1", "0", "-7"]
+PATH_VALUES = ["-1", "99", "0,0"]
 CASE_SECONDS = 4  # the per-case limit
 MEMORY_BYTES = 1 << 30  # the worker's address space
 
@@ -87,10 +90,10 @@ def cases() -> list[dict]:
                                 "files": {**files, f: json.dumps(_mutated(doc, path, value))},
                                 "argv": argv})
         for i, token in enumerate(argv[:-1]):
-            if token.startswith("--") and _is_int(argv[i + 1]):
-                for value in FLAG_VALUES:
-                    out.append({"name": f"{name} {token} {value}", "files": files,
-                                "argv": argv[:i + 1] + [value] + argv[i + 2:]})
+            values = FLAG_VALUES if token.startswith("--") and _is_int(argv[i + 1]) else []
+            for value in values + (PATH_VALUES if token == "--path" else []):
+                out.append({"name": f"{name} {token} {value}", "files": files,
+                            "argv": argv[:i + 1] + [value] + argv[i + 2:]})
     return out
 
 

@@ -68,7 +68,7 @@ def _colours(edges, colour) -> str:
 
 def _blowup_colours(base: str, t: int, seed: int, cross) -> str:
     """Colour 1 inside each clique of the sheared blow-up of base, cross(u, v) between cliques."""
-    host, _ = ref_sheared_blowup(graph_from_text(base), t, seed)
+    host = ref_sheared_blowup(graph_from_text(base), t, seed)[0]
     return _colours(host.edges, lambda u, v: 1 if u // t == v // t else cross(u, v))
 
 

@@ -41,6 +41,7 @@ from graph_reference import (
     ref_prune_to_size,
     ref_sheared_blowup,
     ref_validate_blowup_map,
+    removed_pairs,
 )
 
 
@@ -150,18 +151,19 @@ def test_blowups_match_reference(t):
         want, want_map = ref_complete_blowup(h, t)
         assert (host, host.sorted_edges()) == (want, want.sorted_edges()), (i, t)
         assert list(host.edges) == sorted(frozenset(want.edges)), (i, t)
-        assert (bmap.clique_of, bmap.removed_matchings, bmap.matching_rule) == (want_map.clique_of, {}, "none")
+        assert (bmap.clique_of, bmap.matchings, bmap.matching_rule) == (want_map.clique_of, (), "none")
         assert frozenset(_checked_edges(host.n, host.edges)) == host.edges
         ref_validate_blowup_map(bmap)
         for seed in (None, 3, 1000 + i):
             host, bmap = sheared_blowup(h, t, seed)
-            want, want_map = ref_sheared_blowup(h, t, seed)
+            want, want_map, want_removed = ref_sheared_blowup(h, t, seed)
             assert (host, host.sorted_edges()) == (want, want.sorted_edges()), (i, t, seed)
             # Both iterate in lexicographic order, so colour rules that walk
             # host.edges meet the edges in the same sequence.
             assert list(host.edges) == list(want.edges) == sorted(frozenset(want.edges)), (i, t, seed)
             assert bmap.clique_of == want_map.clique_of
-            assert list(bmap.removed_matchings.items()) == list(want_map.removed_matchings.items())
+            assert bmap.matchings == want_map.matchings
+            assert list(removed_pairs(bmap).items()) == list(want_removed.items())
             assert bmap.matching_rule == want_map.matching_rule
             assert frozenset(_checked_edges(host.n, host.edges)) == host.edges
             ref_validate_blowup_map(bmap)
@@ -192,6 +194,7 @@ def test_template_linearisation_matches_reference():
     # Segments are shuffled blocks of a complete j; each base pair at distance
     # <= r gets a random perfect matching of blue pairs, which the containment
     # check takes as is, so the reference can be handed the same matchings.
+    # With no blue pair, the check removes the aligned matchings.
     rng = random.Random(15)
     for trial in range(80):
         n, t, r = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 2)
@@ -206,10 +209,11 @@ def test_template_linearisation_matches_reference():
             perm = rng.sample(range(t), t)
             matchings[(i1, i2)] = {(a, perm[a]) for a in range(t)}
             blue_pairs += [(segments[i1][a], segments[i2][perm[a]]) for a in range(t)]
-        for blue, removed in ((None, {}), (Graph(n * t, blue_pairs), matchings)):
-            res = check_template_containment(h, r, t, segments, j, blue=blue)
+        aligned = {e: {(a, a) for a in range(t)} for e in hr.sorted_edges()}
+        for blue, removed in ((Graph(n * t), aligned), (Graph(n * t, blue_pairs), matchings)):
+            res = check_template_containment(h, r, t, segments, j, blue, j)
             want = ref_linear_template(hr, t, removed)
-            assert res.contained and res.grey_ok is not False, trial
+            assert res.contained and res.grey_ok and res.distance_ok, trial
             assert res.template == want and list(res.template.edges) == list(want.edges), trial
 
 
@@ -217,7 +221,8 @@ def test_template_blowups_match_set_filter_reference():
     # Each segment pair gets a random partial matching of blue pairs, which
     # check_template_containment extends to a perfect matching (free right
     # positions in ascending order) and removes.  The reference template is
-    # the complete blow-up of h^r less those matchings' pairs, as a set.
+    # the complete blow-up of h^r less those matchings' pairs, as a set.  With
+    # no blue pair, every extension is the aligned matching.
     rng = random.Random(23)
     for trial in range(80):
         n, t, r = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 2)
@@ -236,8 +241,9 @@ def test_template_blowups_match_set_filter_reference():
             full = [match[a] if a in match else free.pop(0) for a in range(t)]
             want_removed[(i1, i2)] = frozenset((i1 * t + a, i2 * t + full[a]) for a in range(t))
         complete, _ = ref_complete_blowup(hr, t)
-        for blue, removed in ((None, {}), (Graph(n * t, blue_pairs), want_removed)):
-            res = check_template_containment(h, r, t, segments, j, blue=blue)
-            assert res.contained and res.grey_ok is not False, trial
+        aligned = {(i1, i2): frozenset((i1 * t + a, i2 * t + a) for a in range(t)) for i1, i2 in hr.sorted_edges()}
+        for blue, removed in ((Graph(n * t), aligned), (Graph(n * t, blue_pairs), want_removed)):
+            res = check_template_containment(h, r, t, segments, j, blue, j)
+            assert res.contained and res.grey_ok and res.distance_ok, trial
             want = set(complete.edges) - frozenset().union(*removed.values())
             assert list(res.template.edges) == sorted(want), trial

@@ -234,11 +234,6 @@ class TestBlowups:
         assert bmap.clique_of[2] == (8, 9, 10, 11)
         assert bmap.clique_of[1] == (4, 5, 6, 7)
 
-    def test_subclique_must_stay_inside(self):
-        _, bmap = complete_blowup(path_graph(2), 2)
-        with pytest.raises(ParameterError):
-            bmap.with_subcliques({0: (0, 3)})
-
 
 class TestGirth:
     def test_c5_above_limit(self):

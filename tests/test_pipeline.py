@@ -245,6 +245,14 @@ class TestBaseCaseDriver:
             base_case_driver(1, params, GenerationConfig(p=Fraction(1), seed=0))
         assert exc.value.achieved < 6
 
+    @pytest.mark.parametrize("n_target", [-5, -1, 0])
+    def test_n_target_below_one_is_refused(self, n_target):
+        # A slice bound: -1 used to embed the cover's longest path less its last vertex.
+        params = ClassPParams(GOOD, t=2, n=12)
+        with pytest.raises(ParameterError, match="n_target must be >= 1"):
+            base_case_driver(1, params, GenerationConfig(p=Fraction(1), seed=0),
+                             base_graph=cycle_graph(24), n_target=n_target)
+
     def test_path_shortfall_reported(self):
         params = ClassPParams(GOOD, t=2, n=12)
         with pytest.raises(BaseCaseError) as exc:
