@@ -70,7 +70,6 @@ from .graphs import (
 )
 from .partition import (
     PartitionResult,
-    Segment,
     auxiliary_graph,
     long_path_through_sets,
     partition_two_coloured,

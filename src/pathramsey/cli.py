@@ -276,14 +276,13 @@ def _cmd_longpath(args) -> int:
         _emit(dump_report({"found": False, "longest": longest}), args.out)
         return 1
     _emit(dump_report({"found": True, "vertices": list(path.vertices),
-                       "classTrace": list(path.class_trace or [])}), args.out)
+                       "classTrace": [i % len(parts) for i in range(len(path))]}), args.out)
     return 0
 
 
 def _cmd_segments(args) -> int:
-    vertices = _vertex_list(args.path, "--path")
-    segs = segment_path(PathWitness(vertices), args.t)
-    _emit(dump_report({"segments": [{"index": s.index, "vertices": list(s.vertices)} for s in segs]}),
+    segs = segment_path(_vertex_list(args.path, "--path"), args.t)
+    _emit(dump_report({"segments": [{"index": i, "vertices": list(s)} for i, s in enumerate(segs)]}),
           args.out)
     return 0
 

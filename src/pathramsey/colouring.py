@@ -401,6 +401,8 @@ def build_aux_colouring(
         raise ParameterError("k must be >= 0")
     if len(subcliques) != j.n:
         raise ParameterError("need one subclique per vertex of j")
+    if blue_colour not in range(1, chi.s + 1):
+        raise ParameterError(f"blue colour {blue_colour} outside 1..{chi.s}")
     # The colour map's keys are exactly the host's edges, so a missing pair is a non-edge.
     col = chi._col
     is_blue = lambda a, b: col.get((a, b) if a < b else (b, a)) == blue_colour

@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .errors import ConstructionError, LLLFailureError, ParameterError
@@ -212,7 +213,6 @@ class TemplateResult:
     grey_ok: bool = False
     grey_problem: str | None = None
     template: Graph | None = None
-    vertex_ids: tuple[int, ...] | None = None
     distance_ok: bool = False
 
 
@@ -233,7 +233,8 @@ def check_template_containment(
     at most a matching; they are extended to a perfect matching and removed,
     leaving a sheared blow-up of h^r whose edges are all grey.  The base graph
     (on j's vertices) additionally checks that segments at h-distance d sit
-    within base distance (t-1)m + (m-1), m = d+1, of each other.
+    within base distance (t-1)m + (m-1), m = d+1, of each other.  Template
+    vertex i*t + p is position p of segment i.
     """
     if h.n != len(segments):
         raise ParameterError("one segment per template vertex required")
@@ -244,70 +245,51 @@ def check_template_containment(
     if len(set(flat)) != len(flat):
         raise ParameterError("segments overlap")
 
-    hr = power(h, r)
-
-    # Containment: segment cliques and complete cross pairs.
+    # Each segment must span a j-clique with no blue pair inside.
+    grey_ok, grey_problem = True, None
     for i, seg in enumerate(segments):
-        for a in range(t):
-            for b in range(a + 1, t):
-                if not j.has_edge(seg[a], seg[b]):
-                    return TemplateResult(False, ((i, i), (seg[a], seg[b])))
-    for i1, i2 in hr.sorted_edges():
-        for x in segments[i1]:
-            for y in segments[i2]:
-                if not j.has_edge(x, y):
-                    return TemplateResult(False, ((i1, i2), (x, y)))
+        for x, y in combinations(seg, 2):
+            if not j.has_edge(x, y):
+                return TemplateResult(False, ((i, i), (x, y)))
+            if blue.has_edge(x, y):
+                grey_ok = False
+                grey_problem = f"pair {(min(x, y), max(x, y))} inside segment {i} is not grey"
 
-    # A connecting path over m = d+1 segments walks at most t-1 steps inside
-    # each segment plus m-1 crossing edges, so representatives sit at base
-    # distance at most (t-1)m + (m-1).  The bound stays below t*r exactly
-    # when the pair is at h-distance < r.
+    # Each hr-edge needs complete cross pairs and at most a matching of blue
+    # ones.  A connecting path over m = d+1 segments walks at most t-1 steps
+    # inside each segment plus m-1 crossing edges, so representatives sit at
+    # base distance at most (t-1)m + (m-1).  The bound stays below t*r
+    # exactly when the pair is at h-distance < r.
     distance_ok = True
-    hdist = [distances(h, v) for v in range(h.n)]
-    bdist = {}
+    hdist: dict[int, list[float]] = {}  # computed once per first endpoint, as hr's edges ascend
+    bdist: dict[int, list[float]] = {}  # filled after a j-edge: a vertex outside j fails containment
+    perms = []  # per hr edge, the removed matching as a permutation
+    hr = power(h, r)
     for i1, i2 in hr.sorted_edges():
+        if i1 not in hdist:
+            hdist[i1] = distances(h, i1)
         m = int(hdist[i1][i2]) + 1
         limit = (t - 1) * m + (m - 1)
-        for x in segments[i1]:
-            if x not in bdist:
-                bdist[x] = distances(base, x)
-            for y in segments[i2]:
+        match, matching = {}, True  # the blue cross pairs as positions a -> b
+        for a, x in enumerate(segments[i1]):
+            for b, y in enumerate(segments[i2]):
+                if not j.has_edge(x, y):
+                    return TemplateResult(False, ((i1, i2), (x, y)))
+                if x not in bdist:
+                    bdist[x] = distances(base, x)
                 if bdist[x][y] > limit:
                     distance_ok = False
-
-    grey_ok = True
-    grey_problem: str | None = None
-    perms = []  # per hr edge, the removed matching as a permutation
-    for i, seg in enumerate(segments):
-        for a in range(t):
-            for b in range(a + 1, t):
-                if blue.has_edge(seg[a], seg[b]):
-                    grey_ok = False
-                    e = (min(seg[a], seg[b]), max(seg[a], seg[b]))
-                    grey_problem = f"pair {e} inside segment {i} is not grey"
-    for i1, i2 in hr.sorted_edges():
-        non_grey = []
-        for ai, x in enumerate(segments[i1]):
-            for bi, y in enumerate(segments[i2]):
                 if blue.has_edge(x, y):
-                    non_grey.append((ai, bi))
-        left_used = [a for a, _ in non_grey]
-        right_used = [b for _, b in non_grey]
-        if len(set(left_used)) != len(left_used) or len(set(right_used)) != len(right_used):
+                    matching = matching and a not in match and b not in match.values()
+                    match[a] = b
+        if not matching:
             grey_ok = False
             grey_problem = f"non-grey pairs between segments {i1},{i2} exceed a matching"
-            non_grey = non_grey[:t]
         # Extend the partial matching to a perfect one over position indices.
-        match = dict(non_grey)
         free_right = [b for b in range(t) if b not in match.values()]
         perms.append([match[a] if a in match else free_right.pop(0) for a in range(t)])
-    if not grey_ok:
-        return TemplateResult(True, grey_problem=grey_problem, distance_ok=distance_ok)
-
-    # Linearised template: vertex (segment i, position p) -> i*t + p.
-    vertex_ids = tuple(v for seg in segments for v in seg)
-    template = _blowup(hr, t, perms)[0]
-    return TemplateResult(True, None, grey_ok, grey_problem, template, vertex_ids, distance_ok)
+    template = _blowup(hr, t, perms)[0] if grey_ok else None
+    return TemplateResult(True, None, grey_ok, grey_problem, template, distance_ok)
 
 
 # -- local-lemma embedder -------------------------------------------------------
@@ -353,7 +335,11 @@ def make_lll_instance(
     chi=None,
     blue_colour: int | None = None,
 ) -> LLLInstance:
-    """Build the bad-pair table: forbidden = non-adjacent in host, or blue under chi."""
+    """Build the bad-pair table: forbidden = non-adjacent in host, or blue_colour (in 1..chi.s) under chi."""
+    if chi is None and blue_colour is not None:
+        raise ParameterError("a blue colour needs a colouring")
+    if chi is not None and blue_colour not in range(1, chi.s + 1):
+        raise ParameterError(f"blue colour {blue_colour} outside 1..{chi.s}")
     if len(cliques) != template.n:
         raise ParameterError("one candidate clique per template vertex required")
     for i, cl in enumerate(cliques):

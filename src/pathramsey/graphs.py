@@ -438,19 +438,15 @@ def _cycle_path(adj: Sequence[int], u: int, v: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PathWitness:
-    """An explicit path: an ordered tuple of distinct, consecutively adjacent vertices.
-
-    class_trace, when present, records the index of the part containing each
-    vertex; position i must sit in part i mod t.
-    """
+    """An explicit path: an ordered tuple of distinct, consecutively adjacent vertices."""
 
     vertices: tuple[int, ...]
-    class_trace: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def validate(self, g: Graph, parts: Sequence[Iterable[int]] | None = None) -> None:
+        """Raise unless this is a path of g; with parts given, position i must lie in parts[i mod t]."""
         vs = self.vertices
         for v in vs:
             if not 0 <= v < g.n:
@@ -460,18 +456,11 @@ class PathWitness:
         for a, b in zip(vs, vs[1:]):
             if not g.has_edge(a, b):
                 raise GraphFormatError(f"path step ({a},{b}) is not an edge")
-        if self.class_trace is not None:
-            if len(self.class_trace) != len(vs):
-                raise GraphFormatError("class trace length mismatch")
-            if parts is None:
-                raise ParameterError("class trace given but no parts to check against")
-            t = len(parts)
-            part_sets = [set(p) for p in parts]
-            for i, (v, j) in enumerate(zip(vs, self.class_trace)):
-                if j != i % t:
-                    raise GraphFormatError(f"position {i} labelled part {j}, expected {i % t}")
-                if v not in part_sets[j]:
-                    raise GraphFormatError(f"vertex {v} at position {i} is not in part {j}")
+        if parts is not None:
+            part_sets = [set(p) for p in parts] or [set()]  # no part holds any vertex
+            for i, v in enumerate(vs):
+                if v not in part_sets[i % len(part_sets)]:
+                    raise GraphFormatError(f"vertex {v} at position {i} is not in part {i % len(part_sets)}")
 
 
 # -- edge-list text format -------------------------------------------------

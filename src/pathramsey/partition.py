@@ -476,7 +476,7 @@ def long_path_through_sets(
 
     try:
         for found in _depth_first((extend([v], 1 << v) for v in part_sets[0]), node_budget):
-            witness = PathWitness(found, tuple(i % t for i in range(len(found))))
+            witness = PathWitness(found)
             witness.validate(g, part_sets)
             return witness
     except BudgetExceededError:
@@ -485,40 +485,30 @@ def long_path_through_sets(
         extend = None
     raise NoPathFoundError(
         f"no constrained path of length {target_len} found (longest {len(best)})",
-        longest=PathWitness(tuple(best), tuple(i % t for i in range(len(best)))),
+        longest=PathWitness(tuple(best)),
     )
 
 
 # -- segments and the segment graph -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
-    """t consecutive vertices of a partitioned path."""
-
-    index: int
-    vertices: tuple[int, ...]
-
-
-def segment_path(path: PathWitness, t: int) -> list[Segment]:
-    """Split a path into consecutive blocks of exactly t vertices."""
+def segment_path(vertices: Sequence[int], t: int) -> list[tuple[int, ...]]:
+    """Split a path's vertices into consecutive blocks of exactly t."""
     if t < 1:
         raise ParameterError("segment size must be >= 1")
-    if len(path) % t:
-        raise ParameterError(f"path length {len(path)} not divisible by t = {t}")
-    return [
-        Segment(i, tuple(path.vertices[i * t:(i + 1) * t]))
-        for i in range(len(path) // t)
-    ]
+    if len(vertices) % t:
+        raise ParameterError(f"path length {len(vertices)} not divisible by t = {t}")
+    if len(set(vertices)) != len(vertices):
+        raise ParameterError("path repeats a vertex")
+    if min(vertices, default=0) < 0:
+        raise ParameterError(f"path vertex {min(vertices)} is negative")
+    return [tuple(vertices[i:i + t]) for i in range(0, len(vertices), t)]
 
 
-def auxiliary_graph(g: Graph, segments: Sequence[Segment | Sequence[int]]) -> Graph:
+def auxiliary_graph(g: Graph, segments: Sequence[Sequence[int]]) -> Graph:
     """Graph on segment indices joining two segments when any g-edge crosses them."""
-    vertex_lists = [
-        tuple(s.vertices) if isinstance(s, Segment) else tuple(s) for s in segments
-    ]
     owner: dict[int, int] = {}
-    for i, vs in enumerate(vertex_lists):
+    for i, vs in enumerate(segments):
         for v in vs:
             if v in owner:
                 raise ParameterError(f"segments overlap at vertex {v}")
@@ -531,7 +521,7 @@ def auxiliary_graph(g: Graph, segments: Sequence[Segment | Sequence[int]]) -> Gr
         if iu is None or iv is None or iu == iv:
             continue
         edges.add((min(iu, iv), max(iu, iv)))
-    return Graph(len(vertex_lists), edges)
+    return Graph(len(segments), edges)
 
 
 def sparsify(h: Graph, p, seed: int) -> Graph:

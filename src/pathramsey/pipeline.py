@@ -277,14 +277,12 @@ def induction_step(
     trace.append({"stage": "class-size", "status": "ok",
                   "detail": {"classSizes": [len(c) for c in classes], "floor": seg_count}})
 
-    # Long path through the classes inside the base graph.
-    class_base = [[ids[jv] for jv in c] for c in classes]
-    all_base = sorted(v for cls in class_base for v in cls)
-    j2, ids2 = induced_subgraph(g, all_base)
-    to_j2 = {v: i for i, v in enumerate(ids2)}
-    parts_j2 = [[to_j2[v] for v in cls] for cls in class_base]
+    # Long path through the classes inside G[W], on the class vertices only.
+    g_c, ids_c = induced_subgraph(g_w, sorted(v for c in classes for v in c))
+    to_c = {v: i for i, v in enumerate(ids_c)}
     try:
-        path2 = long_path_through_sets(j2, parts_j2, needed_len, gamma=Fraction(1, 2 * cfg.t))
+        path = long_path_through_sets(g_c, [[to_c[v] for v in c] for c in classes], needed_len,
+                                      gamma=Fraction(1, 2 * cfg.t))
     except PreconditionError as exc:
         return _fail(trace, "long-path-expansion", str(exc))
     except NoPathFoundError as exc:
@@ -293,11 +291,10 @@ def induction_step(
     trace.append({"stage": "long-path", "status": "ok", "detail": {"length": needed_len}})
 
     # Segments and the segment-adjacency graph.
-    segs = segment_path(path2, cfg.t)
-    segments_base = [tuple(ids2[v] for v in s.vertices) for s in segs]
-    h_prime = auxiliary_graph(g, segments_base)
+    segments = segment_path([ids_c[v] for v in path.vertices], cfg.t)
+    h_prime = auxiliary_graph(g_w, segments)
     trace.append({"stage": "segments", "status": "ok",
-                  "detail": {"count": len(segments_base), "segmentSize": cfg.t,
+                  "detail": {"count": len(segments), "segmentSize": cfg.t,
                              "segmentGraphEdges": h_prime.m}})
     try:
         params_mid = ClassPParams(
@@ -335,10 +332,8 @@ def induction_step(
                            failure_reason="reduced graph fails class membership", trace=trace)
 
     # Grey template containment inside the derived graph.
-    base_to_j = {b: i for i, b in enumerate(ids)}
-    kept_segments_base = [segments_base[i] for i in kept]
-    segments_j = [tuple(base_to_j[v] for v in seg) for seg in kept_segments_base]
-    tmpl = check_template_containment(h_final, cfg.r, cfg.t, segments_j, j, aux.blue, g_w)
+    kept_segments = [segments[i] for i in kept]
+    tmpl = check_template_containment(h_final, cfg.r, cfg.t, kept_segments, j, aux.blue, g_w)
     if not tmpl.contained:
         return _fail(trace, "template", f"containment fails at {tmpl.offending}")
     if not tmpl.grey_ok:
@@ -349,7 +344,7 @@ def induction_step(
                              "distanceOk": tmpl.distance_ok}})
 
     # Resample-until-clean embedding of the template into the host.
-    cliques = [aux.subcliques[jv] for jv in tmpl.vertex_ids]
+    cliques = [aux.subcliques[jv] for seg in kept_segments for jv in seg]
     instance = make_lll_instance(tmpl.template, cliques, host, chi, blue)
     budget = 100 * max(1, tmpl.template.m)
     trace.append({"stage": "lll-instance", "status": "ok", "detail": instance.to_dict()})

@@ -9,7 +9,9 @@ the colour-map validation that checks item by item, the colour-map check
 that compares keys as a set, the recursive backtracking subgraph embedder,
 and the recursive constrained long-path search.  ref_validate_aux_colouring
 re-checks an auxiliary colouring's blue graph and witnesses against its host
-colouring, with the biclique walk above.
+colouring, with the biclique walk above.  ref_template_containment is the
+template check that walks the edges of h^r three times: for containment,
+for the distance bound and for the blue matchings.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from typing import Sequence
 from pathramsey import Graph
 from pathramsey.errors import ConstructionError, ParameterError
 
-from graph_reference import ref_adjacency, ref_pattern_order
+from graph_reference import (
+    ref_adjacency,
+    ref_distances,
+    ref_linear_template,
+    ref_pattern_order,
+    ref_power,
+)
 
 
 def ref_ham_path_table(masks: Sequence[int], n: int) -> list[int]:
@@ -310,3 +318,55 @@ def ref_long_path(g: Graph, parts, target_len: int, node_budget: int):
     except Spent:
         pass
     return False, tuple(best)
+
+
+def ref_template_containment(h: Graph, r: int, t: int, segments, j: Graph, blue: Graph, base: Graph) -> tuple:
+    """check_template_containment's result as (contained, offending, grey_ok,
+    grey_problem, template, distance_ok), on valid segment shapes.
+
+    Containment comes first over every segment and then every edge of h^r,
+    and its first failure is the result.  Then the distance bound, over
+    every edge again.  Then the grey checks, whose last problem is kept;
+    each edge's blue cross pairs, when they form a matching, are extended
+    to a perfect matching (free right positions ascending) and removed.
+    """
+    hr = ref_power(h, r)
+    for i, seg in enumerate(segments):
+        for a in range(t):
+            for b in range(a + 1, t):
+                if not j.has_edge(seg[a], seg[b]):
+                    return False, ((i, i), (seg[a], seg[b])), False, None, None, False
+    for i1, i2 in hr.sorted_edges():
+        for x in segments[i1]:
+            for y in segments[i2]:
+                if not j.has_edge(x, y):
+                    return False, ((i1, i2), (x, y)), False, None, None, False
+
+    distance_ok = True
+    for i1, i2 in hr.sorted_edges():
+        m = int(ref_distances(h, i1)[i2]) + 1
+        for x in segments[i1]:
+            for y in segments[i2]:
+                if ref_distances(base, x)[y] > (t - 1) * m + (m - 1):
+                    distance_ok = False
+
+    problem = None
+    for i, seg in enumerate(segments):
+        for a in range(t):
+            for b in range(a + 1, t):
+                if blue.has_edge(seg[a], seg[b]):
+                    pair = (min(seg[a], seg[b]), max(seg[a], seg[b]))
+                    problem = f"pair {pair} inside segment {i} is not grey"
+    removed = {}
+    for i1, i2 in hr.sorted_edges():
+        pairs = [(a, b) for a, x in enumerate(segments[i1]) for b, y in enumerate(segments[i2])
+                 if blue.has_edge(x, y)]
+        if len({a for a, _ in pairs}) < len(pairs) or len({b for _, b in pairs}) < len(pairs):
+            problem = f"non-grey pairs between segments {i1},{i2} exceed a matching"
+            continue
+        match = dict(pairs)
+        free = [b for b in range(t) if b not in match.values()]
+        removed[(i1, i2)] = {(a, match[a] if a in match else free.pop(0)) for a in range(t)}
+    if problem is not None:
+        return True, None, False, problem, None, distance_ok
+    return True, None, True, None, ref_linear_template(hr, t, removed), distance_ok

@@ -204,6 +204,13 @@ class TestGraphOps:
         doc = json.loads(out)
         assert [s["vertices"] for s in doc["segments"]] == [[0, 1, 2], [3, 4, 5]]
 
+    @pytest.mark.parametrize("path,message", [("0,0", "path repeats a vertex"),
+                                              ("-1,2", "path vertex -1 is negative")])
+    def test_segments_refuse_repeated_or_negative_vertex(self, run, path, message):
+        # Both used to exit 0, with vertex 0 in two segments or a segment holding -1.
+        code, out, err = run("segments", f"--path={path}", "--t", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestPartitionLongpath:
     def test_partition_found(self, run, graph_file):
@@ -402,7 +409,33 @@ class TestEmbedBase:
         assert (code, out, err) == (2, "", "error: n_target must be >= 1\n")
 
 
+def _golden_case(tmp_path, monkeypatch, name: str, drop: tuple = (), **fields) -> list[str]:
+    """Write the golden corpus case's input files into tmp_path, with its JSON
+    config's fields set or dropped, and return the case's command line."""
+    from test_golden import COMMANDS
+
+    for file, text in COMMANDS[name].items():
+        if file.endswith(".json"):
+            doc = dict(json.loads(text), **fields)
+            text = json.dumps({key: value for key, value in doc.items() if key not in drop})
+        if file != "argv":
+            (tmp_path / file).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return COMMANDS[name]["argv"]
+
+
 class TestLllEmbed:
+    @pytest.mark.parametrize("blue", [9, -3])
+    def test_blue_outside_the_colouring_exits_two(self, run, tmp_path, monkeypatch, blue):
+        # The golden config with such a colour used to exit 0: no pair counted as blue.
+        code, out, err = run(*_golden_case(tmp_path, monkeypatch, "lll-embed", blue=blue))
+        assert (code, out, err) == (2, "", f"error: blue colour {blue} outside 1..2\n")
+
+    def test_blue_without_colours_exits_two(self, run, tmp_path, monkeypatch):
+        # A blue colour with no colouring used to be ignored silently.
+        code, out, err = run(*_golden_case(tmp_path, monkeypatch, "lll-embed", drop=("colours",)))
+        assert (code, out, err) == (2, "", "error: a blue colour needs a colouring\n")
+
     def test_bundle_run(self, run, tmp_path, graph_file):
         template = graph_file(Graph(2, [(0, 1)]), "template.edges")
         host_g = complete_bipartite(4, 4)
@@ -556,6 +589,13 @@ class TestExitCodes:
 
 
 class TestAuxColour:
+    @pytest.mark.parametrize("blue", [9, 0])
+    def test_blue_outside_the_colouring_exits_two(self, run, tmp_path, monkeypatch, blue):
+        # With one-vertex subcliques the golden config used to exit 0 with every edge grey.
+        argv = _golden_case(tmp_path, monkeypatch, "aux-colour", blue=blue, subcliqueSize=1)
+        code, out, err = run(*argv)
+        assert (code, out, err) == (2, "", f"error: blue colour {blue} outside 1..2\n")
+
     def _doc(self, graph_file):
         j = graph_file(Graph(2, [(0, 1)]), "j.edges")
         host_g, _ = __import__("pathramsey").sheared_blowup(Graph(2, [(0, 1)]), 5)

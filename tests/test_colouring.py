@@ -282,6 +282,14 @@ class TestBuildAuxColouring:
         with pytest.raises(ParameterError, match="k must be >= 0"):
             build_aux_colouring(Graph(2, []), subs, chi, -1, 1)
 
+    @pytest.mark.parametrize("blue,size", [(9, 1), (0, 1), (3, 4), (-1, 4)])
+    def test_blue_colour_outside_the_colouring_is_refused(self, blue, size):
+        # With one-vertex subcliques every edge used to come out grey; with
+        # larger ones the refusal blamed a subclique, not the colour.
+        j, host, subs, chi = two_vertex_aux(0)
+        with pytest.raises(ParameterError, match=f"blue colour {blue} outside 1..2"):
+            build_aux_colouring(j, [s[:size] for s in subs], chi, 1, blue)
+
 
 class TestBluePathPromotion:
     def test_one_edge_path_gives_blue_p4(self):

@@ -302,6 +302,19 @@ class TestLLLEmbed:
         with pytest.raises(ParameterError):
             make_lll_instance(template, [(0, 1), ()], host)
 
+    @pytest.mark.parametrize("blue", [0, 3, 9, -3, None])
+    def test_blue_colour_outside_the_colouring_is_refused(self, blue):
+        # An out-of-range colour used to make no pair blue, and the instance passed.
+        template, host = Graph(2, [(0, 1)]), complete_bipartite(2, 2)
+        chi = EdgeColouring.constant(host, 2, 1)
+        with pytest.raises(ParameterError, match=f"blue colour {blue} outside 1..2"):
+            make_lll_instance(template, [(0, 1), (2, 3)], host, chi, blue)
+
+    def test_blue_colour_without_colouring_is_refused(self):
+        # It used to be ignored silently.
+        with pytest.raises(ParameterError, match="a blue colour needs a colouring"):
+            make_lll_instance(Graph(2, [(0, 1)]), [(0, 1), (2, 3)], complete_bipartite(2, 2), None, 1)
+
     def test_adjacency_only_instance_without_colouring(self):
         template = Graph(2, [(0, 1)])
         host = Graph(4, [(0, 2), (0, 3), (1, 2)])

@@ -308,12 +308,15 @@ class TestPathWitness:
         with pytest.raises(GraphFormatError):
             PathWitness((0, 1, 0)).validate(path_graph(3))
 
-    def test_class_trace_checked(self):
+    def test_parts_checked_by_position(self):
+        # Position i must lie in parts[i mod t]: the same path fails once the parts swap.
         g = cycle_graph(6)
-        parts = [[0, 2, 4], [1, 3, 5]]
-        PathWitness((0, 1, 2, 3), (0, 1, 0, 1)).validate(g, parts)
-        with pytest.raises(GraphFormatError):
-            PathWitness((0, 1, 2, 3), (0, 1, 1, 0)).validate(g, parts)
+        path = PathWitness((0, 1, 2, 3))
+        path.validate(g, [[0, 2, 4], [1, 3, 5]])
+        with pytest.raises(GraphFormatError, match="vertex 0 at position 0 is not in part 0"):
+            path.validate(g, [[1, 3, 5], [0, 2, 4]])
+        with pytest.raises(GraphFormatError, match="is not in part 0"):
+            path.validate(g, [])
 
 
 class TestEdgeListFormat:

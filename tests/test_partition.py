@@ -16,7 +16,6 @@ from pathramsey import (
     PartitionResult,
     PathWitness,
     PreconditionError,
-    Segment,
     auxiliary_graph,
     complete_graph,
     cycle_graph,
@@ -213,27 +212,34 @@ class TestLongPath:
 
 class TestSegments:
     def test_six_into_three(self):
-        segs = segment_path(PathWitness((0, 1, 2, 3, 4, 5)), 3)
-        assert len(segs) == 2
-        assert segs[0].vertices == (0, 1, 2) and segs[1].vertices == (3, 4, 5)
+        assert segment_path((0, 1, 2, 3, 4, 5), 3) == [(0, 1, 2), (3, 4, 5)]
 
     def test_singletons(self):
-        segs = segment_path(PathWitness((3, 1, 4, 1 + 4, 9, 2)), 1)
-        assert len(segs) == 6 and all(len(s.vertices) == 1 for s in segs)
+        assert segment_path([3, 1, 4, 1 + 4, 9, 2], 1) == [(3,), (1,), (4,), (5,), (9,), (2,)]
 
     def test_twelve_into_four(self):
-        segs = segment_path(PathWitness(tuple(range(12))), 4)
-        assert [s.vertices for s in segs] == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
+        segs = segment_path(tuple(range(12)), 4)
+        assert segs == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
 
     def test_indivisible_rejected(self):
         with pytest.raises(ParameterError):
-            segment_path(PathWitness((0, 1, 2)), 2)
+            segment_path((0, 1, 2), 2)
+
+    @pytest.mark.parametrize("vertices,message", [
+        ((0, 0), "path repeats a vertex"),
+        ((2, 5, 2, 7), "path repeats a vertex"),
+        ((-1, 2), "path vertex -1 is negative"),
+    ])
+    def test_repeated_or_negative_vertex_rejected(self, vertices, message):
+        # Both used to split into segments: a repeat landed in two of them.
+        with pytest.raises(ParameterError, match=message):
+            segment_path(vertices, 1)
 
 
 class TestAuxiliaryGraph:
     def test_consecutive_segments_adjacent(self):
         g = path_graph(12)
-        segs = segment_path(PathWitness(tuple(range(12))), 3)
+        segs = segment_path(tuple(range(12)), 3)
         h = auxiliary_graph(g, segs)
         for i in range(len(segs) - 1):
             assert h.has_edge(i, i + 1)

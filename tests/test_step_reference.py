@@ -16,6 +16,7 @@ from pathramsey import (
     PipelineConfig,
     build_aux_colouring,
     build_step_host,
+    check_template_containment,
     complete_graph,
     cycle_graph,
     find_blue_biclique,
@@ -25,6 +26,7 @@ from pathramsey import (
     long_path_through_sets,
     mono_clique_in_clique,
     path_graph,
+    power,
     quad,
     random_graph,
     sheared_blowup,
@@ -41,6 +43,7 @@ from step_reference import (
     ref_long_path,
     ref_max_clique_at_least,
     ref_mono_clique_in_clique,
+    ref_template_containment,
     ref_validate_aux_colouring,
 )
 
@@ -285,7 +288,7 @@ def _long_path_outcome(g: Graph, parts, target_len: int, node_budget: int):
     try:
         w = long_path_through_sets(g, parts, target_len, node_budget=node_budget)
     except NoPathFoundError as exc:
-        assert exc.longest.class_trace == tuple(i % len(parts) for i in range(len(exc.longest)))
+        exc.longest.validate(g, parts)
         return False, exc.longest.vertices
     return True, w.vertices
 
@@ -341,3 +344,54 @@ def test_step_host_never_builds_adjacency_masks():
     # The outcome embeds a path power into the host and validates it there.
     assert host.m == 33_120 and outcome.kind == "monoPowerFound"
     assert host._masks is None
+
+
+def _template_instance(rng: random.Random):
+    """A random template check: h, r, t, segments and j, blue, base on N vertices.
+
+    j is complete less a few pairs, so containment fails inside segments and
+    across edges of h^r, or holds.  blue plants a partial matching per edge
+    of h^r, and now and then stray pairs, so some pairs inside a segment are
+    blue and some cross pairs are not a matching.  A sparse base misses the
+    distance bound.  One segment vertex in twenty lies outside j.
+    """
+    n, t, r = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 2)
+    h = random_graph(n, rng.choice((0.3, 0.6, 1.0)), seed=rng.randrange(10**6))
+    size = n * t + rng.randint(0, 3)
+    segments = [list(seg) for seg in zip(*[iter(rng.sample(range(size), n * t))] * t)]
+    if rng.random() < 0.05:
+        segments[rng.randrange(n)][rng.randrange(t)] = size
+    segments = [tuple(seg) for seg in segments]
+    missing = rng.choice((0, 0, 0.01, 0.1))
+    j = Graph(size, [e for e in complete_graph(size).edges if rng.random() >= missing])
+    blue_pairs = []
+    for i1, i2 in power(h, r).sorted_edges():
+        for a, b in enumerate(rng.sample(range(t), t)):
+            if rng.random() < 0.5:
+                blue_pairs.append((segments[i1][a], segments[i2][b]))
+    stray = rng.choice((0, 0, 0.05))
+    blue_pairs += [e for e in complete_graph(size).edges if rng.random() < stray]
+    blue = Graph(size, [e for e in blue_pairs if max(e) < size])
+    base = rng.choice((j, random_graph(size, rng.choice((0.1, 0.3)), seed=rng.randrange(10**6))))
+    return h, r, t, segments, j, blue, base
+
+
+def test_template_check_matches_three_pass_reference():
+    seen = set()
+    rng = random.Random(31)
+    for trial in range(400):
+        h, r, t, segments, j, blue, base = _template_instance(rng)
+        res = check_template_containment(h, r, t, segments, j, blue, base)
+        want = ref_template_containment(h, r, t, segments, j, blue, base)
+        got = (res.contained, res.offending, res.grey_ok, res.grey_problem, res.template, res.distance_ok)
+        assert got == want, trial
+        if res.template is not None:
+            assert list(res.template.edges) == list(want[4].edges), trial
+        if not res.contained:
+            seen.add("inside" if res.offending[0][0] == res.offending[0][1] else "across")
+            seen.add("outside j" if max(res.offending[1]) >= j.n else "in j")
+        else:
+            seen.add("grey" if res.grey_ok else res.grey_problem.split()[0])
+            seen.add("distance ok" if res.distance_ok else "distance miss")
+    assert seen == {"inside", "across", "outside j", "in j", "grey", "pair", "non-grey",
+                    "distance ok", "distance miss"}
