@@ -24,7 +24,6 @@ from .colouring import (
 from .embedding import (
     ConstantsChain,
     Embedding,
-    EmbeddingReport,
     LLLInstance,
     TemplateResult,
     check_template_containment,
@@ -51,7 +50,6 @@ from .errors import (
 from .graphs import (
     BlowupMap,
     Graph,
-    PathWitness,
     complete_blowup,
     complete_graph,
     cycle_graph,
@@ -65,7 +63,6 @@ from .graphs import (
     path_power,
     power,
     random_graph,
-    read_edge_list,
     sheared_blowup,
 )
 from .partition import (

@@ -25,7 +25,6 @@ from . import (
     NoPathFoundError,
     ParameterError,
     PathRamseyError,
-    PathWitness,
     PipelineConfig,
     arrow_check,
     base_case_driver,
@@ -272,10 +271,9 @@ def _cmd_longpath(args) -> int:
         path = long_path_through_sets(g, parts, args.target, gamma=gamma,
                                       node_budget=args.budget)
     except NoPathFoundError as exc:
-        longest = list(exc.longest.vertices) if exc.longest else []
-        _emit(dump_report({"found": False, "longest": longest}), args.out)
+        _emit(dump_report({"found": False, "longest": exc.longest}), args.out)
         return 1
-    _emit(dump_report({"found": True, "vertices": list(path.vertices),
+    _emit(dump_report({"found": True, "vertices": path,
                        "classTrace": [i % len(parts) for i in range(len(path))]}), args.out)
     return 0
 
@@ -334,8 +332,7 @@ def _cmd_embed_base(args) -> int:
         if not args.graph or not args.path:
             raise ConfigError("embed-base needs either --config or both --graph and --path")
         g = _read_graph(args.graph)
-        vertices = _vertex_list(args.path, "--path")
-        emb = embed_base_case(g, args.k, PathWitness(vertices), matching_seed=args.seed)
+        emb = embed_base_case(g, args.k, _vertex_list(args.path, "--path"), matching_seed=args.seed)
     # embed_base_case validates its embedding and raises on an invalid one.
     _emit(dump_report({"found": True, "embedding": emb.to_dict(),
                        "patternVertices": emb.pattern.n, "valid": True}), args.out)

@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import Graph, PathWitness, _depth_first, _edge_subset, _mask_vertices, path_power
+from .graphs import Graph, _depth_first, _edge_subset, _mask_vertices, path_power
 
 Edge = tuple[int, int]
 
@@ -217,11 +217,6 @@ def find_subgraph(host: Graph, pattern: Graph) -> Embedding | None:
 # -- monochromatic cliques -------------------------------------------------------
 
 
-def _max_clique_at_least(masks: Sequence[int], target: int) -> tuple[int, ...] | None:
-    """The lexicographically first clique of exactly `target` vertices in the graph masks gives, or None."""
-    return next(_depth_first(_grow_clique(masks, target, (), (1 << len(masks)) - 1)), None)
-
-
 def _grow_clique(masks: Sequence[int], target: int, clique: tuple[int, ...], cand: int):
     """Search node (graphs._depth_first): clique, and cand the higher vertices joined to all of it.
 
@@ -266,7 +261,8 @@ def mono_clique_in_clique(
             row[i] |= 1 << j
             row[j] |= 1 << i
     for c in range(1, colouring.s + 1):
-        found = _max_clique_at_least(masks[c], target)
+        # the lexicographically first target-clique of colour c, by position
+        found = next(_depth_first(_grow_clique(masks[c], target, (), (1 << k) - 1)), None)
         if found is not None:
             return c, tuple(sorted(verts[i] for i in found))
     return None
@@ -424,16 +420,15 @@ def build_aux_colouring(
 # -- blue path promotion -------------------------------------------------------------
 
 
-def blue_path_to_blue_power(blue_path: PathWitness, aux: AuxColouring) -> Embedding:
-    """Promote a blue path in the derived graph to a blue path power in the host.
+def blue_path_to_blue_power(verts: Sequence[int], aux: AuxColouring) -> Embedding:
+    """Promote a blue path, by its vertices in the derived graph, to a blue path power in the host.
 
     With k = aux.k, each consecutive edge contributes a 2k-by-2k blue biclique
     witness; inner witnesses are split into disjoint k-halves inside each
     subclique, and the concatenated ordering realises the k-th power of a
     path on 2k * len vertices with every close pair blue.
     """
-    verts, k = blue_path.vertices, aux.k
-    n = len(verts)
+    k, n = aux.k, len(verts)
     if n == 0:
         raise ParameterError("empty path")
     if n == 1:
@@ -462,9 +457,9 @@ def blue_path_to_blue_power(blue_path: PathWitness, aux: AuxColouring) -> Embedd
     pattern = path_power(2 * k * n, k)
     constraint = (aux.chi, frozenset({aux.blue_colour}))
     emb = Embedding(pattern, aux.chi.host, tuple(ordering), constraint)
-    rep = validate_embedding(emb)
-    if not rep.ok:
-        raise ConstructionError(f"promoted embedding failed validation: {rep.problem}")
+    problem = validate_embedding(emb)
+    if problem is not None:
+        raise ConstructionError(f"promoted embedding failed validation: {problem}")
     return emb
 
 
@@ -596,9 +591,9 @@ def arrow_check(
         watch = 1 << m | sum(bit[mapping[a], mapping[b]] for a, b in pattern.edges)
         if witness is None:
             emb = Embedding(pattern, host, mapping)
-            rep = validate_embedding(emb)
-            if not rep.ok:
-                raise ConstructionError(f"witness embedding invalid: {rep.problem}")
+            problem = validate_embedding(emb)
+            if problem is not None:
+                raise ConstructionError(f"witness embedding invalid: {problem}")
             witness = (c + 1, emb)
     if mode == "exhaustive":
         return ArrowVerdict(True, None, witness, searched)

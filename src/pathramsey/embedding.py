@@ -5,8 +5,8 @@ resample-until-clean local-lemma embedder.
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -16,14 +16,14 @@ from .errors import ConstructionError, LLLFailureError, ParameterError
 from .graphs import (
     BlowupMap,
     Graph,
-    PathWitness,
     _blowup,
     distances,
     path_power,
     power,
     sheared_blowup,
+    validate_path,
 )
-from .pseudorandom import GoodQuadruple, GoodnessReport, is_good
+from .pseudorandom import GoodQuadruple, is_good
 
 MAX_EXACT_BITS = 1_000_000
 
@@ -49,33 +49,27 @@ class Embedding:
         return {str(i): v for i, v in enumerate(self.mapping)}
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    ok: bool
-    problem: str | None = None
-
-
-def validate_embedding(e: Embedding) -> EmbeddingReport:
-    """Re-check injectivity, edge coverage, and the colour constraint directly.
+def validate_embedding(e: Embedding) -> str | None:
+    """The first problem with injectivity, edge coverage or the colour constraint, or None.
 
     Deliberately naive loops, independent of any constructor's bookkeeping.
     """
     if len(e.mapping) != e.pattern.n:
-        return EmbeddingReport(False, "mapping length differs from pattern order")
+        return "mapping length differs from pattern order"
     for v in e.mapping:
         if not 0 <= v < e.host.n:
-            return EmbeddingReport(False, f"host vertex {v} out of range")
+            return f"host vertex {v} out of range"
     if len(set(e.mapping)) != len(e.mapping):
-        return EmbeddingReport(False, "not injective")
+        return "not injective"
     for u, v in e.pattern.edges:
         hu, hv = e.mapping[u], e.mapping[v]
         if not e.host.has_edge(hu, hv):
-            return EmbeddingReport(False, f"pattern edge ({u},{v}) maps to non-edge ({hu},{hv})")
+            return f"pattern edge ({u},{v}) maps to non-edge ({hu},{hv})"
         if e.colour_constraint is not None:
             col, allowed = e.colour_constraint
             if col.colour(hu, hv) not in allowed:
-                return EmbeddingReport(False, f"edge ({hu},{hv}) has a forbidden colour")
-    return EmbeddingReport(True)
+                return f"edge ({hu},{hv}) has a forbidden colour"
+    return None
 
 
 # -- constants chain ---------------------------------------------------------
@@ -86,8 +80,10 @@ class ConstantsChain:
     """Exact derived parameters for one induction level.
 
     clique_size is the exact blow-up clique size when it fits in
-    MAX_EXACT_BITS bits, else None; clique_log is its base-s logarithm
-    (= s * t_prime) either way.
+    MAX_EXACT_BITS bits and its decimal form in the interpreter's digit
+    limit, else None; clique_log is its base-s logarithm (= s * t_prime)
+    either way.  input_failing names the goodness conditions the input
+    quadruple fails; the derived quadruple is always good.
     """
 
     k: int
@@ -104,9 +100,7 @@ class ConstantsChain:
     delta: Fraction
     clique_log: Fraction
     clique_size: int | None
-    derived_quad: GoodQuadruple
-    derived_report: GoodnessReport
-    input_report: GoodnessReport | None = None
+    input_failing: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -119,8 +113,8 @@ class ConstantsChain:
             "logT_base_s": self.clique_log,
             "T": str(self.clique_size) if self.clique_size is not None else None,
             "TDigits": len(str(self.clique_size)) if self.clique_size is not None else None,
-            "inputGood": self.input_report.good if self.input_report else None,
-            "derivedGood": self.derived_report.good,
+            "inputGood": not self.input_failing,
+            "derivedGood": True,  # constants_chain raises otherwise
         }
 
 
@@ -136,7 +130,7 @@ def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> Con
     d0 = Fraction(d0)
     if d0 <= 0:
         raise ParameterError("d0 must be positive")
-    rep = is_good(q)
+    input_failing = is_good(q)
     t_prime = q.b ** (2 * r * k) * Fraction(t) ** (2 * k)
     big_a = 2 * d0 * (q.a + 1) * s * t
     big_c = min(Fraction(1, 2 * s * t), q.eps ** 2 * q.c ** 2 / (240 * q.a))
@@ -144,20 +138,24 @@ def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> Con
     delta = q.eps / 2
     big_b = 264 * big_a ** 2 / (delta ** 2 * big_c ** 2)
     clique_log = s * t_prime
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    for name, x in (("Tprime", t_prime), ("logT_base_s", clique_log)):
+        if digits and max(x.numerator, x.denominator) >= 10 ** digits:
+            raise ParameterError(f"{name} has more than {digits} decimal digits, too many to print")
     clique_size: int | None = None
-    if clique_log.denominator == 1:
-        bits = int(clique_log) * math.log2(s) if s > 1 else 0
-        if bits <= MAX_EXACT_BITS:
-            clique_size = s ** int(clique_log)
-    derived = GoodQuadruple(big_a, big_b, big_c, delta)
-    derived_report = is_good(derived)
-    if not derived_report.good:
-        raise ConstructionError(
-            f"derived quadruple fails goodness: {', '.join(derived_report.failing)}"
-        )
+    # Integers only: e may be far past any float.  s^e has at least
+    # e * floor(log2 s) bits, so it is built only when that fits.
+    e = clique_log.numerator
+    if clique_log.denominator == 1 and (s.bit_length() - 1) * e <= MAX_EXACT_BITS:
+        size = s ** e
+        if size <= 1 << MAX_EXACT_BITS and not (digits and size >= 10 ** digits):
+            clique_size = size
+    derived_failing = is_good(GoodQuadruple(big_a, big_b, big_c, delta))
+    if derived_failing:
+        raise ConstructionError(f"derived quadruple fails goodness: {', '.join(derived_failing)}")
     return ConstantsChain(
         k, s, r, t, q, d0, t_prime, big_a, big_b, big_c, big_r, delta,
-        clique_log, clique_size, derived, derived_report, rep,
+        clique_log, clique_size, input_failing,
     )
 
 
@@ -181,25 +179,25 @@ def _greedy_window(
 
 
 def embed_base_case(
-    g: Graph, k: int, path_in_g: PathWitness, matching_seed: int | None = None
+    g: Graph, k: int, vertices: Sequence[int], matching_seed: int | None = None
 ) -> Embedding:
     """Embed the k-th power of an n-path into the sheared (k+1)-blow-up of g^k.
 
-    Walk the given path left to right; at each step pick the lowest vertex of
+    Walk the given path of g left to right; at each step pick the lowest vertex of
     the next clique adjacent to the k previously chosen vertices.  Each earlier
     vertex excludes at most one candidate (one removed matching partner), and
     the clique has k+1 vertices, so a candidate always remains.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    path_in_g.validate(g)
+    validate_path(g, vertices)
     host_base = power(g, k)
     host, bmap = sheared_blowup(host_base, k + 1, seed=matching_seed)
-    chosen = _greedy_window(host, bmap, path_in_g.vertices, k)
-    emb = Embedding(path_power(len(path_in_g), k), host, chosen)
-    rep = validate_embedding(emb)
-    if not rep.ok:
-        raise ConstructionError(f"greedy embedding failed validation: {rep.problem}")
+    chosen = _greedy_window(host, bmap, vertices, k)
+    emb = Embedding(path_power(len(vertices), k), host, chosen)
+    problem = validate_embedding(emb)
+    if problem is not None:
+        raise ConstructionError(f"greedy embedding failed validation: {problem}")
     return emb
 
 
@@ -335,19 +333,28 @@ def make_lll_instance(
     chi=None,
     blue_colour: int | None = None,
 ) -> LLLInstance:
-    """Build the bad-pair table: forbidden = non-adjacent in host, or blue_colour (in 1..chi.s) under chi."""
+    """Build the bad-pair table: forbidden = non-adjacent in host, or blue_colour (in 1..chi.s) under chi.
+
+    The candidate sets must be disjoint: two template vertices with no edge
+    between them share no bad event, so nothing would keep them apart.
+    """
     if chi is None and blue_colour is not None:
         raise ParameterError("a blue colour needs a colouring")
     if chi is not None and blue_colour not in range(1, chi.s + 1):
         raise ParameterError(f"blue colour {blue_colour} outside 1..{chi.s}")
     if len(cliques) != template.n:
         raise ParameterError("one candidate clique per template vertex required")
+    owner: dict[int, int] = {}
     for i, cl in enumerate(cliques):
         if not cl:
             raise ParameterError(f"candidate set of template vertex {i} is empty")
         for x in cl:
             if type(x) is not int or not 0 <= x < host.n:
                 raise ParameterError(f"candidate {x!r} of template vertex {i} is not a host vertex")
+            if owner.setdefault(x, i) != i:
+                raise ParameterError(
+                    f"candidate sets of template vertices {owner[x]} and {i} share host vertex {x}"
+                )
     bad: dict[tuple[int, int], frozenset] = {}
     for u, v in template.sorted_edges():
         pairs = []
@@ -423,7 +430,7 @@ def lll_embed(instance: LLLInstance, seed: int, max_resamples: int) -> Embedding
         )
         constraint = (instance.chi, allowed)
     emb = Embedding(instance.template, instance.host, mapping, constraint)
-    rep = validate_embedding(emb)
-    if not rep.ok:
-        raise ConstructionError(f"resampled embedding failed validation: {rep.problem}")
+    problem = validate_embedding(emb)
+    if problem is not None:
+        raise ConstructionError(f"resampled embedding failed validation: {problem}")
     return emb

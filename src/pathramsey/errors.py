@@ -34,7 +34,7 @@ class NoCoverFoundError(PathRamseyError):
 class NoPathFoundError(PathRamseyError):
     """Constrained path search exhausted; carries the longest path achieved."""
 
-    def __init__(self, message: str, longest=None):
+    def __init__(self, message: str, longest: tuple[int, ...] = ()):
         super().__init__(message)
         self.longest = longest
 

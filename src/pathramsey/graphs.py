@@ -8,12 +8,11 @@ safe to use as dict keys.
 
 from __future__ import annotations
 
-import io
 import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, islice, product
-from typing import Generator, Iterable, Iterator, Sequence, TextIO
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, GraphFormatError, ParameterError
 
@@ -433,41 +432,38 @@ def _cycle_path(adj: Sequence[int], u: int, v: int) -> list[int]:
         layers.append(reached)
 
 
-# -- path witnesses -------------------------------------------------------
+# -- paths ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathWitness:
-    """An explicit path: an ordered tuple of distinct, consecutively adjacent vertices."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def validate(self, g: Graph, parts: Sequence[Iterable[int]] | None = None) -> None:
-        """Raise unless this is a path of g; with parts given, position i must lie in parts[i mod t]."""
-        vs = self.vertices
-        for v in vs:
-            if not 0 <= v < g.n:
-                raise GraphFormatError(f"path vertex {v} out of range for n={g.n}")
-        if len(set(vs)) != len(vs):
-            raise GraphFormatError("path repeats a vertex")
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                raise GraphFormatError(f"path step ({a},{b}) is not an edge")
-        if parts is not None:
-            part_sets = [set(p) for p in parts] or [set()]  # no part holds any vertex
-            for i, v in enumerate(vs):
-                if v not in part_sets[i % len(part_sets)]:
-                    raise GraphFormatError(f"vertex {v} at position {i} is not in part {i % len(part_sets)}")
+def validate_path(g: Graph, vertices: Sequence[int], parts: Sequence[Iterable[int]] | None = None) -> None:
+    """Raise unless vertices form a path of g; with parts given, position i must lie in parts[i mod t]."""
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphFormatError(f"path vertex {v} out of range for n={g.n}")
+    if len(set(vertices)) != len(vertices):
+        raise GraphFormatError("path repeats a vertex")
+    for a, b in zip(vertices, vertices[1:]):
+        if not g.has_edge(a, b):
+            raise GraphFormatError(f"path step ({a},{b}) is not an edge")
+    if parts is not None:
+        part_sets = [set(p) for p in parts] or [set()]  # no part holds any vertex
+        for i, v in enumerate(vertices):
+            if v not in part_sets[i % len(part_sets)]:
+                raise GraphFormatError(f"vertex {v} at position {i} is not in part {i % len(part_sets)}")
 
 
 # -- edge-list text format -------------------------------------------------
 
 
-def read_edge_list(inp: TextIO) -> Graph:
-    header = inp.readline()
+def graph_to_text(g: Graph) -> str:
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    return "\n".join(lines) + "\n"
+
+
+def graph_from_text(text: str) -> Graph:
+    """Parse a header 'n m' and m lines 'u v' with 0 <= u < v < n; lines end at "\n" alone."""
+    header, *lines = text.split("\n")
     parts = header.split()
     if len(parts) != 2:
         raise GraphFormatError("expected header 'n m'")
@@ -476,7 +472,7 @@ def read_edge_list(inp: TextIO) -> Graph:
     except ValueError as exc:
         raise GraphFormatError("header values must be integers") from exc
     edges: list[Edge] = []
-    for lineno, line in enumerate(inp, start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         fields = line.split()
@@ -494,13 +490,3 @@ def read_edge_list(inp: TextIO) -> Graph:
     if len(set(edges)) != len(edges):
         raise GraphFormatError("duplicate edge in file")
     return Graph(n, edges)
-
-
-def graph_to_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    return read_edge_list(io.StringIO(text))

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import Graph, PathWitness, _depth_first, _edge_subset, _frontiers, _mask_vertices
+from .graphs import Graph, _depth_first, _edge_subset, _frontiers, _mask_vertices, validate_path
 from .pseudorandom import _record_pairs, disjoint_pair_count, prune_to_size
 
 EXHAUSTIVE_CAP = 12
@@ -42,20 +42,14 @@ class PartitionResult:
     Empty classes are permitted; all nonempty classes share one size.
     """
 
-    blue_paths: tuple[PathWitness, ...]
+    blue_paths: tuple[tuple[int, ...], ...]
     red_classes: tuple[tuple[int, ...], ...]
 
     def to_dict(self) -> dict:
         return {
-            "bluePaths": [list(p.vertices) for p in self.blue_paths],
+            "bluePaths": [list(p) for p in self.blue_paths],
             "redClasses": [list(c) for c in self.red_classes],
         }
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    ok: bool
-    problem: str | None = None
 
 
 def _blue_components(masks: Sequence[int], rmask: int) -> list[int]:
@@ -228,9 +222,7 @@ def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
             groups = _group_components(comps, ell + 1, exact=exact)
             if groups is None:
                 continue
-            paths = tuple(
-                PathWitness(tuple(_recover_path(ends, masks, piece))) for piece in pieces
-            )
+            paths = tuple(tuple(_recover_path(ends, masks, piece)) for piece in pieces)
             classes = tuple(tuple(_mask_vertices(gm)) for gm in groups)
             return PartitionResult(paths, classes)
     return None
@@ -308,7 +300,7 @@ def _partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult | 
                 if groups is None:
                     continue
                 return PartitionResult(
-                    tuple(PathWitness(tuple(p)) for p in trial_paths if p),
+                    tuple(tuple(p) for p in trial_paths if p),
                     tuple(tuple(_mask_vertices(g)) for g in groups),
                 )
     return None
@@ -343,47 +335,47 @@ def partition_two_coloured(
         raise ParameterError("mode must be 'auto', 'exhaustive', or 'heuristic'")
     if result is None:
         raise NoCoverFoundError(f"no cover found (mode={mode}, ell={ell})")
-    report = verify_partition(blue, result, ell)
-    if not report.ok:
-        raise NoCoverFoundError(f"search produced an invalid cover: {report.problem}")
+    problem = verify_partition(blue, result, ell)
+    if problem is not None:
+        raise NoCoverFoundError(f"search produced an invalid cover: {problem}")
     return result
 
 
-def verify_partition(blue: Graph, result: PartitionResult, ell: int) -> PartitionReport:
-    """Validate every cover invariant against the blue graph; first violation wins."""
+def verify_partition(blue: Graph, result: PartitionResult, ell: int) -> str | None:
+    """The first cover invariant the result violates against the blue graph, or None if it is a cover."""
     n = blue.n
     nonempty_paths = [p for p in result.blue_paths if len(p) > 0]
     if len(nonempty_paths) > ell:
-        return PartitionReport(False, f"{len(nonempty_paths)} blue paths exceed ell = {ell}")
+        return f"{len(nonempty_paths)} blue paths exceed ell = {ell}"
     if len(result.red_classes) > ell + 1:
-        return PartitionReport(False, f"{len(result.red_classes)} classes exceed ell+1")
+        return f"{len(result.red_classes)} classes exceed ell+1"
     seen: set[int] = set()
     for p in result.blue_paths:
-        for v in p.vertices:
+        for v in p:
             if v in seen or not 0 <= v < n:
-                return PartitionReport(False, f"vertex {v} repeated or out of range")
+                return f"vertex {v} repeated or out of range"
             seen.add(v)
-        for a, b in zip(p.vertices, p.vertices[1:]):
+        for a, b in zip(p, p[1:]):
             if not blue.has_edge(a, b):
-                return PartitionReport(False, f"path edge ({a},{b}) is not blue")
+                return f"path edge ({a},{b}) is not blue"
     class_sizes = []
     for cls in result.red_classes:
         for v in cls:
             if v in seen or not 0 <= v < n:
-                return PartitionReport(False, f"vertex {v} repeated or out of range")
+                return f"vertex {v} repeated or out of range"
             seen.add(v)
         if cls:
             class_sizes.append(len(cls))
     if len(set(class_sizes)) > 1:
-        return PartitionReport(False, f"unbalanced nonempty classes: sizes {sorted(class_sizes)}")
+        return f"unbalanced nonempty classes: sizes {sorted(class_sizes)}"
     if seen != set(range(n)):
-        return PartitionReport(False, "cover misses or exceeds the vertex set")
+        return "cover misses or exceeds the vertex set"
     for c1, c2 in combinations(result.red_classes, 2):
         for u in c1:
             for v in c2:
                 if blue.has_edge(u, v):
-                    return PartitionReport(False, f"cross-class pair ({u},{v}) is not red")
-    return PartitionReport(True)
+                    return f"cross-class pair ({u},{v}) is not red"
+    return None
 
 
 # -- constrained long paths -------------------------------------------------------
@@ -408,7 +400,7 @@ def long_path_through_sets(
     target_len: int,
     gamma: Fraction | None = None,
     node_budget: int = 1_000_000,
-) -> PathWitness:
+) -> tuple[int, ...]:
     """A path of target_len vertices whose position-i vertex lies in parts[i mod t].
 
     When gamma is given and the instance is small, the expansion hypothesis
@@ -476,16 +468,15 @@ def long_path_through_sets(
 
     try:
         for found in _depth_first((extend([v], 1 << v) for v in part_sets[0]), node_budget):
-            witness = PathWitness(found)
-            witness.validate(g, part_sets)
-            return witness
+            validate_path(g, found, part_sets)
+            return found
     except BudgetExceededError:
         pass
     finally:  # extend refers to itself: break the cycle, so the memo goes now
         extend = None
     raise NoPathFoundError(
         f"no constrained path of length {target_len} found (longest {len(best)})",
-        longest=PathWitness(tuple(best)),
+        longest=tuple(best),
     )
 
 

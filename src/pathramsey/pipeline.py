@@ -39,7 +39,6 @@ from .errors import (
 from .graphs import (
     BlowupMap,
     Graph,
-    PathWitness,
     induced_subgraph,
     path_power,
     power,
@@ -177,17 +176,14 @@ def induction_step(
         except NoPathFoundError as exc:
             return _fail(trace, "bypass-path", str(exc))
         try:
-            mapping = _greedy_window(host, blowup, path.vertices, cfg.k)
+            mapping = _greedy_window(host, blowup, path, cfg.k)
         except ConstructionError as exc:
             return _fail(trace, "bypass-embed", str(exc))
-        emb = Embedding(
-            path_power(len(path.vertices), cfg.k), host, mapping, (chi, frozenset({1}))
-        )
-        rep = validate_embedding(emb)
-        if not rep.ok:
-            return _fail(trace, "bypass-validate", rep.problem or "invalid")
-        trace.append({"stage": "bypass", "status": "ok",
-                      "detail": {"pathLength": len(path.vertices)}})
+        emb = Embedding(path_power(len(path), cfg.k), host, mapping, (chi, frozenset({1})))
+        problem = validate_embedding(emb)
+        if problem is not None:
+            return _fail(trace, "bypass-validate", problem)
+        trace.append({"stage": "bypass", "status": "ok", "detail": {"pathLength": len(path)}})
         return StepOutcome("monoPowerFound", embedding=emb, trace=trace)
 
     # Monochromatic cliques inside each blow-up clique.
@@ -249,9 +245,8 @@ def induction_step(
         except NoPathFoundError:
             pass
     if long_blue is not None:
-        sub = PathWitness(tuple(long_blue.vertices[: cfg.n]))
         try:
-            emb = blue_path_to_blue_power(sub, aux)
+            emb = blue_path_to_blue_power(long_blue[: cfg.n], aux)
         except (PreconditionError, ConstructionError) as exc:
             return _fail(trace, "blue-power", str(exc))
         trace.append({
@@ -286,12 +281,11 @@ def induction_step(
     except PreconditionError as exc:
         return _fail(trace, "long-path-expansion", str(exc))
     except NoPathFoundError as exc:
-        longest = len(exc.longest) if exc.longest else 0
-        return _fail(trace, "long-path", f"needed {needed_len}, achieved {longest}")
+        return _fail(trace, "long-path", f"needed {needed_len}, achieved {len(exc.longest)}")
     trace.append({"stage": "long-path", "status": "ok", "detail": {"length": needed_len}})
 
     # Segments and the segment-adjacency graph.
-    segments = segment_path([ids_c[v] for v in path.vertices], cfg.t)
+    segments = segment_path([ids_c[v] for v in path], cfg.t)
     h_prime = auxiliary_graph(g_w, segments)
     trace.append({"stage": "segments", "status": "ok",
                   "detail": {"count": len(segments), "segmentSize": cfg.t,
@@ -380,9 +374,9 @@ def base_case_driver(
     member in hand pass it here).  Honest failure (BaseCaseError) reports the
     achieved path length when the cover's longest path falls short.
     """
-    rep = is_good(params.quad)
-    if not rep.good:
-        raise ParameterError(f"quadruple is not good: {', '.join(rep.failing)}")
+    failing = is_good(params.quad)
+    if failing:
+        raise ParameterError(f"quadruple is not good: {', '.join(failing)}")
     target = params.n if n_target is None else n_target
     if target < 1:  # a slice bound: -1 would keep all but one vertex
         raise ParameterError("n_target must be >= 1")
@@ -391,11 +385,10 @@ def base_case_driver(
     else:
         g, _cert, _log = generate_class_p(params, gen)
     cover = partition_two_coloured(g, ell=1, seed=gen.seed)
-    longest = max(cover.blue_paths, key=len, default=PathWitness(()))
+    longest = max(cover.blue_paths, key=len, default=())
     if len(longest) < target:
         raise BaseCaseError(
             f"longest path has {len(longest)} vertices, need {target}",
             achieved=len(longest),
         )
-    path = PathWitness(tuple(longest.vertices[:target]))
-    return embed_base_case(g, k, path, matching_seed=matching_seed)
+    return embed_base_case(g, k, longest[:target], matching_seed=matching_seed)

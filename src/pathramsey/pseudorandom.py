@@ -67,22 +67,17 @@ def quad(a, b, c, eps) -> GoodQuadruple:
     return GoodQuadruple(Fraction(a), Fraction(b), Fraction(c), Fraction(eps))
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
-    good: bool
-    conditions: dict[str, bool]
-    failing: tuple[str, ...]
+def is_good(q: GoodQuadruple) -> tuple[str, ...]:
+    """The admissibility conditions q fails, none when q is good.
 
-
-def is_good(q: GoodQuadruple) -> GoodnessReport:
-    """Admissibility test: a >= 2c+1, b >= 264 a^2 / (eps^2 c^2), eps < 1/10."""
+    The conditions: a >= 2c+1, b >= 264 a^2 / (eps^2 c^2), eps < 1/10.
+    """
     conditions = {
         "a >= 2c+1": q.a >= 2 * q.c + 1,
         "b >= 264 a^2 eps^-2 c^-2": q.b >= 264 * q.a ** 2 / (q.eps ** 2 * q.c ** 2),
         "eps < 1/10": q.eps < Fraction(1, 10),
     }
-    failing = tuple(name for name, ok in conditions.items() if not ok)
-    return GoodnessReport(not failing, conditions, failing)
+    return tuple(name for name, ok in conditions.items() if not ok)
 
 
 @dataclass(frozen=True)

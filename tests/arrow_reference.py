@@ -118,9 +118,9 @@ def ref_arrow_check(host: Graph, pattern: Graph, s: int, mode: str = "exhaustive
         if witness is None:
             c, mapping = hit
             emb = Embedding(pattern, host, mapping)
-            rep = validate_embedding(emb)
-            if not rep.ok:
-                raise ConstructionError(f"witness embedding invalid: {rep.problem}")
+            problem = validate_embedding(emb)
+            if problem is not None:
+                raise ConstructionError(f"witness embedding invalid: {problem}")
             witness = (c, emb)
     if mode == "exhaustive":
         return ArrowVerdict(True, None, witness, searched)

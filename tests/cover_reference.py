@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from pathramsey import Graph, PartitionResult, PathWitness
+from pathramsey import Graph, PartitionResult
 from pathramsey.errors import GraphFormatError, ParameterError
 from pathramsey.partition import _blue_components
 
@@ -107,9 +107,7 @@ def ref_partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
             groups = ref_group_components(comps, ell + 1, exact=exact)
             if groups is None:
                 continue
-            paths = tuple(
-                PathWitness(tuple(ref_recover_path(dp, masks, piece))) for piece in pieces
-            )
+            paths = tuple(tuple(ref_recover_path(dp, masks, piece)) for piece in pieces)
             classes = tuple(tuple(ref_mask_vertices(gm)) for gm in groups)
             return PartitionResult(paths, classes)
     return None

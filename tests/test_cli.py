@@ -372,6 +372,33 @@ class TestConstants:
         assert doc["T"] == str(2 ** 32)
         assert doc["Tprime"] == "16/1"
 
+    @pytest.mark.parametrize("flag", ["--k", "--r"])
+    def test_exponent_beyond_float_range(self, run, flag):
+        # The golden case with k = 40 or r = 40 used to end in an internal OverflowError.
+        argv = ["constants", "--k", "1", "--s", "2", "--r", "1", "--t", "2",
+                "--quad", "3,950400,1,1/20", "--d0", "1"]
+        argv[argv.index(flag) + 1] = "40"
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["T"] is None and doc["TDigits"] is None and len(doc["Tprime"]) > 400
+
+    def test_clique_size_beyond_the_digit_limit_is_null(self, run, monkeypatch):
+        # T = 2^32768 has 9,865 digits: printing it used to end in an internal ValueError.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        code, out, err = run("constants", "--k", "7", "--s", "2", "--r", "1", "--t", "1",
+                             "--quad", "2,2,1/2,1/20", "--d0", "1")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["logT_base_s"], doc["T"], doc["TDigits"]) == ("32768/1", None, None)
+
+    def test_tprime_too_long_to_print_exits_two(self, run, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        code, out, err = run("constants", "--k", "3000", "--s", "2", "--r", "1", "--t", "2",
+                             "--quad", "3,950400,1,1/20", "--d0", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: Tprime has more than 4300 decimal digits, too many to print\n"
+
     def test_bad_quad_syntax_exit_two(self, run):
         code, _, err = run("constants", "--k", "1", "--s", "2", "--r", "1",
                            "--t", "2", "--quad", "3,1", "--d0", "1")
@@ -435,6 +462,18 @@ class TestLllEmbed:
         # A blue colour with no colouring used to be ignored silently.
         code, out, err = run(*_golden_case(tmp_path, monkeypatch, "lll-embed", drop=("colours",)))
         assert (code, out, err) == (2, "", "error: a blue colour needs a colouring\n")
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("cliques", [[[0, 1, 2], [3, 4, 5], [0, 1, 2]], [[0], [3], [0]]])
+    def test_overlapping_candidate_sets_exit_two(self, run, tmp_path, monkeypatch, cliques, seed):
+        # Seeds 1, 3, 4 and 5 used to exit 0 on the first sets, and a draw that
+        # put template vertices 0 and 2 on one host vertex ended in a failed
+        # injectivity check.
+        argv = _golden_case(tmp_path, monkeypatch, "lll-embed", drop=("colours", "blue"),
+                            cliques=cliques, seed=seed)
+        code, out, err = run(*argv)
+        assert (code, out, err) == (
+            2, "", "error: candidate sets of template vertices 0 and 2 share host vertex 0\n")
 
     def test_bundle_run(self, run, tmp_path, graph_file):
         template = graph_file(Graph(2, [(0, 1)]), "template.edges")

@@ -239,7 +239,6 @@ METHOD_READERS = {
     "GenerationLog.to_dict": "cli._cmd_gen",
     "LLLInstance.to_dict": "cli._cmd_lll_embed",
     "PartitionResult.to_dict": "cli._cmd_partition",
-    "PathWitness.validate": "partition.long_path_through_sets",
     "PipelineConfig.an": "pipeline.induction_step",
     "StepOutcome.to_dict": "cli._cmd_step",
 }

@@ -17,7 +17,7 @@ from pathramsey import (
     PipelineConfig, build_step_host, complete_graph, generate_class_p, induction_step,
     long_path_through_sets, mono_clique_in_clique, path_graph, quad, random_graph,
 )
-from pathramsey.colouring import _blue_biclique, _max_clique_at_least
+from pathramsey.colouring import _blue_biclique, _grow_clique
 from pathramsey.graphs import _depth_first
 from pathramsey.partition import _group_components
 from pathramsey.pseudorandom import _record_pairs, verify_edgeboost
@@ -207,7 +207,7 @@ def test_component_packing_leaves_no_cyclic_garbage():
 
 def test_long_path_leaves_no_cyclic_garbage():
     g = random_graph(14, 0.4, 3)
-    assert long_path_through_sets(g, [range(14)], 8).vertices
+    assert long_path_through_sets(g, [range(14)], 8)
     with pytest.raises(NoPathFoundError):
         long_path_through_sets(g, [range(14)], 15)
 
@@ -278,10 +278,14 @@ def test_step_with_an_80_vertex_clique_target_needs_no_deep_stack():
 
 def test_clique_and_biclique_searches_leave_no_cyclic_garbage():
     masks = random_graph(14, 0.6, 2).adjacency_masks()
-    assert _max_clique_at_least(masks, 4) is not None and _max_clique_at_least(masks, 14) is None
+
+    def first_clique(target):  # the search mono_clique_in_clique runs per colour
+        return next(_depth_first(_grow_clique(masks, target, (), (1 << 14) - 1)), None)
+
+    assert first_clique(4) is not None and first_clique(14) is None
     rows = random_graph(20, 0.5, 4).adjacency_masks()
     assert _blue_biclique(rows, 2) is not None and _blue_biclique(rows, 6) is None
-    assert garbage_left(lambda: _max_clique_at_least(masks, 4)) == 0
-    assert garbage_left(lambda: _max_clique_at_least(masks, 14)) == 0
+    assert garbage_left(lambda: first_clique(4)) == 0
+    assert garbage_left(lambda: first_clique(14)) == 0
     assert garbage_left(lambda: _blue_biclique(rows, 2)) == 0
     assert garbage_left(lambda: _blue_biclique(rows, 6)) == 0

@@ -4,6 +4,7 @@ template containment, resample-until-clean embedding."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from pathramsey import (
     Graph,
     LLLFailureError,
     ParameterError,
-    PathWitness,
     check_template_containment,
     complete_graph,
     constants_chain,
@@ -37,40 +37,37 @@ from graph_reference import mask_adjacency
 
 class TestValidateEmbedding:
     def test_constructor_output_passes(self):
-        emb = embed_base_case(path_graph(4), 1, PathWitness((0, 1, 2, 3)))
-        assert validate_embedding(emb).ok
+        emb = embed_base_case(path_graph(4), 1, (0, 1, 2, 3))
+        assert validate_embedding(emb) is None
 
     def test_collision_rejected(self):
         g = complete_graph(3)
         emb = Embedding(path_graph(2), g, (1, 1))
-        rep = validate_embedding(emb)
-        assert not rep.ok and "injective" in rep.problem
+        assert "injective" in validate_embedding(emb)
 
     def test_non_edge_rejected(self):
         g = path_graph(4)
         emb = Embedding(path_graph(2), g, (0, 2))
-        rep = validate_embedding(emb)
-        assert not rep.ok and "non-edge" in rep.problem
+        assert "non-edge" in validate_embedding(emb)
 
     def test_colour_constraint_enforced(self):
         host = complete_graph(3)
         col = EdgeColouring(host, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
         emb = Embedding(path_graph(2), host, (0, 2), (col, frozenset({1})))
-        rep = validate_embedding(emb)
-        assert not rep.ok and "colour" in rep.problem
+        assert "colour" in validate_embedding(emb)
         ok = Embedding(path_graph(2), host, (0, 1), (col, frozenset({1})))
-        assert validate_embedding(ok).ok
+        assert validate_embedding(ok) is None
 
     def test_wrong_length_rejected(self):
         emb = Embedding(path_graph(3), complete_graph(3), (0, 1))
-        assert not validate_embedding(emb).ok
+        assert validate_embedding(emb) is not None
 
     def test_names_the_lexicographically_first_failing_edge(self):
         # P6 into P6 less (2,3) and (3,4): both pattern edges fail, and a
         # plain frozenset of P6's edges meets (3,4) first.
         host = Graph(6, [(0, 1), (1, 2), (4, 5)])
-        rep = validate_embedding(Embedding(path_graph(6), host, tuple(range(6))))
-        assert rep.problem == "pattern edge (2,3) maps to non-edge (2,3)"
+        problem = validate_embedding(Embedding(path_graph(6), host, tuple(range(6))))
+        assert problem == "pattern edge (2,3) maps to non-edge (2,3)"
 
 
 GOOD = quad(3, 950400, 1, "1/20")
@@ -111,28 +108,75 @@ class TestConstantsChain:
                         continue
                     b = 264 * Fraction(a) ** 2 / (eps ** 2 * Fraction(c) ** 2)
                     q = quad(a, b, c, eps)
-                    assert is_good(q).good
+                    assert is_good(q) == ()
                     for d0 in (1, 2, 10):
                         for s in (1, 2, 3):
                             for t in (1, 2):
                                 chain = constants_chain(1, s, 1, t, q, d0)
-                                assert chain.derived_report.good
+                                derived = quad(chain.big_a, chain.big_b, chain.big_c, chain.delta)
+                                assert is_good(derived) == ()
+                                assert chain.to_dict()["derivedGood"] is True
 
     def test_rejects_bad_d0(self):
         with pytest.raises(ParameterError):
             constants_chain(1, 2, 1, 2, GOOD, 0)
 
+    def test_input_goodness_reported(self):
+        assert constants_chain(1, 2, 1, 2, GOOD, 1).to_dict()["inputGood"] is True
+        bad = quad(2, 2, "1/2", "1/20")
+        assert constants_chain(1, 2, 1, 2, bad, 1).input_failing == is_good(bad) != ()
+        assert constants_chain(1, 2, 1, 2, bad, 1).to_dict()["inputGood"] is False
+
+    @pytest.mark.parametrize("k,r", [(40, 1), (1, 40)])
+    def test_exponent_beyond_float_range(self, k, r):
+        # log2 T = 2 T' has over 300 digits, past any float: the size test
+        # used to raise OverflowError.
+        chain = constants_chain(k, 2, r, 2, GOOD, 1)
+        assert chain.clique_log == 2 * chain.t_prime > 10 ** 400
+        assert chain.clique_size is None
+        assert chain.to_dict()["T"] is None
+
+    def test_clique_size_held_only_within_the_digit_limit(self):
+        # T = 2^32768 fits MAX_EXACT_BITS but has 9,865 decimal digits.
+        q = quad(2, 2, "1/2", "1/20")
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            chain = constants_chain(7, 2, 1, 1, q, 1)
+            assert chain.clique_log == 32768 and chain.clique_size is None
+            assert chain.to_dict()["TDigits"] is None
+            sys.set_int_max_str_digits(0)  # no limit
+            chain = constants_chain(7, 2, 1, 1, q, 1)
+            assert chain.clique_size == 2 ** 32768
+            assert chain.to_dict()["TDigits"] == 9865
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_fields_too_long_to_print_are_refused(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            # T' = b^2 = 10^638 has 639 digits; log T = 1000 T' has 642.
+            chain = constants_chain(1, 1, 1, 1, quad(3, 10 ** 319, 1, "1/20"), 1)
+            assert chain.t_prime == 10 ** 638
+            with pytest.raises(ParameterError, match="^logT_base_s has more than 640 decimal digits"):
+                constants_chain(1, 1000, 1, 1, quad(3, 10 ** 319, 1, "1/20"), 1)
+            with pytest.raises(ParameterError, match="^Tprime has more than 640 decimal digits"):
+                constants_chain(1, 1, 1, 1, quad(3, 10 ** 320, 1, "1/20"), 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestEmbedBaseCase:
     def test_k1_along_any_path(self):
         g, perm = random_graph_with_path(3, 10, extra=8)
-        emb = embed_base_case(g, 1, PathWitness(perm))
-        assert validate_embedding(emb).ok
+        emb = embed_base_case(g, 1, perm)
+        assert validate_embedding(emb) is None
         assert emb.pattern == path_power(10, 1)
 
     def test_p6_squared_with_independent_scan(self):
         g = path_graph(6)
-        emb = embed_base_case(g, 2, PathWitness((0, 1, 2, 3, 4, 5)))
+        emb = embed_base_case(g, 2, (0, 1, 2, 3, 4, 5))
         host = emb.host
         assert host.n == 6 * 3
         d = floyd_warshall(host)
@@ -141,12 +185,12 @@ class TestEmbedBaseCase:
                 assert d[emb.mapping[i]][emb.mapping[j]] == 1
 
     def test_single_vertex(self):
-        emb = embed_base_case(path_graph(3), 2, PathWitness((1,)))
+        emb = embed_base_case(path_graph(3), 2, (1,))
         assert len(emb.mapping) == 1
 
     def test_path_must_be_valid(self):
         with pytest.raises(Exception):
-            embed_base_case(path_graph(3), 1, PathWitness((0, 2)))
+            embed_base_case(path_graph(3), 1, (0, 2))
 
     def test_seeded_hosts_sweep(self):
         for i in range(30):
@@ -154,14 +198,14 @@ class TestEmbedBaseCase:
             k = i % 3 + 1
             n = rng.randint(k + 1, 20)
             g, perm = random_graph_with_path(1000 + i, n, extra=n)
-            emb = embed_base_case(g, k, PathWitness(perm), matching_seed=i)
-            assert validate_embedding(emb).ok
+            emb = embed_base_case(g, k, perm, matching_seed=i)
+            assert validate_embedding(emb) is None
             assert emb.pattern == path_power(n, k)
 
     def test_deterministic_tie_break(self):
         g = path_graph(5)
-        e1 = embed_base_case(g, 2, PathWitness((0, 1, 2, 3, 4)))
-        e2 = embed_base_case(g, 2, PathWitness((0, 1, 2, 3, 4)))
+        e1 = embed_base_case(g, 2, (0, 1, 2, 3, 4))
+        e2 = embed_base_case(g, 2, (0, 1, 2, 3, 4))
         assert e1.mapping == e2.mapping
 
 
@@ -247,7 +291,7 @@ class TestLLLEmbed:
         inst = make_lll_instance(template, list(bmap.clique_of), host, chi, 1)
         assert inst.condition_value == 0
         emb = lll_embed(inst, seed=0, max_resamples=1)
-        assert validate_embedding(emb).ok
+        assert validate_embedding(emb) is None
 
     def test_single_event_sixteen_outcomes(self):
         template = Graph(2, [(0, 1)])
@@ -258,7 +302,7 @@ class TestLLLEmbed:
         for seed in range(16):
             emb = lll_embed(inst, seed=seed, max_resamples=64)
             assert (emb.mapping[0], emb.mapping[1]) != (0, 4)
-            assert validate_embedding(emb).ok
+            assert validate_embedding(emb) is None
 
     def test_condition_value_and_dependency_degree(self):
         inst = biased_instance(7)
@@ -275,7 +319,7 @@ class TestLLLEmbed:
         for seed in range(10):
             inst = biased_instance(seed)
             emb = lll_embed(inst, seed=seed, max_resamples=100 * inst.template.m)
-            assert validate_embedding(emb).ok
+            assert validate_embedding(emb) is None
             for (u, v) in inst.template.edges:
                 assert inst.chi.colour(emb.mapping[u], emb.mapping[v]) != 1
 
@@ -314,6 +358,17 @@ class TestLLLEmbed:
         # It used to be ignored silently.
         with pytest.raises(ParameterError, match="a blue colour needs a colouring"):
             make_lll_instance(Graph(2, [(0, 1)]), [(0, 1), (2, 3)], complete_bipartite(2, 2), None, 1)
+
+    @pytest.mark.parametrize("cliques,shared", [
+        ([(0, 1), (3, 4), (2, 0)], "0 and 2 share host vertex 0"),
+        ([(0,), (0,), (1,)], "0 and 1 share host vertex 0"),
+        ([(0, 1), (5, 3), (2, 4, 3)], "1 and 2 share host vertex 3"),
+    ])
+    def test_overlapping_candidate_sets_are_refused(self, cliques, shared):
+        # Template vertices with no edge between them share no bad event, so
+        # nothing kept them from drawing the same host vertex.
+        with pytest.raises(ParameterError, match=f"^candidate sets of template vertices {shared}$"):
+            make_lll_instance(path_graph(3), cliques, complete_graph(6))
 
     def test_adjacency_only_instance_without_colouring(self):
         template = Graph(2, [(0, 1)])

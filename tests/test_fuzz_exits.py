@@ -33,7 +33,7 @@ ROOT = TESTS.parent
 
 MUTATIONS = [-1, 0, 2, 1.5, True, None, "x", "1/0", "-1/2", [], {}, [[0, 1]]]
 DELETE = object()
-FLAG_VALUES = ["-1", "0", "-7"]
+FLAG_VALUES = ["-1", "0", "-7", "40"]  # 40: large but valid, e.g. constants --k 40
 PATH_VALUES = ["-1", "99", "0,0"]
 CASE_SECONDS = 4  # the per-case limit
 MEMORY_BYTES = 1 << 30  # the worker's address space

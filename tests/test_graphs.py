@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 import random
 
@@ -14,7 +13,6 @@ from pathramsey import (
     Graph,
     GraphFormatError,
     ParameterError,
-    PathWitness,
     complete_blowup,
     complete_graph,
     cycle_graph,
@@ -28,9 +26,10 @@ from pathramsey import (
     path_power,
     power,
     random_graph,
-    read_edge_list,
     sheared_blowup,
 )
+
+from pathramsey.graphs import validate_path
 
 from conftest import floyd_warshall, oracle_girth
 from graph_reference import mask_adjacency, ref_validate_blowup_map
@@ -298,25 +297,25 @@ class TestMeasurements:
 
 class TestPathWitness:
     def test_valid_path(self):
-        PathWitness((0, 1, 2)).validate(path_graph(3))
+        validate_path(path_graph(3), (0, 1, 2))
 
     def test_rejects_non_edge_step(self):
         with pytest.raises(GraphFormatError):
-            PathWitness((0, 2)).validate(path_graph(3))
+            validate_path(path_graph(3), (0, 2))
 
     def test_rejects_repeat(self):
         with pytest.raises(GraphFormatError):
-            PathWitness((0, 1, 0)).validate(path_graph(3))
+            validate_path(path_graph(3), (0, 1, 0))
 
     def test_parts_checked_by_position(self):
         # Position i must lie in parts[i mod t]: the same path fails once the parts swap.
         g = cycle_graph(6)
-        path = PathWitness((0, 1, 2, 3))
-        path.validate(g, [[0, 2, 4], [1, 3, 5]])
+        path = (0, 1, 2, 3)
+        validate_path(g, path, [[0, 2, 4], [1, 3, 5]])
         with pytest.raises(GraphFormatError, match="vertex 0 at position 0 is not in part 0"):
-            path.validate(g, [[1, 3, 5], [0, 2, 4]])
+            validate_path(g, path, [[1, 3, 5], [0, 2, 4]])
         with pytest.raises(GraphFormatError, match="is not in part 0"):
-            path.validate(g, [])
+            validate_path(g, path, [])
 
 
 class TestEdgeListFormat:
@@ -331,7 +330,16 @@ class TestEdgeListFormat:
 
     def test_write_read_stream(self):
         g = path_graph(5)
-        assert read_edge_list(io.StringIO(graph_to_text(g))) == g
+        assert graph_from_text(graph_to_text(g)) == g
+
+    def test_lines_end_at_newline_only(self):
+        # Form feed, vertical tab, \x1c-\x1e, \x85 and \u2028 are whitespace
+        # inside a line, not line breaks: the edge parses, and a bad line is
+        # counted by newlines alone.
+        for brk in "\f\v\x1c\x1d\x1e\x85\u2028":
+            assert graph_from_text(f"2 1\n0{brk}1\n") == path_graph(2)
+            with pytest.raises(GraphFormatError, match="^line 2: expected 'u v'$"):
+                graph_from_text(f"3 2\n0 1{brk}1 2\n")
 
     def test_rejects_bad_header(self):
         with pytest.raises(GraphFormatError):

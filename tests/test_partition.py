@@ -14,7 +14,6 @@ from pathramsey import (
     NoPathFoundError,
     ParameterError,
     PartitionResult,
-    PathWitness,
     PreconditionError,
     auxiliary_graph,
     complete_graph,
@@ -30,6 +29,8 @@ from pathramsey import (
     verify_partition,
 )
 
+from pathramsey.graphs import validate_path
+
 from conftest import oracle_cross_edges
 
 
@@ -41,14 +42,14 @@ class TestPartitionExamples:
     def test_all_blue_k4_yields_hamilton_path(self):
         blue = EdgeColouring.constant(complete_graph(4), 2, 1).colour_subgraph(1)
         res = partition_two_coloured(blue, 1, mode="exhaustive")
-        assert verify_partition(blue, res, 1).ok
+        assert verify_partition(blue, res, 1) is None
         assert len(res.blue_paths) == 1 and len(res.blue_paths[0]) == 4
         assert all(len(c) == 0 for c in res.red_classes)
 
     def test_all_red_k4_yields_balanced_bipartition(self):
         blue = EdgeColouring.constant(complete_graph(4), 2, 2).colour_subgraph(1)
         res = partition_two_coloured(blue, 1, mode="exhaustive")
-        assert verify_partition(blue, res, 1).ok
+        assert verify_partition(blue, res, 1) is None
         assert res.blue_paths == ()
         assert sorted(len(c) for c in res.red_classes) == [2, 2]
 
@@ -57,8 +58,8 @@ class TestPartitionExamples:
         col = EdgeColouring(host, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
         blue = col.colour_subgraph(1)
         res = partition_two_coloured(blue, 1, mode="exhaustive")
-        assert verify_partition(blue, res, 1).ok
-        covered = {v for p in res.blue_paths for v in p.vertices}
+        assert verify_partition(blue, res, 1) is None
+        covered = {v for p in res.blue_paths for v in p}
         covered |= {v for c in res.red_classes for v in c}
         assert covered == {0, 1, 2}
 
@@ -70,8 +71,8 @@ class TestPartitionExamples:
                 for x in range(2 ** m):
                     blue = blue_of_int(n, x)
                     res = partition_two_coloured(blue, ell, mode="exhaustive")
-                    rep = verify_partition(blue, res, ell)
-                    assert rep.ok, (n, ell, x, rep.problem)
+                    problem = verify_partition(blue, res, ell)
+                    assert problem is None, (n, ell, x, problem)
 
     def test_heuristic_mode_on_larger_instance(self):
         rng = random.Random(5)
@@ -79,13 +80,13 @@ class TestPartitionExamples:
         col = EdgeColouring(host, 2, {e: rng.randint(1, 2) for e in host.edges})
         blue = col.colour_subgraph(1)
         res = partition_two_coloured(blue, 2, mode="heuristic", seed=3)
-        assert verify_partition(blue, res, 2).ok
+        assert verify_partition(blue, res, 2) is None
 
     def test_heuristic_on_large_edgeless_blue_graph(self):
         # Grouping 1,100 singleton components used to recurse once per component.
         blue = Graph(1100)
         result = partition_two_coloured(blue, 1, "heuristic")
-        assert verify_partition(blue, result, 1).ok
+        assert verify_partition(blue, result, 1) is None
 
     def test_exhaustive_cap(self):
         blue = EdgeColouring.constant(complete_graph(13), 2, 1).colour_subgraph(1)
@@ -96,36 +97,35 @@ class TestPartitionExamples:
 class TestVerifyPartition:
     def test_red_edge_inside_blue_path_rejected(self):
         blue = EdgeColouring.constant(complete_graph(4), 2, 2).colour_subgraph(1)
-        bad = PartitionResult((PathWitness((0, 1)),), ((2,), (3,)))
-        rep = verify_partition(blue, bad, 1)
-        assert not rep.ok and "not blue" in rep.problem
+        bad = PartitionResult(((0, 1),), ((2,), (3,)))
+        problem = verify_partition(blue, bad, 1)
+        assert "not blue" in problem
 
     def test_unbalanced_classes_rejected(self):
         blue = EdgeColouring.constant(complete_graph(5), 2, 2).colour_subgraph(1)
         bad = PartitionResult((), ((0, 1, 2), (3,)))
-        rep = verify_partition(blue, bad, 1)
+        problem = verify_partition(blue, bad, 1)
         # vertex 4 missing would hit first, so cover it via a path: still unbalanced
-        bad = PartitionResult((PathWitness((4,)),), ((0, 1, 2), (3,)))
-        rep = verify_partition(blue, bad, 1)
-        assert not rep.ok and "unbalanced" in rep.problem
+        bad = PartitionResult(((4,),), ((0, 1, 2), (3,)))
+        problem = verify_partition(blue, bad, 1)
+        assert "unbalanced" in problem
 
     def test_missing_vertex_rejected(self):
         blue = EdgeColouring.constant(complete_graph(4), 2, 2).colour_subgraph(1)
         bad = PartitionResult((), ((0, 1), (2,)))
-        rep = verify_partition(blue, bad, 1)
-        assert not rep.ok
+        assert verify_partition(blue, bad, 1) is not None
 
     def test_blue_cross_class_pair_rejected(self):
         host = complete_graph(4)
         col = EdgeColouring(host, 2, {e: (1 if e == (0, 2) else 2) for e in host.edges})
         bad = PartitionResult((), ((0, 1), (2, 3)))
-        rep = verify_partition(col.colour_subgraph(1), bad, 1)
-        assert not rep.ok and "not red" in rep.problem
+        problem = verify_partition(col.colour_subgraph(1), bad, 1)
+        assert "not red" in problem
 
     def test_too_many_paths_rejected(self):
         blue = EdgeColouring.constant(complete_graph(4), 2, 1).colour_subgraph(1)
-        bad = PartitionResult((PathWitness((0,)), PathWitness((1,))), ((2,), (3,)))
-        assert not verify_partition(blue, bad, 1).ok
+        bad = PartitionResult(((0,), (1,)), ((2,), (3,)))
+        assert verify_partition(blue, bad, 1) is not None
 
     def test_accepted_cover_covers_each_vertex_once(self):
         rng = random.Random(11)
@@ -133,7 +133,7 @@ class TestVerifyPartition:
             n = rng.randint(2, 6)
             x = rng.randrange(2 ** (n * (n - 1) // 2))
             res = partition_two_coloured(blue_of_int(n, x), 1, mode="exhaustive")
-            seen = [v for p in res.blue_paths for v in p.vertices]
+            seen = [v for p in res.blue_paths for v in p]
             seen += [v for c in res.red_classes for v in c]
             assert sorted(seen) == list(range(n))
 
@@ -146,8 +146,8 @@ class TestLongPath:
     def test_c6_alternating(self):
         w = long_path_through_sets(cycle_graph(6), [[0, 2, 4], [1, 3, 5]], 6)
         assert len(w) == 6
-        w.validate(cycle_graph(6), [[0, 2, 4], [1, 3, 5]])
-        for i, v in enumerate(w.vertices):
+        validate_path(cycle_graph(6), w, [[0, 2, 4], [1, 3, 5]])
+        for i, v in enumerate(w):
             assert v % 2 == i % 2
 
     def test_two_triangles_rejected_by_expansion_check(self):
@@ -188,10 +188,10 @@ class TestLongPath:
         # The walk enters [0], [0, 1], [0, 1, 2] and [0, 1, 2, 3]: the start
         # vertex and the complete path cost one unit each, like the rest.
         g = path_graph(4)
-        assert long_path_through_sets(g, [range(4)], 4, node_budget=4).vertices == (0, 1, 2, 3)
+        assert long_path_through_sets(g, [range(4)], 4, node_budget=4) == (0, 1, 2, 3)
         with pytest.raises(NoPathFoundError) as exc:
             long_path_through_sets(g, [range(4)], 4, node_budget=3)
-        assert exc.value.longest.vertices == (0, 1, 2)
+        assert exc.value.longest == (0, 1, 2)
 
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=25, deadline=None)
@@ -206,7 +206,7 @@ class TestLongPath:
             w = long_path_through_sets(g, parts, target)
         except NoPathFoundError:
             return
-        w.validate(g, parts)
+        validate_path(g, w, parts)
         assert len(w) == target
 
 

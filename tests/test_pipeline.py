@@ -59,7 +59,7 @@ class TestInductionStep:
         assert out.kind == "monoPowerFound"
         emb = out.embedding
         assert emb.pattern.n == 2 * cfg.k * cfg.n
-        assert validate_embedding(emb).ok
+        assert validate_embedding(emb) is None
         col, allowed = emb.colour_constraint
         assert allowed == frozenset({1})
         stages = [t["stage"] for t in out.trace]
@@ -73,7 +73,7 @@ class TestInductionStep:
         out = induction_step(g, host, bmap, chi, cfg)
         assert out.kind == "monoPowerFound"
         assert out.embedding.pattern.n == 5
-        assert validate_embedding(out.embedding).ok
+        assert validate_embedding(out.embedding) is None
 
     def test_single_colour_bypass_reports_stuck_greedy_position(self):
         # the host blows up g^(t*r) = g itself, so path vertices two apart
@@ -118,7 +118,7 @@ class TestInductionStep:
         assert out.kind == "reducedColours"
         assert out.reduced_colours == frozenset({2})
         emb = out.template_embedding
-        assert validate_embedding(emb).ok
+        assert validate_embedding(emb) is None
         col, allowed = emb.colour_constraint
         assert 1 not in allowed
         used = {
@@ -142,7 +142,7 @@ class TestInductionStep:
         out = induction_step(g, host, bmap, chi, cfg)
         assert out.kind == "monoPowerFound"
         assert out.embedding.pattern.n == 2 * cfg.k * cfg.n
-        assert validate_embedding(out.embedding).ok
+        assert validate_embedding(out.embedding) is None
 
     def test_blue_path_probe_propagates_broken_invariants(self, monkeypatch):
         # only "no path" is an honest negative; a construction error is a bug.
@@ -227,7 +227,7 @@ class TestBaseCaseDriver:
             base_graph=cycle_graph(24),
         )
         assert emb.pattern.n == 12
-        assert validate_embedding(emb).ok
+        assert validate_embedding(emb) is None
 
     def test_k2_with_supplied_member(self):
         params = ClassPParams(GOOD, t=3, n=8)
@@ -237,7 +237,7 @@ class TestBaseCaseDriver:
         )
         assert emb.pattern.n == 8
         assert emb.pattern.m == 8 * 2 - 3  # the squared path's edge count
-        assert validate_embedding(emb).ok
+        assert validate_embedding(emb) is None
 
     def test_generation_route_fails_honestly_at_desk_scale(self):
         params = ClassPParams(GOOD, t=2, n=6)

@@ -43,22 +43,19 @@ class TestGoodness:
     def test_exact_boundary_is_good(self):
         # 264 * 3^2 * (1/20)^-2 * 1^-2 = 264 * 9 * 400 = 950400
         assert 264 * 9 * 400 == 950400
-        assert is_good(quad(3, 950400, 1, "1/20")).good
+        assert is_good(quad(3, 950400, 1, "1/20")) == ()
 
     def test_b_too_small(self):
-        rep = is_good(quad(3, 1000, 1, "1/20"))
-        assert not rep.good
-        assert any("264" in name for name in rep.failing)
+        failing = is_good(quad(3, 1000, 1, "1/20"))
+        assert failing == ("b >= 264 a^2 eps^-2 c^-2",)
 
     def test_a_below_threshold(self):
-        rep = is_good(quad(2, 10 ** 9, 1, "1/20"))
-        assert not rep.good
-        assert "a >= 2c+1" in rep.failing
+        failing = is_good(quad(2, 10 ** 9, 1, "1/20"))
+        assert failing == ("a >= 2c+1",)
 
     def test_eps_must_be_small(self):
-        rep = is_good(quad(3, 10 ** 9, 1, "1/5"))
-        assert not rep.good
-        assert "eps < 1/10" in rep.failing
+        failing = is_good(quad(3, 10 ** 9, 1, "1/5"))
+        assert failing == ("eps < 1/10",)
 
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ParameterError):

@@ -31,7 +31,8 @@ from pathramsey import (
     random_graph,
     sheared_blowup,
 )
-from pathramsey.colouring import _embed_masks, _max_clique_at_least, _prepare_pattern
+from pathramsey.colouring import _embed_masks, _grow_clique, _prepare_pattern
+from pathramsey.graphs import _depth_first, validate_path
 from pathramsey.partition import _ham_path_table, _path_flags
 
 from step_reference import (
@@ -106,7 +107,8 @@ def test_clique_search_matches_recursive_reference():
         masks = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng.randrange(10**6)).adjacency_masks()
         for target in range(n + 2):
             want = ref_max_clique_at_least(masks, list(range(n)), target)
-            got = _max_clique_at_least(masks, target)
+            # the search mono_clique_in_clique runs per colour class
+            got = next(_depth_first(_grow_clique(masks, target, (), (1 << n) - 1)), None)
             assert got == (None if want is None else tuple(want)), (n, target)
             compared, found = compared + 1, found + (want is not None)
     assert compared > 2000 and 0.3 < found / compared < 0.8
@@ -288,9 +290,9 @@ def _long_path_outcome(g: Graph, parts, target_len: int, node_budget: int):
     try:
         w = long_path_through_sets(g, parts, target_len, node_budget=node_budget)
     except NoPathFoundError as exc:
-        exc.longest.validate(g, parts)
-        return False, exc.longest.vertices
-    return True, w.vertices
+        validate_path(g, exc.longest, parts)
+        return False, exc.longest
+    return True, w
 
 
 def test_long_path_matches_recursive_reference():
@@ -329,8 +331,8 @@ def test_long_path_memo_saves_the_budget_for_a_late_branch(node_budget):
 def test_long_path_on_p1500_does_not_recurse():
     g = path_graph(1500)
     w = long_path_through_sets(g, [list(range(1500))], 1500)
-    assert w.vertices == tuple(range(1500))
-    w.validate(g, [list(range(1500))])
+    assert w == tuple(range(1500))
+    validate_path(g, w, [list(range(1500))])
 
 
 def test_step_host_never_builds_adjacency_masks():
