@@ -12,7 +12,6 @@ from .colouring import (
     ArrowVerdict,
     AuxColouring,
     EdgeColouring,
-    KstReport,
     arrow_check,
     blue_path_to_blue_power,
     build_aux_colouring,
@@ -25,7 +24,6 @@ from .embedding import (
     ConstantsChain,
     Embedding,
     LLLInstance,
-    TemplateResult,
     check_template_containment,
     constants_chain,
     embed_base_case,

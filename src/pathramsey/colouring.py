@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .embedding import Embedding, validate_embedding
 from .errors import (
@@ -244,6 +244,8 @@ def mono_clique_in_clique(
     """
     verts = list(clique)
     k = len(verts)
+    if target < 0:
+        raise ParameterError("target must be >= 0")
     if target > k:
         raise ParameterError("target exceeds the clique size")
     col = colouring._col
@@ -271,43 +273,14 @@ def mono_clique_in_clique(
 # -- blue bicliques and the biclique-free bound -----------------------------------
 
 
-def find_blue_biclique(
-    side_a: Sequence[int],
-    side_b: Sequence[int],
-    blue: Callable[[int, int], bool],
-    k: int,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """An all-blue complete bipartite 2k-by-2k pair across the two sides, or None.
-
-    `blue` decides each cross pair; absent pairs (e.g. a removed matching)
-    simply test False.  The witness is the first 2k side_a entries, in
-    combinations order, with 2k blue side_b entries in common, and the first 2k of those.
-    """
-    if k < 0:
-        raise ParameterError("k must be >= 0")
-    need = 2 * k
-    if need == 0:
-        return (), ()
-    rows = []
-    for a in side_a:
-        row = 0
-        for i, b in enumerate(side_b):
-            if blue(a, b):
-                row |= 1 << i
-        rows.append(row)
-    found = _blue_biclique(rows, need)
-    if found is None:
-        return None
-    picks, common = found
-    return tuple(side_a[i] for i in picks), tuple(side_b[i] for i in _mask_vertices(common)[:need])
-
-
-def _blue_biclique(rows: Sequence[int], need: int) -> tuple[tuple[int, ...], int] | None:
-    """The first need >= 1 row positions, in combinations order, whose rows share need bits, and their AND.
+def find_blue_biclique(rows: Sequence[int], need: int) -> tuple[tuple[int, ...], int] | None:
+    """The first need >= 1 row positions, in combinations order, whose rows share need bits, and their AND, or None.
 
     The search drops a prefix once its rows share fewer than need bits, so
     no combination that such a prefix starts is walked.
     """
+    if need < 1:
+        raise ParameterError("need must be >= 1")
     return next(_depth_first(_pick_rows(rows, need, (), -1, (1 << len(rows)) - 1)), None)
 
 
@@ -327,35 +300,23 @@ def _pick_rows(rows: Sequence[int], need: int, picked: tuple[int, ...], common: 
             yield (picked + (i,), both) if left == 1 else _pick_rows(rows, need, picked + (i,), both, cand)
 
 
-@dataclass(frozen=True)
-class KstReport:
-    x: int
-    k: int
-    edge_count: int
-    contains_biclique: bool
-    applicable: bool
-    holds: bool | None
-
-
-def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> KstReport:
+def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> bool | None:
     """Balanced bipartite edge bound: no 2k-by-2k biclique forces at most 4 x^(2-1/2k) edges.
 
-    The comparison m <= 4 x^(2-1/2k) is done exactly as m^(2k) <= 4^(2k) x^(4k-1).
+    None when the graph holds such a biclique, so the bound does not apply; else
+    whether its m distinct edges meet it, compared exactly as m^(2k) <= 4^(2k) x^(4k-1).
     """
     if x < 1 or k < 1:
         raise ParameterError("need x >= 1 and k >= 1")
-    edge_set = set()
+    left_masks = [0] * x
     for i, jj in edges:
         if not (0 <= i < x and 0 <= jj < x):
             raise ParameterError(f"edge ({i},{jj}) outside the x-by-x grid")
-        edge_set.add((i, jj))
-    left_masks = [0] * x
-    for i, jj in edge_set:
         left_masks[i] |= 1 << jj
-    m = len(edge_set)
-    if _blue_biclique(left_masks, 2 * k) is not None:
-        return KstReport(x, k, m, True, False, None)
-    return KstReport(x, k, m, False, True, m ** (2 * k) <= 4 ** (2 * k) * x ** (4 * k - 1))
+    if find_blue_biclique(left_masks, 2 * k) is not None:
+        return None
+    m = sum(row.bit_count() for row in left_masks)
+    return m ** (2 * k) <= 4 ** (2 * k) * x ** (4 * k - 1)
 
 
 # -- auxiliary blue/grey colouring -------------------------------------------------
@@ -365,14 +326,13 @@ def kst_bound_check(x: int, edges: Iterable[tuple[int, int]], k: int) -> KstRepo
 class AuxColouring:
     """Blue/grey two-colouring of a derived graph's edges, held as its blue graph.
 
-    Vertex v of base stands for the host vertices subcliques[v], a clique in
-    blue_colour under chi.  An edge is blue when an all-blue 2k-by-2k
-    biclique exists between its two subcliques; the witness is stored, and
-    blue is the spanning subgraph of base on the witnessed edges.  Every
-    other base edge is grey.
+    Vertex v of the derived graph stands for the host vertices
+    subcliques[v], a clique in blue_colour under chi.  An edge is blue when
+    an all-blue 2k-by-2k biclique exists between its two subcliques; the
+    witness is stored, and blue is the spanning subgraph of the derived
+    graph on the witnessed edges.  Every other edge is grey.
     """
 
-    base: Graph
     k: int
     blue_colour: int
     blue: Graph
@@ -392,6 +352,8 @@ def build_aux_colouring(
 
     Requires subcliques[v], the host vertices of j's vertex v, to be
     monochromatic in blue_colour under chi; the offending v is named otherwise.
+    A witness is the first 2k vertices of subcliques[u], in combinations order,
+    with 2k blue neighbours in subcliques[v] in common, and the first 2k of those.
     """
     if k < 0:
         raise ParameterError("k must be >= 0")
@@ -401,20 +363,31 @@ def build_aux_colouring(
         raise ParameterError(f"blue colour {blue_colour} outside 1..{chi.s}")
     # The colour map's keys are exactly the host's edges, so a missing pair is a non-edge.
     col = chi._col
-    is_blue = lambda a, b: col.get((a, b) if a < b else (b, a)) == blue_colour
     for v, sub in enumerate(subcliques):
         for a, b in combinations(sub, 2):
-            if not is_blue(a, b):
+            if col.get((a, b) if a < b else (b, a)) != blue_colour:
                 raise PreconditionError(
                     f"subclique of base vertex {v} is not monochromatic in colour {blue_colour}"
                 )
+    need = 2 * k
     witnesses: dict[Edge, tuple] = {}
     for (iu, iv) in j.sorted_edges():
-        found = find_blue_biclique(subcliques[iu], subcliques[iv], is_blue, k)
+        side_a, side_b = subcliques[iu], subcliques[iv]
+        # rows[i]: the positions of side_b joined to side_a[i] in blue
+        rows = []
+        for a in side_a:
+            row = 0
+            for i, b in enumerate(side_b):
+                if col.get((a, b) if a < b else (b, a)) == blue_colour:
+                    row |= 1 << i
+            rows.append(row)
+        found = find_blue_biclique(rows, need) if need else ((), 0)
         if found is not None:
-            witnesses[(iu, iv)] = found
+            picks, common = found
+            both = _mask_vertices(common)[:need]
+            witnesses[(iu, iv)] = tuple(side_a[i] for i in picks), tuple(side_b[i] for i in both)
     blue = _edge_subset(j, [e in witnesses for e in j.edges])
-    return AuxColouring(j, k, blue_colour, blue, witnesses, tuple(subcliques), chi)
+    return AuxColouring(k, blue_colour, blue, witnesses, tuple(subcliques), chi)
 
 
 # -- blue path promotion -------------------------------------------------------------
@@ -431,6 +404,8 @@ def blue_path_to_blue_power(verts: Sequence[int], aux: AuxColouring) -> Embeddin
     k, n = aux.k, len(verts)
     if n == 0:
         raise ParameterError("empty path")
+    if len(set(verts)) != n or not all(v in range(aux.blue.n) for v in verts):
+        raise PreconditionError(f"path {tuple(verts)} repeats a vertex or leaves 0..{aux.blue.n - 1}")
     if n == 1:
         sub = aux.subcliques[verts[0]]
         if len(sub) < 2 * k:

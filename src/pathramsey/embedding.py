@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import ConstructionError, LLLFailureError, ParameterError
+from .errors import ConstructionError, LLLFailureError, ParameterError, PreconditionError
 from .graphs import (
     BlowupMap,
     Graph,
@@ -123,7 +123,7 @@ def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> Con
 
     Goodness of the input quadruple is reported, not enforced, since exact
     evaluation is also wanted at desk-scale parameters no good quadruple can
-    reach; goodness of the derived quadruple is always asserted.
+    reach; a d0 or eps that leaves the derived quadruple bad is refused.
     """
     if min(k, s, r, t) < 1:
         raise ParameterError("k, s, r, t must be positive integers")
@@ -150,9 +150,13 @@ def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> Con
         size = s ** e
         if size <= 1 << MAX_EXACT_BITS and not (digits and size >= 10 ** digits):
             clique_size = size
-    derived_failing = is_good(GoodQuadruple(big_a, big_b, big_c, delta))
-    if derived_failing:
-        raise ConstructionError(f"derived quadruple fails goodness: {', '.join(derived_failing)}")
+    # The derived quadruple is good unless one of these fails: B meets its bound with equality.
+    if big_a < 2 * big_c + 1:
+        least = (2 * big_c + 1) / (2 * (q.a + 1) * s * t)
+        raise ParameterError(
+            f"d0 = {d0} is too small: the derived A = 2 d0 (a+1) s t must be >= 2C+1, so d0 >= {least}")
+    if delta >= Fraction(1, 10):
+        raise ParameterError(f"eps = {q.eps} is too large: the derived delta = eps/2 must be < 1/10, so eps < 1/5")
     return ConstantsChain(
         k, s, r, t, q, d0, t_prime, big_a, big_b, big_c, big_r, delta,
         clique_log, clique_size, input_failing,
@@ -204,16 +208,6 @@ def embed_base_case(
 # -- template containment ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemplateResult:
-    contained: bool
-    offending: tuple | None = None
-    grey_ok: bool = False
-    grey_problem: str | None = None
-    template: Graph | None = None
-    distance_ok: bool = False
-
-
 def check_template_containment(
     h: Graph,
     r: int,
@@ -222,7 +216,7 @@ def check_template_containment(
     j: Graph,
     blue: Graph,
     base: Graph,
-) -> TemplateResult:
+) -> tuple[Graph, bool]:
     """Verify the blow-up template sits inside j and carve out its grey copy.
 
     For every segment pair at h-distance <= r, all cross pairs must be j-edges
@@ -233,6 +227,9 @@ def check_template_containment(
     (on j's vertices) additionally checks that segments at h-distance d sit
     within base distance (t-1)m + (m-1), m = d+1, of each other.  Template
     vertex i*t + p is position p of segment i.
+
+    Returns (template, distance_ok).  Raises PreconditionError naming the
+    first pair outside j, else the last grey problem.
     """
     if h.n != len(segments):
         raise ParameterError("one segment per template vertex required")
@@ -244,13 +241,12 @@ def check_template_containment(
         raise ParameterError("segments overlap")
 
     # Each segment must span a j-clique with no blue pair inside.
-    grey_ok, grey_problem = True, None
+    grey_problem = None
     for i, seg in enumerate(segments):
         for x, y in combinations(seg, 2):
             if not j.has_edge(x, y):
-                return TemplateResult(False, ((i, i), (x, y)))
+                raise PreconditionError(f"containment fails at {((i, i), (x, y))}")
             if blue.has_edge(x, y):
-                grey_ok = False
                 grey_problem = f"pair {(min(x, y), max(x, y))} inside segment {i} is not grey"
 
     # Each hr-edge needs complete cross pairs and at most a matching of blue
@@ -272,7 +268,7 @@ def check_template_containment(
         for a, x in enumerate(segments[i1]):
             for b, y in enumerate(segments[i2]):
                 if not j.has_edge(x, y):
-                    return TemplateResult(False, ((i1, i2), (x, y)))
+                    raise PreconditionError(f"containment fails at {((i1, i2), (x, y))}")
                 if x not in bdist:
                     bdist[x] = distances(base, x)
                 if bdist[x][y] > limit:
@@ -281,13 +277,13 @@ def check_template_containment(
                     matching = matching and a not in match and b not in match.values()
                     match[a] = b
         if not matching:
-            grey_ok = False
             grey_problem = f"non-grey pairs between segments {i1},{i2} exceed a matching"
         # Extend the partial matching to a perfect one over position indices.
         free_right = [b for b in range(t) if b not in match.values()]
         perms.append([match[a] if a in match else free_right.pop(0) for a in range(t)])
-    template = _blowup(hr, t, perms)[0] if grey_ok else None
-    return TemplateResult(True, None, grey_ok, grey_problem, template, distance_ok)
+    if grey_problem is not None:
+        raise PreconditionError(grey_problem)
+    return _blowup(hr, t, perms)[0], distance_ok
 
 
 # -- local-lemma embedder -------------------------------------------------------

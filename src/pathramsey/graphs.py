@@ -159,6 +159,9 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
     Returns (subgraph, ids) where ids[i] is the original id of new vertex i.
     """
     ids = tuple(sorted(set(vertices)))
+    for v in ids:
+        if v not in range(g.n):
+            raise ParameterError(f"vertex {v} out of range for n={g.n}")
     index = {v: i for i, v in enumerate(ids)}  # ascending, so pairs stay in order
     edges = [
         (index[u], index[v]) for u, v in g.edges if u in index and v in index

@@ -327,20 +327,19 @@ def induction_step(
 
     # Grey template containment inside the derived graph.
     kept_segments = [segments[i] for i in kept]
-    tmpl = check_template_containment(h_final, cfg.r, cfg.t, kept_segments, j, aux.blue, g_w)
-    if not tmpl.contained:
-        return _fail(trace, "template", f"containment fails at {tmpl.offending}")
-    if not tmpl.grey_ok:
-        return _fail(trace, "template", tmpl.grey_problem or "grey extraction failed")
+    try:
+        template, distance_ok = check_template_containment(h_final, cfg.r, cfg.t, kept_segments, j, aux.blue, g_w)
+    except PreconditionError as exc:
+        return _fail(trace, "template", str(exc))
     trace.append({"stage": "template", "status": "ok",
-                  "detail": {"templateVertices": tmpl.template.n,
-                             "templateEdges": tmpl.template.m,
-                             "distanceOk": tmpl.distance_ok}})
+                  "detail": {"templateVertices": template.n,
+                             "templateEdges": template.m,
+                             "distanceOk": distance_ok}})
 
     # Resample-until-clean embedding of the template into the host.
     cliques = [aux.subcliques[jv] for seg in kept_segments for jv in seg]
-    instance = make_lll_instance(tmpl.template, cliques, host, chi, blue)
-    budget = 100 * max(1, tmpl.template.m)
+    instance = make_lll_instance(template, cliques, host, chi, blue)
+    budget = 100 * max(1, template.m)
     trace.append({"stage": "lll-instance", "status": "ok", "detail": instance.to_dict()})
     try:
         emb = lll_embed(instance, cfg.seed * 1_000_003 + 13, budget)

@@ -641,11 +641,11 @@ def fit_density_certificate(
 def _count_certificate_ok(
     g: Graph, set_size: int, target: Fraction, slack: Fraction,
     sample_count: int, seed: int,
-) -> tuple[bool, tuple | None, str]:
-    """Check e(X,Y) within (1 +- slack)*target over the pair family; sampled if huge."""
+) -> tuple[tuple | None, str]:
+    """The first pair (X, Y, e(X,Y)) outside (1 +- slack)*target, or None, and the mode; sampled if huge."""
     total = disjoint_pair_count(g.n, set_size)
     if total == 0:
-        return True, None, "vacuous"
+        return None, "vacuous"
     masks = g.adjacency_masks()
     lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
     if total <= PAIR_BUDGET:
@@ -656,8 +656,8 @@ def _count_certificate_ok(
         mode = "sampled"
     for x, y, e in pairs:
         if not lo <= e <= hi:
-            return False, (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), e), mode
-    return True, None, mode
+            return (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), e), mode
+    return None, mode
 
 
 # -- generation -------------------------------------------------------------
@@ -775,12 +775,12 @@ def generate_class_p(
     for attempt in range(cfg.retry_budget):
         log.attempts = attempt + 1
         candidate = random_graph(params.two_an, float(cfg.p), seed=cfg.seed * 1_000_003 + attempt)
-        ok, worst, mode = _count_certificate_ok(
+        worst, mode = _count_certificate_ok(
             candidate, params.cn, target, q.eps / 2,
             sample_count=cfg.cert_samples, seed=cfg.seed ^ 0x5EED,
         )
         log.internal_mode = mode
-        if ok:
+        if worst is None:
             sample = candidate
             break
     if sample is None:
@@ -805,22 +805,21 @@ def generate_class_p(
 
 @dataclass(frozen=True)
 class ClassPReport:
-    size_ok: bool
     size_found: int
     size_wanted: int
     degree_ok: bool
     degree_found: int
     density: DensityCertificate
-    girth_ok: bool
     short_cycle: tuple[int, ...] | None
     passed: bool
 
     def to_dict(self) -> dict:
         return {
-            "size": {"ok": self.size_ok, "found": self.size_found, "wanted": self.size_wanted},
+            "size": {"ok": self.size_found == self.size_wanted, "found": self.size_found, "wanted": self.size_wanted},
             "degree": {"ok": self.degree_ok, "found": self.degree_found},
             "density": self.density.to_dict(),
-            "girth": {"ok": self.girth_ok, "shortCycle": list(self.short_cycle) if self.short_cycle else None},
+            "girth": {"ok": self.short_cycle is None,
+                      "shortCycle": list(self.short_cycle) if self.short_cycle else None},
             "passed": self.passed,
         }
 
@@ -833,29 +832,22 @@ def verify_class_p(
     seed: int = 0,
 ) -> ClassPReport:
     """Check the four class membership conditions; density per certificate."""
-    size_ok = g.n == params.an
     deg = max_degree(g)
     degree_ok = Fraction(deg) <= params.quad.b
     cert = fit_density_certificate(g, params.cn, params.quad.eps, mode=mode,
                                    sample_count=sample_count, seed=seed)
     limit = 2 * params.t
     cyc = girth_violation(g, limit) if limit >= 3 else None
-    girth_ok = cyc is None
-    passed = size_ok and degree_ok and cert.passed and girth_ok
-    return ClassPReport(
-        size_ok, g.n, params.an, degree_ok, deg, cert, girth_ok,
-        tuple(cyc) if cyc else None, passed,
-    )
+    passed = g.n == params.an and degree_ok and cert.passed and cyc is None
+    return ClassPReport(g.n, params.an, degree_ok, deg, cert, tuple(cyc) if cyc else None, passed)
 
 
 @dataclass(frozen=True)
 class EdgeBoostReport:
-    hypothesis_ok: bool
     hypothesis_witness: tuple | None
     bound: Fraction
     min_cross: int | None
     worst_pair: tuple | None
-    pairs_checked: int
     passed: bool
 
 
@@ -878,7 +870,7 @@ def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoos
     # is the first pair with the fewest cross edges.
     for x, y, _ in _record_pairs(masks, mu_n, 1, mu_n * mu_n):
         witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)))
-        return EdgeBoostReport(False, witness, bound, None, None, 0, False)
+        return EdgeBoostReport(witness, bound, None, None, False)
 
     min_cross: int | None = None
     worst = None
@@ -887,5 +879,4 @@ def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoos
     if worst is not None:
         worst = (tuple(_mask_vertices(worst[0])), tuple(_mask_vertices(worst[1])))
     passed = min_cross is None or min_cross >= bound
-    return EdgeBoostReport(True, None, bound, min_cross, worst,
-                           disjoint_pair_count(g.n, beta_n), passed)
+    return EdgeBoostReport(None, bound, min_cross, worst, passed)

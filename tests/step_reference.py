@@ -170,23 +170,24 @@ def ref_find_blue_biclique(side_a: Sequence[int], side_b: Sequence[int], blue, k
     return None
 
 
-def ref_validate_aux_colouring(aux) -> None:
+def ref_validate_aux_colouring(aux, base: Graph) -> None:
     """Raise ConstructionError, naming the first problem, unless the stored
     witnesses sit exactly on the edges of aux.blue, every blue edge is an edge
-    of aux.base whose witness is an all-blue 2k-by-2k biclique between its
-    edge's subcliques, and no grey edge (a base edge off aux.blue) admits one."""
+    of base, the derived graph aux colours, whose witness is an all-blue
+    2k-by-2k biclique between its edge's subcliques, and no grey edge (a base
+    edge off aux.blue) admits one."""
     host, chi = aux.chi.host, aux.chi
 
     def blue(a: int, b: int) -> bool:
         return host.has_edge(a, b) and chi.colour(a, b) == aux.blue_colour
 
-    if aux.blue.n != aux.base.n:
+    if aux.blue.n != base.n:
         raise ConstructionError("blue graph and base graph differ in order")
     for e in sorted(aux.witnesses):
         if not aux.blue.has_edge(*e):
             raise ConstructionError(f"witness stored for non-blue edge {e}")
     for (u, v) in sorted(aux.blue.edges):
-        if not aux.base.has_edge(u, v):
+        if not base.has_edge(u, v):
             raise ConstructionError(f"blue edge ({u},{v}) is not a base edge")
         if (u, v) not in aux.witnesses:
             raise ConstructionError(f"blue edge ({u},{v}) has no witness")
@@ -199,7 +200,7 @@ def ref_validate_aux_colouring(aux) -> None:
             for b in wb:
                 if not blue(a, b):
                     raise ConstructionError(f"witness pair ({a},{b}) is not a blue host edge")
-    for (u, v) in sorted(aux.base.edges):
+    for (u, v) in sorted(base.edges):
         if not aux.blue.has_edge(u, v):
             if ref_find_blue_biclique(aux.subcliques[u], aux.subcliques[v], blue, aux.k) is not None:
                 raise ConstructionError(f"grey edge ({u},{v}) admits a blue biclique")
@@ -321,8 +322,10 @@ def ref_long_path(g: Graph, parts, target_len: int, node_budget: int):
 
 
 def ref_template_containment(h: Graph, r: int, t: int, segments, j: Graph, blue: Graph, base: Graph) -> tuple:
-    """check_template_containment's result as (contained, offending, grey_ok,
+    """The template check's outcome as (contained, offending, grey_ok,
     grey_problem, template, distance_ok), on valid segment shapes.
+    check_template_containment returns (template, distance_ok) when both
+    flags hold, and otherwise raises, naming offending or grey_problem.
 
     Containment comes first over every segment and then every edge of h^r,
     and its first failure is the result.  Then the distance bound, over

@@ -95,7 +95,8 @@ def test_pair_checks_match_reference():
             for target in (mean, Fraction(rng.randrange(4 * k * k + 1), 4)):
                 for slack in (Fraction(1, 10), Fraction(4, 5)):
                     got = _count_certificate_ok(g, k, target, slack, sample_count=5, seed=0)
-                    assert got == ref_count_certificate_ok(g, k, target, slack), (trial, k, target)
+                    ok, worst, mode = ref_count_certificate_ok(g, k, target, slack)
+                    assert got == (worst, mode) and ok == (worst is None), (trial, k, target)
         for mu in range(1, n // 2 + 1):
             for beta in range(2 * mu, n + 1):
                 assert verify_edgeboost(g, n, beta, mu) == ref_verify_edgeboost(g, n, beta, mu)
@@ -204,11 +205,11 @@ def test_sampled_count_check_returns_first_violation(monkeypatch):
         target = Fraction(g.m * 2 * k * k, n * (n - 1))
         for slack in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
             lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
-            want = True, None, "sampled"
+            want = None, "sampled"
             for i, (x, y) in enumerate(ref_sample_disjoint_pairs(n, k, 30, seed)):
                 e = ref_cross_count(masks, x, y)
                 if not lo <= e <= hi:
-                    want = False, (tuple(ref_mask_vertices(x)), tuple(ref_mask_vertices(y)), e), "sampled"
+                    want = (tuple(ref_mask_vertices(x)), tuple(ref_mask_vertices(y)), e), "sampled"
                     positions.add(i)
                     break
             else:
@@ -570,7 +571,7 @@ def test_covered_window_stops_the_bisection_search():
         report = verify_edgeboost(g, 200, 100, 1)
 
     assert _profiled_calls(run, "table") <= g.n
-    assert (report.hypothesis_ok, report.min_cross, report.passed) == (True, 10_000, True)
+    assert (report.hypothesis_witness, report.min_cross, report.passed) == (None, 10_000, True)
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (12, 4), (16, 5)])

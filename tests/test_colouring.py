@@ -18,6 +18,7 @@ from pathramsey import (
     arrow_check,
     blue_path_to_blue_power,
     build_aux_colouring,
+    complete_blowup,
     complete_graph,
     cycle_graph,
     find_blue_biclique,
@@ -32,7 +33,7 @@ from pathramsey import (
 )
 
 from conftest import has_k22
-from step_reference import ref_validate_aux_colouring
+from step_reference import ref_find_blue_biclique, ref_validate_aux_colouring
 
 
 def pentagon_colouring() -> EdgeColouring:
@@ -41,6 +42,11 @@ def pentagon_colouring() -> EdgeColouring:
     ring = {(i, (i + 1) % 5) for i in range(5)}
     ring = {tuple(sorted(e)) for e in ring}
     return EdgeColouring(host, 2, {e: (1 if e in ring else 2) for e in host.edges})
+
+
+def blue_rows(side_a, side_b, blue) -> list[int]:
+    """find_blue_biclique's rows for a blue test: bit i of row a is blue(a, side_b[i])."""
+    return [sum(1 << i for i, b in enumerate(side_b) if blue(a, b)) for a in side_a]
 
 
 class TestEdgeColouring:
@@ -127,18 +133,28 @@ class TestMonoCliqueInClique:
         with pytest.raises(ParameterError):
             mono_clique_in_clique(col, range(3), 4)
 
+    def test_negative_target_refused(self):
+        # It used to return None, claiming that no monochromatic clique exists.
+        col = EdgeColouring.constant(complete_graph(3), 1, 1)
+        with pytest.raises(ParameterError, match="target must be >= 0"):
+            mono_clique_in_clique(col, range(3), -1)
+
 
 class TestFindBlueBiclique:
     def test_all_blue_full_sides(self):
-        w = find_blue_biclique([0, 1], [2, 3], lambda a, b: True, 1)
-        assert w == ((0, 1), (2, 3))
+        w = find_blue_biclique(blue_rows([0, 1], [2, 3], lambda a, b: True), 2)
+        assert w == ((0, 1), 0b11)
 
     def test_witness_takes_the_first_vertices_of_each_side(self):
-        w = find_blue_biclique([0, 1, 2], [10, 11, 12, 13], lambda a, b: True, 1)
-        assert w == ((0, 1), (10, 11))
+        w = find_blue_biclique(blue_rows([0, 1, 2], [10, 11, 12, 13], lambda a, b: True), 2)
+        assert w == ((0, 1), 0b1111)
+        j = Graph(2, [(0, 1)])
+        host, bmap = complete_blowup(j, 4)
+        aux = build_aux_colouring(j, bmap.clique_of, EdgeColouring.constant(host, 2, 1), 1, 1)
+        assert aux.witnesses == {(0, 1): ((0, 1), (4, 5))}
 
     def test_no_blue(self):
-        assert find_blue_biclique([0, 1, 2, 3], [4, 5, 6, 7], lambda a, b: False, 1) is None
+        assert find_blue_biclique(blue_rows([0, 1, 2, 3], [4, 5, 6, 7], lambda a, b: False), 2) is None
 
     def test_c4_witness_in_sides_of_five(self):
         blue_pairs = {(0, 5), (5, 1), (1, 6), (6, 0)}  # a 4-cycle across
@@ -146,18 +162,22 @@ class TestFindBlueBiclique:
         def blue(a, b):
             return (a, b) in blue_pairs or (b, a) in blue_pairs
 
-        w = find_blue_biclique([0, 1, 2, 3, 4], [5, 6, 7, 8, 9], blue, 1)
-        assert w is not None
-        assert set(w[0]) == {0, 1} and set(w[1]) == {5, 6}
+        w = find_blue_biclique(blue_rows([0, 1, 2, 3, 4], [5, 6, 7, 8, 9], blue), 2)
+        assert w == ((0, 1), 0b11)
 
     def test_sides_too_small_vacuous(self):
-        assert find_blue_biclique([0], [1], lambda a, b: True, 1) is None
+        assert find_blue_biclique(blue_rows([0], [1], lambda a, b: True), 2) is None
 
     def test_negative_k_refused(self):
-        # Empty sides, so the unmended search stops (on an IndexError) rather
-        # than growing its stack without end.
-        with pytest.raises(ParameterError, match="k must be >= 0"):
-            find_blue_biclique([], [], lambda a, b: True, -1)
+        # k = -1 asks for -2 rows: empty rows, so a search that took it would stop.
+        with pytest.raises(ParameterError, match="need must be >= 1"):
+            find_blue_biclique([], -2)
+
+    def test_need_zero_refused(self):
+        # The loop test cand.bit_count() >= 0 always holds, so the search
+        # that took need = 0 never returned.
+        with pytest.raises(ParameterError, match="need must be >= 1"):
+            find_blue_biclique([0b1, 0b11], 0)
 
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=40, deadline=None)
@@ -169,7 +189,7 @@ class TestFindBlueBiclique:
         blue_pairs = {
             (a, b) for a in side_a for b in side_b if rng.random() < 0.5
         }
-        found = find_blue_biclique(side_a, side_b, lambda a, b: (a, b) in blue_pairs, 1)
+        found = find_blue_biclique(blue_rows(side_a, side_b, lambda a, b: (a, b) in blue_pairs), 2)
         exists = any(
             all((a, b) in blue_pairs for a in pa for b in pb)
             for pa in combinations(side_a, 2)
@@ -177,20 +197,21 @@ class TestFindBlueBiclique:
         )
         assert (found is not None) == exists
         if found:
-            for a in found[0]:
-                for b in found[1]:
-                    assert (a, b) in blue_pairs
+            picks, common = found
+            assert len(picks) == 2 and common.bit_count() >= 2
+            for i in picks:
+                for p, b in enumerate(side_b):
+                    if common >> p & 1:
+                        assert (side_a[i], b) in blue_pairs
 
 
 class TestKstBound:
     def test_edgeless_holds_with_full_margin(self):
-        rep = kst_bound_check(4, [], 1)
-        assert rep.applicable and rep.holds and rep.edge_count == 0
+        assert kst_bound_check(4, [], 1) is True
 
     def test_complete_bipartite_not_applicable(self):
         edges = [(i, j) for i in range(3) for j in range(3)]
-        rep = kst_bound_check(3, edges, 1)
-        assert rep.contains_biclique and not rep.applicable and rep.holds is None
+        assert kst_bound_check(3, edges, 1) is None
 
     def test_sweep_x_up_to_4(self):
         from itertools import combinations_with_replacement
@@ -198,17 +219,17 @@ class TestKstBound:
         for x in range(1, 5):
             for nbhds in combinations_with_replacement(range(1 << x), x):
                 edges = [(i, j) for j, nb in enumerate(nbhds) for i in range(x) if (nb >> i) & 1]
-                rep = kst_bound_check(x, edges, 1)
-                assert rep.contains_biclique == has_k22(x, set(edges))
-                if rep.applicable:
-                    assert rep.holds
+                holds = kst_bound_check(x, edges, 1)
+                assert (holds is None) == has_k22(x, set(edges))
+                if holds is not None:
+                    assert holds
 
     def test_exact_comparison_not_float(self):
         # 12 edges on a 5+5 biclique-free graph: 12^2 = 144 <= 16 * 125 = 2000
         edges = [(i, (i + d) % 5) for i in range(5) for d in (0, 1)] + [(i, (i + 2) % 5) for i in range(2)]
-        rep = kst_bound_check(5, edges, 1)
-        if rep.applicable:
-            assert rep.holds == (len(set(edges)) ** 2 <= 16 * 5 ** 3)
+        holds = kst_bound_check(5, edges, 1)
+        if holds is not None:
+            assert holds == (len(set(edges)) ** 2 <= 16 * 5 ** 3)
 
 
 def two_vertex_aux(seed: int, k: int = 1, clique: int = 5, sub: int = 4):
@@ -234,7 +255,7 @@ class TestBuildAuxColouring:
         chi = EdgeColouring.constant(host, 2, 1)
         aux = build_aux_colouring(j, [clique[:4] for clique in bmap.clique_of], chi, 1, 1)
         assert aux.blue == j and aux.witnesses.keys() == j.edges
-        ref_validate_aux_colouring(aux)
+        ref_validate_aux_colouring(aux, j)
 
     def test_no_blue_cross_gives_all_grey(self):
         j, host, subs, _ = two_vertex_aux(0)
@@ -244,7 +265,7 @@ class TestBuildAuxColouring:
         chi = EdgeColouring(host, 2, colours)
         aux = build_aux_colouring(j, subs, chi, 1, 1)
         assert aux.blue.m == 0 and not aux.witnesses
-        ref_validate_aux_colouring(aux)
+        ref_validate_aux_colouring(aux, j)
 
     def test_label_matches_exhaustive_biclique_scan(self):
         for seed in range(20):
@@ -257,7 +278,9 @@ class TestBuildAuxColouring:
                 for pb in combinations(bb, 2)
             )
             assert aux.blue.has_edge(0, 1) == exists
-            ref_validate_aux_colouring(aux)
+            want = ref_find_blue_biclique(ba, bb, lambda a, b: host.has_edge(a, b) and chi.colour(a, b) == 1, 1)
+            assert aux.witnesses.get((0, 1)) == want
+            ref_validate_aux_colouring(aux, j)
 
     def test_non_monochromatic_subclique_names_vertex(self):
         j = Graph(2, [(0, 1)])
@@ -333,6 +356,16 @@ class TestBluePathPromotion:
         emb = blue_path_to_blue_power((0,), aux)
         assert emb.pattern == path_power(2, 1)
         assert validate_embedding(emb) is None
+
+    @pytest.mark.parametrize("path", [(-1,), (5,), (3,), (0.5,), (0, 1, 0), (1, 2, 3)])
+    def test_path_vertex_outside_or_repeated_is_refused(self, path):
+        # (-1,) used to embed into vertex 2's subclique through a negative
+        # index, (5,) raised a bare IndexError and (0, 1, 0) a ConstructionError.
+        j = path_graph(3)
+        host, bmap = sheared_blowup(j, 5)
+        aux = build_aux_colouring(j, [c[:4] for c in bmap.clique_of], EdgeColouring.constant(host, 2, 1), 1, 1)
+        with pytest.raises(PreconditionError, match=r"repeats a vertex or leaves 0\.\.2"):
+            blue_path_to_blue_power(path, aux)
 
 
 class TestFindSubgraph:

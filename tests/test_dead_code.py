@@ -4,8 +4,9 @@ package, every exported name is read outside the tests, every public method
 of every package class, exported or not, is called outside the tests (a
 method name that two classes share is resolved by owner, through a listed
 reader that calls it; a known list of test-only methods aside), every
-option a CLI subcommand declares is read by its handler, only graphs.py
-reads a graph's neighbourhoods other than as bitmasks, only graphs.py
+field of a package dataclass is read outside the tests (by name, whatever
+object it is loaded from), every option a CLI subcommand declares is read
+by its handler, only graphs.py reads a graph's neighbourhoods other than as bitmasks, only graphs.py
 builds a graph without checking its edges, only cli.py reads config
 documents, no generator recurses by delegating to itself, and no other
 function calls itself unless a constant bounds its depth."""
@@ -327,6 +328,59 @@ def test_method_guard_ignores_an_attribute_that_is_not_called(tmp_path):
     )
     bench = ast.parse("stats.counts = {}\nprint(stats.counts)\n")
     assert unread_methods(package, {"bench": bench}, {}) == ["Colouring.counts"]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+        for d in (getattr(d, "func", d) for d in cls.decorator_list)
+    )
+
+
+def unread_fields(package: Path, readers: Iterable[ast.AST]) -> list[str]:
+    """Fields of package dataclasses, as Class.field, that nothing outside the tests loads as an attribute.
+
+    A field is read when its name is loaded as an attribute (x.name) in a
+    package module or in one of the given reader trees, whatever object it
+    is loaded from: names resolve as in unreferenced_definitions, not by
+    owner.  A field that only the tests read is state that no caller needs.
+    """
+    trees = _parse_package(package)
+    loaded = {
+        sub.attr for tree in [*trees.values(), *readers] for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return [
+        f"{top.name}.{node.target.id}"
+        for tree in trees.values() for top in tree.body
+        if isinstance(top, ast.ClassDef) and _is_dataclass(top)
+        for node in top.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id not in loaded
+    ]
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    assert unread_fields(PACKAGE, _outside_readers().values()) == []
+
+
+def test_field_guard_flags_a_field_only_tests_read(tmp_path):
+    # Report.flag is only stored and Hidden.note only assigned; a field read
+    # through any object, in the package or a reader, counts, and a plain
+    # class's annotations are not fields.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n"
+        "    size: int\n    flag: bool\n    shown: int = 0\n\n"
+        "    def to_dict(self):\n        return {'size': self.size}\n\n"
+        "@dataclasses.dataclass\nclass Hidden:\n    note: str\n    count: int\n\n"
+        "class Plain:\n    label: str\n\n"
+        "def fill(h, flag):\n    h.note = flag\n    return h.count\n"
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text("```python\nfrom pkg.a import Report\nprint(Report(1, True).shown)\n```\n")
+    assert unread_fields(package, readme_code(readme)) == ["Report.flag", "Hidden.note"]
 
 
 def unread_options(parser: argparse.ArgumentParser) -> list[str]:

@@ -17,7 +17,7 @@ from pathramsey import (
     PipelineConfig, build_step_host, complete_graph, generate_class_p, induction_step,
     long_path_through_sets, mono_clique_in_clique, path_graph, quad, random_graph,
 )
-from pathramsey.colouring import _blue_biclique, _grow_clique
+from pathramsey.colouring import _grow_clique, find_blue_biclique
 from pathramsey.graphs import _depth_first
 from pathramsey.partition import _group_components
 from pathramsey.pseudorandom import _record_pairs, verify_edgeboost
@@ -173,7 +173,7 @@ def test_edgeboost_on_k200_needs_no_deep_stack():
     g = complete_graph(200)
     with recursion_headroom(60):
         report = verify_edgeboost(g, 200, 100, 1)
-    assert report.hypothesis_ok and report.passed
+    assert report.hypothesis_witness is None and report.passed
     assert report.min_cross == 100 * 100
     assert report.worst_pair == (tuple(range(100)), tuple(range(100, 200)))
 
@@ -284,8 +284,8 @@ def test_clique_and_biclique_searches_leave_no_cyclic_garbage():
 
     assert first_clique(4) is not None and first_clique(14) is None
     rows = random_graph(20, 0.5, 4).adjacency_masks()
-    assert _blue_biclique(rows, 2) is not None and _blue_biclique(rows, 6) is None
+    assert find_blue_biclique(rows, 2) is not None and find_blue_biclique(rows, 6) is None
     assert garbage_left(lambda: first_clique(4)) == 0
     assert garbage_left(lambda: first_clique(14)) == 0
-    assert garbage_left(lambda: _blue_biclique(rows, 2)) == 0
-    assert garbage_left(lambda: _blue_biclique(rows, 6)) == 0
+    assert garbage_left(lambda: find_blue_biclique(rows, 2)) == 0
+    assert garbage_left(lambda: find_blue_biclique(rows, 6)) == 0

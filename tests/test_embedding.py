@@ -15,6 +15,7 @@ from pathramsey import (
     Graph,
     LLLFailureError,
     ParameterError,
+    PreconditionError,
     check_template_containment,
     complete_graph,
     constants_chain,
@@ -121,6 +122,23 @@ class TestConstantsChain:
         with pytest.raises(ParameterError):
             constants_chain(1, 2, 1, 2, GOOD, 0)
 
+    def test_d0_too_small_for_the_derived_quadruple_is_refused(self):
+        # A = 2 d0 (a+1) s t = 8/1000 < 2C+1 used to raise ConstructionError,
+        # the class for internal faults.  The least d0 named is exact.
+        q = quad(3, 950400, 1, "1/20")
+        with pytest.raises(ParameterError, match=r"^d0 = 1/1000 is too small: .* so d0 >= 144001/1152000$"):
+            constants_chain(1, 1, 1, 1, q, "1/1000")
+        assert constants_chain(1, 1, 1, 1, q, Fraction(144001, 1152000)).big_a == 2 * q.eps ** 2 / 720 + 1
+        with pytest.raises(ParameterError, match="^d0 = 144000/1152001 is too small"):
+            constants_chain(1, 1, 1, 1, q, Fraction(144000, 1152001))
+
+    @pytest.mark.parametrize("eps", ["1/2", "1/5"])
+    def test_eps_too_large_for_the_derived_quadruple_is_refused(self, eps):
+        # delta = eps/2 must stay below 1/10; this used to raise ConstructionError.
+        with pytest.raises(ParameterError, match=f"^eps = {eps} is too large: .* so eps < 1/5$"):
+            constants_chain(1, 1, 1, 1, quad(3, 950400, 1, eps), 1)
+        assert constants_chain(1, 1, 1, 1, quad(3, 950400, 1, "19/100"), 1).delta == Fraction(19, 200)
+
     def test_input_goodness_reported(self):
         assert constants_chain(1, 2, 1, 2, GOOD, 1).to_dict()["inputGood"] is True
         bad = quad(2, 2, "1/2", "1/20")
@@ -217,42 +235,37 @@ class TestTemplateContainment:
         h = Graph(2, [(0, 1)])
         segments = [(0, 1), (2, 3)]
         blue = Graph(6, [(0, 2), (1, 3)])
-        res = check_template_containment(h, 1, 2, segments, j, blue, base)
-        assert res.contained and res.grey_ok
-        tmpl = res.template
+        tmpl, distance_ok = check_template_containment(h, 1, 2, segments, j, blue, base)
         assert tmpl.n == 4
         # cliques (0,1) and (2,3) plus a complete bipartite minus the blue matching
         assert tmpl.m == 2 + 4 - 2
         assert not tmpl.has_edge(0, 2) and not tmpl.has_edge(1, 3)
         assert tmpl.has_edge(0, 3) and tmpl.has_edge(1, 2)
-        assert res.distance_ok
+        assert distance_ok
 
     def test_large_radius_covers_all_pairs(self):
         base = path_graph(8)
         j = power(base, 7)
         h = complete_graph(2)
         segments = [(0, 1), (4, 5)]
-        res = check_template_containment(h, 7, 2, segments, j, Graph(8), base)
-        assert res.contained and res.grey_ok
-        assert res.template.m == 2 + 4 - 2  # no blue pair: the aligned matching goes
+        tmpl, _ = check_template_containment(h, 7, 2, segments, j, Graph(8), base)
+        assert tmpl.m == 2 + 4 - 2  # no blue pair: the aligned matching goes
 
     def test_missing_pair_named(self):
         base = path_graph(6)
         j = power(base, 2)
         h = Graph(2, [(0, 1)])
         segments = [(0, 1), (2, 3)]
-        res = check_template_containment(h, 1, 2, segments, j, Graph(6), base)
-        assert not res.contained
-        assert res.offending == ((0, 1), (0, 3))
+        with pytest.raises(PreconditionError, match=r"^containment fails at \(\(0, 1\), \(0, 3\)\)$"):
+            check_template_containment(h, 1, 2, segments, j, Graph(6), base)
 
     def test_excess_non_grey_reported(self):
         base = Graph(4, [(0, 1), (1, 2), (2, 3)])
         j = power(base, 3)
         h = Graph(2, [(0, 1)])
         segments = [(0, 1), (2, 3)]
-        res = check_template_containment(h, 1, 2, segments, j, j, base)
-        assert res.contained and res.grey_ok is False
-        assert "segment" in res.grey_problem
+        with pytest.raises(PreconditionError, match="segment"):
+            check_template_containment(h, 1, 2, segments, j, j, base)
 
     def test_segment_shape_validation(self):
         h, j, no_blue = Graph(2, [(0, 1)]), complete_graph(4), Graph(4)

@@ -211,10 +211,10 @@ def test_template_linearisation_matches_reference():
             blue_pairs += [(segments[i1][a], segments[i2][perm[a]]) for a in range(t)]
         aligned = {e: {(a, a) for a in range(t)} for e in hr.sorted_edges()}
         for blue, removed in ((Graph(n * t), aligned), (Graph(n * t, blue_pairs), matchings)):
-            res = check_template_containment(h, r, t, segments, j, blue, j)
+            template, distance_ok = check_template_containment(h, r, t, segments, j, blue, j)
             want = ref_linear_template(hr, t, removed)
-            assert res.contained and res.grey_ok and res.distance_ok, trial
-            assert res.template == want and list(res.template.edges) == list(want.edges), trial
+            assert distance_ok, trial
+            assert template == want and list(template.edges) == list(want.edges), trial
 
 
 def test_template_blowups_match_set_filter_reference():
@@ -243,7 +243,7 @@ def test_template_blowups_match_set_filter_reference():
         complete, _ = ref_complete_blowup(hr, t)
         aligned = {(i1, i2): frozenset((i1 * t + a, i2 * t + a) for a in range(t)) for i1, i2 in hr.sorted_edges()}
         for blue, removed in ((Graph(n * t), aligned), (Graph(n * t, blue_pairs), want_removed)):
-            res = check_template_containment(h, r, t, segments, j, blue, j)
-            assert res.contained and res.grey_ok and res.distance_ok, trial
+            template, distance_ok = check_template_containment(h, r, t, segments, j, blue, j)
+            assert distance_ok, trial
             want = set(complete.edges) - frozenset().union(*removed.values())
-            assert list(res.template.edges) == sorted(want), trial
+            assert list(template.edges) == sorted(want), trial

@@ -71,6 +71,13 @@ class TestGraphBasics:
         h = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert g == h and hash(g) == hash(h)
 
+    @pytest.mark.parametrize("vertices,bad", [([0, 5, -2], -2), ([0, 3], 3), ([1, 2, 9, 0], 9), ([0, 1.5], 1.5)])
+    def test_induced_subgraph_refuses_a_vertex_outside_g(self, vertices, bad):
+        # It used to return a graph whose ids named vertices g does not have.
+        with pytest.raises(ParameterError, match=f"^vertex {bad} out of range for n=3$"):
+            induced_subgraph(path_graph(3), vertices)
+        assert induced_subgraph(path_graph(3), [2, 0, 2]) == (Graph(2), (0, 2))
+
 
 def _order_cases():
     """Graphs from every builder, and the constructor fed pairs out of order."""

@@ -226,18 +226,19 @@ class TestVerifyClassP:
         params = ClassPParams(TOY_QUAD, t=1, n=16)
         rep = verify_class_p(Graph(16), params, mode="exhaustive")
         assert not rep.passed and not rep.density.passed
-        assert rep.size_ok and rep.girth_ok
+        assert rep.size_found == rep.size_wanted and rep.short_cycle is None
+        assert rep.to_dict()["size"]["ok"] and rep.to_dict()["girth"]["ok"]
 
     def test_k5_fails_girth_with_t2(self):
         params = ClassPParams(quad(1, 64, "2/5", "4/5"), t=2, n=5)
         rep = verify_class_p(complete_graph(5), params, mode="exhaustive")
-        assert not rep.girth_ok and rep.short_cycle is not None
+        assert rep.short_cycle is not None and not rep.to_dict()["girth"]["ok"]
         assert len(rep.short_cycle) == 3
 
     def test_wrong_size_detected(self):
         params = toy_params()
         rep = verify_class_p(complete_graph(10), params, mode="exhaustive")
-        assert not rep.size_ok
+        assert rep.size_found != rep.size_wanted and not rep.to_dict()["size"]["ok"]
 
     def test_degree_violation_detected(self):
         params = ClassPParams(quad(1, 2, "1/2", "4/5"), t=1, n=16)
@@ -268,7 +269,7 @@ class TestVerifyClassP:
 class TestEdgeBoost:
     def test_complete_graph_holds(self):
         rep = verify_edgeboost(complete_graph(10), 10, 4, 2)
-        assert rep.hypothesis_ok and rep.passed
+        assert rep.hypothesis_witness is None and rep.passed
         assert rep.bound == Fraction(16, 4)
 
     def test_c5_two_set_hypothesis_holds(self):
@@ -278,13 +279,13 @@ class TestEdgeBoost:
 
         assert check_expansion(cycle_graph(5), 2) is None
         rep = verify_edgeboost(cycle_graph(5), 5, 4, 2)
-        assert rep.hypothesis_ok and rep.passed
-        assert rep.pairs_checked == 0  # (4,4)-pairs do not fit in 5 vertices
+        assert rep.hypothesis_witness is None and rep.passed
+        assert rep.min_cross is None  # (4,4)-pairs do not fit in 5 vertices
 
     def test_two_triangles_fail_hypothesis(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         rep = verify_edgeboost(g, 6, 2, 1)
-        assert not rep.hypothesis_ok and rep.hypothesis_witness is not None
+        assert rep.hypothesis_witness is not None and not rep.passed
 
     def test_toy_expander_meets_bound(self):
         found = 0
@@ -296,7 +297,7 @@ class TestEdgeBoost:
             seed += 1
             if check_expansion(g, 2) is None:
                 rep = verify_edgeboost(g, 14, 4, 2)
-                assert rep.hypothesis_ok and rep.passed
+                assert rep.hypothesis_witness is None and rep.passed
                 found += 1
 
     def test_size_preconditions(self):

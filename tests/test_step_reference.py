@@ -14,6 +14,7 @@ from pathramsey import (
     NoPathFoundError,
     ParameterError,
     PipelineConfig,
+    PreconditionError,
     build_aux_colouring,
     build_step_host,
     check_template_containment,
@@ -32,7 +33,7 @@ from pathramsey import (
     sheared_blowup,
 )
 from pathramsey.colouring import _embed_masks, _grow_clique, _prepare_pattern
-from pathramsey.graphs import _depth_first, validate_path
+from pathramsey.graphs import _depth_first, _mask_vertices, validate_path
 from pathramsey.partition import _ham_path_table, _path_flags
 
 from step_reference import (
@@ -128,8 +129,18 @@ def test_biclique_search_matches_combination_walk():
         blue_pairs = {(a, b) for a in range(12) for b in range(100, 112) if rng.random() < p}
         k = rng.randint(0, 3)
         want = ref_find_blue_biclique(side_a, side_b, lambda a, b: (a, b) in blue_pairs, k)
-        assert find_blue_biclique(side_a, side_b, lambda a, b: (a, b) in blue_pairs, k) == want
-        found += want is not None and k > 0
+        rows = [sum(1 << i for i, b in enumerate(side_b) if (a, b) in blue_pairs) for a in side_a]
+        if k == 0:  # build_aux_colouring's empty witness; the search refuses need 0
+            assert want == ((), ())
+            with pytest.raises(ParameterError):
+                find_blue_biclique(rows, 0)
+            continue
+        got = find_blue_biclique(rows, 2 * k)
+        if got is not None:
+            picks, common = got
+            got = tuple(side_a[i] for i in picks), tuple(side_b[i] for i in _mask_vertices(common)[: 2 * k])
+        assert got == want
+        found += want is not None
     assert found > 300
 
 
@@ -145,17 +156,15 @@ def test_kst_reports_match_combination_walk():
         edges = _kst_instance(x, rng.choice([0.5, 0.8]), rng.randrange(10**6))
         blue = set(edges)
         want = ref_find_blue_biclique(range(x), range(x), lambda a, b: (a, b) in blue, k)
-        assert kst_bound_check(x, edges, k).contains_biclique == (want is not None)
+        assert (kst_bound_check(x, edges, k) is None) == (want is not None)
 
 
 def test_kst_report_without_a_biclique_is_unchanged():
     # 488 edges of a 40 x 40 grid with no K_{6,6}: the combination walk took
     # over a second to rule out every 6-set of rows.
-    rep = kst_bound_check(40, _kst_instance(40, 0.3, 11), 3)
-    assert dataclasses.asdict(rep) == {
-        "x": 40, "k": 3, "edge_count": 488, "contains_biclique": False, "applicable": True,
-        "holds": True,
-    }
+    edges = _kst_instance(40, 0.3, 11)
+    assert len(edges) == 488
+    assert kst_bound_check(40, edges, 3) is True
 
 
 def test_aux_check_names_the_lexicographically_first_witness_off_the_blue_graph():
@@ -165,12 +174,12 @@ def test_aux_check_names_the_lexicographically_first_witness_off_the_blue_graph(
     host, bmap = sheared_blowup(j, 5)
     chi = EdgeColouring.constant(host, 2, 1)
     aux = build_aux_colouring(j, [clique[:4] for clique in bmap.clique_of], chi, 1, 1)
-    ref_validate_aux_colouring(aux)
+    ref_validate_aux_colouring(aux, j)
     assert aux.blue == j
     blue = Graph(6, [(0, 1), (1, 2), (4, 5)])
     witnesses = {e: aux.witnesses[e] for e in ((3, 4), (0, 1), (2, 3), (1, 2), (4, 5))}
     with pytest.raises(ConstructionError, match=r"^witness stored for non-blue edge \(2, 3\)$"):
-        ref_validate_aux_colouring(dataclasses.replace(aux, blue=blue, witnesses=witnesses))
+        ref_validate_aux_colouring(dataclasses.replace(aux, blue=blue, witnesses=witnesses), j)
 
 
 @pytest.mark.parametrize("clique", [(0, 1, 17), (0, 0, 1), (0, 1, 2, 40)])
@@ -383,17 +392,22 @@ def test_template_check_matches_three_pass_reference():
     rng = random.Random(31)
     for trial in range(400):
         h, r, t, segments, j, blue, base = _template_instance(rng)
-        res = check_template_containment(h, r, t, segments, j, blue, base)
-        want = ref_template_containment(h, r, t, segments, j, blue, base)
-        got = (res.contained, res.offending, res.grey_ok, res.grey_problem, res.template, res.distance_ok)
-        assert got == want, trial
-        if res.template is not None:
-            assert list(res.template.edges) == list(want[4].edges), trial
-        if not res.contained:
-            seen.add("inside" if res.offending[0][0] == res.offending[0][1] else "across")
-            seen.add("outside j" if max(res.offending[1]) >= j.n else "in j")
+        contained, offending, grey_ok, grey_problem, template, distance_ok = want = \
+            ref_template_containment(h, r, t, segments, j, blue, base)
+        if contained and grey_ok:
+            got = check_template_containment(h, r, t, segments, j, blue, base)
+            assert got == (template, distance_ok), trial
+            assert list(got[0].edges) == list(template.edges), trial
         else:
-            seen.add("grey" if res.grey_ok else res.grey_problem.split()[0])
-            seen.add("distance ok" if res.distance_ok else "distance miss")
+            with pytest.raises(PreconditionError) as exc:
+                check_template_containment(h, r, t, segments, j, blue, base)
+            reason = f"containment fails at {offending}" if not contained else grey_problem
+            assert str(exc.value) == reason, (trial, want)
+        if not contained:
+            seen.add("inside" if offending[0][0] == offending[0][1] else "across")
+            seen.add("outside j" if max(offending[1]) >= j.n else "in j")
+        else:
+            seen.add("grey" if grey_ok else grey_problem.split()[0])
+            seen.add("distance ok" if distance_ok else "distance miss")
     assert seen == {"inside", "across", "outside j", "in j", "grey", "pair", "non-grey",
                     "distance ok", "distance miss"}
