@@ -20,11 +20,7 @@ class ParameterInfeasibleError(ParameterError):
 
 
 class CertificationError(PathRamseyError):
-    """Density certification failed after exhausting the retry budget."""
-
-    def __init__(self, message: str, worst_pair=None):
-        super().__init__(message)
-        self.worst_pair = worst_pair
+    """Density certification failed after exhausting the retry budget; the message names the last failing pair."""
 
 
 class NoCoverFoundError(PathRamseyError):

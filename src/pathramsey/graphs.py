@@ -339,18 +339,14 @@ def girth_violation(g: Graph, limit: int) -> list[int] | None:
     """A shortest cycle of length <= limit, or None if girth exceeds limit.
 
     The cycle lies on the first edge uv, in sorted-edge order, among those on
-    a shortest cycle.  It is returned as [v, ..., u]: the shortest u-v path in
-    g - uv found by a breadth-first search from u that visits neighbours in
-    ascending order and keeps the first parent of each vertex.
+    a shortest cycle.  It is returned as [v, ..., u]: the first-parent u-v
+    path in g - uv of the one breadth-first search from u, neighbours
+    ascending, that also found the cycle's length.
     """
     if limit < 3:
         raise ParameterError("cycle length bound must be >= 3")
-    adj = g.adjacency_masks()
-    edges = g.sorted_edges()
-    found = _first_shortest_cycle(adj, edges, 0, 3, limit)
-    if found is None:
-        return None
-    return _cycle_path(adj, *edges[found[0]])
+    found = _first_shortest_cycle(g.adjacency_masks(), g.sorted_edges(), 0, 3, limit)
+    return None if found is None else found[1]
 
 
 def _mask_vertices(mask: int) -> list[int]:
@@ -363,76 +359,72 @@ def _mask_vertices(mask: int) -> list[int]:
     return out
 
 
-def _cycle_length(adj: Sequence[int], u: int, v: int, cap: int) -> int | None:
-    """Length of a shortest cycle through the edge uv if it is at most cap (>= 3), else None.
-
-    Breadth-first search from u in g - uv, stopping when a layer touches v
-    or at depth cap - 2.  The first layer, N(u) - v, touches v exactly when
-    u and v have a common neighbour, so a triangle costs one AND and starts
-    no search; deeper layers come from `_frontiers`.
-    """
-    if adj[u] & adj[v]:
-        return 3
-    if cap == 3:
-        return None
-    seen = (1 << u) | (1 << v)
-    layers = islice(_frontiers(adj, adj[u] & ~seen, seen), 1, None)  # empty for a pendant edge
-    for length, layer in zip(range(4, cap + 1), layers):
-        if layer & adj[v]:
-            return length
-    return None
-
-
 def _first_shortest_cycle(
     adj: Sequence[int], edges: Sequence[Edge], start: int, shortest: int, longest: int
-) -> tuple[int, int] | None:
-    """(index, length) of the first edge in edges[start:] on a cycle as short as any there.
+) -> tuple[int, list[int]] | None:
+    """(index, path) of the first edge in edges[start:] on a cycle as short as any there.
 
     Only cycles of length at most `longest` count, and `shortest` is a known
     lower bound on their length, so the scan stops at the first edge reaching
-    it.  Edges no longer present in adj are skipped.  None when no edge from
-    `start` on lies on a cycle of length <= longest.
+    it; a triangle costs one AND and no search.  Edges no longer present in
+    adj are skipped.  None when no edge from `start` on lies on a cycle of
+    length <= longest.
     """
-    best = None
-    cap = longest
+    best, cap = None, longest
     for i in range(start, len(edges)):
         u, v = edges[i]
         if not adj[u] >> v & 1:
             continue
-        length = _cycle_length(adj, u, v, cap)
-        if length is not None:
-            best, cap = (i, length), length - 1
-            if length <= shortest:
+        common = adj[u] & adj[v]
+        if common:  # no cycle is shorter: stop here
+            return i, [v, (common & -common).bit_length() - 1, u]
+        path = _short_cycle(adj, u, v, cap) if cap > 3 else None
+        if path is not None:
+            best, cap = (i, path), len(path) - 1
+            if len(path) <= shortest:
                 break
     return best
 
 
-def _cycle_path(adj: Sequence[int], u: int, v: int) -> list[int]:
-    """[v, ..., u]: the parent-pointer BFS path from u to v in g - uv, neighbours ascending.
+def _short_cycle(adj: Sequence[int], u: int, v: int, cap: int) -> list[int] | None:
+    """[v, ..., u]: the first-parent path of a shortest cycle through uv, or None if it is longer than cap.
 
-    The caller guarantees that uv lies on a cycle.  A layer is kept as
-    (parent, fresh mask) chunks in queue order and tested against N(v) one
-    chunk at a time; its vertices are decoded only when it must be expanded.
+    Breadth-first search from u in g - uv, neighbours ascending, each layer
+    kept as (parent, fresh mask) chunks in queue order.  Each vertex x
+    expanded is tested by one AND of N(x) with the neighbours of v not in a
+    kept layer; one an earlier x reached would have hit there, so the first
+    hit gives the length and the path at once.  The last layer is not kept.
     """
-    seen = adj[u] | 1 << u | 1 << v  # v is reached only through a vertex other than u
-    layers = [[(u, adj[u] & ~(1 << v))]]
-    while True:
-        for p, chunk in layers[-1]:
-            hit = chunk & adj[v]
-            if hit:
-                path = [v, (hit & -hit).bit_length() - 1, p]
-                for layer in reversed(layers[:-1]):
-                    p = next(q for q, fresh in layer if fresh >> p & 1)
-                    path.append(p)
-                return path
+    first = adj[u] & ~(1 << v)
+    hit = first & adj[v]
+    if hit:
+        return [v, (hit & -hit).bit_length() - 1, u]
+    seen = first | 1 << u | 1 << v
+    layers = [[(u, first)]]
+    for length in range(4, cap + 1):
+        near = adj[v] & ~seen
         reached = []
         for _, chunk in layers[-1]:
-            for x in _mask_vertices(chunk):
-                fresh = adj[x] & ~seen
-                if fresh:
-                    seen |= fresh
-                    reached.append((x, fresh))
+            while chunk:
+                low = chunk & -chunk
+                chunk ^= low
+                x = low.bit_length() - 1
+                hit = adj[x] & near
+                if hit:
+                    path = [v, (hit & -hit).bit_length() - 1, x]
+                    for layer in reversed(layers):
+                        x = next(p for p, fresh in layer if fresh >> x & 1)
+                        path.append(x)
+                    return path
+                if length < cap:
+                    fresh = adj[x] & ~seen
+                    if fresh:
+                        seen |= fresh
+                        reached.append((x, fresh))
+        if not reached:
+            return None
         layers.append(reached)
+    return None
 
 
 # -- paths ---------------------------------------------------------------

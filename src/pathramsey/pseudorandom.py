@@ -26,7 +26,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    _cycle_path,
     _depth_first,
     _edge_subset,
     _first_shortest_cycle,
@@ -638,6 +637,11 @@ def fit_density_certificate(
     )
 
 
+def _count_band(target: Fraction, slack: Fraction) -> tuple[int, int]:
+    """The cross counts [lo, hi] that lie within (1 +- slack)*target."""
+    return math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
+
+
 def _count_certificate_ok(
     g: Graph, set_size: int, target: Fraction, slack: Fraction,
     sample_count: int, seed: int,
@@ -647,7 +651,7 @@ def _count_certificate_ok(
     if total == 0:
         return None, "vacuous"
     masks = g.adjacency_masks()
-    lo, hi = math.ceil((1 - slack) * target), math.floor((1 + slack) * target)
+    lo, hi = _count_band(target, slack)
     if total <= PAIR_BUDGET:
         pairs = _record_pairs(masks, set_size, lo, hi)  # only pairs outside [lo, hi]
         mode = "exhaustive"
@@ -689,10 +693,11 @@ def _clean_short_cycles(g: Graph, limit: int, log: GenerationLog) -> Graph:
     """Remove one edge per short cycle until no cycle of length <= limit remains.
 
     Each round takes the cycle girth_violation would return: a shortest cycle,
-    on the first edge in sorted order that lies on one, traced by the same BFS.
-    From it the edge with the largest endpoint degree sum goes (ties:
-    lexicographically smallest pair), biasing the removals away from sparse
-    regions; one pass over the cycle's consecutive pairs finds it.
+    on the first edge in sorted order that lies on one, as the path of the
+    one search that found it: no cycle is searched for twice.  From it the
+    edge with the largest endpoint degree sum goes (ties: lexicographically
+    smallest pair), biasing the removals away from sparse regions; one pass
+    over the cycle's consecutive pairs finds it.
 
     The graph is kept as adjacency masks and a degree list, both updated per
     removal, and the edge scan resumes where the last winner was found.
@@ -708,8 +713,7 @@ def _clean_short_cycles(g: Graph, limit: int, log: GenerationLog) -> Graph:
     edges = g.sorted_edges()
     found = _first_shortest_cycle(adj, edges, 0, 3, limit)
     while found is not None:
-        start, length = found
-        cyc = _cycle_path(adj, *edges[start])
+        start, cyc = found
         log.cycles_found += 1
         most, a = -1, cyc[-1]
         for b in cyc:
@@ -723,9 +727,9 @@ def _clean_short_cycles(g: Graph, limit: int, log: GenerationLog) -> Graph:
         adj[v] ^= 1 << u
         deg[u] -= 1
         deg[v] -= 1
-        found = _first_shortest_cycle(adj, edges, start, length, length)
-        if found is None and length < limit:
-            found = _first_shortest_cycle(adj, edges, 0, length + 1, limit)
+        found = _first_shortest_cycle(adj, edges, start, len(cyc), len(cyc))
+        if found is None and len(cyc) < limit:
+            found = _first_shortest_cycle(adj, edges, 0, len(cyc) + 1, limit)
     return _edge_subset(g, [adj[u] >> v & 1 for u, v in edges])
 
 
@@ -733,7 +737,7 @@ def prune_to_size(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[int
     """Repeatedly delete a current-maximum-degree vertex (ties: smallest id) until `keep` remain.
 
     Live degrees are kept in a list: a victim is marked -1 and its live
-    neighbours lose one each, and `max` returns the first maximum, which is
+    neighbours lose one each, and `index` finds the first maximum, which is
     the smallest id.
 
     Returns (pruned graph relabelled over the kept vertices in ascending order,
@@ -746,7 +750,7 @@ def prune_to_size(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...], list[int
     alive = (1 << g.n) - 1
     removed: list[int] = []
     for _ in range(g.n - keep):
-        victim = max(range(g.n), key=deg.__getitem__)
+        victim = deg.index(max(deg))
         alive ^= 1 << victim
         deg[victim] = -1
         for w in _mask_vertices(adj[victim] & alive):
@@ -770,23 +774,21 @@ def generate_class_p(
     q = params.quad
     log = GenerationLog()
     target = cfg.p * params.cn * params.cn
-    sample: Graph | None = None
-    worst = None
     for attempt in range(cfg.retry_budget):
         log.attempts = attempt + 1
-        candidate = random_graph(params.two_an, float(cfg.p), seed=cfg.seed * 1_000_003 + attempt)
-        worst, mode = _count_certificate_ok(
-            candidate, params.cn, target, q.eps / 2,
+        sample = random_graph(params.two_an, float(cfg.p), seed=cfg.seed * 1_000_003 + attempt)
+        worst, log.internal_mode = _count_certificate_ok(
+            sample, params.cn, target, q.eps / 2,
             sample_count=cfg.cert_samples, seed=cfg.seed ^ 0x5EED,
         )
-        log.internal_mode = mode
         if worst is None:
-            sample = candidate
             break
-    if sample is None:
+    else:
+        xs, ys, cross = worst
+        lo, hi = _count_band(target, q.eps / 2)
         raise CertificationError(
-            f"no sample passed pair-count certification in {cfg.retry_budget} attempts",
-            worst_pair=worst,
+            f"no sample passed pair-count certification in {cfg.retry_budget} attempts;"
+            f" the last sample's pair X={list(xs)}, Y={list(ys)} has {cross} cross edges, outside [{lo}, {hi}]"
         )
     cleaned = _clean_short_cycles(sample, 2 * params.t, log)
     log.pre_prune_edges = cleaned.m

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 SCHEMA_VERSION = 1
@@ -32,18 +33,26 @@ def parse_frac(value: Any) -> Fraction:
 
 
 _PLAIN = frozenset({int, str, bool, float, type(None)})  # leaves JSON takes as they are
+_ARRAYS = frozenset({list, tuple})  # json writes both as arrays
 
 
 def jsonable(obj: Any) -> Any:
     """Recursively convert Fractions and tuples into JSON-friendly values.
 
     A plain leaf, matched by exact type, returns before any isinstance test
-    (a Fraction test goes through ABCMeta), and list and tuple items that are
-    plain leaves are kept inline, without a call each.  Subclasses of those
-    types take the isinstance path.
+    (a Fraction test goes through ABCMeta).  A plain list or tuple of plain
+    leaves, or of plain lists and tuples of them, is copied into a list after
+    C-level scans, inner sequences as they are: json writes them as arrays.
+    Elsewhere list and tuple items that are plain leaves are kept inline,
+    without a call each.  Subclasses of those types take the isinstance path.
     """
     if type(obj) in _PLAIN:
         return obj
+    if type(obj) in _ARRAYS and (
+        _PLAIN.issuperset(map(type, obj))
+        or _ARRAYS.issuperset(map(type, obj)) and _PLAIN.issuperset(map(type, chain.from_iterable(obj)))
+    ):
+        return list(obj)
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if isinstance(obj, dict):

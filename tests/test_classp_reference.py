@@ -29,7 +29,7 @@ from pathramsey import (
     random_graph,
 )
 from pathramsey import pseudorandom
-from pathramsey.graphs import _cycle_path
+from pathramsey.graphs import _short_cycle
 from pathramsey.partition import check_expansion
 from pathramsey.pseudorandom import (
     GenerationLog,
@@ -262,7 +262,8 @@ def _cycle_path_graphs():
 
 def test_cycle_path_matches_reference():
     # Every edge on a cycle, from either end: the layered search traces the
-    # queue's first-parent path, whatever the cycle length.
+    # queue's first-parent path, whatever the cycle length, and finds none
+    # when capped below that length.
     lengths = set()
     for g in _cycle_path_graphs():
         adj = g.adjacency_masks()
@@ -272,7 +273,10 @@ def test_cycle_path_matches_reference():
                 continue
             for a, b in ((u, v), (v, u)):
                 want = ref_cycle_path(adj, a, b)
-                assert _cycle_path(adj, a, b) == want, (g.n, sorted(g.edges), a, b)
+                assert _short_cycle(adj, a, b, g.n) == want, (g.n, sorted(g.edges), a, b)
+                assert _short_cycle(adj, a, b, len(want)) == want, (g.n, sorted(g.edges), a, b)
+                for cap in range(3, len(want)):
+                    assert _short_cycle(adj, a, b, cap) is None, (g.n, sorted(g.edges), a, b, cap)
                 lengths.add(len(want))
     assert set(range(3, 17)) <= lengths
 
@@ -640,6 +644,16 @@ def test_cleaning_matches_reference_at_bench_size(seed):
     cleaned = _clean_short_cycles(g, 4, log)
     assert (cleaned, log.removed_edges, log.cycles_found) == ref_clean_short_cycles(g, 4)
     assert girth_violation(g, 4) == ref_girth_violation(g, 4)
+
+
+@pytest.mark.parametrize("n", (24, 28, 32))
+def test_cleaning_matches_reference_in_bench_shape(n):
+    # The benchmark's girth family scaled down: G(n, 3/10) with limit 4.
+    for seed in range(4):
+        g = random_graph(n, 0.3, seed)
+        log = GenerationLog()
+        cleaned = _clean_short_cycles(g, 4, log)
+        assert (cleaned, log.removed_edges, log.cycles_found) == ref_clean_short_cycles(g, 4), (n, seed)
 
 
 @pytest.mark.parametrize("seed", range(2))

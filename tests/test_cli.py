@@ -124,6 +124,14 @@ class TestGenVerify:
         code, out, err = run("gen", "--config", str(cfg))
         assert (code, out, err) == (2, "", "error: retry budget must be >= 1\n")
 
+    def test_retry_budget_exhaustion_names_the_failing_pair(self, run, tmp_path):
+        cfg = tmp_path / "tight.json"
+        cfg.write_text(json.dumps(dict(GEN_DOC, eps="1/100", t=1, n=8, p="1/3", seed=0, retryBudget=3)))
+        code, out, err = run("gen", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == ("error: no sample passed pair-count certification in 3 attempts; the last sample's pair"
+                       " X=[4, 6, 9, 13], Y=[3, 7, 12, 14] has 4 cross edges, outside [6, 5]\n")
+
     @pytest.mark.parametrize("key,value", [("t", 1.5), ("t", True), ("n", "16"), ("seed", 7.0),
                                            ("certSamples", True), ("a", True), ("p", False)])
     def test_mistyped_number_exits_2(self, run, tmp_path, key, value):

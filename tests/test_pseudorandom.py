@@ -193,7 +193,9 @@ class TestGeneration:
         params = ClassPParams(quad(1, 64, "1/2", "1/100"), t=1, n=8)
         with pytest.raises(CertificationError) as exc:
             generate_class_p(params, GenerationConfig(p=Fraction(1, 3), seed=0, retry_budget=3))
-        assert exc.value.worst_pair is not None
+        # The band for 16/3 expected cross edges with slack 1/200 holds no integer.
+        assert str(exc.value).endswith("cross edges, outside [6, 5]")
+        assert " X=[" in str(exc.value) and "], Y=[" in str(exc.value)
 
 
 class TestPruning:
