@@ -499,9 +499,7 @@ def arrow_check(
     total = s ** m
     if mode == "exhaustive":
         if total > budget:
-            raise BudgetExceededError(
-                f"{total} colourings exceed the budget {budget}", required=total
-            )
+            raise BudgetExceededError(f"{total} colourings exceed the budget {budget}")
         indices: Iterable[int] = range(total)
     elif mode == "randomized":
         if trials < 1:

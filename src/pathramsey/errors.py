@@ -38,10 +38,6 @@ class NoPathFoundError(PathRamseyError):
 class BudgetExceededError(PathRamseyError):
     """An exhaustive enumeration would exceed the configured budget."""
 
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
-
 
 class PreconditionError(PathRamseyError):
     """A checked precondition on input structure failed."""

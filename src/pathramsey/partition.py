@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .errors import (
     BudgetExceededError,
+    ConstructionError,
     NoCoverFoundError,
     NoPathFoundError,
     ParameterError,
@@ -318,7 +319,8 @@ def partition_two_coloured(
 
     Exhaustive mode (n <= 12) walks candidate path supports largest first and
     always finds a valid cover when one exists under the degeneracy convention;
-    heuristic mode grows rotated blue paths and may honestly fail.
+    heuristic mode grows rotated blue paths and may honestly fail.  A search
+    that returns a cover the check rejects is a fault: ConstructionError.
     """
     if ell < 1:
         raise ParameterError("ell must be >= 1")
@@ -337,7 +339,7 @@ def partition_two_coloured(
         raise NoCoverFoundError(f"no cover found (mode={mode}, ell={ell})")
     problem = verify_partition(blue, result, ell)
     if problem is not None:
-        raise NoCoverFoundError(f"search produced an invalid cover: {problem}")
+        raise ConstructionError(f"search produced an invalid cover: {problem}")
     return result
 
 

@@ -2,8 +2,10 @@
 blow-up host and the base-case embedding driver.
 
 Each stage's output is validated once, by the module that builds it, and
-the stage appends one trace record; honest failure at any stage is an
-outcome.  Identical (config, seed) re-runs produce identical traces.
+the stage appends one trace record through _ok or _fail.  An honest failure
+is about the instance (no path, no cover, a failed hypothesis) and is an
+outcome; a stage whose own construction breaks is a fault and raises.
+Identical (config, seed) re-runs produce identical traces.
 """
 
 from __future__ import annotations
@@ -137,8 +139,13 @@ def build_step_host(g: Graph, cfg: PipelineConfig) -> tuple[Graph, BlowupMap]:
     return sheared_blowup(power(g, cfg.big_r), cfg.clique_size, seed=cfg.seed)
 
 
-def _fail(trace: list[dict], stage: str, reason: str) -> StepOutcome:
-    trace.append({"stage": stage, "status": "failed", "detail": reason})
+def _ok(trace: list[dict], stage: str, detail) -> None:
+    trace.append({"stage": stage, "status": "ok", "detail": detail})
+
+
+def _fail(trace: list[dict], stage: str, reason: str, detail=None) -> StepOutcome:
+    """Record the stage as failed, with detail or else the reason, and end the step honestly."""
+    trace.append({"stage": stage, "status": "failed", "detail": reason if detail is None else detail})
     return StepOutcome("honestFailure", failure_stage=stage, failure_reason=reason, trace=trace)
 
 
@@ -154,20 +161,15 @@ def induction_step(
     Outcomes: a monochromatic path-power embedding, a reduced graph whose
     blow-up template embeds without the dominant colour, or an honest failure
     naming the stage (expected at toy scale when the large-n hypotheses fail).
+    A stage whose own construction breaks raises ConstructionError instead.
     """
     trace: list[dict] = []
     if chi.host != host:
         raise ParameterError("colouring does not belong to the given host")
-    expected_base = power(g, cfg.big_r)
-    if blowup.base != expected_base:
+    if blowup.base != power(g, cfg.big_r):
         raise ParameterError("blow-up base is not g^(t*r); host not built for this config")
-    trace.append({
-        "stage": "inputs", "status": "ok",
-        "detail": {
-            "baseVertices": g.n, "hostVertices": host.n, "hostEdges": host.m,
-            "colours": chi.s, "cliqueSize": blowup.t,
-        },
-    })
+    _ok(trace, "inputs", {"baseVertices": g.n, "hostVertices": host.n, "hostEdges": host.m,
+                          "colours": chi.s, "cliqueSize": blowup.t})
 
     # Single colour: everything is monochromatic, embed directly.
     if chi.s == 1:
@@ -182,8 +184,8 @@ def induction_step(
         emb = Embedding(path_power(len(path), cfg.k), host, mapping, (chi, frozenset({1})))
         problem = validate_embedding(emb)
         if problem is not None:
-            return _fail(trace, "bypass-validate", problem)
-        trace.append({"stage": "bypass", "status": "ok", "detail": {"pathLength": len(path)}})
+            raise ConstructionError(f"bypass embedding failed validation: {problem}")
+        _ok(trace, "bypass", {"pathLength": len(path)})
         return StepOutcome("monoPowerFound", embedding=emb, trace=trace)
 
     # Monochromatic cliques inside each blow-up clique.
@@ -199,28 +201,18 @@ def induction_step(
         return _fail(trace, "mono-cliques", "no blow-up clique yields a monochromatic clique")
     blue = max(by_colour, key=lambda c: (len(by_colour[c]), -c))
     w_set = sorted(by_colour[blue])
-    fraction_ok = len(w_set) * cfg.s >= g.n
-    trace.append({
-        "stage": "mono-cliques", "status": "ok",
-        "detail": {
-            "found": len(found), "colourCounts": {str(c): len(vs) for c, vs in sorted(by_colour.items())},
-            "chosenColour": blue, "W": len(w_set), "fractionInequalityHolds": fraction_ok,
-        },
+    _ok(trace, "mono-cliques", {
+        "found": len(found), "colourCounts": {str(c): len(vs) for c, vs in sorted(by_colour.items())},
+        "chosenColour": blue, "W": len(w_set), "fractionInequalityHolds": len(w_set) * cfg.s >= g.n,
     })
 
-    # Derived graph on W and its blue/grey colouring.
+    # Derived graph on W and its blue/grey colouring; each subclique is blue by construction.
     g_w, ids = induced_subgraph(g, w_set)
     j = power(g_w, cfg.big_r)
-    try:
-        aux = build_aux_colouring(j, [found[v][1] for v in ids], chi, cfg.k, blue)
-    except (PreconditionError, ParameterError) as exc:
-        return _fail(trace, "aux-colouring", str(exc))
-    trace.append({
-        "stage": "aux-colouring", "status": "ok",
-        "detail": {"jVertices": j.n, "jEdges": j.m, "blueEdges": aux.blue.m},
-    })
+    aux = build_aux_colouring(j, [found[v][1] for v in ids], chi, cfg.k, blue)
+    _ok(trace, "aux-colouring", {"jVertices": j.n, "jEdges": j.m, "blueEdges": aux.blue.m})
 
-    # Cover the blue/grey complete graph over W.
+    # Cover the blue/grey complete graph over W by ell blue paths and ell + 1 = t classes.
     ell = cfg.t - 1
     if ell >= 1:
         try:
@@ -229,13 +221,8 @@ def induction_step(
             return _fail(trace, "partition", str(exc))
     else:
         part = PartitionResult((), (tuple(range(j.n)),))
-    trace.append({
-        "stage": "partition", "status": "ok",
-        "detail": {
-            "bluePaths": [len(p) for p in part.blue_paths],
-            "classSizes": [len(c) for c in part.red_classes],
-        },
-    })
+    _ok(trace, "partition", {"bluePaths": [len(p) for p in part.blue_paths],
+                             "classSizes": [len(c) for c in part.red_classes]})
 
     # A blue path of n derived vertices promotes straight to a blue power.
     long_blue = next((p for p in part.blue_paths if len(p) >= cfg.n), None)
@@ -247,49 +234,39 @@ def induction_step(
     if long_blue is not None:
         try:
             emb = blue_path_to_blue_power(long_blue[: cfg.n], aux)
-        except (PreconditionError, ConstructionError) as exc:
+        except PreconditionError as exc:  # n = 1 with subcliques below 2k vertices
             return _fail(trace, "blue-power", str(exc))
-        trace.append({
-            "stage": "blue-power", "status": "ok",
-            "detail": {"pathLength": cfg.n, "patternVertices": emb.pattern.n},
-        })
+        _ok(trace, "blue-power", {"pathLength": cfg.n, "patternVertices": emb.pattern.n})
         return StepOutcome("monoPowerFound", embedding=emb, trace=trace)
-    trace.append({"stage": "blue-path", "status": "ok",
-                  "detail": {"longest": max((len(p) for p in part.blue_paths), default=0),
-                             "needed": cfg.n}})
+    _ok(trace, "blue-path", {"longest": max((len(p) for p in part.blue_paths), default=0),
+                             "needed": cfg.n})
 
     # Classes must be large enough to thread the segment path through.
     an = cfg.an
     seg_count = 2 * an
     needed_len = seg_count * cfg.t
-    classes = [c for c in part.red_classes]
-    if len(classes) != cfg.t:
-        return _fail(trace, "class-size", f"{len(classes)} classes, expected t = {cfg.t}")
-    if min((len(c) for c in classes), default=0) < seg_count:
-        sizes = [len(c) for c in classes]
-        return _fail(trace, "class-size",
-                     f"class sizes {sizes} below the per-class floor {seg_count}")
-    trace.append({"stage": "class-size", "status": "ok",
-                  "detail": {"classSizes": [len(c) for c in classes], "floor": seg_count}})
+    sizes = [len(c) for c in part.red_classes]
+    if min(sizes) < seg_count:
+        return _fail(trace, "class-size", f"class sizes {sizes} below the per-class floor {seg_count}")
+    _ok(trace, "class-size", {"classSizes": sizes, "floor": seg_count})
 
     # Long path through the classes inside G[W], on the class vertices only.
-    g_c, ids_c = induced_subgraph(g_w, sorted(v for c in classes for v in c))
+    g_c, ids_c = induced_subgraph(g_w, sorted(v for c in part.red_classes for v in c))
     to_c = {v: i for i, v in enumerate(ids_c)}
     try:
-        path = long_path_through_sets(g_c, [[to_c[v] for v in c] for c in classes], needed_len,
-                                      gamma=Fraction(1, 2 * cfg.t))
+        path = long_path_through_sets(g_c, [[to_c[v] for v in c] for c in part.red_classes],
+                                      needed_len, gamma=Fraction(1, 2 * cfg.t))
     except PreconditionError as exc:
         return _fail(trace, "long-path-expansion", str(exc))
     except NoPathFoundError as exc:
         return _fail(trace, "long-path", f"needed {needed_len}, achieved {len(exc.longest)}")
-    trace.append({"stage": "long-path", "status": "ok", "detail": {"length": needed_len}})
+    _ok(trace, "long-path", {"length": needed_len})
 
     # Segments and the segment-adjacency graph.
     segments = segment_path([ids_c[v] for v in path], cfg.t)
     h_prime = auxiliary_graph(g_w, segments)
-    trace.append({"stage": "segments", "status": "ok",
-                  "detail": {"count": len(segments), "segmentSize": cfg.t,
-                             "segmentGraphEdges": h_prime.m}})
+    _ok(trace, "segments", {"count": len(segments), "segmentSize": cfg.t,
+                            "segmentGraphEdges": h_prime.m})
     try:
         params_mid = ClassPParams(
             GoodQuadruple(
@@ -301,29 +278,22 @@ def induction_step(
     except ParameterError as exc:
         return _fail(trace, "segment-graph-params", str(exc))
     rep_mid = verify_class_p(h_prime, params_mid, mode="auto", seed=cfg.seed)
-    trace.append({"stage": "segment-graph-class",
-                  "status": "ok" if rep_mid.passed else "failed",
-                  "detail": rep_mid.to_dict()})
     if not rep_mid.passed:
-        return StepOutcome("honestFailure", failure_stage="segment-graph-class",
-                           failure_reason="segment graph fails class membership", trace=trace)
+        return _fail(trace, "segment-graph-class", "segment graph fails class membership", rep_mid.to_dict())
+    _ok(trace, "segment-graph-class", rep_mid.to_dict())
 
     # Sparsify then peel high-degree vertices down to an survivors.
     h_second = sparsify(h_prime, cfg.sparsify_p, cfg.seed * 1_000_003 + 11)
     h_final, kept = prune_top(h_second, h_second.n - an)
-    trace.append({"stage": "sparsify-prune", "status": "ok",
-                  "detail": {"keptEdges": h_second.m, "keptVertices": len(kept)}})
+    _ok(trace, "sparsify-prune", {"keptEdges": h_second.m, "keptVertices": len(kept)})
     try:
         params_out = ClassPParams(cfg.out_quad, cfg.t, cfg.n)
     except ParameterError as exc:
         return _fail(trace, "pruned-params", str(exc))
     rep_out = verify_class_p(h_final, params_out, mode="auto", seed=cfg.seed)
-    trace.append({"stage": "pruned-class",
-                  "status": "ok" if rep_out.passed else "failed",
-                  "detail": rep_out.to_dict()})
     if not rep_out.passed:
-        return StepOutcome("honestFailure", failure_stage="pruned-class",
-                           failure_reason="reduced graph fails class membership", trace=trace)
+        return _fail(trace, "pruned-class", "reduced graph fails class membership", rep_out.to_dict())
+    _ok(trace, "pruned-class", rep_out.to_dict())
 
     # Grey template containment inside the derived graph.
     kept_segments = [segments[i] for i in kept]
@@ -331,23 +301,20 @@ def induction_step(
         template, distance_ok = check_template_containment(h_final, cfg.r, cfg.t, kept_segments, j, aux.blue, g_w)
     except PreconditionError as exc:
         return _fail(trace, "template", str(exc))
-    trace.append({"stage": "template", "status": "ok",
-                  "detail": {"templateVertices": template.n,
-                             "templateEdges": template.m,
-                             "distanceOk": distance_ok}})
+    _ok(trace, "template", {"templateVertices": template.n, "templateEdges": template.m,
+                            "distanceOk": distance_ok})
 
     # Resample-until-clean embedding of the template into the host.
     cliques = [aux.subcliques[jv] for seg in kept_segments for jv in seg]
     instance = make_lll_instance(template, cliques, host, chi, blue)
     budget = 100 * max(1, template.m)
-    trace.append({"stage": "lll-instance", "status": "ok", "detail": instance.to_dict()})
+    _ok(trace, "lll-instance", instance.to_dict())
     try:
         emb = lll_embed(instance, cfg.seed * 1_000_003 + 13, budget)
     except LLLFailureError as exc:
         return _fail(trace, "lll-embed", f"{exc} ({exc.stats})")
     allowed = frozenset(c for c in range(1, cfg.s + 1) if c != blue)
-    trace.append({"stage": "lll-embed", "status": "ok",
-                  "detail": {"allowedColours": sorted(allowed)}})
+    _ok(trace, "lll-embed", {"allowedColours": sorted(allowed)})
     return StepOutcome(
         "reducedColours", reduced_graph=h_final, reduced_colours=allowed,
         template_embedding=emb, trace=trace,

@@ -578,9 +578,7 @@ def fit_density_certificate(
     least, greatest = denom + 1, -1
     if mode == "exhaustive":
         if total > PAIR_BUDGET:
-            raise BudgetExceededError(
-                f"{total} pairs exceed the exhaustive budget {PAIR_BUDGET}", required=total
-            )
+            raise BudgetExceededError(f"{total} pairs exceed the exhaustive budget {PAIR_BUDGET}")
         checked = total
         count_sum = g.m * math.comb(g.n - 2, set_size - 1) * math.comb(g.n - set_size - 1, set_size - 1)
         pairs = _record_pairs(masks, set_size, least, greatest)
@@ -626,7 +624,7 @@ def fit_density_certificate(
         passed = dev <= tolerance
     else:
         f = mean
-        dev, wpair = (dev_mean, worst_mean) if dev_mean is not None else (None, worst_mean)
+        dev, wpair = dev_mean, worst_mean
         passed = False
 
     return DensityCertificate(
@@ -849,8 +847,6 @@ class EdgeBoostReport:
     hypothesis_witness: tuple | None
     bound: Fraction
     min_cross: int | None
-    worst_pair: tuple | None
-    passed: bool
 
 
 def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoostReport:
@@ -868,17 +864,10 @@ def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoos
     bound = Fraction(beta_n ** 2, 2 * mu_n)
 
     # The first record for the window [1, mu_n^2] is the first pair with no
-    # cross edge; the last record for the empty window [beta_n^2 + 1, beta_n^2]
-    # is the first pair with the fewest cross edges.
+    # cross edge; the least record for the empty window [beta_n^2 + 1, beta_n^2]
+    # is the fewest cross edges of any pair.
     for x, y, _ in _record_pairs(masks, mu_n, 1, mu_n * mu_n):
         witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)))
-        return EdgeBoostReport(witness, bound, None, None, False)
-
-    min_cross: int | None = None
-    worst = None
-    for x, y, e in _record_pairs(masks, beta_n, beta_n * beta_n + 1, beta_n * beta_n):
-        min_cross, worst = e, (x, y)
-    if worst is not None:
-        worst = (tuple(_mask_vertices(worst[0])), tuple(_mask_vertices(worst[1])))
-    passed = min_cross is None or min_cross >= bound
-    return EdgeBoostReport(None, bound, min_cross, worst, passed)
+        return EdgeBoostReport(witness, bound, None)
+    records = _record_pairs(masks, beta_n, beta_n * beta_n + 1, beta_n * beta_n)
+    return EdgeBoostReport(None, bound, min((e for _, _, e in records), default=None))

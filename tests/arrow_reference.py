@@ -90,7 +90,7 @@ def ref_arrow_check(host: Graph, pattern: Graph, s: int, mode: str = "exhaustive
     total = s ** m
     if mode == "exhaustive":
         if total > budget:
-            raise BudgetExceededError(f"{total} colourings exceed the budget {budget}", required=total)
+            raise BudgetExceededError(f"{total} colourings exceed the budget {budget}")
         indices = range(total)
     elif mode == "randomized":
         rng = random.Random(seed)

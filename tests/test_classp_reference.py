@@ -575,7 +575,8 @@ def test_covered_window_stops_the_bisection_search():
         report = verify_edgeboost(g, 200, 100, 1)
 
     assert _profiled_calls(run, "table") <= g.n
-    assert (report.hypothesis_witness, report.min_cross, report.passed) == (None, 10_000, True)
+    assert (report.hypothesis_witness, report.min_cross) == (None, 10_000)
+    assert report.min_cross >= report.bound
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (12, 4), (16, 5)])

@@ -15,11 +15,14 @@ from pathlib import Path
 import pytest
 
 from pathramsey import (
+    ConstructionError,
     EdgeColouring,
     GenerationConfig,
     Graph,
     ParameterError,
+    PartitionResult,
     PipelineConfig,
+    PreconditionError,
     complete_graph,
     cycle_graph,
     graph_from_text,
@@ -707,6 +710,43 @@ STEP_DOC = {
     "base": {"kind": "path", "n": 6},
     "chi": {"kind": "constant", "colour": 1},
 }
+
+
+def _raising(error: type[Exception]):
+    def broken(*args, **kwargs):
+        raise error("broken invariant")
+
+    return broken
+
+
+class TestInjectedFaultsExitTwo:
+    """A fault of the step's or the cover search's own construction is an error, never an honest negative."""
+
+    @pytest.mark.parametrize("target,fake,pipeline,base_n,message", [
+        ("pipeline.build_aux_colouring", _raising(PreconditionError), {}, 6, "broken invariant"),
+        ("pipeline.blue_path_to_blue_power", _raising(ConstructionError), {}, 6, "broken invariant"),
+        ("pipeline.validate_embedding", lambda emb: "pattern edge (0,1) unmapped", {"s": 1}, 6,
+         "bypass embedding failed validation: pattern edge (0,1) unmapped"),
+        ("partition._partition_heuristic", lambda blue, ell, seed: PartitionResult((), ((0,),)), {}, 13,
+         "search produced an invalid cover: cover misses or exceeds the vertex set"),
+    ], ids=["aux-colouring", "blue-power", "bypass-validate", "partition"])
+    def test_step(self, run, tmp_path, monkeypatch, target, fake, pipeline, base_n, message):
+        monkeypatch.setattr(f"pathramsey.{target}", fake)
+        doc = json.loads(json.dumps(STEP_DOC))
+        doc["pipeline"].update(pipeline)
+        doc["base"]["n"] = base_n
+        cfg = tmp_path / "step.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("step", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
+    def test_partition(self, run, graph_file, monkeypatch):
+        monkeypatch.setattr("pathramsey.partition._partition_heuristic",
+                            lambda blue, ell, seed: PartitionResult((), ((0,),)))
+        path = graph_file(complete_graph(6), "k6.edges")
+        code, out, err = run("partition", "--host", path, "--colours", "s=2;m=15;010101010101010",
+                             "--ell", "1", "--mode", "heuristic")
+        assert (code, out, err) == (
+            2, "", "error: search produced an invalid cover: cover misses or exceeds the vertex set\n")
 
 
 class TestStepAndReport:

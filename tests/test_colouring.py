@@ -497,7 +497,7 @@ class TestArrowCheck:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as exc:
             arrow_check(complete_graph(6), complete_graph(3), 2, budget=100)
-        assert exc.value.required == 2 ** 15
+        assert str(exc.value).startswith(f"{2 ** 15} colourings")
 
     def test_randomized_mode_is_inconclusive_or_refutes(self):
         v = arrow_check(path_graph(4), path_graph(3), 2, mode="randomized", trials=200, seed=1)

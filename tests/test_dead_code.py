@@ -4,9 +4,11 @@ package, every exported name is read outside the tests, every public method
 of every package class, exported or not, is called outside the tests (a
 method name that two classes share is resolved by owner, through a listed
 reader that calls it; a known list of test-only methods aside), every
-field of a package dataclass is read outside the tests (by name, whatever
-object it is loaded from), every option a CLI subcommand declares is read
-by its handler, only graphs.py reads a graph's neighbourhoods other than as bitmasks, only graphs.py
+field of a package dataclass, and every attribute a package exception sets
+in __init__, is read outside the tests (by name, whatever object it is
+loaded from; a name that two or more classes declare is resolved by owner,
+through a listed reader that loads it), every option a CLI subcommand
+declares is read by its handler, only graphs.py reads a graph's neighbourhoods other than as bitmasks, only graphs.py
 builds a graph without checking its edges, only cli.py reads config
 documents, no generator recurses by delegating to itself, and no other
 function calls itself unless a constant bounds its depth."""
@@ -337,30 +339,111 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     )
 
 
-def unread_fields(package: Path, readers: Iterable[ast.AST]) -> list[str]:
-    """Fields of package dataclasses, as Class.field, that nothing outside the tests loads as an attribute.
+def _exception_names(classes: list[ast.ClassDef]) -> set[str]:
+    """The classes that derive from Exception, directly or through other package classes."""
+    found = {"Exception"}
+    while True:
+        new = {cls.name for cls in classes
+               if any(getattr(b, "id", getattr(b, "attr", None)) in found for b in cls.bases)} - found
+        if not new:
+            return found
+        found |= new
 
-    A field is read when its name is loaded as an attribute (x.name) in a
-    package module or in one of the given reader trees, whatever object it
-    is loaded from: names resolve as in unreferenced_definitions, not by
-    owner.  A field that only the tests read is state that no caller needs.
+
+def _fields(trees: dict[str, ast.Module]) -> dict[str, str]:
+    """Class.field -> field, for the fields of package dataclasses and the attributes exceptions set in __init__."""
+    classes = [top for tree in trees.values() for top in tree.body if isinstance(top, ast.ClassDef)]
+    exceptions = _exception_names(classes)
+    fields = {}
+    for cls in classes:
+        if _is_dataclass(cls):
+            names = [node.target.id for node in cls.body
+                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        elif cls.name in exceptions:
+            names = [
+                sub.attr for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and getattr(sub.value, "id", None) == "self"
+            ]
+        else:
+            names = []
+        fields.update((f"{cls.name}.{name}", name) for name in names)
+    return fields
+
+
+def _loads(node: ast.AST) -> set[str]:
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def unread_fields(package: Path, readers: dict[str, ast.Module], listed: dict[str, str]) -> list[str]:
+    """Fields of package dataclasses and attributes package exceptions set in __init__,
+    as Class.field, that nothing outside the tests loads as an attribute.
+
+    A read is a load of the name as an attribute (x.name).  An owner in
+    listed counts as read only when its listed reader loads the name there:
+    a package definition as module.name[.name] or a reader's key.  An owner
+    of a name that two or more of these classes declare must be listed,
+    since a load of the name cannot tell which class it reaches.  Any other
+    owner counts as read when a package module or a reader loads the name,
+    whatever object it is loaded from.  A listed owner that declares no such
+    field is flagged too.  A field that only the tests read is state that no
+    caller needs.
     """
     trees = _parse_package(package)
-    loaded = {
-        sub.attr for tree in [*trees.values(), *readers] for sub in ast.walk(tree)
-        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
-    }
-    return [
-        f"{top.name}.{node.target.id}"
-        for tree in trees.values() for top in tree.body
-        if isinstance(top, ast.ClassDef) and _is_dataclass(top)
-        for node in top.body
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id not in loaded
-    ]
+    fields = _fields(trees)
+    owners = Counter(fields.values())
+    loaded = set().union(*map(_loads, [*trees.values(), *readers.values()]))
+    unread = []
+    for key, name in fields.items():
+        if key in listed:
+            reader = readers.get(listed[key]) or _package_node(trees, listed[key])
+            ok = reader is not None and name in _loads(reader)
+        else:
+            ok = owners[name] == 1 and name in loaded
+        if not ok:
+            unread.append(key)
+    return unread + [key for key in listed if key not in fields]
+
+
+# Owners of a field name that two or more package dataclasses or exceptions
+# declare, each with the package function or outside reader that loads it
+# from that class.
+FIELD_READERS = {
+    "AuxColouring.blue_colour": "colouring.blue_path_to_blue_power",
+    "AuxColouring.chi": "colouring.blue_path_to_blue_power",
+    "AuxColouring.k": "colouring.blue_path_to_blue_power",
+    "BlowupMap.t": "pipeline.induction_step",
+    "ClassPParams.n": "pseudorandom.ClassPParams.an",
+    "ClassPParams.quad": "pseudorandom.ClassPParams.an",
+    "ClassPParams.t": "pseudorandom.verify_class_p",
+    "ClassPReport.passed": "pipeline.induction_step",
+    "ConstantsChain.clique_size": "embedding.ConstantsChain.to_dict",
+    "ConstantsChain.k": "embedding.ConstantsChain.to_dict",
+    "ConstantsChain.quad": "embedding.ConstantsChain.to_dict",
+    "ConstantsChain.r": "embedding.ConstantsChain.to_dict",
+    "ConstantsChain.s": "embedding.ConstantsChain.to_dict",
+    "ConstantsChain.t": "embedding.ConstantsChain.to_dict",
+    "DensityCertificate.passed": "pseudorandom.verify_class_p",
+    "DensityCertificate.seed": "pseudorandom.DensityCertificate.to_dict",
+    "Embedding.host": "embedding.validate_embedding",
+    "GenerationConfig.seed": "pseudorandom.generate_class_p",
+    "LLLInstance.blue_colour": "embedding.lll_embed",
+    "LLLInstance.chi": "embedding.lll_embed",
+    "LLLInstance.host": "embedding.lll_embed",
+    "PipelineConfig.clique_size": "pipeline.build_step_host",
+    "PipelineConfig.k": "pipeline.induction_step",
+    "PipelineConfig.n": "pipeline.induction_step",
+    "PipelineConfig.r": "pipeline.induction_step",
+    "PipelineConfig.s": "pipeline.induction_step",
+    "PipelineConfig.seed": "pipeline.induction_step",
+    "PipelineConfig.t": "pipeline.PipelineConfig.big_r",
+}
 
 
 def test_every_dataclass_field_is_read_outside_the_tests():
-    assert unread_fields(PACKAGE, _outside_readers().values()) == []
+    assert unread_fields(PACKAGE, _outside_readers(), FIELD_READERS) == []
 
 
 def test_field_guard_flags_a_field_only_tests_read(tmp_path):
@@ -380,7 +463,53 @@ def test_field_guard_flags_a_field_only_tests_read(tmp_path):
     )
     readme = tmp_path / "README.md"
     readme.write_text("```python\nfrom pkg.a import Report\nprint(Report(1, True).shown)\n```\n")
-    assert unread_fields(package, readme_code(readme)) == ["Report.flag", "Hidden.note"]
+    readers = {"README.md": ast.Module(body=readme_code(readme)[0].body, type_ignores=[])}
+    assert unread_fields(package, readers, {}) == ["Report.flag", "Hidden.note"]
+
+
+def test_field_guard_resolves_a_shared_name_by_owner(tmp_path):
+    # Both dataclasses declare size and only Read's is loaded, by show().  An
+    # unlisted owner of a shared name is flagged, a listed one is judged by
+    # its reader, and a reader that does not load the name does not count.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass Read:\n    size: int\n\n"
+        "@dataclass\nclass Unread:\n    size: int\n\n"
+        "def show(obj):\n    return obj.size\n\n"
+        "def other(obj):\n    return obj\n"
+    )
+    assert unread_fields(package, {}, {}) == ["Read.size", "Unread.size"]
+    assert unread_fields(package, {}, {"Read.size": "a.show"}) == ["Unread.size"]
+    both = {"Read.size": "a.show", "Unread.size": "a.other"}
+    assert unread_fields(package, {}, both) == ["Unread.size"]
+    bench = ast.parse("def main(obj):\n    return obj.size\n")
+    stale = {"Read.size": "bench", "Gone.size": "a.show"}
+    assert unread_fields(package, {"bench": bench}, stale) == ["Unread.size", "Gone.size"]
+
+
+def test_field_guard_covers_attributes_exceptions_set(tmp_path):
+    # An exception's attribute set in __init__ is a field, through a package
+    # base class too; a plain class's attributes and an exception's locals
+    # and class attributes are not.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "errors.py").write_text(
+        "class BaseError(Exception):\n    code = 1\n\n"
+        "class SizeError(BaseError):\n"
+        "    def __init__(self, message, size=0, limit=0):\n"
+        "        super().__init__(message)\n"
+        "        self.size = size\n        self.limit = limit\n        spare = limit\n\n"
+        "class Plain:\n    def __init__(self):\n        self.hidden = 0\n"
+    )
+    (package / "a.py").write_text(
+        "from .errors import SizeError\n\n"
+        "def check(n):\n"
+        "    try:\n        raise SizeError('big', size=n)\n"
+        "    except SizeError as exc:\n        return exc.size\n"
+    )
+    assert unread_fields(package, {}, {}) == ["SizeError.limit"]
 
 
 def unread_options(parser: argparse.ArgumentParser) -> list[str]:

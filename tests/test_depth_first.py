@@ -173,9 +173,8 @@ def test_edgeboost_on_k200_needs_no_deep_stack():
     g = complete_graph(200)
     with recursion_headroom(60):
         report = verify_edgeboost(g, 200, 100, 1)
-    assert report.hypothesis_witness is None and report.passed
+    assert report.hypothesis_witness is None and report.min_cross >= report.bound
     assert report.min_cross == 100 * 100
-    assert report.worst_pair == (tuple(range(100)), tuple(range(100, 200)))
 
 
 @pytest.mark.parametrize("n, k, window", [(13, 3, (3, 5)), (16, 8, (33, -1))], ids=["n>2k", "n=2k"])

@@ -14,7 +14,9 @@ from pathramsey import (
     GenerationConfig,
     Graph,
     ParameterError,
+    PartitionResult,
     PipelineConfig,
+    PreconditionError,
     base_case_driver,
     build_step_host,
     cycle_graph,
@@ -25,7 +27,7 @@ from pathramsey import (
     validate_embedding,
     verify_class_p,
 )
-from pathramsey import pipeline
+from pathramsey import partition, pipeline
 from pathramsey.serialize import dump_report
 
 
@@ -209,6 +211,56 @@ class TestInductionStep:
         for u, v in emb.pattern.edges:
             hu, hv = emb.mapping[u], emb.mapping[v]
             assert host.has_edge(hu, hv) and chi.colour(hu, hv) == 1
+
+
+def _raising(error: type[Exception]):
+    def broken(*args, **kwargs):
+        raise error("broken invariant")
+
+    return broken
+
+
+def mono_step(g: Graph, **overrides):
+    """induction_step's arguments for g with every host edge in colour 1."""
+    cfg = toy_cfg(**overrides)
+    host, bmap = build_step_host(g, cfg)
+    return g, host, bmap, EdgeColouring.constant(host, cfg.s, 1), cfg
+
+
+class TestStepFaultsRaise:
+    """A fault of the step's own construction raises; only facts about the instance end honestly."""
+
+    # Each subclique is a monochromatic clique in the chosen colour, so even a
+    # precondition error from the aux colouring is a fault of the step.
+    @pytest.mark.parametrize("name,error", [
+        ("build_aux_colouring", ConstructionError),
+        ("build_aux_colouring", PreconditionError),
+        ("blue_path_to_blue_power", ConstructionError),
+    ])
+    def test_broken_construction_raises(self, monkeypatch, name, error):
+        monkeypatch.setattr(pipeline, name, _raising(error))
+        with pytest.raises(error, match="broken invariant"):
+            induction_step(*mono_step(path_graph(6)))
+
+    def test_bypass_embedding_failing_validation_raises(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "validate_embedding", lambda emb: "pattern edge (0,1) unmapped")
+        with pytest.raises(ConstructionError, match=r"pattern edge \(0,1\) unmapped"):
+            induction_step(*mono_step(path_graph(8), s=1, n=5, clique_size=3))
+
+    def test_invalid_cover_raises(self, monkeypatch):
+        # W has all 13 vertices, above the exhaustive cap, so the cover search is heuristic
+        monkeypatch.setattr(partition, "_partition_heuristic",
+                            lambda blue, ell, seed: PartitionResult((), ((0,),)))
+        with pytest.raises(ConstructionError, match="invalid cover: cover misses or exceeds the vertex set"):
+            induction_step(*mono_step(path_graph(13)))
+
+    def test_subclique_below_2k_for_a_one_vertex_path_fails_honestly(self):
+        # n = 1 with monochromatic cliques of one vertex: the probe finds a
+        # one-vertex blue path, and its subclique cannot hold the 2k = 2 vertices
+        out = induction_step(*mono_step(path_graph(6), t=1, n=1, mono_target=1))
+        assert (out.kind, out.failure_stage, out.failure_reason) == (
+            "honestFailure", "blue-power", "subclique smaller than 2k")
+        assert out.trace[-1] == {"stage": "blue-power", "status": "failed", "detail": "subclique smaller than 2k"}
 
 
 GOOD = quad(2, 1_700_000, "1/2", "1/20")

@@ -271,7 +271,7 @@ class TestVerifyClassP:
 class TestEdgeBoost:
     def test_complete_graph_holds(self):
         rep = verify_edgeboost(complete_graph(10), 10, 4, 2)
-        assert rep.hypothesis_witness is None and rep.passed
+        assert rep.hypothesis_witness is None and (rep.min_cross is None or rep.min_cross >= rep.bound)
         assert rep.bound == Fraction(16, 4)
 
     def test_c5_two_set_hypothesis_holds(self):
@@ -281,13 +281,13 @@ class TestEdgeBoost:
 
         assert check_expansion(cycle_graph(5), 2) is None
         rep = verify_edgeboost(cycle_graph(5), 5, 4, 2)
-        assert rep.hypothesis_witness is None and rep.passed
+        assert rep.hypothesis_witness is None
         assert rep.min_cross is None  # (4,4)-pairs do not fit in 5 vertices
 
     def test_two_triangles_fail_hypothesis(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         rep = verify_edgeboost(g, 6, 2, 1)
-        assert rep.hypothesis_witness is not None and not rep.passed
+        assert rep.hypothesis_witness is not None and rep.min_cross is None
 
     def test_toy_expander_meets_bound(self):
         found = 0
@@ -299,7 +299,8 @@ class TestEdgeBoost:
             seed += 1
             if check_expansion(g, 2) is None:
                 rep = verify_edgeboost(g, 14, 4, 2)
-                assert rep.hypothesis_witness is None and rep.passed
+                assert rep.hypothesis_witness is None
+                assert rep.min_cross is None or rep.min_cross >= rep.bound
                 found += 1
 
     def test_size_preconditions(self):
