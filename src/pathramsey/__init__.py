@@ -38,10 +38,8 @@ from .errors import (
     ConstructionError,
     GraphFormatError,
     LLLFailureError,
-    NoCoverFoundError,
     NoPathFoundError,
     ParameterError,
-    ParameterInfeasibleError,
     PathRamseyError,
     PreconditionError,
 )

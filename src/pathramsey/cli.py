@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success / property holds, 1 honest negative (no cover, arrows
-false, honest pipeline failure), 2 error (bad config, infeasible parameters,
-or an unexpected internal error, reported on one line).
+Exit codes: 0 success / property holds, 1 honest negative (no constrained
+path, arrows false, honest pipeline failure), 2 error (bad config,
+infeasible parameters, or an unexpected internal error, reported on one line).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from . import (
     GenerationConfig,
     GoodQuadruple,
     LLLFailureError,
-    NoCoverFoundError,
     NoPathFoundError,
     ParameterError,
     PathRamseyError,
@@ -248,12 +247,8 @@ def _cmd_partition(args) -> int:
     if colouring.s != 2:
         raise ParameterError("cover search needs exactly two colours")
     blue = colouring.colour_subgraph(1)
-    try:
-        result = partition_two_coloured(blue, args.ell, mode=args.mode, seed=args.seed or 0)
-    except NoCoverFoundError as exc:
-        _emit(dump_report({"found": False, "reason": str(exc)}), args.out)
-        return 1
-    # partition_two_coloured verifies its cover and raises on an invalid one.
+    # partition_two_coloured always finds a cover, verifies it and raises on an invalid one.
+    result = partition_two_coloured(blue, args.ell, mode=args.mode, seed=args.seed or 0)
     _emit(dump_report({"found": True, "result": result.to_dict(), "verified": True}), args.out)
     return 0
 

@@ -122,11 +122,17 @@ def _reject_colour_map(edges: frozenset[Edge], s: int, colour_of: dict[Edge, int
 # -- subgraph search -----------------------------------------------------------
 
 
-def _pattern_order(pattern: Graph) -> list[int]:
-    """Connected-first greedy order: always place the vertex with most placed neighbours."""
+def _prepare_pattern(pattern: Graph) -> tuple[list[int], list[list[int]], list[int]]:
+    """What _embed_masks needs of a pattern: a connected-first greedy order,
+    the pattern neighbours placed before each position, and each position's degree.
+
+    The order always places the vertex with most placed neighbours, then the
+    one of highest degree, then the lowest.
+    """
     masks = pattern.adjacency_masks()
     full = (1 << pattern.n) - 1
     order: list[int] = []
+    back: list[list[int]] = []
     placed = 0
     for _ in range(pattern.n):
         best = max(
@@ -134,21 +140,8 @@ def _pattern_order(pattern: Graph) -> list[int]:
             key=lambda v: ((masks[v] & placed).bit_count(), masks[v].bit_count(), -v),
         )
         order.append(best)
+        back.append(_mask_vertices(masks[best] & placed))
         placed |= 1 << best
-    return order
-
-
-def _prepare_pattern(pattern: Graph) -> tuple[list[int], list[list[int]], list[int]]:
-    """What _embed_masks needs of a pattern: the _pattern_order order, the
-    pattern neighbours placed before each position, and each position's degree.
-    """
-    order = _pattern_order(pattern)
-    masks = pattern.adjacency_masks()
-    back: list[list[int]] = []
-    placed = 0
-    for v in order:
-        back.append(_mask_vertices(masks[v] & placed))
-        placed |= 1 << v
     return order, back, [masks[v].bit_count() for v in order]
 
 
@@ -157,7 +150,7 @@ def _embed_masks(
 ) -> tuple[int, ...] | None:
     """First embedding of a _prepare_pattern result into the graph given by adjacency bitmasks, or None.
 
-    Depth-first over the pattern vertices in _pattern_order, each taking the
+    Depth-first over the pattern vertices in _prepare_pattern's order, each taking the
     host vertices that fit in ascending order; an explicit stack of the
     untried candidates per depth replaces recursion, so deep patterns do not
     overflow the interpreter stack.  arrow_check calls it per colour class of

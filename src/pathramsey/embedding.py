@@ -169,7 +169,11 @@ def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> Con
 def _greedy_window(
     host: Graph, bmap: BlowupMap, path_vertices: Sequence[int], k: int
 ) -> tuple[int, ...]:
-    """Left to right, the lowest vertex of each clique adjacent to the last k picks."""
+    """Left to right, the lowest vertex of each clique adjacent to the last k picks.
+
+    Returns the picks placed before the first clique with no candidate, so a
+    tuple shorter than the path says where the window got stuck.
+    """
     chosen: list[int] = []
     for idx, v in enumerate(path_vertices):
         window = chosen[max(0, idx - k):]
@@ -177,7 +181,7 @@ def _greedy_window(
             w for w in bmap.clique_of[v] if all(host.has_edge(w, p) for p in window)
         ]
         if not candidates:
-            raise ConstructionError(f"greedy embedding stuck at path position {idx}")
+            break
         chosen.append(min(candidates))
     return tuple(chosen)
 
@@ -198,6 +202,8 @@ def embed_base_case(
     host_base = power(g, k)
     host, bmap = sheared_blowup(host_base, k + 1, seed=matching_seed)
     chosen = _greedy_window(host, bmap, vertices, k)
+    if len(chosen) < len(vertices):
+        raise ConstructionError(f"greedy embedding stuck at path position {len(chosen)}")
     emb = Embedding(path_power(len(vertices), k), host, chosen)
     problem = validate_embedding(emb)
     if problem is not None:

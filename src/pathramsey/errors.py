@@ -15,16 +15,8 @@ class ParameterError(PathRamseyError):
     """A parameter violates a documented precondition (domain error)."""
 
 
-class ParameterInfeasibleError(ParameterError):
-    """Derived parameters leave the feasible range (e.g. edge probability > 1)."""
-
-
 class CertificationError(PathRamseyError):
     """Density certification failed after exhausting the retry budget; the message names the last failing pair."""
-
-
-class NoCoverFoundError(PathRamseyError):
-    """The two-coloured cover search gave up (honest failure, never a wrong cover)."""
 
 
 class NoPathFoundError(PathRamseyError):

@@ -19,7 +19,6 @@ from typing import Sequence
 from .errors import (
     BudgetExceededError,
     ConstructionError,
-    NoCoverFoundError,
     NoPathFoundError,
     ParameterError,
     PreconditionError,
@@ -28,7 +27,6 @@ from .graphs import Graph, _depth_first, _edge_subset, _frontiers, _mask_vertice
 from .pseudorandom import _record_pairs, disjoint_pair_count, prune_to_size
 
 EXHAUSTIVE_CAP = 12
-HEURISTIC_RESTARTS = 32
 # Above this many pairs long_path_through_sets asserts the expansion hypothesis
 # instead of checking it.  Kept below PAIR_BUDGET: raising it would start
 # checking, and possibly rejecting, instances that are asserted today.
@@ -68,8 +66,9 @@ def _blue_components(masks: Sequence[int], rmask: int) -> list[int]:
 def _group_components(comps: list[int], classes: int, exact: bool = False) -> list[int] | None:
     """Pack whole components into m <= classes groups of equal size, m maximal.
 
-    With exact=True only the fully balanced split (m = classes) is accepted.
-    Returns group masks (padded with empty groups to `classes`), or None.
+    Returns group masks, padded with empty groups to `classes`.  With
+    exact=True only the fully balanced split (m = classes) is accepted, else
+    None; without it m = 1 always packs, so a split is always returned.
     """
     total = sum(c.bit_count() for c in comps)
     if total == 0:
@@ -204,29 +203,32 @@ def _scan_order(n: int) -> array:
     return array("I", sorted(range(1 << n), key=lambda m: (-m.bit_count(), m)))
 
 
-def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
+def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult:
+    """The first path support, largest first, that ell blue paths cover and whose rest splits into
+    ell + 1 equal classes; failing that, the first support they cover (the empty one is scanned last)
+    with the largest split of its rest."""
     n = blue.n
     masks = blue.adjacency_masks()
     ends = _ham_path_table(masks, n)
     flags = _path_flags(ends, n)
     full = (1 << n) - 1
     cover_memo: dict = {}
-    order = _scan_order(n)
-    # First pass insists on a fully balanced class split; degenerate splits
-    # (fewer nonempty classes) are a fallback.
-    for exact in (True, False):
-        for pmask in order:
-            pieces = _cover_with_paths(flags, pmask, ell, cover_memo)
-            if pieces is None:
-                continue
-            comps = _blue_components(masks, full ^ pmask)
-            groups = _group_components(comps, ell + 1, exact=exact)
-            if groups is None:
-                continue
-            paths = tuple(tuple(_recover_path(ends, masks, piece)) for piece in pieces)
-            classes = tuple(tuple(_mask_vertices(gm)) for gm in groups)
-            return PartitionResult(paths, classes)
-    return None
+    fallback = None
+    for pmask in _scan_order(n):
+        pieces = _cover_with_paths(flags, pmask, ell, cover_memo)
+        if pieces is None:
+            continue
+        comps = _blue_components(masks, full ^ pmask)
+        groups = _group_components(comps, ell + 1, exact=True)
+        if groups is not None:
+            break
+        if fallback is None:
+            fallback = pieces, comps
+    else:
+        pieces, comps = fallback
+        groups = _group_components(comps, ell + 1)
+    paths = tuple(tuple(_recover_path(ends, masks, piece)) for piece in pieces)
+    return PartitionResult(paths, tuple(tuple(_mask_vertices(gm)) for gm in groups))
 
 
 def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random) -> list[int]:
@@ -261,50 +263,42 @@ def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random) ->
         path[i + 1:] = path[i + 1:][::-1]
 
 
-def _partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult | None:
-    """Grow up to ell blue paths, then pack the blue components of the rest into ell + 1 equal classes.
+def _partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult:
+    """Grow up to ell blue paths, then pack the blue components of the rest into ell + 1 classes.
 
-    Every candidate is a valid cover by construction, so none is verified
-    here (partition_two_coloured verifies the one returned): the paths are
-    disjoint and blue, a cut last path is still a path, classes made of
-    whole blue components have only red pairs between them, the nonempty
-    classes share one size, and paths and classes cover every vertex.
+    The last path is cut, longest first, until the rest splits into equal
+    classes; if no cut does, it stays whole and the rest takes its largest
+    split.  Every candidate is a valid cover by construction, so none is
+    verified here (partition_two_coloured verifies the one returned): the
+    paths are disjoint and blue, a cut last path is still a path, classes
+    made of whole blue components have only red pairs between them, the
+    nonempty classes share one size, and paths and classes cover every vertex.
     """
-    n = blue.n
     masks = blue.adjacency_masks()
-    full = (1 << n) - 1
-    for attempt in range(HEURISTIC_RESTARTS):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        available = full
-        paths: list[list[int]] = []
-        for _ in range(ell):
-            if not available:
-                break
-            path = _grow_blue_path(masks, available, rng)
-            paths.append(path)
-            for v in path:
-                available &= ~(1 << v)
-        # Retry with a truncated final path when the remainder will not balance;
-        # prefer fully balanced class splits.
-        for exact in (True, False):
-            for cut in range(len(paths[-1]) if paths else 0, -1, -1):
-                trial_paths = [list(p) for p in paths]
-                restored = 0
-                if trial_paths:
-                    removed = trial_paths[-1][cut:]
-                    trial_paths[-1] = trial_paths[-1][:cut]
-                    for v in removed:
-                        restored |= 1 << v
-                rmask = available | restored
-                comps = _blue_components(masks, rmask)
-                groups = _group_components(comps, ell + 1, exact=exact)
-                if groups is None:
-                    continue
-                return PartitionResult(
-                    tuple(tuple(p) for p in trial_paths if p),
-                    tuple(tuple(_mask_vertices(g)) for g in groups),
-                )
-    return None
+    rng = random.Random(seed * 1_000_003)
+    available = (1 << blue.n) - 1
+    paths: list[list[int]] = []
+    for _ in range(ell):
+        if not available:
+            break
+        path = _grow_blue_path(masks, available, rng)
+        paths.append(path)
+        for v in path:
+            available &= ~(1 << v)
+    last = paths.pop() if paths else []
+    for cut in range(len(last), -1, -1):
+        rest = available | sum(1 << v for v in last[cut:])
+        groups = _group_components(_blue_components(masks, rest), ell + 1, exact=True)
+        if groups is not None:
+            break
+    else:
+        cut = len(last)
+        groups = _group_components(_blue_components(masks, available), ell + 1)
+    paths.append(last[:cut])
+    return PartitionResult(
+        tuple(tuple(p) for p in paths if p),
+        tuple(tuple(_mask_vertices(g)) for g in groups),
+    )
 
 
 def partition_two_coloured(
@@ -317,10 +311,11 @@ def partition_two_coloured(
     edges and red elsewhere, by <= ell blue paths plus a balanced red
     multipartite remainder of ell+1 classes.
 
-    Exhaustive mode (n <= 12) walks candidate path supports largest first and
-    always finds a valid cover when one exists under the degeneracy convention;
-    heuristic mode grows rotated blue paths and may honestly fail.  A search
-    that returns a cover the check rejects is a fault: ConstructionError.
+    Both modes always return a cover, since empty classes are allowed: one
+    class may hold all that the paths leave.  Exhaustive mode (n <= 12) walks
+    candidate path supports largest first; heuristic mode grows rotated blue
+    paths.  Each prefers ell + 1 equal classes.  A search that returns a
+    cover the check rejects is a fault: ConstructionError.
     """
     if ell < 1:
         raise ParameterError("ell must be >= 1")
@@ -335,8 +330,6 @@ def partition_two_coloured(
         result = _partition_heuristic(blue, ell, seed)
     else:
         raise ParameterError("mode must be 'auto', 'exhaustive', or 'heuristic'")
-    if result is None:
-        raise NoCoverFoundError(f"no cover found (mode={mode}, ell={ell})")
     problem = verify_partition(blue, result, ell)
     if problem is not None:
         raise ConstructionError(f"search produced an invalid cover: {problem}")

@@ -3,7 +3,7 @@ blow-up host and the base-case embedding driver.
 
 Each stage's output is validated once, by the module that builds it, and
 the stage appends one trace record through _ok or _fail.  An honest failure
-is about the instance (no path, no cover, a failed hypothesis) and is an
+is about the instance (no path, a failed hypothesis) and is an
 outcome; a stage whose own construction breaks is a fault and raises.
 Identical (config, seed) re-runs produce identical traces.
 """
@@ -33,7 +33,6 @@ from .errors import (
     BaseCaseError,
     ConstructionError,
     LLLFailureError,
-    NoCoverFoundError,
     NoPathFoundError,
     ParameterError,
     PreconditionError,
@@ -177,10 +176,9 @@ def induction_step(
             path = long_path_through_sets(g, [list(range(g.n))], cfg.n)
         except NoPathFoundError as exc:
             return _fail(trace, "bypass-path", str(exc))
-        try:
-            mapping = _greedy_window(host, blowup, path, cfg.k)
-        except ConstructionError as exc:
-            return _fail(trace, "bypass-embed", str(exc))
+        mapping = _greedy_window(host, blowup, path, cfg.k)
+        if len(mapping) < len(path):  # k can exceed t*r: a clique may offer no candidate
+            return _fail(trace, "bypass-embed", f"greedy embedding stuck at path position {len(mapping)}")
         emb = Embedding(path_power(len(path), cfg.k), host, mapping, (chi, frozenset({1})))
         problem = validate_embedding(emb)
         if problem is not None:
@@ -215,10 +213,7 @@ def induction_step(
     # Cover the blue/grey complete graph over W by ell blue paths and ell + 1 = t classes.
     ell = cfg.t - 1
     if ell >= 1:
-        try:
-            part = partition_two_coloured(aux.blue, ell, seed=cfg.seed)
-        except NoCoverFoundError as exc:
-            return _fail(trace, "partition", str(exc))
+        part = partition_two_coloured(aux.blue, ell, seed=cfg.seed)
     else:
         part = PartitionResult((), (tuple(range(j.n)),))
     _ok(trace, "partition", {"bluePaths": [len(p) for p in part.blue_paths],

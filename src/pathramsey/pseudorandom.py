@@ -22,7 +22,6 @@ from .errors import (
     BudgetExceededError,
     CertificationError,
     ParameterError,
-    ParameterInfeasibleError,
 )
 from .graphs import (
     Graph,
@@ -130,7 +129,7 @@ class GenerationConfig:
 
     def __post_init__(self):
         if not 0 < self.p <= 1:
-            raise ParameterInfeasibleError(f"edge probability {self.p} outside (0, 1]")
+            raise ParameterError(f"edge probability {self.p} outside (0, 1]")
         if self.cert_samples < 1:
             raise ParameterError("certificate sample count must be >= 1")
         if self.retry_budget < 1:

@@ -15,14 +15,14 @@ import random
 from typing import Sequence
 
 from pathramsey import EdgeColouring, Embedding, Graph, validate_embedding
-from pathramsey.colouring import ArrowVerdict, _pattern_order
+from pathramsey.colouring import ArrowVerdict, _prepare_pattern
 from pathramsey.errors import BudgetExceededError, ConstructionError, ParameterError
 from pathramsey.graphs import _mask_vertices
 
 
 def ref_embed_masks(host_n: int, host_masks: Sequence[int], pattern: Graph):
     """First embedding of pattern into the mask graph; an explicit-stack depth-first search."""
-    order = _pattern_order(pattern)
+    order = _prepare_pattern(pattern)[0]
     depth = len(order)
     host_deg = [m.bit_count() for m in host_masks]
     pat_masks = pattern.adjacency_masks()

@@ -1,10 +1,13 @@
 """Reference implementations of the cover search and the host build, kept for differential tests.
 
-These are the versions the package's exhaustive cover search, component
-grouping, Graph constructor and sheared blow-up must agree with exactly: a
-submask walk at every budget, the support order sorted on every call, a
-recursive packing of components into groups, edges collected into a set and
-copied into a frozenset, and the removed matching tested pair by pair.
+These are the versions the package's exhaustive and heuristic cover
+searches, component grouping, Graph constructor and sheared blow-up must
+agree with exactly: a submask walk at every budget, the support order sorted
+on every call, two full passes over the supports (balanced splits first), a
+heuristic that restarts up to 32 times and makes the same two passes over the
+cuts of its last path, a recursive packing of components into groups, edges
+collected into a set and copied into a frozenset, and the removed matching
+tested pair by pair.
 """
 
 from __future__ import annotations
@@ -110,6 +113,72 @@ def ref_partition_exhaustive(blue: Graph, ell: int) -> PartitionResult | None:
             paths = tuple(tuple(ref_recover_path(dp, masks, piece)) for piece in pieces)
             classes = tuple(tuple(ref_mask_vertices(gm)) for gm in groups)
             return PartitionResult(paths, classes)
+    return None
+
+
+def ref_grow_blue_path(masks, available: int, rng: random.Random) -> list[int]:
+    """A random blue path in available: extend the end, else the front, else rotate (at most 2n times)."""
+    avail_list = ref_mask_vertices(available)
+    if not avail_list:
+        return []
+    live = [v for v in avail_list if masks[v] & available & ~(1 << v)]
+    path = [rng.choice(live or avail_list)]
+    used = 1 << path[0]
+    budget = 2 * len(masks)
+    while True:
+        at, cand = len(path), masks[path[-1]] & available & ~used
+        if not cand:
+            at, cand = 0, masks[path[0]] & available & ~used
+        if cand:
+            v = rng.choice(ref_mask_vertices(cand))
+            path.insert(at, v)
+            used |= 1 << v
+            continue
+        if budget <= 0:
+            return path
+        budget -= 1
+        end = path[-1]
+        pivots = [i for i in range(len(path) - 2) if (masks[end] >> path[i]) & 1]
+        if not pivots:
+            return path
+        i = rng.choice(pivots)
+        path[i + 1:] = path[i + 1:][::-1]
+
+
+REF_HEURISTIC_RESTARTS = 32
+
+
+def ref_partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult | None:
+    """The heuristic cover with its restart loop and its balanced-then-unbalanced passes over every cut."""
+    masks = blue.adjacency_masks()
+    full = (1 << blue.n) - 1
+    for attempt in range(REF_HEURISTIC_RESTARTS):
+        rng = random.Random(seed * 1_000_003 + attempt)
+        available = full
+        paths: list[list[int]] = []
+        for _ in range(ell):
+            if not available:
+                break
+            path = ref_grow_blue_path(masks, available, rng)
+            paths.append(path)
+            for v in path:
+                available &= ~(1 << v)
+        for exact in (True, False):
+            for cut in range(len(paths[-1]) if paths else 0, -1, -1):
+                trial_paths = [list(p) for p in paths]
+                restored = 0
+                if trial_paths:
+                    for v in trial_paths[-1][cut:]:
+                        restored |= 1 << v
+                    trial_paths[-1] = trial_paths[-1][:cut]
+                comps = _blue_components(masks, available | restored)
+                groups = ref_group_components(comps, ell + 1, exact=exact)
+                if groups is None:
+                    continue
+                return PartitionResult(
+                    tuple(tuple(p) for p in trial_paths if p),
+                    tuple(tuple(ref_mask_vertices(g)) for g in groups),
+                )
     return None
 
 

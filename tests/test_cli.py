@@ -727,9 +727,10 @@ class TestInjectedFaultsExitTwo:
         ("pipeline.blue_path_to_blue_power", _raising(ConstructionError), {}, 6, "broken invariant"),
         ("pipeline.validate_embedding", lambda emb: "pattern edge (0,1) unmapped", {"s": 1}, 6,
          "bypass embedding failed validation: pattern edge (0,1) unmapped"),
+        ("pipeline._greedy_window", _raising(ConstructionError), {"s": 1}, 6, "broken invariant"),
         ("partition._partition_heuristic", lambda blue, ell, seed: PartitionResult((), ((0,),)), {}, 13,
          "search produced an invalid cover: cover misses or exceeds the vertex set"),
-    ], ids=["aux-colouring", "blue-power", "bypass-validate", "partition"])
+    ], ids=["aux-colouring", "blue-power", "bypass-validate", "bypass-greedy", "partition"])
     def test_step(self, run, tmp_path, monkeypatch, target, fake, pipeline, base_n, message):
         monkeypatch.setattr(f"pathramsey.{target}", fake)
         doc = json.loads(json.dumps(STEP_DOC))

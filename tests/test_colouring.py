@@ -457,13 +457,13 @@ class TestArrowCheck:
         from pathramsey import colouring
 
         seen = []
-        original = colouring._pattern_order
+        original = colouring._prepare_pattern
 
         def counted(pattern):
             seen.append(pattern)
             return original(pattern)
 
-        monkeypatch.setattr(colouring, "_pattern_order", counted)
+        monkeypatch.setattr(colouring, "_prepare_pattern", counted)
         v = arrow_check(complete_graph(n), complete_graph(3), 2)
         assert v.arrows is (n == 6)
         assert len(seen) == calls

@@ -16,12 +16,13 @@ from pathramsey import (
     sheared_blowup,
 )
 from pathramsey.errors import GraphFormatError
-from pathramsey.partition import _group_components, _partition_exhaustive
+from pathramsey.partition import _group_components, _partition_exhaustive, _partition_heuristic
 
 from cover_reference import (
     ref_graph_edges,
     ref_group_components,
     ref_partition_exhaustive,
+    ref_partition_heuristic,
     ref_sheared_blowup,
 )
 from graph_reference import mask_adjacency, removed_pairs
@@ -33,6 +34,22 @@ def test_exhaustive_cover_matches_reference(n, p):
     blue = random_graph(n, p, seed=1000 * n + int(10 * p))
     for ell in (1, 2, 3):
         assert _partition_exhaustive(blue, ell) == ref_partition_exhaustive(blue, ell), ell
+
+
+def test_heuristic_cover_matches_reference():
+    # The reference restarts and makes a second, unbalanced pass; the search
+    # keeps the first attempt's stream and takes the largest split of the rest
+    # when no cut balances, so the two agree wherever the reference returns.
+    fallbacks = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        n, ell = rng.randint(0, 40), rng.randint(1, 5)
+        blue = random_graph(n, rng.random() ** 2, seed)
+        want = ref_partition_heuristic(blue, ell, seed)
+        assert want is not None, seed
+        assert _partition_heuristic(blue, ell, seed) == want, seed
+        fallbacks += any(want.red_classes) and not all(want.red_classes)
+    assert fallbacks >= 50
 
 
 def test_empty_twelve_vertex_blue_graph_matches_reference():
@@ -60,6 +77,24 @@ def test_group_components_matches_reference():
             assert _group_components(comps, classes, exact) == ref_group_components(
                 comps, classes, exact
             ), (comps, classes, exact)
+
+
+def test_group_components_always_returns_a_split():
+    # The largest m that packs: m = 1 always does, so no component list is refused.
+    rng = random.Random(6)
+    for _ in range(400):
+        comps, v = [], 0
+        for _ in range(rng.randint(0, 12)):
+            size = rng.randint(1, 7)
+            comps.append(((1 << size) - 1) << v)
+            v += size
+        classes = rng.randint(1, 6)
+        groups = _group_components(comps, classes)
+        assert groups is not None and len(groups) == classes, (comps, classes)
+        assert len({g.bit_count() for g in groups if g}) <= 1
+        assert sorted(comps) == sorted(c for g in groups for c in comps if c & g)
+        assert all(c & g in (0, c) for c in comps for g in groups)
+        assert sum(groups) == (1 << v) - 1
 
 
 @pytest.mark.parametrize("h,t", [

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pathramsey import (
+    ConstructionError,
     EdgeColouring,
     Embedding,
     Graph,
@@ -209,6 +210,15 @@ class TestEmbedBaseCase:
     def test_path_must_be_valid(self):
         with pytest.raises(Exception):
             embed_base_case(path_graph(3), 1, (0, 2))
+
+    def test_short_greedy_window_is_a_fault(self, monkeypatch):
+        # each clique has k + 1 vertices and each earlier pick excludes at most
+        # one, so a window that stops short is a bug of the embedding itself
+        from pathramsey import embedding
+
+        monkeypatch.setattr(embedding, "_greedy_window", lambda host, bmap, vertices, k: (0, 2))
+        with pytest.raises(ConstructionError, match="^greedy embedding stuck at path position 2$"):
+            embed_base_case(path_graph(4), 1, (0, 1, 2, 3))
 
     def test_seeded_hosts_sweep(self):
         for i in range(30):

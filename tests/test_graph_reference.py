@@ -23,7 +23,7 @@ from pathramsey import (
     random_graph,
     sheared_blowup,
 )
-from pathramsey.colouring import _pattern_order
+from pathramsey.colouring import _prepare_pattern
 from pathramsey.graphs import _checked_edges
 from pathramsey.partition import _blue_components
 from pathramsey.pseudorandom import prune_to_size
@@ -115,7 +115,7 @@ def test_prune_to_size_matches_reference_for_every_keep():
 
 def test_pattern_order_matches_reference():
     for i, g in enumerate(GRAPHS):
-        assert _pattern_order(g) == ref_pattern_order(g), i
+        assert _prepare_pattern(g)[0] == ref_pattern_order(g), i
 
 
 def test_components_inside_a_vertex_set_match_networkx():

@@ -97,7 +97,7 @@ class TestInductionStep:
         out = induction_step(g, host, bmap, chi, cfg)
         assert out.kind == "honestFailure"
         assert out.failure_stage in {
-            "partition", "class-size", "long-path", "long-path-expansion",
+            "class-size", "long-path", "long-path-expansion",
             "segment-graph-class", "segment-graph-params", "pruned-class",
             "template", "lll-embed",
         }
@@ -245,6 +245,12 @@ class TestStepFaultsRaise:
     def test_bypass_embedding_failing_validation_raises(self, monkeypatch):
         monkeypatch.setattr(pipeline, "validate_embedding", lambda emb: "pattern edge (0,1) unmapped")
         with pytest.raises(ConstructionError, match=r"pattern edge \(0,1\) unmapped"):
+            induction_step(*mono_step(path_graph(8), s=1, n=5, clique_size=3))
+
+    def test_bypass_greedy_window_fault_raises(self, monkeypatch):
+        # a stuck window returns a short tuple, so an exception from it is a fault
+        monkeypatch.setattr(pipeline, "_greedy_window", _raising(ConstructionError))
+        with pytest.raises(ConstructionError, match="broken invariant"):
             induction_step(*mono_step(path_graph(8), s=1, n=5, clique_size=3))
 
     def test_invalid_cover_raises(self, monkeypatch):

@@ -14,7 +14,6 @@ from pathramsey import (
     GenerationConfig,
     Graph,
     ParameterError,
-    ParameterInfeasibleError,
     complete_graph,
     cycle_graph,
     fit_density_certificate,
@@ -77,7 +76,7 @@ class TestParams:
         p = ClassPParams(quad(3, 950400, 1, "1/20"), t=2, n=100)
         expected = 60 * Fraction(3) / (Fraction(1, 400) * 1 * 100)
         assert GenerationConfig.closed_form_p(p) == expected
-        with pytest.raises(ParameterInfeasibleError):
+        with pytest.raises(ParameterError, match=r"edge probability .* outside \(0, 1\]"):
             GenerationConfig(p=GenerationConfig.closed_form_p(p), seed=0)
 
     def test_paper_mode_feasible_at_large_n(self):

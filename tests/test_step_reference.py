@@ -351,6 +351,8 @@ def test_step_host_never_builds_adjacency_masks():
     host, bmap = build_step_host(g, cfg)
     rng = random.Random(0)
     chi = EdgeColouring(host, 2, {e: rng.randint(1, 2) for e in host.sorted_edges()})
+    # floor(c*n) = 1 < 2, so neither class-P parameter set of the step exists,
+    # yet the step finds a power: PipelineConfig must not refuse such a config.
     outcome = induction_step(g, host, bmap, chi, cfg)
     # The outcome embeds a path power into the host and validates it there.
     assert host.m == 33_120 and outcome.kind == "monoPowerFound"
