@@ -36,7 +36,7 @@ from .graphs import (
 )
 
 PAIR_BUDGET = 200_000
-LEAF_SPAN = 13  # comb(13, 6) = 1716 lanes; a span of 14 takes a cold an = 20 certificate to about 370 KB
+LEAF_SPAN = 13  # comb(13, 6) = 1716 lanes; a span of 14 takes a cold an = 20 certificate to about 345 KB
 _TABLE_BYTES = 1 << 24  # the bound pairs and near lane ints one n = 2k search keeps; past it, built per use
 
 
@@ -190,7 +190,10 @@ def _record_pairs(
     widens, so a skipped pair could never have been yielded: the stream is
     exactly what filtering the enumeration by the widening window gives.  A
     child's bounds are clipped to its parent's, so a node stops branching as
-    soon as the window covers its own.
+    soon as the window covers its own.  For n = 2k a side of a child's bounds
+    is computed only while it can prune: a parent side already inside the
+    window stays inside, and once the lower side leaves the child outside,
+    the upper side keeps its parent's.
     Each search node is a generator that yields its records and its children
     to graphs._depth_first, so no k deepens the interpreter stack; the call
     returns the number of nodes entered.
@@ -214,24 +217,28 @@ def _record_pairs(
     node branches only on next x vertices below split; after those children
     it takes the leaf of the completions whose r remaining x vertices all
     lie in W, which come after the children's in the search's order, and
-    until its cut table is built that leaf is bounded like a child.  A
-    leaf's completions x | S are the lanes of one packed int of the same
+    until the cut row of its r is filled that leaf is bounded like a child.
+    A leaf's completions x | S are the lanes of one packed int of the same
     width, in lexicographic order, which is the search's own; lane S holds
     cut(x | S) = cut(x) + e(S, V - S) - 2 sum over v in x of |N(v) & S|.
-    The e(S, V - S) ints are built per (i, r) by Pascal's rule, the subsets
-    holding i first, and the lane int of 2 |N(v) & S| once per (v, r) and
-    shared by every leaf of that r, so a leaf adds |x| ints.  Both are built
-    from per-offset membership lane ints over spans below w, which depend on
-    (width, span, r) alone: _members keeps them and every call of that width
-    shares them, until a call of another width starts and drops them; the
-    an = 20 certificates share 79 tables, about 100 KiB.  The other ints
-    depend on the graph: they are built once per call, the (v, r) ones kept
-    within _TABLE_BYTES with the bound pairs, and freed with it.  A lane
-    count lies in [0, k^2], so a field-wise top-bit test finds the lanes
-    outside the window; the lowest is unranked back to S and yielded, and
-    the test repeats on the lanes above it with the widened window.  Every
-    completion is tested in order, so the records are exactly those of the
-    branched search.
+    The e(S, V - S) ints sit in one flat row per vertex i of W, indexed by
+    r and filled bottom-up by Pascal's rule (the subsets holding i first)
+    for the r the leaves ask for; their all-ones lane ints come from bytes.
+    The lane int of 2 |N(v) & S| is built once per (v, r), from the upper
+    lanes of (v, r - 1)'s when that is kept, into a row per r indexed by v.
+    The search carries x's vertices down as a tuple, so a leaf subtracts a
+    plain sum of |x| of them.  Both kinds are built from per-offset
+    membership lane ints over spans below w, which depend on (width, span,
+    r) alone: _members keeps them and every call of that width shares them,
+    until a call of another width starts and drops them; the an = 20
+    certificates share 79 tables, about 100 KiB.  The other ints depend on
+    the graph: they are built once per call, the (v, r) ones kept within
+    _TABLE_BYTES with the bound pairs, and freed with it.  A lane count lies
+    in [0, k^2], so a field-wise top-bit test, with cut(x) and the window
+    folded into two biases, finds the lanes outside the window; the lowest
+    is unranked back to S and yielded, and the test repeats on the lanes
+    above it with the widened window.  Every completion is tested in order,
+    so the records are exactly those of the branched search.
     """
     n = len(masks)
     if k < 1 or 2 * k > n:
@@ -256,9 +263,11 @@ def _record_pairs(
         full, deg = (1 << n) - 1, [m.bit_count() for m in masks]
         tables = [[None] * n for _ in range(k + 1)]  # [rest][v]: (lower, upper)
         room = _TABLE_BYTES  # how many more bytes of bound pairs and near lanes may be kept
-        cells, nears = {}, {}
         span = min(LEAF_SPAN, last)  # every r >= 2 leaf starts at split
         split = last - span
+        unit = (1).to_bytes(width, "little")  # int.from_bytes(unit * c, "little") has c lanes of 1
+        cuts, aboves = [], []  # for i = split + j, once a leaf asks: [j][s] cut lanes, [j] i's neighbours above i
+        lives, nears = [None] * (span + 1), [None] * (span + 1)  # [r]: C(span, r) lanes of 1; [r][v]: near(v, r)
 
         def excess(packed: int, c: int) -> int:
             # Field-wise max(0, f - c), for fields and c below 2^top_bit.
@@ -276,57 +285,72 @@ def _record_pairs(
                 tables[rest][v], room = pair, room - 2 * size
             return pair
 
-        def cell(i: int, r: int) -> tuple[int, int]:
-            # (1 in every lane, e(S, V - S) in lane l) for the l-th r-subset S
-            # of range(i, last): the subsets holding i, then the rest.
-            if r == 0:
-                return 1, 0
-            if r > last - i:
-                return 0, 0
-            got = cells.get((i, r))
-            if got is None:
-                (head_ones, head_cuts), (tail_ones, tail_cuts) = cell(i + 1, r - 1), cell(i + 1, r)
-                inner, at = _members(width, last - i - 1, r - 1), shift * math.comb(last - i - 1, r - 1)
-                above = _mask_vertices(masks[i] >> i + 1 & (1 << last - i - 1) - 1)  # offsets above i
-                got = cells[i, r] = (head_ones | tail_ones << at, head_cuts + deg[i] * head_ones
-                                     - 2 * sum(inner[j] for j in above) + (tail_cuts << at))
-            return got
+        def grow(r: int) -> None:
+            # The cut lanes of the r-subsets of range(split, last), by Pascal's
+            # rule from the bottom row up: lane l of cuts[j][s] is e(S, V - S)
+            # for the l-th s-subset S of range(i, last), the subsets holding i
+            # first, and it is built from cuts[j + 1][s - 1] and cuts[j + 1][s].
+            if not cuts:
+                cuts.extend([0] + [None] * (span - j) for j in range(span + 1))
+                aboves.extend(_mask_vertices(masks[i] >> i + 1 & (1 << last - i - 1) - 1) for i in range(split, last))
+            for j in range(span - 1, -1, -1):
+                row, tail, avail, above = cuts[j], cuts[j + 1], span - j, aboves[j]
+                for s in range(max(1, r - j), min(r, avail) + 1):
+                    if row[s] is None:
+                        inner, heads = _members(width, avail - 1, s - 1), math.comb(avail - 1, s - 1)
+                        head = (tail[s - 1] + int.from_bytes(deg[split + j].to_bytes(width, "little") * heads, "little")
+                                - 2 * sum([inner[t] for t in above]))
+                        row[s] = head | (tail[s] if s < avail else 0) << shift * heads
+            lives[r], nears[r] = int.from_bytes(unit * math.comb(span, r), "little"), [None] * split
 
         def near(v: int, r: int) -> int:
-            # Lane l: 2 |N(v) & S| for the l-th r-subset S of range(split, last):
-            # the subsets holding split, then the rest, as in cell.
+            # Lane l: 2 |N(v) & S| for the l-th r-subset S of range(split, last),
+            # in the order of cuts[0][r]: the subsets holding split, whose lanes
+            # less 2 [v ~ split] are the upper lanes of near(v, r - 1), then the rest.
             nonlocal room
-            got = nears.get((v, r))
-            if got is None:
-                above = _mask_vertices(masks[v] >> split + 1 & (1 << span - 1) - 1)  # offsets above split
-                head, tail = _members(width, span - 1, r - 1), _members(width, span - 1, r)
-                got = 2 * ((masks[v] >> split & 1) * cell(split + 1, r - 1)[0] + sum(head[j] for j in above)
-                           + (sum(tail[j] for j in above) << shift * math.comb(span - 1, r - 1)))
-                cost = math.comb(span, r) * width
-                if room >= cost:
-                    nears[v, r], room = got, room - cost
+            above = _mask_vertices(masks[v] >> split + 1 & (1 << span - 1) - 1)  # offsets above split
+            heads, row = math.comb(span - 1, r - 1), nears[r - 1]
+            kept = None if row is None else row[v]  # near(v, r - 1)
+            if kept is None:
+                head = _members(width, span - 1, r - 1)
+                kept = 2 * sum([head[j] for j in above])
+            else:
+                kept >>= shift * math.comb(span - 1, r - 2)
+            tail = _members(width, span - 1, r)
+            got = (2 * (masks[v] >> split & 1) * int.from_bytes(unit * heads, "little") + kept
+                   + (2 * sum([tail[j] for j in above]) << shift * heads))
+            cost = math.comb(span, r) * width
+            if room >= cost:
+                nears[r][v], room = got, room - cost
             return got
 
-        def leaf(x: int, twice_x: int, cut: int, i: int, r: int):
+        def leaf(x: int, xs: tuple[int, ...], twice_x: int, cut: int, i: int, r: int):
             # The records among the completions x | S, S an r-subset of
             # range(i, last), from one packed int whose lane l is
             # cut(x | S) for the l-th S in lexicographic order.
             nonlocal least, greatest
             if r == 1:
                 live = ones >> shift * (i + 1)
-                packed = cut * (ones >> shift * i) + (degs >> shift * i) - (twice_x >> shift * i)
+                base = (degs >> shift * i) - (twice_x >> shift * i)  # lane j: cut(x | {i + j}) - cut
             else:  # i == split
-                live, cuts = cell(i, r)
-                packed = cut * live + cuts - sum(near(v, r) for v in _mask_vertices(x))
-            while live:
-                tops = live << top_bit
-                q = packed + tops  # lane + 2^top_bit: its top bit says lane >= c after c is taken off
-                hits = tops & ((q - live * (min(max(greatest, -1), kk) + 1))
-                               | ~(q - live * min(max(least, 0), kk + 1)))
+                if lives[r] is None:
+                    grow(r)
+                live, row = lives[r], nears[r]  # lane l of base: cut(x | S) - cut for the l-th S
+                base = cuts[0][r] - sum([near(v, r) if row[v] is None else row[v] for v in xs])
+            tops = live << top_bit
+            while True:
+                # For a lane of base, lane + over has its top bit set when
+                # cut + lane > greatest, and under - lane when cut + lane < least;
+                # the window is clamped to [0, k^2], so both stay in [0, 2^(8 width)).
+                over = cut + (1 << top_bit) - 1 - min(max(greatest, -1), kk)
+                under = (1 << top_bit) - 1 + min(max(least, 0), kk + 1) - cut
+                above = base + live * over
+                hits = tops & (above | live * under - base)
                 if not hits:
                     return
-                at = ((hits & -hits).bit_length() - 1) // shift
-                cv, s, v, rest = packed >> shift * at & lane, 0, i, r
+                first = hits & -hits
+                at = (first.bit_length() - 1) // shift
+                cv, s, v, rest = (above >> shift * at & lane) + cut - over, 0, i, r
                 while rest:  # unrank lane `at`
                     head = math.comb(last - v - 1, rest - 1)
                     if at < head:
@@ -336,45 +360,51 @@ def _record_pairs(
                     v += 1
                 yield x | s, full ^ x ^ s, cv
                 least, greatest = min(least, cv), max(greatest, cv)
-                live &= -(hits & -hits)  # the lanes above `at`
+                tops &= -(first << 1)  # the lanes above `at`
 
-        def bounds(twice_x: int, cut: int, v: int, rest: int) -> tuple[int, int]:
+        def bounds(twice_x: int, cut: int, v: int, rest: int, low: int, high: int) -> tuple[int, int]:
             # Bounds on cut(x | S) over the rest-subsets S of range(v + 1, last),
-            # for x below v + 1 and the rest of range(v + 1) decided for y.
+            # for x below v + 1 and the rest of range(v + 1) decided for y,
+            # clipped to the parent's (low, high).  The window only widens, so a
+            # parent side inside it stays inside and is kept; once the lower side
+            # leaves the child outside, the upper is not computed either.
             lower, upper = tables[rest][v] or table(v, rest)
-            lows = (lower - twice_x).to_bytes(size, order)
-            highs = (upper - twice_x).to_bytes(size, order)
-            if width > 1:
-                lows, highs = memoryview(lows).cast(code), memoryview(highs).cast(code)
-            return (cut + sum(sorted(lows[v + 1:last])[:rest]) - rest * n,
-                    cut + sum(sorted(highs[v + 1:last])[-rest:]) - rest * n)
+            if low < least:
+                lows = (lower - twice_x).to_bytes(size, order)
+                if width > 1:
+                    lows = memoryview(lows).cast(code)
+                low = max(low, cut + sum(sorted(lows[v + 1:last])[:rest]) - rest * n)
+                if low < least:
+                    return low, high
+            if high > greatest:
+                highs = (upper - twice_x).to_bytes(size, order)
+                if width > 1:
+                    highs = memoryview(highs).cast(code)
+                high = min(high, cut + sum(sorted(highs[v + 1:last])[-rest:]) - rest * n)
+            return low, high
 
-        def bisections(x: int, twice_x: int, cut: int, i: int, r: int, low: int, high: int):
-            # Field u of twice_x is 2 |N(u) & x|.
+        def bisections(x: int, xs: tuple[int, ...], twice_x: int, cut: int, i: int, r: int, low: int, high: int):
+            # Field u of twice_x is 2 |N(u) & x|; xs lists x's vertices.
             if r == 1:
-                yield from leaf(x, twice_x, cut, i, r)
+                yield from leaf(x, xs, twice_x, cut, i, r)
                 return
             for v in range(i, min(split, n - r)):
                 if low >= least and high <= greatest:
                     return
                 cv = cut + deg[v] - 2 * (masks[v] & x).bit_count()
                 twice_xv = twice_x + twice[v]
-                lo, hi = bounds(twice_xv, cv, v, r - 1)
-                if lo < low:
-                    lo = low
-                if hi > high:
-                    hi = high
+                lo, hi = bounds(twice_xv, cv, v, r - 1, low, high)
                 if lo < least or hi > greatest:
-                    yield bisections(x | 1 << v, twice_xv, cv, v + 1, r - 1, lo, hi)
+                    yield bisections(x | 1 << v, (*xs, v), twice_xv, cv, v + 1, r - 1, lo, hi)
             if r <= span:  # the completions whose rest of x lies in range(split, last)
-                # Until its cut table is built, a leaf costs far more than its bounds.
+                # Until its cut row is grown, a leaf costs far more than its bounds.
                 lo, hi = low, high
-                if i < split and (split, r) not in cells:
-                    lo, hi = bounds(twice_x, cut, split - 1, r)
-                if max(lo, low) < least or min(hi, high) > greatest:
-                    yield from leaf(x, twice_x, cut, split, r)
+                if i < split and lives[r] is None:
+                    lo, hi = bounds(twice_x, cut, split - 1, r, low, high)
+                if lo < least or hi > greatest:
+                    yield from leaf(x, xs, twice_x, cut, split, r)
 
-        root = bisections(0, 0, 0, 0, k, 0, cap)
+        root = bisections(0, (), 0, 0, 0, k, 0, cap)
     else:
         # n > 2k.  While x is chosen, the r vertices still to join it come from
         # the candidates, so a y vertex u has at least |N(u) & x| + max(0, r - f(u))
@@ -425,7 +455,7 @@ def _record_pairs(
     try:
         return (yield from _depth_first(root))
     finally:  # the search functions refer to themselves: break the cycles, so their state goes now
-        cell = near = bisections = x_sets = y_sets = None
+        grow = near = bisections = x_sets = y_sets = None
 
 
 def _sampled_pairs(masks: Sequence[int], k: int, count: int, seed: int) -> Iterator[tuple[int, int, int]]:
@@ -564,6 +594,8 @@ def fit_density_certificate(
         raise ParameterError("tolerance must lie in (0,1)")
     if sample_count < 1:
         raise ParameterError("sample count must be >= 1")
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise ParameterError(f"unknown certification mode {mode!r}")
     total = disjoint_pair_count(g.n, set_size)
     if total == 0:
         return DensityCertificate(
@@ -583,14 +615,12 @@ def fit_density_certificate(
         pairs = _record_pairs(masks, set_size, least, greatest)
         used_samples = None
         used_seed = None
-    elif mode == "sampled":
+    else:
         pairs = list(_sampled_pairs(masks, set_size, sample_count, seed))
         checked = sample_count
         count_sum = sum(e for _, _, e in pairs)
         used_samples = sample_count
         used_seed = seed
-    else:
-        raise ParameterError(f"unknown certification mode {mode!r}")
 
     for i, (x, y, e) in enumerate(pairs):
         if e < least:

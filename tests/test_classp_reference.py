@@ -383,8 +383,8 @@ def test_leaf_lanes_either_side_of_one_byte(n, monkeypatch):
 
 @pytest.mark.parametrize("n, span", [(16, None), (16, 7), (20, None), (24, None)])
 def test_near_lanes_count_neighbours_in_each_subset(n, span, monkeypatch):
-    # The search's near ints, read from its frame at each record: lane l of
-    # near(v, r) is 2 |N(v) & S| for the l-th r-subset S of range(split, n - 1)
+    # The search's near ints, read from its per-r rows at each record: lane l
+    # of near(v, r) is 2 |N(v) & S| for the l-th r-subset S of range(split, n - 1)
     # in lexicographic order, in one-byte lanes up to n = 22 and two-byte
     # lanes from n = 24, and nothing lies above the last lane.
     if span is not None:
@@ -397,7 +397,8 @@ def test_near_lanes_count_neighbours_in_each_subset(n, span, monkeypatch):
         search, seen = _record_pairs(masks, k, k * k + 1, -1), {}
         for _ in search:
             state = search.gi_frame.f_locals
-            seen.update(state["nears"])
+            seen.update(((v, r), lanes_int) for r, row in enumerate(state["nears"]) if row
+                        for v, lanes_int in enumerate(row) if lanes_int is not None)
         shift, split = 8 * (2 if n >= 24 else 1), n - 1 - state["span"]
         for (v, r), lanes_int in seen.items():
             subsets = list(combinations(range(split, n - 1), r))
@@ -412,7 +413,7 @@ def test_near_lanes_count_neighbours_in_each_subset(n, span, monkeypatch):
 def test_exact_certificate_memory_stays_small():
     # The cut tables are built per call and freed with it: with the shared
     # membership tables already built, the peak traced allocation of each
-    # exhaustive an = 20 certificate stays under 256 KiB (about 115 KiB, most
+    # exhaustive an = 20 certificate stays under 256 KiB (about 100 KiB, most
     # of it the per-call cut and near lane ints), and the 24 calls leave no
     # tables behind for a later gc pass to free.
     members = _exact_members()
@@ -432,7 +433,7 @@ def test_exact_certificate_memory_stays_small():
     assert left < 256 * 1024, left
     # From cold tables, the first certificate builds the membership tables
     # every later one reads: its peak and the tables it keeps each stay under
-    # 256 KiB (about 210 and 100 KiB at LEAF_SPAN = 13; 365 and 195 KiB
+    # 256 KiB (about 195 and 100 KiB at LEAF_SPAN = 13; 340 and 195 KiB
     # at a span of 14), and the other 23
     # certificates add no table.
     pseudorandom._members.cache_clear()
@@ -577,6 +578,52 @@ def test_covered_window_stops_the_bisection_search():
     assert _profiled_calls(run, "table") <= g.n
     assert (report.hypothesis_witness, report.min_cross) == (None, 10_000)
     assert report.min_cross >= report.bound
+
+
+def _entered(masks, k: int, window) -> tuple[list, int]:
+    # The records of one pair search and the number of nodes it entered.
+    search, records = _record_pairs(masks, k, *window), []
+    while True:
+        try:
+            records.append(next(search))
+        except StopIteration as stop:
+            return records, stop.value
+
+
+# The nodes the n = 2k search enters on each corpus when both sides of every
+# child's bounds are computed.  Skipping a side that cannot prune must not
+# cost a node here.
+BOUNDED_NODES = {"grid": 56, "bisection": 590, "C96": 2070, "K200": 99}
+
+
+def test_bisection_search_node_counts(monkeypatch):
+    # Each an = 20 certificate search enters all 63 nodes, one per nonempty
+    # set of x vertices below the split, and prunes none, so its cost is per
+    # node and per leaf.  The records are still those of the frozen kernel.
+    for g in _exact_members():
+        masks = g.adjacency_masks()
+        records, nodes = _entered(masks, 10, (101, -1))
+        assert records == list(ref_bisection_records(masks, 10, 101, -1)), sorted(g.edges)
+        assert nodes == 63, sorted(g.edges)
+    totals = dict.fromkeys(BOUNDED_NODES, 0)
+    for name, corpus in (("grid", _grid_bisections()), ("bisection", _frozen_bisections(_bisection_graphs()))):
+        for g, expected in corpus:
+            for window, want in expected:
+                records, nodes = _entered(g.adjacency_masks(), g.n // 2, window)
+                assert records == want, (sorted(g.edges), window)
+                totals[name] += nodes
+    records, totals["C96"] = _entered(cycle_graph(96).adjacency_masks(), 48, (2, 48 * 48))
+    assert records == []
+    search, entered = pseudorandom._record_pairs, []
+
+    def counted(*args):
+        entered.append((yield from search(*args)))
+        return entered[-1]
+
+    monkeypatch.setattr(pseudorandom, "_record_pairs", counted)
+    assert verify_edgeboost(complete_graph(200), 200, 100, 1).min_cross == 10_000
+    totals["K200"] = sum(entered)
+    assert all(totals[name] <= most for name, most in BOUNDED_NODES.items()), totals
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (12, 4), (16, 5)])

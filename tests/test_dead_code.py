@@ -728,7 +728,6 @@ def self_calling_functions(package: Path) -> list[str]:
 BOUNDED_RECURSIONS = [
     "partition._cover_with_paths",  # one level per path: budget <= n <= EXHAUSTIVE_CAP
     "pseudorandom._members",  # one level per offset: span <= LEAF_SPAN = 13
-    "pseudorandom._record_pairs.cell",  # the same span as _members
     "serialize.jsonable",  # one level per nesting level of a report
 ]
 

@@ -116,6 +116,12 @@ class TestDensityCertificate:
         cert = fit_density_certificate(complete_graph(3), 2, Fraction(1, 2))
         assert cert.passed and cert.mode == "vacuous" and cert.pairs_checked == 0
 
+    @pytest.mark.parametrize("g", [Graph(3, [(0, 1)]), complete_graph(6)], ids=["no-pairs", "pairs"])
+    def test_unknown_mode_is_a_parameter_error(self, g):
+        # Also when no pair fits, where the certificate would be vacuous.
+        with pytest.raises(ParameterError, match="unknown certification mode 'bogus'"):
+            fit_density_certificate(g, 2, Fraction(1, 2), mode="bogus")
+
     def test_exhaustive_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             fit_density_certificate(Graph(40), 10, Fraction(1, 2), mode="exhaustive")
