@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Sequence
 
 from .errors import (
@@ -105,20 +105,18 @@ def _pack(sizes: list[tuple[int, int]], i: int, groups: list[int], fill: list[in
                 fill[gi], groups[gi] = f, groups[gi] & ~comp
 
 
-def _ham_path_table(masks: Sequence[int], n: int) -> list[int]:
-    """ends[v], a 2^n-bit int per vertex: bit mask is set iff some blue path covering mask ends at v.
+def _ham_path_table(masks: Sequence[int], n: int, seed: int) -> list[int]:
+    """ends[v], a 2^n-bit int per vertex: bit S is set iff S is a set of seed plus a disjoint blue path ending at v.
 
-    The Held–Karp table, filled for every mask at once.  A path covering
-    mask ends at v exactly when v is in mask and either mask = {v} or a path
-    covering mask - v ends at a neighbour of v.  lacks[v] marks the masks
-    without v, and shifting those bits by 2^v adds v to each.  Each round
-    lengthens the paths found by at least one vertex, so at most n - 1
-    rounds reach the fixed point; the fill stops at the first round that
-    changes no bit.
+    The Held–Karp table, filled for every S at once: S is in ends[v] when v
+    is in S and S - v is in seed (the path is v alone) or in ends[u] for a
+    neighbour u of v.  Shifting the bits of lacks[v] by 2^v adds v to each
+    set.  With seed = 1, the empty set, it is the one-path table.  Each
+    round lengthens the paths found, so at most n - 1 rounds reach the
+    fixed point; the fill stops at the first round that changes no bit.
     """
-    full = (1 << (1 << n)) - 1
-    lacks = [full // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
-    ends = [1 << (1 << v) for v in range(n)]
+    lacks = _lacks(n)
+    ends = [(seed & lacks[v]) << (1 << v) for v in range(n)]
     nbrs = [_mask_vertices(m) for m in masks]
     for _ in range(n - 1):
         changed = False
@@ -134,100 +132,96 @@ def _ham_path_table(masks: Sequence[int], n: int) -> list[int]:
     return ends
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+@lru_cache(maxsize=None)
+def _lacks(n: int) -> tuple[int, ...]:
+    """lacks[v], a 2^n-bit int per vertex: bit S is set iff v is not in S.
 
-
-def _path_flags(ends: list[int], n: int) -> bytes:
-    """flags[mask] = 1 if some blue path covers mask, else 0: 2^n bytes."""
-    found = 0
-    for e in ends:
-        found |= e
-    return format(found, f"0{1 << n}b")[::-1].encode().translate(_BIT_BYTES)
-
-
-def _end_set(ends: list[int], mask: int) -> int:
-    """The vertices at which some blue path covering mask ends, as a mask."""
-    return sum(1 << v for v, e in enumerate(ends) if e >> mask & 1)
-
-
-def _recover_path(ends: list[int], masks: Sequence[int], mask: int) -> list[int]:
-    end_choices = _end_set(ends, mask)
-    v = (end_choices & -end_choices).bit_length() - 1
-    path = [v]
-    while mask != (1 << v):
-        mask ^= 1 << v
-        prev = _end_set(ends, mask) & masks[v]
-        v = (prev & -prev).bit_length() - 1
-        path.append(v)
-    return path[::-1]
-
-
-def _cover_with_paths(flags: bytes, mask: int, budget: int, memo: dict) -> list[int] | None:
-    """Split mask into <= budget sub-masks each carrying a blue spanning path.
-
-    flags[sub] is 1 when a blue path covers sub (_path_flags).  The first
-    split wins: the sub-masks holding the lowest vertex of what is left are
-    tried in decreasing mask value.  With one path left only the whole mask
-    can be that path, so budget 1 is a direct lookup in flags.
+    The bits repeat 2^v set, 2^v clear: one byte pattern (one byte for v < 3).
     """
-    if mask == 0:
-        return []
-    if budget == 0:
-        return None
-    if budget == 1:
-        return [mask] if flags[mask] else None
-    key = (mask, budget)
-    if key in memo:
-        return memo[key]
-    low = mask & -mask
-    sub = mask
-    result = None
-    while sub:
-        if sub & low and flags[sub]:
-            rest = _cover_with_paths(flags, mask ^ sub, budget - 1, memo)
-            if rest is not None:
-                result = [sub] + rest
-                break
-        sub = (sub - 1) & mask
-    memo[key] = result
-    return result
+    size, full = (1 << n) + 7 >> 3, (1 << (1 << n)) - 1
+    units = [(b"\x55", b"\x33", b"\x0f")[v] if v < 3 else b"\xff" * (1 << v - 3) + bytes(1 << v - 3) for v in range(n)]
+    return tuple(int.from_bytes(unit * (size // len(unit)), "little") & full for unit in units)
 
 
 @lru_cache(maxsize=None)
-def _scan_order(n: int) -> array:
-    """Every subset of n vertices as a mask, largest first, then by mask value.
+def _levels(n: int) -> tuple[int, ...]:
+    """levels[k], a 2^n-bit int per k <= n: bit S is set iff S has k vertices (Pascal's rule, vertex by vertex)."""
+    levels = [1]
+    for v in range(n):
+        levels = [low | high << (1 << v) for low, high in zip(levels + [0], [0] + levels)]
+    return tuple(levels)
 
-    Kept once per n (n <= EXHAUSTIVE_CAP) as a packed array, 4 bytes a mask
-    where a tuple of ints holds about 40; callers share it and only read it.
+
+def _set_bits(x: int):
+    """The positions of x's set bits, lowest first, found lazily from its binary digits."""
+    digits = bin(x)
+    at = len(digits)
+    while (at := digits.rfind("1", 0, at)) > 0:
+        yield len(digits) - 1 - at
+
+
+def _cover_tables(masks: Sequence[int], n: int, ell: int) -> tuple[list[int], list[int]]:
+    """(covs, ends): bit S of the 2^n-bit int covs[j] is set iff at most j blue paths cover S.
+
+    Layer j seeds the path table with covs[j - 1]; covs[0] = 1, the empty
+    set, and ends is the one-path table.  n paths cover every set, so the
+    layers stop at min(ell, n), and covs[-1] stands for every later layer.
     """
-    return array("I", sorted(range(1 << n), key=lambda m: (-m.bit_count(), m)))
+    ends = _ham_path_table(masks, n, 1)
+    covs = [1, reduce(or_, ends, 1)]
+    while len(covs) <= min(ell, n):
+        covs.append(reduce(or_, _ham_path_table(masks, n, covs[-1]), covs[-1]))
+    return covs, ends
+
+
+def _recover_path(ends: list[int], masks: Sequence[int], mask: int) -> list[int]:
+    """A blue path covering mask: its lowest possible end, then back through the lowest neighbour that works."""
+    path, near = [], mask
+    while mask:
+        v = next(v for v in _mask_vertices(near & mask) if ends[v] >> mask & 1)
+        path.append(v)
+        mask, near = mask ^ 1 << v, masks[v]
+    return path[::-1]
+
+
+def _cover_pieces(covs: list[int], n: int, mask: int, budget: int) -> list[int]:
+    """Split mask, which budget blue paths cover, into path supports: each the first submask, in
+    decreasing value, that holds the lowest vertex left, has its covs[1] bit and leaves a rest that
+    budget - 1 paths cover.  The bits are read from bytes, as a shift of a 2^n-bit int costs O(2^n)
+    and the walk may test every submask."""
+    rows = [cov.to_bytes((1 << n) + 7 >> 3, "little") for cov in covs]
+    pieces = []
+    while mask:
+        rest_covered = rows[min(budget - 1, len(covs) - 1)]
+        low, sub = mask & -mask, mask
+        while not (sub & low and rows[1][sub >> 3] >> (sub & 7) & 1
+                   and rest_covered[(mask ^ sub) >> 3] >> ((mask ^ sub) & 7) & 1):
+            sub = (sub - 1) & mask
+        pieces.append(sub)
+        mask ^= sub
+        budget -= 1
+    return pieces
 
 
 def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult:
     """The first path support, largest first, that ell blue paths cover and whose rest splits into
     ell + 1 equal classes; failing that, the first support they cover (the empty one is scanned last)
-    with the largest split of its rest."""
+    with the largest split of its rest.  Only the set bits of covs[ell] are read, one level (support
+    size) at a time, largest first, in increasing mask value; a rest whose size ell + 1 does not
+    divide has no equal split, so the first pass skips its level."""
     n = blue.n
     masks = blue.adjacency_masks()
-    ends = _ham_path_table(masks, n)
-    flags = _path_flags(ends, n)
-    full = (1 << n) - 1
-    cover_memo: dict = {}
-    fallback = None
-    for pmask in _scan_order(n):
-        pieces = _cover_with_paths(flags, pmask, ell, cover_memo)
-        if pieces is None:
-            continue
-        comps = _blue_components(masks, full ^ pmask)
-        groups = _group_components(comps, ell + 1, exact=True)
+    covs, ends = _cover_tables(masks, n, ell)
+    full, levels = (1 << n) - 1, _levels(n)
+    sizes = [k for k in range(n, -1, -1) if (n - k) % (ell + 1) == 0]
+    for pmask in (s for k in sizes for s in _set_bits(covs[-1] & levels[k])):
+        groups = _group_components(_blue_components(masks, full ^ pmask), ell + 1, exact=True)
         if groups is not None:
             break
-        if fallback is None:
-            fallback = pieces, comps
     else:
-        pieces, comps = fallback
-        groups = _group_components(comps, ell + 1)
-    paths = tuple(tuple(_recover_path(ends, masks, piece)) for piece in pieces)
+        pmask = next(s for level in reversed(levels) for s in _set_bits(covs[-1] & level))
+        groups = _group_components(_blue_components(masks, full ^ pmask), ell + 1)
+    paths = tuple(tuple(_recover_path(ends, masks, piece)) for piece in _cover_pieces(covs, n, pmask, ell))
     return PartitionResult(paths, tuple(tuple(_mask_vertices(gm)) for gm in groups))
 
 
@@ -312,8 +306,9 @@ def partition_two_coloured(
     multipartite remainder of ell+1 classes.
 
     Both modes always return a cover, since empty classes are allowed: one
-    class may hold all that the paths leave.  Exhaustive mode (n <= 12) walks
-    candidate path supports largest first; heuristic mode grows rotated blue
+    class may hold all that the paths leave.  Exhaustive mode (n <= 12) reads
+    one path-cover table layered by path count and walks only the supports
+    that ell paths cover, largest first; heuristic mode grows rotated blue
     paths.  Each prefers ell + 1 equal classes.  A search that returns a
     cover the check rejects is a fault: ConstructionError.
     """
@@ -353,19 +348,17 @@ def verify_partition(blue: Graph, result: PartitionResult, ell: int) -> str | No
         for a, b in zip(p, p[1:]):
             if not blue.has_edge(a, b):
                 return f"path edge ({a},{b}) is not blue"
-    class_sizes = []
-    for cls in result.red_classes:
+    classes = [c for c in result.red_classes if c]  # an empty class has no vertex and no pair
+    for cls in classes:
         for v in cls:
             if v in seen or not 0 <= v < n:
                 return f"vertex {v} repeated or out of range"
             seen.add(v)
-        if cls:
-            class_sizes.append(len(cls))
-    if len(set(class_sizes)) > 1:
-        return f"unbalanced nonempty classes: sizes {sorted(class_sizes)}"
+    if len({len(c) for c in classes}) > 1:
+        return f"unbalanced nonempty classes: sizes {sorted(len(c) for c in classes)}"
     if seen != set(range(n)):
         return "cover misses or exceeds the vertex set"
-    for c1, c2 in combinations(result.red_classes, 2):
+    for c1, c2 in combinations(classes, 2):
         for u in c1:
             for v in c2:
                 if blue.has_edge(u, v):

@@ -8,6 +8,7 @@ import pytest
 
 from pathramsey import (
     Graph,
+    complete_graph,
     cycle_graph,
     partition_two_coloured,
     path_power,
@@ -16,9 +17,15 @@ from pathramsey import (
     sheared_blowup,
 )
 from pathramsey.errors import GraphFormatError
-from pathramsey.partition import _group_components, _partition_exhaustive, _partition_heuristic
+from pathramsey.partition import (
+    _cover_tables,
+    _group_components,
+    _partition_exhaustive,
+    _partition_heuristic,
+)
 
 from cover_reference import (
+    ref_cover_with_paths,
     ref_graph_edges,
     ref_group_components,
     ref_partition_exhaustive,
@@ -26,14 +33,38 @@ from cover_reference import (
     ref_sheared_blowup,
 )
 from graph_reference import mask_adjacency, removed_pairs
+from step_reference import ref_ham_path_table
 
 
-@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 10, 12])
 @pytest.mark.parametrize("p", [0, 0.2, 0.5, 0.8])
 def test_exhaustive_cover_matches_reference(n, p):
+    # ell = n + 1: the cover tables stop at n layers, since n paths cover every set.
     blue = random_graph(n, p, seed=1000 * n + int(10 * p))
-    for ell in (1, 2, 3):
+    for ell in (1, 2, 3, 4, n + 1):
         assert _partition_exhaustive(blue, ell) == ref_partition_exhaustive(blue, ell), ell
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_exhaustive_cover_of_complete_graph_matches_reference(n):
+    blue = complete_graph(n)
+    for ell in (1, 2, 3, 4):
+        assert _partition_exhaustive(blue, ell) == ref_partition_exhaustive(blue, ell), ell
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_cover_tables_match_brute_force(n):
+    # Bit S of covs[j] says at most j blue paths cover S; the reference splits S by brute force.
+    rng = random.Random(n)
+    for blue in [Graph(n), complete_graph(n)] + [random_graph(n, p, rng.randrange(10**6)) for p in (0.2, 0.4, 0.6)]:
+        masks = blue.adjacency_masks()
+        dp, memo = ref_ham_path_table(masks, n), {}
+        covs, _ = _cover_tables(masks, n, 4)
+        for j in range(5):
+            cov = covs[min(j, len(covs) - 1)]
+            for mask in range(1 << n):
+                want = ref_cover_with_paths(dp, masks, mask, j, memo) is not None
+                assert cov >> mask & 1 == want, (blue.edges, j, mask)
 
 
 def test_heuristic_cover_matches_reference():

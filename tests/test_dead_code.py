@@ -726,7 +726,6 @@ def self_calling_functions(package: Path) -> list[str]:
 
 # Recursions whose depth a constant bounds, with the bound.
 BOUNDED_RECURSIONS = [
-    "partition._cover_with_paths",  # one level per path: budget <= n <= EXHAUSTIVE_CAP
     "pseudorandom._members",  # one level per offset: span <= LEAF_SPAN = 13
     "serialize.jsonable",  # one level per nesting level of a report
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,22 @@ class TestPartitionExamples:
             blue = random_graph(n, rng.random(), seed)
             res = partition_two_coloured(blue, ell, mode=mode, seed=seed)
             assert len(res.red_classes) == ell + 1, (seed, n, ell)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+    def test_a_million_paths_return_a_cover(self, mode):
+        # The check compares nonempty classes only, and the exhaustive tables
+        # stop at n layers, so a huge ell costs time linear in ell.  The alarm
+        # turns a hang into a failure.
+        blue = Graph(4, [(0, 1), (2, 3)])
+        handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("cover with ell = 10**6 took over 30 s"))
+        signal.alarm(30)
+        try:
+            res = partition_two_coloured(blue, 10**6, mode=mode)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert verify_partition(blue, res, 10**6) is None
+        assert len(res.red_classes) == 10**6 + 1 and not any(res.red_classes)
 
     def test_exhaustive_cap(self):
         blue = EdgeColouring.constant(complete_graph(13), 2, 1).colour_subgraph(1)

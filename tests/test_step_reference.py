@@ -34,7 +34,7 @@ from pathramsey import (
 )
 from pathramsey.colouring import _embed_masks, _grow_clique, _prepare_pattern
 from pathramsey.graphs import _depth_first, _mask_vertices, validate_path
-from pathramsey.partition import _ham_path_table, _path_flags
+from pathramsey.partition import _cover_tables, _ham_path_table
 
 from step_reference import (
     frozen_colour_map,
@@ -77,13 +77,15 @@ def _table_graphs():
 @pytest.mark.parametrize("g", list(_table_graphs()), ids=repr)
 def test_ham_path_table_matches_reference(g):
     masks = g.adjacency_masks()
-    ends = _ham_path_table(masks, g.n)
+    ends = _ham_path_table(masks, g.n, 1)
     assert len(ends) == g.n
     # Every mask's end set, rebuilt from the per-vertex ints.
     table = [sum(1 << v for v in range(g.n) if ends[v] >> mask & 1) for mask in range(1 << g.n)]
     assert table == ref_ham_path_table(masks, g.n)
     assert all(e >> (1 << g.n) == 0 for e in ends)
-    assert list(_path_flags(ends, g.n)) == [int(bool(x)) for x in table]
+    # cov_1: the sets one blue path covers, and the empty set, which no path needs.
+    cov1 = _cover_tables(masks, g.n, 1)[0][1]
+    assert [cov1 >> mask & 1 for mask in range(1 << g.n)] == [int(bool(x) or not mask) for mask, x in enumerate(table)]
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
