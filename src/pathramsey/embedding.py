@@ -245,6 +245,9 @@ def check_template_containment(
     flat = [v for seg in segments for v in seg]
     if len(set(flat)) != len(flat):
         raise ParameterError("segments overlap")
+    for v in flat:
+        if v not in range(j.n):
+            raise ParameterError(f"segment vertex {v} out of range for n={j.n}")
 
     # Each segment must span a j-clique with no blue pair inside.
     grey_problem = None

@@ -38,7 +38,8 @@ class PartitionResult:
     """Cover of a two-coloured complete graph: disjoint blue paths plus
     disjoint vertex classes whose cross pairs are all red.
 
-    Empty classes are permitted; all nonempty classes share one size.
+    Empty classes are permitted; all nonempty classes share one size.  An
+    exhaustive cover always has ell + 1 classes of one size; a heuristic prefers them.
     """
 
     blue_paths: tuple[tuple[int, ...], ...]
@@ -205,31 +206,24 @@ def _cover_pieces(covs: list[int], n: int, mask: int, budget: int) -> list[int]:
 
 def _partition_exhaustive(blue: Graph, ell: int) -> PartitionResult:
     """The first path support, largest first, that ell blue paths cover and whose rest splits into
-    ell + 1 equal classes; failing that, the first support they cover (the empty one is scanned last)
-    with the largest split of its rest.  Only the set bits of covs[ell] are read, one level (support
-    size) at a time, largest first, in increasing mask value; a rest whose size ell + 1 does not
-    divide has no equal split, so the first pass skips its level."""
+    ell + 1 equal classes: Pokrovskiy's path-cover lemma says one exists.  Only the set bits of
+    covs[ell] are read, one level (support size) at a time, largest first, in increasing mask value;
+    a level whose rest ell + 1 does not divide has no equal split, so it is skipped."""
     n = blue.n
     masks = blue.adjacency_masks()
     covs, ends = _cover_tables(masks, n, ell)
     full, levels = (1 << n) - 1, _levels(n)
     sizes = [k for k in range(n, -1, -1) if (n - k) % (ell + 1) == 0]
-    for pmask in (s for k in sizes for s in _set_bits(covs[-1] & levels[k])):
-        groups = _group_components(_blue_components(masks, full ^ pmask), ell + 1, exact=True)
-        if groups is not None:
-            break
-    else:
-        pmask = next(s for level in reversed(levels) for s in _set_bits(covs[-1] & level))
-        groups = _group_components(_blue_components(masks, full ^ pmask), ell + 1)
+    splits = ((s, _group_components(_blue_components(masks, full ^ s), ell + 1, exact=True))
+              for k in sizes for s in _set_bits(covs[-1] & levels[k]))
+    pmask, groups = next((s, groups) for s, groups in splits if groups is not None)
     paths = tuple(tuple(_recover_path(ends, masks, piece)) for piece in _cover_pieces(covs, n, pmask, ell))
     return PartitionResult(paths, tuple(tuple(_mask_vertices(gm)) for gm in groups))
 
 
 def _grow_blue_path(masks: Sequence[int], available: int, rng: random.Random) -> list[int]:
     """A random blue path in available: extend the end, else the front, else rotate (at most 2n times)."""
-    avail_list = [v for v in _mask_vertices(available)]
-    if not avail_list:
-        return []
+    avail_list = _mask_vertices(available)
     # Prefer starts that can actually extend.
     live = [v for v in avail_list if masks[v] & available & ~(1 << v)]
     start = rng.choice(live or avail_list)
@@ -305,12 +299,12 @@ def partition_two_coloured(
     edges and red elsewhere, by <= ell blue paths plus a balanced red
     multipartite remainder of ell+1 classes.
 
-    Both modes always return a cover, since empty classes are allowed: one
-    class may hold all that the paths leave.  Exhaustive mode (n <= 12) reads
-    one path-cover table layered by path count and walks only the supports
-    that ell paths cover, largest first; heuristic mode grows rotated blue
-    paths.  Each prefers ell + 1 equal classes.  A search that returns a
-    cover the check rejects is a fault: ConstructionError.
+    Exhaustive mode (n <= 12) reads one path-cover table layered by path
+    count and walks the supports that ell paths cover, largest first; by
+    Pokrovskiy's path-cover lemma its cover always has ell + 1 classes of one
+    size.  Heuristic mode grows rotated blue paths and only prefers equal
+    classes; one class may hold all that the paths leave.  A search that
+    returns a cover the check rejects is a fault: ConstructionError.
     """
     if ell < 1:
         raise ParameterError("ell must be >= 1")

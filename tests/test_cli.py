@@ -749,6 +749,15 @@ class TestInjectedFaultsExitTwo:
         assert (code, out, err) == (
             2, "", "error: search produced an invalid cover: cover misses or exceeds the vertex set\n")
 
+    def test_exhaustive_cover_without_equal_split(self, run, graph_file, monkeypatch):
+        # Pokrovskiy's lemma says the scan always finds an equal split; were it
+        # ever empty, the search crashes rather than returning a lesser cover
+        monkeypatch.setattr("pathramsey.partition._group_components", lambda comps, classes, exact=False: None)
+        path = graph_file(complete_graph(6), "k6.edges")
+        code, out, err = run("partition", "--host", path, "--colours", "s=2;m=15;010101010101010",
+                             "--ell", "1", "--mode", "exhaustive")
+        assert (code, out, err) == (2, "", "internal error: StopIteration: \n")
+
 
 class TestStepAndReport:
     def test_step_runs_and_writes(self, run, tmp_path):
@@ -791,6 +800,17 @@ class TestStepAndReport:
             assert code == 1
         else:
             assert code == 0
+
+    def test_step_missing_bypass_path_exits_one(self, run, tmp_path):
+        doc = json.loads(json.dumps(STEP_DOC))
+        doc["pipeline"]["s"] = 1
+        doc["base"]["n"] = 3
+        cfg = tmp_path / "step.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run("step", "--config", str(cfg))
+        assert (code, err) == (1, "")
+        body = json.loads(out)
+        assert (body["kind"], body["failureStage"]) == ("honestFailure", "bypass-path")
 
     def test_report_summarises_outcome(self, run, tmp_path):
         cfg = tmp_path / "step.json"

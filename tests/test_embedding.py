@@ -284,6 +284,13 @@ class TestTemplateContainment:
         with pytest.raises(ParameterError):
             check_template_containment(h, 1, 2, [(0, 1), (1, 2)], j, no_blue, j)
 
+    @pytest.mark.parametrize("v", [-1, 4, 9])
+    def test_out_of_range_segment_vertex_is_a_parameter_error(self, v):
+        # before the segment clique check, which would report it as a containment failure
+        h, j, no_blue = Graph(2, [(0, 1)]), complete_graph(4), Graph(4)
+        with pytest.raises(ParameterError, match=rf"^segment vertex {v} out of range for n=4$"):
+            check_template_containment(h, 1, 2, [(0, 1), (2, v)], j, no_blue, j)
+
 
 def biased_instance(seed: int, bad_per_edge: int = 2, clique: int = 6):
     """Cycle template over blown-up cliques with a few planted blue cross pairs."""

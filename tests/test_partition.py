@@ -6,6 +6,7 @@ import random
 import signal
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,6 +75,21 @@ class TestPartitionExamples:
                     res = partition_two_coloured(blue, ell, mode="exhaustive")
                     problem = verify_partition(blue, res, ell)
                     assert problem is None, (n, ell, x, problem)
+
+    def test_exhaustive_cover_of_every_graph_on_at_most_7_vertices_splits_evenly(self):
+        # Pokrovskiy's path-cover lemma: ell blue paths plus ell + 1 red classes
+        # of one size always cover.  The atlas holds one graph per isomorphism
+        # class (1,253 graphs), which suffices: whether an equal split exists
+        # does not depend on the labels, and the scan tries every covered support.
+        atlas = nx.graph_atlas_g()
+        assert len(atlas) == 1253 and max(g.number_of_nodes() for g in atlas) == 7
+        for i, g in enumerate(atlas):
+            blue = Graph(g.number_of_nodes(), list(g.edges()))
+            for ell in range(1, 5):
+                res = partition_two_coloured(blue, ell, mode="exhaustive")
+                assert verify_partition(blue, res, ell) is None, (i, ell)
+                assert len(res.red_classes) == ell + 1, (i, ell)
+                assert len({len(c) for c in res.red_classes}) == 1, (i, ell, res)
 
     def test_heuristic_mode_on_larger_instance(self):
         rng = random.Random(5)
@@ -150,6 +166,22 @@ class TestVerifyPartition:
         bad = PartitionResult((), ((0, 1), (2, 3)))
         problem = verify_partition(col.colour_subgraph(1), bad, 1)
         assert "not red" in problem
+
+    def test_too_many_classes_rejected(self):
+        blue = Graph(4)
+        bad = PartitionResult((), ((0,), (1,), (2,), (3,)))
+        assert verify_partition(blue, bad, 2) == "4 classes exceed ell+1"
+
+    @pytest.mark.parametrize("paths,classes,v", [
+        (((0, 1), (1,)), ((2, 3),), 1),
+        (((0, 1, 4),), ((2, 3),), 4),
+        (((0, 1),), ((2, 0), (3, 1)), 0),
+        (((0, 1),), ((2, 3), (-1, 4)), -1),
+    ], ids=["path-repeated", "path-out-of-range", "class-repeated", "class-out-of-range"])
+    def test_repeated_or_out_of_range_vertex_rejected(self, paths, classes, v):
+        blue = complete_graph(4)
+        bad = PartitionResult(paths, classes)
+        assert verify_partition(blue, bad, 2) == f"vertex {v} repeated or out of range"
 
     def test_too_many_paths_rejected(self):
         blue = EdgeColouring.constant(complete_graph(4), 2, 1).colour_subgraph(1)

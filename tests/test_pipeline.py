@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -88,6 +89,28 @@ class TestInductionStep:
         assert out.kind == "honestFailure"
         assert out.failure_stage == "bypass-embed"
         assert out.failure_reason == "greedy embedding stuck at path position 2"
+
+    def test_single_colour_bypass_reports_missing_path(self):
+        # P3 has no path on n = 4 vertices
+        out = induction_step(*mono_step(path_graph(3), s=1, n=4))
+        assert (out.kind, out.failure_stage, out.failure_reason) == (
+            "honestFailure", "bypass-path", "no constrained path of length 4 found (longest 3)")
+        assert [t["stage"] for t in out.trace] == ["inputs", "bypass-path"]
+
+    def test_cliques_without_a_monochromatic_triangle_fail_honestly(self):
+        # each blow-up clique is a colour-1 pentagon and a colour-2 pentagram,
+        # and K5 so coloured has no monochromatic triangle
+        cfg = toy_cfg(clique_size=5, mono_target=3)
+        g = cycle_graph(6)
+        host, bmap = build_step_host(g, cfg)
+        colours = {e: 1 for e in host.edges}
+        for clique in bmap.clique_of:
+            for a, b in combinations(range(5), 2):
+                colours[clique[a], clique[b]] = 1 if b - a in (1, 4) else 2
+        out = induction_step(g, host, bmap, EdgeColouring(host, 2, colours), cfg)
+        assert (out.kind, out.failure_stage, out.failure_reason) == (
+            "honestFailure", "mono-cliques", "no blow-up clique yields a monochromatic clique")
+        assert [t["stage"] for t in out.trace] == ["inputs", "mono-cliques"]
 
     def test_adversarial_grey_colouring_fails_honestly_with_trace(self):
         cfg = toy_cfg(n=3)

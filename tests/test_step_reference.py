@@ -368,7 +368,7 @@ def _template_instance(rng: random.Random):
     across edges of h^r, or holds.  blue plants a partial matching per edge
     of h^r, and now and then stray pairs, so some pairs inside a segment are
     blue and some cross pairs are not a matching.  A sparse base misses the
-    distance bound.  One segment vertex in twenty lies outside j.
+    distance bound.  One instance in twenty puts a segment vertex outside j.
     """
     n, t, r = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 2)
     h = random_graph(n, rng.choice((0.3, 0.6, 1.0)), seed=rng.randrange(10**6))
@@ -396,6 +396,11 @@ def test_template_check_matches_three_pass_reference():
     rng = random.Random(31)
     for trial in range(400):
         h, r, t, segments, j, blue, base = _template_instance(rng)
+        if max(v for seg in segments for v in seg) >= j.n:  # the reference takes valid segments only
+            with pytest.raises(ParameterError, match=rf"^segment vertex {j.n} out of range for n={j.n}$"):
+                check_template_containment(h, r, t, segments, j, blue, base)
+            seen.add("outside j")
+            continue
         contained, offending, grey_ok, grey_problem, template, distance_ok = want = \
             ref_template_containment(h, r, t, segments, j, blue, base)
         if contained and grey_ok:
@@ -409,7 +414,7 @@ def test_template_check_matches_three_pass_reference():
             assert str(exc.value) == reason, (trial, want)
         if not contained:
             seen.add("inside" if offending[0][0] == offending[0][1] else "across")
-            seen.add("outside j" if max(offending[1]) >= j.n else "in j")
+            seen.add("in j")
         else:
             seen.add("grey" if grey_ok else grey_problem.split()[0])
             seen.add("distance ok" if distance_ok else "distance miss")
