@@ -69,9 +69,10 @@ def _read_graph(path: str):
 
 
 def _read_json(path: str, what: str):
+    text = _read_text(path, what)
     try:
-        return json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -120,9 +121,13 @@ def _rational(doc: dict, name: str) -> Fraction:
 
 def _parse_rational(value, what: str) -> Fraction:
     try:
-        return parse_frac(value)
+        x = parse_frac(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    digits = sys.get_int_max_str_digits()  # 0: no limit; reports print every rational they take
+    if digits and max(abs(x.numerator), x.denominator) >= 10 ** digits:
+        raise ConfigError(f"{what} has more than {digits} decimal digits, too many to print")
+    return x
 
 
 def _vertex_list(text: str, what: str) -> tuple[int, ...]:
@@ -255,9 +260,10 @@ def _cmd_partition(args) -> int:
 
 def _cmd_longpath(args) -> int:
     g = _read_graph(args.graph)
+    text = _colour_text(args.parts)
     try:
-        parts = json.loads(_colour_text(args.parts))
-    except json.JSONDecodeError as exc:
+        parts = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"--parts is not valid JSON: {exc}") from exc
     if not all(type(v) is int for p in _lists(parts, "--parts") for v in p):
         raise ConfigError("--parts must be a JSON list of lists of integers")

@@ -139,7 +139,9 @@ def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> Con
     big_b = 264 * big_a ** 2 / (delta ** 2 * big_c ** 2)
     clique_log = s * t_prime
     digits = sys.get_int_max_str_digits()  # 0: no limit
-    for name, x in (("Tprime", t_prime), ("logT_base_s", clique_log)):
+    printed = {"a": q.a, "b": q.b, "c": q.c, "eps": q.eps, "d0": d0, "Tprime": t_prime, "A": big_a,
+               "B": big_b, "C": big_c, "delta": delta, "logT_base_s": clique_log}
+    for name, x in printed.items():  # each is positive
         if digits and max(x.numerator, x.denominator) >= 10 ** digits:
             raise ParameterError(f"{name} has more than {digits} decimal digits, too many to print")
     clique_size: int | None = None

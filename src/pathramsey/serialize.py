@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
 from typing import Any
 
 SCHEMA_VERSION = 1
@@ -32,36 +31,13 @@ def parse_frac(value: Any) -> Fraction:
     raise ValueError(f"cannot parse {value!r} as a rational")
 
 
-_PLAIN = frozenset({int, str, bool, float, type(None)})  # leaves JSON takes as they are
-_ARRAYS = frozenset({list, tuple})  # json writes both as arrays
-
-
-def jsonable(obj: Any) -> Any:
-    """Recursively convert Fractions and tuples into JSON-friendly values.
-
-    A plain leaf, matched by exact type, returns before any isinstance test
-    (a Fraction test goes through ABCMeta).  A plain list or tuple of plain
-    leaves, or of plain lists and tuples of them, is copied into a list after
-    C-level scans, inner sequences as they are: json writes them as arrays.
-    Elsewhere list and tuple items that are plain leaves are kept inline,
-    without a call each.  Subclasses of those types take the isinstance path.
-    """
-    if type(obj) in _PLAIN:
-        return obj
-    if type(obj) in _ARRAYS and (
-        _PLAIN.issuperset(map(type, obj))
-        or _ARRAYS.issuperset(map(type, obj)) and _PLAIN.issuperset(map(type, chain.from_iterable(obj)))
-    ):
-        return list(obj)
+def _default(obj: Any) -> Any:
+    """How json writes what it has no rule for: a Fraction as text, a frozenset sorted."""
     if isinstance(obj, Fraction):
         return frac_str(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if isinstance(obj, frozenset):
-        return sorted(jsonable(v) for v in obj)
-    return obj
+        return sorted(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_report(report: dict) -> str:
@@ -69,4 +45,4 @@ def dump_report(report: dict) -> str:
     body = dict(report)
     if "schemaVersion" not in body:
         body = {"schemaVersion": SCHEMA_VERSION, **body}
-    return json.dumps(jsonable(body), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(body, sort_keys=True, separators=(",", ":"), default=_default) + "\n"

@@ -49,6 +49,15 @@ def run(capsys):
 
 
 @pytest.fixture
+def digit_limit():
+    """The interpreter's default int-to-text limit, 4,300 digits, whatever the environment sets."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
 def graph_file(tmp_path):
     def write(g: Graph, name: str) -> str:
         p = tmp_path / name
@@ -606,6 +615,39 @@ class TestExitCodes:
         # A zero denominator used to be reported as an internal ZeroDivisionError.
         code, out, err = run(*self.QUAD, "--quad", quad, "--d0", d0)
         assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("argv,doc,message", [
+        (["gen", "--config", "{}"], lambda: dict(GEN_DOC, b="1e5000"), "config error: config field 'b'"),
+        (["step", "--config", "{}"], lambda: dict(STEP_DOC, pipeline=dict(STEP_DOC["pipeline"], sparsifyP="1e5000")),
+         "config error: config field 'sparsifyP'"),
+        ([*QUAD, "--quad", "1,1,1,1/2", "--d0", "1e5000"], None, "config error: --d0"),
+        ([*QUAD, "--quad", "1e2000,950400,1,1/20", "--d0", "1"], None, "error: B"),
+    ], ids=["gen", "step", "d0", "derived-B"])
+    def test_rational_too_long_to_print_exits_two(self, run, tmp_path, digit_limit, argv, doc, message):
+        # Every rational a command takes or derives is printed in its report:
+        # one past the digit limit used to end in an internal ValueError.
+        cfg = tmp_path / "big.json"
+        if doc is not None:
+            cfg.write_text(json.dumps(doc()))
+        code, out, err = run(*(str(cfg) if a == "{}" else a for a in argv))
+        assert (code, out, err) == (2, "", f"{message} has more than 4300 decimal digits, too many to print\n")
+
+    @pytest.mark.parametrize("argv,what", [
+        (["gen", "--config", "{}"], "config file"),
+        (["report", "--in", "{}"], "report input"),
+        (["longpath", "--graph", "{g}", "--parts", "@{}", "--target", "1"], "--parts"),
+    ], ids=lambda x: x[0] if isinstance(x, list) else x)
+    def test_integer_literal_past_the_digit_limit_exits_two(self, run, tmp_path, graph_file, digit_limit,
+                                                            argv, what):
+        # json.loads refuses a 4,301-digit literal with a plain ValueError,
+        # which used to end in an internal error.
+        big = tmp_path / "big.json"
+        big.write_text("[[" + "1" * 4301 + "]]")
+        src = graph_file(cycle_graph(6), "c6.edges")
+        code, out, err = run(*(a.replace("{g}", src).replace("{}", str(big)) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {what} is not valid JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["segments", "--path", "0,a", "--t", "1"],

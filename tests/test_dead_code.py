@@ -727,7 +727,6 @@ def self_calling_functions(package: Path) -> list[str]:
 # Recursions whose depth a constant bounds, with the bound.
 BOUNDED_RECURSIONS = [
     "pseudorandom._members",  # one level per offset: span <= LEAF_SPAN = 13
-    "serialize.jsonable",  # one level per nesting level of a report
 ]
 
 

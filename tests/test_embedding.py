@@ -182,6 +182,14 @@ class TestConstantsChain:
                 constants_chain(1, 1000, 1, 1, quad(3, 10 ** 319, 1, "1/20"), 1)
             with pytest.raises(ParameterError, match="^Tprime has more than 640 decimal digits"):
                 constants_chain(1, 1, 1, 1, quad(3, 10 ** 320, 1, "1/20"), 1)
+            # Every printed rational is checked, inputs and derived values alike:
+            # a = 10^200 fits, but B = 264 A^2 / (delta C)^2 has about 816 digits.
+            with pytest.raises(ParameterError, match="^a has more than 640 decimal digits"):
+                constants_chain(1, 1, 1, 1, quad(10 ** 640, 2, 1, "1/20"), 1)
+            with pytest.raises(ParameterError, match="^d0 has more than 640 decimal digits"):
+                constants_chain(1, 1, 1, 1, quad(3, 2, 1, "1/20"), Fraction(1, 10 ** 640))
+            with pytest.raises(ParameterError, match="^B has more than 640 decimal digits"):
+                constants_chain(1, 1, 1, 1, quad(10 ** 200, 2, 1, "1/20"), 1)
         finally:
             sys.set_int_max_str_digits(limit)
 

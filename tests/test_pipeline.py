@@ -205,6 +205,23 @@ class TestInductionStep:
         assert out.kind == "honestFailure"
         assert out.failure_stage == "segment-graph-params"
 
+    def test_unworkable_output_parameters_fail_after_pruning(self):
+        # The bench's grey member 3 with c = 1/2 in the output quadruple: the
+        # step gets through sparsify-prune, then floor(c * n) = 1 leaves no
+        # class to verify the pruned graph against.
+        params = ClassPParams(quad(1, 64, "1/2", "4/5"), t=1, n=16)
+        g, _, _ = generate_class_p(params, GenerationConfig(p=Fraction(7, 10), seed=3))
+        cfg = toy_cfg(
+            t=1, n=3, out_quad=quad(1, 64, "1/2", "4/5"),
+            in_quad=quad(1, 2000, "2/3", "4/5"), seed=0,
+        )
+        host, bmap = build_step_host(g, cfg)
+        chi = clique_cross_colouring(host, cfg.clique_size)
+        out = induction_step(g, host, bmap, chi, cfg)
+        assert (out.kind, out.failure_stage, out.failure_reason) == (
+            "honestFailure", "pruned-params", "floor(c*n) = 1 < 2; pick larger n or c")
+        assert [t["stage"] for t in out.trace][-2:] == ["sparsify-prune", "pruned-params"]
+
     def test_wrong_host_rejected(self):
         cfg = toy_cfg()
         g = path_graph(6)
