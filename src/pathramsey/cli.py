@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -120,13 +121,22 @@ def _rational(doc: dict, name: str) -> Fraction:
 
 
 def _parse_rational(value, what: str) -> Fraction:
+    digits = sys.get_int_max_str_digits()  # 0: no limit; reports print every rational they take
+    too_long = ConfigError(f"{what} has more than {digits} decimal digits, too many to print")
+    if digits and isinstance(value, str):
+        # Fraction builds 10**exponent before any size check; past digits plus
+        # the mantissa's length, only a zero mantissa leaves a printable value.
+        mantissa, _, exponent = value.lower().partition("e")
+        if re.fullmatch(rf"[-+]?\d{{1,{digits}}}\s*", exponent) and abs(int(exponent)) > digits + len(mantissa):
+            if any(c.isdecimal() and int(c) for c in mantissa):
+                raise too_long
+            value = mantissa + "e0"
     try:
         x = parse_frac(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
-    digits = sys.get_int_max_str_digits()  # 0: no limit; reports print every rational they take
     if digits and max(abs(x.numerator), x.denominator) >= 10 ** digits:
-        raise ConfigError(f"{what} has more than {digits} decimal digits, too many to print")
+        raise too_long
     return x
 
 

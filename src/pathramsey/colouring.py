@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .embedding import Embedding, validate_embedding
+from .embedding import Embedding, _validated
 from .errors import (
     BudgetExceededError,
     ConstructionError,
@@ -204,7 +204,7 @@ def find_subgraph(host: Graph, pattern: Graph) -> Embedding | None:
     mapping = _embed_masks(host.n, host.adjacency_masks(), _prepare_pattern(pattern))
     if mapping is None:
         return None
-    return Embedding(pattern, host, mapping)
+    return _validated(Embedding(pattern, host, mapping), "subgraph")
 
 
 # -- monochromatic cliques -------------------------------------------------------
@@ -416,19 +416,11 @@ def blue_path_to_blue_power(verts: Sequence[int], aux: AuxColouring) -> Embeddin
         for i in range(1, n - 1):
             ys = sorted(sides[i - 1][1])[:k]
             xs = sorted(set(sides[i][0]) - set(ys))[:k]
-            if len(xs) < k:
-                raise ConstructionError(
-                    f"cannot split witnesses disjointly inside subclique of path vertex {verts[i]}"
-                )
             ordering += ys + xs
         ordering += sorted(sides[-1][1])
     pattern = path_power(2 * k * n, k)
     constraint = (aux.chi, frozenset({aux.blue_colour}))
-    emb = Embedding(pattern, aux.chi.host, tuple(ordering), constraint)
-    problem = validate_embedding(emb)
-    if problem is not None:
-        raise ConstructionError(f"promoted embedding failed validation: {problem}")
-    return emb
+    return _validated(Embedding(pattern, aux.chi.host, tuple(ordering), constraint), "promoted")
 
 
 # -- arrow oracle -----------------------------------------------------------------
@@ -556,11 +548,7 @@ def arrow_check(
             return ArrowVerdict(False, col, None, searched)
         watch = 1 << m | sum(bit[mapping[a], mapping[b]] for a, b in pattern.edges)
         if witness is None:
-            emb = Embedding(pattern, host, mapping)
-            problem = validate_embedding(emb)
-            if problem is not None:
-                raise ConstructionError(f"witness embedding invalid: {problem}")
-            witness = (c + 1, emb)
+            witness = (c + 1, _validated(Embedding(pattern, host, mapping), "witness"))
     if mode == "exhaustive":
         return ArrowVerdict(True, None, witness, searched)
     return ArrowVerdict(None, None, witness, searched)

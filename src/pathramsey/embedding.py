@@ -72,6 +72,14 @@ def validate_embedding(e: Embedding) -> str | None:
     return None
 
 
+def _validated(e: Embedding, what: str) -> Embedding:
+    """e itself once validate_embedding passes it; a failure is the builder's fault."""
+    problem = validate_embedding(e)
+    if problem is not None:
+        raise ConstructionError(f"{what} embedding failed validation: {problem}")
+    return e
+
+
 # -- constants chain ---------------------------------------------------------
 
 
@@ -204,13 +212,7 @@ def embed_base_case(
     host_base = power(g, k)
     host, bmap = sheared_blowup(host_base, k + 1, seed=matching_seed)
     chosen = _greedy_window(host, bmap, vertices, k)
-    if len(chosen) < len(vertices):
-        raise ConstructionError(f"greedy embedding stuck at path position {len(chosen)}")
-    emb = Embedding(path_power(len(vertices), k), host, chosen)
-    problem = validate_embedding(emb)
-    if problem is not None:
-        raise ConstructionError(f"greedy embedding failed validation: {problem}")
-    return emb
+    return _validated(Embedding(path_power(len(vertices), k), host, chosen), "greedy")
 
 
 # -- template containment ------------------------------------------------------
@@ -436,8 +438,4 @@ def lll_embed(instance: LLLInstance, seed: int, max_resamples: int) -> Embedding
             c for c in range(1, instance.chi.s + 1) if c != instance.blue_colour
         )
         constraint = (instance.chi, allowed)
-    emb = Embedding(instance.template, instance.host, mapping, constraint)
-    problem = validate_embedding(emb)
-    if problem is not None:
-        raise ConstructionError(f"resampled embedding failed validation: {problem}")
-    return emb
+    return _validated(Embedding(instance.template, instance.host, mapping, constraint), "resampled")

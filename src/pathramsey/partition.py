@@ -19,6 +19,7 @@ from typing import Sequence
 from .errors import (
     BudgetExceededError,
     ConstructionError,
+    GraphFormatError,
     NoPathFoundError,
     ParameterError,
     PreconditionError,
@@ -450,7 +451,10 @@ def long_path_through_sets(
 
     try:
         for found in _depth_first((extend([v], 1 << v) for v in part_sets[0]), node_budget):
-            validate_path(g, found, part_sets)
+            try:
+                validate_path(g, found, part_sets)
+            except GraphFormatError as exc:
+                raise ConstructionError(f"search produced an invalid path: {exc}") from exc
             return found
     except BudgetExceededError:
         pass

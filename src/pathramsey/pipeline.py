@@ -23,15 +23,14 @@ from .colouring import (
 from .embedding import (
     Embedding,
     _greedy_window,
+    _validated,
     check_template_containment,
     embed_base_case,
     lll_embed,
     make_lll_instance,
-    validate_embedding,
 )
 from .errors import (
     BaseCaseError,
-    ConstructionError,
     LLLFailureError,
     NoPathFoundError,
     ParameterError,
@@ -179,10 +178,7 @@ def induction_step(
         mapping = _greedy_window(host, blowup, path, cfg.k)
         if len(mapping) < len(path):  # k can exceed t*r: a clique may offer no candidate
             return _fail(trace, "bypass-embed", f"greedy embedding stuck at path position {len(mapping)}")
-        emb = Embedding(path_power(len(path), cfg.k), host, mapping, (chi, frozenset({1})))
-        problem = validate_embedding(emb)
-        if problem is not None:
-            raise ConstructionError(f"bypass embedding failed validation: {problem}")
+        emb = _validated(Embedding(path_power(len(path), cfg.k), host, mapping, (chi, frozenset({1}))), "bypass")
         _ok(trace, "bypass", {"pathLength": len(path)})
         return StepOutcome("monoPowerFound", embedding=emb, trace=trace)
 

@@ -19,10 +19,12 @@ from pathramsey import (
     EdgeColouring,
     GenerationConfig,
     Graph,
+    LLLFailureError,
     ParameterError,
     PartitionResult,
     PipelineConfig,
     PreconditionError,
+    build_aux_colouring,
     complete_graph,
     cycle_graph,
     graph_from_text,
@@ -632,6 +634,20 @@ class TestExitCodes:
         code, out, err = run(*(str(cfg) if a == "{}" else a for a in argv))
         assert (code, out, err) == (2, "", f"{message} has more than 4300 decimal digits, too many to print\n")
 
+    def test_huge_decimal_exponent_exits_two_at_once(self, tmp_path):
+        # Fraction("1e100000000") used to build 10**100000000 before any digit
+        # check and run past 30 s; a subprocess, so that a hang fails the test
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(dict(GEN_DOC, b="1e100000000")))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathramsey.cli", "gen", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="4300"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "config error: config field 'b' has more than 4300 decimal digits, too many to print\n")
+
     @pytest.mark.parametrize("argv,what", [
         (["gen", "--config", "{}"], "config file"),
         (["report", "--in", "{}"], "report input"),
@@ -761,18 +777,32 @@ def _raising(error: type[Exception]):
     return broken
 
 
+def _short_witness_side(j, subcliques, chi, k, blue):
+    """The aux colouring with one witness side cut to 2k - 1 vertices.
+
+    On STEP_DOC's instance the promoted path is (5, 4, 3, 2), and the side of
+    edge (3, 4)'s witness in vertex 4's subclique starts with the vertex that
+    edge (4, 5)'s witness leaves there, so the split keeps k - 1 vertices.
+    """
+    aux = build_aux_colouring(j, subcliques, chi, k, blue)
+    wa, wb = aux.witnesses[(3, 4)]
+    return dataclasses.replace(aux, witnesses={**aux.witnesses, (3, 4): (wa, wb[:2 * k - 1])})
+
+
 class TestInjectedFaultsExitTwo:
     """A fault of the step's or the cover search's own construction is an error, never an honest negative."""
 
     @pytest.mark.parametrize("target,fake,pipeline,base_n,message", [
         ("pipeline.build_aux_colouring", _raising(PreconditionError), {}, 6, "broken invariant"),
         ("pipeline.blue_path_to_blue_power", _raising(ConstructionError), {}, 6, "broken invariant"),
-        ("pipeline.validate_embedding", lambda emb: "pattern edge (0,1) unmapped", {"s": 1}, 6,
+        ("embedding.validate_embedding", lambda emb: "pattern edge (0,1) unmapped", {"s": 1}, 6,
          "bypass embedding failed validation: pattern edge (0,1) unmapped"),
         ("pipeline._greedy_window", _raising(ConstructionError), {"s": 1}, 6, "broken invariant"),
         ("partition._partition_heuristic", lambda blue, ell, seed: PartitionResult((), ((0,),)), {}, 13,
          "search produced an invalid cover: cover misses or exceeds the vertex set"),
-    ], ids=["aux-colouring", "blue-power", "bypass-validate", "bypass-greedy", "partition"])
+        ("pipeline.build_aux_colouring", _short_witness_side, {}, 6,
+         "promoted embedding failed validation: mapping length differs from pattern order"),
+    ], ids=["aux-colouring", "blue-power", "bypass-validate", "bypass-greedy", "partition", "promoted-split"])
     def test_step(self, run, tmp_path, monkeypatch, target, fake, pipeline, base_n, message):
         monkeypatch.setattr(f"pathramsey.{target}", fake)
         doc = json.loads(json.dumps(STEP_DOC))
@@ -791,6 +821,12 @@ class TestInjectedFaultsExitTwo:
         assert (code, out, err) == (
             2, "", "error: search produced an invalid cover: cover misses or exceeds the vertex set\n")
 
+    def test_longpath(self, run, graph_file, monkeypatch):
+        monkeypatch.setattr("pathramsey.partition._depth_first", lambda roots, budget: iter([(0, 2)]))
+        path = graph_file(path_graph(4), "p4.edges")
+        code, out, err = run("longpath", "--graph", path, "--parts", "[[0, 1, 2, 3]]", "--target", "2")
+        assert (code, out, err) == (2, "", "error: search produced an invalid path: path step (0,2) is not an edge\n")
+
     def test_exhaustive_cover_without_equal_split(self, run, graph_file, monkeypatch):
         # Pokrovskiy's lemma says the scan always finds an equal split; were it
         # ever empty, the search crashes rather than returning a lesser cover
@@ -802,6 +838,19 @@ class TestInjectedFaultsExitTwo:
 
 
 class TestStepAndReport:
+    def test_exhausted_local_lemma_exits_one(self, run, tmp_path, monkeypatch):
+        # no small instance exhausts the resample budget, so the embedder reports it
+        stats = {"resamples": 100, "violations": {"0,1": 100}}
+
+        def exhausted(*args):
+            raise LLLFailureError("resample budget 100 exhausted", stats=stats)
+
+        monkeypatch.setattr("pathramsey.pipeline.lll_embed", exhausted)
+        code, out, err = run(*_golden_case(tmp_path, monkeypatch, "step-reducedColours"))
+        doc = json.loads(out)
+        assert (code, err, doc["kind"], doc["failureStage"], doc["failureReason"]) == (
+            1, "", "honestFailure", "lll-embed", f"resample budget 100 exhausted ({stats})")
+
     def test_step_runs_and_writes(self, run, tmp_path):
         cfg = tmp_path / "step.json"
         cfg.write_text(json.dumps(STEP_DOC))

@@ -3,6 +3,7 @@ the blue/grey auxiliary colouring, path promotion, subgraph search, arrowing."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathramsey import (
     BudgetExceededError,
+    ConstructionError,
     EdgeColouring,
     Graph,
     ParameterError,
@@ -356,6 +358,19 @@ class TestBluePathPromotion:
         emb = blue_path_to_blue_power((0,), aux)
         assert emb.pattern == path_power(2, 1)
         assert validate_embedding(emb) is None
+
+    def test_witness_side_below_2k_is_a_fault(self):
+        # build_aux_colouring stores 2k vertices per side; with 2k - 1 holding
+        # the vertex the previous witness leaves in subclique 1, the split
+        # keeps k - 1 vertices and the ordering comes out one short
+        j = path_graph(3)
+        host, bmap = sheared_blowup(j, 5)
+        aux = build_aux_colouring(j, [c[:4] for c in bmap.clique_of], EdgeColouring.constant(host, 2, 1), 1, 1)
+        shared = min(aux.witnesses[(0, 1)][1])
+        short = dataclasses.replace(aux, witnesses={**aux.witnesses, (1, 2): ((shared,), aux.witnesses[(1, 2)][1])})
+        with pytest.raises(ConstructionError,
+                           match="^promoted embedding failed validation: mapping length differs from pattern order$"):
+            blue_path_to_blue_power((0, 1, 2), short)
 
     @pytest.mark.parametrize("path", [(-1,), (5,), (3,), (0.5,), (0, 1, 0), (1, 2, 3)])
     def test_path_vertex_outside_or_repeated_is_refused(self, path):

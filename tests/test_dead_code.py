@@ -10,7 +10,8 @@ loaded from; a name that two or more classes declare is resolved by owner,
 through a listed reader that loads it), every option a CLI subcommand
 declares is read by its handler, only graphs.py reads a graph's neighbourhoods other than as bitmasks, only graphs.py
 builds a graph without checking its edges, only cli.py reads config
-documents, no generator recurses by delegating to itself, and no other
+documents, every embedding the package builds is handed to
+embedding._validated and only embedding.py calls validate_embedding, no generator recurses by delegating to itself, and no other
 function calls itself unless a constant bounds its depth."""
 
 from __future__ import annotations
@@ -644,6 +645,52 @@ def test_config_reader_guard_flags_a_second_reader(tmp_path):
         "    return parse_frac(doc['q']), from_dict(doc)\n"
     )
     assert config_readers(tmp_path) == ["a:6", "a:7", "a:10"]
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name a call calls, bare or as an attribute; None for anything else."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+
+
+def unvalidated_embeddings(package: Path) -> list[str]:
+    """`Embedding(` calls that are not the first argument of a `_validated(` call,
+    and `validate_embedding(` calls outside embedding.py, as module:line.
+
+    Every embedding the package hands out passes one check, and only
+    embedding._validated turns a failed check into an error.
+    """
+    found = []
+    for module, tree in _parse_package(package).items():
+        wrapped = {id(node.args[0]) for node in ast.walk(tree) if _called(node) == "_validated" and node.args}
+        found += [
+            f"{module}:{line}" for line in sorted(
+                node.lineno for node in ast.walk(tree)
+                if _called(node) == "Embedding" and id(node) not in wrapped
+                or _called(node) == "validate_embedding" and module != "embedding"
+            )
+        ]
+    return found
+
+
+def test_every_embedding_is_validated_in_one_place():
+    assert unvalidated_embeddings(PACKAGE) == []
+
+
+def test_validation_guard_flags_a_second_check_and_a_bare_embedding(tmp_path):
+    (tmp_path / "embedding.py").write_text(
+        "class Embedding:\n    pass\n\n"
+        "def validate_embedding(e):\n    return None\n\n"
+        "def _validated(e, what):\n    validate_embedding(e)\n    return e\n\n"
+        "def built():\n    return Embedding()\n"
+    )
+    (tmp_path / "a.py").write_text(
+        "from . import embedding\nfrom .embedding import Embedding, _validated, validate_embedding\n\n"
+        "def f(what):\n"
+        "    ok = _validated(Embedding(), what)\n"
+        "    problem = embedding.validate_embedding(ok)\n"
+        "    return _validated(ok, Embedding()), validate_embedding, problem\n"
+    )
+    assert unvalidated_embeddings(tmp_path) == ["a:6", "a:7", "embedding:12"]
 
 
 def self_delegating_generators(package: Path) -> list[str]:

@@ -225,7 +225,8 @@ class TestEmbedBaseCase:
         from pathramsey import embedding
 
         monkeypatch.setattr(embedding, "_greedy_window", lambda host, bmap, vertices, k: (0, 2))
-        with pytest.raises(ConstructionError, match="^greedy embedding stuck at path position 2$"):
+        with pytest.raises(ConstructionError,
+                           match="^greedy embedding failed validation: mapping length differs from pattern order$"):
             embed_base_case(path_graph(4), 1, (0, 1, 2, 3))
 
     def test_seeded_hosts_sweep(self):

@@ -31,7 +31,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 
-MUTATIONS = [-1, 0, 2, 1.5, True, None, "x", "1/0", "-1/2", "1e5000", [], {}, [[0, 1]]]
+MUTATIONS = [-1, 0, 2, 1.5, True, None, "x", "1/0", "-1/2", "1e5000", "1e100000000", [], {}, [[0, 1]]]
 DELETE = object()
 FLAG_VALUES = ["-1", "0", "-7", "40"]  # 40: large but valid, e.g. constants --k 40
 PATH_VALUES = ["-1", "99", "0,0"]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathramsey import (
+    ConstructionError,
     EdgeColouring,
     Graph,
     NoPathFoundError,
@@ -31,6 +32,7 @@ from pathramsey import (
     verify_partition,
 )
 
+from pathramsey import partition
 from pathramsey.graphs import validate_path
 
 from conftest import oracle_cross_edges
@@ -253,6 +255,12 @@ class TestLongPath:
         with pytest.raises(NoPathFoundError) as exc:
             long_path_through_sets(g, [range(4)], 4, node_budget=3)
         assert exc.value.longest == (0, 1, 2)
+
+    def test_search_yielding_a_non_path_is_a_fault(self, monkeypatch):
+        # the search's own result can fail the path check only through a bug
+        monkeypatch.setattr(partition, "_depth_first", lambda roots, budget: iter([(0, 2)]))
+        with pytest.raises(ConstructionError, match=r"^search produced an invalid path: path step \(0,2\) is not an edge$"):
+            long_path_through_sets(path_graph(4), [range(4)], 2)
 
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=25, deadline=None)

@@ -14,6 +14,7 @@ from pathramsey import (
     EdgeColouring,
     GenerationConfig,
     Graph,
+    LLLFailureError,
     ParameterError,
     PartitionResult,
     PipelineConfig,
@@ -28,7 +29,7 @@ from pathramsey import (
     validate_embedding,
     verify_class_p,
 )
-from pathramsey import partition, pipeline
+from pathramsey import embedding, partition, pipeline
 from pathramsey.serialize import dump_report
 
 
@@ -283,7 +284,7 @@ class TestStepFaultsRaise:
             induction_step(*mono_step(path_graph(6)))
 
     def test_bypass_embedding_failing_validation_raises(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "validate_embedding", lambda emb: "pattern edge (0,1) unmapped")
+        monkeypatch.setattr(embedding, "validate_embedding", lambda emb: "pattern edge (0,1) unmapped")
         with pytest.raises(ConstructionError, match=r"pattern edge \(0,1\) unmapped"):
             induction_step(*mono_step(path_graph(8), s=1, n=5, clique_size=3))
 
@@ -307,6 +308,60 @@ class TestStepFaultsRaise:
         assert (out.kind, out.failure_stage, out.failure_reason) == (
             "honestFailure", "blue-power", "subclique smaller than 2k")
         assert out.trace[-1] == {"stage": "blue-power", "status": "failed", "detail": "subclique smaller than 2k"}
+
+
+def grey_step():
+    """induction_step's arguments for a class-P member whose grey route ends in reducedColours."""
+    params = ClassPParams(quad(1, 64, "1/2", "4/5"), t=1, n=16)
+    g, _, _ = generate_class_p(params, GenerationConfig(p=Fraction(7, 10), seed=7))
+    cfg = toy_cfg(t=1, n=3, out_quad=quad(1, 64, "2/3", "4/5"), in_quad=quad(1, 2000, "2/3", "4/5"), seed=0)
+    host, bmap = build_step_host(g, cfg)
+    return g, host, bmap, clique_cross_colouring(host, cfg.clique_size), cfg
+
+
+class TestLateStagesFailHonestly:
+    """The grey route's last stages end honestly on a fact about the instance.
+
+    No small seeded instance fails there by itself, so each test injects what
+    the stage's callee would report.
+    """
+
+    def _assert_failed(self, out, stage: str, reason: str):
+        assert (out.kind, out.failure_stage, out.failure_reason) == ("honestFailure", stage, reason)
+        assert out.trace[-1]["stage"] == stage and out.trace[-1]["status"] == "failed"
+        assert all(t["status"] == "ok" for t in out.trace[:-1])
+
+    def test_pruned_class(self, monkeypatch):
+        # pruning that keeps one survivor too few fails the size condition
+        real = pipeline.prune_top
+
+        def one_short(h, size):
+            h_final, kept = real(h, size)
+            last = h_final.n - 1
+            return Graph(last, [e for e in h_final.edges if last not in e]), kept[:-1]
+
+        monkeypatch.setattr(pipeline, "prune_top", one_short)
+        out = induction_step(*grey_step())
+        self._assert_failed(out, "pruned-class", "reduced graph fails class membership")
+        assert out.trace[-1]["detail"]["size"] == {"ok": False, "found": 2, "wanted": 3}
+
+    def test_template(self, monkeypatch):
+        def outside_j(*args):
+            raise PreconditionError("containment fails at ((0, 1), (2, 5))")
+
+        monkeypatch.setattr(pipeline, "check_template_containment", outside_j)
+        out = induction_step(*grey_step())
+        self._assert_failed(out, "template", "containment fails at ((0, 1), (2, 5))")
+
+    def test_lll_embed(self, monkeypatch):
+        stats = {"resamples": 100, "violations": {"0,1": 100}, "conditionValue": Fraction(1, 2)}
+
+        def exhausted(*args):
+            raise LLLFailureError("resample budget 100 exhausted", stats=stats)
+
+        monkeypatch.setattr(pipeline, "lll_embed", exhausted)
+        out = induction_step(*grey_step())
+        self._assert_failed(out, "lll-embed", f"resample budget 100 exhausted ({stats})")
 
 
 GOOD = quad(2, 1_700_000, "1/2", "1/20")
