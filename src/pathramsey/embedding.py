@@ -139,18 +139,24 @@ def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> Con
     if d0 <= 0:
         raise ParameterError("d0 must be positive")
     input_failing = is_good(q)
-    t_prime = q.b ** (2 * r * k) * Fraction(t) ** (2 * k)
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    # T' = b^{2rk} t^{2k} has a numerator of at least num(b)^{2rk} and at least T', and a denominator
+    # of at least den(b)^{2rk} / t^{2k}: one is at least 2^bits, past the digit limit once
+    # 100 bits >= 333 digits.  Such a T' is not built, and is refused (None) in its turn below.
+    num, den = q.b.numerator, q.b.denominator
+    bits = 2 * k * max(r * (num.bit_length() - 1) + max(0, t.bit_length() - 1 - r * (den - 1).bit_length()),
+                       r * (den.bit_length() - 1) - (t - 1).bit_length())
+    t_prime = None if digits and 100 * bits >= 333 * digits else q.b ** (2 * r * k) * Fraction(t) ** (2 * k)
     big_a = 2 * d0 * (q.a + 1) * s * t
     big_c = min(Fraction(1, 2 * s * t), q.eps ** 2 * q.c ** 2 / (240 * q.a))
     big_r = t * r
     delta = q.eps / 2
     big_b = 264 * big_a ** 2 / (delta ** 2 * big_c ** 2)
-    clique_log = s * t_prime
-    digits = sys.get_int_max_str_digits()  # 0: no limit
+    clique_log = None if t_prime is None else s * t_prime
     printed = {"a": q.a, "b": q.b, "c": q.c, "eps": q.eps, "d0": d0, "Tprime": t_prime, "A": big_a,
                "B": big_b, "C": big_c, "delta": delta, "logT_base_s": clique_log}
-    for name, x in printed.items():  # each is positive
-        if digits and max(x.numerator, x.denominator) >= 10 ** digits:
+    for name, x in printed.items():  # each is positive, or None if too long to build
+        if x is None or digits and max(x.numerator, x.denominator) >= 10 ** digits:
             raise ParameterError(f"{name} has more than {digits} decimal digits, too many to print")
     clique_size: int | None = None
     # Integers only: e may be far past any float.  s^e has at least

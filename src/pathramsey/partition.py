@@ -25,13 +25,9 @@ from .errors import (
     PreconditionError,
 )
 from .graphs import Graph, _depth_first, _edge_subset, _frontiers, _mask_vertices, validate_path
-from .pseudorandom import _record_pairs, disjoint_pair_count, prune_to_size
+from .pseudorandom import _empty_cross_pair, prune_to_size
 
 EXHAUSTIVE_CAP = 12
-# Above this many pairs long_path_through_sets asserts the expansion hypothesis
-# instead of checking it.  Kept below PAIR_BUDGET: raising it would start
-# checking, and possibly rejecting, instances that are asserted today.
-EXPANSION_PAIR_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -367,14 +363,11 @@ def verify_partition(blue: Graph, result: PartitionResult, ell: int) -> str | No
 def check_expansion(g: Graph, set_size: int) -> tuple[int, int] | None:
     """First disjoint (set_size, set_size) pair with no cross edge, as masks; None if expanding.
 
-    "First" is in the pair order of pseudorandom._record_pairs: the pair is its
-    first record for the window [1, set_size^2], found by branch and bound.
+    BudgetExceededError, above the "expansion" budget of pseudorandom._routed_pairs, says that
+    nothing was checked.  verify_edgeboost's hypothesis runs the same search; this name stays for
+    the benchmark's per-layer metrics of the pre-check.
     """
-    if disjoint_pair_count(g.n, set_size) > EXPANSION_PAIR_BUDGET:
-        raise BudgetExceededError("expansion pre-check too large; assert the hypothesis instead")
-    for x, y, _ in _record_pairs(g.adjacency_masks(), set_size, 1, set_size * set_size):
-        return x, y
-    return None
+    return _empty_cross_pair(g, set_size, "expansion")
 
 
 def long_path_through_sets(
@@ -386,14 +379,15 @@ def long_path_through_sets(
 ) -> tuple[int, ...]:
     """A path of target_len vertices whose position-i vertex lies in parts[i mod t].
 
-    When gamma is given and the instance is small, the expansion hypothesis
-    (every disjoint pair of ceil(gamma*n)-sets spans an edge) is pre-checked
-    and a violation rejects the call; otherwise the hypothesis is the caller's
-    assertion.  The search is a depth-first walk over the part pattern, run by
-    graphs._depth_first so no path length deepens the interpreter stack.  It
-    tries candidates in ascending order, skips (vertex, used set) states known
-    to fail, and pays one unit of node_budget per path it enters (start vertex
-    and complete path too); failure raises carrying the longest path entered.
+    When gamma is given, check_expansion pre-checks the expansion hypothesis
+    (every disjoint pair of ceil(gamma*n)-sets spans an edge) and a violation
+    rejects the call; above its budget (pseudorandom._routed_pairs) the
+    hypothesis is the caller's assertion.  The search is a depth-first walk
+    over the part pattern, run by graphs._depth_first so no path length
+    deepens the interpreter stack.  It tries candidates in ascending order,
+    skips (vertex, used set) states known to fail, and pays one unit of
+    node_budget per path it enters (start vertex and complete path too);
+    failure raises carrying the longest path entered.
     """
     t = len(parts)
     if t < 1:
@@ -412,17 +406,13 @@ def long_path_through_sets(
         if not 0 <= v < g.n:
             raise ParameterError(f"part vertex {v} out of range")
     if gamma is not None:
-        size = max(1, math.ceil(Fraction(gamma) * g.n))
         try:
-            witness = check_expansion(g, size)
-        except BudgetExceededError:
-            witness = None  # too large to pre-check; caller asserts
-        else:
-            if witness is not None:
-                raise PreconditionError(
-                    f"expansion hypothesis fails: no edge between {_mask_vertices(witness[0])} "
-                    f"and {_mask_vertices(witness[1])}"
-                )
+            witness = check_expansion(g, max(1, math.ceil(Fraction(gamma) * g.n)))
+        except BudgetExceededError:  # nothing checked: the caller asserts the hypothesis
+            witness = None
+        if witness is not None:
+            x, y = map(_mask_vertices, witness)
+            raise PreconditionError(f"expansion hypothesis fails: no edge between {x} and {y}")
 
     masks = g.adjacency_masks()
     part_masks = [sum(1 << v for v in p) for p in part_sets]

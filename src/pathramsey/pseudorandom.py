@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from typing import Generator, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -36,6 +36,9 @@ from .graphs import (
 )
 
 PAIR_BUDGET = 200_000
+# Above this many pairs long_path_through_sets asserts the expansion hypothesis instead of checking
+# it; raising it would start checking, and possibly rejecting, instances that are asserted today.
+EXPANSION_PAIR_BUDGET = 100_000
 LEAF_SPAN = 13  # comb(13, 6) = 1716 lanes; a span of 14 takes a cold an = 20 certificate to about 345 KB
 _TABLE_BYTES = 1 << 24  # the bound pairs and near lane ints one n = 2k search keeps; past it, built per use
 
@@ -519,6 +522,28 @@ def _sampled_pairs(masks: Sequence[int], k: int, count: int, seed: int) -> Itera
             yield x, taken ^ x, e
 
 
+def _routed_pairs(g: Graph, k: int, least: int, greatest: int, mode: str, budget: str | None,
+                  sample_count: int = 0, seed: int = 0) -> tuple[Iterable[tuple[int, int, int]], str]:
+    """The (x, y, e) pairs of the disjoint (k, k) family that a pair check reads, and the mode taken.
+
+    The one place that decides whether a check enumerates the family (the records of _record_pairs
+    for the window [least, greatest]), samples it, or refuses it as over its budget.
+    """
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise ParameterError(f"unknown certification mode {mode!r}")
+    total = disjoint_pair_count(g.n, k)
+    if total == 0:
+        return (), "vacuous"
+    limit = {"pairs": PAIR_BUDGET, "expansion": EXPANSION_PAIR_BUDGET, None: total}[budget]
+    if mode == "auto":
+        mode = "exhaustive" if total <= limit else "sampled"
+    if mode == "sampled":
+        return _sampled_pairs(g.adjacency_masks(), k, sample_count, seed), mode
+    if total > limit:
+        raise BudgetExceededError(f"{total} pairs exceed the exhaustive budget {limit}")
+    return _record_pairs(g.adjacency_masks(), k, least, greatest), mode
+
+
 @dataclass(frozen=True)
 class DensityCertificate:
     """Witness for the common-pair-density condition.
@@ -570,8 +595,8 @@ def fit_density_certificate(
 ) -> DensityCertificate:
     """Fit a reference density over the (set_size, set_size) disjoint-pair family.
 
-    mode "auto" certifies exhaustively when the family fits the budget and
-    samples otherwise; "exhaustive" raises if the family is too large.
+    _routed_pairs picks the pairs from mode and the "pairs" budget; an empty
+    family gives a vacuous certificate.
 
     Every field follows from the count sum and the first pair reaching the
     least and the greatest count.  Exhaustively these are exact without
@@ -594,32 +619,22 @@ def fit_density_certificate(
         raise ParameterError("tolerance must lie in (0,1)")
     if sample_count < 1:
         raise ParameterError("sample count must be >= 1")
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise ParameterError(f"unknown certification mode {mode!r}")
-    total = disjoint_pair_count(g.n, set_size)
-    if total == 0:
-        return DensityCertificate(
-            f_ref=Fraction(1), mode="vacuous", tolerance=tolerance, max_rel_dev=Fraction(0),
-            passed=True, pairs_checked=0,
-        )
-    if mode == "auto":
-        mode = "exhaustive" if total <= PAIR_BUDGET else "sampled"
-    masks = g.adjacency_masks()
     denom = set_size * set_size
     least, greatest = denom + 1, -1
+    pairs, mode = _routed_pairs(g, set_size, least, greatest, mode, "pairs", sample_count, seed)
+    if mode == "vacuous":
+        return DensityCertificate(
+            f_ref=Fraction(1), mode=mode, tolerance=tolerance, max_rel_dev=Fraction(0),
+            passed=True, pairs_checked=0,
+        )
     if mode == "exhaustive":
-        if total > PAIR_BUDGET:
-            raise BudgetExceededError(f"{total} pairs exceed the exhaustive budget {PAIR_BUDGET}")
-        checked = total
+        checked = disjoint_pair_count(g.n, set_size)
         count_sum = g.m * math.comb(g.n - 2, set_size - 1) * math.comb(g.n - set_size - 1, set_size - 1)
-        pairs = _record_pairs(masks, set_size, least, greatest)
-        used_samples = None
-        used_seed = None
+        used_samples = used_seed = None
     else:
-        pairs = list(_sampled_pairs(masks, set_size, sample_count, seed))
-        checked = sample_count
+        pairs = list(pairs)
+        checked = used_samples = sample_count
         count_sum = sum(e for _, _, e in pairs)
-        used_samples = sample_count
         used_seed = seed
 
     for i, (x, y, e) in enumerate(pairs):
@@ -673,18 +688,9 @@ def _count_certificate_ok(
     g: Graph, set_size: int, target: Fraction, slack: Fraction,
     sample_count: int, seed: int,
 ) -> tuple[tuple | None, str]:
-    """The first pair (X, Y, e(X,Y)) outside (1 +- slack)*target, or None, and the mode; sampled if huge."""
-    total = disjoint_pair_count(g.n, set_size)
-    if total == 0:
-        return None, "vacuous"
-    masks = g.adjacency_masks()
+    """The first pair (X, Y, e(X,Y)) outside (1 +- slack)*target, or None, and the mode _routed_pairs took."""
     lo, hi = _count_band(target, slack)
-    if total <= PAIR_BUDGET:
-        pairs = _record_pairs(masks, set_size, lo, hi)  # only pairs outside [lo, hi]
-        mode = "exhaustive"
-    else:
-        pairs = _sampled_pairs(masks, set_size, sample_count, seed)
-        mode = "sampled"
+    pairs, mode = _routed_pairs(g, set_size, lo, hi, "auto", "pairs", sample_count, seed)
     for x, y, e in pairs:
         if not lo <= e <= hi:
             return (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)), e), mode
@@ -889,14 +895,17 @@ def verify_edgeboost(g: Graph, alpha_n: int, beta_n: int, mu_n: int) -> EdgeBoos
         raise ParameterError(f"graph has {g.n} vertices, expected alpha_n = {alpha_n}")
     if not (1 <= 2 * mu_n <= beta_n <= alpha_n):
         raise ParameterError("need 2*mu_n <= beta_n <= alpha_n with mu_n >= 1")
-    masks = g.adjacency_masks()
     bound = Fraction(beta_n ** 2, 2 * mu_n)
-
-    # The first record for the window [1, mu_n^2] is the first pair with no
-    # cross edge; the least record for the empty window [beta_n^2 + 1, beta_n^2]
-    # is the fewest cross edges of any pair.
-    for x, y, _ in _record_pairs(masks, mu_n, 1, mu_n * mu_n):
-        witness = (tuple(_mask_vertices(x)), tuple(_mask_vertices(y)))
-        return EdgeBoostReport(witness, bound, None)
-    records = _record_pairs(masks, beta_n, beta_n * beta_n + 1, beta_n * beta_n)
+    witness = _empty_cross_pair(g, mu_n, None)
+    if witness is not None:
+        return EdgeBoostReport(tuple(tuple(_mask_vertices(side)) for side in witness), bound, None)
+    # The least record for the empty window [beta_n^2 + 1, beta_n^2] is the
+    # fewest cross edges of any pair.
+    records, _ = _routed_pairs(g, beta_n, beta_n * beta_n + 1, beta_n * beta_n, "exhaustive", None)
     return EdgeBoostReport(None, bound, min((e for _, _, e in records), default=None))
+
+
+def _empty_cross_pair(g: Graph, k: int, budget: str | None) -> tuple[int, int] | None:
+    """The first disjoint (k, k) pair with no cross edge, as masks, or None: the first record for [1, k^2]."""
+    pairs, _ = _routed_pairs(g, k, 1, k * k, "exhaustive", budget)
+    return next(((x, y) for x, y, _ in pairs), None)

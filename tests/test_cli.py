@@ -421,6 +421,20 @@ class TestConstants:
         assert (code, out) == (2, "")
         assert err == "error: Tprime has more than 4300 decimal digits, too many to print\n"
 
+    @pytest.mark.parametrize("k", [1000, 10000])
+    def test_tprime_too_long_to_print_exits_two_at_once(self, k):
+        # T' = b^{2rk} t^{2k} used to be built in full before its digit check:
+        # k = 1000 took 14.5 s and k = 10000 ran past a minute.  A subprocess,
+        # so that a hang fails the test.
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathramsey.cli", "constants", "--k", str(k), "--s", "2", "--r", "1000",
+             "--t", "2", "--quad", "2,1700000,1/2,1/20", "--d0", "1"],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="4300"),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: Tprime has more than 4300 decimal digits, too many to print\n")
+
     def test_bad_quad_syntax_exit_two(self, run):
         code, _, err = run("constants", "--k", "1", "--s", "2", "--r", "1",
                            "--t", "2", "--quad", "3,1", "--d0", "1")

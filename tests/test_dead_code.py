@@ -11,7 +11,9 @@ through a listed reader that loads it), every option a CLI subcommand
 declares is read by its handler, only graphs.py reads a graph's neighbourhoods other than as bitmasks, only graphs.py
 builds a graph without checking its edges, only cli.py reads config
 documents, every embedding the package builds is handed to
-embedding._validated and only embedding.py calls validate_embedding, no generator recurses by delegating to itself, and no other
+embedding._validated and only embedding.py calls validate_embedding, only
+pseudorandom._routed_pairs calls _record_pairs or _sampled_pairs or reads
+PAIR_BUDGET or EXPANSION_PAIR_BUDGET, no generator recurses by delegating to itself, and no other
 function calls itself unless a constant bounds its depth."""
 
 from __future__ import annotations
@@ -691,6 +693,57 @@ def test_validation_guard_flags_a_second_check_and_a_bare_embedding(tmp_path):
         "    return _validated(ok, Embedding()), validate_embedding, problem\n"
     )
     assert unvalidated_embeddings(tmp_path) == ["a:6", "a:7", "embedding:12"]
+
+
+PAIR_SOURCES = ("_record_pairs", "_sampled_pairs")
+PAIR_BUDGETS = ("PAIR_BUDGET", "EXPANSION_PAIR_BUDGET")
+
+
+def unrouted_pair_checks(package: Path) -> list[str]:
+    """`_record_pairs(` and `_sampled_pairs(` calls and reads of the two pair budgets,
+    as module:line, outside pseudorandom._routed_pairs.
+
+    Whether a check enumerates the disjoint (k, k) pair family or samples it
+    is decided in one place, the router; a second caller would route on its own.
+    """
+    found = []
+    for module, tree in _parse_package(package).items():
+        routers = [node for node in tree.body if module == "pseudorandom"
+                   and isinstance(node, ast.FunctionDef) and node.name == "_routed_pairs"]
+        routed = {id(sub) for router in routers for sub in ast.walk(router)}
+        found += [
+            f"{module}:{line}" for line in sorted(
+                node.lineno for node in ast.walk(tree) if id(node) not in routed and (
+                    _called(node) in PAIR_SOURCES
+                    or isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                    and getattr(node, "id", getattr(node, "attr", None)) in PAIR_BUDGETS
+                )
+            )
+        ]
+    return found
+
+
+def test_every_pair_check_is_routed_in_one_place():
+    assert unrouted_pair_checks(PACKAGE) == []
+
+
+def test_pair_routing_guard_flags_a_second_caller(tmp_path):
+    (tmp_path / "pseudorandom.py").write_text(
+        "PAIR_BUDGET = EXPANSION_PAIR_BUDGET = 1\n\n"
+        "def _routed_pairs(masks, k, expansion):\n"
+        "    budget = EXPANSION_PAIR_BUDGET if expansion else PAIR_BUDGET\n"
+        "    return _record_pairs(masks, k) if budget else _sampled_pairs(masks, k)\n\n"
+        "def check(masks, k):\n"
+        "    if len(masks) <= PAIR_BUDGET:\n"
+        "        return _record_pairs(masks, k)\n"
+    )
+    (tmp_path / "a.py").write_text(
+        "from . import pseudorandom\nfrom .pseudorandom import _sampled_pairs\n\n"
+        "def f(masks, k, _routed_pairs):\n"
+        "    pairs = pseudorandom._sampled_pairs(masks, k)\n"
+        "    return pairs, _routed_pairs(masks, k), pseudorandom.EXPANSION_PAIR_BUDGET\n"
+    )
+    assert unrouted_pair_checks(tmp_path) == ["a:5", "a:6", "pseudorandom:8", "pseudorandom:9"]
 
 
 def self_delegating_generators(package: Path) -> list[str]:

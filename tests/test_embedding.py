@@ -194,6 +194,27 @@ class TestConstantsChain:
             sys.set_int_max_str_digits(limit)
 
 
+    def test_tprime_refused_unbuilt_only_past_the_digit_limit(self):
+        # A long T' is refused from the bit lengths of b and t before it is
+        # built; every T' that the digit check lets through is still built.
+        limit, rng, refused = sys.get_int_max_str_digits(), random.Random(5), 0
+        try:
+            sys.set_int_max_str_digits(640)
+            for _ in range(400):
+                b = Fraction(rng.getrandbits(rng.randint(1, 40)) + 1, rng.getrandbits(rng.randint(1, 40)) + 1)
+                k, r, t = rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 2 ** rng.randint(0, 30))
+                want = b ** (2 * r * k) * Fraction(t) ** (2 * k)
+                if max(want.numerator, want.denominator) < 10 ** 640:
+                    assert constants_chain(k, 1, r, t, quad(3, b, 1, "1/20"), 1).t_prime == want
+                else:
+                    refused += 1
+                    with pytest.raises(ParameterError, match="^Tprime has more than 640 decimal digits"):
+                        constants_chain(k, 1, r, t, quad(3, b, 1, "1/20"), 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert 100 < refused < 300
+
+
 class TestEmbedBaseCase:
     def test_k1_along_any_path(self):
         g, perm = random_graph_with_path(3, 10, extra=8)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathramsey import (
+    BudgetExceededError,
     ConstructionError,
     EdgeColouring,
     Graph,
@@ -32,7 +33,7 @@ from pathramsey import (
     verify_partition,
 )
 
-from pathramsey import partition
+from pathramsey import partition, pseudorandom
 from pathramsey.graphs import validate_path
 
 from conftest import oracle_cross_edges
@@ -217,6 +218,25 @@ class TestLongPath:
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         with pytest.raises(PreconditionError):
             long_path_through_sets(g, [[0, 1, 2], [3, 4, 5]], 6, gamma=Fraction(1, 3))
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_expansion_pre_check_runs_within_its_budget(self, monkeypatch, spare):
+        # P8 at gamma = 1/4 pre-checks its 210 disjoint pairs of 2-sets: at or
+        # below the budget the first pair with no cross edge refuses the call.
+        monkeypatch.setattr(pseudorandom, "EXPANSION_PAIR_BUDGET", 210 + spare)
+        assert partition.check_expansion(path_graph(8), 2) == (0b11, 0b11000)
+        with pytest.raises(PreconditionError, match=r"^expansion hypothesis fails: no edge between \[0, 1\] and \[3, 4\]$"):
+            long_path_through_sets(path_graph(8), [range(8)], 8, gamma=Fraction(1, 4))
+
+    def test_expansion_pre_check_is_asserted_above_its_budget(self, monkeypatch):
+        # One pair over the budget nothing is checked: the path is found, and a
+        # direct caller tells that apart from an expanding graph.
+        monkeypatch.setattr(pseudorandom, "EXPANSION_PAIR_BUDGET", 209)
+        assert long_path_through_sets(path_graph(8), [range(8)], 8, gamma=Fraction(1, 4)) == tuple(range(8))
+        with pytest.raises(BudgetExceededError, match="^210 pairs exceed the exhaustive budget 209$"):
+            partition.check_expansion(path_graph(8), 2)
+        monkeypatch.setattr(pseudorandom, "EXPANSION_PAIR_BUDGET", 210)
+        assert partition.check_expansion(complete_graph(8), 2) is None
 
     def test_honest_failure_carries_longest(self):
         g = path_graph(4)
