@@ -445,15 +445,10 @@ def _cmd_report(args) -> int:
             verdict_ok = False
             lines.append(f"  failed at stage: {doc.get('failureStage')}")
             lines.append(f"  reason: {doc.get('failureReason')}")
-    if "passed" in doc:
-        lines.append(f"passed: {doc['passed']}")
-        verdict_ok = bool(doc["passed"])
-    if "arrows" in doc:
-        lines.append(f"arrows: {doc['arrows']}")
-        verdict_ok = bool(doc["arrows"])
-    if "found" in doc:
-        lines.append(f"found: {doc['found']}")
-        verdict_ok = bool(doc["found"])
+    for key in ("passed", "arrows", "found"):
+        if key in doc:
+            lines.append(f"{key}: {doc[key]}")
+            verdict_ok = bool(doc[key])
     for entry in trace:
         lines.append(f"  [{entry.get('status')}] {entry.get('stage')}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -17,6 +17,7 @@ from .graphs import (
     BlowupMap,
     Graph,
     _blowup,
+    _seed,
     distances,
     path_power,
     power,
@@ -143,10 +144,16 @@ def constants_chain(k: int, s: int, r: int, t: int, q: GoodQuadruple, d0) -> Con
     # T' = b^{2rk} t^{2k} has a numerator of at least num(b)^{2rk} and at least T', and a denominator
     # of at least den(b)^{2rk} / t^{2k}: one is at least 2^bits, past the digit limit once
     # 100 bits >= 333 digits.  Such a T' is not built, and is refused (None) in its turn below.
+    # Any other T' past MAX_EXACT_BITS (with no digit limit, every one) is refused here, unbuilt.
     num, den = q.b.numerator, q.b.denominator
     bits = 2 * k * max(r * (num.bit_length() - 1) + max(0, t.bit_length() - 1 - r * (den - 1).bit_length()),
                        r * (den.bit_length() - 1) - (t - 1).bit_length())
-    t_prime = None if digits and 100 * bits >= 333 * digits else q.b ** (2 * r * k) * Fraction(t) ** (2 * k)
+    if digits and 100 * bits >= 333 * digits:
+        t_prime = None
+    elif bits > MAX_EXACT_BITS:
+        raise ParameterError(f"Tprime has more than {MAX_EXACT_BITS} bits, too many to build exactly")
+    else:
+        t_prime = q.b ** (2 * r * k) * Fraction(t) ** (2 * k)
     big_a = 2 * d0 * (q.a + 1) * s * t
     big_c = min(Fraction(1, 2 * s * t), q.eps ** 2 * q.c ** 2 / (240 * q.a))
     big_r = t * r
@@ -391,11 +398,6 @@ def make_lll_instance(
                        chi, blue_colour, dep, condition)
 
 
-def _draw(seed: int, var: int, counter: int, size: int) -> int:
-    rng = random.Random((seed * 1_000_003 + var) * 1_000_003 + counter)
-    return rng.randrange(size)
-
-
 def lll_embed(instance: LLLInstance, seed: int, max_resamples: int) -> Embedding:
     """Resample-until-clean: while some edge lands on a bad pair, redraw its endpoints.
 
@@ -410,7 +412,7 @@ def lll_embed(instance: LLLInstance, seed: int, max_resamples: int) -> Embedding
     counters = [0] * n
     choice = [0] * n
     for u in range(n):
-        choice[u] = _draw(seed, u, 0, len(instance.cliques[u]))
+        choice[u] = random.Random(_seed(seed, u, 0)).randrange(len(instance.cliques[u]))
     edges = instance.template.sorted_edges()
     violations = {e: 0 for e in edges}
     resamples = 0
@@ -436,7 +438,7 @@ def lll_embed(instance: LLLInstance, seed: int, max_resamples: int) -> Embedding
             )
         for var in bad_edge:
             counters[var] += 1
-            choice[var] = _draw(seed, var, counters[var], len(instance.cliques[var]))
+            choice[var] = random.Random(_seed(seed, var, counters[var])).randrange(len(instance.cliques[var]))
     mapping = tuple(instance.cliques[u][choice[u]] for u in range(n))
     constraint = None
     if instance.chi is not None:

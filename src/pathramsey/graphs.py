@@ -144,6 +144,13 @@ def complete_graph(n: int) -> Graph:
     return Graph._from_edge_set(n, list(combinations(range(n), 2)))
 
 
+def _seed(seed: int, *index: int) -> int:
+    """The seed of sub-stream (seed, *index): each index in turn is folded in by one multiply-add."""
+    for i in index:
+        seed = seed * 1_000_003 + i
+    return seed
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph: each of the C(n,2) pairs kept with probability p."""
     if not 0 <= p <= 1:
@@ -328,7 +335,7 @@ def sheared_blowup(h: Graph, t: int, seed: int | None = None) -> tuple[Graph, Bl
     perms = [list(range(t)) for _ in h.edges]
     if seed is not None:
         for (u, v), perm in zip(h.edges, perms):
-            random.Random((seed * 1_000_003 + u) * 1_000_003 + v).shuffle(perm)
+            random.Random(_seed(seed, u, v)).shuffle(perm)
     return _blowup(h, t, perms, "aligned" if seed is None else f"seeded:{seed}")
 
 

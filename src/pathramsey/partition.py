@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .graphs import Graph, _depth_first, _edge_subset, _frontiers, _mask_vertices, validate_path
+from .graphs import Graph, _depth_first, _edge_subset, _frontiers, _mask_vertices, _seed, validate_path
 from .pseudorandom import _empty_cross_pair, prune_to_size
 
 EXHAUSTIVE_CAP = 12
@@ -260,7 +260,7 @@ def _partition_heuristic(blue: Graph, ell: int, seed: int) -> PartitionResult:
     nonempty classes share one size, and paths and classes cover every vertex.
     """
     masks = blue.adjacency_masks()
-    rng = random.Random(seed * 1_000_003)
+    rng = random.Random(_seed(seed, 0))
     available = (1 << blue.n) - 1
     paths: list[list[int]] = []
     for _ in range(ell):

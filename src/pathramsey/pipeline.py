@@ -39,6 +39,7 @@ from .errors import (
 from .graphs import (
     BlowupMap,
     Graph,
+    _seed,
     induced_subgraph,
     path_power,
     power,
@@ -274,7 +275,7 @@ def induction_step(
     _ok(trace, "segment-graph-class", rep_mid.to_dict())
 
     # Sparsify then peel high-degree vertices down to an survivors.
-    h_second = sparsify(h_prime, cfg.sparsify_p, cfg.seed * 1_000_003 + 11)
+    h_second = sparsify(h_prime, cfg.sparsify_p, _seed(cfg.seed, 11))
     h_final, kept = prune_top(h_second, h_second.n - an)
     _ok(trace, "sparsify-prune", {"keptEdges": h_second.m, "keptVertices": len(kept)})
     try:
@@ -301,7 +302,7 @@ def induction_step(
     budget = 100 * max(1, template.m)
     _ok(trace, "lll-instance", instance.to_dict())
     try:
-        emb = lll_embed(instance, cfg.seed * 1_000_003 + 13, budget)
+        emb = lll_embed(instance, _seed(cfg.seed, 13), budget)
     except LLLFailureError as exc:
         return _fail(trace, "lll-embed", f"{exc} ({exc.stats})")
     allowed = frozenset(c for c in range(1, cfg.s + 1) if c != blue)

@@ -29,6 +29,7 @@ from .graphs import (
     _edge_subset,
     _first_shortest_cycle,
     _mask_vertices,
+    _seed,
     girth_violation,
     induced_subgraph,
     max_degree,
@@ -705,10 +706,13 @@ class GenerationLog:
     attempts: int = 0
     internal_mode: str = ""
     removed_edges: list[tuple[int, int]] = field(default_factory=list)
-    cycles_found: int = 0
     removed_vertices: list[int] = field(default_factory=list)
     pre_prune_edges: int = 0
     final_max_degree: int = 0
+
+    @property
+    def cycles_found(self) -> int:
+        return len(self.removed_edges)  # one edge goes per short cycle found
 
     def to_dict(self) -> dict:
         return {
@@ -747,7 +751,6 @@ def _clean_short_cycles(g: Graph, limit: int, log: GenerationLog) -> Graph:
     found = _first_shortest_cycle(adj, edges, 0, 3, limit)
     while found is not None:
         start, cyc = found
-        log.cycles_found += 1
         most, a = -1, cyc[-1]
         for b in cyc:
             pair, total = (a, b) if a < b else (b, a), deg[a] + deg[b]
@@ -809,7 +812,7 @@ def generate_class_p(
     target = cfg.p * params.cn * params.cn
     for attempt in range(cfg.retry_budget):
         log.attempts = attempt + 1
-        sample = random_graph(params.two_an, float(cfg.p), seed=cfg.seed * 1_000_003 + attempt)
+        sample = random_graph(params.two_an, float(cfg.p), seed=_seed(cfg.seed, attempt))
         worst, log.internal_mode = _count_certificate_ok(
             sample, params.cn, target, q.eps / 2,
             sample_count=cfg.cert_samples, seed=cfg.seed ^ 0x5EED,

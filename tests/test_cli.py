@@ -435,6 +435,19 @@ class TestConstants:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: Tprime has more than 4300 decimal digits, too many to print\n")
 
+    @pytest.mark.parametrize("k", [30, 300])
+    def test_tprime_past_the_bit_cap_exits_two_at_once_with_no_digit_limit(self, k):
+        # With no digit limit, T' used to be built and printed whatever its size:
+        # k = 30 took 4.7 s and printed 748 KB, and k = 300 ran past 10 s.
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathramsey.cli", "constants", "--k", str(k), "--s", "2", "--r", "1000",
+             "--t", "2", "--quad", "2,1700000,1/2,1/20", "--d0", "1"],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="0"),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: Tprime has more than 1000000 bits, too many to build exactly\n")
+
     def test_bad_quad_syntax_exit_two(self, run):
         code, _, err = run("constants", "--k", "1", "--s", "2", "--r", "1",
                            "--t", "2", "--quad", "3,1", "--d0", "1")

@@ -13,7 +13,8 @@ builds a graph without checking its edges, only cli.py reads config
 documents, every embedding the package builds is handed to
 embedding._validated and only embedding.py calls validate_embedding, only
 pseudorandom._routed_pairs calls _record_pairs or _sampled_pairs or reads
-PAIR_BUDGET or EXPANSION_PAIR_BUDGET, no generator recurses by delegating to itself, and no other
+PAIR_BUDGET or EXPANSION_PAIR_BUDGET, only graphs._seed holds the seed mix's
+multiplier 1_000_003, no generator recurses by delegating to itself, and no other
 function calls itself unless a constant bounds its depth."""
 
 from __future__ import annotations
@@ -744,6 +745,51 @@ def test_pair_routing_guard_flags_a_second_caller(tmp_path):
         "    return pairs, _routed_pairs(masks, k), pseudorandom.EXPANSION_PAIR_BUDGET\n"
     )
     assert unrouted_pair_checks(tmp_path) == ["a:5", "a:6", "pseudorandom:8", "pseudorandom:9"]
+
+
+SEED_MULTIPLIER = 1_000_003
+
+
+def unowned_seed_mixes(package: Path) -> list[str]:
+    """Integer literals equal to the seed mix's multiplier, however spelled,
+    as module:line, outside graphs._seed.
+
+    Every derived seed comes from that one function; a second copy of the
+    mix would derive streams that it cannot name or change.
+    """
+    found = []
+    for module, tree in _parse_package(package).items():
+        owners = [node for node in tree.body if module == "graphs"
+                  and isinstance(node, ast.FunctionDef) and node.name == "_seed"]
+        owned = {id(sub) for owner in owners for sub in ast.walk(owner)}
+        found += [
+            f"{module}:{line}" for line in sorted(
+                node.lineno for node in ast.walk(tree) if id(node) not in owned
+                and isinstance(node, ast.Constant) and type(node.value) is int and node.value == SEED_MULTIPLIER
+            )
+        ]
+    return found
+
+
+def test_only_graphs_seed_mixes_seeds():
+    assert unowned_seed_mixes(PACKAGE) == []
+
+
+def test_seed_mix_guard_flags_a_second_spelling(tmp_path):
+    (tmp_path / "graphs.py").write_text(
+        "def _seed(seed, *index):\n"
+        "    for i in index:\n"
+        "        seed = seed * 1_000_003 + i\n"
+        "    return seed\n\n"
+        "def shuffle_seed(seed, u):\n"
+        "    return seed * 1000003 + u\n"
+    )
+    (tmp_path / "a.py").write_text(
+        "from .graphs import _seed\n\n"
+        "def f(seed, _seed=0xF4243):\n"
+        "    return _seed(seed, 1), seed * 1_000_033, '1_000_003', 1_000_003.0\n"
+    )
+    assert unowned_seed_mixes(tmp_path) == ["a:3", "graphs:7"]
 
 
 def self_delegating_generators(package: Path) -> list[str]:

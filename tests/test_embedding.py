@@ -32,6 +32,7 @@ from pathramsey import (
     random_graph,
     validate_embedding,
 )
+from pathramsey.embedding import MAX_EXACT_BITS
 
 from conftest import complete_bipartite, floyd_warshall, random_graph_with_path
 from graph_reference import mask_adjacency
@@ -213,6 +214,18 @@ class TestConstantsChain:
         finally:
             sys.set_int_max_str_digits(limit)
         assert 100 < refused < 300
+
+    def test_tprime_past_the_bit_cap_refused_unbuilt_with_no_digit_limit(self):
+        # T' = 2^{2rk}: at r = 500,000 it has MAX_EXACT_BITS + 1 bits and is built;
+        # one more r and it is refused before it is built, not printed in full.
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert constants_chain(1, 2, 500_000, 1, quad(3, 2, 1, "1/20"), 1).t_prime == 2 ** MAX_EXACT_BITS
+            with pytest.raises(ParameterError, match=f"^Tprime has more than {MAX_EXACT_BITS} bits, too many"):
+                constants_chain(1, 2, 500_001, 1, quad(3, 2, 1, "1/20"), 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestEmbedBaseCase:

@@ -29,7 +29,7 @@ from pathramsey import (
     sheared_blowup,
 )
 
-from pathramsey.graphs import validate_path
+from pathramsey.graphs import _seed, validate_path
 
 from conftest import floyd_warshall, oracle_girth
 from graph_reference import mask_adjacency, ref_validate_blowup_map
@@ -239,6 +239,17 @@ class TestBlowups:
         _, bmap = complete_blowup(path_graph(3), 4)
         assert bmap.clique_of[2] == (8, 9, 10, 11)
         assert bmap.clique_of[1] == (4, 5, 6, 7)
+
+
+
+class TestSeedMix:
+    """graphs._seed against the literal mix that every replay digest was recorded with."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 13, -7, 2 ** 70])
+    def test_matches_the_literal_formula(self, seed):
+        assert _seed(seed) == seed
+        assert _seed(seed, 11) == seed * 1_000_003 + 11
+        assert _seed(seed, 4, -9) == (seed * 1_000_003 + 4) * 1_000_003 - 9
 
 
 class TestGirth:

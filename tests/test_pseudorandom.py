@@ -167,7 +167,9 @@ class TestGeneration:
         params = ClassPParams(TOY_QUAD, t=2, n=16)
         g, _, log = generate_class_p(params, GenerationConfig(p=Fraction(7, 10), seed=3))
         assert girth_violation(g, 4) is None
-        assert len(log.removed_edges) == log.cycles_found
+        assert len(log.removed_edges) == log.cycles_found == log.to_dict()["cyclesFound"] > 0
+        with pytest.raises(AttributeError):  # derived from removed_edges, never stored
+            log.cycles_found = 0
 
     def test_acyclic_sample_removes_nothing(self):
         # c > a makes the certification family vacuous, so a near-empty sample
