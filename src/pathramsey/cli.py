@@ -335,7 +335,8 @@ def _cmd_embed_base(args) -> int:
         try:
             emb = base_case_driver(args.k, params, gen,
                                    n_target=_integer(doc, "nTarget", None),
-                                   matching_seed=_integer(doc, "matchingSeed", None))
+                                   matching_seed=args.seed if args.seed is not None
+                                   else _integer(doc, "matchingSeed", None))
         except BaseCaseError as exc:
             _emit(dump_report({"found": False, "achieved": exc.achieved}), args.out)
             return 1

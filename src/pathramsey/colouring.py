@@ -17,6 +17,7 @@ from .errors import (
     ConstructionError,
     ParameterError,
     PreconditionError,
+    _count_text,
 )
 from .graphs import Graph, _depth_first, _edge_subset, _mask_vertices, path_power
 
@@ -484,7 +485,7 @@ def arrow_check(
     total = s ** m
     if mode == "exhaustive":
         if total > budget:
-            raise BudgetExceededError(f"{total} colourings exceed the budget {budget}")
+            raise BudgetExceededError(f"{_count_text(total)} colourings exceed the budget {budget}")
         indices: Iterable[int] = range(total)
     elif mode == "randomized":
         if trials < 1:

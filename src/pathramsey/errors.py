@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class PathRamseyError(Exception):
     """Base class for all package errors."""
@@ -29,6 +31,12 @@ class NoPathFoundError(PathRamseyError):
 
 class BudgetExceededError(PathRamseyError):
     """An exhaustive enumeration would exceed the configured budget."""
+
+
+def _count_text(n: int) -> str:
+    """n in decimal, or a bound that prints when n has more digits than the interpreter prints (0: no limit)."""
+    digits = sys.get_int_max_str_digits()
+    return f"at least 10**{digits}" if digits and n >= 10 ** digits else str(n)
 
 
 class PreconditionError(PathRamseyError):

@@ -303,19 +303,21 @@ def partition_two_coloured(
     classes; one class may hold all that the paths leave.  A search that
     returns a cover the check rejects is a fault: ConstructionError.
     """
-    if ell < 1:
-        raise ParameterError("ell must be >= 1")
+    if ell < 0:
+        raise ParameterError("ell must be >= 0")
     n = blue.n
     if mode == "auto":
         mode = "exhaustive" if n <= EXHAUSTIVE_CAP else "heuristic"
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_CAP:
-            raise ParameterError(f"exhaustive cover search capped at n = {EXHAUSTIVE_CAP}")
-        result = _partition_exhaustive(blue, ell)
+    if mode not in ("exhaustive", "heuristic"):
+        raise ParameterError("mode must be 'auto', 'exhaustive', or 'heuristic'")
+    if ell == 0:  # nothing to search: one class, no path
+        result = PartitionResult((), (tuple(range(n)),))
     elif mode == "heuristic":
         result = _partition_heuristic(blue, ell, seed)
+    elif n > EXHAUSTIVE_CAP:
+        raise ParameterError(f"exhaustive cover search capped at n = {EXHAUSTIVE_CAP}")
     else:
-        raise ParameterError("mode must be 'auto', 'exhaustive', or 'heuristic'")
+        result = _partition_exhaustive(blue, ell)
     problem = verify_partition(blue, result, ell)
     if problem is not None:
         raise ConstructionError(f"search produced an invalid cover: {problem}")

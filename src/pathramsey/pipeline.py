@@ -46,7 +46,6 @@ from .graphs import (
     sheared_blowup,
 )
 from .partition import (
-    PartitionResult,
     auxiliary_graph,
     long_path_through_sets,
     partition_two_coloured,
@@ -207,18 +206,14 @@ def induction_step(
     aux = build_aux_colouring(j, [found[v][1] for v in ids], chi, cfg.k, blue)
     _ok(trace, "aux-colouring", {"jVertices": j.n, "jEdges": j.m, "blueEdges": aux.blue.m})
 
-    # Cover the blue/grey complete graph over W by ell blue paths and ell + 1 = t classes.
-    ell = cfg.t - 1
-    if ell >= 1:
-        part = partition_two_coloured(aux.blue, ell, seed=cfg.seed)
-    else:
-        part = PartitionResult((), (tuple(range(j.n)),))
+    # Cover the blue/grey complete graph over W by t - 1 blue paths and t classes.
+    part = partition_two_coloured(aux.blue, cfg.t - 1, seed=cfg.seed)
     _ok(trace, "partition", {"bluePaths": [len(p) for p in part.blue_paths],
                              "classSizes": [len(c) for c in part.red_classes]})
 
     # A blue path of n derived vertices promotes straight to a blue power.
     long_blue = next((p for p in part.blue_paths if len(p) >= cfg.n), None)
-    if ell < 1:  # no cover stage ran (t = 1): probe for the path directly
+    if cfg.t == 1:  # the cover has no path: probe for one directly
         try:
             long_blue = long_path_through_sets(aux.blue, [list(range(j.n))], cfg.n)
         except NoPathFoundError:

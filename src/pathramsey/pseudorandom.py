@@ -22,6 +22,7 @@ from .errors import (
     BudgetExceededError,
     CertificationError,
     ParameterError,
+    _count_text,
 )
 from .graphs import (
     Graph,
@@ -541,7 +542,7 @@ def _routed_pairs(g: Graph, k: int, least: int, greatest: int, mode: str, budget
     if mode == "sampled":
         return _sampled_pairs(g.adjacency_masks(), k, sample_count, seed), mode
     if total > limit:
-        raise BudgetExceededError(f"{total} pairs exceed the exhaustive budget {limit}")
+        raise BudgetExceededError(f"{_count_text(total)} pairs exceed the exhaustive budget {limit}")
     return _record_pairs(g.adjacency_masks(), k, least, greatest), mode
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -80,6 +81,15 @@ def has_k22(x: int, edge_set: set[tuple[int, int]]) -> bool:
         if len(nbhd[j1] & nbhd[j2]) >= 2:
             return True
     return False
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int-to-text limit, 4,300 digits, whatever the environment sets."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture

@@ -51,15 +51,6 @@ def run(capsys):
 
 
 @pytest.fixture
-def digit_limit():
-    """The interpreter's default int-to-text limit, 4,300 digits, whatever the environment sets."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(limit)
-
-
-@pytest.fixture
 def graph_file(tmp_path):
     def write(g: Graph, name: str) -> str:
         p = tmp_path / name
@@ -245,6 +236,15 @@ class TestPartitionLongpath:
         doc = json.loads(out)
         assert doc["found"] and doc["verified"]
 
+    def test_partition_with_no_path_is_one_class(self, run, graph_file):
+        # ell = 0 is the step's cover at t = 1; it used to be refused.
+        host = complete_graph(4)
+        path = graph_file(host, "k4.edges")
+        code, out, _ = run("partition", "--host", path, "--colours", EdgeColouring.constant(host, 2, 1).to_string(),
+                           "--ell", "0")
+        assert code == 0
+        assert json.loads(out)["result"] == {"bluePaths": [], "redClasses": [[0, 1, 2, 3]]}
+
     def test_partition_rejects_incomplete_host(self, run, graph_file):
         path = graph_file(path_graph(4), "p4.edges")
         code, _, err = run("partition", "--host", path, "--colours", "s=2;m=3;000", "--ell", "1")
@@ -372,6 +372,33 @@ class TestArrow:
         assert "trial count must be >= 1" in err and err.count("\n") == 1
 
 
+class TestCountsPastTheDigitLimit:
+    # Each refusal used to format a count with more digits than the
+    # interpreter prints, and so ended in an internal ValueError.
+    def test_expansion_pre_check_is_asserted(self, run, graph_file, digit_limit):
+        g = graph_file(path_graph(10_000), "p10000.edges")
+        code, out, err = run("longpath", "--graph", g, "--parts", "[[0,1,2,3]]", "--target", "2",
+                             "--gamma", "1/4")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["vertices"] == [0, 1]
+
+    def test_exhaustive_certificate_is_refused(self, run, graph_file, tmp_path, digit_limit):
+        g = graph_file(path_graph(10_000), "p10000.edges")
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"a": "1", "b": "64", "c": "1/4", "eps": "4/5", "t": 1, "n": 10_000,
+                                   "p": "1/2", "seed": 0}))
+        code, out, err = run("verify-p", "--graph", g, "--config", str(cfg), "--mode", "exhaustive")
+        assert (code, out) == (2, "")
+        assert err == "error: at least 10**4300 pairs exceed the exhaustive budget 200000\n"
+
+    def test_arrow_budget_is_refused(self, run, graph_file, digit_limit):
+        host = graph_file(complete_graph(200), "k200.edges")
+        pattern = graph_file(complete_graph(3), "k3.edges")
+        code, out, err = run("arrow", "--host", host, "--pattern", pattern, "--colours", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: at least 10**4300 colourings exceed the budget 16777216\n"
+
+
 class TestConstants:
     def test_chain_values(self, run):
         code, out, _ = run(
@@ -483,6 +510,21 @@ class TestEmbedBase:
         cfg.write_text(json.dumps(doc))
         code, out, err = run("embed-base", "--config", str(cfg), "--k", "1")
         assert (code, out, err) == (2, "", "error: n_target must be >= 1\n")
+
+    def test_seed_overrides_the_configs_matching_seed(self, run, tmp_path):
+        # --seed used to be ignored in config mode: every seed printed matchingSeed 1's report.
+        def embed(matching_seed, *seed):
+            doc = {"a": "2", "b": "1700000", "c": "1/2", "eps": "1/20", "t": 1, "n": 6, "p": "1",
+                   "seed": 0, "nTarget": 4, "matchingSeed": matching_seed}
+            cfg = tmp_path / "base.json"
+            cfg.write_text(json.dumps(doc))
+            code, out, err = run("embed-base", "--config", str(cfg), "--k", "2", *seed)
+            assert (code, err) == (0, "")
+            return out
+
+        reports = [embed(seed) for seed in (1, 2, 5)]
+        assert len(set(reports)) == 3
+        assert [embed(1, "--seed", str(seed)) for seed in (1, 2, 5)] == reports
 
 
 def _golden_case(tmp_path, monkeypatch, name: str, drop: tuple = (), **fields) -> list[str]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -33,6 +34,7 @@ from pathramsey import (
     sheared_blowup,
     validate_embedding,
 )
+from pathramsey.errors import _count_text
 
 from conftest import has_k22
 from step_reference import ref_find_blue_biclique, ref_validate_aux_colouring
@@ -513,6 +515,17 @@ class TestArrowCheck:
         with pytest.raises(BudgetExceededError) as exc:
             arrow_check(complete_graph(6), complete_graph(3), 2, budget=100)
         assert str(exc.value).startswith(f"{2 ** 15} colourings")
+
+    def test_budget_refusal_past_the_digit_limit(self, digit_limit):
+        # 2^19,900 colourings of K200 have 5,991 digits, more than the interpreter prints.
+        with pytest.raises(BudgetExceededError, match=r"^at least 10\*\*4300 colourings exceed the budget 16777216$"):
+            arrow_check(complete_graph(200), complete_graph(3), 2)
+
+    def test_count_prints_within_the_digit_limit(self, digit_limit):
+        assert _count_text(10 ** 4300 - 1) == "9" * 4300
+        assert _count_text(10 ** 4300) == "at least 10**4300"
+        sys.set_int_max_str_digits(0)  # no limit
+        assert _count_text(10 ** 4300) == "1" + "0" * 4300
 
     def test_randomized_mode_is_inconclusive_or_refutes(self):
         v = arrow_check(path_graph(4), path_graph(3), 2, mode="randomized", trials=200, seed=1)

@@ -14,7 +14,7 @@ documents, every embedding the package builds is handed to
 embedding._validated and only embedding.py calls validate_embedding, only
 pseudorandom._routed_pairs calls _record_pairs or _sampled_pairs or reads
 PAIR_BUDGET or EXPANSION_PAIR_BUDGET, only graphs._seed holds the seed mix's
-multiplier 1_000_003, no generator recurses by delegating to itself, and no other
+multiplier 1_000_003, only partition.py builds a PartitionResult, no generator recurses by delegating to itself, and no other
 function calls itself unless a constant bounds its depth."""
 
 from __future__ import annotations
@@ -790,6 +790,37 @@ def test_seed_mix_guard_flags_a_second_spelling(tmp_path):
         "    return _seed(seed, 1), seed * 1_000_033, '1_000_003', 1_000_003.0\n"
     )
     assert unowned_seed_mixes(tmp_path) == ["a:3", "graphs:7"]
+
+
+def foreign_covers(package: Path) -> list[str]:
+    """`PartitionResult(` calls outside partition.py, as module:line.
+
+    Every cover comes from partition_two_coloured, which checks it with
+    verify_partition; a cover built elsewhere would skip that check.
+    """
+    return [
+        f"{module}:{line}" for module, tree in _parse_package(package).items() if module != "partition"
+        for line in sorted(node.lineno for node in ast.walk(tree) if _called(node) == "PartitionResult")
+    ]
+
+
+def test_every_cover_is_built_in_partition():
+    assert foreign_covers(PACKAGE) == []
+
+
+def test_cover_guard_flags_a_cover_built_elsewhere(tmp_path):
+    (tmp_path / "partition.py").write_text(
+        "class PartitionResult:\n    pass\n\n"
+        "def partition_two_coloured(blue, ell):\n    return PartitionResult()\n"
+    )
+    (tmp_path / "a.py").write_text(
+        "from . import partition\nfrom .partition import PartitionResult\n\n"
+        "def f(ell, n):\n"
+        "    if ell:\n"
+        "        return partition.PartitionResult(), PartitionResult\n"
+        "    return PartitionResult((), (tuple(range(n)),))\n"
+    )
+    assert foreign_covers(tmp_path) == ["a:6", "a:7"]
 
 
 def self_delegating_generators(package: Path) -> list[str]:

@@ -141,6 +141,16 @@ class TestPartitionExamples:
         with pytest.raises(ParameterError):
             partition_two_coloured(blue, 1, mode="exhaustive")
 
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "heuristic"])
+    @pytest.mark.parametrize("n", [0, 5, 12, 20])
+    def test_no_path_leaves_one_class(self, mode, n):
+        # ell = 0 (the step at t = 1) has nothing to search, even for an
+        # explicit exhaustive search above its cap: one class and no path.
+        blue = random_graph(n, 0.5, n)
+        res = partition_two_coloured(blue, 0, mode=mode)
+        assert res == PartitionResult((), (tuple(range(n)),))
+        assert verify_partition(blue, res, 0) is None
+
 
 class TestVerifyPartition:
     def test_red_edge_inside_blue_path_rejected(self):
@@ -237,6 +247,15 @@ class TestLongPath:
             partition.check_expansion(path_graph(8), 2)
         monkeypatch.setattr(pseudorandom, "EXPANSION_PAIR_BUDGET", 210)
         assert partition.check_expansion(complete_graph(8), 2) is None
+
+    def test_expansion_pre_check_past_the_digit_limit_is_asserted(self, digit_limit):
+        # P10000 at gamma = 1/4 has a pre-check family with 4,512 digits, more
+        # than the interpreter prints: the refusal still names it, so the
+        # hypothesis is asserted and the path searched.
+        g = path_graph(10_000)
+        assert long_path_through_sets(g, [[0, 1, 2, 3]], 2, gamma=Fraction(1, 4)) == (0, 1)
+        with pytest.raises(BudgetExceededError, match=r"^at least 10\*\*4300 pairs exceed the exhaustive budget "):
+            partition.check_expansion(g, 2500)
 
     def test_honest_failure_carries_longest(self):
         g = path_graph(4)

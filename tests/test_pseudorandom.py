@@ -21,6 +21,7 @@ from pathramsey import (
     girth_violation,
     is_good,
     max_degree,
+    path_graph,
     quad,
     random_graph,
     verify_class_p,
@@ -248,6 +249,13 @@ class TestVerifyClassP:
         params = toy_params()
         rep = verify_class_p(complete_graph(10), params, mode="exhaustive")
         assert rep.size_found != rep.size_wanted and not rep.to_dict()["size"]["ok"]
+
+    def test_exhaustive_refusal_past_the_digit_limit(self, digit_limit):
+        # an = 10,000 and cn = 2,500 on P10000: the family has more digits
+        # than the interpreter prints, and the refusal still says so.
+        params = ClassPParams(quad(1, 64, "1/4", "4/5"), t=1, n=10_000)
+        with pytest.raises(BudgetExceededError, match=r"^at least 10\*\*4300 pairs exceed the exhaustive budget 200000$"):
+            verify_class_p(path_graph(10_000), params, mode="exhaustive")
 
     def test_degree_violation_detected(self):
         params = ClassPParams(quad(1, 2, "1/2", "4/5"), t=1, n=16)
