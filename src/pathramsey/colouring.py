@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .embedding import Embedding, _validated
 from .errors import (
@@ -103,7 +103,7 @@ class EdgeColouring:
         return cls(host, s, col)
 
 
-def _reject_colour_map(edges: frozenset[Edge], s: int, colour_of: dict[Edge, int]) -> None:
+def _reject_colour_map(edges: AbstractSet[Edge], s: int, colour_of: dict[Edge, int]) -> None:
     """Raise for the first item of a colour map that is not a total colouring of edges."""
     seen: set[Edge] = set()
     for (u, v), c in colour_of.items():
@@ -244,7 +244,7 @@ def mono_clique_in_clique(
         raise ParameterError("target exceeds the clique size")
     col = colouring._col
     # One pass over the pairs fills every colour class: masks[c][i] holds the
-    # positions joined to position i in colour c.
+    # positions after i joined to it in colour c, all that _grow_clique reads.
     masks = [[0] * k for _ in range(colouring.s + 1)]
     for i in range(k):
         a = verts[i]
@@ -253,9 +253,7 @@ def mono_clique_in_clique(
             c = col.get((a, b) if a < b else (b, a))
             if c is None:
                 raise ParameterError(f"input vertices are not a clique: ({a},{b}) missing")
-            row = masks[c]
-            row[i] |= 1 << j
-            row[j] |= 1 << i
+            masks[c][i] |= 1 << j
     for c in range(1, colouring.s + 1):
         # the lexicographically first target-clique of colour c, by position
         found = next(_depth_first(_grow_clique(masks[c], target, (), (1 << k) - 1)), None)

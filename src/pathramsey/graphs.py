@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from collections.abc import Set
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, compress, islice, product
+from itertools import accumulate, chain, combinations, compress, groupby, islice, product
 from typing import Generator, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, GraphFormatError, ParameterError
@@ -22,8 +24,10 @@ INF = math.inf
 
 
 def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterable[Edge]:
-    """The edges as sorted pairs, raising at the first self-loop or out-of-range end."""
+    """The edges as sorted pairs, raising at the first non-int end, self-loop or out-of-range end."""
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:  # 1.0, 1.5 and True are not vertices
+            raise GraphFormatError(f"edge ({u!r},{v!r}) has an end that is not an integer")
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -31,51 +35,70 @@ def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterable[Edge]:
         yield (u, v) if u < v else (v, u)
 
 
-class _EdgeSet(frozenset):
-    """A frozenset of edges that iterates the sorted list kept beside it.
+class _EdgeSet(Set):
+    """A read-only set over a graph's sorted, duplicate-free edge list, kept and not copied: no hash table.
 
-    Set algebra (`|`, `-`, `set(...)`) returns plain frozensets or sets,
-    whose order is undefined.
+    Iteration walks the list and membership is a binary search; a probe not
+    comparable with an int pair, such as ("a", "b"), None or [0, 1], is no
+    member.  Equality and hashing agree with frozenset's.  Set algebra (`|`,
+    `&`, `-`, `^`) returns a plain frozenset, whose order is undefined.
     """
 
     __slots__ = ("_order",)
 
-    def __new__(cls, order: list[Edge]) -> "_EdgeSet":  # order is kept, not copied
-        self = super().__new__(cls, order)
+    def __init__(self, order: list[Edge]):
         self._order = order
-        return self
+
+    def __len__(self) -> int:
+        return len(self._order)
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self._order)
+
+    def __contains__(self, e) -> bool:
+        order = self._order
+        try:
+            i = bisect_left(order, e)
+        except TypeError:
+            return False
+        return i < len(order) and order[i] == e
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _EdgeSet:  # one list comparison
+            return self._order == other._order
+        return Set.__eq__(self, other)
+
+    __hash__ = Set._hash
+    _from_iterable = frozenset  # the type Set's algebra builds its results with
 
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Invariants: no self-loops, no duplicate edges, adjacency symmetric,
-    edge count equals half the degree sum.  `edges` is a frozenset that
-    iterates in lexicographic order, so walking it needs no sort.
+    edge count equals half the degree sum.  `edges` is a read-only set over
+    the sorted edge list (`_EdgeSet`), so walking it needs no sort and
+    membership is a binary search.
 
     The edge set is the only state built up front.  Its one derived view,
     the neighbour bitmasks (`adjacency_masks`), is built on first use and
     kept; neighbours and degrees are read from it.  A large host that is only
     ever queried edge by edge never pays for it.
 
-    The constructor checks, sorts and deduplicates every edge; on sorted input
-    the sort is one linear pass.  The builders in this module whose pairs are
+    The constructor checks n and every edge, sorts, and drops the repeats the
+    sort makes adjacent; on sorted input the sort is one linear pass.  The builders in this module whose pairs are
     distinct, in range and already in order (`_edge_subset` among them) skip it through `_from_edge_set`.
     """
 
     __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:
+            raise ParameterError(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise ParameterError("vertex count must be non-negative")
         self.n = n
-        pairs = sorted(_checked_edges(n, edges))
-        self.edges = _EdgeSet(pairs)
-        if len(self.edges) < len(pairs):  # a pair given twice: keep one copy in the order
-            self.edges = _EdgeSet(list(dict.fromkeys(pairs)))
+        self.edges = _EdgeSet([e for e, _ in groupby(sorted(_checked_edges(n, edges)))])
         self._masks: tuple[int, ...] | None = None
 
     @classmethod

@@ -351,10 +351,11 @@ def verify_partition(blue: Graph, result: PartitionResult, ell: int) -> str | No
         return f"unbalanced nonempty classes: sizes {sorted(len(c) for c in classes)}"
     if seen != set(range(n)):
         return "cover misses or exceeds the vertex set"
+    adj = blue.adjacency_masks()  # every class vertex is in range, checked above
     for c1, c2 in combinations(classes, 2):
         for u in c1:
             for v in c2:
-                if blue.has_edge(u, v):
+                if adj[u] >> v & 1:
                     return f"cross-class pair ({u},{v}) is not red"
     return None
 

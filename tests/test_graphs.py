@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,8 +113,40 @@ class TestEdgeOrder:
     def test_edges_iterate_in_lexicographic_order(self, g):
         assert list(g.edges) == sorted(g.edges) == g.sorted_edges()
         assert g.edges == frozenset(g.edges) and hash(g.edges) == hash(frozenset(g.edges))
-        assert isinstance(g.edges, frozenset)
+        assert isinstance(g.edges, collections.abc.Set) and not isinstance(g.edges, (set, frozenset))
         assert g.m > 0
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _order_cases()])
+    def test_membership_agrees_with_frozenset(self, g):
+        plain = frozenset(g.edges)
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        probes = pairs + [(v, u) for u, v in pairs] + [(-1, 0), (0, g.n), (g.n, g.n + 1), (-2, -1)]
+        assert [e in g.edges for e in probes] == [e in plain for e in probes]
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _order_cases()])
+    def test_set_algebra_returns_frozensets(self, g):
+        plain = frozenset(g.edges)
+        other = frozenset(list(g.edges)[::2] + [(0, g.n)])
+        for op in ("__or__", "__and__", "__sub__", "__xor__"):
+            got = getattr(g.edges, op)(other)
+            assert type(got) is frozenset and got == getattr(plain, op)(other), op
+
+    @pytest.mark.parametrize("probe", [("a", "b"), None, (0, "x"), [0, 1]])
+    def test_membership_never_raises(self, probe):
+        for _, g in _order_cases():
+            assert probe not in g.edges
+
+    def test_colour_map_with_a_string_key_names_the_non_edge(self):
+        g = path_graph(3)
+        with pytest.raises(ParameterError, match=r"^colouring mentions non-edge \('a', 'b'\)$"):
+            EdgeColouring(g, 2, {(0, 1): 1, (1, 2): 2, ("a", "b"): 1})
+
+    def test_no_edge_set_holds_a_hash_table(self):
+        # The largest host of the step benchmark: its edge set is the sorted list alone.
+        host = sheared_blowup(power(cycle_graph(24), 2), 24, seed=0)[0]
+        assert host.m == 33_120
+        assert not {set, frozenset} & set(type(host.edges).__mro__)
+        assert sys.getsizeof(host.edges) < 100
 
     def test_constructor_keeps_the_edge_set(self):
         pairs = [(3, 1), (0, 2), (1, 3), (2, 0), (0, 1)]

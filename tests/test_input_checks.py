@@ -98,6 +98,15 @@ CASES = [
      ParameterError, "max_resamples must be >= 1"),
     # graphs
     ("graph-negative-order", lambda: Graph(-1), ParameterError, "vertex count must be non-negative"),
+    ("graph-float-order", lambda: Graph(2.5), ParameterError, "vertex count 2.5 is not an integer"),
+    ("graph-bool-order", lambda: Graph(True), ParameterError, "vertex count True is not an integer"),
+    ("graph-float-vertex", lambda: Graph(3, [(0, 1.0), (1, 2)]), GraphFormatError,
+     "edge (0,1.0) has an end that is not an integer"),
+    ("graph-half-vertex", lambda: Graph(3, [(0, 1.5)]), GraphFormatError, "edge (0,1.5) has an end that is not an integer"),
+    ("graph-bool-vertex", lambda: Graph(3, [(True, 2)]), GraphFormatError,
+     "edge (True,2) has an end that is not an integer"),
+    ("graph-string-vertex", lambda: Graph(3, [("0", 1)]), GraphFormatError,
+     "edge ('0',1) has an end that is not an integer"),
     ("path-negative-order", lambda: path_graph(-1), ParameterError, "vertex count must be non-negative"),
     ("cycle-two-vertices", lambda: cycle_graph(2), ParameterError, "cycle needs at least 3 vertices"),
     ("random-probability", lambda: random_graph(3, 1.5, 0), ParameterError, "edge probability must lie in [0,1]"),
